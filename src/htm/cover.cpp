@@ -1,7 +1,9 @@
 #include "htm/cover.h"
 
 #include <algorithm>
+#include <functional>
 
+#include "htm/mesh.h"
 #include "util/check.h"
 
 namespace delta::htm {
@@ -10,54 +12,53 @@ namespace {
 
 thread_local std::int64_t t_nodes_visited = 0;
 
-enum class Overlap { kOutside, kPartial, kInside };
-
-Overlap classify(const Trixel& t, const Region& region) {
-  const Vec3 c = t.center();
-  const double r = t.bounding_radius();
-  if (region_distance_to(region, c) > r) return Overlap::kOutside;
-  // Inside when all corners and the center are contained. (Approximate:
-  // boundary bulges are caught by the recursion below, and at worst a
-  // boundary trixel is classified Partial, which is conservative.)
-  if (region_contains(region, c) &&
-      std::all_of(t.vertices().begin(), t.vertices().end(),
-                  [&](const Vec3& v) { return region_contains(region, v); })) {
-    return Overlap::kInside;
-  }
-  return Overlap::kPartial;
+// Inside when all corners and the center are contained. (Approximate:
+// boundary bulges are caught by the recursion below, and at worst a
+// boundary trixel is descended into instead of enumerated whole, which is
+// conservative.)
+bool inside(const MeshNode& t, const Region& region) {
+  return region_contains(region, t.center) &&
+         std::all_of(t.vertices.begin(), t.vertices.end(),
+                     [&](const Vec3& v) { return region_contains(region, v); });
 }
 
-void descend(const Trixel& t, const Region& region, int target_level,
+// Visits the trixel `index` (index_in_level) of `level` and its subtree.
+// Children are visited in id order, so ids reach `out` sorted and unique.
+void descend(const MeshRows& rows, int level, std::int64_t index,
+             const Region& region, int target_level,
              std::vector<HtmId>& out) {
   ++t_nodes_visited;
-  const Overlap o = classify(t, region);
-  if (o == Overlap::kOutside) return;
-  if (t.level() == target_level) {
-    out.push_back(t.id());
+  const MeshNode& t =
+      rows[static_cast<std::size_t>(level)][static_cast<std::size_t>(index)];
+  // Outside when the bounding circle provably misses the region.
+  if (region_distance_to(region, t.center) > t.bounding_radius) return;
+  const HtmId id = first_id_at_level(level) + index;
+  if (level == target_level) {
+    out.push_back(id);  // partial or inside: either way covered
     return;
   }
-  if (o == Overlap::kInside) {
+  if (inside(t, region)) {
     // Whole subtree is inside: enumerate descendants arithmetically.
-    const int depth = target_level - t.level();
-    const HtmId first = t.id() << (2 * depth);
+    const int depth = target_level - level;
+    const HtmId first = id << (2 * depth);
     const HtmId count = 1LL << (2 * depth);
     for (HtmId i = 0; i < count; ++i) out.push_back(first + i);
     return;
   }
-  for (int c = 0; c < 4; ++c) descend(t.child(c), region, target_level, out);
+  for (int c = 0; c < 4; ++c) {
+    descend(rows, level + 1, 4 * index + c, region, target_level, out);
+  }
 }
 
 }  // namespace
 
 std::vector<HtmId> cover_region(const Region& region, int level) {
-  DELTA_CHECK(level >= 0 && level <= 12);
+  const MeshRows rows = mesh_rows(level);  // checks level <= kMaxMeshLevel
   t_nodes_visited = 0;
   std::vector<HtmId> out;
-  for (int r = 0; r < 8; ++r) {
-    descend(Trixel::root(r), region, level, out);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  for (int r = 0; r < 8; ++r) descend(rows, 0, r, region, level, out);
+  DELTA_DCHECK(std::adjacent_find(out.begin(), out.end(),
+                                  std::greater_equal<>()) == out.end());
   return out;
 }
 

@@ -15,7 +15,9 @@ namespace delta::htm {
 /// bounding circle provably misses the region, so B(q) never silently drops
 /// an object the query touches.
 ///
-/// Returned ids are sorted and unique.
+/// The descent reads trixel geometry from the precomputed mesh
+/// (htm/mesh.h), so 0 <= level <= kMaxMeshLevel (8). Returned ids are sorted
+/// and unique.
 std::vector<HtmId> cover_region(const Region& region, int level);
 
 /// Statistics hook: number of trixel nodes visited by the last cover call

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 
+#include "htm/mesh.h"
 #include "util/check.h"
 
 namespace delta::htm {
@@ -29,7 +30,8 @@ struct Candidate {
 PartitionMap PartitionMap::build(int base_level,
                                  const std::vector<double>& base_weights,
                                  std::size_t target_count) {
-  DELTA_CHECK(base_level >= 1 && base_level <= 12);
+  // The map's region and point lookups descend the precomputed mesh.
+  DELTA_CHECK(base_level >= 1 && base_level <= kMaxMeshLevel);
   const std::int64_t base_count = trixel_count_at_level(base_level);
   DELTA_CHECK_MSG(static_cast<std::int64_t>(base_weights.size()) == base_count,
                   "expected " << base_count << " base weights, got "

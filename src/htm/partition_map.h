@@ -25,6 +25,7 @@ class PartitionMap {
   /// one non-negative weight (data density) per base trixel, in
   /// index_in_level order. Splitting proceeds until at least `target_count`
   /// partitions carry positive weight (or no further split is possible).
+  /// Requires 1 <= base_level <= kMaxMeshLevel (htm/mesh.h).
   static PartitionMap build(int base_level,
                             const std::vector<double>& base_weights,
                             std::size_t target_count);

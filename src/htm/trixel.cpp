@@ -28,16 +28,14 @@ constexpr std::array<std::array<Vec3, 3>, 8> kRoots{{
     {{kV2, kV0, kV1}},  // N3, id 15
 }};
 
-// Inclusive side test with a tiny tolerance so points on shared edges are
-// found in at least one sibling.
-bool inside_triangle(const std::array<Vec3, 3>& v, const Vec3& p) {
+}  // namespace
+
+bool triangle_contains(const std::array<Vec3, 3>& v, const Vec3& p) {
   constexpr double kEps = -1e-12;
   return dot(cross(v[0], v[1]), p) >= kEps &&
          dot(cross(v[1], v[2]), p) >= kEps &&
          dot(cross(v[2], v[0]), p) >= kEps;
 }
-
-}  // namespace
 
 int level_of(HtmId id) {
   DELTA_CHECK_MSG(id >= 8, "invalid HTM id " << id);
@@ -113,7 +111,7 @@ Trixel Trixel::from_id(HtmId id) {
 }
 
 bool Trixel::contains(const Vec3& p) const {
-  return inside_triangle(v_, p);
+  return triangle_contains(v_, p);
 }
 
 Vec3 Trixel::center() const {
@@ -137,29 +135,6 @@ double Trixel::area() const {
   const double t = std::tan(s / 2.0) * std::tan((s - a) / 2.0) *
                    std::tan((s - b) / 2.0) * std::tan((s - c) / 2.0);
   return 4.0 * std::atan(std::sqrt(std::max(t, 0.0)));
-}
-
-HtmId locate(const Vec3& p, int level) {
-  const Vec3 unit = normalized(p);
-  for (int r = 0; r < 8; ++r) {
-    Trixel t = Trixel::root(r);
-    if (!t.contains(unit)) continue;
-    for (int l = 0; l < level; ++l) {
-      bool descended = false;
-      for (int c = 0; c < 4; ++c) {
-        Trixel ch = t.child(c);
-        if (ch.contains(unit)) {
-          t = ch;
-          descended = true;
-          break;
-        }
-      }
-      DELTA_CHECK_MSG(descended, "point escaped trixel during descent");
-    }
-    return t.id();
-  }
-  DELTA_CHECK_MSG(false, "point not located in any root trixel");
-  return 0;  // unreachable
 }
 
 }  // namespace delta::htm

@@ -38,6 +38,11 @@ constexpr HtmId child_of(HtmId id, int i) { return id * 4 + i; }
 /// Ancestor of `id` at `ancestor_level` (<= level_of(id)).
 HtmId ancestor_at_level(HtmId id, int ancestor_level);
 
+/// True when the point (unit vector) lies inside the spherical triangle with
+/// corners `v` (counter-clockwise). Inclusive with a tiny tolerance, so a
+/// point on an edge shared by siblings is found in at least one of them.
+bool triangle_contains(const std::array<Vec3, 3>& v, const Vec3& p);
+
 /// A spherical triangle of the mesh with its three unit-vector corners.
 class Trixel {
  public:
@@ -74,7 +79,9 @@ class Trixel {
   std::array<Vec3, 3> v_;
 };
 
-/// Locates the level-`level` trixel containing point p. O(level).
+/// Locates the level-`level` trixel containing point p, descending the
+/// precomputed mesh (htm/mesh.h), so 0 <= level <= kMaxMeshLevel (8).
+/// O(level).
 HtmId locate(const Vec3& p, int level);
 
 }  // namespace delta::htm

@@ -4,6 +4,7 @@
 #include <numbers>
 
 #include "htm/cover.h"
+#include "htm/mesh.h"
 #include "util/check.h"
 
 namespace delta::storage {
@@ -14,12 +15,16 @@ SkyCatalog::SkyCatalog(std::shared_ptr<const htm::PartitionMap> map,
   DELTA_CHECK(map_ != nullptr);
   DELTA_CHECK(map_->base_level() == density.base_level());
   DELTA_CHECK(row_bytes_.count() > 0);
-  base_rows_ = density.weights();
+  const std::vector<double>& rows = density.weights();
+  const auto mesh = htm::mesh_level(map_->base_level());
+  base_.reserve(rows.size());
   initial_rows_.assign(map_->partition_count(), 0.0);
-  for (std::int64_t i = 0; i < map_->base_trixel_count(); ++i) {
-    const ObjectId o = map_->object_for_base_index(i);
-    initial_rows_[static_cast<std::size_t>(o.value())] +=
-        base_rows_[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const ObjectId o =
+        map_->object_for_base_index(static_cast<std::int64_t>(i));
+    base_.push_back(
+        {rows[i], mesh[i].area, static_cast<std::int32_t>(o.value())});
+    initial_rows_[static_cast<std::size_t>(o.value())] += rows[i];
   }
   current_rows_ = initial_rows_;
   versions_.assign(map_->partition_count(), 0);
@@ -97,22 +102,22 @@ double SkyCatalog::estimate_rows_with_cover(
     const htm::Region& region,
     const std::vector<std::int32_t>& base_indices) const {
   if (base_indices.empty()) return 0.0;
+  const double region_sr = region_area(region);
   // Average density over the cover, times the analytic region area: smooth
   // result sizes even for regions smaller than one base trixel.
   double cover_rows = 0.0;
   double cover_area = 0.0;
   for (const std::int32_t idx : base_indices) {
-    const ObjectId o = map_->object_for_base_index(idx);
-    const std::size_t oi = static_cast<std::size_t>(o.value());
+    DELTA_CHECK(idx >= 0 && static_cast<std::size_t>(idx) < base_.size());
+    const BaseTrixel& b = base_[static_cast<std::size_t>(idx)];
+    const auto oi = static_cast<std::size_t>(b.object);
     const double growth =
         initial_rows_[oi] > 0.0 ? current_rows_[oi] / initial_rows_[oi] : 1.0;
-    cover_rows += base_rows_[static_cast<std::size_t>(idx)] * growth;
-    cover_area +=
-        htm::Trixel::from_id(htm::id_from_index(map_->base_level(), idx))
-            .area();
+    cover_rows += b.rows * growth;
+    cover_area += b.area;
   }
   if (cover_area <= 0.0) return 0.0;
-  const double area = std::min(region_area(region), cover_area);
+  const double area = std::min(region_sr, cover_area);
   return cover_rows * (area / cover_area);
 }
 

@@ -66,7 +66,12 @@ class SkyCatalog {
  private:
   std::shared_ptr<const htm::PartitionMap> map_;
   Bytes row_bytes_;
-  std::vector<double> base_rows_;       // per base trixel, at build time
+  struct BaseTrixel {
+    double rows;          // at build time
+    double area;          // steradians, from the HTM mesh
+    std::int32_t object;  // owning partition
+  };
+  std::vector<BaseTrixel> base_;        // per base trixel (index_in_level)
   std::vector<double> initial_rows_;    // per object
   std::vector<double> current_rows_;    // per object (grows with inserts)
   std::vector<std::int64_t> versions_;  // per object

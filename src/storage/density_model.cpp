@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "htm/mesh.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -35,10 +36,9 @@ DensityModel::DensityModel(int base_level, std::uint64_t seed,
     }
   }
 
+  const std::span<const htm::MeshNode> nodes = htm::mesh_level(base_level);
   for (std::int64_t i = 0; i < count; ++i) {
-    const htm::Trixel t =
-        htm::Trixel::from_id(htm::id_from_index(base_level, i));
-    const htm::Vec3 c = t.center();
+    const htm::Vec3& c = nodes[static_cast<std::size_t>(i)].center;
     if (htm::angular_distance(c, footprint_center) >
         params.footprint_radius_rad) {
       continue;  // outside the survey footprint

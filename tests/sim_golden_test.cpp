@@ -8,16 +8,22 @@
 // count — that is asserted here too, not just sequential-vs-parallel
 // equality, so a bug that shifted BOTH engines the same way still trips.
 //
-// To regenerate after an *intentional* behavior change:
-//   ./build/tests/sim_golden_test \
+// The trace itself is pinned too, by a fingerprint over every query,
+// update and object size: a geometry change (htm cover/locate, storage row
+// estimates) fails at the trace, not only through the policy outcomes.
+//
+// To regenerate after an *intentional* behavior change, run
+//   ./build/tests/sim_golden_test
 //       --gtest_also_run_disabled_tests --gtest_filter='*PrintGoldenTables*'
-// and paste the printed rows below.
+// (one command line) and paste the printed rows and fingerprint below.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <iostream>
 #include <string>
+#include <type_traits>
 
 #include "sim/experiment.h"
 #include "sim/multi_cache.h"
@@ -93,7 +99,55 @@ void print_row(const RunResult& r) {
             << r.overhead_traffic.count() << "},\n";
 }
 
+/// FNV-1a over the bytes of trivially copyable values.
+class Fnv1a {
+ public:
+  template <typename T>
+  void add(const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) {
+      hash_ ^= b;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Hash of everything the generator derives from the sky geometry: per
+/// query its cost, time, tolerance, base cover and objects; per update its
+/// cost, rows, object and base index; and the initial object sizes.
+std::uint64_t trace_fingerprint(const workload::Trace& trace) {
+  Fnv1a h;
+  h.add(static_cast<std::uint64_t>(trace.queries.size()));
+  for (const workload::Query& q : trace.queries) {
+    h.add(q.cost.count());
+    h.add(q.time);
+    h.add(q.staleness_tolerance);
+    h.add(static_cast<std::uint64_t>(q.base_cover.size()));
+    for (const std::int32_t idx : q.base_cover) h.add(idx);
+    h.add(static_cast<std::uint64_t>(q.objects.size()));
+    for (const ObjectId o : q.objects) h.add(o.value());
+  }
+  h.add(static_cast<std::uint64_t>(trace.updates.size()));
+  for (const workload::Update& u : trace.updates) {
+    h.add(u.cost.count());
+    h.add(u.rows);
+    h.add(u.object.value());
+    h.add(u.base_index);
+  }
+  h.add(static_cast<std::uint64_t>(trace.initial_object_bytes.size()));
+  for (const Bytes b : trace.initial_object_bytes) h.add(b.count());
+  return h.value();
+}
+
 // ----------------------------------------------------------- golden tables
+
+constexpr std::uint64_t kGoldenTraceFingerprint = 5493162802899240070ULL;
 
 // Single-cache run_one over the golden trace, one row per policy.
 constexpr GoldenRun kSingleCacheGolden[] = {
@@ -133,6 +187,11 @@ const GoldenMulti kMultiGolden[] = {
 };
 
 // ----------------------------------------------------------------- tests
+
+TEST(SimGoldenTest, TraceMatchesGoldenFingerprint) {
+  const World setup{golden_params()};
+  EXPECT_EQ(trace_fingerprint(setup.trace()), kGoldenTraceFingerprint);
+}
 
 TEST(SimGoldenTest, SingleCachePolicyRunsMatchGoldenTable) {
   const World setup{golden_params()};
@@ -241,6 +300,8 @@ TEST(SimGoldenTest, ParallelEventEngineReproducesGoldensForEveryThreadCount) {
 // Regeneration helper, not a test: prints the golden tables in source form.
 TEST(SimGoldenTest, DISABLED_PrintGoldenTables) {
   const World setup{golden_params()};
+  std::cout << "constexpr std::uint64_t kGoldenTraceFingerprint = "
+            << trace_fingerprint(setup.trace()) << "ULL;\n\n";
   std::cout << "constexpr GoldenRun kSingleCacheGolden[] = {\n";
   for (const PolicyKind kind : kAllKinds) {
     print_row(run_one(kind, setup.trace(), setup.cache_capacity(),
