@@ -1,9 +1,9 @@
-// Micro benchmark: multi-endpoint scaling sweep. One shared repository, N
-// cache endpoints (N ∈ {1, 2, 4, 8}), each with its own VCover instance and
-// an equal slice of the total cache budget; queries split round-robin and
-// by sky-region hash.
+// Micro benchmark: multi-endpoint scaling sweep. N cache endpoints
+// (N ∈ {1, 2, 4, 8}), each with its own repository replica, its own VCover
+// instance and an equal slice of the total cache budget; queries split
+// round-robin and by sky-region hash.
 //
-// Part 1 — sharding sweep (sequential engine). Reported per (strategy, N):
+// Part 1 — sharding sweep (one thread). Reported per (strategy, N):
 // post-warm-up figure traffic (combined and the per-endpoint min/max
 // spread), cache answer fraction, and wall time. The N=1 row is the
 // single-cache baseline — by construction it matches sim::run_one
@@ -13,12 +13,12 @@
 // region's queries on one endpoint; the gap between the two rows is the
 // value of locality-aware sharding.
 //
-// Part 2 — parallel-engine sweep (hash strategy): N ∈ {1, 2, 4, 8} ×
-// T ∈ {1, 2, 4, 8} worker threads. Each cell verifies its combined figures
-// against the T=1 run (the determinism guarantee), then reports wall time
-// and speedup over T=1 for the same N. The engine shards per endpoint, so
-// each worker replays the full update stream against its repository
-// replica: speedup approaches T while per-query policy work dominates
+// Part 2 — thread sweep (hash strategy): N ∈ {1, 2, 4, 8} ×
+// T ∈ {1, 2, 4, 8} worker threads. Each cell verifies its combined and
+// per-endpoint figures against the T=1 run (the determinism guarantee;
+// exit 1 on divergence), then reports wall time and speedup over T=1 for
+// the same N. Every replica replays the full update stream, at T=1 too:
+// speedup approaches T while per-query policy work dominates
 // (the paper's regime — queries carry GB, updates MB) and degrades on
 // update-dominated traces, where the replicated ingest is the bottleneck.
 // A T>N cell cannot beat T=N (one worker per endpoint), and a single-core
@@ -85,16 +85,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- part 2: parallel-engine thread sweep ----
-  std::cout << "\nparallel engine (hash_by_region), "
+  // ---- part 2: thread sweep ----
+  std::cout << "\nthread sweep (hash_by_region), "
             << util::ThreadPool::hardware_threads()
             << " hardware threads\n"
             << "N  T  wall s  speedup vs T=1  combined figures\n";
   // Full-figure determinism gate: any divergence in the traffic accounting,
   // decision counters, series, or latency statistics fails the bench. Keep
-  // the field list in lockstep with sim_parallel_test's expect_identical,
-  // the unit-level twin (kept separate because the test variant reports
-  // per-field gtest diagnostics this bool cannot).
+  // the field list in step with tests/result_identity.h's ExpectIdentical,
+  // the shared test helper (kept separate because it reports per-field
+  // gtest diagnostics this bool cannot).
   const auto identical = [](const sim::RunResult& a, const sim::RunResult& b) {
     if (a.series.points().size() != b.series.points().size()) return false;
     for (std::size_t k = 0; k < a.series.points().size(); ++k) {

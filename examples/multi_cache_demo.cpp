@@ -1,11 +1,11 @@
-// Multi-cache demo: one repository (ServerNode) serving several cache
-// endpoints (CacheNodes), each running its own VCover policy instance, with
-// queries sharded across endpoints by sky region.
+// Multi-cache demo: several cache endpoints, each running its own VCover
+// policy instance against its own repository replica, with queries sharded
+// across endpoints by sky region.
 //
 //   ./build/examples/multi_cache_demo [key=value ...]
 //     endpoints=3 strategy=hash|rr queries=5000 updates=5000 cache_frac=0.3
-//     threads=1   (0 = one per hardware core; >1 runs the parallel engine,
-//                  which produces byte-identical results to threads=1)
+//     threads=1   (0 = one per hardware core; >1 replays the endpoints on
+//                  a worker pool, byte-identical to threads=1)
 //
 // This walks the multi-endpoint API surface: trace -> split strategy ->
 // run_one_multi -> per-endpoint RunResults + combined figures, and checks
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
                                           : std::to_string(threads_arg))
             << "\n\n";
 
-  // 2. One ServerNode + N CacheNodes, a VCover policy per endpoint.
+  // 2. N cache endpoints, one repository replica and VCover policy each.
   const sim::MultiRunResult result = sim::run_one_multi(
       sim::PolicyKind::kVCover, setup.trace(), per_endpoint, params,
       endpoints, strategy, sim::PolicyOverrides{}, 2000, parallel);

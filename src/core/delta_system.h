@@ -4,8 +4,9 @@
 // The repository logic lives in ServerNode, the client endpoint logic in
 // CacheNode (see their headers); DeltaSystem only assembles them and
 // forwards the historical single-cache API so existing policies, tests,
-// benches and examples keep working unchanged. Multi-endpoint deployments
-// compose ServerNode + N CacheNodes directly (see sim/multi_cache.h).
+// benches and examples keep working unchanged. It is also the simulation
+// engines' repository replica: a multi-endpoint run builds one DeltaSystem
+// per cache endpoint (see sim/multi_cache.h).
 #pragma once
 
 #include <functional>

@@ -11,6 +11,7 @@
 
 #include "core/cache_node.h"
 #include "core/server_node.h"
+#include "sim/replica.h"
 #include "util/check.h"
 #include "util/event_queue.h"
 #include "util/thread_pool.h"
@@ -18,12 +19,6 @@
 namespace delta::sim {
 
 namespace {
-
-std::array<Bytes, 3> mechanism_snapshot(const net::TrafficMeter& meter) {
-  return {meter.total(net::Mechanism::kQueryShip),
-          meter.total(net::Mechanism::kUpdateShip),
-          meter.total(net::Mechanism::kObjectLoad)};
-}
 
 /// A per-query yardstick sample, tagged with its position in the merged
 /// trace order so the combined streams can be re-added in the canonical
@@ -91,7 +86,7 @@ std::vector<DecodedEvent> decode_stream(const workload::Trace& trace,
 /// the launch and join barriers; every message this partition receives is
 /// generated by its own replica, so the conservative lookahead bound
 /// imposes no cross-partition waits (see event_engine.h).
-struct EventShard {
+struct EventShard : ReplicaReplay {
   util::EventQueue events;
   net::DelayedTransport transport;
   std::unique_ptr<core::ServerNode> server;
@@ -100,17 +95,9 @@ struct EventShard {
   const workload::Trace* trace = nullptr;
   std::size_t cache_transport_slot = 0;
   EventTime warmup_end = 0;
+  /// Per-query and staleness tapes for the canonical-order merge; off for
+  /// a single partition, whose streams already are the combined ones.
   bool record_tapes = true;
-
-  RunResult result;  // the per-endpoint view, identical shape to sync's
-  /// This replica's whole-transport figure series; every message of a run
-  /// lands in exactly one replica, so summing these pointwise reconstructs
-  /// the combined series exactly (integer byte counts in doubles).
-  util::CumulativeSeries aggregate_series;
-  std::array<Bytes, 3> aggregate_at_warmup{};
-  std::array<Bytes, 3> aggregate_final{};
-  Bytes aggregate_total;
-  Bytes aggregate_overhead;
 
   /// Exact reservation counts, all derived from the routing table on the
   /// calling thread so the hot loop never reallocates AND never
@@ -130,8 +117,8 @@ struct EventShard {
   /// (quantiles are order-invariant, so this matches the single-stream
   /// percentiles bit-for-bit).
   util::QuantileSketch response_sketch;
-  /// Dispatch-lag accumulator for the cheap (non-deterministic and N=1)
-  /// fold; the deterministic path re-adds lags from the tape instead.
+  /// Dispatch-lag accumulator for a single partition; with tapes the merge
+  /// re-adds lags from the tape instead.
   util::SummaryStats lag_stats;
   std::vector<QuerySample> query_tape;
   std::vector<StalenessSample> staleness_tape;
@@ -250,12 +237,9 @@ struct EventShard {
   }
 };
 
-// NOTE: this loop replays the same event semantics as sim/simulator.cpp's
-// run_policy and sim/multi_cache.cpp's engines (warm-up capture, counter
-// accounting, series observation) — the replay loops move together. Over
-// zero-latency links SimGoldenTest.EventEngine... pins this engine to the
-// same golden tables; event_engine_test pins bit-identity across thread
-// counts on the WAN configs.
+// Over zero-latency links SimGoldenTest.EventEngine... pins this loop to
+// the synchronous engine's golden tables; event_engine_test pins
+// bit-identity across thread counts on the WAN configs.
 void replay_event_shard(const workload::Trace& trace,
                         const std::vector<DecodedEvent>& decoded,
                         const std::vector<std::uint32_t>& routing,
@@ -369,22 +353,10 @@ void replay_event_shard(const workload::Trace& trace,
         const core::QueryOutcome outcome = policy.on_query(q);
         const double completed = events.now();
         ++r.queries;
-        double exec_seconds = 0.0;
-        switch (outcome.path) {
-          case core::QueryOutcome::Path::kCacheFresh:
-            ++r.cache_fresh;
-            exec_seconds = local_exec;
-            break;
-          case core::QueryOutcome::Path::kCacheAfterUpdates:
-            ++r.cache_after_updates;
-            exec_seconds = local_exec;
-            break;
-          case core::QueryOutcome::Path::kShipped:
-            ++r.shipped;
-            exec_seconds = server_exec;
-            break;
-        }
-        r.objects_loaded += outcome.objects_loaded;
+        count_outcome(r, outcome);
+        const double exec_seconds =
+            outcome.path == core::QueryOutcome::Path::kShipped ? server_exec
+                                                               : local_exec;
         const double lag = dispatched - arrival;
         const double response = lag + (completed - dispatched) + exec_seconds;
         if (now >= warmup_end) {
@@ -420,22 +392,11 @@ void replay_event_shard(const workload::Trace& trace,
             q, [&shard, &r, &events, arrival, lag, now, pos, tag, warmup_end,
                 local_exec, server_exec](const core::QueryOutcome& outcome) {
               --shard.in_flight_queries;
-              double exec_seconds = 0.0;
-              switch (outcome.path) {
-                case core::QueryOutcome::Path::kCacheFresh:
-                  ++r.cache_fresh;
-                  exec_seconds = local_exec;
-                  break;
-                case core::QueryOutcome::Path::kCacheAfterUpdates:
-                  ++r.cache_after_updates;
-                  exec_seconds = local_exec;
-                  break;
-                case core::QueryOutcome::Path::kShipped:
-                  ++r.shipped;
-                  exec_seconds = server_exec;
-                  break;
-              }
-              r.objects_loaded += outcome.objects_loaded;
+              count_outcome(r, outcome);
+              const double exec_seconds =
+                  outcome.path == core::QueryOutcome::Path::kShipped
+                      ? server_exec
+                      : local_exec;
               // Response spans arrival -> last reply (the clock sits at
               // the completing delivery), plus the execution surcharge.
               const double response = (events.now() - arrival) + exec_seconds;
@@ -513,33 +474,6 @@ void replay_event_shard(const workload::Trace& trace,
           .count();
 }
 
-/// Merges per-partition tapes that are each sorted by `key` into one
-/// stream in canonical order (key, then partition order for ties —
-/// inplace_merge is stable), then feeds every sample to `consume`.
-template <typename Sample, typename Key, typename Consume>
-void merge_tapes(std::vector<EventShard*>& shards,
-                 std::vector<Sample> EventShard::* tape, Key key,
-                 Consume consume) {
-  std::vector<Sample> merged;
-  std::size_t total = 0;
-  for (const EventShard* shard : shards) total += (shard->*tape).size();
-  merged.reserve(total);
-  for (EventShard* shard : shards) {
-    const std::size_t mid = merged.size();
-    std::vector<Sample>& t = shard->*tape;
-    merged.insert(merged.end(), t.begin(), t.end());
-    t.clear();
-    t.shrink_to_fit();
-    if (mid > 0) {
-      std::inplace_merge(
-          merged.begin(),
-          merged.begin() + static_cast<std::ptrdiff_t>(mid), merged.end(),
-          [&](const Sample& a, const Sample& b) { return key(a) < key(b); });
-    }
-  }
-  for (const Sample& sample : merged) consume(sample);
-}
-
 }  // namespace
 
 EventRunResult run_policy_event(const workload::Trace& trace,
@@ -597,8 +531,7 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   // (StreamingStats::merge into an empty accumulator is a bitwise copy),
   // so the sample tapes and the canonical-order re-add would reproduce the
   // fold exactly — skip them and keep the hot loop lean.
-  const bool deterministic =
-      options.parallel.deterministic && endpoint_count > 1;
+  const bool record_tapes = endpoint_count > 1;
 
   // Crash-stop plans (ISSUE 10) arm the suspicion probe automatically: a
   // cache whose server died mid-run only learns of the restart from an
@@ -623,7 +556,7 @@ EventRunResult run_policy_event(const workload::Trace& trace,
                                     : options.default_link;
     shards.push_back(std::make_unique<EventShard>(trace, options.default_link,
                                                   link, i));
-    shards.back()->record_tapes = deterministic;
+    shards.back()->record_tapes = record_tapes;
     shards.back()->routed_queries = routed_queries[i];
     shards.back()->postwarmup_routed = postwarmup_routed[i];
     shards.back()->retained_samples = retained_samples[i];
@@ -801,29 +734,22 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   const std::vector<DecodedEvent> decoded = decode_stream(trace, options);
 
   // ---- replay all partitions (wait-free; see lookahead argument in
-  // event_engine.h). With stealing on, partitions are LPT-packed onto the
-  // workers by exact routed-query counts and a worker that drains its own
-  // queue steals a straggler's pending partition — neither changes replay
-  // order within a partition, so results stay bit-identical. ----
-  const auto replay_one = [&](std::size_t i) {
-    replay_event_shard(trace, decoded, routing, i, options,
-                       filtered[i] ? &update_filter[i] : nullptr,
-                       *shards[i]);
-  };
-  std::int64_t steal_count = 0;
-  if (threads <= 1 || endpoint_count <= 1 ||
-      !options.parallel.work_stealing) {
-    util::parallel_for(endpoint_count, threads, replay_one);
-  } else {
-    std::vector<double> weights(endpoint_count);
-    for (std::size_t i = 0; i < endpoint_count; ++i) {
-      weights[i] = static_cast<double>(routed_queries[i]);
-    }
-    steal_count = util::parallel_for_dynamic(
-        endpoint_count,
-        util::lpt_assignment(weights, std::min(threads, endpoint_count)),
-        replay_one);
+  // event_engine.h). Partitions are LPT-packed onto the workers by exact
+  // routed-query counts and a worker that drains its own queue steals a
+  // straggler's pending partition — neither changes replay order within a
+  // partition, so results stay bit-identical. ----
+  std::vector<double> weights(endpoint_count);
+  for (std::size_t i = 0; i < endpoint_count; ++i) {
+    weights[i] = static_cast<double>(routed_queries[i]);
   }
+  const std::int64_t steal_count = util::parallel_for_dynamic(
+      endpoint_count,
+      util::lpt_assignment(weights, std::min(threads, endpoint_count)),
+      [&](std::size_t i) {
+        replay_event_shard(trace, decoded, routing, i, options,
+                           filtered[i] ? &update_filter[i] : nullptr,
+                           *shards[i]);
+      });
 
   // ---- deterministic merge, in canonical order ----
   EventRunResult out;
@@ -841,25 +767,13 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   replay.per_endpoint.reserve(endpoint_count);
   out.per_endpoint.reserve(endpoint_count);
   RunResult& c = replay.combined;
-  c.policy_name = shards.front()->policy->name();
-  c.warmup_end = trace.info.warmup_end_event;
-  c.series = util::CumulativeSeries{options.series_stride};
+  std::vector<EventShard*> shard_ptrs;
+  shard_ptrs.reserve(endpoint_count);
+  for (const auto& shard : shards) shard_ptrs.push_back(shard.get());
+  fold_combined({shard_ptrs.begin(), shard_ptrs.end()}, options.series_stride,
+                c);
 
-  std::array<Bytes, 3> at_warmup{};
-  std::array<Bytes, 3> final_by{};
   for (const auto& shard : shards) {
-    const RunResult& r = shard->result;
-    c.queries += r.queries;
-    c.cache_fresh += r.cache_fresh;
-    c.cache_after_updates += r.cache_after_updates;
-    c.shipped += r.shipped;
-    c.objects_loaded += r.objects_loaded;
-    c.total_traffic += shard->aggregate_total;
-    c.overhead_traffic += shard->aggregate_overhead;
-    for (std::size_t m = 0; m < 3; ++m) {
-      at_warmup[m] += shard->aggregate_at_warmup[m];
-      final_by[m] += shard->aggregate_final[m];
-    }
     out.server_uplink.sends += shard->server_uplink.sends;
     out.server_uplink.busy_seconds += shard->server_uplink.busy_seconds;
     out.server_uplink.total_queue_wait +=
@@ -923,37 +837,8 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   out.chaos.crash_restarts += shards.front()->server->crash_restarts();
   out.chaos.crash_downtime_seconds +=
       shards.front()->server_crash_downtime;
-  for (std::size_t m = 0; m < 3; ++m) {
-    c.postwarmup_by_mechanism[m] = final_by[m] - at_warmup[m];
-    c.postwarmup_traffic += c.postwarmup_by_mechanism[m];
-  }
 
-  // Combined cumulative series: every partition observed every event, and
-  // the series' sampling decisions depend only on the (identical) sequence
-  // of event indices, so all per-partition aggregate series carry points
-  // at the same indices. Their values are integer byte counts (exact in a
-  // double far past any realistic traffic total), so the pointwise sum is
-  // exact and thread-count independent.
-  if (!shards.front()->aggregate_series.points().empty()) {
-    const auto& reference = shards.front()->aggregate_series.points();
-    for (std::size_t k = 0; k < reference.size(); ++k) {
-      double sum = 0.0;
-      for (const auto& shard : shards) {
-        const auto& points = shard->aggregate_series.points();
-        DELTA_CHECK(points.size() == reference.size() &&
-                    points[k].event_index == reference[k].event_index);
-        sum += points[k].value;
-      }
-      c.series.observe(reference[k].event_index, sum);
-    }
-    c.series.finalize();
-  }
-
-  std::vector<EventShard*> shard_ptrs;
-  shard_ptrs.reserve(endpoint_count);
-  for (const auto& shard : shards) shard_ptrs.push_back(shard.get());
-
-  if (deterministic) {
+  if (record_tapes) {
     // Re-add the per-query samples in merged-trace order: StreamingStats
     // is order-sensitive in its low bits, and the canonical order is the
     // one the partitions share (each query event belongs to exactly one
@@ -974,8 +859,8 @@ EventRunResult run_policy_event(const workload::Trace& trace,
                   out.staleness_seconds.add(s.gap);
                 });
   } else {
-    // Cheap fold: parallel-Welford combination per partition, repeatable
-    // run-to-run but not bit-equal to the sample-by-sample order above.
+    // One partition: merging into the empty accumulators copies its
+    // streams bitwise.
     for (const auto& shard : shards) {
       c.postwarmup_latency.merge(shard->result.postwarmup_latency);
       out.response_seconds.merge(shard->yardsticks.response_seconds);

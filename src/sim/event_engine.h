@@ -21,10 +21,10 @@
 // advance to the minimum over its input links of source-clock + link
 // propagation delay) degenerates to "no synchronization needed", since a
 // partition is its own only source. Partitions therefore run wait-free on
-// a util::ThreadPool and a deterministic merge — the same contract PR 2
-// established for the synchronous engine — re-adds every yardstick sample
-// in canonical order, making results bit-identical for ANY thread count
-// (pinned by event_engine_test and sim_golden_test).
+// a util::ThreadPool and a deterministic merge — the synchronous engine's
+// contract, sharing its fold (sim/replica.h) — re-adds every yardstick
+// sample in canonical order, making results bit-identical for ANY thread
+// count (pinned by event_engine_test and sim_golden_test).
 //
 // Each cache is closed-loop against its own timeline: a query dispatches
 // when the partition clock reaches its arrival (or as soon as that cache
@@ -36,8 +36,7 @@
 // Over zero-latency links (EventEngineOptions defaults) every delivery
 // lands at its send instant and the replay degenerates to the synchronous
 // engines' semantics: sim_golden_test pins the event engine to the same
-// golden tables byte-for-byte. The replay loop mirrors sim/simulator.cpp
-// and sim/multi_cache.cpp (see the lockstep NOTE there).
+// golden tables byte-for-byte.
 #pragma once
 
 #include <vector>
@@ -99,8 +98,7 @@ struct EventEngineOptions {
   LatencyModel exec;
   std::int64_t series_stride = 2000;
   /// Worker-pool configuration for the per-partition replay. Any thread
-  /// count produces bit-identical results in deterministic mode (the
-  /// default); see sim::ParallelOptions.
+  /// count produces bit-identical results; see sim::ParallelOptions.
   ParallelOptions parallel;
   /// Open-loop drive (off = the golden-pinned closed loop).
   OpenLoopOptions open_loop;
@@ -252,7 +250,7 @@ struct EventRunResult {
   /// speedup the bench derives from per_endpoint[i].wall_seconds.
   double shard_balance = 1.0;
   /// Partitions replayed by a worker other than their LPT owner (zero
-  /// when threads <= 1 or parallel.work_stealing is off).
+  /// when threads <= 1).
   std::int64_t steal_count = 0;
   /// Update ingests skipped by per-partition prefiltering, summed over
   /// partitions (zero when prefilter_updates is off or every cache
@@ -267,13 +265,13 @@ struct EventRunResult {
   }
 };
 
-/// Replays the trace through N cache endpoints sharing one repository over
-/// a latency-aware transport. Argument contract matches run_policy_multi:
-/// `assignment` (indexed like Trace::queries) overrides the `strategy`
-/// split when given. Deterministic: repeated runs — and, in deterministic
-/// mode, runs at any `options.parallel.num_threads` — produce identical
-/// results (per-partition discrete-event schedules with stable ordering
-/// plus a canonical-order merge).
+/// Replays the trace through N cache endpoints, one repository replica
+/// each, over a latency-aware transport. Argument contract matches
+/// run_policy_multi: `assignment` (indexed like Trace::queries) overrides
+/// the `strategy` split when given. Deterministic: repeated runs, and runs
+/// at any `options.parallel.num_threads`, produce identical results
+/// (per-partition discrete-event schedules with stable ordering plus a
+/// canonical-order merge).
 EventRunResult run_policy_event(
     const workload::Trace& trace, std::size_t endpoint_count,
     workload::SplitStrategy strategy, const CachePolicyFactory& factory,

@@ -95,11 +95,11 @@ RunResult run_one(PolicyKind kind, const workload::Trace& trace,
                   const PolicyOverrides& overrides = PolicyOverrides{},
                   std::int64_t series_stride = 2000);
 
-/// Runs one policy kind over the trace with N cache endpoints sharing a
-/// fresh repository; queries are routed per `strategy`, and every endpoint
-/// gets its own policy instance with `per_endpoint_capacity` of cache.
-/// With endpoint_count == 1 this reproduces run_one byte-for-byte, and any
-/// `parallel` engine/thread-count choice yields the same RunResults (see
+/// Runs one policy kind over the trace with N cache endpoints, each with a
+/// fresh repository replica; queries are routed per `strategy`, and every
+/// endpoint gets its own policy instance with `per_endpoint_capacity` of
+/// cache. With endpoint_count == 1 this reproduces run_one byte-for-byte,
+/// and any `parallel` thread count yields the same RunResults (see
 /// sim::ParallelOptions).
 MultiRunResult run_one_multi(PolicyKind kind, const workload::Trace& trace,
                              Bytes per_endpoint_capacity,

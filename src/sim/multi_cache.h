@@ -1,15 +1,13 @@
-// Multi-endpoint simulation: one ServerNode (shared repository) serving N
-// CacheNode endpoints, each driven by its own policy instance, over a
-// single metered transport.
+// Multi-endpoint simulation: N cache endpoints, each driven by its own
+// policy instance against its own repository replica (a core::DeltaSystem).
 //
-// The trace's merged event sequence is replayed once: updates go to the
-// repository (which fans invalidations out per subscription), queries are
-// routed to endpoints by a workload::SplitStrategy. Results come back at
-// two granularities — a RunResult per endpoint (from that endpoint's
-// transport meter) and a combined RunResult computed exactly like the
-// single-cache sim::run_policy, so a run with one endpoint reproduces the
-// single-cache numbers byte-for-byte and per-endpoint figures always sum to
-// the combined figure.
+// Queries are routed to endpoints by a workload::SplitStrategy; every
+// replica replays the whole merged event sequence, applying every update
+// and running only the queries routed to it (sim/replica.h). Results come
+// back at two granularities — a RunResult per endpoint (from that
+// endpoint's meter) and a combined RunResult folded from the replicas —
+// so a run with one endpoint reproduces the single-cache sim::run_policy
+// byte-for-byte and per-endpoint figures always sum to the combined figure.
 #pragma once
 
 #include <functional>
@@ -39,54 +37,25 @@ struct MultiRunResult {
 using CachePolicyFactory = std::function<std::unique_ptr<core::CachePolicy>(
     core::CacheNode& cache, std::size_t index)>;
 
-/// How the replay executes.
-///
-/// With num_threads <= 1 the engine is the original sequential one: a single
-/// shared LoopbackTransport/ServerNode drives all N endpoints in merged
-/// event order on the calling thread.
-///
-/// With num_threads > 1 each endpoint becomes an independent worker holding
-/// its own transport + repository replica + cache, and the workers replay
-/// the event sequence concurrently on a util::ThreadPool. This is sound
-/// because the only cross-endpoint state in the sequential run is the
-/// repository object sizes, which depend on updates alone — and every worker
-/// applies every update at the same point of the sequence — while each
-/// cache's registration row, meter, and policy are confined to its worker.
-/// A merge step then folds the per-endpoint results in endpoint order;
-/// byte totals are exact integer sums, so they are independent of worker
-/// timing by construction.
-///
-/// `deterministic` (default) additionally makes the merged *combined* view
-/// bit-identical to the sequential engine's: workers record their
-/// post-warm-up latency samples tagged with the global event position and
-/// the merge re-adds them in merged-event order, and the combined cumulative
-/// series is reconstructed as the pointwise sum of the per-worker aggregate
-/// series (which sample at identical event indices). Setting it to false
-/// skips the per-query sample buffers and folds the latency stats with
-/// StreamingStats::merge instead — still repeatable run-to-run, but the
-/// combined latency mean/variance may differ from the sequential engine in
-/// the last floating-point bits.
+/// How the replay executes. The replicas run on a pool of
+/// min(num_threads, endpoint_count) workers (inline on the calling thread
+/// when that is one), LPT-packed by their routed-query counts, and a
+/// worker that drains its own queue steals a straggler's pending replica.
+/// The merge folds the replicas in endpoint order and re-adds the latency
+/// samples in merged-event order, so every thread count yields
+/// bit-identical RunResults.
 struct ParallelOptions {
-  /// 0 = one thread per hardware core; 1 = sequential engine; >1 = worker
-  /// pool of min(num_threads, endpoint_count) threads.
+  /// 0 = one thread per hardware core.
   std::size_t num_threads = 1;
-  bool deterministic = true;
-  /// T>1 scheduling: LPT-pack the partitions onto the workers by their
-  /// exact routed-query counts and let a worker that drains its own queue
-  /// steal a straggler's pending partition (util::parallel_for_dynamic).
-  /// Never affects results — stealing only moves WHICH thread replays a
-  /// partition, and the partition stays the atomic determinism unit — so
-  /// it defaults on; off falls back to the FIFO parallel_for pool.
-  bool work_stealing = true;
 };
 
-/// Replays the trace through N cache endpoints sharing one repository.
+/// Replays the trace through N cache endpoints, one repository replica each.
 /// `assignment`, when given, is the query split to route by (indexed like
 /// Trace::queries, values < endpoint_count) — pass it when a policy also
 /// needs the split (e.g. sharded SOptimal hindsight) so routing and policy
 /// provably agree; null recomputes it from `strategy`.
-/// `parallel` selects the execution engine; every engine/thread-count
-/// combination yields the same RunResults (see ParallelOptions).
+/// `parallel` sets the worker count; every thread count yields the same
+/// RunResults (see ParallelOptions).
 MultiRunResult run_policy_multi(
     const workload::Trace& trace, std::size_t endpoint_count,
     workload::SplitStrategy strategy, const CachePolicyFactory& factory,

@@ -1,0 +1,124 @@
+// The replica replay shared by every simulation engine.
+//
+// A replica is one cache endpoint with its own repository copy. Every
+// replica applies every update at the same point of the merged event
+// sequence, so repository object sizes — the only state cache endpoints
+// share — evolve identically in all of them, and replicas can replay
+// independently (on any thread) and merge afterwards. This header holds
+// the pieces the synchronous engine (sim/simulator.h, sim/multi_cache.h)
+// and the event engine (sim/event_engine.h) both use: the outcome
+// counters, the meter snapshot, the per-replica output record, the
+// combined-view fold, the canonical-order tape merge, and the synchronous
+// replica loop itself.
+#pragma once
+
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <vector>
+
+#include "core/delta_system.h"
+#include "core/policy.h"
+#include "net/traffic_meter.h"
+#include "sim/simulator.h"
+#include "util/stats.h"
+#include "util/timeseries.h"
+#include "workload/trace.h"
+
+namespace delta::sim {
+
+/// Bumps the decision counter for the path a query took, and the loads it
+/// caused. RunResult::queries is counted at dispatch by the caller (an
+/// open-loop query completes later).
+inline void count_outcome(RunResult& r, const core::QueryOutcome& outcome) {
+  switch (outcome.path) {
+    case core::QueryOutcome::Path::kCacheFresh:
+      ++r.cache_fresh;
+      break;
+    case core::QueryOutcome::Path::kCacheAfterUpdates:
+      ++r.cache_after_updates;
+      break;
+    case core::QueryOutcome::Path::kShipped:
+      ++r.shipped;
+      break;
+  }
+  r.objects_loaded += outcome.objects_loaded;
+}
+
+/// The figure mechanisms' byte totals (query ship, update ship, load).
+inline std::array<Bytes, 3> mechanism_snapshot(const net::TrafficMeter& m) {
+  return {m.total(net::Mechanism::kQueryShip),
+          m.total(net::Mechanism::kUpdateShip),
+          m.total(net::Mechanism::kObjectLoad)};
+}
+
+/// What one replica contributes to a run: its endpoint's RunResult and its
+/// whole-replica (aggregate) figures. Each replica holds one cache, so its
+/// aggregate figure series is the endpoint's figure series; the aggregate
+/// overhead also counts the chatter delivered to the repository.
+struct ReplicaReplay {
+  RunResult result;  // the per-endpoint view
+  /// Every message of a run lands in exactly one replica, so summing these
+  /// pointwise reconstructs the combined series.
+  util::CumulativeSeries aggregate_series;
+  std::array<Bytes, 3> aggregate_at_warmup{};
+  std::array<Bytes, 3> aggregate_final{};
+  Bytes aggregate_total;
+  Bytes aggregate_overhead;
+};
+
+/// Folds the replicas, in order, into the combined view: policy name,
+/// counters, traffic and the pointwise series sum. The latency statistics
+/// are left to the caller (each engine re-adds its sample tapes in merged
+/// event order).
+void fold_combined(const std::vector<const ReplicaReplay*>& replicas,
+                   std::int64_t series_stride, RunResult& combined);
+
+/// Merges per-replica tapes that are each sorted by `key` into one stream
+/// in canonical order (key, then replica order for ties — inplace_merge is
+/// stable), then feeds every sample to `consume`. Empties the tapes.
+template <typename Replica, typename Sample, typename Key, typename Consume>
+void merge_tapes(const std::vector<Replica*>& replicas,
+                 std::vector<Sample> Replica::*tape, Key key,
+                 Consume consume) {
+  std::vector<Sample> merged;
+  std::size_t total = 0;
+  for (const Replica* replica : replicas) total += (replica->*tape).size();
+  merged.reserve(total);
+  for (Replica* replica : replicas) {
+    const std::size_t mid = merged.size();
+    std::vector<Sample>& t = replica->*tape;
+    merged.insert(merged.end(), t.begin(), t.end());
+    t.clear();
+    t.shrink_to_fit();
+    if (mid > 0) {
+      std::inplace_merge(
+          merged.begin(), merged.begin() + static_cast<std::ptrdiff_t>(mid),
+          merged.end(),
+          [&](const Sample& a, const Sample& b) { return key(a) < key(b); });
+    }
+  }
+  for (const Sample& sample : merged) consume(sample);
+}
+
+/// A post-warm-up response sample, tagged with its position in the merged
+/// trace order.
+struct LatencySample {
+  std::int64_t order_pos = 0;
+  double seconds = 0.0;
+};
+
+/// Replays the merged trace against one replica (`system`) driven by
+/// `policy`, into `out`. With `routing` null every query runs here;
+/// otherwise only those with routing[q] == self. Post-warm-up response
+/// times also go to `latency_sink` and `latency_tape` when non-null.
+void replay_replica(const workload::Trace& trace, core::DeltaSystem& system,
+                    core::CachePolicy& policy,
+                    const std::vector<std::uint32_t>* routing,
+                    std::uint32_t self, std::int64_t series_stride,
+                    const LatencyModel& latency,
+                    util::QuantileSketch* latency_sink,
+                    std::vector<LatencySample>* latency_tape,
+                    ReplicaReplay& out);
+
+}  // namespace delta::sim

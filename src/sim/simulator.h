@@ -66,9 +66,10 @@ struct LatencyModel {
 [[nodiscard]] double proxy_response_seconds(const LatencyModel& latency,
                                             const core::QueryOutcome& outcome);
 
-/// Replays the trace through the policy. The system must have been freshly
-/// constructed from the same trace (server sizes start at the initial
-/// state). When `latency_sink` is non-null every post-warm-up per-query
+/// Replays the trace through the policy: the one-replica run of the replica
+/// loop (sim/replica.h) over the caller's system. The system must have been
+/// freshly constructed from the same trace (server sizes start at the
+/// initial state). When `latency_sink` is non-null every post-warm-up per-query
 /// latency sample is also appended to it (the perf-trajectory bench uses
 /// this for percentiles; RunResult itself only carries streaming moments).
 RunResult run_policy(const workload::Trace& trace,

@@ -28,8 +28,8 @@ class StreamingStats {
   /// al.). Count/min/max are exact; sum/mean/variance are the
   /// mathematically correct combination but, being floating-point folds of
   /// per-shard partials, need not be bit-equal to adding the samples one by
-  /// one in arrival order — the simulation engine's deterministic mode
-  /// therefore replays samples instead.
+  /// one in arrival order — the simulation engines' multi-replica merges
+  /// therefore replay samples instead.
   void merge(const StreamingStats& other);
 
   [[nodiscard]] std::int64_t count() const { return count_; }

@@ -1,0 +1,64 @@
+// Bitwise equality of simulation results, shared by every test that pins
+// one run against another (thread counts, endpoint counts, repeated runs).
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <string>
+
+#include "sim/multi_cache.h"
+#include "sim/simulator.h"
+
+namespace delta::testing {
+
+/// Every RunResult field but wall_seconds (real elapsed time). Doubles are
+/// compared with EXPECT_EQ on purpose: the engines promise bit-identical
+/// output, not approximate.
+inline void ExpectIdentical(const sim::RunResult& a, const sim::RunResult& b,
+                            const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(a.policy_name, b.policy_name);
+  EXPECT_EQ(a.warmup_end, b.warmup_end);
+  EXPECT_EQ(a.total_traffic, b.total_traffic);
+  EXPECT_EQ(a.postwarmup_traffic, b.postwarmup_traffic);
+  for (std::size_t m = 0; m < 3; ++m) {
+    EXPECT_EQ(a.postwarmup_by_mechanism[m], b.postwarmup_by_mechanism[m])
+        << "mechanism " << m;
+  }
+  EXPECT_EQ(a.overhead_traffic, b.overhead_traffic);
+  EXPECT_EQ(a.queries, b.queries);
+  EXPECT_EQ(a.cache_fresh, b.cache_fresh);
+  EXPECT_EQ(a.cache_after_updates, b.cache_after_updates);
+  EXPECT_EQ(a.shipped, b.shipped);
+  EXPECT_EQ(a.objects_loaded, b.objects_loaded);
+  ASSERT_EQ(a.series.points().size(), b.series.points().size());
+  for (std::size_t k = 0; k < a.series.points().size(); ++k) {
+    EXPECT_EQ(a.series.points()[k].event_index,
+              b.series.points()[k].event_index)
+        << "point " << k;
+    EXPECT_EQ(a.series.points()[k].value, b.series.points()[k].value)
+        << "point " << k;
+  }
+  EXPECT_EQ(a.postwarmup_latency.count(), b.postwarmup_latency.count());
+  EXPECT_EQ(a.postwarmup_latency.mean(), b.postwarmup_latency.mean());
+  EXPECT_EQ(a.postwarmup_latency.variance(), b.postwarmup_latency.variance());
+  EXPECT_EQ(a.postwarmup_latency.min(), b.postwarmup_latency.min());
+  EXPECT_EQ(a.postwarmup_latency.max(), b.postwarmup_latency.max());
+  EXPECT_EQ(a.postwarmup_latency.sum(), b.postwarmup_latency.sum());
+}
+
+/// The combined view and every per-endpoint view, pairwise.
+inline void ExpectIdentical(const sim::MultiRunResult& a,
+                            const sim::MultiRunResult& b,
+                            const std::string& label) {
+  EXPECT_EQ(a.strategy, b.strategy);
+  ASSERT_EQ(a.per_endpoint.size(), b.per_endpoint.size());
+  ExpectIdentical(a.combined, b.combined, label + " combined");
+  for (std::size_t i = 0; i < a.per_endpoint.size(); ++i) {
+    ExpectIdentical(a.per_endpoint[i], b.per_endpoint[i],
+                    label + " endpoint " + std::to_string(i));
+  }
+}
+
+}  // namespace delta::testing

@@ -158,35 +158,156 @@ constexpr GoldenRun kSingleCacheGolden[] = {
     {"SOptimal", 2000, 1854, 0, 146, 0, 4874712980, 1256046449, 1208306382, 47740067, 0, 39616},
 };
 
-// Multi-endpoint run_one_multi (VCover, N=4) combined + per-endpoint rows,
-// one table per split strategy. The same tables must hold for the
-// sequential engine and the parallel engine at every thread count.
+/// Hash of the figures GoldenRun does not pin: every series point and the
+/// post-warm-up latency moments, combined view first, then each endpoint.
+std::uint64_t replay_fingerprint(const MultiRunResult& multi) {
+  Fnv1a h;
+  const auto add = [&h](const RunResult& r) {
+    h.add(static_cast<std::uint64_t>(r.series.points().size()));
+    for (const util::CumulativeSeries::Point& p : r.series.points()) {
+      h.add(p.event_index);
+      h.add(p.value);
+    }
+    h.add(r.postwarmup_latency.count());
+    h.add(r.postwarmup_latency.mean());
+    h.add(r.postwarmup_latency.variance());
+    h.add(r.postwarmup_latency.min());
+    h.add(r.postwarmup_latency.max());
+    h.add(r.postwarmup_latency.sum());
+  };
+  add(multi.combined);
+  for (const RunResult& r : multi.per_endpoint) add(r);
+  return h.value();
+}
+
+// Multi-endpoint run_one_multi (N=4) combined + per-endpoint rows, one
+// table per policy and split strategy, each with its replay fingerprint.
+// The same tables must hold for every thread count.
 struct GoldenMulti {
+  PolicyKind kind;
   workload::SplitStrategy strategy;
   GoldenRun combined;
   std::array<GoldenRun, 4> per_endpoint;
+  std::uint64_t fingerprint;
 };
 
 const GoldenMulti kMultiGolden[] = {
-    {workload::SplitStrategy::kRoundRobin,
+    {PolicyKind::kNoCache, workload::SplitStrategy::kRoundRobin,
+     {"NoCache", 2000, 0, 0, 2000, 0, 14635445515, 7999999508, 7999999508, 0, 0, 256000},
+     {{
+         {"NoCache", 500, 0, 0, 500, 0, 3926449577, 2069765300, 2069765300, 0, 0, 32000},
+         {"NoCache", 500, 0, 0, 500, 0, 3553226289, 1959765810, 1959765810, 0, 0, 32000},
+         {"NoCache", 500, 0, 0, 500, 0, 3613683142, 1886325340, 1886325340, 0, 0, 32000},
+         {"NoCache", 500, 0, 0, 500, 0, 3542086507, 2084143058, 2084143058, 0, 0, 32000},
+     }},
+     7059565256659365152ULL},
+    {PolicyKind::kNoCache, workload::SplitStrategy::kHashByRegion,
+     {"NoCache", 2000, 0, 0, 2000, 0, 14635445515, 7999999508, 7999999508, 0, 0, 256000},
+     {{
+         {"NoCache", 315, 0, 0, 315, 0, 875668499, 534687299, 534687299, 0, 0, 20160},
+         {"NoCache", 20, 0, 0, 20, 0, 7947222, 3399751, 3399751, 0, 0, 1280},
+         {"NoCache", 1097, 0, 0, 1097, 0, 4377696895, 2341456243, 2341456243, 0, 0, 70208},
+         {"NoCache", 568, 0, 0, 568, 0, 9374132899, 5120456215, 5120456215, 0, 0, 36352},
+     }},
+     13913052860359995444ULL},
+    {PolicyKind::kReplica, workload::SplitStrategy::kRoundRobin,
+     {"Replica", 2000, 2000, 0, 0, 0, 14178214504, 10895997276, 0, 10895997276, 0, 1536000},
+     {{
+         {"Replica", 500, 500, 0, 0, 0, 3544553626, 2723999319, 0, 2723999319, 0, 256000},
+         {"Replica", 500, 500, 0, 0, 0, 3544553626, 2723999319, 0, 2723999319, 0, 256000},
+         {"Replica", 500, 500, 0, 0, 0, 3544553626, 2723999319, 0, 2723999319, 0, 256000},
+         {"Replica", 500, 500, 0, 0, 0, 3544553626, 2723999319, 0, 2723999319, 0, 256000},
+     }},
+     1784750031407909297ULL},
+    {PolicyKind::kReplica, workload::SplitStrategy::kHashByRegion,
+     {"Replica", 2000, 2000, 0, 0, 0, 14178214504, 10895997276, 0, 10895997276, 0, 1536000},
+     {{
+         {"Replica", 315, 315, 0, 0, 0, 3544553626, 2723999319, 0, 2723999319, 0, 256000},
+         {"Replica", 20, 20, 0, 0, 0, 3544553626, 2723999319, 0, 2723999319, 0, 256000},
+         {"Replica", 1097, 1097, 0, 0, 0, 3544553626, 2723999319, 0, 2723999319, 0, 256000},
+         {"Replica", 568, 568, 0, 0, 0, 3544553626, 2723999319, 0, 2723999319, 0, 256000},
+     }},
+     4286437455961006598ULL},
+    {PolicyKind::kBenefit, workload::SplitStrategy::kRoundRobin,
+     {"Benefit", 2000, 0, 0, 2000, 0, 14635445515, 7999999508, 7999999508, 0, 0, 768000},
+     {{
+         {"Benefit", 500, 0, 0, 500, 0, 3926449577, 2069765300, 2069765300, 0, 0, 160000},
+         {"Benefit", 500, 0, 0, 500, 0, 3553226289, 1959765810, 1959765810, 0, 0, 160000},
+         {"Benefit", 500, 0, 0, 500, 0, 3613683142, 1886325340, 1886325340, 0, 0, 160000},
+         {"Benefit", 500, 0, 0, 500, 0, 3542086507, 2084143058, 2084143058, 0, 0, 160000},
+     }},
+     7059565256659365152ULL},
+    {PolicyKind::kBenefit, workload::SplitStrategy::kHashByRegion,
+     {"Benefit", 2000, 284, 0, 1716, 0, 12093558255, 4528109110, 4526864035, 1245075, 0, 732288},
+     {{
+         {"Benefit", 315, 0, 0, 315, 0, 875668499, 534687299, 534687299, 0, 0, 148160},
+         {"Benefit", 20, 0, 0, 20, 0, 7947222, 3399751, 3399751, 0, 0, 129280},
+         {"Benefit", 1097, 0, 0, 1097, 0, 4377696895, 2341456243, 2341456243, 0, 0, 198208},
+         {"Benefit", 568, 284, 0, 284, 0, 6832245639, 1648565817, 1647320742, 1245075, 0, 146496},
+     }},
+     7121637339079090196ULL},
+    {PolicyKind::kVCover, workload::SplitStrategy::kRoundRobin,
      {"VCover", 2000, 440, 2, 1558, 8, 18700273193, 11249914867, 5501706060, 354266, 5747854541, 201344},
      {{
          {"VCover", 500, 118, 0, 382, 2, 4923170220, 3066485943, 1422983716, 0, 1643502227, 24704},
          {"VCover", 500, 110, 1, 389, 2, 4575325703, 2981865224, 1338362997, 177133, 1643325094, 25280},
          {"VCover", 500, 95, 0, 405, 2, 4751133805, 3023776003, 1380273776, 0, 1643502227, 26176},
          {"VCover", 500, 117, 1, 382, 2, 4450643465, 2177787697, 1360085571, 177133, 817524993, 24832},
-     }}},
-    {workload::SplitStrategy::kHashByRegion,
+     }},
+     16968789730594499583ULL},
+    {PolicyKind::kVCover, workload::SplitStrategy::kHashByRegion,
      {"VCover", 2000, 709, 3, 1288, 5, 13030291767, 5573712881, 3028062329, 20785571, 2524864981, 175872},
      {{
          {"VCover", 315, 0, 0, 315, 0, 875668499, 534687299, 534687299, 0, 0, 20160},
          {"VCover", 20, 0, 0, 20, 0, 7947222, 3399751, 3399751, 0, 0, 1280},
          {"VCover", 1097, 366, 2, 729, 2, 5057927325, 2273469278, 1000644002, 20608438, 1252216838, 52736},
          {"VCover", 568, 343, 1, 224, 3, 7088748721, 2762156553, 1489331277, 177133, 1272648143, 17152},
-     }}},
+     }},
+     15086242892765269627ULL},
+    {PolicyKind::kSOptimal, workload::SplitStrategy::kRoundRobin,
+     {"SOptimal", 2000, 1488, 0, 512, 0, 13317431299, 2298820468, 2200850184, 97970284, 0, 109056},
+     {{
+         {"SOptimal", 500, 467, 0, 33, 0, 3663270388, 452654723, 404914656, 47740067, 0, 16000},
+         {"SOptimal", 500, 285, 0, 215, 0, 3405706413, 830296919, 829051844, 1245075, 0, 14272},
+         {"SOptimal", 500, 461, 0, 39, 0, 3203838813, 207647691, 159907624, 47740067, 0, 16384},
+         {"SOptimal", 500, 275, 0, 225, 0, 3044615685, 808221135, 806976060, 1245075, 0, 14912},
+     }},
+     10910711034465038358ULL},
+    {PolicyKind::kSOptimal, workload::SplitStrategy::kHashByRegion,
+     {"SOptimal", 2000, 1582, 0, 418, 0, 8290999225, 1591404587, 1495924453, 95480134, 0, 95360},
+     {{
+         {"SOptimal", 315, 0, 0, 315, 0, 875668499, 534687299, 534687299, 0, 0, 20160},
+         {"SOptimal", 20, 0, 0, 20, 0, 7947222, 3399751, 3399751, 0, 0, 1280},
+         {"SOptimal", 1097, 1089, 0, 8, 0, 2952530835, 52556737, 4816670, 47740067, 0, 14400},
+         {"SOptimal", 568, 493, 0, 75, 0, 4454852669, 1000760800, 953020733, 47740067, 0, 18688},
+     }},
+     7419243862302488334ULL},
 };
 
 // ----------------------------------------------------------------- tests
+
+void expect_matches(const MultiRunResult& multi, const GoldenMulti& golden) {
+  SCOPED_TRACE(::testing::Message() << to_string(golden.kind) << " "
+                                    << workload::to_string(golden.strategy));
+  expect_matches(multi.combined, golden.combined);
+  ASSERT_EQ(multi.per_endpoint.size(), golden.per_endpoint.size());
+  for (std::size_t e = 0; e < golden.per_endpoint.size(); ++e) {
+    expect_matches(multi.per_endpoint[e], golden.per_endpoint[e]);
+  }
+  EXPECT_EQ(replay_fingerprint(multi), golden.fingerprint);
+}
+
+/// The event engine's counters and traffic match the sync goldens, but its
+/// simulated response times differ from the sync proxy, so only the
+/// GoldenRun rows apply (not the fingerprint).
+void expect_rows_match(const MultiRunResult& multi, const GoldenMulti& golden) {
+  SCOPED_TRACE(workload::to_string(golden.strategy));
+  expect_matches(multi.combined, golden.combined);
+  ASSERT_EQ(multi.per_endpoint.size(), golden.per_endpoint.size());
+  for (std::size_t e = 0; e < golden.per_endpoint.size(); ++e) {
+    expect_matches(multi.per_endpoint[e], golden.per_endpoint[e]);
+  }
+}
 
 TEST(SimGoldenTest, TraceMatchesGoldenFingerprint) {
   const World setup{golden_params()};
@@ -205,36 +326,25 @@ TEST(SimGoldenTest, SingleCachePolicyRunsMatchGoldenTable) {
 TEST(SimGoldenTest, MultiEndpointRunsMatchGoldenTable) {
   const World setup{golden_params()};
   for (const GoldenMulti& golden : kMultiGolden) {
-    const MultiRunResult multi = run_one_multi(
-        PolicyKind::kVCover, setup.trace(), setup.cache_capacity(),
-        setup.params(), 4, golden.strategy);
-    SCOPED_TRACE(workload::to_string(golden.strategy));
-    expect_matches(multi.combined, golden.combined);
-    ASSERT_EQ(multi.per_endpoint.size(), golden.per_endpoint.size());
-    for (std::size_t e = 0; e < golden.per_endpoint.size(); ++e) {
-      expect_matches(multi.per_endpoint[e], golden.per_endpoint[e]);
-    }
+    expect_matches(run_one_multi(golden.kind, setup.trace(),
+                                 setup.cache_capacity(), setup.params(), 4,
+                                 golden.strategy),
+                   golden);
   }
 }
 
-// The parallel engine reproduces the pinned goldens for every thread count
-// (not merely "matches sequential": if both engines drifted together, this
-// still fails).
+// Every thread count reproduces the pinned goldens (not merely "matches
+// T=1": if every thread count drifted together, this still fails).
 TEST(SimGoldenTest, ParallelEngineReproducesGoldensForEveryThreadCount) {
   const World setup{golden_params()};
   for (const GoldenMulti& golden : kMultiGolden) {
-    for (const std::size_t threads : {2u, 4u, 8u}) {
-      const MultiRunResult multi = run_one_multi(
-          PolicyKind::kVCover, setup.trace(), setup.cache_capacity(),
-          setup.params(), 4, golden.strategy, PolicyOverrides{}, 2000,
-          ParallelOptions{threads, true});
-      SCOPED_TRACE(::testing::Message()
-                   << workload::to_string(golden.strategy) << " T=" << threads);
-      expect_matches(multi.combined, golden.combined);
-      ASSERT_EQ(multi.per_endpoint.size(), golden.per_endpoint.size());
-      for (std::size_t e = 0; e < golden.per_endpoint.size(); ++e) {
-        expect_matches(multi.per_endpoint[e], golden.per_endpoint[e]);
-      }
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(::testing::Message() << "T=" << threads);
+      expect_matches(run_one_multi(golden.kind, setup.trace(),
+                                   setup.cache_capacity(), setup.params(), 4,
+                                   golden.strategy, PolicyOverrides{}, 2000,
+                                   ParallelOptions{threads}),
+                     golden);
     }
   }
 }
@@ -257,15 +367,11 @@ TEST(SimGoldenTest, EventEngineAtZeroLatencyMatchesGoldenTables) {
     EXPECT_EQ(r.staleness_seconds.max(), 0.0) << kSingleCacheGolden[i].policy;
   }
   for (const GoldenMulti& golden : kMultiGolden) {
+    if (golden.kind != PolicyKind::kVCover) continue;
     const EventRunResult multi = run_one_event(
         PolicyKind::kVCover, setup.trace(), setup.cache_capacity(),
         setup.params(), 4, golden.strategy);
-    SCOPED_TRACE(workload::to_string(golden.strategy));
-    expect_matches(multi.replay.combined, golden.combined);
-    ASSERT_EQ(multi.replay.per_endpoint.size(), golden.per_endpoint.size());
-    for (std::size_t e = 0; e < golden.per_endpoint.size(); ++e) {
-      expect_matches(multi.replay.per_endpoint[e], golden.per_endpoint[e]);
-    }
+    expect_rows_match(multi.replay, golden);
   }
 }
 
@@ -277,20 +383,15 @@ TEST(SimGoldenTest, EventEngineAtZeroLatencyMatchesGoldenTables) {
 TEST(SimGoldenTest, ParallelEventEngineReproducesGoldensForEveryThreadCount) {
   const World setup{golden_params()};
   for (const GoldenMulti& golden : kMultiGolden) {
+    if (golden.kind != PolicyKind::kVCover) continue;
     for (const std::size_t threads : {2u, 4u, 8u}) {
       EventEngineOptions options;
       options.parallel.num_threads = threads;
       const EventRunResult multi = run_one_event(
           PolicyKind::kVCover, setup.trace(), setup.cache_capacity(),
           setup.params(), 4, golden.strategy, options);
-      SCOPED_TRACE(::testing::Message()
-                   << workload::to_string(golden.strategy)
-                   << " T=" << threads);
-      expect_matches(multi.replay.combined, golden.combined);
-      ASSERT_EQ(multi.replay.per_endpoint.size(), golden.per_endpoint.size());
-      for (std::size_t e = 0; e < golden.per_endpoint.size(); ++e) {
-        expect_matches(multi.replay.per_endpoint[e], golden.per_endpoint[e]);
-      }
+      SCOPED_TRACE(::testing::Message() << "T=" << threads);
+      expect_rows_match(multi.replay, golden);
       EXPECT_EQ(multi.staleness_seconds.max(), 0.0);
       EXPECT_EQ(multi.dispatch_lag_seconds.max(), 0.0);
     }
@@ -307,18 +408,30 @@ TEST(SimGoldenTest, DISABLED_PrintGoldenTables) {
     print_row(run_one(kind, setup.trace(), setup.cache_capacity(),
                       setup.params()));
   }
-  std::cout << "};\n\nkMultiGolden rows:\n";
-  for (const auto strategy : {workload::SplitStrategy::kRoundRobin,
-                              workload::SplitStrategy::kHashByRegion}) {
-    const MultiRunResult multi =
-        run_one_multi(PolicyKind::kVCover, setup.trace(),
-                      setup.cache_capacity(), setup.params(), 4, strategy);
-    std::cout << "  // strategy = " << workload::to_string(strategy)
-              << "\n  combined:\n";
-    print_row(multi.combined);
-    std::cout << "  per_endpoint:\n";
-    for (const RunResult& r : multi.per_endpoint) print_row(r);
+  std::cout << "};\n\nconst GoldenMulti kMultiGolden[] = {\n";
+  for (const PolicyKind kind : kAllKinds) {
+    for (const auto strategy : {workload::SplitStrategy::kRoundRobin,
+                                workload::SplitStrategy::kHashByRegion}) {
+      const MultiRunResult multi =
+          run_one_multi(kind, setup.trace(), setup.cache_capacity(),
+                        setup.params(), 4, strategy);
+      std::cout << "    {PolicyKind::k" << to_string(kind)
+                << ", workload::SplitStrategy::"
+                << (strategy == workload::SplitStrategy::kRoundRobin
+                        ? "kRoundRobin"
+                        : "kHashByRegion")
+                << ",\n ";
+      print_row(multi.combined);
+      std::cout << "     {{\n";
+      for (const RunResult& r : multi.per_endpoint) {
+        std::cout << "     ";
+        print_row(r);
+      }
+      std::cout << "     }},\n     " << replay_fingerprint(multi)
+                << "ULL},\n";
+    }
   }
+  std::cout << "};\n";
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
-// Parallel simulation engine tests: the headline guarantee (any thread
-// count reproduces the sequential engine's RunResults bit-for-bit), the
-// repeated-run determinism of the parallel path itself, and the accounting
-// invariants on parallel results.
+// Parallel simulation tests: the headline guarantee (any thread count
+// reproduces the single-threaded run's RunResults bit-for-bit), the
+// repeated-run determinism of multi-threaded runs, and the accounting
+// invariants on their results.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "meter_invariants.h"
+#include "result_identity.h"
 #include "sim/experiment.h"
 #include "sim/multi_cache.h"
 #include "workload/trace_split.h"
@@ -31,56 +32,11 @@ SetupParams small_params(std::uint64_t seed = 21) {
   return p;
 }
 
-/// Bitwise equality of two RunResults, wall_seconds excepted (it is real
-/// elapsed time). Doubles are compared with EXPECT_EQ on purpose: the
-/// deterministic engine promises bit-identical output, not approximate.
-void expect_identical(const RunResult& a, const RunResult& b,
-                      const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(a.policy_name, b.policy_name);
-  EXPECT_EQ(a.warmup_end, b.warmup_end);
-  EXPECT_EQ(a.total_traffic, b.total_traffic);
-  EXPECT_EQ(a.postwarmup_traffic, b.postwarmup_traffic);
-  for (std::size_t m = 0; m < 3; ++m) {
-    EXPECT_EQ(a.postwarmup_by_mechanism[m], b.postwarmup_by_mechanism[m])
-        << "mechanism " << m;
-  }
-  EXPECT_EQ(a.overhead_traffic, b.overhead_traffic);
-  EXPECT_EQ(a.queries, b.queries);
-  EXPECT_EQ(a.cache_fresh, b.cache_fresh);
-  EXPECT_EQ(a.cache_after_updates, b.cache_after_updates);
-  EXPECT_EQ(a.shipped, b.shipped);
-  EXPECT_EQ(a.objects_loaded, b.objects_loaded);
-  ASSERT_EQ(a.series.points().size(), b.series.points().size());
-  for (std::size_t k = 0; k < a.series.points().size(); ++k) {
-    EXPECT_EQ(a.series.points()[k].event_index,
-              b.series.points()[k].event_index)
-        << "point " << k;
-    EXPECT_EQ(a.series.points()[k].value, b.series.points()[k].value)
-        << "point " << k;
-  }
-  EXPECT_EQ(a.postwarmup_latency.count(), b.postwarmup_latency.count());
-  EXPECT_EQ(a.postwarmup_latency.mean(), b.postwarmup_latency.mean());
-  EXPECT_EQ(a.postwarmup_latency.variance(), b.postwarmup_latency.variance());
-  EXPECT_EQ(a.postwarmup_latency.min(), b.postwarmup_latency.min());
-  EXPECT_EQ(a.postwarmup_latency.max(), b.postwarmup_latency.max());
-  EXPECT_EQ(a.postwarmup_latency.sum(), b.postwarmup_latency.sum());
-}
+using delta::testing::ExpectIdentical;
 
-void expect_identical(const MultiRunResult& a, const MultiRunResult& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.strategy, b.strategy);
-  ASSERT_EQ(a.per_endpoint.size(), b.per_endpoint.size());
-  expect_identical(a.combined, b.combined, label + " combined");
-  for (std::size_t i = 0; i < a.per_endpoint.size(); ++i) {
-    expect_identical(a.per_endpoint[i], b.per_endpoint[i],
-                     label + " endpoint " + std::to_string(i));
-  }
-}
-
-// The acceptance guarantee: for T ∈ {2, 4, 8} the parallel engine's output
-// is byte-identical to the sequential engine (T=1), per endpoint and
-// combined, across policies and split strategies.
+// The acceptance guarantee: for T ∈ {2, 4, 8} the output is byte-identical
+// to the T=1 run, per endpoint and combined, across policies and split
+// strategies.
 TEST(ParallelSimTest, ByteIdenticalToSequentialAcrossThreadCounts) {
   const World setup{small_params()};
   for (const PolicyKind kind :
@@ -89,22 +45,21 @@ TEST(ParallelSimTest, ByteIdenticalToSequentialAcrossThreadCounts) {
                                 workload::SplitStrategy::kHashByRegion}) {
       const MultiRunResult sequential = run_one_multi(
           kind, setup.trace(), setup.cache_capacity(), setup.params(), 4,
-          strategy, PolicyOverrides{}, 2000, ParallelOptions{1, true});
+          strategy, PolicyOverrides{}, 2000, ParallelOptions{1});
       for (const std::size_t threads : {2u, 4u, 8u}) {
         const MultiRunResult parallel = run_one_multi(
             kind, setup.trace(), setup.cache_capacity(), setup.params(), 4,
-            strategy, PolicyOverrides{}, 2000,
-            ParallelOptions{threads, true});
-        expect_identical(sequential, parallel,
-                         std::string{to_string(kind)} + "/" +
-                             workload::to_string(strategy) + "/T=" +
-                             std::to_string(threads));
+            strategy, PolicyOverrides{}, 2000, ParallelOptions{threads});
+        ExpectIdentical(sequential, parallel,
+                        std::string{to_string(kind)} + "/" +
+                            workload::to_string(strategy) + "/T=" +
+                            std::to_string(threads));
       }
     }
   }
 }
 
-// Same seed, same thread count, run twice: the parallel engine is
+// Same seed, same thread count, run twice: a multi-threaded run is
 // repeatable against itself (no dependence on scheduling).
 TEST(ParallelSimTest, RepeatedParallelRunsAreIdentical) {
   const World setup{small_params(22)};
@@ -113,15 +68,14 @@ TEST(ParallelSimTest, RepeatedParallelRunsAreIdentical) {
       return run_one_multi(PolicyKind::kVCover, setup.trace(),
                            setup.cache_capacity(), setup.params(), 8,
                            workload::SplitStrategy::kHashByRegion,
-                           PolicyOverrides{}, 2000,
-                           ParallelOptions{threads, true});
+                           PolicyOverrides{}, 2000, ParallelOptions{threads});
     };
-    expect_identical(run(), run(), "T=" + std::to_string(threads));
+    ExpectIdentical(run(), run(), "T=" + std::to_string(threads));
   }
 }
 
 // More workers than endpoints and a single-endpoint parallel run are both
-// legal and still reproduce the sequential engine.
+// legal and still reproduce the T=1 run.
 TEST(ParallelSimTest, DegenerateShapesMatchSequential) {
   const World setup{small_params(23)};
   const MultiRunResult seq1 = run_one_multi(
@@ -130,55 +84,19 @@ TEST(ParallelSimTest, DegenerateShapesMatchSequential) {
   const MultiRunResult par1 = run_one_multi(
       PolicyKind::kVCover, setup.trace(), setup.cache_capacity(),
       setup.params(), 1, workload::SplitStrategy::kRoundRobin,
-      PolicyOverrides{}, 2000, ParallelOptions{8, true});
-  expect_identical(seq1, par1, "N=1 T=8");
+      PolicyOverrides{}, 2000, ParallelOptions{8});
+  ExpectIdentical(seq1, par1, "N=1 T=8");
 }
 
-// Parallel results satisfy the same partition invariant as sequential ones:
+// Multi-threaded results satisfy the same partition invariant as T=1 ones:
 // per-endpoint figures partition the combined view exactly.
 TEST(ParallelSimTest, ParallelResultsSatisfyPartitionInvariant) {
   const World setup{small_params(24)};
   const MultiRunResult parallel = run_one_multi(
       PolicyKind::kVCover, setup.trace(), setup.cache_capacity(),
       setup.params(), 4, workload::SplitStrategy::kHashByRegion,
-      PolicyOverrides{}, 2000, ParallelOptions{4, true});
+      PolicyOverrides{}, 2000, ParallelOptions{4});
   delta::testing::ExpectPerEndpointResultsPartitionCombined(parallel);
-}
-
-// deterministic=false trades the bit-identical combined latency fold for
-// less bookkeeping: every integer-valued figure must still match exactly;
-// the folded latency moments agree to floating-point accuracy.
-TEST(ParallelSimTest, FastMergeMatchesOnAllIntegerFigures) {
-  const World setup{small_params(25)};
-  const MultiRunResult det = run_one_multi(
-      PolicyKind::kVCover, setup.trace(), setup.cache_capacity(),
-      setup.params(), 4, workload::SplitStrategy::kHashByRegion,
-      PolicyOverrides{}, 2000, ParallelOptions{4, true});
-  const MultiRunResult fast = run_one_multi(
-      PolicyKind::kVCover, setup.trace(), setup.cache_capacity(),
-      setup.params(), 4, workload::SplitStrategy::kHashByRegion,
-      PolicyOverrides{}, 2000, ParallelOptions{4, false});
-  EXPECT_EQ(det.combined.total_traffic, fast.combined.total_traffic);
-  EXPECT_EQ(det.combined.postwarmup_traffic,
-            fast.combined.postwarmup_traffic);
-  EXPECT_EQ(det.combined.overhead_traffic, fast.combined.overhead_traffic);
-  EXPECT_EQ(det.combined.queries, fast.combined.queries);
-  EXPECT_EQ(det.combined.cache_fresh, fast.combined.cache_fresh);
-  EXPECT_EQ(det.combined.shipped, fast.combined.shipped);
-  EXPECT_EQ(det.combined.postwarmup_latency.count(),
-            fast.combined.postwarmup_latency.count());
-  EXPECT_EQ(det.combined.postwarmup_latency.min(),
-            fast.combined.postwarmup_latency.min());
-  EXPECT_EQ(det.combined.postwarmup_latency.max(),
-            fast.combined.postwarmup_latency.max());
-  EXPECT_NEAR(det.combined.postwarmup_latency.mean(),
-              fast.combined.postwarmup_latency.mean(), 1e-12);
-  // Per-endpoint views never depend on the merge mode.
-  ASSERT_EQ(det.per_endpoint.size(), fast.per_endpoint.size());
-  for (std::size_t i = 0; i < det.per_endpoint.size(); ++i) {
-    expect_identical(det.per_endpoint[i], fast.per_endpoint[i],
-                     "endpoint " + std::to_string(i));
-  }
 }
 
 }  // namespace
