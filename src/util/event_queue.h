@@ -8,30 +8,23 @@
 // Determinism is structural, not incidental: events execute in strict
 // (time, schedule-sequence) order, so two events scheduled for the same
 // instant always run in the order they were scheduled, independent of
-// scheduler internals, platform, or run count.
+// platform or run count.
 //
-// The queue is built for the replay hot path:
-//   * events are typed records — a function pointer, a context pointer and
-//     a 64-bit argument — so scheduling and dispatch never allocate and
-//     never indirect through std::function;
-//   * the default scheduler is a calendar queue tuned for the
-//     near-monotone insertion pattern of link serialization (amortized
-//     O(1) schedule/pop); buckets that degenerate under a deep steady
-//     hold are split ladder-queue style into sorted sub-rungs (see the
-//     Rung note below), so throughput holds at >= 4k pending; the binary
-//     heap of PR 4 is kept as a selectable backend and serves as the
-//     differential oracle for the calendar's (time, seq) order
-//     (tests/event_queue_differential_test.cpp);
-//   * the hot primitives live in this header so the engines' inner loops
-//     inline them, and pump_until takes its predicate as a template — the
-//     sync façade's closed-loop wait constructs no std::function.
+// The queue is a binary min-heap over (time, seq) of 40-byte typed
+// records — a function pointer, a context pointer and a 64-bit argument —
+// so scheduling and dispatch never allocate (past the heap's growth) and
+// never indirect through std::function. seq is unique, so (time, seq) is a
+// total order and the execution order does not depend on the heap's
+// internal layout. Deadline and retry timers ride on top as O(1)
+// tombstone-cancel records (schedule_cancellable / cancel). Everything
+// lives in this header so the engines' inner loops inline it, and
+// pump_until takes its predicate as a template — the sync façade's
+// closed-loop wait constructs no std::function.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "util/check.h"
@@ -66,21 +59,6 @@ class EventQueue {
   /// DelayedTransport's pooled in-flight records).
   using EventFn = void (*)(void* ctx, std::uint64_t arg);
 
-  /// Scheduler backend. kCalendar is the default; kBinaryHeap is retained
-  /// as the differential oracle for the (time, seq) execution order and as
-  /// the baseline in bench/micro_event_queue.
-  enum class Backend : std::uint8_t { kCalendar, kBinaryHeap };
-
-  explicit EventQueue(Backend backend = Backend::kCalendar)
-      : backend_(backend) {
-    if (backend_ == Backend::kCalendar) {
-      buckets_.resize(kMinBuckets);
-      occupied_.assign(1, 0);
-    }
-  }
-
-  [[nodiscard]] Backend backend() const { return backend_; }
-
   /// Handle of a cancellable timer (schedule_cancellable). A TimerId stays
   /// valid-to-cancel until the timer fires or is cancelled; afterwards the
   /// slot's generation has moved on and cancel() is a harmless no-op that
@@ -98,24 +76,17 @@ class EventQueue {
     DELTA_CHECK_MSG(time >= clock_.now(),
                     "cannot schedule into the past (" << time << " < "
                                                       << clock_.now() << ")");
-    const Event event{time, next_seq_++, fn, ctx, arg};
-    if (backend_ == Backend::kCalendar) {
-      calendar_push(event);
-    } else {
-      heap_.push_back(event);
-      heap_sift_up(heap_.size() - 1);
-    }
-    ++size_;
+    heap_.push_back(Event{time, next_seq_++, fn, ctx, arg});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
   /// Cancellable variant of schedule() for deadline/retry timers: O(1) to
-  /// arm and O(1) to cancel. The queued record is a 40-byte trampoline
-  /// carrying (slot, generation); cancel() bumps the slot's generation and
-  /// releases it, turning the still-queued record into a tombstone that
-  /// pops as a no-op when its time comes — nothing is removed from the
-  /// scheduler's ordered storage, so cancellation never touches a bucket.
-  /// Slots are recycled through a free list; a fired or cancelled timer's
-  /// id can never alias a later timer (the generation check).
+  /// cancel. The queued record is a 40-byte trampoline carrying (slot,
+  /// generation); cancel() bumps the slot's generation and releases it,
+  /// turning the still-queued record into a tombstone that pops as a no-op
+  /// when its time comes — nothing is removed from the heap. Slots are
+  /// recycled through a free list; a fired or cancelled timer's id can
+  /// never alias a later timer (the generation check).
   TimerId schedule_cancellable(SimTime time, EventFn fn, void* ctx,
                                std::uint64_t arg = 0) {
     DELTA_DCHECK(fn != nullptr);
@@ -164,18 +135,15 @@ class EventQueue {
   }
 
   [[nodiscard]] SimTime now() const { return clock_.now(); }
-  [[nodiscard]] const SimClock& clock() const { return clock_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t pending() const { return size_; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
   [[nodiscard]] std::int64_t executed() const { return executed_; }
 
-  /// Timestamp of the earliest pending event (+inf when empty). Locating
-  /// the earliest event may advance the calendar's scan cursor, so this is
-  /// non-const; it never executes anything.
-  [[nodiscard]] SimTime next_time() {
-    if (size_ == 0) return std::numeric_limits<SimTime>::infinity();
-    return backend_ == Backend::kCalendar ? calendar_peek().time
-                                          : heap_.front().time;
+  /// Timestamp of the earliest pending event, tombstones included (+inf
+  /// when empty). Never executes anything.
+  [[nodiscard]] SimTime next_time() const {
+    return heap_.empty() ? std::numeric_limits<SimTime>::infinity()
+                         : heap_.front().time;
   }
 
   /// Pops and runs the earliest event, advancing the clock to its time.
@@ -186,24 +154,13 @@ class EventQueue {
 
   /// Pops and runs the earliest event if it is due at or before `limit`;
   /// returns false (and leaves the clock alone) when the queue is empty or
-  /// the earliest event is later. One bucket scan per executed event: the
-  /// peek that finds the event is the same scan the pop consumes from —
-  /// the drain loops below never pay the peek-then-repeek of a separate
-  /// next_time()/run_one() pair.
+  /// the earliest event is later.
   bool run_one_if_due(SimTime limit) {
-    if (size_ == 0) return false;
-    Event event;
-    if (backend_ == Backend::kCalendar) {
-      const Event& head = calendar_peek();  // positions scan_vb_/rung cursor
-      if (head.time > limit) return false;
-      event = head;  // copy out before consume bookkeeping invalidates it
-      calendar_consume();
-    } else {
-      if (heap_.front().time > limit) return false;
-      event = heap_pop();
-    }
+    if (heap_.empty() || heap_.front().time > limit) return false;
     // Popped before executing: the action may schedule further events.
-    --size_;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Event event = heap_.back();
+    heap_.pop_back();
     clock_.advance_to(event.time);
     ++executed_;
     event.fn(event.ctx, event.arg);
@@ -267,7 +224,7 @@ class EventQueue {
 
   /// Backing state of one cancellable timer. The queued Event only carries
   /// (slot, generation); the callback lives here so cancel() can retire it
-  /// without finding the record in the scheduler.
+  /// without finding the record in the heap.
   struct TimerSlot {
     std::uint32_t generation = 0;
     bool live = false;
@@ -297,486 +254,20 @@ class EventQueue {
     fn(ctx, arg);
   }
 
-  /// The (time, seq) total order both backends execute in.
-  [[nodiscard]] static bool later(const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-
-  // ---- calendar backend ----
-  //
-  // Classic adaptive calendar queue: `buckets_` is a circular array of
-  // "days", each `width_` seconds wide; an event at time t lives in virtual
-  // bucket vb(t) = floor(t / width_), physical bucket vb & mask. Buckets
-  // keep their events sorted ascending by (time, seq) with a consumed-
-  // prefix cursor, so the near-monotone inserts of link serialization are
-  // an O(1) append and pops are cursor bumps. The scan cursor `scan_vb_`
-  // only moves forward; the structural invariant (every pending event has
-  // vb >= scan_vb_) holds because schedule() rejects times before the
-  // clock and the clock trails the last pop. When a whole "year" of
-  // buckets is empty the peek falls back to a direct min search (cold, in
-  // event_queue.cpp), and resizes re-tune width_ to the live event spread.
-  //
-  // Ladder rung split (the deep-steady-hold fix): a steady hold at large
-  // depth drifts the live window far narrower than the tuned day width —
-  // size-triggered resizes never fire at constant depth — so one bucket
-  // accretes thousands of events and every off-path insert becomes a long
-  // memmove. Re-tuning the whole calendar (the former density watchdog)
-  // re-sorts all pending events and has to keep doing so as the window
-  // keeps drifting. Instead, a bucket whose unconsumed tail degenerates is
-  // split ladder-queue style: its pending events move into a Rung of
-  // finer sub-buckets in one sort-free O(k) pass. Unlike the day buckets,
-  // sub-buckets are UNSORTED bags: an insert is a plain append, and a pop
-  // scans the (small, re-split-bounded) current sub for its minimum and
-  // swap-removes it — a steady hold inserts just ahead of the consumption
-  // point, so keeping the sub sorted would memmove most of its tail on
-  // every insert (measured: that memmove dominated the whole drift cell).
-  // While a rung exists the bucket's plain storage is empty and all
-  // traffic for the bucket routes through the rung; when a sub-bucket
-  // itself degenerates the rung re-splits at the current (narrower)
-  // window, and when the rung drains it is freed. Order is untouched: the
-  // sub index is a monotone function of time, ties share a sub, and the
-  // pop scan minimizes by the same (time, seq) relation, so the rung
-  // yields the exact execution order of a flat sorted bucket.
-
-  struct SubRung {
-    std::vector<Event> events;  // unsorted bag of pending events
+  /// The (time, seq) total order events execute in, as the heap's "less":
+  /// `a` is later than `b`. The std heap keeps its greatest element in
+  /// front, which under this order is the earliest event.
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
+    }
   };
 
-  struct Rung {
-    std::vector<SubRung> subs;
-    SimTime base = 0.0;          // time of the earliest event at build
-    SimTime inv_sub_width = 0.0; // 1 / sub-bucket width (0 when all ties)
-    /// Events at or beyond this time bypass the subs: into `overflow` on
-    /// the bucket's root rung, or into the PARENT's sub on a child rung
-    /// (see child below). The subs only ever cover the window seen at
-    /// build time; a bucket keeps receiving later events as the
-    /// simulation window slides into its day, and clamping those into the
-    /// last sub is exactly the fat-bucket degeneracy the rung prevents.
-    SimTime range_end = 0.0;
-    /// Root rung only: an unsorted bag of events later than every sub
-    /// event. When the subs drain it is redistributed into a fresh
-    /// (narrower) set of subs in one O(k) pass (rung_descend). Child
-    /// rungs never use it — their too-late events stay in the parent sub
-    /// they would have landed in, consumed after the child drains.
-    std::vector<Event> overflow;
-    /// Ladder descent: when the cursor sub holds a crowd too dense for
-    /// this rung's sub width (skew a single uniform level cannot spread),
-    /// the crowd moves into a child rung over its own, much narrower span
-    /// (rung_narrow). The child owns every event of subs[child_sub]
-    /// earlier than child->range_end; later arrivals stay in the parent
-    /// sub. Each event is redistributed at most once per level (~log
-    /// levels), where re-spreading the remainder of a single flat rung on
-    /// every degeneracy was quadratic in the crowd size.
-    std::unique_ptr<Rung> child;
-    std::size_t child_sub = SIZE_MAX;  // which sub the child covers
-    std::size_t cursor = 0;      // first sub that may hold pending events
-    /// Pending events in this rung's subtree (subs + overflow + child).
-    std::size_t live = 0;
-    /// Index (within the cursor sub) of the minimum the last peek found;
-    /// consume swap-removes it without re-scanning.
-    std::size_t hot = 0;
-    /// Pop-scan work (summed cursor-sub scan lengths) since the last
-    /// build or narrow attempt. A fat cursor sub only spawns a child
-    /// after the accumulated scanning exceeds the crowd size, so the
-    /// O(crowd) redistribution is amortized against work the scans
-    /// already paid — and an all-ties crowd (which declines the spawn)
-    /// re-attempts only after paying a fresh budget.
-    std::uint64_t scan_work = 0;
-  };
-
-  struct Bucket {
-    /// Pending events after the consumed prefix. Inserts are plain
-    /// appends; an append that breaks the ascending (time, seq) order
-    /// just marks the day dirty, and the day is sorted once, lazily, when
-    /// the scan first peeks it (bucket_head). Under a steady hold almost
-    /// every insert lands in a day the scan has not reached yet, so the
-    /// insert path never pays a sorted-position memmove.
-    std::vector<Event> events;
-    std::size_t head = 0;  // consumed prefix
-    bool dirty = false;    // tail [head, end) not yet sorted
-    /// Non-null while the bucket is split; then `events` is empty and all
-    /// pending storage lives in the rung.
-    std::unique_ptr<Rung> rung;
-  };
-
-  /// A sub-bucket must stay smaller than this or the rung re-splits (the
-  /// pop scan over the unsorted sub is linear in its size); the same
-  /// bound on a plain bucket's unconsumed tail triggers the initial split.
-  static constexpr std::size_t kSplitThreshold = 16;
-
-  static constexpr std::size_t kMinBuckets = 8;
-
-  [[nodiscard]] std::int64_t virtual_bucket(SimTime t) const {
-    return static_cast<std::int64_t>(t * inv_width_);
-  }
-
-  void calendar_push(const Event& event) {
-    const std::int64_t vb = virtual_bucket(event.time);
-    // A peek may have parked the scan cursor at the (previously) earliest
-    // pending day; an event scheduled for an earlier day must pull the
-    // cursor back so the forward scan cannot step over it.
-    if (vb < scan_vb_) scan_vb_ = vb;
-    ++schedules_since_retune_;
-    if (vb - scan_vb_ >= static_cast<std::int64_t>(buckets_.size())) {
-      // Beyond the current year: park it in the far-future bag instead of
-      // wrapping into an unrelated day (wrapped slots mix events years
-      // apart and degrade every day they collide with). The bag is O(1)
-      // to feed and is folded back in at the next retune; calendar_peek
-      // guards against ever executing past its earliest entry.
-      future_.push_back(event);
-      if (event.time < future_min_) future_min_ = event.time;
-    } else {
-      const std::size_t slot = static_cast<std::size_t>(vb) & bucket_mask();
-      Bucket& bucket = buckets_[slot];
-      occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-      if (bucket.rung != nullptr) {
-        rung_insert(bucket, event);
-      } else if (bucket.events.empty() ||
-                 !later(bucket.events.back(), event)) {
-        bucket.events.push_back(event);  // in-order append, the fast path
-      } else if (!bucket.dirty && vb == scan_vb_ &&
-                 bucket.events.size() - bucket.head <= kSplitThreshold) {
-        // Out-of-order insert into the small day the scan is consuming:
-        // keep it sorted in place. Marking it dirty instead would re-sort
-        // the tail at the very next peek — once per pop under a steady
-        // hold whose inserts land a few events ahead of the pop point.
-        const auto first =
-            bucket.events.begin() + static_cast<std::ptrdiff_t>(bucket.head);
-        bucket.events.insert(
-            std::upper_bound(first, bucket.events.end(), event,
-                             [](const Event& a, const Event& b) {
-                               return later(b, a);
-                             }),
-            event);
-      } else {
-        // Lazy day: appends ahead of the scan stay O(1); the day is sorted
-        // (or, if its tail grew fat, rung-split) when the scan reaches it.
-        bucket.dirty = true;
-        bucket.events.push_back(event);
-      }
-    }
-    if (size_ + 1 > buckets_.size() * 2) {
-      calendar_resize(buckets_.size() * 2);
-    } else if (retune_pending_ &&
-               schedules_since_retune_ > size_ * retune_backoff_) {
-      // Degeneracy-triggered width retune (see retune_pending_). Runs from
-      // the push path only: peek/consume hold references into buckets_
-      // while they work, a schedule is a safe point to rebuild the layout.
-      calendar_resize(buckets_.size());
-    }
-  }
-
-  /// Earliest pending event of a bucket. For a split bucket this advances
-  /// the rung cursor over drained subs and min-scans the (small) current
-  /// sub, remembering the minimum's position for calendar_consume. Pre:
-  /// the bucket holds at least one pending event.
-  [[nodiscard]] const Event& bucket_head(Bucket& bucket) {
-    for (;;) {
-      if (bucket.rung == nullptr) {
-        if (bucket.dirty) {
-          if (bucket.events.size() - bucket.head > kSplitThreshold) {
-            // The scan reached a fat unsorted day (accreted while the day
-            // sat ahead of the scan, or flung together by a retune's
-            // redistribution): split it into a rung in one sort-free pass
-            // instead of sorting — a dirty tail always spans two distinct
-            // times (ties append in order), so the split cannot decline.
-            calendar_maybe_split(bucket);
-            if (bucket.rung != nullptr) continue;  // re-resolve via the rung
-          }
-          bucket_sort_tail(bucket);
-        }
-        return bucket.events[bucket.head];
-      }
-      Rung* rung = bucket.rung.get();
-      // All in-range pending events live in subs >= cursor; inserts that
-      // land earlier pull the cursor back (rung_insert), so the forward
-      // skip is safe. A live child rung at the cursor sub holds strictly
-      // earlier events than anything else from that sub onward: descend
-      // into it. When every sub (and child) has drained, the root's
-      // overflow bag is the (strictly later) remainder: rebuild from it
-      // (which may revert the bucket to plain storage — the outer loop
-      // re-resolves either way).
-      for (;;) {
-        bool descended = false;
-        while (rung->cursor < rung->subs.size()) {
-          if (rung->cursor == rung->child_sub && rung->child != nullptr) {
-            if (rung->child->live > 0) {
-              rung = rung->child.get();
-              descended = true;
-              break;
-            }
-            rung_recycle_child(*rung);  // drained: free before the sub scan
-          }
-          if (!rung->subs[rung->cursor].events.empty()) break;
-          ++rung->cursor;
-        }
-        if (descended) continue;
-        if (rung->cursor == rung->subs.size()) {
-          // Only the root can exhaust its subs while still live (a child's
-          // live count covers exactly its subs and descendants).
-          DELTA_DCHECK(rung == bucket.rung.get());
-          rung_descend(bucket);
-          break;  // re-resolve from the bucket (rung rebuilt or reverted)
-        }
-        const std::vector<Event>& events = rung->subs[rung->cursor].events;
-        // Ladder descent: a fat cursor sub means the local density outran
-        // the sub width (skewed crowds a single uniform level cannot
-        // spread). Spawn a child rung over just this crowd — amortized by
-        // the scan work the fat scans already racked up — and re-resolve.
-        if (events.size() > kSplitThreshold &&
-            rung->scan_work > events.size() && rung->child == nullptr) {
-          rung_narrow(*rung);
-          continue;
-        }
-        rung->scan_work += events.size();
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < events.size(); ++i) {
-          if (later(events[best], events[i])) best = i;
-        }
-        rung->hot = best;
-        return events[best];
-      }
-    }
-  }
-
-  /// Frees a drained child rung, stashing it (storage included) as the
-  /// spare for the next split.
-  void rung_recycle_child(Rung& parent) {
-    DELTA_DCHECK(parent.child != nullptr && parent.child->live == 0);
-    if (spare_rung_ == nullptr) {
-      spare_rung_ = std::move(parent.child);
-    }
-    parent.child.reset();
-    parent.child_sub = SIZE_MAX;
-  }
-
-  /// Routes an insert into a split bucket's rung chain: events past the
-  /// root's covered range go to the overflow bag (strictly later than
-  /// every sub event — the comparison is on raw time, so it cannot
-  /// misorder a tie); in-range events append to their sub (monotone
-  /// index: ties share a sub and earlier subs hold earlier events), or
-  /// descend into the child rung when they fall inside the window it owns
-  /// — unsorted bags, so no memmove anywhere. A sub that grows fat is
-  /// harmless to insert into (plain append); the cost is the pop scan, so
-  /// the degeneracy check lives on the peek path (bucket_head), which
-  /// spawns a child when — and only when — the fat sub is being scanned.
-  void rung_insert(Bucket& bucket, const Event& event) {
-    Rung* rung = bucket.rung.get();
-    for (;;) {
-      ++rung->live;
-      if (event.time >= rung->range_end) {
-        rung->overflow.push_back(event);  // root only: see Rung::overflow
-        return;
-      }
-      const double offset = (event.time - rung->base) * rung->inv_sub_width;
-      std::size_t idx = offset <= 0.0 ? 0 : static_cast<std::size_t>(offset);
-      if (idx >= rung->subs.size()) idx = rung->subs.size() - 1;
-      if (idx < rung->cursor) rung->cursor = idx;
-      if (idx == rung->child_sub && rung->child != nullptr &&
-          rung->child->live > 0 && event.time < rung->child->range_end) {
-        rung = rung->child.get();
-        continue;
-      }
-      rung->subs[idx].events.push_back(event);
-      return;
-    }
-  }
-
-  /// Locates the earliest pending event, advancing scan_vb_ to its virtual
-  /// bucket. Pre: size_ > 0. The far-future bag never holds the earliest
-  /// event while this returns: a candidate at or past the bag's earliest
-  /// entry forces an integrating retune first (`>=`, not `>`: a bagged
-  /// event tying the candidate's timestamp may carry a smaller seq).
-  [[nodiscard]] const Event& calendar_peek() {
-    for (;;) {
-      if (size_ > future_.size()) {
-        const Event& head = calendar_scan();
-        if (head.time < future_min_) return head;
-      }
-      calendar_resize(buckets_.size());  // fold the future bag back in
-    }
-  }
-
-  /// The year scan behind calendar_peek: earliest event in the day
-  /// buckets, ignoring the far-future bag. The occupancy bitmap jumps the
-  /// scan straight across empty days (one cache line covers 64 of them),
-  /// so only days that actually hold events are touched. Pre: at least
-  /// one event lives in the buckets.
-  [[nodiscard]] const Event& calendar_scan() {
-    for (std::size_t scanned = 0; scanned < buckets_.size();) {
-      const std::size_t gap = occupied_gap_from(
-          static_cast<std::size_t>(scan_vb_) & bucket_mask());
-      if (gap >= buckets_.size() - scanned) break;  // rest of the year empty
-      scan_vb_ += static_cast<std::int64_t>(gap);
-      scanned += gap;
-      Bucket& bucket =
-          buckets_[static_cast<std::size_t>(scan_vb_) & bucket_mask()];
-      // Sorted bucket (or rung): the head is its earliest pending event,
-      // and a head from a later year means the whole tail is later too.
-      const Event& head = bucket_head(bucket);
-      if (virtual_bucket(head.time) == scan_vb_) return head;
-      ++scan_vb_;
-      ++scanned;
-    }
-    return calendar_direct_search();  // a whole year held nothing current
-  }
-
-  /// Consumes the event the immediately preceding calendar_peek() returned
-  /// — the pop bookkeeping, without re-scanning for the event. Only valid
-  /// directly after a peek (scan_vb_ and the rung cursor still point at
-  /// the event); size_ is decremented by the caller.
-  void calendar_consume() {
-    const std::size_t slot = static_cast<std::size_t>(scan_vb_) & bucket_mask();
-    Bucket& bucket = buckets_[slot];
-    if (bucket.rung != nullptr) {
-      // Re-walk the descent the peek took (its stopping conditions are
-      // unchanged since), decrementing each level's subtree count.
-      Rung* rung = bucket.rung.get();
-      --rung->live;
-      while (rung->cursor == rung->child_sub && rung->child != nullptr &&
-             rung->child->live > 0) {
-        rung = rung->child.get();
-        --rung->live;
-      }
-      std::vector<Event>& events = rung->subs[rung->cursor].events;
-      // Swap-remove the minimum the peek located (subs are unsorted bags).
-      DELTA_DCHECK(rung->hot < events.size());
-      events[rung->hot] = events.back();
-      events.pop_back();
-      if (bucket.rung->live == 0) {
-        // Rung drained; the bucket's plain storage is empty by invariant.
-        // Stash the rung (sub storage included) for the next split — under
-        // a sliding deep window a rung drains and another bucket splits
-        // every few hundred events, so recycling beats re-allocating.
-        spare_rung_ = std::move(bucket.rung);
-        occupied_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-      }
-    } else {
-      ++bucket.head;
-      if (bucket.head == bucket.events.size()) {
-        bucket.events.clear();
-        bucket.head = 0;
-        bucket.dirty = false;
-        occupied_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-      }
-    }
-    if (size_ - 1 < buckets_.size() / 8 && buckets_.size() > kMinBuckets) {
-      calendar_resize(buckets_.size() / 2);
-    }
-  }
-
-  [[nodiscard]] Event calendar_pop() {
-    const Event event = calendar_peek();  // positions scan_vb_ at its bucket
-    calendar_consume();
-    return event;
-  }
-
-  [[nodiscard]] std::size_t bucket_mask() const { return buckets_.size() - 1; }
-
-  /// Distance (in days) from physical slot `from` to the next occupied
-  /// slot, wrapping circularly. May overestimate a wrapped distance (the
-  /// caller then falls back to the always-correct direct search); never
-  /// underestimates, and is exact whenever the answer lies within the
-  /// current year.
-  [[nodiscard]] std::size_t occupied_gap_from(std::size_t from) const {
-    const std::size_t words = occupied_.size();
-    if (words == 1) {  // bucket count <= 64: one-word circular scan
-      const std::uint64_t bits = occupied_[0];
-      std::uint64_t combined = bits >> from;
-      if (from != 0) combined |= bits << (buckets_.size() - from);
-      if (combined == 0) return buckets_.size();
-      return static_cast<std::size_t>(std::countr_zero(combined));
-    }
-    const std::size_t word = from >> 6;
-    const std::uint64_t first = occupied_[word] >> (from & 63);
-    if (first != 0) {
-      return static_cast<std::size_t>(std::countr_zero(first));
-    }
-    std::size_t distance = 64 - (from & 63);
-    for (std::size_t w = 1; w <= words; ++w) {
-      const std::uint64_t bits = occupied_[(word + w) % words];
-      if (bits != 0) {
-        return distance + static_cast<std::size_t>(std::countr_zero(bits));
-      }
-      distance += 64;
-    }
-    return buckets_.size();  // empty bitmap
-  }
-
-  // Cold paths (event_queue.cpp).
-  void bucket_sort_tail(Bucket& bucket);
-  void calendar_maybe_split(Bucket& bucket);
-  void rung_build(Rung& rung);
-  void rung_narrow(Rung& rung);
-  void rung_descend(Bucket& bucket);
-  const Event& calendar_direct_search();
-  void calendar_resize(std::size_t bucket_count);
-
-  // ---- binary-heap backend (differential oracle) ----
-
-  void heap_sift_up(std::size_t i) {
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!later(heap_[parent], heap_[i])) break;
-      std::swap(heap_[parent], heap_[i]);
-      i = parent;
-    }
-  }
-
-  [[nodiscard]] Event heap_pop();
-
-  Backend backend_;
-  std::vector<Bucket> buckets_;       // calendar: power-of-two day array
-  /// One bit per physical day (1 = bucket holds pending events): the scan
-  /// skips runs of empty days without touching their bucket storage.
-  std::vector<std::uint64_t> occupied_;
-  SimTime width_ = 1.0;               // calendar: seconds per day
-  SimTime inv_width_ = 1.0;           // 1/width_, the hot-path factor
-  std::int64_t scan_vb_ = 0;          // calendar: forward-only scan cursor
-  /// Most recently drained rung, recycled by the next split so steady
-  /// deep-window churn (drain here, split there) does not allocate.
-  std::unique_ptr<Rung> spare_rung_;
-  /// Scratch for rung (re)splits and retunes: the pending sequence being
-  /// redistributed. Member so repeated splits reuse its capacity.
-  std::vector<Event> split_scratch_;
-  /// Scratch timestamps for the retune's head-window density measure.
-  std::vector<SimTime> retune_times_;
-  /// Far-future bag: events scheduled beyond the current calendar year
-  /// (bucketing them would wrap onto unrelated days). Fed in O(1), folded
-  /// back into the calendar by the next resize/retune; calendar_peek
-  /// refuses to return any event at or past future_min_, so the bag can
-  /// never starve the execution order.
-  std::vector<Event> future_;
-  SimTime future_min_ = std::numeric_limits<SimTime>::infinity();
-  /// Set by rung_build: rung activity is the signal that the live window
-  /// has drifted away from the tuned day width (a size-triggered resize
-  /// never fires at steady depth). The next schedule past the cooldown
-  /// runs a same-size calendar_resize, which re-tunes the width and
-  /// dissolves every rung — rungs absorb the degeneracy transient, the
-  /// retune restores the plain O(1) append/pop steady state.
-  bool retune_pending_ = false;
-  /// Schedules since the last resize; the retune cooldown (a multiple of
-  /// one live-set turnover) bounds retune work to O(1) amortized per op.
-  std::uint64_t schedules_since_retune_ = 0;
-  /// Cooldown multiplier with exponential backoff: a retune only pays off
-  /// when the live window is stationary, so the re-tuned width sticks and
-  /// the days go back to thin plain buckets (e.g. the post-fill
-  /// contraction transient). When degeneracy recurs within one turnover
-  /// of the previous retune the window is *drifting* — no width sticks —
-  /// and retuning on every turnover would dominate the run; back off
-  /// geometrically and let the rung ladder (whose cost tracks the drift,
-  /// not the depth) absorb it. Any retune after a quiet spell resets the
-  /// backoff.
-  std::uint64_t retune_backoff_ = 1;
-  /// schedules_since_retune_ at the moment degeneracy (re)appeared — how
-  /// long the last retuned width survived before a day split again.
-  std::uint64_t degenerate_at_ = 0;
-  std::vector<Event> heap_;           // heap backend storage
+  std::vector<Event> heap_;  // binary min-heap by (time, seq)
   std::vector<TimerSlot> timer_slots_;     // cancellable-timer state
   std::vector<std::uint32_t> timer_free_;  // recycled timer slots
   std::int64_t cancelled_timers_ = 0;
-  std::size_t size_ = 0;
   SimClock clock_;
   std::uint64_t next_seq_ = 0;
   std::int64_t executed_ = 0;

@@ -1,13 +1,13 @@
 // EventQueue/SimClock: the determinism contract the whole event-driven
 // stack rests on — strict (time, schedule-sequence) execution order,
-// forward-only clock, and well-defined advance/pump primitives. Every
-// ordering test runs against both scheduler backends (the calendar queue
-// and the binary-heap oracle); the randomized cross-backend equivalence
+// forward-only clock, and well-defined advance/pump primitives. The
+// randomized check of the execution order against a sorted reference model
 // lives in event_queue_differential_test.cpp.
 #include "util/event_queue.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -27,18 +27,6 @@ struct Recorder {
   static void nothing(void*, std::uint64_t) {}
 };
 
-class EventQueueBackendTest
-    : public ::testing::TestWithParam<EventQueue::Backend> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, EventQueueBackendTest,
-    ::testing::Values(EventQueue::Backend::kCalendar,
-                      EventQueue::Backend::kBinaryHeap),
-    [](const auto& info) {
-      return info.param == EventQueue::Backend::kCalendar ? "Calendar"
-                                                          : "BinaryHeap";
-    });
-
 TEST(SimClockTest, AdvancesForwardOnly) {
   SimClock clock;
   EXPECT_EQ(clock.now(), 0.0);
@@ -48,8 +36,8 @@ TEST(SimClockTest, AdvancesForwardOnly) {
   EXPECT_THROW(clock.advance_to(1.0), std::logic_error);
 }
 
-TEST_P(EventQueueBackendTest, RunsInTimeOrder) {
-  EventQueue q{GetParam()};
+TEST(EventQueueTest, RunsInTimeOrder) {
+  EventQueue q;
   Recorder rec;
   q.schedule(3.0, Recorder::record, &rec, 3);
   q.schedule(1.0, Recorder::record, &rec, 1);
@@ -61,9 +49,9 @@ TEST_P(EventQueueBackendTest, RunsInTimeOrder) {
 }
 
 // The determinism keystone: events scheduled for the same instant run in
-// schedule order, regardless of how the backend stores them.
-TEST_P(EventQueueBackendTest, EqualTimestampsRunInScheduleOrder) {
-  EventQueue q{GetParam()};
+// schedule order, regardless of how the heap stores them.
+TEST(EventQueueTest, EqualTimestampsRunInScheduleOrder) {
+  EventQueue q;
   Recorder rec;
   constexpr int kEvents = 200;
   for (int i = 0; i < kEvents; ++i) {
@@ -79,8 +67,8 @@ TEST_P(EventQueueBackendTest, EqualTimestampsRunInScheduleOrder) {
 
 // An action scheduling at the *current* instant queues behind every event
 // already scheduled for that instant (its sequence number is larger).
-TEST_P(EventQueueBackendTest, ActionsScheduledDuringRunKeepStableOrder) {
-  EventQueue q{GetParam()};
+TEST(EventQueueTest, ActionsScheduledDuringRunKeepStableOrder) {
+  EventQueue q;
   Recorder rec;
   rec.queue = &q;
   q.schedule(1.0,
@@ -95,8 +83,8 @@ TEST_P(EventQueueBackendTest, ActionsScheduledDuringRunKeepStableOrder) {
   EXPECT_EQ(rec.ran, (std::vector<int>{0, 1, 2}));
 }
 
-TEST_P(EventQueueBackendTest, AdvanceUntilRunsDueEventsAndMovesClock) {
-  EventQueue q{GetParam()};
+TEST(EventQueueTest, AdvanceUntilRunsDueEventsAndMovesClock) {
+  EventQueue q;
   Recorder rec;
   q.schedule(1.0, Recorder::record, &rec, 1);
   q.schedule(2.0, Recorder::record, &rec, 2);
@@ -111,22 +99,47 @@ TEST_P(EventQueueBackendTest, AdvanceUntilRunsDueEventsAndMovesClock) {
   EXPECT_EQ(q.pending(), 1u);
 }
 
-// After a peek parks the scan at the earliest pending day, a newly
-// scheduled earlier event must still run first (the cursor is pulled
-// back) — the regression case for the calendar's forward-scan invariant.
-TEST_P(EventQueueBackendTest, EarlierEventAfterPeekStillRunsFirst) {
-  EventQueue q{GetParam()};
+// After advance_until has looked at (and declined) the earliest pending
+// event, a newly scheduled earlier event must still run first.
+TEST(EventQueueTest, EarlierEventAfterPeekStillRunsFirst) {
+  EventQueue q;
   Recorder rec;
   q.schedule(50.0, Recorder::record, &rec, 50);
-  q.advance_until(10.0);  // peeks at the t=50 event, then moves the clock
+  q.advance_until(10.0);  // sees the t=50 event, then moves the clock
   EXPECT_EQ(q.now(), 10.0);
   q.schedule(20.0, Recorder::record, &rec, 20);
   q.run_until_idle();
   EXPECT_EQ(rec.ran, (std::vector<int>{20, 50}));
 }
 
-TEST_P(EventQueueBackendTest, RunReadyOnlyRunsEventsDueNow) {
-  EventQueue q{GetParam()};
+// next_time() is what DelayedTransport's inline fast path checks before it
+// fast-forwards the clock: +inf when empty, the earliest pending time
+// whatever the schedule order, and a cancelled timer's time until its
+// tombstone pops.
+TEST(EventQueueTest, NextTimeReportsEarliestPendingEvent) {
+  EventQueue q;
+  Recorder rec;
+  EXPECT_EQ(q.next_time(), std::numeric_limits<SimTime>::infinity());
+  q.schedule(5.0, Recorder::record, &rec, 5);
+  q.schedule(2.0, Recorder::record, &rec, 2);
+  q.schedule(7.0, Recorder::record, &rec, 7);
+  EXPECT_EQ(q.next_time(), 2.0);
+  const EventQueue::TimerId timer =
+      q.schedule_cancellable(1.0, Recorder::record, &rec, 1);
+  EXPECT_EQ(q.next_time(), 1.0);
+  ASSERT_TRUE(q.cancel(timer));
+  EXPECT_EQ(q.next_time(), 1.0);  // the tombstone is still queued
+  ASSERT_TRUE(q.run_one());       // pops the tombstone as a no-op
+  EXPECT_TRUE(rec.ran.empty());
+  EXPECT_EQ(q.now(), 1.0);
+  EXPECT_EQ(q.next_time(), 2.0);
+  q.run_until_idle();
+  EXPECT_EQ(rec.ran, (std::vector<int>{2, 5, 7}));
+  EXPECT_EQ(q.next_time(), std::numeric_limits<SimTime>::infinity());
+}
+
+TEST(EventQueueTest, RunReadyOnlyRunsEventsDueNow) {
+  EventQueue q;
   Recorder rec;
   q.schedule(0.0, Recorder::record, &rec, 0);
   q.schedule(1.0, Recorder::record, &rec, 1);
@@ -135,8 +148,8 @@ TEST_P(EventQueueBackendTest, RunReadyOnlyRunsEventsDueNow) {
   EXPECT_EQ(q.now(), 0.0);
 }
 
-TEST_P(EventQueueBackendTest, SchedulingIntoThePastIsACheckedFailure) {
-  EventQueue q{GetParam()};
+TEST(EventQueueTest, SchedulingIntoThePastIsACheckedFailure) {
+  EventQueue q;
   Recorder rec;
   q.schedule(2.0, Recorder::nothing, &rec);
   q.run_until_idle();
@@ -144,8 +157,8 @@ TEST_P(EventQueueBackendTest, SchedulingIntoThePastIsACheckedFailure) {
   EXPECT_THROW(q.schedule(1.0, Recorder::nothing, &rec), std::logic_error);
 }
 
-TEST_P(EventQueueBackendTest, PumpUntilStopsAtCondition) {
-  EventQueue q{GetParam()};
+TEST(EventQueueTest, PumpUntilStopsAtCondition) {
+  EventQueue q;
   int count = 0;
   const auto bump = [](void* ctx, std::uint64_t) {
     ++*static_cast<int*>(ctx);
@@ -158,17 +171,17 @@ TEST_P(EventQueueBackendTest, PumpUntilStopsAtCondition) {
 
 // Waiting for a completion that can no longer arrive (queue drained) is a
 // protocol bug, not a hang — it must fail loudly.
-TEST_P(EventQueueBackendTest, PumpUntilOnDrainedQueueIsACheckedFailure) {
-  EventQueue q{GetParam()};
+TEST(EventQueueTest, PumpUntilOnDrainedQueueIsACheckedFailure) {
+  EventQueue q;
   int unused = 0;
   q.schedule(1.0, Recorder::nothing, &unused);
   EXPECT_THROW(q.pump_until([] { return false; }), std::logic_error);
 }
 
-// Deep churn drives the calendar through grow/shrink resizes without
-// losing events or order (pending() and executed() stay consistent).
-TEST_P(EventQueueBackendTest, DeepQueueGrowsAndDrainsConsistently) {
-  EventQueue q{GetParam()};
+// A deep queue filled far from monotone drains without losing events or
+// order (pending() and executed() stay consistent).
+TEST(EventQueueTest, DeepQueueGrowsAndDrainsConsistently) {
+  EventQueue q;
   Recorder rec;
   constexpr int kEvents = 5000;
   for (int i = 0; i < kEvents; ++i) {
