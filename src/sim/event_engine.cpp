@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -48,10 +47,33 @@ struct DecodedEvent {
   EventTime now = 0;
   std::int64_t index = 0;  // into trace.queries or trace.updates
   bool is_update = false;
+  std::uint32_t object = 0;  // an update's object (the prefilter's key)
+};
+static_assert(sizeof(DecodedEvent) == 32, "object rides in the padding");
+
+/// The decoded stream plus every count the shards are sized from, all read
+/// off the same single pass over the trace.
+struct DecodedStream {
+  std::vector<DecodedEvent> events;
+  /// Per partition: routed queries (the LPT weight), the post-warm-up
+  /// subset (every tape/stats sample), and the subset the sketch's
+  /// decimation stride retains. Reserving the sketch from routed queries
+  /// instead of retained samples would over-reserve stride-fold per shard —
+  /// N*stride-fold across a capped open-loop run.
+  std::vector<std::size_t> routed_queries;
+  std::vector<std::size_t> postwarmup_routed;
+  std::vector<std::size_t> retained_samples;
+  /// Post-warm-up updates per object, and in total: they size the
+  /// staleness tapes of filtered and unfiltered shards exactly.
+  std::vector<std::size_t> postwarmup_updates_of;
+  std::size_t postwarmup_updates = 0;
 };
 
-std::vector<DecodedEvent> decode_stream(const workload::Trace& trace,
-                                        const EventEngineOptions& options) {
+DecodedStream decode_stream(const workload::Trace& trace,
+                            const std::vector<std::uint32_t>& routing,
+                            std::size_t endpoint_count,
+                            std::int64_t sketch_stride,
+                            const EventEngineOptions& options) {
   // Open loop: arrival instants come from the ArrivalProcess schedule (the
   // trace's merged ORDER is untouched). Generated here, once, on the
   // calling thread — every partition walks the identical tape, so results
@@ -62,21 +84,47 @@ std::vector<DecodedEvent> decode_stream(const workload::Trace& trace,
         options.open_loop.arrival, options.open_loop.rate_per_sec,
         options.open_loop.seed, options.open_loop.diurnal_period_seconds);
   }
-  std::vector<DecodedEvent> decoded;
-  decoded.reserve(trace.order.size());
+  const EventTime warmup_end = trace.info.warmup_end_event;
+  DecodedStream stream;
+  stream.routed_queries.assign(endpoint_count, 0);
+  stream.postwarmup_routed.assign(endpoint_count, 0);
+  stream.retained_samples.assign(endpoint_count, 0);
+  stream.postwarmup_updates_of.assign(trace.initial_object_bytes.size(), 0);
+  stream.events.reserve(trace.order.size());
   for (const workload::Event& event : trace.order) {
     DecodedEvent d;
     d.is_update = event.kind == workload::Event::Kind::kUpdate;
     d.index = event.index;
-    d.now = d.is_update
-                ? trace.updates[static_cast<std::size_t>(event.index)].time
-                : trace.queries[static_cast<std::size_t>(event.index)].time;
+    const auto i = static_cast<std::size_t>(event.index);
+    if (d.is_update) {
+      const workload::Update& u = trace.updates[i];
+      d.now = u.time;
+      d.object = static_cast<std::uint32_t>(u.object.value());
+      if (d.now >= warmup_end) {
+        ++stream.postwarmup_updates_of[d.object];
+        ++stream.postwarmup_updates;
+      }
+    } else {
+      d.now = trace.queries[i].time;
+      // A worker silently skips queries routed out of range, so the whole
+      // split is validated here.
+      const std::uint32_t e = routing[i];
+      DELTA_CHECK(e < endpoint_count);
+      ++stream.routed_queries[e];
+      if (d.now >= warmup_end) {
+        ++stream.postwarmup_routed[e];
+        if (sketch_stride <= 1 ||
+            static_cast<std::int64_t>(i) % sketch_stride == 0) {
+          ++stream.retained_samples[e];
+        }
+      }
+    }
     d.arrival = arrivals != nullptr
                     ? arrivals->next()
                     : static_cast<double>(d.now) * options.seconds_per_event;
-    decoded.push_back(d);
+    stream.events.push_back(d);
   }
-  return decoded;
+  return stream;
 }
 
 /// One cache partition of the conservative parallel DES: a full replica of
@@ -99,19 +147,8 @@ struct EventShard : ReplicaReplay {
   /// a single partition, whose streams already are the combined ones.
   bool record_tapes = true;
 
-  /// Exact reservation counts, all derived from the routing table on the
-  /// calling thread so the hot loop never reallocates AND never
-  /// over-reserves: routed queries (the dispatch share), the post-warm-up
-  /// subset (every tape/stats sample), and the subset the sketch's
-  /// decimation stride retains. Reserving the sketch from routed_queries
-  /// instead of retained_samples would over-reserve stride-fold per shard
-  /// — N*stride-fold across a capped open-loop run.
-  std::size_t routed_queries = 0;
-  std::size_t postwarmup_routed = 0;
-  std::size_t retained_samples = 0;
-  /// Post-warm-up updates this replica can hear about (prefilter-aware):
-  /// an upper bound on its staleness samples, used as the tape reserve.
-  std::size_t staleness_reserve = 0;
+  /// Update ingests the prefilter skipped in this replica.
+  std::int64_t prefiltered_updates = 0;
   EndpointEventYardsticks yardsticks;
   /// Per-partition response sketch, folded in endpoint order at merge time
   /// (quantiles are order-invariant, so this matches the single-stream
@@ -241,12 +278,55 @@ struct EventShard : ReplicaReplay {
 // the synchronous engine's golden tables; event_engine_test pins
 // bit-identity across thread counts on the WAN configs.
 void replay_event_shard(const workload::Trace& trace,
-                        const std::vector<DecodedEvent>& decoded,
+                        const DecodedStream& stream,
                         const std::vector<std::uint32_t>& routing,
                         std::size_t self, const EventEngineOptions& options,
-                        const std::vector<std::int64_t>* update_filter,
                         EventShard& shard) {
   const auto start = std::chrono::steady_clock::now();
+  // ---- update prefilter (see EventEngineOptions::prefilter_updates) ----
+  // Touch set = objects registered at this replica when the factories
+  // finished ∪ objects named by queries routed here. Inductively, every
+  // object the replica can ever register, read (object_bytes / load_cost)
+  // or be notified about lies in it: registrations happen only through
+  // loads, loads only for objects of routed queries (or factory preloads,
+  // captured in the post-factory registration row), reply payloads are
+  // fixed trace fields (q.cost / u.cost), and the invalidation fan-out
+  // gates on subscription/registration. An update whose object is outside
+  // the touch set is therefore an invisible repository-size bump here —
+  // skipping its ingest is exact. kAll subscribers (Replica/Benefit) hear
+  // every update and stand down. So do crash-windowed replicas: a crash
+  // recovery rebuilds rows and replays ledgers on its own schedule, and
+  // filtering against that is not worth the proof. The row is read before
+  // the preload flush below, while it still is the post-factory row.
+  const core::MetadataSubscription subscription =
+      shard.server->subscription(0);
+  std::vector<std::uint8_t> touch;
+  std::size_t staleness_reserve =
+      subscription == core::MetadataSubscription::kNone
+          ? 0
+          : stream.postwarmup_updates;
+  if (options.prefilter_updates &&
+      subscription != core::MetadataSubscription::kAll &&
+      shard.crash_plan.empty()) {
+    touch = shard.server->registered_row(0);
+    for (std::size_t qi = 0; qi < routing.size(); ++qi) {
+      if (routing[qi] != self) continue;
+      for (const ObjectId o : trace.queries[qi].objects) {
+        touch[static_cast<std::size_t>(o.value())] = 1;
+      }
+    }
+    if (subscription != core::MetadataSubscription::kNone) {
+      // Exact: a staleness sample needs an ingested post-warm-up update.
+      staleness_reserve = 0;
+      for (std::size_t obj = 0; obj < touch.size(); ++obj) {
+        if (touch[obj] != 0) {
+          staleness_reserve += stream.postwarmup_updates_of[obj];
+        }
+      }
+    }
+  }
+  const std::uint8_t* const gate = touch.empty() ? nullptr : touch.data();
+
   util::EventQueue& events = shard.events;
   // Flush preload stragglers (eviction notices emitted while the policy
   // factory ran on the calling thread).
@@ -288,13 +368,13 @@ void replay_event_shard(const workload::Trace& trace,
   if (trace.info.warmup_end_event == 0) capture_warmup();
 
   core::CachePolicy& policy = *shard.policy;
-  // Pre-size the sample buffers from the exact per-shard counts (see the
-  // EventShard field note): the hot loop never reallocates, and nothing
-  // is reserved that cannot be filled.
-  shard.response_sketch.reserve(shard.retained_samples);
+  // Pre-size the sample buffers from the exact per-shard counts (see
+  // DecodedStream and the touch set above): the hot loop never
+  // reallocates, and nothing is reserved that cannot be filled.
+  shard.response_sketch.reserve(stream.retained_samples[self]);
   if (shard.record_tapes) {
-    shard.query_tape.reserve(shard.postwarmup_routed);
-    shard.staleness_tape.reserve(shard.staleness_reserve);
+    shard.query_tape.reserve(stream.postwarmup_routed[self]);
+    shard.staleness_tape.reserve(staleness_reserve);
   }
   // Hoisted loop invariants (the compiler cannot prove the opaque policy
   // call leaves them alone).
@@ -303,9 +383,8 @@ void replay_event_shard(const workload::Trace& trace,
   const double server_exec = options.exec.server_exec_seconds;
   const bool open_loop = options.open_loop.enabled;
   const std::size_t window = options.open_loop.max_in_flight;
-  std::size_t filter_cursor = 0;
   std::int64_t order_pos = 0;
-  for (const DecodedEvent& event : decoded) {
+  for (const DecodedEvent& event : stream.events) {
     if (shard.policy_wipe_pending) {
       // Deferred crash wipe (see the EventShard field note): no dispatch
       // frame is live here, so the policy's soft state can be dropped
@@ -322,18 +401,14 @@ void replay_event_shard(const workload::Trace& trace,
     if (!warmup_captured && now >= warmup_end) capture_warmup();
 
     if (event.is_update) {
-      // Prefilter gate: the filter list is a subsequence of the update
-      // stream in stream order, so a head-equality test selects exactly
-      // it. A skipped update cannot touch this replica (see the touch-set
-      // argument in run_policy_event); it still advanced the clock above
-      // and still feeds the series observation below — every shard must
-      // observe every event for the pointwise-sum merge to hold.
-      if (update_filter == nullptr) {
+      // Prefilter gate: a skipped update cannot touch this replica (see the
+      // touch set above); it still advanced the clock above and still
+      // feeds the series observation below — every shard must observe
+      // every event for the pointwise-sum merge to hold.
+      if (gate == nullptr || gate[event.object] != 0) {
         shard.server->ingest_update_at(event.index);
-      } else if (filter_cursor < update_filter->size() &&
-                 (*update_filter)[filter_cursor] == event.index) {
-        ++filter_cursor;
-        shard.server->ingest_update_at(event.index);
+      } else {
+        ++shard.prefiltered_updates;
       }
       // Invalidation notices due immediately (zero-latency links) are
       // delivered by the next event's advance_until — before any policy
@@ -432,8 +507,6 @@ void replay_event_shard(const workload::Trace& trace,
     policy.on_crash_restart();
   }
   DELTA_CHECK(shard.in_flight_queries == 0);
-  DELTA_CHECK(update_filter == nullptr ||
-              filter_cursor == update_filter->size());
   if (!warmup_captured) capture_warmup();  // warm-up spanned the whole run
   if (open_loop && shard.record_tapes) {
     // Completions land out of trace order; restore the canonical order the
@@ -504,25 +577,10 @@ EventRunResult run_policy_event(const workload::Trace& trace,
                        trace.queries.size() /
                        options.open_loop.response_sample_cap))
           : 1;
-  // A worker silently skips queries routed out of range, so validate the
-  // whole split up front (and count each partition's exact shares while
-  // here — routed, post-warm-up, and stride-retained — they size the
-  // per-shard sample buffers without over-reserving).
-  const EventTime warmup_end_event = trace.info.warmup_end_event;
-  std::vector<std::size_t> routed_queries(endpoint_count, 0);
-  std::vector<std::size_t> postwarmup_routed(endpoint_count, 0);
-  std::vector<std::size_t> retained_samples(endpoint_count, 0);
-  for (std::size_t qi = 0; qi < routing.size(); ++qi) {
-    const std::uint32_t e = routing[qi];
-    DELTA_CHECK(e < endpoint_count);
-    ++routed_queries[e];
-    if (trace.queries[qi].time < warmup_end_event) continue;
-    ++postwarmup_routed[e];
-    if (sketch_stride <= 1 ||
-        static_cast<std::int64_t>(qi) % sketch_stride == 0) {
-      ++retained_samples[e];
-    }
-  }
+  // One pass over the trace: the shared replay stream, the validated split
+  // and every per-partition count.
+  const DecodedStream stream = decode_stream(trace, routing, endpoint_count,
+                                             sketch_stride, options);
 
   const std::size_t threads = options.parallel.num_threads == 0
                                   ? util::ThreadPool::hardware_threads()
@@ -557,9 +615,6 @@ EventRunResult run_policy_event(const workload::Trace& trace,
     shards.push_back(std::make_unique<EventShard>(trace, options.default_link,
                                                   link, i));
     shards.back()->record_tapes = record_tapes;
-    shards.back()->routed_queries = routed_queries[i];
-    shards.back()->postwarmup_routed = postwarmup_routed[i];
-    shards.back()->retained_samples = retained_samples[i];
     shards.back()->server->set_notice_batching(options.notice_batching);
     shards.back()->transport.set_fault_plan(options.fault_plan);
     // A plan that can actually lose or duplicate messages requires the
@@ -632,132 +687,28 @@ EventRunResult run_policy_event(const workload::Trace& trace,
     }
   }
 
-  // ---- per-partition update prefilter (ISSUE 9 tentpole) ----
-  // TouchSet_i = objects named by queries routed to partition i ∪ objects
-  // registered at its replica when the factories finished. Inductively,
-  // every object partition i can ever register, read (object_bytes /
-  // load_cost) or be notified about lies in TouchSet_i: registrations
-  // happen only through loads, loads only for objects of routed queries
-  // (or factory preloads, captured in the post-factory registration row),
-  // reply payloads are fixed trace fields (q.cost / u.cost), and the
-  // invalidation fan-out gates on subscription/registration. An update
-  // whose object is outside the touch set is therefore an invisible
-  // repository-size bump at this replica — skipping its ingest is exact.
-  // kAll subscribers (Replica/Benefit) hear every update and take the
-  // unfiltered path. Built once on the calling thread, in stream order,
-  // so the replay gate is a cursor-equality test.
-  std::size_t postwarmup_updates = 0;
-  for (const workload::Update& u : trace.updates) {
-    if (u.time >= warmup_end_event) ++postwarmup_updates;
-  }
-  std::vector<std::vector<std::int64_t>> update_filter(endpoint_count);
-  std::vector<bool> filtered(endpoint_count, false);
-  std::vector<std::size_t> filtered_postwarmup(endpoint_count, 0);
-  std::int64_t prefiltered_updates = 0;
-  if (options.prefilter_updates && !trace.updates.empty()) {
-    bool any_filtered = false;
-    for (std::size_t i = 0; i < endpoint_count; ++i) {
-      // Crash-windowed replicas take the unfiltered path (ISSUE 10): the
-      // touch-set induction assumes the post-factory registration row only
-      // ever shrinks to objects of routed queries, but a crash recovery
-      // rebuilds rows and replays ledgers on its own schedule — filtering
-      // against that is not worth the proof. Conservative and cheap: crash
-      // plans are scenario-sized, not fleet-sized.
-      filtered[i] = shards[i]->server->subscription(0) !=
-                        core::MetadataSubscription::kAll &&
-                    shards[i]->crash_plan.empty();
-      any_filtered = any_filtered || filtered[i];
-    }
-    if (any_filtered) {
-      // Per-object bitmask of the filtered partitions that can touch it.
-      const std::size_t words = (endpoint_count + 63) / 64;
-      const std::size_t object_count = trace.initial_object_bytes.size();
-      std::vector<std::uint64_t> touch(object_count * words, 0);
-      const auto mark = [&touch, words](std::size_t obj, std::size_t e) {
-        touch[obj * words + e / 64] |= std::uint64_t{1} << (e % 64);
-      };
-      for (std::size_t qi = 0; qi < routing.size(); ++qi) {
-        const std::size_t e = routing[qi];
-        if (!filtered[e]) continue;
-        for (const ObjectId o : trace.queries[qi].objects) {
-          mark(static_cast<std::size_t>(o.value()), e);
-        }
-      }
-      for (std::size_t e = 0; e < endpoint_count; ++e) {
-        if (!filtered[e]) continue;
-        const std::vector<std::uint8_t>& row =
-            shards[e]->server->registered_row(0);
-        for (std::size_t obj = 0; obj < row.size(); ++obj) {
-          if (row[obj] != 0) mark(obj, e);
-        }
-      }
-      std::vector<std::uint64_t> filtered_mask(words, 0);
-      for (std::size_t e = 0; e < endpoint_count; ++e) {
-        if (filtered[e]) {
-          filtered_mask[e / 64] |= std::uint64_t{1} << (e % 64);
-        }
-      }
-      for (const workload::Event& event : trace.order) {
-        if (event.kind != workload::Event::Kind::kUpdate) continue;
-        const workload::Update& u =
-            trace.updates[static_cast<std::size_t>(event.index)];
-        const auto obj = static_cast<std::size_t>(u.object.value());
-        for (std::size_t w = 0; w < words; ++w) {
-          std::uint64_t mask = touch[obj * words + w] & filtered_mask[w];
-          while (mask != 0) {
-            const std::size_t e =
-                w * 64 + static_cast<std::size_t>(std::countr_zero(mask));
-            mask &= mask - 1;
-            update_filter[e].push_back(event.index);
-            if (u.time >= warmup_end_event) ++filtered_postwarmup[e];
-          }
-        }
-      }
-      for (std::size_t e = 0; e < endpoint_count; ++e) {
-        if (filtered[e]) {
-          prefiltered_updates +=
-              static_cast<std::int64_t>(trace.updates.size()) -
-              static_cast<std::int64_t>(update_filter[e].size());
-        }
-      }
-    }
-  }
-  for (std::size_t e = 0; e < endpoint_count; ++e) {
-    const core::MetadataSubscription sub = shards[e]->server->subscription(0);
-    shards[e]->staleness_reserve =
-        sub == core::MetadataSubscription::kNone
-            ? 0
-            : (filtered[e] ? filtered_postwarmup[e] : postwarmup_updates);
-  }
-
-  // One decoded replay stream, shared read-only by every partition.
-  const std::vector<DecodedEvent> decoded = decode_stream(trace, options);
-
   // ---- replay all partitions (wait-free; see lookahead argument in
   // event_engine.h). Partitions are LPT-packed onto the workers by exact
   // routed-query counts and a worker that drains its own queue steals a
   // straggler's pending partition — neither changes replay order within a
   // partition, so results stay bit-identical. ----
-  std::vector<double> weights(endpoint_count);
-  for (std::size_t i = 0; i < endpoint_count; ++i) {
-    weights[i] = static_cast<double>(routed_queries[i]);
-  }
+  const std::vector<double> weights(stream.routed_queries.begin(),
+                                    stream.routed_queries.end());
+  const auto replay_start = std::chrono::steady_clock::now();
   const std::int64_t steal_count = util::parallel_for_dynamic(
       endpoint_count,
       util::lpt_assignment(weights, std::min(threads, endpoint_count)),
       [&](std::size_t i) {
-        replay_event_shard(trace, decoded, routing, i, options,
-                           filtered[i] ? &update_filter[i] : nullptr,
-                           *shards[i]);
+        replay_event_shard(trace, stream, routing, i, options, *shards[i]);
       });
+  const auto replay_end = std::chrono::steady_clock::now();
 
   // ---- deterministic merge, in canonical order ----
   EventRunResult out;
   out.steal_count = steal_count;
-  out.prefiltered_updates = prefiltered_updates;
   if (!routing.empty()) {
-    const std::size_t max_routed =
-        *std::max_element(routed_queries.begin(), routed_queries.end());
+    const std::size_t max_routed = *std::max_element(
+        stream.routed_queries.begin(), stream.routed_queries.end());
     out.shard_balance = static_cast<double>(max_routed) *
                         static_cast<double>(endpoint_count) /
                         static_cast<double>(routing.size());
@@ -786,6 +737,7 @@ EventRunResult run_policy_event(const workload::Trace& trace,
     out.delivered_messages += shard->delivered;
     out.coalesced_notices += shard->server->coalesced_notices();
     out.notice_messages += shard->server->notice_messages();
+    out.prefiltered_updates += shard->prefiltered_updates;
 
     // ---- failure/recovery accounting (shard order, so the sums are
     // thread-count independent; each replica has exactly one cache at
@@ -880,10 +832,17 @@ EventRunResult run_policy_event(const workload::Trace& trace,
     replay.per_endpoint.push_back(std::move(shard->result));
     out.per_endpoint.push_back(std::move(shard->yardsticks));
   }
+  // Free the replicas inside the wall: their teardown is part of what the
+  // caller waits for.
+  shards.clear();
 
-  replay.combined.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const auto end = std::chrono::steady_clock::now();
+  const auto seconds = [](auto d) {
+    return std::chrono::duration<double>(d).count();
+  };
+  out.prepare_seconds = seconds(replay_start - start);
+  out.merge_seconds = seconds(end - replay_end);
+  replay.combined.wall_seconds = seconds(end - start);
   return out;
 }
 

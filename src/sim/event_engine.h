@@ -121,15 +121,18 @@ struct EventEngineOptions {
   /// degraded (stale-within-t(q)-tolerance) answers.
   core::AdmissionOptions admission;
   /// Per-partition update prefiltering: a replica whose cache is not
-  /// subscribed to every update (VCover/SOptimal/NoCache) skips the
-  /// ingest of updates that provably cannot touch it — the update's
-  /// object is neither named by any query routed to that partition nor
-  /// registered at the replica when the factories finished, so the full
+  /// subscribed to every update (VCover/SOptimal/NoCache) and has no crash
+  /// window skips the ingest of updates that provably cannot touch it — the
+  /// update's object is neither named by any query routed to that partition
+  /// nor registered at the replica when the factories finished, so the full
   /// replay would have made its ingest an invisible repository-size bump
-  /// (no notice fires, and the size is never read). Result-invariant by
-  /// construction (EventEngineTest.PrefilterEquivalentToFullTapeReplay
-  /// pins filtered == full byte-for-byte); the toggle exists for that
-  /// test and for measuring the fan-out cost it removes.
+  /// (no notice fires, and the size is never read). Each partition builds
+  /// this per-object touch set inside its own replay job and gates each
+  /// update on it by object id, so the calling thread does no filter work.
+  /// Result-invariant by construction
+  /// (EventEngineTest.PrefilterEquivalentToFullTapeReplay pins filtered ==
+  /// full byte-for-byte); the toggle exists for that test and for
+  /// measuring the fan-out cost it removes.
   bool prefilter_updates = true;
 };
 
@@ -256,6 +259,12 @@ struct EventRunResult {
   /// partitions (zero when prefilter_updates is off or every cache
   /// subscribes to all updates).
   std::int64_t prefiltered_updates = 0;
+  /// Wall time of the calling thread's work before the parallel replay
+  /// (split, decode pass, node graphs, factories) and after its join
+  /// (merge and teardown). With the per-partition walls they cover
+  /// disjoint parts of replay.combined.wall_seconds.
+  double prepare_seconds = 0.0;
+  double merge_seconds = 0.0;
 
   [[nodiscard]] double response_p50() const {
     return response_sketch.quantile(0.50);

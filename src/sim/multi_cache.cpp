@@ -112,6 +112,9 @@ MultiRunResult run_policy_multi(const workload::Trace& trace,
   for (SyncReplica* replica : order) {
     result.per_endpoint.push_back(std::move(replica->result));
   }
+  // Free the replicas inside the wall: their teardown is part of what the
+  // caller waits for.
+  replicas.clear();
   c.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

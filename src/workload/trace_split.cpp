@@ -1,8 +1,10 @@
 #include "workload/trace_split.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/check.h"
+#include "util/flat_map.h"
 #include "util/thread_pool.h"
 
 namespace delta::workload {
@@ -33,36 +35,45 @@ std::uint64_t anchor_key(const Query& q) {
 /// is bounded by the anchor granularity, not by hash luck.
 std::vector<std::uint32_t> assign_balanced(const Trace& trace,
                                            std::size_t endpoint_count) {
-  // Dense anchor ids, ordered by key value (deterministic, no hash-map
-  // iteration order anywhere).
-  std::vector<std::uint64_t> keys(trace.queries.size());
+  // One hash probe per query gives each distinct anchor a slot in
+  // first-seen order, and counts its queries.
+  util::FlatMap<std::uint64_t, std::uint32_t> slot_of;
+  std::vector<std::uint64_t> keys;
+  std::vector<double> slot_count;
+  // Per query: its anchor's slot, rewritten to the slot's endpoint below.
+  std::vector<std::uint32_t> assignment(trace.queries.size());
   for (std::size_t i = 0; i < trace.queries.size(); ++i) {
-    keys[i] = anchor_key(trace.queries[i]);
+    const std::uint64_t key = anchor_key(trace.queries[i]);
+    const auto [s, inserted] =
+        slot_of.try_emplace(key, static_cast<std::uint32_t>(keys.size()));
+    if (inserted) {
+      keys.push_back(key);
+      slot_count.push_back(0.0);
+    }
+    assignment[i] = *s;
+    slot_count[*s] += 1.0;
   }
-  std::vector<std::uint64_t> distinct = keys;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  std::vector<double> counts(distinct.size(), 0.0);
-  std::vector<std::size_t> anchor_id(trace.queries.size(), 0);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto it =
-        std::lower_bound(distinct.begin(), distinct.end(), keys[i]);
-    anchor_id[i] = static_cast<std::size_t>(it - distinct.begin());
-    counts[anchor_id[i]] += 1.0;
+  // Dense anchor ids ordered by key value (deterministic, no hash-map
+  // iteration order anywhere): only the distinct keys are sorted.
+  std::vector<std::uint32_t> slot_by_rank(keys.size());
+  std::iota(slot_by_rank.begin(), slot_by_rank.end(), 0u);
+  std::sort(slot_by_rank.begin(), slot_by_rank.end(),
+            [&keys](std::uint32_t a, std::uint32_t b) {
+              return keys[a] < keys[b];
+            });
+  std::vector<double> counts(keys.size());
+  for (std::size_t r = 0; r < slot_by_rank.size(); ++r) {
+    counts[r] = slot_count[slot_by_rank[r]];
   }
   const std::vector<std::vector<std::size_t>> packing =
       util::lpt_assignment(counts, endpoint_count);
-  std::vector<std::uint32_t> endpoint_of(distinct.size(), 0);
+  std::vector<std::uint32_t> endpoint_of(keys.size(), 0);
   for (std::size_t e = 0; e < packing.size(); ++e) {
-    for (const std::size_t a : packing[e]) {
-      endpoint_of[a] = static_cast<std::uint32_t>(e);
+    for (const std::size_t r : packing[e]) {
+      endpoint_of[slot_by_rank[r]] = static_cast<std::uint32_t>(e);
     }
   }
-  std::vector<std::uint32_t> assignment(trace.queries.size(), 0);
-  for (std::size_t i = 0; i < assignment.size(); ++i) {
-    assignment[i] = endpoint_of[anchor_id[i]];
-  }
+  for (std::uint32_t& a : assignment) a = endpoint_of[a];
   return assignment;
 }
 

@@ -262,41 +262,107 @@ TEST(EventEngineTest, SkewedRoutingBitIdenticalAcrossThreadsWithStealing) {
   }
 }
 
+SetupParams prefilter_params() {
+  // More objects than any one partition's queries can touch, so the filter
+  // provably has something to skip for subscription != kAll policies.
+  SetupParams params = small_params(17);
+  params.object_target = 120;
+  return params;
+}
+
 // Per-partition update prefiltering must be invisible in every yardstick:
 // the updates it skips are exactly those whose ingest the full replay
 // would have made an unobservable repository-size bump (object outside the
 // partition's touch set — never queried there, never registered, no notice
 // fires). Replayed with the filter off vs on, every counter, byte total,
 // and latency/staleness sample must match bit-for-bit; only the engine's
-// own prefiltered_updates accounting may differ.
+// own prefiltered_updates accounting may differ. Both anchor splits, and
+// N = 65 (more partitions than bits in one 64-bit word).
 TEST(EventEngineTest, PrefilterEquivalentToFullTapeReplay) {
-  // More objects than any one partition's queries can touch, so the filter
-  // provably has something to skip for subscription != kAll policies.
-  SetupParams params = small_params(17);
-  params.object_target = 120;
-  const World setup{params};
-  for (const PolicyKind kind :
-       {PolicyKind::kVCover, PolicyKind::kSOptimal, PolicyKind::kNoCache,
-        PolicyKind::kReplica}) {
-    SCOPED_TRACE(to_string(kind));
-    const auto run = [&](bool prefilter) {
-      EventEngineOptions options = wan_options();
-      options.prefilter_updates = prefilter;
-      return run_one_event(kind, setup.trace(), setup.cache_capacity(),
-                           setup.params(), 4,
-                           workload::SplitStrategy::kHashByRegion, options);
-    };
-    const EventRunResult full = run(false);
-    const EventRunResult filtered = run(true);
-    EXPECT_EQ(full.prefiltered_updates, 0);
-    if (kind == PolicyKind::kReplica) {
-      // kAll subscription: every update is observable, nothing to skip.
-      EXPECT_EQ(filtered.prefiltered_updates, 0);
-    } else {
-      EXPECT_GT(filtered.prefiltered_updates, 0);
+  const World setup{prefilter_params()};
+  for (const workload::SplitStrategy strategy :
+       {workload::SplitStrategy::kHashByRegion,
+        workload::SplitStrategy::kBalancedByLoad}) {
+    for (const std::size_t endpoints : {4u, 65u}) {
+      for (const PolicyKind kind :
+           {PolicyKind::kVCover, PolicyKind::kSOptimal, PolicyKind::kNoCache,
+            PolicyKind::kReplica}) {
+        SCOPED_TRACE(::testing::Message()
+                     << to_string(kind) << " " << to_string(strategy)
+                     << " N=" << endpoints);
+        const auto run = [&](bool prefilter) {
+          EventEngineOptions options = wan_options();
+          options.prefilter_updates = prefilter;
+          return run_one_event(kind, setup.trace(), setup.cache_capacity(),
+                               setup.params(), endpoints, strategy, options);
+        };
+        const EventRunResult full = run(false);
+        const EventRunResult filtered = run(true);
+        EXPECT_EQ(full.prefiltered_updates, 0);
+        if (kind == PolicyKind::kReplica) {
+          // kAll subscription: every update is observable, nothing to skip.
+          EXPECT_EQ(filtered.prefiltered_updates, 0);
+        } else {
+          EXPECT_GT(filtered.prefiltered_updates, 0);
+        }
+        expect_event_runs_identical(filtered, full);
+      }
     }
-    expect_event_runs_identical(filtered, full);
   }
+}
+
+// The number of skipped ingests itself, pinned on one fixed trace at two
+// thread counts: a touch set that misses an object a partition never
+// observes, or holds one it does not need, leaves every result identical
+// but moves these counts.
+TEST(EventEngineTest, PrefilteredUpdateCountsArePinned) {
+  const World setup{prefilter_params()};
+  struct Case {
+    workload::SplitStrategy strategy;
+    std::size_t endpoints;
+    std::int64_t prefiltered;
+  };
+  const Case cases[] = {
+      {workload::SplitStrategy::kHashByRegion, 4, 2466},
+      {workload::SplitStrategy::kHashByRegion, 65, 74601},
+      {workload::SplitStrategy::kBalancedByLoad, 4, 2346},
+      {workload::SplitStrategy::kBalancedByLoad, 65, 74527},
+  };
+  for (const Case& c : cases) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << to_string(c.strategy)
+                                        << " N=" << c.endpoints
+                                        << " T=" << threads);
+      EventEngineOptions options = wan_options();
+      options.parallel.num_threads = threads;
+      const EventRunResult r =
+          run_one_event(PolicyKind::kVCover, setup.trace(),
+                        setup.cache_capacity(), setup.params(), c.endpoints,
+                        c.strategy, options);
+      EXPECT_EQ(r.prefiltered_updates, c.prefiltered);
+    }
+  }
+}
+
+// The calling thread's work before the replay, the partition replays and
+// the merge are disjoint intervals of the run's wall: at T = 1 the
+// partitions replay one after another, so the parts can never add up to
+// more than the whole.
+TEST(EventEngineTest, PhaseTimesFitInsideTheWall) {
+  const World setup{small_params()};
+  EventEngineOptions options = wan_options();
+  options.parallel.num_threads = 1;
+  const EventRunResult r = run_one_event(
+      PolicyKind::kVCover, setup.trace(), setup.cache_capacity(),
+      setup.params(), 4, workload::SplitStrategy::kBalancedByLoad, options);
+  EXPECT_GT(r.prepare_seconds, 0.0);
+  EXPECT_GT(r.merge_seconds, 0.0);
+  double parts = r.prepare_seconds + r.merge_seconds;
+  for (const RunResult& e : r.replay.per_endpoint) {
+    EXPECT_GT(e.wall_seconds, 0.0);
+    parts += e.wall_seconds;
+  }
+  EXPECT_LE(parts, r.replay.combined.wall_seconds);
 }
 
 // Partition invariants of the parallel engine: per-cache yardstick streams

@@ -1,7 +1,9 @@
 // Property-based tests for workload::SplitStrategy: over randomized traces,
 // the per-endpoint shards must form a disjoint exact partition of the query
 // stream — every query routed exactly once, arrival order preserved within
-// each shard — for every strategy and endpoint count.
+// each shard — for every strategy and endpoint count. The balanced split is
+// also checked against the sort + lower_bound reference in
+// balanced_split_oracle.h, which it must match exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "balanced_split_oracle.h"
 #include "trace_builder.h"
 #include "util/rng.h"
 #include "workload/trace_split.h"
@@ -201,6 +204,100 @@ TEST(SplitStrategyPropertyTest, HashByRegionKeepsAnchorsTogether) {
             << "anchor " << q.base_cover.front() << " split across endpoints";
       }
     }
+  }
+}
+
+/// A trace of `queries` queries whose anchors are drawn from `pool`
+/// (`tied` = each pool anchor used exactly queries / pool.size() times, in
+/// shuffled arrival order); a `coverless` share of the queries has no
+/// cover, so each of those is an anchor of its own.
+Trace anchored_trace(util::Rng& rng, std::size_t queries,
+                     const std::vector<std::int32_t>& pool, bool tied,
+                     double coverless) {
+  Trace trace;
+  std::vector<std::int32_t> anchors;
+  for (std::size_t i = 0; i < queries; ++i) {
+    anchors.push_back(
+        tied ? pool[i % pool.size()]
+             : pool[static_cast<std::size_t>(rng.uniform_int(
+                   0, static_cast<std::int64_t>(pool.size()) - 1))]);
+  }
+  rng.shuffle(anchors);
+  for (std::size_t i = 0; i < queries; ++i) {
+    Query q;
+    q.id = QueryId{static_cast<std::int64_t>(i)};
+    q.time = static_cast<EventTime>(i);
+    if (!rng.bernoulli(coverless)) q.base_cover = {anchors[i], anchors[i] + 1};
+    trace.order.push_back(
+        {Event::Kind::kQuery, static_cast<std::int64_t>(i)});
+    trace.queries.push_back(std::move(q));
+  }
+  return trace;
+}
+
+/// `count` distinct anchors at random trixel indices, so an anchor's
+/// first-seen position says nothing about its key order.
+std::vector<std::int32_t> random_pool(util::Rng& rng, std::size_t count) {
+  std::set<std::int32_t> pool;
+  while (pool.size() < count) {
+    pool.insert(static_cast<std::int32_t>(rng.uniform_int(0, 1 << 20)));
+  }
+  return {pool.begin(), pool.end()};
+}
+
+constexpr std::size_t kOracleEndpointCounts[] = {1, 2, 3, 4, 7, 64, 65};
+
+void expect_matches_oracle(const Trace& trace) {
+  for (const std::size_t n : kOracleEndpointCounts) {
+    SCOPED_TRACE(::testing::Message() << "endpoints " << n);
+    EXPECT_EQ(assign_queries(trace, n, SplitStrategy::kBalancedByLoad),
+              oracle::assign_balanced(trace, n));
+  }
+}
+
+TEST(SplitStrategyPropertyTest, BalancedByLoadMatchesOracleOnRandomTraces) {
+  util::Rng rng{20261017};
+  for (int iteration = 0; iteration < 30; ++iteration) {
+    SCOPED_TRACE(::testing::Message() << "iteration " << iteration);
+    // Mixed covered and cover-less queries over the random object traces.
+    Trace trace = random_trace(rng);
+    for (Query& q : trace.queries) {
+      if (rng.bernoulli(0.3)) q.base_cover.clear();
+    }
+    expect_matches_oracle(trace);
+    // Many anchors with skewed random counts, some cover-less queries.
+    const std::vector<std::int32_t> pool = random_pool(
+        rng, static_cast<std::size_t>(rng.uniform_int(1, 300)));
+    expect_matches_oracle(anchored_trace(
+        rng, static_cast<std::size_t>(rng.uniform_int(1, 2000)), pool,
+        /*tied=*/false, /*coverless=*/0.1));
+  }
+}
+
+TEST(SplitStrategyPropertyTest, BalancedByLoadMatchesOracleOnSingleAnchor) {
+  util::Rng rng{5};
+  const Trace trace =
+      anchored_trace(rng, 500, {12345}, /*tied=*/true, /*coverless=*/0.0);
+  expect_matches_oracle(trace);
+  // One anchor is one LPT job: every query lands on endpoint 0.
+  for (const std::uint32_t e :
+       assign_queries(trace, 65, SplitStrategy::kBalancedByLoad)) {
+    ASSERT_EQ(e, 0u);
+  }
+}
+
+TEST(SplitStrategyPropertyTest, BalancedByLoadMatchesOracleOnTiedCounts) {
+  // Equal anchor counts make the LPT order hinge on the anchors' dense ids,
+  // so this is where first-seen order leaking into the ranking would show.
+  util::Rng rng{6};
+  for (const std::size_t anchors : {2u, 7u, 64u, 65u, 130u, 1000u}) {
+    SCOPED_TRACE(::testing::Message() << "anchors " << anchors);
+    const std::vector<std::int32_t> pool = random_pool(rng, anchors);
+    expect_matches_oracle(
+        anchored_trace(rng, anchors * 3, pool, /*tied=*/true, 0.0));
+    // Cover-less queries are all tied at one query each.
+    expect_matches_oracle(
+        anchored_trace(rng, anchors * 3, pool, /*tied=*/true, 0.5));
   }
 }
 
