@@ -3,9 +3,12 @@
 // O(nm^2) total — one full computation — versus O(n^2 m^2) for recomputing
 // from scratch at every query (§4). This benchmark grows a bipartite
 // interaction graph query by query and compares:
-//   * incremental Edmonds-Karp (reuse the previous flow),
+//   * the incremental cover solver (reuse the previous flow),
 //   * from-scratch Edmonds-Karp per step,
 //   * from-scratch Dinic per step.
+// BM_DisjointComponents checks the solver's locality: with K disjoint
+// remembered (update, shipped query) pairs in the graph, one more decision
+// should cost the same whatever K is.
 #include <benchmark/benchmark.h>
 
 #include "flow/bipartite_cover.h"
@@ -113,6 +116,33 @@ void BM_ScratchDinic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScratchDinic)->Arg(64)->Arg(256)->Arg(1024);
+
+// One decision against a remainder graph of K disjoint remembered pairs:
+// add an (update, query) pair, compute the cover, then remove the pair so
+// the graph stays at K. Time per iteration is ns per compute (plus the
+// O(1) add/remove around it) and should stay flat in K.
+void BM_DisjointComponents(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  BipartiteCoverSolver solver;
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto u = solver.add_update(10);
+    solver.connect(u, solver.add_query(4));  // cheaper: q ships, u stays
+  }
+  benchmark::DoNotOptimize(solver.compute().weight);
+  const std::int64_t scanned_before = solver.vertices_scanned();
+  for (auto _ : state) {
+    const auto u = solver.add_update(10);
+    const auto q = solver.add_query(4);
+    solver.connect(u, q);
+    benchmark::DoNotOptimize(solver.compute().weight);
+    solver.remove_update(u);
+    solver.remove_query(q);
+  }
+  state.counters["vertices_per_compute"] =
+      static_cast<double>(solver.vertices_scanned() - scanned_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_DisjointComponents)->Arg(16)->Arg(1024)->Arg(16384);
 
 }  // namespace
 

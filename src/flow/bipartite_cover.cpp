@@ -4,107 +4,96 @@
 
 namespace delta::flow {
 
-template <typename Engine>
-BasicBipartiteCoverSolver<Engine>::BasicBipartiteCoverSolver()
+BipartiteCoverSolver::BipartiteCoverSolver()
     : source_(net_.add_node()),
       sink_(net_.add_node()),
-      solver_(net_, source_, sink_) {
-  ensure_slot(sink_);
-  side_[static_cast<std::size_t>(source_)] = Side::kFree;
-  side_[static_cast<std::size_t>(sink_)] = Side::kFree;
+      dinic_(net_, source_, sink_) {
+  vertices_.resize(static_cast<std::size_t>(sink_) + 1);
 }
 
-template <typename Engine>
-void BasicBipartiteCoverSolver<Engine>::ensure_slot(NodeIndex v) {
-  const auto need = static_cast<std::size_t>(v) + 1;
-  if (side_.size() < need) {
-    side_.resize(need, Side::kFree);
-    generation_.resize(need, 0);
-    anchor_edge_.resize(need, kNoEdge);
-  }
-}
-
-template <typename Engine>
-void BasicBipartiteCoverSolver<Engine>::check_handle(NodeIndex v,
-                                                     std::uint32_t gen,
-                                                     Side side) const {
-  DELTA_CHECK_MSG(v >= 0 && static_cast<std::size_t>(v) < side_.size(),
+void BipartiteCoverSolver::check_handle(NodeIndex v, std::uint32_t gen,
+                                        Side side) const {
+  DELTA_CHECK_MSG(v >= 0 && static_cast<std::size_t>(v) < vertices_.size(),
                   "stale or invalid vertex handle");
-  DELTA_CHECK_MSG(side_[static_cast<std::size_t>(v)] == side,
-                  "vertex handle side mismatch");
-  DELTA_CHECK_MSG(generation_[static_cast<std::size_t>(v)] == gen,
+  DELTA_CHECK_MSG(vertex(v).side == side, "vertex handle side mismatch");
+  DELTA_CHECK_MSG(vertex(v).generation == gen,
                   "vertex handle generation mismatch (node was removed)");
 }
 
-template <typename Engine>
-typename BasicBipartiteCoverSolver<Engine>::UpdateNode
-BasicBipartiteCoverSolver<Engine>::add_update(Capacity weight) {
+void BipartiteCoverSolver::mark_dirty(NodeIndex v) {
+  cover_fresh_ = false;
+  Vertex& x = vertex(v);
+  if (x.dirty_epoch == epoch_) return;
+  x.dirty_epoch = epoch_;
+  dirty_.push_back(v);
+}
+
+NodeIndex BipartiteCoverSolver::add_vertex(Side side, Capacity weight) {
   DELTA_CHECK(weight > 0);
   const NodeIndex v = net_.add_node();
-  ensure_slot(v);
-  side_[static_cast<std::size_t>(v)] = Side::kUpdate;
-  anchor_edge_[static_cast<std::size_t>(v)] =
-      net_.add_edge(source_, v, weight);
+  if (vertices_.size() <= static_cast<std::size_t>(v)) {
+    vertices_.resize(static_cast<std::size_t>(v) + 1);
+  }
+  Vertex& x = vertex(v);
+  x.side = side;
+  x.added = next_added_++;
+  x.anchor = side == Side::kUpdate ? net_.add_edge(source_, v, weight)
+                                   : net_.add_edge(v, sink_, weight);
+  mark_dirty(v);
+  return v;
+}
+
+BipartiteCoverSolver::UpdateNode BipartiteCoverSolver::add_update(
+    Capacity weight) {
+  const NodeIndex v = add_vertex(Side::kUpdate, weight);
   ++update_count_;
-  cover_fresh_ = false;
-  return UpdateNode{v, generation_[static_cast<std::size_t>(v)]};
+  return UpdateNode{v, vertex(v).generation};
 }
 
-template <typename Engine>
-typename BasicBipartiteCoverSolver<Engine>::QueryNode
-BasicBipartiteCoverSolver<Engine>::add_query(Capacity weight) {
-  DELTA_CHECK(weight > 0);
-  const NodeIndex v = net_.add_node();
-  ensure_slot(v);
-  side_[static_cast<std::size_t>(v)] = Side::kQuery;
-  anchor_edge_[static_cast<std::size_t>(v)] = net_.add_edge(v, sink_, weight);
+BipartiteCoverSolver::QueryNode BipartiteCoverSolver::add_query(
+    Capacity weight) {
+  const NodeIndex v = add_vertex(Side::kQuery, weight);
   ++query_count_;
-  cover_fresh_ = false;
-  return QueryNode{v, generation_[static_cast<std::size_t>(v)]};
+  return QueryNode{v, vertex(v).generation};
 }
 
-template <typename Engine>
-void BasicBipartiteCoverSolver<Engine>::connect(UpdateNode u, QueryNode q) {
+void BipartiteCoverSolver::connect(UpdateNode u, QueryNode q) {
   check_handle(u.index, u.generation, Side::kUpdate);
   check_handle(q.index, q.generation, Side::kQuery);
   net_.add_edge(u.index, q.index, kInfiniteCapacity);
-  cover_fresh_ = false;
+  mark_dirty(u.index);
+  mark_dirty(q.index);
 }
 
-template <typename Engine>
-void BasicBipartiteCoverSolver<Engine>::add_weight(QueryNode q,
-                                                   Capacity delta) {
-  check_handle(q.index, q.generation, Side::kQuery);
+void BipartiteCoverSolver::raise_weight(NodeIndex v, Capacity delta) {
   DELTA_CHECK(delta > 0);
-  const EdgeId anchor = anchor_edge_[static_cast<std::size_t>(q.index)];
-  net_.set_capacity(anchor, net_.edge(anchor).cap + delta);
-  cover_fresh_ = false;
+  const Vertex& x = vertex(v);
+  net_.set_capacity(x.anchor, net_.edge(x.anchor).cap + delta);
+  if (x.in_cover) cover_weight_ += delta;
+  mark_dirty(v);
 }
 
-template <typename Engine>
-void BasicBipartiteCoverSolver<Engine>::add_weight(UpdateNode u,
-                                                   Capacity delta) {
-  check_handle(u.index, u.generation, Side::kUpdate);
-  DELTA_CHECK(delta > 0);
-  const EdgeId anchor = anchor_edge_[static_cast<std::size_t>(u.index)];
-  net_.set_capacity(anchor, net_.edge(anchor).cap + delta);
-  cover_fresh_ = false;
-}
-
-template <typename Engine>
-Capacity BasicBipartiteCoverSolver<Engine>::weight(QueryNode q) const {
+void BipartiteCoverSolver::add_weight(QueryNode q, Capacity delta) {
   check_handle(q.index, q.generation, Side::kQuery);
-  return net_.edge(anchor_edge_[static_cast<std::size_t>(q.index)]).cap;
+  raise_weight(q.index, delta);
 }
 
-template <typename Engine>
-Capacity BasicBipartiteCoverSolver<Engine>::weight(UpdateNode u) const {
+void BipartiteCoverSolver::add_weight(UpdateNode u, Capacity delta) {
   check_handle(u.index, u.generation, Side::kUpdate);
-  return net_.edge(anchor_edge_[static_cast<std::size_t>(u.index)]).cap;
+  raise_weight(u.index, delta);
 }
 
-template <typename Engine>
-std::size_t BasicBipartiteCoverSolver<Engine>::degree(QueryNode q) const {
+Capacity BipartiteCoverSolver::weight(QueryNode q) const {
+  check_handle(q.index, q.generation, Side::kQuery);
+  return net_.edge(vertex(q.index).anchor).cap;
+}
+
+Capacity BipartiteCoverSolver::weight(UpdateNode u) const {
+  check_handle(u.index, u.generation, Side::kUpdate);
+  return net_.edge(vertex(u.index).anchor).cap;
+}
+
+std::size_t BipartiteCoverSolver::degree(QueryNode q) const {
   check_handle(q.index, q.generation, Side::kQuery);
   std::size_t n = 0;
   for (EdgeId e = net_.first_edge(q.index); e != kNoEdge;
@@ -116,8 +105,7 @@ std::size_t BasicBipartiteCoverSolver<Engine>::degree(QueryNode q) const {
   return n;
 }
 
-template <typename Engine>
-std::size_t BasicBipartiteCoverSolver<Engine>::degree(UpdateNode u) const {
+std::size_t BipartiteCoverSolver::degree(UpdateNode u) const {
   check_handle(u.index, u.generation, Side::kUpdate);
   std::size_t n = 0;
   for (EdgeId e = net_.first_edge(u.index); e != kNoEdge;
@@ -129,206 +117,243 @@ std::size_t BasicBipartiteCoverSolver<Engine>::degree(UpdateNode u) const {
   return n;
 }
 
-template <typename Engine>
-bool BasicBipartiteCoverSolver<Engine>::alive(QueryNode q) const {
-  return q.index >= 0 && static_cast<std::size_t>(q.index) < side_.size() &&
-         side_[static_cast<std::size_t>(q.index)] == Side::kQuery &&
-         generation_[static_cast<std::size_t>(q.index)] == q.generation;
+bool BipartiteCoverSolver::alive(QueryNode q) const {
+  return q.index >= 0 && static_cast<std::size_t>(q.index) < vertices_.size() &&
+         vertex(q.index).side == Side::kQuery &&
+         vertex(q.index).generation == q.generation;
 }
 
-template <typename Engine>
-bool BasicBipartiteCoverSolver<Engine>::alive(UpdateNode u) const {
-  return u.index >= 0 && static_cast<std::size_t>(u.index) < side_.size() &&
-         side_[static_cast<std::size_t>(u.index)] == Side::kUpdate &&
-         generation_[static_cast<std::size_t>(u.index)] == u.generation;
+bool BipartiteCoverSolver::alive(UpdateNode u) const {
+  return u.index >= 0 && static_cast<std::size_t>(u.index) < vertices_.size() &&
+         vertex(u.index).side == Side::kUpdate &&
+         vertex(u.index).generation == u.generation;
 }
 
-template <typename Engine>
-void BasicBipartiteCoverSolver<Engine>::remove_update(UpdateNode u) {
+void BipartiteCoverSolver::set_cover(NodeIndex v, bool covered) {
+  Vertex& x = vertex(v);
+  if (x.in_cover == covered) return;
+  x.in_cover = covered;
+  const Capacity w = net_.edge(x.anchor).cap;
+  cover_weight_ += covered ? w : -w;
+  if (x.side != Side::kUpdate) return;
+  if (covered) {
+    x.covered_slot = static_cast<std::int32_t>(covered_updates_.size());
+    covered_updates_.push_back(v);
+  } else {
+    const NodeIndex last = covered_updates_.back();
+    covered_updates_[static_cast<std::size_t>(x.covered_slot)] = last;
+    vertex(last).covered_slot = x.covered_slot;
+    covered_updates_.pop_back();
+    x.covered_slot = -1;
+  }
+}
+
+void BipartiteCoverSolver::release_vertex(NodeIndex v) {
+  set_cover(v, false);
+  net_.remove_node(v);
+  Vertex& x = vertex(v);
+  x.side = Side::kFree;
+  ++x.generation;
+  x.anchor = kNoEdge;
+  cover_fresh_ = false;
+}
+
+void BipartiteCoverSolver::remove_update(UpdateNode u) {
   check_handle(u.index, u.generation, Side::kUpdate);
-  const EdgeId anchor = anchor_edge_[static_cast<std::size_t>(u.index)];
+  const EdgeId anchor = vertex(u.index).anchor;
   // Cancel the flow routed through u: every unit entering via s->u leaves on
   // some interaction edge u->q and then on q's anchor q->t. Walking the
   // interaction edges and backing their flow out of the affected query
-  // anchors restores a feasible (smaller) flow with u flow-free.
+  // anchors restores a feasible (smaller) flow with u flow-free. Every
+  // neighbour is re-solved by the next compute(): its component lost flow
+  // or was split.
   Capacity cancelled = 0;
   for (EdgeId e = net_.first_edge(u.index); e != kNoEdge;
        e = net_.edge(e).next) {
     const auto& ed = net_.edge(e);
     if (ed.cap == 0) continue;  // the u->s reverse of the anchor
+    const NodeIndex q = ed.to;
+    mark_dirty(q);
     const Capacity phi = ed.flow;
     if (phi <= 0) continue;
-    const NodeIndex q = ed.to;
     net_.add_flow(e, -phi);
-    net_.add_flow(anchor_edge_[static_cast<std::size_t>(q)], -phi);
+    net_.add_flow(vertex(q).anchor, -phi);
     cancelled += phi;
   }
   DELTA_CHECK_MSG(net_.edge(anchor).flow == cancelled,
                   "flow conservation broken at removed update vertex");
   net_.add_flow(anchor, -cancelled);
-  net_.remove_node(u.index);
-  side_[static_cast<std::size_t>(u.index)] = Side::kFree;
-  ++generation_[static_cast<std::size_t>(u.index)];
-  anchor_edge_[static_cast<std::size_t>(u.index)] = kNoEdge;
+  flow_total_ -= cancelled;
+  release_vertex(u.index);
   --update_count_;
-  cover_fresh_ = false;
 }
 
-template <typename Engine>
-void BasicBipartiteCoverSolver<Engine>::remove_query(QueryNode q) {
+void BipartiteCoverSolver::remove_query(QueryNode q) {
   check_handle(q.index, q.generation, Side::kQuery);
   DELTA_CHECK_MSG(degree(q) == 0,
                   "remove_query requires an isolated query vertex");
-  const EdgeId anchor = anchor_edge_[static_cast<std::size_t>(q.index)];
-  DELTA_CHECK_MSG(net_.edge(anchor).flow == 0,
+  DELTA_CHECK_MSG(net_.edge(vertex(q.index).anchor).flow == 0,
                   "isolated query vertex still carries flow");
-  net_.remove_node(q.index);
-  side_[static_cast<std::size_t>(q.index)] = Side::kFree;
-  ++generation_[static_cast<std::size_t>(q.index)];
-  anchor_edge_[static_cast<std::size_t>(q.index)] = kNoEdge;
+  release_vertex(q.index);
   --query_count_;
-  cover_fresh_ = false;
 }
 
-template <typename Engine>
-void BasicBipartiteCoverSolver<Engine>::remove_query_force(QueryNode q) {
+void BipartiteCoverSolver::remove_query_force(QueryNode q) {
   check_handle(q.index, q.generation, Side::kQuery);
-  const EdgeId anchor = anchor_edge_[static_cast<std::size_t>(q.index)];
+  const EdgeId anchor = vertex(q.index).anchor;
   // Cancel flow along every s -> u -> q path through this vertex.
   Capacity cancelled = 0;
   for (EdgeId e = net_.first_edge(q.index); e != kNoEdge;
        e = net_.edge(e).next) {
     const auto& ed = net_.edge(e);
     if (ed.cap > 0) continue;  // the q->t anchor itself
+    const NodeIndex u = ed.to;
+    mark_dirty(u);
     // Reverse of an interaction edge u->q; its flow is -flow(u->q).
     const Capacity phi = -ed.flow;
     if (phi <= 0) continue;
-    const NodeIndex u = ed.to;
     net_.add_flow(e ^ 1, -phi);  // the forward u->q edge
-    net_.add_flow(anchor_edge_[static_cast<std::size_t>(u)], -phi);
+    net_.add_flow(vertex(u).anchor, -phi);
     cancelled += phi;
   }
   DELTA_CHECK_MSG(net_.edge(anchor).flow == cancelled,
                   "flow conservation broken at removed query vertex");
   net_.add_flow(anchor, -cancelled);
-  net_.remove_node(q.index);
-  side_[static_cast<std::size_t>(q.index)] = Side::kFree;
-  ++generation_[static_cast<std::size_t>(q.index)];
-  anchor_edge_[static_cast<std::size_t>(q.index)] = kNoEdge;
+  flow_total_ -= cancelled;
+  release_vertex(q.index);
   --query_count_;
-  cover_fresh_ = false;
 }
 
-template <typename Engine>
-std::vector<typename BasicBipartiteCoverSolver<Engine>::QueryNode>
-BasicBipartiteCoverSolver<Engine>::neighbors(UpdateNode u) const {
+std::vector<BipartiteCoverSolver::QueryNode> BipartiteCoverSolver::neighbors(
+    UpdateNode u) const {
   std::vector<QueryNode> out;
   for_each_neighbor(u, [&out](QueryNode q) { out.push_back(q); });
   return out;
 }
 
-template <typename Engine>
-std::vector<typename BasicBipartiteCoverSolver<Engine>::UpdateNode>
-BasicBipartiteCoverSolver<Engine>::neighbors(QueryNode q) const {
+std::vector<BipartiteCoverSolver::UpdateNode> BipartiteCoverSolver::neighbors(
+    QueryNode q) const {
   std::vector<UpdateNode> out;
   for_each_neighbor(q, [&out](UpdateNode u) { out.push_back(u); });
   return out;
 }
 
-template <typename Engine>
-const typename BasicBipartiteCoverSolver<Engine>::Cover&
-BasicBipartiteCoverSolver<Engine>::compute() {
-  solver_.run_to_max();
-  solver_.compute_reachability();
+void BipartiteCoverSolver::gather_region() {
+  region_.clear();
+  region_arcs_.clear();
+  const auto enter = [this](NodeIndex v) {
+    Vertex& x = vertex(v);
+    if (x.side == Side::kFree || x.region_epoch == epoch_) return;
+    x.region_epoch = epoch_;
+    region_.push_back(v);
+    if (x.side == Side::kUpdate) region_arcs_.push_back(x.anchor);
+  };
+  for (const NodeIndex v : dirty_) enter(v);
+  // Close the dirty vertices under interaction edges: the anchors lead to
+  // the source and sink, which belong to no component.
+  for (std::size_t i = 0; i < region_.size(); ++i) {
+    for (EdgeId e = net_.first_edge(region_[i]); e != kNoEdge;
+         e = net_.edge(e).next) {
+      const NodeIndex w = net_.edge(e).to;
+      if (w != source_ && w != sink_) enter(w);
+    }
+  }
+  gathered_ += static_cast<std::int64_t>(region_.size());
+}
+
+const BipartiteCoverSolver::Cover& BipartiteCoverSolver::compute() {
+  gather_region();
+  flow_total_ += dinic_.run_to_max(region_arcs_);
+#ifndef NDEBUG
+  // The final level build stayed inside the region (components are closed
+  // under residual arcs other than the source's and sink's).
+  for (const NodeIndex v : dinic_.last_reached()) {
+    DELTA_DCHECK(vertex(v).region_epoch == epoch_);
+  }
+#endif
+
+  // Re-derive the region's cover flags from the min cut: an update is
+  // covered when the source cannot reach it, a query when it can.
+  Capacity region_cover = 0;
+  Capacity region_flow = 0;
+  for (const NodeIndex v : region_) {
+    const Vertex& x = vertex(v);
+    const bool reached = dinic_.reachable(v);
+    const bool covered = x.side == Side::kUpdate ? !reached : reached;
+    set_cover(v, covered);
+    const auto& anchor = net_.edge(x.anchor);
+    if (covered) region_cover += anchor.cap;
+    if (x.side == Side::kUpdate) region_flow += anchor.flow;
+  }
+  DELTA_CHECK_MSG(region_cover == region_flow,
+                  "min-cut/max-flow duality violated on the re-solved "
+                  "components: cover weight "
+                      << region_cover << " vs flow " << region_flow);
+  DELTA_CHECK_MSG(cover_weight_ == flow_total_,
+                  "min-cut/max-flow duality violated: cover weight "
+                      << cover_weight_ << " vs flow " << flow_total_);
+  DELTA_DCHECK(flow_total_ == net_.outflow(source_));
+
+  dirty_.clear();
+  if (++epoch_ == 0) {
+    // Wrapped: clear every mark so no stale one reads as current.
+    for (Vertex& x : vertices_) x.dirty_epoch = x.region_epoch = 0;
+    epoch_ = 1;
+  }
   cover_fresh_ = true;
 
+  // Most recently added first: UpdateManager ships groups in this order,
+  // and over a WAN transport the order sets message timing.
   cover_.updates.clear();
-  cover_.queries.clear();
-  cover_.weight = 0;
-  // Update vertices hang off the source's adjacency list (forward anchors).
-  for (EdgeId e = net_.first_edge(source_); e != kNoEdge;
-       e = net_.edge(e).next) {
-    const auto& ed = net_.edge(e);
-    DELTA_DCHECK(ed.cap > 0);
-    const NodeIndex u = ed.to;
-    if (!solver_.reachable(u)) {
-      cover_.updates.push_back(
-          UpdateNode{u, generation_[static_cast<std::size_t>(u)]});
-      cover_.weight += ed.cap;
-    }
+  for (const NodeIndex u : covered_updates_) {
+    cover_.updates.push_back(UpdateNode{u, vertex(u).generation});
   }
-  // Query vertices hang off the sink's adjacency list (anchor reverses).
-  for (EdgeId e = net_.first_edge(sink_); e != kNoEdge;
-       e = net_.edge(e).next) {
-    const auto& ed = net_.edge(e);
-    DELTA_DCHECK(ed.cap == 0);
-    const NodeIndex q = ed.to;
-    if (solver_.reachable(q)) {
-      const EdgeId anchor = anchor_edge_[static_cast<std::size_t>(q)];
-      cover_.queries.push_back(
-          QueryNode{q, generation_[static_cast<std::size_t>(q)]});
-      cover_.weight += net_.edge(anchor).cap;
-    }
-  }
-  DELTA_CHECK_MSG(cover_.weight == current_flow(),
-                  "min-cut/max-flow duality violated: cover weight "
-                      << cover_.weight << " vs flow " << current_flow());
+  std::sort(cover_.updates.begin(), cover_.updates.end(),
+            [this](UpdateNode a, UpdateNode b) {
+              return vertex(a.index).added > vertex(b.index).added;
+            });
+  cover_.weight = cover_weight_;
   return cover_;
 }
 
-template <typename Engine>
-bool BasicBipartiteCoverSolver<Engine>::in_last_cover(UpdateNode u) const {
+bool BipartiteCoverSolver::in_last_cover(UpdateNode u) const {
   DELTA_CHECK_MSG(cover_fresh_, "cover queried after the graph changed");
   check_handle(u.index, u.generation, Side::kUpdate);
-  return !solver_.reachable(u.index);
+  return vertex(u.index).in_cover;
 }
 
-template <typename Engine>
-bool BasicBipartiteCoverSolver<Engine>::in_last_cover(QueryNode q) const {
+bool BipartiteCoverSolver::in_last_cover(QueryNode q) const {
   DELTA_CHECK_MSG(cover_fresh_, "cover queried after the graph changed");
   check_handle(q.index, q.generation, Side::kQuery);
-  return solver_.reachable(q.index);
+  return vertex(q.index).in_cover;
 }
 
-template <typename Engine>
-std::size_t BasicBipartiteCoverSolver<Engine>::interaction_count() const {
+std::size_t BipartiteCoverSolver::interaction_count() const {
   return net_.active_edge_count() - update_count_ - query_count_;
 }
 
-template <typename Engine>
-Capacity BasicBipartiteCoverSolver<Engine>::current_flow() const {
-  return net_.outflow(source_);
-}
-
-template <typename Engine>
-bool BasicBipartiteCoverSolver<Engine>::last_cover_is_valid() const {
+bool BipartiteCoverSolver::last_cover_is_valid() const {
   if (!cover_fresh_) return false;
   Capacity weight = 0;
   for (EdgeId e = net_.first_edge(source_); e != kNoEdge;
        e = net_.edge(e).next) {
     const NodeIndex u = net_.edge(e).to;
-    const bool u_in_cover = !solver_.reachable(u);
+    const bool u_in_cover = vertex(u).in_cover;
     if (u_in_cover) weight += net_.edge(e).cap;
     // Every interaction edge u->q must be covered.
     for (EdgeId ie = net_.first_edge(u); ie != kNoEdge;
          ie = net_.edge(ie).next) {
       const auto& ied = net_.edge(ie);
       if (ied.cap == 0) continue;
-      const bool q_in_cover = solver_.reachable(ied.to);
-      if (!u_in_cover && !q_in_cover) return false;
+      if (!u_in_cover && !vertex(ied.to).in_cover) return false;
     }
   }
   for (EdgeId e = net_.first_edge(sink_); e != kNoEdge;
        e = net_.edge(e).next) {
     const NodeIndex q = net_.edge(e).to;
-    if (solver_.reachable(q)) {
-      weight += net_.edge(anchor_edge_[static_cast<std::size_t>(q)]).cap;
-    }
+    if (vertex(q).in_cover) weight += net_.edge(vertex(q).anchor).cap;
   }
-  return weight == net_.outflow(source_);
+  return weight == net_.outflow(source_) && weight == cover_weight_;
 }
-
-template class BasicBipartiteCoverSolver<Dinic>;
-template class BasicBipartiteCoverSolver<EdmondsKarp>;
 
 }  // namespace delta::flow

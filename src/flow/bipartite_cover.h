@@ -18,27 +18,31 @@
 //    the flow routed through the removed vertex before deleting it, leaving
 //    a smaller but still feasible flow.
 //
-// The max-flow engine is a template parameter. The default is flow::Dinic
-// (level-graph blocking flow; its final failed BFS doubles as the min-cut
-// reachability pass). flow::EdmondsKarp is retained as an alternative
-// engine for differential testing — the two must produce identical covers,
-// not merely equal weights: the reachable set S is the *minimal* source-side
-// min cut, which is a flow-independent property of the network, so every
-// correct max-flow engine extracts the same cover
-// (tests/flow_property_test.cpp pins this).
+// compute() is also local. Augmenting paths never leave a connected
+// component of the interaction graph, and after every compute() each
+// component carries a maximum flow, so only the components touched since
+// the last compute() can change. Every mutation records the vertices whose
+// edges, weight or flow it changed (for a removal: the removed vertex's
+// surviving neighbours); compute() gathers the union of their components,
+// runs flow::Dinic restricted to that region, and re-derives the cover
+// flags of the region's vertices only. Its cost is the size of the touched
+// components, independent of how many untouched ones the remainder graph
+// holds. The cover it reports is exactly the whole-graph one: the set S of
+// vertices residual-reachable from s is the *minimal* source-side min cut,
+// a flow-independent property of the network that decomposes over
+// components (tests/min_cut_oracle.h recomputes it from scratch with
+// Edmonds-Karp, and the differential tests compare the two).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "flow/dinic.h"
-#include "flow/edmonds_karp.h"
 #include "flow/network.h"
 
 namespace delta::flow {
 
-template <typename Engine>
-class BasicBipartiteCoverSolver {
+class BipartiteCoverSolver {
  public:
   /// Opaque handle to an update-side vertex.
   struct UpdateNode {
@@ -55,13 +59,12 @@ class BasicBipartiteCoverSolver {
     friend bool operator==(QueryNode, QueryNode) = default;
   };
 
-  BasicBipartiteCoverSolver();
+  BipartiteCoverSolver();
 
   // The internal max-flow engine points into the owned network; copying or
   // moving would leave it dangling.
-  BasicBipartiteCoverSolver(const BasicBipartiteCoverSolver&) = delete;
-  BasicBipartiteCoverSolver& operator=(const BasicBipartiteCoverSolver&) =
-      delete;
+  BipartiteCoverSolver(const BipartiteCoverSolver&) = delete;
+  BipartiteCoverSolver& operator=(const BipartiteCoverSolver&) = delete;
 
   /// Adds an update vertex with weight w(u) (its network shipping cost).
   UpdateNode add_update(Capacity weight);
@@ -106,7 +109,7 @@ class BasicBipartiteCoverSolver {
          e = net_.edge(e).next) {
       const auto& ed = net_.edge(e);
       if (ed.cap == 0) continue;  // the u->s anchor reverse
-      fn(QueryNode{ed.to, generation_[static_cast<std::size_t>(ed.to)]});
+      fn(QueryNode{ed.to, vertex(ed.to).generation});
     }
   }
 
@@ -119,7 +122,7 @@ class BasicBipartiteCoverSolver {
          e = net_.edge(e).next) {
       const auto& ed = net_.edge(e);
       if (ed.cap > 0) continue;  // the q->t anchor
-      fn(UpdateNode{ed.to, generation_[static_cast<std::size_t>(ed.to)]});
+      fn(UpdateNode{ed.to, vertex(ed.to).generation});
     }
   }
 
@@ -137,27 +140,35 @@ class BasicBipartiteCoverSolver {
   [[nodiscard]] bool alive(UpdateNode u) const;
 
   struct Cover {
+    /// Every covered update vertex, most recently added first.
     std::vector<UpdateNode> updates;
-    std::vector<QueryNode> queries;
     Capacity weight = 0;
   };
 
   /// Computes the minimum-weight vertex cover of the current graph,
-  /// augmenting incrementally from the previous flow. The returned
-  /// reference points at solver-owned scratch, valid until the next
-  /// compute() call.
+  /// augmenting incrementally from the previous flow and re-solving only
+  /// the components touched since the last call. The returned reference
+  /// points at solver-owned scratch, valid until the next compute() call.
+  /// Covered query vertices are read through in_last_cover().
   const Cover& compute();
 
   /// True when the given vertex was selected by the most recent compute().
-  /// (Convenience for membership checks without scanning the Cover lists.)
   [[nodiscard]] bool in_last_cover(UpdateNode u) const;
   [[nodiscard]] bool in_last_cover(QueryNode q) const;
 
   [[nodiscard]] std::size_t update_count() const { return update_count_; }
   [[nodiscard]] std::size_t query_count() const { return query_count_; }
   [[nodiscard]] std::size_t interaction_count() const;
-  [[nodiscard]] Capacity current_flow() const;
-  [[nodiscard]] std::int64_t bfs_count() const { return solver_.bfs_count(); }
+  /// Total flow out of the source (maintained, O(1)).
+  [[nodiscard]] Capacity current_flow() const { return flow_total_; }
+  [[nodiscard]] std::int64_t bfs_count() const { return dinic_.bfs_count(); }
+
+  /// Cumulative vertices visited by compute(): the components it gathered
+  /// plus the nodes its level builds dequeued. Read-only work counter; its
+  /// growth per compute() is independent of untouched components.
+  [[nodiscard]] std::int64_t vertices_scanned() const {
+    return gathered_ + dinic_.nodes_scanned();
+  }
 
   /// Validates that the last computed cover touches every interaction edge
   /// and that its weight equals the max-flow value. O(V+E); test hook.
@@ -167,29 +178,52 @@ class BasicBipartiteCoverSolver {
   [[nodiscard]] const FlowNetwork& network() const { return net_; }
 
  private:
+  enum class Side : std::uint8_t { kFree, kUpdate, kQuery };
+  struct Vertex {
+    Side side = Side::kFree;
+    bool in_cover = false;           // as of the last compute() touching it
+    std::uint32_t generation = 0;    // bumped on removal
+    EdgeId anchor = kNoEdge;         // s->u or q->t edge
+    std::uint64_t added = 0;         // add order, for Cover::updates
+    std::int32_t covered_slot = -1;  // index in covered_updates_, or -1
+    std::uint32_t dirty_epoch = 0;   // == epoch_: listed in dirty_
+    std::uint32_t region_epoch = 0;  // == epoch_: gathered by compute()
+  };
+
   FlowNetwork net_;
   NodeIndex source_;
   NodeIndex sink_;
-  Engine solver_;
+  Dinic dinic_;
 
-  enum class Side : std::uint8_t { kFree, kUpdate, kQuery };
-  std::vector<Side> side_;                // indexed by NodeIndex
-  std::vector<std::uint32_t> generation_; // bumped on node removal
-  std::vector<EdgeId> anchor_edge_;       // s->u or q->t edge
+  std::vector<Vertex> vertices_;  // indexed by NodeIndex
   std::size_t update_count_ = 0;
   std::size_t query_count_ = 0;
+  std::uint64_t next_added_ = 0;
+  Capacity flow_total_ = 0;    // flow out of the source
+  Capacity cover_weight_ = 0;  // weight of the vertices flagged in_cover
+  std::vector<NodeIndex> covered_updates_;  // update vertices in_cover
   bool cover_fresh_ = false;
   Cover cover_;  // compute() scratch, reused across calls
 
-  void ensure_slot(NodeIndex v);
+  // Vertices touched since the last compute(); epoch_ tells current marks
+  // from stale ones so neither list needs clearing per vertex.
+  std::uint32_t epoch_ = 1;
+  std::vector<NodeIndex> dirty_;
+  std::vector<NodeIndex> region_;    // compute() scratch
+  std::vector<EdgeId> region_arcs_;  // the region updates' anchors
+  std::int64_t gathered_ = 0;
+
+  [[nodiscard]] const Vertex& vertex(NodeIndex v) const {
+    return vertices_[static_cast<std::size_t>(v)];
+  }
+  Vertex& vertex(NodeIndex v) { return vertices_[static_cast<std::size_t>(v)]; }
+  NodeIndex add_vertex(Side side, Capacity weight);
+  void raise_weight(NodeIndex v, Capacity delta);
+  void release_vertex(NodeIndex v);
+  void mark_dirty(NodeIndex v);
+  void set_cover(NodeIndex v, bool covered);
+  void gather_region();
   void check_handle(NodeIndex v, std::uint32_t gen, Side side) const;
 };
-
-/// The production solver: Dinic-powered.
-using BipartiteCoverSolver = BasicBipartiteCoverSolver<Dinic>;
-
-// Both engines are compiled once in bipartite_cover.cpp.
-extern template class BasicBipartiteCoverSolver<Dinic>;
-extern template class BasicBipartiteCoverSolver<EdmondsKarp>;
 
 }  // namespace delta::flow

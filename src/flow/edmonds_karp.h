@@ -1,11 +1,12 @@
 // Edmonds–Karp max-flow with incremental re-use of an existing feasible flow.
 //
-// This is the engine behind the paper's incremental vertex-cover computation
-// (Fig. 5): when vertices/edges are added the previous flow remains valid
-// (just possibly not maximum), so each invocation only searches for the
-// *additional* augmenting paths. Over a whole query/update sequence the time
-// spent augmenting is bounded by one full O(nm^2) computation on the final
-// network, versus O(n^2 m^2) for recomputing from scratch every time (§4).
+// When vertices/edges are added the previous flow remains valid (just
+// possibly not maximum), so each invocation only searches for the
+// *additional* augmenting paths — the paper's argument for incremental
+// cover computation (Fig. 5, §4). Production covers run on flow::Dinic
+// (see flow/bipartite_cover.h); this independent implementation is the
+// oracle the tests check them against (tests/min_cut_oracle.h) and the
+// from-scratch baseline of the flow micro benchmark.
 #pragma once
 
 #include <cstdint>

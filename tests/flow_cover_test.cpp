@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace delta::flow {
 namespace {
 
@@ -12,18 +14,18 @@ TEST(BipartiteCoverTest, EmptyGraphHasEmptyCover) {
   BipartiteCoverSolver solver;
   const auto cover = solver.compute();
   EXPECT_TRUE(cover.updates.empty());
-  EXPECT_TRUE(cover.queries.empty());
   EXPECT_EQ(cover.weight, 0);
 }
 
 TEST(BipartiteCoverTest, IsolatedVerticesNeverCovered) {
   BipartiteCoverSolver solver;
-  solver.add_update(5);
-  solver.add_query(7);
+  const auto u = solver.add_update(5);
+  const auto q = solver.add_query(7);
   const auto cover = solver.compute();
   EXPECT_EQ(cover.weight, 0);
   EXPECT_TRUE(cover.updates.empty());
-  EXPECT_TRUE(cover.queries.empty());
+  EXPECT_FALSE(solver.in_last_cover(u));
+  EXPECT_FALSE(solver.in_last_cover(q));
 }
 
 TEST(BipartiteCoverTest, SingleEdgePicksCheaperSide) {
@@ -36,7 +38,7 @@ TEST(BipartiteCoverTest, SingleEdgePicksCheaperSide) {
     EXPECT_EQ(cover.weight, 3);
     ASSERT_EQ(cover.updates.size(), 1u);
     EXPECT_EQ(cover.updates[0], u);
-    EXPECT_TRUE(cover.queries.empty());
+    EXPECT_FALSE(solver.in_last_cover(q));
     EXPECT_TRUE(solver.last_cover_is_valid());
   }
   {
@@ -47,8 +49,7 @@ TEST(BipartiteCoverTest, SingleEdgePicksCheaperSide) {
     const auto cover = solver.compute();
     EXPECT_EQ(cover.weight, 3);
     EXPECT_TRUE(cover.updates.empty());
-    ASSERT_EQ(cover.queries.size(), 1u);
-    EXPECT_EQ(cover.queries[0], q);
+    EXPECT_TRUE(solver.in_last_cover(q));
     EXPECT_TRUE(solver.last_cover_is_valid());
   }
 }
@@ -63,7 +64,7 @@ TEST(BipartiteCoverTest, UpdateChosenOnceQueriesAccumulate) {
   auto cover = solver.compute();
   // One query of weight 6 < 10: cheaper to ship the query.
   EXPECT_EQ(cover.weight, 6);
-  ASSERT_EQ(cover.queries.size(), 1u);
+  EXPECT_TRUE(solver.in_last_cover(q1));
 
   const auto q2 = solver.add_query(6);
   solver.connect(u, q2);
@@ -72,7 +73,8 @@ TEST(BipartiteCoverTest, UpdateChosenOnceQueriesAccumulate) {
   EXPECT_EQ(cover.weight, 10);
   ASSERT_EQ(cover.updates.size(), 1u);
   EXPECT_EQ(cover.updates[0], u);
-  EXPECT_TRUE(cover.queries.empty());
+  EXPECT_FALSE(solver.in_last_cover(q1));
+  EXPECT_FALSE(solver.in_last_cover(q2));
 }
 
 TEST(BipartiteCoverTest, PaperExampleInternalGraph) {
@@ -102,7 +104,7 @@ TEST(BipartiteCoverTest, StarOfExpensiveQueries) {
   // 5 * 10 = 50 < 100: ship the queries.
   const auto cover = solver.compute();
   EXPECT_EQ(cover.weight, 50);
-  EXPECT_EQ(cover.queries.size(), 5u);
+  for (const auto q : queries) EXPECT_TRUE(solver.in_last_cover(q));
   EXPECT_TRUE(cover.updates.empty());
 }
 
@@ -163,7 +165,8 @@ TEST(BipartiteCoverTest, RemainderStyleWorkflow) {
   auto cover = solver.compute();
   // Options: qa (5) vs u1+u2 (11) vs mixed (u2+qa would double-count qa).
   EXPECT_EQ(cover.weight, 5);
-  ASSERT_EQ(cover.queries.size(), 1u);  // ship qa; updates stay outstanding
+  EXPECT_TRUE(solver.in_last_cover(qa));  // ship qa; updates stay outstanding
+  EXPECT_TRUE(cover.updates.empty());
 
   const auto qb = solver.add_query(9);
   solver.connect(u1, qb);
@@ -226,6 +229,63 @@ TEST(BipartiteCoverTest, InteractionCountTracksEdges) {
   EXPECT_EQ(solver.interaction_count(), 2u);
   solver.remove_update(u);
   EXPECT_EQ(solver.interaction_count(), 0u);
+}
+
+// compute() re-solves only the components touched since the previous call:
+// with K disjoint remembered (update, shipped query) pairs already solved,
+// adding one more pair costs the same vertex visits whatever K is.
+TEST(BipartiteCoverTest, ComputeWorkIndependentOfUntouchedComponents) {
+  const auto scanned_for_one_more_pair = [](int k) {
+    BipartiteCoverSolver solver;
+    for (int i = 0; i < k; ++i) {
+      const auto u = solver.add_update(10);
+      const auto q = solver.add_query(4);  // cheaper: q ships, u stays
+      solver.connect(u, q);
+    }
+    solver.compute();
+    const std::int64_t before = solver.vertices_scanned();
+    const auto u = solver.add_update(10);
+    const auto q = solver.add_query(4);
+    solver.connect(u, q);
+    const auto& cover = solver.compute();
+    EXPECT_EQ(cover.weight, 4 * (k + 1));
+    EXPECT_TRUE(solver.in_last_cover(q));
+    EXPECT_FALSE(solver.in_last_cover(u));
+    return solver.vertices_scanned() - before;
+  };
+  const std::int64_t small = scanned_for_one_more_pair(16);
+  const std::int64_t large = scanned_for_one_more_pair(4096);
+  EXPECT_EQ(small, large);
+  EXPECT_GT(small, 0);
+  EXPECT_LE(small, 12);
+}
+
+// Cover::updates lists covered update vertices most recently added first —
+// the order UpdateManager ships groups in — whatever their slot indices,
+// and including covered updates of components the compute did not touch.
+TEST(BipartiteCoverTest, CoveredUpdatesListedNewestFirst) {
+  BipartiteCoverSolver solver;
+  const auto old_u = solver.add_update(1);
+  const auto old_q = solver.add_query(50);
+  solver.connect(old_u, old_q);
+  ASSERT_EQ(solver.compute().updates.size(), 1u);
+
+  const auto freed = solver.add_update(1);
+  const auto a = solver.add_update(2);
+  solver.remove_update(freed);
+  const auto b = solver.add_update(3);  // reuses freed's (lower) slot
+  ASSERT_LT(b.index, a.index);
+  const auto c = solver.add_update(4);
+  const auto q = solver.add_query(100);
+  solver.connect(a, q);
+  solver.connect(b, q);
+  solver.connect(c, q);
+  const auto& cover = solver.compute();
+  EXPECT_EQ(cover.weight, 1 + 2 + 3 + 4);
+  EXPECT_EQ(cover.updates,
+            (std::vector<UpdateNode>{c, b, a, old_u}));
+  EXPECT_FALSE(solver.in_last_cover(q));
+  EXPECT_FALSE(solver.in_last_cover(old_q));
 }
 
 }  // namespace

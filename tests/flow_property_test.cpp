@@ -11,6 +11,7 @@
 
 #include "flow/bipartite_cover.h"
 #include "flow/edmonds_karp.h"
+#include "min_cut_oracle.h"
 #include "util/rng.h"
 
 namespace delta::flow {
@@ -171,164 +172,123 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CoverPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
 
 // ------------------------------------------------------------------------
-// Differential suite: the Dinic-powered production solver and the retained
-// Edmonds-Karp engine must agree on every randomized incremental
-// add/remove sequence — not only on the max-flow value and cover weight,
-// but on the exact cover membership: the extracted cover is the *minimal*
-// source-side min cut, a flow-independent property of the network, so any
-// correct engine yields the same vertex set. This is the invariant that
-// lets the engine swap keep the sim golden tables byte-identical.
-
-using DinicSolver = BasicBipartiteCoverSolver<Dinic>;
-using EkSolver = BasicBipartiteCoverSolver<EdmondsKarp>;
+// Differential suite: the incremental production solver against the
+// from-scratch oracle (tests/min_cut_oracle.h: Edmonds-Karp on a zero-flow
+// copy, then a residual BFS) on every randomized incremental add/remove
+// sequence — not only on the max-flow value and cover weight, but on the
+// exact cover membership of every live vertex: the extracted cover is the
+// *minimal* source-side min cut, a flow-independent property of the
+// network, so keeping flow across computes and re-solving only touched
+// components must yield the same vertex set. This is the invariant that
+// keeps the sim golden tables byte-identical.
 
 class EngineDifferentialTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
-/// Drives both solvers through the same mutation and compares the covers.
-struct SolverPair {
-  DinicSolver dinic;
-  EkSolver ek;
-  std::vector<DinicSolver::UpdateNode> d_updates;
-  std::vector<EkSolver::UpdateNode> e_updates;
-  std::vector<DinicSolver::QueryNode> d_queries;
-  std::vector<EkSolver::QueryNode> e_queries;
+/// The solver plus the handles of its live vertices.
+struct Tracked {
+  BipartiteCoverSolver solver;
+  std::vector<UpdateNode> updates;
+  std::vector<QueryNode> queries;
 
-  void add_update(Capacity w) {
-    d_updates.push_back(dinic.add_update(w));
-    e_updates.push_back(ek.add_update(w));
-  }
-  void add_query(Capacity w) {
-    d_queries.push_back(dinic.add_query(w));
-    e_queries.push_back(ek.add_query(w));
-  }
-  void connect(std::size_t u, std::size_t q) {
-    dinic.connect(d_updates[u], d_queries[q]);
-    ek.connect(e_updates[u], e_queries[q]);
-  }
   void remove_update(std::size_t u) {
-    dinic.remove_update(d_updates[u]);
-    ek.remove_update(e_updates[u]);
-    d_updates.erase(d_updates.begin() + static_cast<std::ptrdiff_t>(u));
-    e_updates.erase(e_updates.begin() + static_cast<std::ptrdiff_t>(u));
+    solver.remove_update(updates[u]);
+    updates.erase(updates.begin() + static_cast<std::ptrdiff_t>(u));
   }
   void remove_query_force(std::size_t q) {
-    dinic.remove_query_force(d_queries[q]);
-    ek.remove_query_force(e_queries[q]);
-    d_queries.erase(d_queries.begin() + static_cast<std::ptrdiff_t>(q));
-    e_queries.erase(e_queries.begin() + static_cast<std::ptrdiff_t>(q));
+    solver.remove_query_force(queries[q]);
+    queries.erase(queries.begin() + static_cast<std::ptrdiff_t>(q));
   }
   void prune_isolated_queries() {
-    for (std::size_t i = d_queries.size(); i-- > 0;) {
-      ASSERT_EQ(dinic.degree(d_queries[i]), ek.degree(e_queries[i]));
-      if (dinic.degree(d_queries[i]) == 0) {
-        dinic.remove_query(d_queries[i]);
-        ek.remove_query(e_queries[i]);
-        d_queries.erase(d_queries.begin() + static_cast<std::ptrdiff_t>(i));
-        e_queries.erase(e_queries.begin() + static_cast<std::ptrdiff_t>(i));
+    for (std::size_t i = queries.size(); i-- > 0;) {
+      if (solver.degree(queries[i]) == 0) {
+        solver.remove_query(queries[i]);
+        queries.erase(queries.begin() + static_cast<std::ptrdiff_t>(i));
       }
     }
   }
 
-  /// Both engines built the network through identical operations, so node
-  /// indices correspond one-to-one and cover sets compare by index.
-  void expect_identical_covers(int step) {
-    const auto& dc = dinic.compute();
-    const auto& ec = ek.compute();
-    EXPECT_EQ(dc.weight, ec.weight) << "step " << step;
-    EXPECT_EQ(dinic.current_flow(), ek.current_flow()) << "step " << step;
-    EXPECT_TRUE(dinic.last_cover_is_valid()) << "step " << step;
-    EXPECT_TRUE(ek.last_cover_is_valid()) << "step " << step;
-
-    const auto indices_of = [](const auto& nodes) {
-      std::vector<NodeIndex> out;
-      out.reserve(nodes.size());
-      for (const auto& n : nodes) out.push_back(n.index);
-      std::sort(out.begin(), out.end());
-      return out;
-    };
-    EXPECT_EQ(indices_of(dc.updates), indices_of(ec.updates))
-        << "step " << step << ": cover update sets differ";
-    EXPECT_EQ(indices_of(dc.queries), indices_of(ec.queries))
-        << "step " << step << ": cover query sets differ";
+  void expect_matches_oracle(int step) {
+    const auto& cover = solver.compute();
+    const oracle::MinCut cut = oracle::min_cut(solver);
+    EXPECT_EQ(cover.weight, cut.flow) << "step " << step;
+    EXPECT_EQ(solver.current_flow(), cut.flow) << "step " << step;
+    EXPECT_TRUE(solver.last_cover_is_valid()) << "step " << step;
+    std::vector<UpdateNode> covered;
+    for (const UpdateNode u : updates) {
+      EXPECT_EQ(solver.in_last_cover(u), cut.in_cover(u))
+          << "step " << step << ": update " << u.index;
+      if (cut.in_cover(u)) covered.push_back(u);
+    }
+    for (const QueryNode q : queries) {
+      EXPECT_EQ(solver.in_last_cover(q), cut.in_cover(q))
+          << "step " << step << ": query " << q.index;
+    }
+    // Cover::updates lists exactly the covered updates, newest first; the
+    // handles were appended in add order.
+    std::reverse(covered.begin(), covered.end());
+    EXPECT_EQ(cover.updates, covered) << "step " << step;
   }
 };
 
-TEST_P(EngineDifferentialTest, DinicAndEdmondsKarpAgreeUnderChurn) {
+TEST_P(EngineDifferentialTest, IncrementalSolverMatchesOracleUnderChurn) {
   util::Rng rng{GetParam() * 7919 + 3};
-  SolverPair pair;
+  Tracked t;
 
   for (int step = 0; step < 150; ++step) {
     const double roll = rng.next_double();
-    if (roll < 0.30 || pair.d_updates.empty()) {
-      pair.add_update(rng.uniform_int(1, 50));
-    } else if (roll < 0.60 || pair.d_queries.empty()) {
-      pair.add_query(rng.uniform_int(1, 50));
+    if (roll < 0.30 || t.updates.empty()) {
+      t.updates.push_back(t.solver.add_update(rng.uniform_int(1, 50)));
+    } else if (roll < 0.60 || t.queries.empty()) {
+      t.queries.push_back(t.solver.add_query(rng.uniform_int(1, 50)));
       const auto conns = rng.uniform_int(0, 3);
       for (std::int64_t c = 0; c < conns; ++c) {
         const auto ui = static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(pair.d_updates.size()) - 1));
-        pair.connect(ui, pair.d_queries.size() - 1);
+            0, static_cast<std::int64_t>(t.updates.size()) - 1));
+        t.solver.connect(t.updates[ui], t.queries.back());
       }
     } else if (roll < 0.80) {
       // Ship/evict an update group, then prune isolated queries — the
       // remainder-rule shape UpdateManager drives.
       const auto ui = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(pair.d_updates.size()) - 1));
-      pair.remove_update(ui);
-      pair.prune_isolated_queries();
-      if (::testing::Test::HasFatalFailure()) return;
-    } else if (!pair.d_queries.empty() && roll < 0.88) {
+          0, static_cast<std::int64_t>(t.updates.size()) - 1));
+      t.remove_update(ui);
+      t.prune_isolated_queries();
+    } else if (!t.queries.empty() && roll < 0.88) {
       // The forget-shipped-queries ablation shape.
       const auto qi = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(pair.d_queries.size()) - 1));
-      pair.remove_query_force(qi);
-    } else if (!pair.d_queries.empty()) {
+          0, static_cast<std::int64_t>(t.queries.size()) - 1));
+      t.remove_query_force(qi);
+    } else if (!t.queries.empty()) {
       // Weight growth (query-vertex merging adds weight in place).
       const auto qi = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(pair.d_queries.size()) - 1));
-      const Capacity extra = rng.uniform_int(1, 20);
-      pair.dinic.add_weight(pair.d_queries[qi], extra);
-      pair.ek.add_weight(pair.e_queries[qi], extra);
+          0, static_cast<std::int64_t>(t.queries.size()) - 1));
+      t.solver.add_weight(t.queries[qi], rng.uniform_int(1, 20));
     }
 
     if (step % 4 == 0) {
-      pair.expect_identical_covers(step);
+      t.expect_matches_oracle(step);
     }
   }
-  pair.expect_identical_covers(150);
+  t.expect_matches_oracle(150);
 }
 
 // A same-weight tie that a naive "any min cut" extraction could break
 // differently: two disjoint (update, query) pairs with equal weights. The
 // minimal source-side cut puts every saturated update OUT of the reachable
-// set, so both engines must pick the update vertices.
+// set, so the solver must pick the update vertices, as the oracle does.
 TEST(EngineDifferentialTest, EqualWeightTiesResolveIdentically) {
-  DinicSolver dinic;
-  EkSolver ek;
-  const auto du1 = dinic.add_update(10);
-  const auto du2 = dinic.add_update(10);
-  const auto dq1 = dinic.add_query(10);
-  const auto dq2 = dinic.add_query(10);
-  dinic.connect(du1, dq1);
-  dinic.connect(du2, dq2);
-  const auto eu1 = ek.add_update(10);
-  const auto eu2 = ek.add_update(10);
-  const auto eq1 = ek.add_query(10);
-  const auto eq2 = ek.add_query(10);
-  ek.connect(eu1, eq1);
-  ek.connect(eu2, eq2);
-
-  const auto& dc = dinic.compute();
-  const auto& ec = ek.compute();
-  ASSERT_EQ(dc.weight, 20);
-  ASSERT_EQ(ec.weight, 20);
-  EXPECT_EQ(dc.updates.size(), ec.updates.size());
-  EXPECT_EQ(dc.queries.size(), ec.queries.size());
-  EXPECT_EQ(dinic.in_last_cover(du1), ek.in_last_cover(eu1));
-  EXPECT_EQ(dinic.in_last_cover(du2), ek.in_last_cover(eu2));
-  EXPECT_EQ(dinic.in_last_cover(dq1), ek.in_last_cover(eq1));
-  EXPECT_EQ(dinic.in_last_cover(dq2), ek.in_last_cover(eq2));
+  Tracked t;
+  t.updates = {t.solver.add_update(10), t.solver.add_update(10)};
+  t.queries = {t.solver.add_query(10), t.solver.add_query(10)};
+  t.solver.connect(t.updates[0], t.queries[0]);
+  t.solver.connect(t.updates[1], t.queries[1]);
+  t.expect_matches_oracle(0);
+  EXPECT_EQ(t.solver.compute().weight, 20);
+  EXPECT_TRUE(t.solver.in_last_cover(t.updates[0]));
+  EXPECT_TRUE(t.solver.in_last_cover(t.updates[1]));
+  EXPECT_FALSE(t.solver.in_last_cover(t.queries[0]));
+  EXPECT_FALSE(t.solver.in_last_cover(t.queries[1]));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineDifferentialTest,

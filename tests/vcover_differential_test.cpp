@@ -5,15 +5,22 @@
 // cover is the minimal source-side min cut — a flow-independent property
 // of the network — so any divergence means the incremental maintenance
 // (flow cancellation on removal, weight raises, slot recycling) corrupted
-// the graph. This is the property VCoverPolicy's per-decision sublinearity
-// rests on: decisions may reuse yesterday's flow precisely because reuse
-// is observationally identical to a full rebuild.
+// the graph, or a compute() skipped a component it should have re-solved.
+// compute() runs every k-th step, so several components are dirty at once,
+// and the churn splits components (removing a shared update) and merges
+// them (connecting across). Each compute is also checked vertex by vertex
+// against the from-scratch min-cut oracle. This is the property
+// VCoverPolicy's per-decision sublinearity rests on: decisions may reuse
+// yesterday's flow, and skip untouched components, precisely because both
+// are observationally identical to a full rebuild.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include "flow/bipartite_cover.h"
+#include "min_cut_oracle.h"
 #include "util/rng.h"
 
 namespace delta::flow {
@@ -56,17 +63,19 @@ std::int64_t label_of(Node node, const Entries& entries) {
   return -1;
 }
 
-CoverLabels labels_of(const Solver::Cover& cover, const Mirror& mirror) {
+/// Covered updates come from the Cover list, covered queries from
+/// in_last_cover() on every query handle the mirror holds.
+CoverLabels labels_of(const Solver& solver, const Solver::Cover& cover,
+                      const Mirror& mirror) {
   CoverLabels out;
   out.weight = cover.weight;
   for (const auto u : cover.updates) {
     out.updates.push_back(label_of(u, mirror.updates));
   }
-  for (const auto q : cover.queries) {
-    out.queries.push_back(label_of(q, mirror.queries));
+  for (const auto& q : mirror.queries) {
+    if (solver.in_last_cover(q.node)) out.queries.push_back(q.label);
   }
   std::sort(out.updates.begin(), out.updates.end());
-  std::sort(out.queries.begin(), out.queries.end());
   return out;
 }
 
@@ -98,17 +107,65 @@ CoverLabels rebuild_cover(const Mirror& mirror) {
   }
   const auto& cover = fresh.compute();
   EXPECT_TRUE(fresh.last_cover_is_valid());
-  return labels_of(cover, rebuilt);
+  return labels_of(fresh, cover, rebuilt);
 }
 
-TEST(VCoverDifferentialTest, IncrementalCoverMatchesFullRebuildUnderChurn) {
+/// Checks the weight and in_last_cover() of every live handle against the
+/// from-scratch min-cut oracle.
+void expect_matches_oracle(const Solver& solver, const Solver::Cover& cover,
+                           const Mirror& mirror, int step) {
+  const oracle::MinCut cut = oracle::min_cut(solver);
+  EXPECT_EQ(cover.weight, cut.flow) << "step " << step;
+  for (const auto& u : mirror.updates) {
+    EXPECT_EQ(solver.in_last_cover(u.node), cut.in_cover(u.node))
+        << "step " << step << ": update label " << u.label;
+  }
+  for (const auto& q : mirror.queries) {
+    EXPECT_EQ(solver.in_last_cover(q.node), cut.in_cover(q.node))
+        << "step " << step << ": query label " << q.label;
+  }
+}
+
+/// Connected component (over interaction edges) of every mirror label.
+std::map<std::int64_t, std::int64_t> components_of(const Mirror& mirror) {
+  std::map<std::int64_t, std::int64_t> parent;
+  const auto find = [&parent](std::int64_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (const auto& u : mirror.updates) parent[u.label] = u.label;
+  for (const auto& q : mirror.queries) {
+    parent[q.label] = q.label;
+    for (const std::int64_t ul : q.update_labels) {
+      parent[find(q.label)] = find(ul);
+    }
+  }
+  std::map<std::int64_t, std::int64_t> component;
+  for (const auto& [label, p] : parent) component[label] = find(label);
+  return component;
+}
+
+/// Parameter: compute() runs every k-th step, so with k > 1 several
+/// components (and several kinds of mutation) are dirty at once.
+class VCoverDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(VCoverDifferentialTest, IncrementalCoverMatchesFullRebuildUnderChurn) {
+  const int k = GetParam();
   Solver solver;
   Mirror mirror;
-  util::Rng rng{0xD1FF};
+  util::Rng rng{0xD1FF + static_cast<std::uint64_t>(k)};
   std::int64_t next_label = 0;
 
+  const auto drop_update_label = [&mirror](std::int64_t label) {
+    for (auto& q : mirror.queries) {
+      q.update_labels.erase(std::remove(q.update_labels.begin(),
+                                        q.update_labels.end(), label),
+                            q.update_labels.end());
+    }
+  };
+
   for (int step = 0; step < 400; ++step) {
-    const std::int64_t op = rng.uniform_int(0, 9);
+    const std::int64_t op = rng.uniform_int(0, 11);
     if (op <= 3 || mirror.updates.empty()) {
       // Add an update vertex.
       Mirror::Update u;
@@ -162,10 +219,48 @@ TEST(VCoverDifferentialTest, IncrementalCoverMatchesFullRebuildUnderChurn) {
       solver.remove_update(mirror.updates[pick].node);
       mirror.updates.erase(mirror.updates.begin() +
                            static_cast<std::ptrdiff_t>(pick));
-      for (auto& q : mirror.queries) {
-        q.update_labels.erase(std::remove(q.update_labels.begin(),
-                                          q.update_labels.end(), label),
-                              q.update_labels.end());
+      drop_update_label(label);
+    } else if (op == 9) {
+      // Split a component: remove an update shared by two or more queries.
+      std::vector<std::size_t> shared;
+      for (std::size_t i = 0; i < mirror.updates.size(); ++i) {
+        const std::int64_t label = mirror.updates[i].label;
+        const auto users = std::count_if(
+            mirror.queries.begin(), mirror.queries.end(),
+            [label](const Mirror::Query& q) {
+              return std::binary_search(q.update_labels.begin(),
+                                        q.update_labels.end(), label);
+            });
+        if (users >= 2) shared.push_back(i);
+      }
+      if (!shared.empty()) {
+        const std::size_t pick = shared[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(shared.size()) - 1))];
+        const std::int64_t label = mirror.updates[pick].label;
+        solver.remove_update(mirror.updates[pick].node);
+        mirror.updates.erase(mirror.updates.begin() +
+                             static_cast<std::ptrdiff_t>(pick));
+        drop_update_label(label);
+      }
+    } else if (op == 10) {
+      // Merge two components: connect a query to an update outside its
+      // component.
+      const auto component = components_of(mirror);
+      for (int attempt = 0; attempt < 8 && !mirror.queries.empty();
+           ++attempt) {
+        auto& q = mirror.queries[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(mirror.queries.size()) - 1))];
+        const auto& u = mirror.updates[static_cast<std::size_t>(
+            rng.uniform_int(0,
+                            static_cast<std::int64_t>(mirror.updates.size()) -
+                                1))];
+        if (component.at(q.label) == component.at(u.label)) continue;
+        solver.connect(u.node, q.node);
+        q.update_labels.insert(std::upper_bound(q.update_labels.begin(),
+                                                q.update_labels.end(),
+                                                u.label),
+                               u.label);
+        break;
       }
     } else if (!mirror.queries.empty()) {
       // Force-remove a query (the forget-shipped-queries ablation path).
@@ -176,12 +271,47 @@ TEST(VCoverDifferentialTest, IncrementalCoverMatchesFullRebuildUnderChurn) {
                            static_cast<std::ptrdiff_t>(pick));
     }
 
-    // Every step: incremental cover vs full-rebuild cover, byte-identical.
-    const CoverLabels incremental = labels_of(solver.compute(), mirror);
+    if (step % k != 0) continue;
+    // Incremental cover vs full-rebuild cover, byte-identical, and every
+    // live handle against the min-cut oracle.
+    const auto& cover = solver.compute();
     ASSERT_TRUE(solver.last_cover_is_valid());
+    expect_matches_oracle(solver, cover, mirror, step);
+    const CoverLabels incremental = labels_of(solver, cover, mirror);
     const CoverLabels rebuilt = rebuild_cover(mirror);
     ASSERT_EQ(incremental, rebuilt) << "diverged at churn step " << step;
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(ComputeEvery, VCoverDifferentialTest,
+                         ::testing::Values(1, 3, 8));
+
+// Removing u1 from {u1, u2} -> q cancels u1's flow and leaves u2's
+// component below max flow. The next compute() is for an unrelated query,
+// yet it must re-solve u2's component: q (5) no longer beats u2 (2).
+TEST(VCoverDifferentialTest, RemovalReSolvesSurvivingNeighbours) {
+  Solver solver;
+  Mirror mirror;
+  mirror.updates = {{0, 4, solver.add_update(4)}, {1, 2, solver.add_update(2)}};
+  mirror.queries = {{2, 5, {0, 1}, solver.add_query(5)}};
+  solver.connect(mirror.updates[0].node, mirror.queries[0].node);
+  solver.connect(mirror.updates[1].node, mirror.queries[0].node);
+  solver.compute();
+  ASSERT_TRUE(solver.in_last_cover(mirror.queries[0].node));  // 5 < 4 + 2
+
+  solver.remove_update(mirror.updates[0].node);  // no compute in between
+  mirror.updates.erase(mirror.updates.begin());
+  mirror.queries[0].update_labels = {1};
+  mirror.updates.push_back({3, 7, solver.add_update(7)});
+  mirror.queries.push_back({4, 9, {3}, solver.add_query(9)});
+  solver.connect(mirror.updates[1].node, mirror.queries[1].node);
+
+  const auto& cover = solver.compute();
+  const Solver::UpdateNode u2 = mirror.updates[0].node;
+  EXPECT_TRUE(solver.in_last_cover(u2));
+  EXPECT_FALSE(solver.in_last_cover(mirror.queries[0].node));
+  expect_matches_oracle(solver, cover, mirror, 0);
+  EXPECT_EQ(labels_of(solver, cover, mirror), rebuild_cover(mirror));
 }
 
 }  // namespace
