@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     core::VCoverOptions opts;
     opts.cache_capacity = cache;
     opts.remember_shipped_queries = remember;
-    core::VCoverPolicy policy{&system, opts};
+    core::VCoverPolicy policy{&system.cache(), opts};
     const auto r = sim::run_policy(setup.trace(), system, policy, 5000);
     table.add_row(
         {remember ? "remember shipped queries (paper)" : "forget (naive)",

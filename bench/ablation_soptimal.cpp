@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
     core::SOptimalOptions opts;
     opts.cache_capacity = cache;
     opts.local_search = local;
-    core::SOptimalPolicy policy{&system, &setup.trace(), opts};
+    core::SOptimalPolicy policy{&system.cache(), &setup.trace(), opts};
     const auto r = sim::run_policy(setup.trace(), system, policy, 5000);
     table.add_row(
         {local ? "local-search refined (default)"

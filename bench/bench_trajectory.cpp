@@ -1,51 +1,48 @@
-// Perf-trajectory harness: measures the replay hot loop and the incremental
-// cover solver at a pinned configuration and emits the numbers as JSON, so
-// each PR can record a comparable BENCH_<PR>.json next to the previous one.
+// Perf-trajectory sweeps: the measurements the repository benchmark
+// (benchmark/, BENCHMARK.json) does not make. scripts/bench_trajectory.sh
+// runs both and writes BENCH_<label>.json: the benchmark's per-workload
+// result lines under "benchmark", this program's JSON under "sweeps".
 //
-// Headline metrics:
-//   * single-cache events/sec — the trace's merged query/update sequence
-//     replayed through VCover (micro_multi_endpoint's single-cache config:
-//     objects=68 cache_frac=0.3 seed=1), best of `repeats` runs;
-//   * multi-endpoint events/sec over an N×T (endpoints × worker threads)
-//     sweep of the parallel engine;
-//   * solver augment counts (BFS searches, covers computed) from the
-//     single-cache run — the cost of the incremental min-cut;
-//   * post-warm-up latency percentiles (p50/p90/p99) of the response-time
-//     proxy;
-//   * event-engine events/sec (same VCover workload replayed through the
-//     discrete-event DelayedTransport on a 1 Gbit/40 ms link, arrivals
-//     paced above the mean service time so the closed loop is unsaturated)
-//     with the p50/p99 of the *simulated* response times — the
-//     "single_cache" section above is the synchronous same-file baseline.
+// Sections:
+//   * single_cache / event_engine — one VCover workload (objects=68
+//     cache_frac=0.3 seed=1) replayed synchronously and through the
+//     discrete-event engine on a 1 Gbit/40 ms link (arrivals paced above
+//     the mean service time so the closed loop is unsaturated), the two
+//     interleaved per repetition. event_engine.events_per_sec_vs_sync is
+//     the same-process ratio of the two; single_cache also carries the
+//     solver augment counts and the post-warm-up latency-proxy p50/p90/p99,
+//     event_engine the p50/p99 of the *simulated* response times;
+//   * object_scaling — the zipfian YCSB-B mix through single-cache VCover
+//     at 68 -> 10^4 -> 10^6 keys; bfs/covers per event must stay flat;
+//   * n_sweep — the event engine on the same link at N in {4, 16, 64}
+//     partitions, T=1, balanced_by_load split: the measured critical-path
+//     speedup and split balance;
+//   * open_loop — Poisson arrivals over a 100 Mbit/40 ms WAN through the
+//     async policy API, congestion batching off vs on.
 //
-//   * open-loop drive (ISSUE 7): Poisson arrivals over a 100 Mbit/40 ms
-//     WAN through the async policy API — simulated response p50/p99 vs
-//     arrival rate, with congestion batching off/on (the coalescing delta).
+// Measured elsewhere, so not here: the sync N x T sweep
+// (bench/micro_multi_endpoint), wall-clock parallel speedup (benchmark
+// workload paper_wan_parallel), and the chaos scenarios
+// (examples/chaos_scenarios, benchmark workload chaos_open_loop).
 //
 //   ./build/bench/bench_trajectory [key=value ...]
 //     smoke=0        1 = tiny trace (CI smoke run; numbers not comparable)
 //     repeats=3      timed repetitions per cell (best + median reported)
 //     queries=40000 updates=40000 objects=68 cache_frac=0.3 seed=1
 //     out=-          output path ('-' = stdout)
-//
-// scripts/bench_trajectory.sh wraps this into the committed BENCH_*.json
-// trajectory files (see README "Performance").
 #include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/vcover_policy.h"
-#include "net/fault_plan.h"
 #include "net/link_model.h"
 #include "sim/event_engine.h"
 #include "sim/experiment.h"
-#include "sim/multi_cache.h"
 #include "util/stats.h"
 #include "workload/synthetic_trace.h"
 #include "workload/trace_split.h"
@@ -77,11 +74,35 @@ class RepeatWalls {
   std::vector<double> walls_;
 };
 
-struct SingleResult {
-  double events_per_sec = 0.0;
-  double events_per_sec_median = 0.0;
+/// Best and median wall of one cell, and the event rates they give.
+struct Throughput {
   double wall_seconds_best = 0.0;
   double wall_seconds_median = 0.0;
+  double events_per_sec = 0.0;
+  double events_per_sec_median = 0.0;
+
+  static Throughput of(const RepeatWalls& walls, std::int64_t events) {
+    Throughput t;
+    t.wall_seconds_best = walls.best();
+    t.wall_seconds_median = walls.median();
+    const auto n = static_cast<double>(events);
+    t.events_per_sec = n / std::max(t.wall_seconds_best, 1e-9);
+    t.events_per_sec_median = n / std::max(t.wall_seconds_median, 1e-9);
+    return t;
+  }
+};
+
+/// The four Throughput fields as JSON members, each followed by ", ".
+std::ostream& operator<<(std::ostream& os, const Throughput& t) {
+  return os << "\"wall_seconds_best\": " << t.wall_seconds_best
+            << ", \"wall_seconds_median\": " << t.wall_seconds_median
+            << ", \"events_per_sec\": " << t.events_per_sec
+            << ", \"events_per_sec_median\": " << t.events_per_sec_median
+            << ", ";
+}
+
+struct SingleResult {
+  Throughput rate;
   std::int64_t events = 0;
   std::int64_t postwarmup_traffic = 0;  // sanity pin: must not drift
   std::int64_t cache_answers = 0;
@@ -92,51 +113,14 @@ struct SingleResult {
   double latency_p99 = 0.0;
 };
 
-struct MultiCell {
-  std::size_t endpoints = 0;
-  std::size_t threads = 0;
-  double events_per_sec = 0.0;
-  double events_per_sec_median = 0.0;
-  double wall_seconds_best = 0.0;
-  double wall_seconds_median = 0.0;
-};
-
 struct EventResult {
-  double events_per_sec = 0.0;
-  double events_per_sec_median = 0.0;
-  double wall_seconds_best = 0.0;
-  double wall_seconds_median = 0.0;
+  Throughput rate;
   std::int64_t postwarmup_traffic = 0;
   double response_p50 = 0.0;
   double response_p99 = 0.0;
   double dispatch_lag_mean = 0.0;
   double staleness_mean = 0.0;
   double uplink_busy_seconds = 0.0;
-};
-
-/// One thread-count cell of the parallel event-engine sweep (N caches on
-/// the WAN link, conservative per-partition replay).
-struct EventParallelCell {
-  std::size_t threads = 0;
-  double wall_seconds_best = 0.0;
-  double wall_seconds_median = 0.0;
-  double events_per_sec = 0.0;
-  double events_per_sec_median = 0.0;
-  /// Wall-clock speedup vs the T=1 cell of this sweep. On a single-core
-  /// host this cannot exceed 1 — see critical_path_speedup.
-  double self_speedup = 0.0;
-  double self_speedup_median = 0.0;
-  /// sum/max of the per-partition replay walls from the best run: the
-  /// load-balance-limited speedup a host with >= N cores achieves. This is
-  /// a measurement (per-shard timers), not a model.
-  double critical_path_speedup = 0.0;
-  /// Measured split balance: max/mean routed queries per partition
-  /// (1.0 = perfect). Bounds critical_path_speedup from above by
-  /// N / balance when query work dominates the per-shard wall.
-  double balance = 1.0;
-  /// Partitions replayed by a worker other than their LPT owner in the
-  /// best run (0 at T=1 or with stealing off).
-  std::int64_t steal_count = 0;
 };
 
 /// One cell of the object-count scaling sweep: the same zipfian YCSB-B mix
@@ -148,10 +132,7 @@ struct ObjectScalingCell {
   std::int64_t objects = 0;
   std::int64_t events = 0;
   double generate_seconds = 0.0;
-  double wall_seconds_best = 0.0;
-  double wall_seconds_median = 0.0;
-  double events_per_sec = 0.0;
-  double events_per_sec_median = 0.0;
+  Throughput rate;
   std::int64_t cache_answers = 0;
   std::int64_t solver_bfs = 0;
   std::int64_t covers_computed = 0;
@@ -159,6 +140,67 @@ struct ObjectScalingCell {
   double covers_per_event = 0.0;
   std::int64_t postwarmup_traffic = 0;
 };
+
+/// One endpoint-count cell of the fleet-size sweep: the WAN event engine at
+/// N partitions, T=1 (sequential replay gives the cleanest critical-path
+/// measurement — no CPU contention inflates the per-shard walls the sum/max
+/// figure is built from), load-balanced LPT split.
+struct NSweepCell {
+  std::size_t endpoints = 0;
+  Throughput rate;
+  /// sum/max of the per-partition replay walls from the best run: the
+  /// load-balance-limited speedup a host with >= N cores achieves. This is
+  /// a measurement (per-shard timers), not a model.
+  double critical_path_speedup = 0.0;
+  /// Measured split balance: max/mean routed queries per partition
+  /// (1.0 = perfect). Bounds critical_path_speedup from above by
+  /// N / balance when query work dominates the per-shard wall.
+  double balance = 1.0;
+  /// Partitions replayed by a worker other than their LPT owner in the
+  /// best run (0 at T=1).
+  std::int64_t steal_count = 0;
+};
+
+/// One cell of the open-loop drive sweep: the merged stream arrives on a
+/// Poisson schedule over a 100 Mbit/40 ms WAN path and dispatches through
+/// the async policy API, with congestion batching of invalidation notices
+/// off or on. Tracked: simulated response p50/p99 vs arrival rate, dispatch
+/// lag (window waits), and the batching delta (messages saved by coalescing
+/// under backlog). The policy is Benefit: it subscribes to invalidation
+/// notices AND ships queries, so notices contend with query results on the
+/// uplink and batching moves both the message count and the response
+/// percentiles (VCover sends no standalone notices, which would pin the
+/// delta at zero; Replica answers every query locally, which would pin the
+/// response delta instead).
+struct OpenLoopCell {
+  double rate_per_sec = 0.0;
+  bool batching = false;
+  Throughput rate;
+  double sim_duration_seconds = 0.0;
+  double response_p50 = 0.0;
+  double response_p99 = 0.0;
+  double dispatch_lag_mean = 0.0;
+  std::int64_t delivered_messages = 0;
+  std::int64_t notice_messages = 0;
+  std::int64_t coalesced_notices = 0;
+};
+
+/// The closed-loop event-engine config shared by event_engine and n_sweep:
+/// the 1 Gbit/s, 40 ms WAN link with arrivals paced well above the mean
+/// per-event service time (~11 ms at the pinned config), so the closed loop
+/// is unsaturated and the tracked percentiles measure per-query latency,
+/// not an unbounded backlog ramp that would scale with trace length.
+/// Transient backlogs remain (GB-sized transfers serialize for tens of
+/// seconds and arrive clustered) — that genuine queueing is reported via
+/// dispatch_lag_mean (~1.6 s here) and the p99; only growth of these across
+/// PRs at fixed config is meaningful.
+sim::EventEngineOptions wan_options() {
+  sim::EventEngineOptions options;
+  options.default_link = delta::net::LinkModel{};
+  options.seconds_per_event = 0.2;
+  options.series_stride = 5000;
+  return options;
+}
 
 ObjectScalingCell measure_object_scaling(std::int64_t objects,
                                          std::int64_t events,
@@ -189,7 +231,7 @@ ObjectScalingCell measure_object_scaling(std::int64_t objects,
     // resident set (zipfian residency, ~cache_frac of the key space).
     vcover.expected_resident_objects = static_cast<std::size_t>(
         cache_frac * static_cast<double>(objects) * 1.25) + 64;
-    core::VCoverPolicy policy{&system, vcover};
+    core::VCoverPolicy policy{&system.cache(), vcover};
     const sim::RunResult r = sim::run_policy(trace, system, policy, 10'000);
     walls.add(r.wall_seconds);
     if (rep == 0) {
@@ -199,12 +241,7 @@ ObjectScalingCell measure_object_scaling(std::int64_t objects,
       cell.postwarmup_traffic = r.postwarmup_traffic.count();
     }
   }
-  cell.wall_seconds_best = walls.best();
-  cell.wall_seconds_median = walls.median();
-  cell.events_per_sec = static_cast<double>(cell.events) /
-                        std::max(cell.wall_seconds_best, 1e-9);
-  cell.events_per_sec_median = static_cast<double>(cell.events) /
-                               std::max(cell.wall_seconds_median, 1e-9);
+  cell.rate = Throughput::of(walls, cell.events);
   cell.bfs_per_event = static_cast<double>(cell.solver_bfs) /
                        static_cast<double>(cell.events);
   cell.covers_per_event = static_cast<double>(cell.covers_computed) /
@@ -222,19 +259,7 @@ void measure_single_and_event(const sim::Setup& setup, int repeats,
                               SingleResult& single, EventResult& event) {
   const workload::Trace& trace = setup.trace();
   single.events = static_cast<std::int64_t>(trace.order.size());
-
-  sim::EventEngineOptions options;
-  options.default_link = delta::net::LinkModel{};
-  // Arrival pacing well above the mean per-event service time on this link
-  // (~11 ms at the pinned config), so the closed loop is unsaturated and
-  // the tracked percentiles measure per-query latency, not an unbounded
-  // backlog ramp that would scale with trace length. Transient backlogs
-  // remain (GB-sized transfers serialize for tens of seconds and arrive
-  // clustered) — that genuine queueing is reported via dispatch_lag_mean
-  // (~1.6 s here) and the p99; only growth of these across PRs at fixed
-  // config is meaningful.
-  options.seconds_per_event = 0.2;
-  options.series_stride = 5000;
+  const sim::EventEngineOptions options = wan_options();
 
   RepeatWalls single_walls;
   RepeatWalls event_walls;
@@ -243,7 +268,7 @@ void measure_single_and_event(const sim::Setup& setup, int repeats,
       core::DeltaSystem system{&trace};
       core::VCoverOptions vcover;
       vcover.cache_capacity = setup.cache_capacity();
-      core::VCoverPolicy policy{&system, vcover};
+      core::VCoverPolicy policy{&system.cache(), vcover};
       util::QuantileSketch sketch;
       const sim::RunResult r = sim::run_policy(trace, system, policy, 5000,
                                                sim::LatencyModel{}, &sketch);
@@ -273,229 +298,42 @@ void measure_single_and_event(const sim::Setup& setup, int repeats,
       }
     }
   }
-  single.wall_seconds_best = single_walls.best();
-  single.wall_seconds_median = single_walls.median();
-  event.wall_seconds_best = event_walls.best();
-  event.wall_seconds_median = event_walls.median();
-  const auto total_events = static_cast<double>(trace.order.size());
-  single.events_per_sec =
-      total_events / std::max(single.wall_seconds_best, 1e-9);
-  single.events_per_sec_median =
-      total_events / std::max(single.wall_seconds_median, 1e-9);
-  event.events_per_sec = total_events / std::max(event.wall_seconds_best, 1e-9);
-  event.events_per_sec_median =
-      total_events / std::max(event.wall_seconds_median, 1e-9);
+  single.rate = Throughput::of(single_walls, single.events);
+  event.rate = Throughput::of(event_walls, single.events);
 }
 
-/// The WAN-config parallel sweep: N cache partitions on the 1 Gbit/40 ms
-/// link, hash-by-region split (the multi_endpoint sweep's config, so the
-/// sync multi N=T=1 cell is the apples-to-apples baseline), replayed by
-/// the conservative per-partition event engine at several thread counts.
-std::vector<EventParallelCell> measure_event_parallel(
-    const sim::Setup& setup, std::size_t endpoints,
-    workload::SplitStrategy strategy,
-    const std::vector<std::size_t>& thread_counts, int repeats) {
-  sim::EventEngineOptions options;
-  options.default_link = delta::net::LinkModel{};  // 1 Gbit/s, 40 ms WAN
-  options.seconds_per_event = 0.2;  // unsaturated pacing, as measure_event
-  options.series_stride = 5000;
+NSweepCell measure_n_sweep(const sim::Setup& setup, std::size_t endpoints,
+                           int repeats) {
+  sim::EventEngineOptions options = wan_options();
+  options.parallel.num_threads = 1;
   const Bytes per_endpoint{static_cast<std::int64_t>(
       setup.cache_capacity().as_double() / static_cast<double>(endpoints))};
-  std::vector<EventParallelCell> cells;
-  for (const std::size_t threads : thread_counts) {
-    options.parallel.num_threads = threads;
-    EventParallelCell cell;
-    cell.threads = threads;
-    RepeatWalls walls;
-    double best_wall = 0.0;
-    for (int rep = 0; rep < repeats; ++rep) {
-      const sim::EventRunResult r = sim::run_one_event(
-          sim::PolicyKind::kVCover, setup.trace(), per_endpoint,
-          setup.params(), endpoints, strategy, options);
-      const double wall = r.replay.combined.wall_seconds;
-      walls.add(wall);
-      if (rep == 0 || wall < best_wall) {
-        best_wall = wall;
-        double sum = 0.0;
-        double slowest = 0.0;
-        for (const sim::RunResult& shard : r.replay.per_endpoint) {
-          sum += shard.wall_seconds;
-          slowest = std::max(slowest, shard.wall_seconds);
-        }
-        cell.critical_path_speedup = sum / std::max(slowest, 1e-9);
-        cell.balance = r.shard_balance;
-        cell.steal_count = r.steal_count;
-      }
-    }
-    cell.wall_seconds_best = walls.best();
-    cell.wall_seconds_median = walls.median();
-    const auto events = static_cast<double>(setup.trace().order.size());
-    cell.events_per_sec = events / std::max(cell.wall_seconds_best, 1e-9);
-    cell.events_per_sec_median =
-        events / std::max(cell.wall_seconds_median, 1e-9);
-    cell.self_speedup =
-        cells.empty()
-            ? 1.0
-            : cells.front().wall_seconds_best / cell.wall_seconds_best;
-    cell.self_speedup_median =
-        cells.empty()
-            ? 1.0
-            : cells.front().wall_seconds_median / cell.wall_seconds_median;
-    cells.push_back(cell);
-  }
-  return cells;
-}
-
-/// One endpoint-count cell of the fleet-size sweep: the WAN parallel
-/// engine at N partitions, T=1 (sequential replay gives the cleanest
-/// critical-path measurement — no CPU contention inflates the per-shard
-/// walls the sum/max figure is built from).
-struct NSweepCell {
-  std::size_t endpoints = 0;
-  workload::SplitStrategy strategy = workload::SplitStrategy::kBalancedByLoad;
-  EventParallelCell cell;
-};
-
-MultiCell measure_multi(const sim::Setup& setup, std::size_t endpoints,
-                        std::size_t threads, int repeats) {
-  MultiCell cell;
+  NSweepCell cell;
   cell.endpoints = endpoints;
-  cell.threads = threads;
-  const Bytes per_endpoint{static_cast<std::int64_t>(
-      setup.cache_capacity().as_double() / static_cast<double>(endpoints))};
   RepeatWalls walls;
-  for (int rep = 0; rep < repeats; ++rep) {
-    sim::ParallelOptions parallel;
-    parallel.num_threads = threads;
-    const sim::MultiRunResult r = sim::run_one_multi(
-        sim::PolicyKind::kVCover, setup.trace(), per_endpoint, setup.params(),
-        endpoints, workload::SplitStrategy::kHashByRegion,
-        sim::PolicyOverrides{}, /*series_stride=*/5000, parallel);
-    walls.add(r.combined.wall_seconds);
-  }
-  cell.wall_seconds_best = walls.best();
-  cell.wall_seconds_median = walls.median();
-  const auto events = static_cast<double>(setup.trace().order.size());
-  cell.events_per_sec = events / std::max(cell.wall_seconds_best, 1e-9);
-  cell.events_per_sec_median =
-      events / std::max(cell.wall_seconds_median, 1e-9);
-  return cell;
-}
-
-/// One cell of the open-loop drive sweep (the ISSUE 7 scenario): the merged
-/// stream arrives on a Poisson schedule over a 100 Mbit/40 ms WAN path and
-/// dispatches through the async policy API, with congestion batching of
-/// invalidation notices off or on. Tracked: simulated response p50/p99 vs
-/// arrival rate, dispatch lag (window waits), and the batching delta
-/// (messages saved by coalescing under backlog). The policy is Benefit: it
-/// subscribes to invalidation notices AND ships queries, so notices
-/// contend with query results on the uplink and batching moves both the
-/// message count and the response percentiles (VCover sends no standalone
-/// notices, which would pin the delta at zero; Replica answers every query
-/// locally, which would pin the response delta instead).
-struct OpenLoopCell {
-  double rate_per_sec = 0.0;
-  bool batching = false;
-  double wall_seconds_best = 0.0;
-  double wall_seconds_median = 0.0;
-  double events_per_sec = 0.0;
-  double events_per_sec_median = 0.0;
-  double sim_duration_seconds = 0.0;
-  double response_p50 = 0.0;
-  double response_p99 = 0.0;
-  double dispatch_lag_mean = 0.0;
-  std::int64_t delivered_messages = 0;
-  std::int64_t notice_messages = 0;
-  std::int64_t coalesced_notices = 0;
-};
-
-/// One cell of the chaos suite (ISSUE 8): the open-loop WAN drive with the
-/// hardened protocol armed and a named failure scenario layered on top —
-///   * partition_then_heal — both server<->cache paths go dark for a
-///     window mid-run, then heal; the epoch resync replays the missed
-///     notices (unavailability, recovery staleness, resyncs tracked);
-///   * flash_crowd        — 4x arrival overload with no faults; the
-///     admission controller sheds at the server and degrades at the policy;
-///   * update_storm       — lossy links (drop/duplicate/reorder on every
-///     path) under congestion batching; timeouts, retries and the dedup
-///     windows carry the run;
-///   * rolling_restart    — (ISSUE 10) each cache crash-stops in turn,
-///     restarts cold, and reconverges via the kRecoverRequest ledger
-///     replay (downtime, availability, cold misses, reconvergence time);
-///   * server_crash       — (ISSUE 10) the repository itself crash-stops
-///     mid-run on a clean network; caches detect the new incarnation,
-///     re-register, and the ledger invariant (logged == applied) holds.
-/// Every fate is a pure function of (plan seed, link, message seq), so each
-/// cell is bit-identical for any thread count (chaos_engine_test and
-/// crash_restart_test pin it).
-struct ChaosCell {
-  std::string scenario;
-  std::string policy;
-  double rate_per_sec = 0.0;
-  double wall_seconds_best = 0.0;
-  double wall_seconds_median = 0.0;
-  double events_per_sec = 0.0;
-  double events_per_sec_median = 0.0;
-  double response_p50 = 0.0;
-  double response_p99 = 0.0;
-  std::int64_t queries = 0;
-  double sim_duration_seconds = 0.0;
-  // 1 - crash downtime / simulated duration: the fraction of the run with
-  // every endpoint up (1.0 for scenarios without crash schedules).
-  double availability = 1.0;
-  sim::ChaosYardsticks chaos;
-};
-
-ChaosCell measure_chaos(const sim::Setup& setup, std::string scenario,
-                        const sim::EventEngineOptions& options,
-                        std::size_t endpoints, int repeats,
-                        sim::PolicyKind policy) {
-  ChaosCell cell;
-  cell.scenario = std::move(scenario);
-  cell.policy = sim::to_string(policy);
-  cell.rate_per_sec = options.open_loop.rate_per_sec;
-  const Bytes per_endpoint{static_cast<std::int64_t>(
-      setup.cache_capacity().as_double() / static_cast<double>(endpoints))};
-  RepeatWalls walls;
+  double best_wall = 0.0;
   for (int rep = 0; rep < repeats; ++rep) {
     const sim::EventRunResult r = sim::run_one_event(
-        policy, setup.trace(), per_endpoint, setup.params(),
-        endpoints, workload::SplitStrategy::kRoundRobin, options);
-    walls.add(r.replay.combined.wall_seconds);
-    if (rep == 0) {
-      cell.response_p50 = r.response_p50();
-      cell.response_p99 = r.response_p99();
-      cell.queries = r.replay.combined.queries;
-      cell.sim_duration_seconds = r.sim_duration_seconds;
-      cell.availability =
-          1.0 - r.chaos.crash_downtime_seconds /
-                    std::max(r.sim_duration_seconds, 1e-9);
-      cell.chaos = r.chaos;
+        sim::PolicyKind::kVCover, setup.trace(), per_endpoint, setup.params(),
+        endpoints, workload::SplitStrategy::kBalancedByLoad, options);
+    const double wall = r.replay.combined.wall_seconds;
+    walls.add(wall);
+    if (rep == 0 || wall < best_wall) {
+      best_wall = wall;
+      double sum = 0.0;
+      double slowest = 0.0;
+      for (const sim::RunResult& shard : r.replay.per_endpoint) {
+        sum += shard.wall_seconds;
+        slowest = std::max(slowest, shard.wall_seconds);
+      }
+      cell.critical_path_speedup = sum / std::max(slowest, 1e-9);
+      cell.balance = r.shard_balance;
+      cell.steal_count = r.steal_count;
     }
   }
-  cell.wall_seconds_best = walls.best();
-  cell.wall_seconds_median = walls.median();
-  const auto events = static_cast<double>(setup.trace().order.size());
-  cell.events_per_sec = events / std::max(cell.wall_seconds_best, 1e-9);
-  cell.events_per_sec_median =
-      events / std::max(cell.wall_seconds_median, 1e-9);
+  cell.rate = Throughput::of(
+      walls, static_cast<std::int64_t>(setup.trace().order.size()));
   return cell;
-}
-
-/// Shared base of every chaos cell: the open-loop 100 Mbit/40 ms WAN drive
-/// with protocol hardening and the overload controller armed.
-sim::EventEngineOptions chaos_base_options(double rate) {
-  sim::EventEngineOptions options;
-  options.default_link = delta::net::LinkModel{12.5e6, 0.040};
-  options.series_stride = 5000;
-  options.open_loop.enabled = true;
-  options.open_loop.arrival = workload::ArrivalProcess::Kind::kPoisson;
-  options.open_loop.rate_per_sec = rate;
-  options.open_loop.max_in_flight = 64;
-  options.open_loop.response_sample_cap = 100'000;
-  options.protocol.enabled = true;
-  options.admission.enabled = true;
-  return options;
 }
 
 OpenLoopCell measure_open_loop(const sim::Setup& setup, double rate,
@@ -532,34 +370,17 @@ OpenLoopCell measure_open_loop(const sim::Setup& setup, double rate,
       cell.coalesced_notices = r.coalesced_notices;
     }
   }
-  cell.wall_seconds_best = walls.best();
-  cell.wall_seconds_median = walls.median();
-  const auto events = static_cast<double>(setup.trace().order.size());
-  cell.events_per_sec = events / std::max(cell.wall_seconds_best, 1e-9);
-  cell.events_per_sec_median =
-      events / std::max(cell.wall_seconds_median, 1e-9);
+  cell.rate = Throughput::of(
+      walls, static_cast<std::int64_t>(setup.trace().order.size()));
   return cell;
 }
 
 void emit_json(std::ostream& os, const sim::SetupParams& params, int repeats,
                bool smoke, const SingleResult& single,
-               const std::vector<MultiCell>& multi,
                const std::vector<ObjectScalingCell>& scaling,
-               const EventResult& event, std::size_t parallel_endpoints,
-               const std::vector<EventParallelCell>& parallel,
+               const EventResult& event,
                const std::vector<NSweepCell>& nsweep,
-               const std::vector<OpenLoopCell>& open_loop,
-               const std::vector<ChaosCell>& chaos) {
-  // vs_sync baseline for the parallel sweep: the synchronous multi cell at
-  // the same endpoint count, sequential engine (T=1).
-  double parallel_sync_baseline = single.events_per_sec;
-  double parallel_sync_baseline_median = single.events_per_sec_median;
-  for (const MultiCell& cell : multi) {
-    if (cell.endpoints == parallel_endpoints && cell.threads == 1) {
-      parallel_sync_baseline = cell.events_per_sec;
-      parallel_sync_baseline_median = cell.events_per_sec_median;
-    }
-  }
+               const std::vector<OpenLoopCell>& open_loop) {
   os << "{\n";
   os << "  \"bench\": \"bench_trajectory\",\n";
   os << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
@@ -571,11 +392,7 @@ void emit_json(std::ostream& os, const sim::SetupParams& params, int repeats,
      << "},\n";
   os << "  \"single_cache\": {\n"
      << "    \"events\": " << single.events << ",\n"
-     << "    \"wall_seconds_best\": " << single.wall_seconds_best << ",\n"
-     << "    \"wall_seconds_median\": " << single.wall_seconds_median << ",\n"
-     << "    \"events_per_sec\": " << single.events_per_sec << ",\n"
-     << "    \"events_per_sec_median\": " << single.events_per_sec_median
-     << ",\n"
+     << "    " << single.rate << "\n"
      << "    \"postwarmup_traffic_bytes\": " << single.postwarmup_traffic
      << ",\n"
      << "    \"cache_answers\": " << single.cache_answers << ",\n"
@@ -585,17 +402,6 @@ void emit_json(std::ostream& os, const sim::SetupParams& params, int repeats,
      << ", \"p90\": " << single.latency_p90
      << ", \"p99\": " << single.latency_p99 << "}\n"
      << "  },\n";
-  os << "  \"multi_endpoint\": [\n";
-  for (std::size_t i = 0; i < multi.size(); ++i) {
-    os << "    {\"endpoints\": " << multi[i].endpoints
-       << ", \"threads\": " << multi[i].threads
-       << ", \"wall_seconds_best\": " << multi[i].wall_seconds_best
-       << ", \"wall_seconds_median\": " << multi[i].wall_seconds_median
-       << ", \"events_per_sec\": " << multi[i].events_per_sec
-       << ", \"events_per_sec_median\": " << multi[i].events_per_sec_median
-       << "}" << (i + 1 < multi.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n";
   // Object-count scaling: same zipfian YCSB-B mix, growing key space,
   // single-cache VCover. bfs/covers per event must stay flat (sublinear in
   // objects) — the per-decision solver-work pin.
@@ -604,12 +410,8 @@ void emit_json(std::ostream& os, const sim::SetupParams& params, int repeats,
     const ObjectScalingCell& cell = scaling[i];
     os << "    {\"objects\": " << cell.objects
        << ", \"events\": " << cell.events
-       << ", \"generate_seconds\": " << cell.generate_seconds
-       << ", \"wall_seconds_best\": " << cell.wall_seconds_best
-       << ", \"wall_seconds_median\": " << cell.wall_seconds_median
-       << ", \"events_per_sec\": " << cell.events_per_sec
-       << ", \"events_per_sec_median\": " << cell.events_per_sec_median
-       << ", \"cache_answers\": " << cell.cache_answers
+       << ", \"generate_seconds\": " << cell.generate_seconds << ", "
+       << cell.rate << "\"cache_answers\": " << cell.cache_answers
        << ", \"postwarmup_traffic_bytes\": " << cell.postwarmup_traffic
        << ",\n     \"solver\": {\"bfs_searches\": " << cell.solver_bfs
        << ", \"covers_computed\": " << cell.covers_computed
@@ -621,16 +423,14 @@ void emit_json(std::ostream& os, const sim::SetupParams& params, int repeats,
   // Same workload through the event-driven engine; "single_cache" above is
   // the synchronous baseline for both throughput and (proxy) latency.
   os << "  \"event_engine\": {\n"
-     << "    \"wall_seconds_best\": " << event.wall_seconds_best << ",\n"
-     << "    \"wall_seconds_median\": " << event.wall_seconds_median << ",\n"
-     << "    \"events_per_sec\": " << event.events_per_sec << ",\n"
-     << "    \"events_per_sec_median\": " << event.events_per_sec_median
-     << ",\n"
+     << "    " << event.rate << "\n"
      << "    \"events_per_sec_vs_sync\": "
-     << event.events_per_sec / std::max(single.events_per_sec, 1e-9) << ",\n"
+     << event.rate.events_per_sec /
+            std::max(single.rate.events_per_sec, 1e-9)
+     << ",\n"
      << "    \"events_per_sec_vs_sync_median\": "
-     << event.events_per_sec_median /
-            std::max(single.events_per_sec_median, 1e-9)
+     << event.rate.events_per_sec_median /
+            std::max(single.rate.events_per_sec_median, 1e-9)
      << ",\n"
      << "    \"postwarmup_traffic_bytes\": " << event.postwarmup_traffic
      << ",\n"
@@ -640,62 +440,28 @@ void emit_json(std::ostream& os, const sim::SetupParams& params, int repeats,
      << ",\n"
      << "    \"staleness_mean_seconds\": " << event.staleness_mean << ",\n"
      << "    \"server_uplink_busy_seconds\": " << event.uplink_busy_seconds
-     << ",\n";
-  // Conservative per-partition parallel sweep on the WAN config. Results
-  // are bit-identical across thread counts (the engine's determinism
-  // contract); only the wall time moves. self_speedup is wall-clock
-  // (bounded by the host's core count); critical_path_speedup is the
-  // measured sum/max of per-partition replay walls — what a host with at
-  // least N cores achieves.
-  os << "    \"parallel\": {\n"
-     << "      \"endpoints\": " << parallel_endpoints << ",\n"
-     << "      \"strategy\": \"hash_by_region\",\n"
-     << "      \"cells\": [\n";
-  for (std::size_t i = 0; i < parallel.size(); ++i) {
-    const EventParallelCell& cell = parallel[i];
-    os << "        {\"threads\": " << cell.threads
-       << ", \"wall_seconds_best\": " << cell.wall_seconds_best
-       << ", \"wall_seconds_median\": " << cell.wall_seconds_median
-       << ", \"events_per_sec\": " << cell.events_per_sec
-       << ", \"events_per_sec_median\": " << cell.events_per_sec_median
-       << ",\n         \"events_per_sec_vs_sync\": "
-       << cell.events_per_sec / std::max(parallel_sync_baseline, 1e-9)
-       << ", \"events_per_sec_vs_sync_median\": "
-       << cell.events_per_sec_median /
-              std::max(parallel_sync_baseline_median, 1e-9)
-       << ", \"self_speedup\": " << cell.self_speedup
-       << ", \"self_speedup_median\": " << cell.self_speedup_median
-       << ", \"critical_path_speedup\": " << cell.critical_path_speedup
-       << ", \"balance\": " << cell.balance
-       << ", \"steal_count\": " << cell.steal_count << "}"
-       << (i + 1 < parallel.size() ? "," : "") << "\n";
-  }
-  os << "      ],\n";
+     << "\n  },\n";
   // Fleet-size sweep: critical_path_speedup tracked at N up to 64 (T=1 —
   // see NSweepCell), load-balanced LPT split (per-row "strategy").
-  // self_speedup is omitted: it only measures the host's core count, not
-  // the engine. "balance" is the measured max/mean routed-query ratio the
-  // critical path is bounded by.
-  os << "      \"n_sweep\": [\n";
+  // Wall-clock speedup is left to the benchmark's paper_wan_parallel: it
+  // measures the host's core count as much as the engine. "balance" is the
+  // measured max/mean routed-query ratio the critical path is bounded by.
+  os << "  \"n_sweep\": [\n";
   for (std::size_t i = 0; i < nsweep.size(); ++i) {
     const NSweepCell& n = nsweep[i];
-    os << "        {\"endpoints\": " << n.endpoints << ", \"strategy\": \""
-       << workload::to_string(n.strategy) << "\""
-       << ", \"threads\": " << n.cell.threads
-       << ", \"wall_seconds_best\": " << n.cell.wall_seconds_best
-       << ", \"wall_seconds_median\": " << n.cell.wall_seconds_median
-       << ", \"events_per_sec\": " << n.cell.events_per_sec
-       << ", \"events_per_sec_median\": " << n.cell.events_per_sec_median
-       << ",\n         \"critical_path_speedup\": "
-       << n.cell.critical_path_speedup << ", \"balance\": " << n.cell.balance
-       << ", \"steal_count\": " << n.cell.steal_count << "}"
+    os << "    {\"endpoints\": " << n.endpoints << ", \"strategy\": \""
+       << workload::to_string(workload::SplitStrategy::kBalancedByLoad)
+       << "\", \"threads\": 1, " << n.rate
+       << "\n     \"critical_path_speedup\": " << n.critical_path_speedup
+       << ", \"balance\": " << n.balance
+       << ", \"steal_count\": " << n.steal_count << "}"
        << (i + 1 < nsweep.size() ? "," : "") << "\n";
   }
-  os << "      ]\n    }\n  },\n";
-  // Open-loop drive (ISSUE 7): Poisson arrivals over a 100 Mbit/40 ms WAN
-  // through the async policy API, N=2 round-robin, window 64 — response
-  // p50/p99 vs arrival rate with congestion batching off/on. The batching
-  // delta (notice_messages saved, coalesced_notices gained) is the tracked
+  os << "  ],\n";
+  // Open-loop drive: Poisson arrivals over a 100 Mbit/40 ms WAN through the
+  // async policy API, N=2 round-robin, window 64 — response p50/p99 vs
+  // arrival rate with congestion batching off/on. The batching delta
+  // (notice_messages saved, coalesced_notices gained) is the tracked
   // figure; the conservation invariant notice+coalesced == unbatched-notice
   // is pinned by open_loop_engine_test for kAll-subscription policies.
   os << "  \"open_loop\": {\n"
@@ -708,11 +474,8 @@ void emit_json(std::ostream& os, const sim::SetupParams& params, int repeats,
     const OpenLoopCell& cell = open_loop[i];
     os << "      {\"rate_per_sec\": " << cell.rate_per_sec
        << ", \"batching\": " << (cell.batching ? "true" : "false")
-       << ", \"wall_seconds_best\": " << cell.wall_seconds_best
-       << ", \"wall_seconds_median\": " << cell.wall_seconds_median
-       << ",\n       \"events_per_sec\": " << cell.events_per_sec
-       << ", \"events_per_sec_median\": " << cell.events_per_sec_median
-       << ", \"sim_duration_seconds\": " << cell.sim_duration_seconds
+       << ",\n       " << cell.rate
+       << "\"sim_duration_seconds\": " << cell.sim_duration_seconds
        << ",\n       \"simulated_response_seconds\": {\"p50\": "
        << cell.response_p50 << ", \"p99\": " << cell.response_p99 << "}"
        << ", \"dispatch_lag_mean_seconds\": " << cell.dispatch_lag_mean
@@ -720,63 +483,6 @@ void emit_json(std::ostream& os, const sim::SetupParams& params, int repeats,
        << ", \"notice_messages\": " << cell.notice_messages
        << ", \"coalesced_notices\": " << cell.coalesced_notices << "}"
        << (i + 1 < open_loop.size() ? "," : "") << "\n";
-  }
-  os << "    ]\n  },\n";
-  // Chaos suite (ISSUE 8): failure yardsticks under deterministic fault
-  // injection with the hardened protocol + admission controller armed.
-  // Every cell is bit-identical for any thread count (chaos_engine_test);
-  // conservation — every query completed, retried to completion, or
-  // accounted shed/failed — is pinned there too.
-  os << "  \"chaos\": {\n"
-     << "    \"link\": {\"bandwidth_bytes_per_sec\": 1.25e7, "
-     << "\"latency_seconds\": 0.04},\n"
-     << "    \"cells\": [\n";
-  for (std::size_t i = 0; i < chaos.size(); ++i) {
-    const ChaosCell& cell = chaos[i];
-    const sim::ChaosYardsticks& ch = cell.chaos;
-    os << "      {\"scenario\": \"" << cell.scenario << "\""
-       << ", \"policy\": \"" << cell.policy << "\""
-       << ", \"rate_per_sec\": " << cell.rate_per_sec
-       << ", \"wall_seconds_best\": " << cell.wall_seconds_best
-       << ", \"wall_seconds_median\": " << cell.wall_seconds_median
-       << ",\n       \"events_per_sec\": " << cell.events_per_sec
-       << ", \"events_per_sec_median\": " << cell.events_per_sec_median
-       << ", \"queries\": " << cell.queries
-       << ",\n       \"simulated_response_seconds\": {\"p50\": "
-       << cell.response_p50 << ", \"p99\": " << cell.response_p99 << "}"
-       << ",\n       \"timeouts\": " << ch.timeouts
-       << ", \"retries\": " << ch.retries
-       << ", \"failed_requests\": " << ch.failed_requests
-       << ", \"late_replies\": " << ch.late_replies
-       << ",\n       \"shed_queries\": " << ch.shed_queries
-       << ", \"degraded_queries\": " << ch.degraded_queries
-       << ", \"request_duplicates_suppressed\": "
-       << ch.request_duplicates_suppressed
-       << ", \"duplicate_notices_suppressed\": "
-       << ch.duplicate_notices_suppressed
-       << ",\n       \"resyncs\": " << ch.resyncs
-       << ", \"replayed_notices\": " << ch.replayed_notices
-       << ", \"notices_logged\": " << ch.notices_logged
-       << ", \"notices_applied\": " << ch.notices_applied
-       << ",\n       \"unavailable_seconds\": " << ch.unavailable_seconds
-       << ", \"max_recovery_staleness_seconds\": "
-       << ch.max_recovery_staleness_seconds
-       << ",\n       \"faults\": {\"dropped\": " << ch.faults_dropped
-       << ", \"duplicated\": " << ch.faults_duplicated
-       << ", \"reordered\": " << ch.faults_reordered
-       << ", \"partition_dropped\": " << ch.partition_dropped << "}"
-       << ",\n       \"crash\": {\"restarts\": " << ch.crash_restarts
-       << ", \"downtime_seconds\": " << ch.crash_downtime_seconds
-       << ", \"dropped_while_down\": " << ch.crash_dropped
-       << ", \"cold_misses\": " << ch.cold_misses
-       << ",\n                 \"budget_exceeded_retries\": "
-       << ch.budget_exceeded_retries
-       << ", \"max_reconvergence_seconds\": "
-       << ch.max_reconvergence_seconds
-       << ", \"post_restart_staleness_seconds\": "
-       << ch.post_restart_staleness_seconds
-       << ", \"availability\": " << cell.availability << "}}"
-       << (i + 1 < chaos.size() ? "," : "") << "\n";
   }
   os << "    ]\n  }\n}\n";
 }
@@ -808,22 +514,9 @@ int main(int argc, char** argv) {
   EventResult event;
   measure_single_and_event(setup, repeats, single, event);
   std::cerr << "  single-cache: "
-            << util::fixed(single.events_per_sec / 1000.0, 1) << "k events/s ("
-            << util::fixed(single.wall_seconds_best, 3) << " s best)\n";
-
-  std::vector<MultiCell> multi;
-  // The (parallel_endpoints, T=1) cell doubles as the vs_sync baseline of
-  // the event_engine.parallel sweep, so smoke mode measures it too.
-  const std::vector<std::pair<std::size_t, std::size_t>> cells =
-      smoke ? std::vector<std::pair<std::size_t, std::size_t>>{{2, 1}, {2, 2}}
-            : std::vector<std::pair<std::size_t, std::size_t>>{
-                  {2, 1}, {2, 4}, {4, 1}, {4, 4}};
-  for (const auto& [n, t] : cells) {
-    multi.push_back(measure_multi(setup, n, t, repeats));
-    std::cerr << "  multi N=" << n << " T=" << t << ": "
-              << util::fixed(multi.back().events_per_sec / 1000.0, 1)
-              << "k events/s\n";
-  }
+            << util::fixed(single.rate.events_per_sec / 1000.0, 1)
+            << "k events/s (" << util::fixed(single.rate.wall_seconds_best, 3)
+            << " s best)\n";
 
   // Object-count scaling sweep. Smoke caps the key space at 10^4 so the
   // sublinear-per-decision property is exercised on every CI run; the full
@@ -839,7 +532,7 @@ int main(int argc, char** argv) {
         n, scaling_events, /*cache_frac=*/0.30, params.trace_seed, repeats));
     const ObjectScalingCell& cell = scaling.back();
     std::cerr << "  object scaling n=" << n << ": "
-              << util::fixed(cell.events_per_sec / 1000.0, 1)
+              << util::fixed(cell.rate.events_per_sec / 1000.0, 1)
               << "k events/s, bfs/event="
               << util::fixed(cell.bfs_per_event, 4) << ", covers/event="
               << util::fixed(cell.covers_per_event, 4) << " (gen "
@@ -847,50 +540,25 @@ int main(int argc, char** argv) {
   }
 
   std::cerr << "  event engine: "
-            << util::fixed(event.events_per_sec / 1000.0, 1)
-            << "k events/s (" << util::fixed(event.wall_seconds_best, 3)
+            << util::fixed(event.rate.events_per_sec / 1000.0, 1)
+            << "k events/s (" << util::fixed(event.rate.wall_seconds_best, 3)
             << " s best), simulated response p50="
             << util::fixed(event.response_p50, 3) << "s p99="
             << util::fixed(event.response_p99, 3) << "s\n";
 
-  const std::size_t parallel_endpoints = smoke ? 2 : 4;
-  const std::vector<std::size_t> parallel_threads =
-      smoke ? std::vector<std::size_t>{1, 2}
-            : std::vector<std::size_t>{1, 2, 4};
-  const std::vector<EventParallelCell> parallel = measure_event_parallel(
-      setup, parallel_endpoints, workload::SplitStrategy::kHashByRegion,
-      parallel_threads, repeats);
-  for (const EventParallelCell& cell : parallel) {
-    std::cerr << "  event parallel N=" << parallel_endpoints
-              << " T=" << cell.threads << ": "
-              << util::fixed(cell.events_per_sec / 1000.0, 1)
-              << "k events/s, self-speedup x"
-              << util::fixed(cell.self_speedup, 2) << " (critical path x"
-              << util::fixed(cell.critical_path_speedup, 2) << ", steals "
-              << cell.steal_count << ")\n";
-  }
-
-  // Fleet-size sweep: N partitions, T=1 (cleanest critical path), split by
-  // the load-balanced LPT strategy — the tracked critical_path_speedup
-  // trajectory measures the balanced split (the N=4 cells above keep
-  // hash_by_region so events_per_sec_vs_sync stays apples-to-apples with
-  // the sync multi sweep).
+  // Fleet-size sweep: N partitions, T=1, load-balanced LPT split.
   const std::vector<std::size_t> nsweep_endpoints =
       smoke ? std::vector<std::size_t>{4}
             : std::vector<std::size_t>{4, 16, 64};
   std::vector<NSweepCell> nsweep;
   for (const std::size_t n : nsweep_endpoints) {
-    NSweepCell cell;
-    cell.endpoints = n;
-    cell.strategy = workload::SplitStrategy::kBalancedByLoad;
-    cell.cell =
-        measure_event_parallel(setup, n, cell.strategy, {1}, repeats).front();
-    nsweep.push_back(cell);
-    std::cerr << "  event parallel n-sweep N=" << n << " T=1: "
-              << util::fixed(cell.cell.events_per_sec / 1000.0, 1)
+    nsweep.push_back(measure_n_sweep(setup, n, repeats));
+    const NSweepCell& cell = nsweep.back();
+    std::cerr << "  n-sweep N=" << n << " T=1: "
+              << util::fixed(cell.rate.events_per_sec / 1000.0, 1)
               << "k events/s, critical path x"
-              << util::fixed(cell.cell.critical_path_speedup, 2)
-              << ", balance " << util::fixed(cell.cell.balance, 3) << "\n";
+              << util::fixed(cell.critical_path_speedup, 2) << ", balance "
+              << util::fixed(cell.balance, 3) << "\n";
   }
 
   // Open-loop drive sweep: response vs arrival rate, batching off then on.
@@ -911,142 +579,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Chaos suite (ISSUE 8): N=2 caches on the WAN drive, protocol +
-  // admission armed, one cell per failure scenario. Provisioned on its own
-  // MB-scale workload the 100 Mbit link can carry with headroom, so the
-  // counters measure *faults* (drops, partitions, recovery), not permanent
-  // overload — the bench's main GB-scale trace would saturate the uplink
-  // and turn every scenario into the same retransmit storm. The partition
-  // and storm cells run the full-replica policy (subscribed to every
-  // update, so the invalidation stream the faults disrupt is guaranteed
-  // dense); the flash crowd runs VCover, whose admission/degrade path is
-  // the scenario's subject.
-  const std::size_t chaos_endpoints = 2;
-  sim::SetupParams chaos_params = params;
-  chaos_params.base_level = 4;
-  chaos_params.total_rows = 4e4;
-  chaos_params.object_target = 30;
-  chaos_params.trace.query_count = smoke ? 1200 : 4000;
-  chaos_params.trace.update_count = chaos_params.trace.query_count;
-  chaos_params.trace.postwarmup_query_gb =
-      0.05 * static_cast<double>(chaos_params.trace.query_count) / 1200.0;
-  chaos_params.trace.mean_postwarmup_update_mb = 0.02;
-  chaos_params.trace.hotspot_max_object_gb = 0.01;
-  const sim::Setup chaos_setup{chaos_params};
-  const double chaos_rate = smoke ? 200.0 : 500.0;
-  const double chaos_duration =
-      static_cast<double>(chaos_setup.trace().order.size()) / chaos_rate;
-  std::vector<ChaosCell> chaos;
-  {
-    // Partition-then-heal: both server<->cache paths dark for the middle
-    // fifth of the expected run, then healed; the epoch resync (heal- or
-    // ledger-gap-triggered) closes the staleness hole.
-    sim::EventEngineOptions options = chaos_base_options(chaos_rate);
-    const net::FaultWindow window{0.40 * chaos_duration,
-                                  0.60 * chaos_duration};
-    for (std::size_t i = 0; i < chaos_endpoints; ++i) {
-      options.fault_plan.partitions.push_back(net::LinkPartition{
-          "server", "cache-" + std::to_string(i), true, {window}});
-    }
-    options.fault_plan.enabled = true;
-    chaos.push_back(measure_chaos(chaos_setup, "partition_then_heal",
-                                  options, chaos_endpoints, repeats,
-                                  sim::PolicyKind::kReplica));
-  }
-  {
-    // Flash crowd: arrivals far beyond what the link serves, no faults —
-    // the admission controller sheds at the server and degrades at the
-    // policy instead of collapsing.
-    sim::EventEngineOptions options = chaos_base_options(20'000.0);
-    options.admission.shed_backlog_seconds = 0.5;
-    options.admission.degrade_backlog_seconds = 0.1;
-    chaos.push_back(measure_chaos(chaos_setup, "flash_crowd", options,
-                                  chaos_endpoints, repeats,
-                                  sim::PolicyKind::kVCover));
-  }
-  {
-    // Update storm: lossy links everywhere plus congestion batching; the
-    // retry/dedup machinery carries the coherence stream.
-    sim::EventEngineOptions options = chaos_base_options(chaos_rate);
-    options.fault_plan.enabled = true;
-    options.fault_plan.default_faults.drop = 0.02;
-    options.fault_plan.default_faults.duplicate = 0.02;
-    options.fault_plan.default_faults.reorder = 0.05;
-    options.notice_batching.enabled = true;
-    options.notice_batching.backlog_threshold_seconds = 0.0;
-    chaos.push_back(measure_chaos(chaos_setup, "update_storm", options,
-                                  chaos_endpoints, repeats,
-                                  sim::PolicyKind::kReplica));
-  }
-  // Crash cells (ISSUE 10) run VCover over a cheap-to-load repository
-  // (objects small enough for the bypass rule to admit loads), so a cold
-  // restart's re-warm burst is measurable and the policy's request traffic
-  // is what detects a restarted server. The in-flight window is unbound:
-  // a tight window stalls the arrival tape as soon as a dead endpoint
-  // fills it with timing-out queries.
-  sim::SetupParams crash_params = chaos_params;
-  crash_params.total_rows = 400;
-  const sim::Setup crash_setup{crash_params};
-  const double crash_duration =
-      static_cast<double>(crash_setup.trace().order.size()) / chaos_rate;
-  {
-    // Rolling restart: each cache crash-stops in turn for a tenth of the
-    // run, restarts cold, and recovers via the kRecoverRequest replay.
-    sim::EventEngineOptions options = chaos_base_options(chaos_rate);
-    options.open_loop.max_in_flight = 4096;
-    options.fault_plan.enabled = true;
-    for (std::size_t i = 0; i < chaos_endpoints; ++i) {
-      const double down =
-          (0.30 + 0.20 * static_cast<double>(i)) * crash_duration;
-      options.fault_plan.crashes.push_back(net::CrashSchedule{
-          "cache-" + std::to_string(i),
-          {net::FaultWindow{down, down + 0.10 * crash_duration}}});
-    }
-    chaos.push_back(measure_chaos(crash_setup, "rolling_restart", options,
-                                  chaos_endpoints, repeats,
-                                  sim::PolicyKind::kVCover));
-  }
-  {
-    // Server crash on a clean network: the repository dies for the middle
-    // tenth of the run and restarts empty; caches detect the incarnation
-    // bump, re-register, and replay. Clean links keep the recorded ledger
-    // invariant (logged == applied) exact — loss + crash can strand
-    // notices whose only replay source died (see crash_restart_test).
-    sim::EventEngineOptions options = chaos_base_options(chaos_rate);
-    options.open_loop.max_in_flight = 4096;
-    options.fault_plan.enabled = true;
-    options.fault_plan.crashes.push_back(net::CrashSchedule{
-        "server",
-        {net::FaultWindow{0.45 * crash_duration, 0.55 * crash_duration}}});
-    chaos.push_back(measure_chaos(crash_setup, "server_crash", options,
-                                  chaos_endpoints, repeats,
-                                  sim::PolicyKind::kVCover));
-  }
-  for (const ChaosCell& cell : chaos) {
-    std::cerr << "  chaos " << cell.scenario << ": p99="
-              << util::fixed(cell.response_p99, 3) << "s timeouts="
-              << cell.chaos.timeouts << " retries=" << cell.chaos.retries
-              << " shed=" << cell.chaos.shed_queries << " degraded="
-              << cell.chaos.degraded_queries << " resyncs="
-              << cell.chaos.resyncs << " unavailable="
-              << util::fixed(cell.chaos.unavailable_seconds, 3)
-              << "s crashes=" << cell.chaos.crash_restarts
-              << " availability=" << util::fixed(cell.availability, 4)
-              << "\n";
-  }
-
   const std::string out = cfg.get_string("out", "-");
   if (out == "-") {
-    emit_json(std::cout, params, repeats, smoke, single, multi, scaling,
-              event, parallel_endpoints, parallel, nsweep, open_loop, chaos);
+    emit_json(std::cout, params, repeats, smoke, single, scaling, event,
+              nsweep, open_loop);
   } else {
     std::ofstream file{out};
     if (!file) {
       std::cerr << "cannot open " << out << " for writing\n";
       return 1;
     }
-    emit_json(file, params, repeats, smoke, single, multi, scaling, event,
-              parallel_endpoints, parallel, nsweep, open_loop, chaos);
+    emit_json(file, params, repeats, smoke, single, scaling, event, nsweep,
+              open_loop);
     std::cerr << "wrote " << out << "\n";
   }
   return 0;

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     core::DeltaSystem system{&trace};
     core::VCoverOptions options;
     options.cache_capacity = setup.cache_capacity();
-    core::VCoverPolicy policy{&system, options};
+    core::VCoverPolicy policy{&system.cache(), options};
     const auto result = sim::run_policy(trace, system, policy);
 
     // Median non-empty object size under this partitioning.

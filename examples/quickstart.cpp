@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   for (const Bytes b : trace.initial_object_bytes) server += b;
   options.cache_capacity = Bytes{static_cast<std::int64_t>(
       server.as_double() * cfg.get_double("cache_frac", 0.3))};
-  core::VCoverPolicy policy{&system, options};
+  core::VCoverPolicy policy{&system.cache(), options};
   std::cout << "cache: " << util::human_bytes(options.cache_capacity)
             << " (" << cfg.get_double("cache_frac", 0.3) * 100
             << "% of the " << util::human_bytes(server) << " repository)\n\n";

@@ -14,7 +14,6 @@
 
 #include "cache/cache_store.h"
 #include "core/cache_node.h"
-#include "core/delta_system.h"
 #include "core/policy.h"
 #include "util/flat_map.h"
 
@@ -31,9 +30,6 @@ struct BenefitOptions {
 class BenefitPolicy final : public CachePolicy {
  public:
   BenefitPolicy(CacheNode* cache, const BenefitOptions& options);
-  /// Single-cache compatibility: bind to the façade's cache endpoint.
-  BenefitPolicy(DeltaSystem* system, const BenefitOptions& options)
-      : BenefitPolicy(cache_endpoint(system), options) {}
 
   void on_update(const workload::Update& u) override;
   QueryOutcome on_query(const workload::Query& q) override;

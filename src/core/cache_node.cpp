@@ -325,7 +325,7 @@ void CacheNode::handle_deadline(std::int64_t correlation) {
 void CacheNode::note_failure() {
   ++consecutive_failures_;
   if (!suspected_ &&
-      consecutive_failures_ >= protocol_.partition_suspect_threshold) {
+      consecutive_failures_ >= kPartitionSuspectThreshold) {
     suspected_ = true;
     suspect_since_ = transport_->now();
     // Crash-stop liveness: launch an epoch resync as a probe the moment
@@ -343,7 +343,7 @@ void CacheNode::note_success() {
   // First completed round trip after suspicion: the partition healed.
   suspected_ = false;
   stats_.unavailable_seconds += transport_->now() - suspect_since_;
-  if (protocol_.resync_on_heal) start_resync();
+  start_resync();
 }
 
 void CacheNode::start_resync() {

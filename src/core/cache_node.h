@@ -219,7 +219,7 @@ class CacheNode {
   ProtocolStats stats_;
   /// Partition detector: consecutive request timeouts raise suspicion; the
   /// first completed reply afterwards closes the unavailability window and
-  /// (resync_on_heal) triggers an epoch resync.
+  /// triggers an epoch resync.
   std::int32_t consecutive_failures_ = 0;
   bool suspected_ = false;
   double suspect_since_ = 0.0;

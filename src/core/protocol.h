@@ -20,11 +20,18 @@
 // construction.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "util/types.h"
 
 namespace delta::core {
+
+/// Consecutive request failures (timeouts) before a cache suspects a
+/// partition; the first success after suspicion triggers an epoch resync.
+inline constexpr std::int32_t kPartitionSuspectThreshold = 2;
+/// Entries in the server's per-cache (correlation, attempt) dedup ring.
+inline constexpr std::size_t kDedupWindow = 64;
 
 /// Timeout/retry/dedup/resync configuration, shared by CacheNode (client
 /// side) and ServerNode (server side).
@@ -45,12 +52,6 @@ struct ProtocolOptions {
   /// failed_request — bounded liveness even under a hard partition.
   std::int32_t max_attempts = 4;
   std::uint64_t seed = 0x9d57ea7ba11u;
-  /// Consecutive request failures (timeouts) before the cache suspects a
-  /// partition; the first success after suspicion triggers an epoch resync.
-  std::int32_t partition_suspect_threshold = 2;
-  bool resync_on_heal = true;
-  /// Entries in the server's per-cache (correlation, attempt) dedup ring.
-  std::int32_t dedup_window = 64;
   /// Crash-stop liveness (ISSUE 10): on first suspicion, immediately launch
   /// an epoch resync as a probe. Resyncs retry past the attempt budget, so
   /// the probe doubles as heal detection — and its reply carries the

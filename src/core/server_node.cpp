@@ -38,10 +38,7 @@ std::size_t ServerNode::attach_cache(const std::string& cache_name,
   slot_by_name_.emplace(cache_name, slot);
   if (protocol_.enabled) {
     CacheEntry& attached = caches_.back();
-    attached.recent_requests.assign(
-        static_cast<std::size_t>(
-            std::max<std::int32_t>(1, protocol_.dedup_window)),
-        ~std::uint64_t{0});
+    attached.recent_requests.assign(kDedupWindow, ~std::uint64_t{0});
     attached.reg_epoch.assign(object_bytes_.size(), 0);
   }
   return slot;
@@ -51,10 +48,7 @@ void ServerNode::set_protocol(const ProtocolOptions& options) {
   protocol_ = options;
   if (!protocol_.enabled) return;
   for (CacheEntry& cache : caches_) {
-    cache.recent_requests.assign(
-        static_cast<std::size_t>(
-            std::max<std::int32_t>(1, protocol_.dedup_window)),
-        ~std::uint64_t{0});
+    cache.recent_requests.assign(kDedupWindow, ~std::uint64_t{0});
     cache.recent_next = 0;
     cache.reg_epoch.assign(object_bytes_.size(), 0);
   }

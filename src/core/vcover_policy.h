@@ -14,7 +14,6 @@
 #include "cache/cache_store.h"
 #include "cache/eviction_policy.h"
 #include "core/cache_node.h"
-#include "core/delta_system.h"
 #include "core/load_manager.h"
 #include "core/policy.h"
 #include "core/update_manager.h"
@@ -45,9 +44,6 @@ struct VCoverOptions {
 class VCoverPolicy final : public CachePolicy {
  public:
   VCoverPolicy(CacheNode* cache, const VCoverOptions& options);
-  /// Single-cache compatibility: bind to the façade's cache endpoint.
-  VCoverPolicy(DeltaSystem* system, const VCoverOptions& options)
-      : VCoverPolicy(cache_endpoint(system), options) {}
 
   void on_update(const workload::Update& u) override;
   QueryOutcome on_query(const workload::Query& q) override;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/cache_node.h"
-#include "core/delta_system.h"
 #include "core/policy.h"
 #include "util/flat_map.h"
 #include "workload/trace.h"
@@ -21,9 +20,6 @@ namespace delta::core {
 class NoCachePolicy final : public CachePolicy {
  public:
   explicit NoCachePolicy(CacheNode* cache);
-  /// Single-cache compatibility: bind to the façade's cache endpoint.
-  explicit NoCachePolicy(DeltaSystem* system)
-      : NoCachePolicy(cache_endpoint(system)) {}
 
   void on_update(const workload::Update& u) override;
   QueryOutcome on_query(const workload::Query& q) override;
@@ -37,9 +33,6 @@ class NoCachePolicy final : public CachePolicy {
 class ReplicaPolicy final : public CachePolicy {
  public:
   explicit ReplicaPolicy(CacheNode* cache);
-  /// Single-cache compatibility: bind to the façade's cache endpoint.
-  explicit ReplicaPolicy(DeltaSystem* system)
-      : ReplicaPolicy(cache_endpoint(system)) {}
 
   void on_update(const workload::Update& u) override;
   QueryOutcome on_query(const workload::Query& q) override;
@@ -74,10 +67,6 @@ class SOptimalPolicy final : public CachePolicy {
   /// warm-up window.
   SOptimalPolicy(CacheNode* cache, const workload::Trace* trace,
                  const SOptimalOptions& options);
-  /// Single-cache compatibility: bind to the façade's cache endpoint.
-  SOptimalPolicy(DeltaSystem* system, const workload::Trace* trace,
-                 const SOptimalOptions& options)
-      : SOptimalPolicy(cache_endpoint(system), trace, options) {}
 
   void on_update(const workload::Update& u) override;
   QueryOutcome on_query(const workload::Query& q) override;

@@ -95,7 +95,7 @@ void replay_replica(const workload::Trace& trace, core::DeltaSystem& system,
     if (!warmup_captured && now >= warmup_end) capture_warmup();
 
     if (is_update) {
-      system.ingest_update(trace.updates[index]);
+      system.server().ingest_update(trace.updates[index]);
     } else if (routing == nullptr || (*routing)[index] == self) {
       const core::QueryOutcome outcome = policy.on_query(trace.queries[index]);
       ++r.queries;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/delta_system.h"
 #include "trace_builder.h"
 
 namespace delta::core {
@@ -17,12 +18,12 @@ struct Harness {
   BenefitPolicy policy;
 
   Harness(workload::Trace t, BenefitOptions opts)
-      : trace(std::move(t)), system(&trace), policy(&system, opts) {}
+      : trace(std::move(t)), system(&trace), policy(&system.cache(), opts) {}
 
   void replay() {
     for (const auto& e : trace.order) {
       if (e.kind == workload::Event::Kind::kUpdate) {
-        system.ingest_update(
+        system.server().ingest_update(
             trace.updates[static_cast<std::size_t>(e.index)]);
       } else {
         policy.on_query(trace.queries[static_cast<std::size_t>(e.index)]);

@@ -29,14 +29,16 @@ struct Harness {
 
   Harness(workload::Trace t, Bytes capacity,
           VCoverOptions (*opt)(Bytes) = options_for_tests)
-      : trace(std::move(t)), system(&trace), policy(&system, opt(capacity)) {}
+      : trace(std::move(t)),
+        system(&trace),
+        policy(&system.cache(), opt(capacity)) {}
 
   /// Replays the whole merged sequence, returning per-query outcomes.
   std::vector<QueryOutcome> replay() {
     std::vector<QueryOutcome> outcomes;
     for (const auto& e : trace.order) {
       if (e.kind == workload::Event::Kind::kUpdate) {
-        system.ingest_update(
+        system.server().ingest_update(
             trace.updates[static_cast<std::size_t>(e.index)]);
       } else {
         outcomes.push_back(policy.on_query(
@@ -129,8 +131,8 @@ TEST(VCoverPolicyTest, EvictionDropsOutstandingUpdatesAndDeregisters) {
   h.replay();
   EXPECT_FALSE(h.policy.store().contains(ObjectId{0}));
   EXPECT_TRUE(h.policy.store().contains(ObjectId{1}));
-  EXPECT_FALSE(h.system.is_registered(ObjectId{0}));
-  EXPECT_TRUE(h.system.is_registered(ObjectId{1}));
+  EXPECT_FALSE(h.system.cache().is_registered(ObjectId{0}));
+  EXPECT_TRUE(h.system.cache().is_registered(ObjectId{1}));
   EXPECT_EQ(h.policy.update_manager().graph_update_count(), 0u);
   EXPECT_EQ(h.policy.evictions(), 1);
 }
@@ -177,7 +179,7 @@ TEST(VCoverPolicyTest, RandomizedLoadingMatchesExpectationOverManyTrials) {
   opts.loading.randomized = true;
   workload::Trace trace = b.build();
   DeltaSystem system{&trace};
-  VCoverPolicy policy{&system, opts};
+  VCoverPolicy policy{&system.cache(), opts};
   int loaded_at = -1;
   for (std::size_t i = 0; i < trace.queries.size(); ++i) {
     const auto out = policy.on_query(trace.queries[i]);
@@ -215,11 +217,12 @@ TEST(VCoverPolicyTest, PreshipShipsUpdatesForHotObjects) {
   opts.preship_heat_threshold = 3.0;
   workload::Trace trace = b.build();
   DeltaSystem system{&trace};
-  VCoverPolicy policy{&system, opts};
+  VCoverPolicy policy{&system.cache(), opts};
   std::vector<QueryOutcome> outcomes;
   for (const auto& e : trace.order) {
     if (e.kind == workload::Event::Kind::kUpdate) {
-      system.ingest_update(trace.updates[static_cast<std::size_t>(e.index)]);
+      system.server().ingest_update(
+          trace.updates[static_cast<std::size_t>(e.index)]);
     } else {
       outcomes.push_back(
           policy.on_query(trace.queries[static_cast<std::size_t>(e.index)]));

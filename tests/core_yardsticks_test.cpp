@@ -23,7 +23,7 @@ workload::Trace mixed_trace() {
 TEST(NoCacheTest, TotalEqualsSumOfQueryCosts) {
   const auto trace = mixed_trace();
   DeltaSystem system{&trace};
-  NoCachePolicy policy{&system};
+  NoCachePolicy policy{&system.cache()};
   const auto result = sim::run_policy(trace, system, policy);
   EXPECT_EQ(result.total_traffic, trace.total_query_cost());
   EXPECT_EQ(result.shipped, 3);
@@ -33,7 +33,7 @@ TEST(NoCacheTest, TotalEqualsSumOfQueryCosts) {
 TEST(ReplicaTest, TotalEqualsSumOfUpdateCosts) {
   const auto trace = mixed_trace();
   DeltaSystem system{&trace};
-  ReplicaPolicy policy{&system};
+  ReplicaPolicy policy{&system.cache()};
   const auto result = sim::run_policy(trace, system, policy);
   EXPECT_EQ(result.total_traffic, trace.total_update_cost());
   EXPECT_EQ(result.cache_fresh, 3);  // every query answered locally
@@ -50,7 +50,7 @@ TEST(SOptimalTest, ChoosesProfitableStaticSet) {
   DeltaSystem system{&trace};
   SOptimalOptions opts;
   opts.cache_capacity = Bytes{10'000'000};
-  SOptimalPolicy policy{&system, &trace, opts};
+  SOptimalPolicy policy{&system.cache(), &trace, opts};
   EXPECT_TRUE(policy.chosen().count(ObjectId{0}) > 0);
   EXPECT_TRUE(policy.chosen().count(ObjectId{1}) == 0);
   const auto result = sim::run_policy(trace, system, policy);
@@ -70,7 +70,7 @@ TEST(SOptimalTest, RespectsCapacityWithFinalSizes) {
   DeltaSystem system{&trace};
   SOptimalOptions opts;
   opts.cache_capacity = Bytes{5'000'000};  // smaller than the final size
-  SOptimalPolicy policy{&system, &trace, opts};
+  SOptimalPolicy policy{&system.cache(), &trace, opts};
   EXPECT_TRUE(policy.chosen().empty());
 }
 
@@ -81,10 +81,10 @@ TEST(SOptimalTest, LoadsHappenBeforeFirstEvent) {
   DeltaSystem system{&trace};
   SOptimalOptions opts;
   opts.cache_capacity = Bytes{10'000'000};
-  SOptimalPolicy policy{&system, &trace, opts};
+  SOptimalPolicy policy{&system.cache(), &trace, opts};
   // Construction already performed the load.
   EXPECT_GT(system.meter().total(net::Mechanism::kObjectLoad).count(), 0);
-  EXPECT_TRUE(system.is_registered(ObjectId{0}));
+  EXPECT_TRUE(system.cache().is_registered(ObjectId{0}));
 }
 
 TEST(SOptimalTest, LocalSearchNeverWorseThanHeuristic) {
@@ -101,7 +101,7 @@ TEST(SOptimalTest, LocalSearchNeverWorseThanHeuristic) {
     SOptimalOptions opts;
     opts.cache_capacity = Bytes{10'000'000};
     opts.local_search = local_search;
-    SOptimalPolicy policy{&system, &trace, opts};
+    SOptimalPolicy policy{&system.cache(), &trace, opts};
     return sim::run_policy(trace, system, policy).total_traffic;
   };
   EXPECT_LE(replay_cost(true), replay_cost(false));
@@ -115,7 +115,7 @@ TEST(SOptimalTest, ShipsQueriesTouchingUnchosenObjects) {
   DeltaSystem system{&trace};
   SOptimalOptions opts;
   opts.cache_capacity = Bytes{1'500'000};  // fits only object 0
-  SOptimalPolicy policy{&system, &trace, opts};
+  SOptimalPolicy policy{&system.cache(), &trace, opts};
   ASSERT_TRUE(policy.chosen().count(ObjectId{0}) > 0);
   ASSERT_TRUE(policy.chosen().count(ObjectId{1}) == 0);
   const auto result = sim::run_policy(trace, system, policy);

@@ -109,7 +109,7 @@ TEST(IntegrationTest, VCoverCurrencyInvariantHolds) {
   core::DeltaSystem system{&trace};
   core::VCoverOptions opts;
   opts.cache_capacity = setup.cache_capacity();
-  core::VCoverPolicy policy{&system, opts};
+  core::VCoverPolicy policy{&system.cache(), opts};
 
   // Mirror of unapplied updates per object since its last load.
   std::map<ObjectId, std::vector<const workload::Update*>> unapplied;
@@ -133,7 +133,7 @@ TEST(IntegrationTest, VCoverCurrencyInvariantHolds) {
   for (const auto& e : trace.order) {
     if (e.kind == workload::Event::Kind::kUpdate) {
       const auto& u = trace.updates[static_cast<std::size_t>(e.index)];
-      system.ingest_update(u);
+      system.server().ingest_update(u);
       if (resident.count(u.object) > 0) unapplied[u.object].push_back(&u);
       refresh_residency();  // preshipping may have applied it already
       continue;
@@ -170,10 +170,11 @@ TEST(IntegrationTest, VCoverCapacityNeverExceededAtQueryBoundaries) {
   core::DeltaSystem system{&trace};
   core::VCoverOptions opts;
   opts.cache_capacity = setup.cache_capacity();
-  core::VCoverPolicy policy{&system, opts};
+  core::VCoverPolicy policy{&system.cache(), opts};
   for (const auto& e : trace.order) {
     if (e.kind == workload::Event::Kind::kUpdate) {
-      system.ingest_update(trace.updates[static_cast<std::size_t>(e.index)]);
+      system.server().ingest_update(
+          trace.updates[static_cast<std::size_t>(e.index)]);
     } else {
       policy.on_query(trace.queries[static_cast<std::size_t>(e.index)]);
       ASSERT_LE(policy.store().used(), policy.store().capacity());
@@ -189,30 +190,32 @@ TEST(IntegrationTest, CacheRestartRecovers) {
   core::DeltaSystem system{&trace};
   core::VCoverOptions opts;
   opts.cache_capacity = setup.cache_capacity();
-  core::VCoverPolicy policy{&system, opts};
+  core::VCoverPolicy policy{&system.cache(), opts};
 
   // Run the first half through the simulator-equivalent loop.
   const std::size_t half = trace.order.size() / 2;
   for (std::size_t i = 0; i < half; ++i) {
     const auto& e = trace.order[i];
     if (e.kind == workload::Event::Kind::kUpdate) {
-      system.ingest_update(trace.updates[static_cast<std::size_t>(e.index)]);
+      system.server().ingest_update(
+          trace.updates[static_cast<std::size_t>(e.index)]);
     } else {
       policy.on_query(trace.queries[static_cast<std::size_t>(e.index)]);
     }
   }
   // Crash: build a fresh policy over the same (still running) repository.
-  core::VCoverPolicy restarted{&system, opts};
+  core::VCoverPolicy restarted{&system.cache(), opts};
   // The server still believes some objects are registered; a restarted
   // cache must re-register through loads. Deregister what the old cache
   // held (the middleware's recovery handshake).
   for (const ObjectId o : policy.store().resident_objects()) {
-    system.notify_eviction(o);
+    system.cache().notify_eviction(o);
   }
   for (std::size_t i = half; i < trace.order.size(); ++i) {
     const auto& e = trace.order[i];
     if (e.kind == workload::Event::Kind::kUpdate) {
-      system.ingest_update(trace.updates[static_cast<std::size_t>(e.index)]);
+      system.server().ingest_update(
+          trace.updates[static_cast<std::size_t>(e.index)]);
     } else {
       const auto out = restarted.on_query(
           trace.queries[static_cast<std::size_t>(e.index)]);
