@@ -128,10 +128,11 @@ Bytes CacheNode::request_and_wait(net::MessageKind kind,
   return reply_payload;
 }
 
-void CacheNode::set_protocol(const ProtocolOptions& options) {
-  protocol_ = options;
+void CacheNode::set_protocol(const ProtocolOptions& options,
+                             bool probe_on_suspect) {
+  probe_on_suspect_ = probe_on_suspect;
   events_ = transport_->events();
-  protocol_on_ = protocol_.enabled && !transport_inline_ && events_ != nullptr;
+  protocol_on_ = options.enabled && !transport_inline_ && events_ != nullptr;
   if (!protocol_on_) return;
   applied_.assign(trace_->updates.size(), 0);
   reg_gen_.assign(server_->object_count(), 0);
@@ -139,10 +140,11 @@ void CacheNode::set_protocol(const ProtocolOptions& options) {
   notice_stamp_high_ = 0;
 }
 
-void CacheNode::crash_restart() {
+void CacheNode::crash_restart(double downtime_seconds) {
   DELTA_CHECK_MSG(protocol_on_,
                   "crash-stop faults require the armed protocol");
-  ++stats_.crash_restarts;
+  ++counters_.crash_restarts;
+  counters_.crash_downtime_seconds += downtime_seconds;
   // The pending-correlation table dies with the process. Every outstanding
   // request completes empty and counts failed — sync waiters' pumps unwind
   // and open-loop in-flight windows drain, so no query leaks through a
@@ -152,7 +154,7 @@ void CacheNode::crash_restart() {
   pending_.clear();
   for (Pending& p : doomed) {
     events_->cancel(p.deadline);
-    ++stats_.failed_requests;
+    ++counters_.failed_requests;
     finish(p, Bytes{});
   }
   // Soft state lost at the crash instant. The applied-notice ledger and the
@@ -194,7 +196,7 @@ void CacheNode::begin_recovery() {
   // launched at a restart instant — or at a dead server — simply keeps
   // knocking until the other side is alive again.
   server_->set_subscription(slot_, subscription_);
-  ++stats_.resyncs;
+  ++counters_.resyncs;
   ++epoch_;
   const std::int64_t correlation = next_correlation_++;
   Pending pending;
@@ -203,8 +205,8 @@ void CacheNode::begin_recovery() {
   pending.complete = [this](Bytes) {
     recovery_inflight_ = false;
     if (recovering_) {
-      stats_.max_reconvergence_seconds =
-          std::max(stats_.max_reconvergence_seconds,
+      counters_.max_reconvergence_seconds =
+          std::max(counters_.max_reconvergence_seconds,
                    transport_->now() - recovery_started_at_);
       recovering_ = false;
     }
@@ -246,20 +248,19 @@ void CacheNode::finish(Pending& done, Bytes payload) {
 
 double CacheNode::deadline_delay(std::int32_t attempt,
                                  std::int64_t correlation) const {
-  double delay = protocol_.timeout_seconds;
+  double delay = kRequestTimeoutSeconds;
   for (std::int32_t i = 1; i < attempt; ++i) {
-    delay = std::min(delay * protocol_.backoff_factor,
-                     protocol_.max_timeout_seconds);
+    delay = std::min(delay * kBackoffFactor, kMaxTimeoutSeconds);
   }
   // Deterministic jitter in [-f, +f): a pure function of (seed,
   // correlation, attempt), so retry instants desynchronize across requests
   // without admitting any run-order dependence.
   const std::uint64_t mixed = net::fault_mix64(
-      protocol_.seed ^
+      kJitterSeed ^
       (static_cast<std::uint64_t>(correlation) * 0x9e3779b97f4a7c15ULL) ^
       static_cast<std::uint64_t>(attempt));
   return delay *
-         (1.0 + protocol_.jitter_fraction * (2.0 * net::fault_u01(mixed) - 1.0));
+         (1.0 + kJitterFraction * (2.0 * net::fault_u01(mixed) - 1.0));
 }
 
 void CacheNode::arm_deadline(Pending& p) {
@@ -277,7 +278,7 @@ void CacheNode::on_deadline(void* self, std::uint64_t correlation) {
 void CacheNode::handle_deadline(std::int64_t correlation) {
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     if (pending_[i].correlation != correlation) continue;
-    ++stats_.timeouts;
+    ++counters_.timeouts;
     // note_failure() can fire the suspicion probe (start_resync ->
     // send_request), which appends to pending_ and may reallocate its
     // storage. It never removes entries, so index i stays valid — but a
@@ -285,10 +286,10 @@ void CacheNode::handle_deadline(std::int64_t correlation) {
     note_failure();
     Pending& p = pending_[i];
     if (!retries_forever(p.expected_reply) &&
-        p.attempts >= protocol_.max_attempts) {
+        p.attempts >= kMaxAttempts) {
       // Budget exhausted: the request completes empty — accounted as a
       // failure, never abandoned (every query conserves).
-      ++stats_.failed_requests;
+      ++counters_.failed_requests;
       Pending done = std::move(p);
       pending_[i] = std::move(pending_.back());
       pending_.pop_back();
@@ -296,14 +297,14 @@ void CacheNode::handle_deadline(std::int64_t correlation) {
       return;
     }
     if (retries_forever(p.expected_reply) &&
-        p.attempts >= protocol_.max_attempts) {
+        p.attempts >= kMaxAttempts) {
       // Budget-exempt kinds (loads, resyncs/recovery) retry past the
       // attempt budget — their loss would diverge durable state. Count the
       // over-budget retries so the behavior is observable, not folklore.
-      ++stats_.budget_exceeded_retries;
+      ++counters_.budget_exceeded_retries;
     }
     ++p.attempts;
-    ++stats_.retries;
+    ++counters_.retries;
     net::Message msg =
         request(p.kind, p.subject_id, p.sent_at, correlation);
     msg.attempt = p.attempts;
@@ -333,7 +334,7 @@ void CacheNode::note_failure() {
     // knocking until the server answers — and its reply carries the
     // incarnation stamp that tells a cache its server didn't just
     // partition, it died and restarted (triggering begin_recovery).
-    if (protocol_.probe_on_suspect) start_resync();
+    if (probe_on_suspect_) start_resync();
   }
 }
 
@@ -342,7 +343,7 @@ void CacheNode::note_success() {
   if (!suspected_) return;
   // First completed round trip after suspicion: the partition healed.
   suspected_ = false;
-  stats_.unavailable_seconds += transport_->now() - suspect_since_;
+  counters_.unavailable_seconds += transport_->now() - suspect_since_;
   start_resync();
 }
 
@@ -351,7 +352,7 @@ void CacheNode::start_resync() {
   // ends with the same epoch-snapshotted ledger replay.
   if (resync_inflight_ || recovery_inflight_) return;
   resync_inflight_ = true;
-  ++stats_.resyncs;
+  ++counters_.resyncs;
   ++epoch_;
   // The new epoch rides subject_id; the server replays every notice this
   // cache has not been replayed before (the missed-invalidations span).
@@ -366,18 +367,18 @@ void CacheNode::apply_resync_payload(const net::Message& m) {
       m.batched_ingest_at.size() == m.batched_invalidations.size();
   for (std::size_t i = 0; i < m.batched_invalidations.size(); ++i) {
     const std::int64_t id = m.batched_invalidations[i];
-    ++stats_.replayed_notices;
+    ++counters_.replayed_notices;
     // The staleness spike only counts notices the wire really lost (ids
     // already applied are dedup'd, not stale).
     if (stamped && applied_[static_cast<std::size_t>(id)] == 0) {
       const double gap = now - m.batched_ingest_at[i];
-      stats_.max_recovery_staleness_seconds =
-          std::max(stats_.max_recovery_staleness_seconds, gap);
+      counters_.max_recovery_staleness_seconds =
+          std::max(counters_.max_recovery_staleness_seconds, gap);
       if (recovering_) {
         // Replayed by a *crash recovery* resync: the post-restart
         // staleness spike, reported separately from partition recovery.
-        stats_.post_restart_staleness_seconds =
-            std::max(stats_.post_restart_staleness_seconds, gap);
+        counters_.post_restart_staleness_seconds =
+            std::max(counters_.post_restart_staleness_seconds, gap);
       }
     }
     apply_invalidation(id);
@@ -408,11 +409,11 @@ void CacheNode::apply_invalidation(std::int64_t update_id) {
     // replay of a notice that did arrive, must not double-run the policy's
     // invalidation handler (VCover counts pending updates per notice).
     if (applied_[idx] != 0) {
-      ++stats_.duplicate_notices;
+      ++counters_.duplicate_notices_suppressed;
       return;
     }
     applied_[idx] = 1;
-    ++stats_.notices_applied;
+    ++counters_.notices_applied;
   }
   if (!invalidation_handler_) return;
   // Re-entrancy flattening: a handler that performs a blocking round trip
@@ -480,7 +481,7 @@ void CacheNode::handle_message(const net::Message& m) {
           DELTA_CHECK_MSG(pending_[i].expected_reply ==
                               net::MessageKind::kQueryResult,
                           "kQueryReject answers only query requests");
-          ++stats_.shed_replies;
+          ++counters_.shed_replies;
         } else {
           DELTA_CHECK_MSG(pending_[i].expected_reply == m.kind,
                           "reply kind " << net::to_string(m.kind)
@@ -502,7 +503,7 @@ void CacheNode::handle_message(const net::Message& m) {
       if (protocol_on_) {
         // The request was retired before this reply landed: it timed out
         // past its budget, or an earlier attempt's reply won the race.
-        ++stats_.late_replies;
+        ++counters_.late_replies;
         return;
       }
       DELTA_CHECK_MSG(false, "reply with unknown correlation id "
@@ -544,7 +545,7 @@ void CacheNode::load_object_async(ObjectId o, Completion complete) {
   if (protocol_on_) {
     generation = ++reg_gen_[static_cast<std::size_t>(o.value())];
     resident_[static_cast<std::size_t>(o.value())] = 1;
-    if (recovering_) ++stats_.cold_misses;
+    if (recovering_) ++counters_.cold_misses;
   }
   send_request(net::MessageKind::kLoadRequest, o.value(), 0,
                net::MessageKind::kLoadData, std::move(complete), generation);
@@ -565,7 +566,7 @@ Bytes CacheNode::load_object(ObjectId o) {
   if (protocol_on_) {
     generation = ++reg_gen_[static_cast<std::size_t>(o.value())];
     resident_[static_cast<std::size_t>(o.value())] = 1;
-    if (recovering_) ++stats_.cold_misses;
+    if (recovering_) ++counters_.cold_misses;
   }
   const Bytes loaded = request_and_wait(net::MessageKind::kLoadRequest,
                                         o.value(), 0,

@@ -33,6 +33,7 @@
 
 #include "core/protocol.h"
 #include "core/server_node.h"
+#include "net/fault_plan.h"
 #include "net/transport.h"
 #include "util/event_queue.h"
 #include "util/types.h"
@@ -103,8 +104,20 @@ class CacheNode {
   /// applied-notice dedup ledger, partition suspicion, and epoch resync on
   /// heal. Effective only over an event-driven transport (deadlines need a
   /// simulated clock); on a synchronous transport the options are inert.
-  void set_protocol(const ProtocolOptions& options);
-  [[nodiscard]] const ProtocolStats& protocol_stats() const { return stats_; }
+  /// `probe_on_suspect`: on first suspicion, immediately launch an epoch
+  /// resync as a probe. Resyncs retry past the attempt budget, so the probe
+  /// doubles as heal detection — and its reply carries the server's
+  /// incarnation stamp, which is how a cache learns that the server it
+  /// suspected died and restarted. The event engine sets it for runs whose
+  /// fault plan schedules crashes.
+  void set_protocol(const ProtocolOptions& options, bool probe_on_suspect);
+  /// This cache's failure/recovery counters: the client-side protocol
+  /// fields, its crash fields, and the degraded answers its policy served.
+  [[nodiscard]] const net::ChaosYardsticks& counters() const {
+    return counters_;
+  }
+  /// Counts one query the policy answered degraded under overload.
+  void count_degraded_query() { ++counters_.degraded_queries; }
   /// True when set_protocol actually armed (enabled + event-driven).
   [[nodiscard]] bool protocol_armed() const { return protocol_on_; }
 
@@ -122,7 +135,9 @@ class CacheNode {
   /// post-crash request and a stale eviction can never downgrade a
   /// registration). The policy's wipe (CachePolicy::on_crash_restart) is
   /// the engine's job, one event later. Requires the armed protocol.
-  void crash_restart();
+  /// `downtime_seconds` is the crash window's scheduled length, counted
+  /// into crash_downtime_seconds.
+  void crash_restart(double downtime_seconds);
   /// The process restarts (cache-crash heal instant) or detects a restarted
   /// server (incarnation stamp): re-subscribe out of band, then rebuild the
   /// server's registration row and replay the missed notice ledger through
@@ -212,11 +227,11 @@ class CacheNode {
   std::size_t pending_invalidation_cursor_ = 0;
   bool in_invalidation_handler_ = false;
 
-  ProtocolOptions protocol_;
   /// enabled AND the transport is event-driven (deadlines need a clock).
   bool protocol_on_ = false;
+  bool probe_on_suspect_ = false;
   util::EventQueue* events_ = nullptr;
-  ProtocolStats stats_;
+  net::ChaosYardsticks counters_;
   /// Partition detector: consecutive request timeouts raise suspicion; the
   /// first completed reply afterwards closes the unavailability window and
   /// triggers an epoch resync.

@@ -70,25 +70,19 @@ bool ServerNode::is_duplicate_request(CacheEntry& cache,
   return false;
 }
 
-std::int64_t ServerNode::notices_logged(std::size_t cache_slot) const {
-  DELTA_CHECK(cache_slot < caches_.size());
-  const CacheEntry& cache = caches_[cache_slot];
-  return cache.ledger_base + static_cast<std::int64_t>(cache.notice_log.size());
-}
-
-void ServerNode::crash_restart() {
+void ServerNode::crash_restart(double downtime_seconds) {
   DELTA_CHECK_MSG(protocol_.enabled,
                   "crash-stop faults require the hardened protocol");
-  ++crash_restarts_;
+  ++counters_.crash_restarts;
+  counters_.crash_downtime_seconds += downtime_seconds;
   ++incarnation_;
   for (CacheEntry& cache : caches_) {
     // Convergence accounting across the wipe: everything in notice_log was
     // externalized (sent, or already delivered) except the batching layer's
     // pending tail, which died in process memory without ever reaching the
     // wire — those notices can never be applied by anyone, so they are
-    // retracted from the "owed" ledger. The rest stays owed via the base.
-    cache.ledger_base +=
-        static_cast<std::int64_t>(cache.notice_log.size()) -
+    // retracted from the "owed" count. The rest stays owed.
+    counters_.notices_logged -=
         static_cast<std::int64_t>(cache.pending_notices.size());
     cache.notice_log.clear();
     cache.notice_ingest.clear();
@@ -148,7 +142,7 @@ void ServerNode::handle_message(const net::Message& m) {
   // exactly once — the reply to the first delivery is, or was, on the wire.
   if (protocol_.enabled && m.correlation_id >= 0 &&
       is_duplicate_request(sender_entry(m), m)) {
-    ++duplicates_suppressed_;
+    ++counters_.request_duplicates_suppressed;
     return;
   }
   // The server answers requests with data-bearing replies addressed to the
@@ -176,7 +170,7 @@ void ServerNode::handle_message(const net::Message& m) {
         // Overloaded reply link: shed instead of queueing another result
         // behind a multi-second backlog. The tiny reject still completes
         // the cache's request (accounted, not lost).
-        ++shed_queries_;
+        ++counters_.shed_queries;
         reply.kind = net::MessageKind::kQueryReject;
         reply.payload = Bytes{};
         send_reply(cache, reply, net::Mechanism::kOverhead);
@@ -264,7 +258,7 @@ void ServerNode::serve_resync(CacheEntry& cache, const net::Message& m) {
     cache.replay_to = cache.notice_log.size();
     cache.next_resync_from = cache.replay_to;
   }
-  ++resyncs_served_;
+  ++counters_.resyncs_served;
   net::Message& reply = reply_template_;
   reply.kind = net::MessageKind::kResyncData;
   reply.payload = Bytes{};
@@ -325,6 +319,7 @@ void ServerNode::apply_update(const workload::Update& u) {
     if (protocol_.enabled) {
       cache.notice_log.push_back(u.id.value());
       cache.notice_ingest.push_back(ingest);
+      ++counters_.notices_logged;
     }
     if (!batching_.enabled) {
       net::Message msg;
@@ -357,7 +352,7 @@ void ServerNode::apply_update(const workload::Update& u) {
     const double backlog = transport_->egress_backlog_seconds(
         transport_slot_, cache.transport_slot);
     if (backlog <= batching_.backlog_threshold_seconds ||
-        cache.pending_notices.size() >= batching_.max_batch) {
+        cache.pending_notices.size() >= kMaxNoticeBatch) {
       flush_cache_notices(cache);
     }
   }

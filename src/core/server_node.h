@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/protocol.h"
+#include "net/fault_plan.h"
 #include "net/transport.h"
 #include "util/types.h"
 #include "workload/trace.h"
@@ -26,12 +27,17 @@ enum class MetadataSubscription : std::uint8_t {
   kAll,             // Replica / Benefit: metadata notices for every update
 };
 
+/// Pending-notice bound per cache under congestion batching: the merge
+/// flushes at this size even if the backlog persists (bounds notice latency
+/// under saturation).
+inline constexpr std::size_t kMaxNoticeBatch = 64;
+
 /// Congestion batching of invalidation notices. When the server's egress
 /// link to a cache is backlogged past `backlog_threshold_seconds`
 /// (Transport::egress_backlog_seconds), per-update notices are held in a
 /// per-cache pending list instead of each paying its own message header
 /// and serialization slot. Pending notices drain three ways: merged into
-/// one kInvalidation once the backlog recedes or `max_batch` is reached,
+/// one kInvalidation once the backlog recedes or kMaxNoticeBatch is reached,
 /// piggybacked onto the next data-bearing reply to that cache, or by the
 /// end-of-run flush_pending_notices(). Off by default — the unbatched
 /// one-notice-per-message fan-out is the golden-pinned behavior, and a
@@ -42,9 +48,6 @@ struct NoticeBatchingOptions {
   /// Hold notices while the egress backlog exceeds this many simulated
   /// seconds; 0.0 batches only while the link is busy at all.
   double backlog_threshold_seconds = 0.0;
-  /// Pending-list bound per cache: the merge flushes at this size even if
-  /// the backlog persists (bounds notice latency under saturation).
-  std::size_t max_batch = 64;
 };
 
 class ServerNode {
@@ -108,16 +111,16 @@ class ServerNode {
   /// Arms shedding: overloaded kQueryRequests are answered kQueryReject.
   void set_admission(const AdmissionOptions& options) { admission_ = options; }
 
-  /// Total invalidation notices ever destined to `cache_slot` (logged
-  /// whether the wire delivered them or not). With the cache's dedup
-  /// accounting this pins the convergence invariant: after heal + resync,
-  /// notices_logged == the cache's distinct applied notices.
-  [[nodiscard]] std::int64_t notices_logged(std::size_t cache_slot) const;
-  [[nodiscard]] std::int64_t shed_queries() const { return shed_queries_; }
-  [[nodiscard]] std::int64_t duplicates_suppressed() const {
-    return duplicates_suppressed_;
+  /// The server's failure/recovery counters: shed_queries,
+  /// request_duplicates_suppressed, resyncs_served, notices_logged and its
+  /// own crash_restarts / crash_downtime_seconds. With the protocol on,
+  /// notices_logged counts every notice destined to any attached cache,
+  /// whether the wire delivered it or not; with the caches' dedup
+  /// accounting it pins the convergence invariant: after heal + resync it
+  /// equals their distinct applied notices.
+  [[nodiscard]] const net::ChaosYardsticks& counters() const {
+    return counters_;
   }
-  [[nodiscard]] std::int64_t resyncs_served() const { return resyncs_served_; }
 
   // ---- crash-stop endpoint faults (ISSUE 10) ----
 
@@ -126,14 +129,14 @@ class ServerNode {
   /// pending (batched) notices, and resync bookkeeping. Durable state —
   /// the repository's object bytes — survives, as does the convergence
   /// ledger accounting: notices already externalized (sent or in flight)
-  /// stay "owed" via a per-cache ledger base, while notices still pending
-  /// in process memory died unsent and are retracted (they can never be
-  /// applied by anyone). The incarnation number increments; it is stamped
-  /// on every subsequent server->cache message so caches can detect the
-  /// restart and re-register (kRecoverRequest). Requires the hardened
-  /// protocol.
-  void crash_restart();
-  [[nodiscard]] std::int64_t crash_restarts() const { return crash_restarts_; }
+  /// stay counted in notices_logged, while notices still pending in
+  /// process memory died unsent and are retracted from it (they can never
+  /// be applied by anyone). The incarnation number increments; it is
+  /// stamped on every subsequent server->cache message so caches can
+  /// detect the restart and re-register (kRecoverRequest). Requires the
+  /// hardened protocol. `downtime_seconds` is the crash window's scheduled
+  /// length, counted into crash_downtime_seconds.
+  void crash_restart(double downtime_seconds);
   /// Monotone process-incarnation number (0 = never crashed). Stamped as
   /// protocol_epoch on server->cache messages while the protocol is armed.
   [[nodiscard]] std::int64_t incarnation() const { return incarnation_; }
@@ -206,11 +209,6 @@ class ServerNode {
     /// eviction notice carrying an older generation than the load that
     /// re-registered the object must not deregister it.
     std::vector<std::int64_t> reg_epoch;
-    /// Notices owed to this cache by *earlier server incarnations* that
-    /// were externalized before the crash wiped the log they lived in.
-    /// notices_logged() = ledger_base + notice_log.size(), so the
-    /// convergence invariant survives the log being soft state.
-    std::int64_t ledger_base = 0;
   };
 
   const workload::Trace* trace_;
@@ -230,10 +228,7 @@ class ServerNode {
 
   ProtocolOptions protocol_;
   AdmissionOptions admission_;
-  std::int64_t shed_queries_ = 0;
-  std::int64_t duplicates_suppressed_ = 0;
-  std::int64_t resyncs_served_ = 0;
-  std::int64_t crash_restarts_ = 0;
+  net::ChaosYardsticks counters_;
   std::int64_t incarnation_ = 0;
 
   [[nodiscard]] std::size_t checked(ObjectId o) const;

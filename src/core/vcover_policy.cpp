@@ -151,7 +151,7 @@ void VCoverPolicy::dispatch_query(const workload::Query& q,
       // answer as-is instead of pushing cover traffic onto a congested
       // uplink. kCacheFresh because the answer IS within tolerance.
       outcome.path = QueryOutcome::Path::kCacheFresh;
-      ++degraded_queries_;
+      system_->count_degraded_query();
       ++cache_answers_;
       for (const ObjectId o : q.objects) {
         evictor_->on_access(o);

@@ -62,7 +62,7 @@ class VCoverPolicy final : public CachePolicy {
     admission_ = options;
   }
   [[nodiscard]] std::int64_t degraded_queries() const override {
-    return degraded_queries_;
+    return system_->counters().degraded_queries;
   }
   [[nodiscard]] const char* name() const override { return "VCover"; }
 
@@ -102,7 +102,6 @@ class VCoverPolicy final : public CachePolicy {
   std::int64_t cache_answers_ = 0;
   std::int64_t preshipped_ = 0;
   AdmissionOptions admission_;
-  std::int64_t degraded_queries_ = 0;
   std::vector<ChurnEntry> churn_log_;
   EventTime now_ = 0;
 

@@ -140,20 +140,20 @@ DelayedTransport::FaultDecision DelayedTransport::apply_link_faults(
   // message in flight across a heal still lands (late replies are the
   // restarted cache's problem, not the wire's).
   if (endpoint_down(timing.sender_slot, timing.sent_at)) {
-    ++fault_stats_.crash_dropped;
+    ++counters_.crash_dropped;
     return FaultDecision{false, false};
   }
   if (state.windows != nullptr) {
     for (const FaultWindow& window : *state.windows) {
       if (window.covers(timing.sent_at)) {
-        ++fault_stats_.partition_dropped;
+        ++counters_.partition_dropped;
         return FaultDecision{false, false};
       }
     }
   }
   if (!state.faults.any()) {
     if (endpoint_down(destination_slot, timing.deliver_at)) {
-      ++fault_stats_.crash_dropped;
+      ++counters_.crash_dropped;
       return FaultDecision{false, false};
     }
     return FaultDecision{};
@@ -167,23 +167,23 @@ DelayedTransport::FaultDecision DelayedTransport::apply_link_faults(
     return fault_u01(s);
   };
   if (draw() < state.faults.drop) {
-    ++fault_stats_.dropped;
+    ++counters_.faults_dropped;
     return FaultDecision{false, false};
   }
   FaultDecision fate;
   if (draw() < state.faults.reorder) {
-    ++fault_stats_.reordered;
+    ++counters_.faults_reordered;
     timing.deliver_at += draw() * state.faults.reorder_max_delay_seconds;
   }
   if (draw() < state.faults.duplicate) {
-    ++fault_stats_.duplicated;
+    ++counters_.faults_duplicated;
     fate.duplicate = true;
   }
   // Post-reorder delivery instant: the destination must be alive when the
   // message actually lands (the duplicate shares this timing, so one dead
   // destination kills both copies).
   if (endpoint_down(destination_slot, timing.deliver_at)) {
-    ++fault_stats_.crash_dropped;
+    ++counters_.crash_dropped;
     return FaultDecision{false, false};
   }
   return fate;
@@ -431,9 +431,7 @@ void DelayedTransport::deliver(std::size_t destination_slot,
   endpoint.meter.record(Mechanism::kOverhead,
                         kMessageHeaderBytes + message.batch_bytes);
   ++delivered_;
-  if (observer_ != nullptr &&
-      (observer_kind_ < 0 ||
-       observer_kind_ == static_cast<std::int16_t>(message.kind))) {
+  if (observer_ != nullptr) {
     observer_(observer_ctx_, message, destination_slot);
   }
   endpoint.handler(message);
@@ -466,14 +464,6 @@ void DelayedTransport::set_delivery_observer(DeliveryObserver observer,
                                              void* ctx) {
   observer_ = observer;
   observer_ctx_ = ctx;
-  observer_kind_ = -1;
-}
-
-void DelayedTransport::set_delivery_observer(DeliveryObserver observer,
-                                             void* ctx, MessageKind kind) {
-  observer_ = observer;
-  observer_ctx_ = ctx;
-  observer_kind_ = static_cast<std::int16_t>(kind);
 }
 
 const UplinkStats& DelayedTransport::uplink_stats(std::size_t slot) const {

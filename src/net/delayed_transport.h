@@ -137,7 +137,9 @@ class DelayedTransport final : public Transport {
   /// hook, including the inline fast-path gate, so such a config is
   /// byte-identical to never having called this at all.
   void set_fault_plan(FaultPlan plan);
-  [[nodiscard]] const FaultStats& fault_stats() const { return fault_stats_; }
+  /// The fault fates this transport counted (faults_*, partition_dropped,
+  /// crash_dropped); every other field stays zero.
+  [[nodiscard]] const ChaosYardsticks& counters() const { return counters_; }
   [[nodiscard]] bool faults_active() const { return faults_active_; }
   /// True when `slot`'s process is crashed at simulated instant `t`
   /// (some crash window of the installed plan covers t). False when no
@@ -156,11 +158,6 @@ class DelayedTransport final : public Transport {
 
   /// Observes every delivered message.
   void set_delivery_observer(DeliveryObserver observer, void* ctx);
-  /// Observes only deliveries of `kind` — other kinds skip even the
-  /// observer call (the engine's staleness probe watches invalidations,
-  /// a small fraction of the message stream).
-  void set_delivery_observer(DeliveryObserver observer, void* ctx,
-                             MessageKind kind);
 
   [[nodiscard]] const UplinkStats& uplink_stats(std::size_t slot) const;
   [[nodiscard]] std::int64_t delivered_count() const { return delivered_; }
@@ -304,15 +301,13 @@ class DelayedTransport final : public Transport {
   /// active. Name-resolved alongside the fault grid so registration order
   /// cannot matter.
   std::vector<const std::vector<FaultWindow>*> crash_windows_;
-  FaultStats fault_stats_;
+  ChaosYardsticks counters_;
   bool faults_active_ = false;
   std::vector<InFlight> flight_pool_;
   std::vector<std::uint32_t> flight_free_;
   TrafficMeter meter_;
   DeliveryObserver observer_ = nullptr;
   void* observer_ctx_ = nullptr;
-  /// Kind filter for the observer; negative = observe all kinds.
-  std::int16_t observer_kind_ = -1;
   /// One-shot flag raised while a send_call request is being handled: the
   /// first send inside that window is the blocked caller's reply and may
   /// take the same inline fast path.

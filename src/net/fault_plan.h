@@ -1,4 +1,5 @@
-// Seeded, deterministic fault injection for DelayedTransport (ISSUE 8).
+// Seeded, deterministic fault injection for DelayedTransport, and
+// ChaosYardsticks, the record every failure/recovery counter lives in.
 //
 // A FaultPlan describes *which* links misbehave and *how*: per-link
 // drop/duplicate/reorder probabilities plus scheduled partitions (down/heal
@@ -17,8 +18,11 @@
 // fast-path changes) on "some link actually has a fault".
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace delta::net {
@@ -100,16 +104,105 @@ struct FaultPlan {
   std::vector<CrashSchedule> crashes;
 };
 
-/// Counters the transport accumulates while a plan is active.
-struct FaultStats {
-  std::int64_t dropped = 0;
-  std::int64_t duplicated = 0;
-  std::int64_t reordered = 0;
-  std::int64_t partition_dropped = 0;
-  /// Messages dropped because an endpoint process was down at the send or
-  /// delivery instant (crash-stop semantics, not link loss).
-  std::int64_t crash_dropped = 0;
+/// Every failure/recovery counter of a run, declared once here as
+/// X(type, name, rule). DelayedTransport, ServerNode and CacheNode each own
+/// one ChaosYardsticks record and bump only their own fields; the event
+/// engine folds the replicas' records with merge() in shard order. `sum`
+/// fields add across records, `max` fields keep the largest value. Every
+/// field is 8 bytes wide, so the record has no padding and compares and
+/// fingerprints bytewise. All zero when faults, protocol hardening and
+/// admission are off.
+#define DELTA_CHAOS_YARDSTICKS(X)                                             \
+  /* ---- CacheNode: client side of the hardened protocol ---- */             \
+  X(std::int64_t, timeouts, sum)                                              \
+  X(std::int64_t, retries, sum)                                               \
+  /* Requests that exhausted their attempt budget (completed empty). */       \
+  X(std::int64_t, failed_requests, sum)                                       \
+  /* Replies that arrived after their request was retired. */                 \
+  X(std::int64_t, late_replies, sum)                                          \
+  /* Notices already applied (duplicate delivery or resync replay). */        \
+  X(std::int64_t, duplicate_notices_suppressed, sum)                          \
+  /* Replies carrying a kQueryReject (the server shed the query). */          \
+  X(std::int64_t, shed_replies, sum)                                          \
+  /* Epoch resyncs and crash recoveries launched. */                          \
+  X(std::int64_t, resyncs, sum)                                               \
+  /* Invalidation ids replayed by kResyncData (applied or not). */            \
+  X(std::int64_t, replayed_notices, sum)                                      \
+  /* Distinct invalidation ids applied (first deliveries). */                 \
+  X(std::int64_t, notices_applied, sum)                                       \
+  /* Simulated seconds spent with the server suspected unreachable. */        \
+  X(double, unavailable_seconds, sum)                                         \
+  /* Largest (now - ingest) gap a resync replay repaired. */                  \
+  X(double, max_recovery_staleness_seconds, max)                              \
+  /* ---- ServerNode ---- */                                                  \
+  X(std::int64_t, shed_queries, sum)                                          \
+  /* Requests the dedup window swallowed (duplicates, answered retries). */   \
+  X(std::int64_t, request_duplicates_suppressed, sum)                         \
+  X(std::int64_t, resyncs_served, sum)                                        \
+  /* Notices the server owed its caches: every logged notice except the       \
+     batched ones a server crash retracted before they reached the wire.      \
+     After heal + resync it equals the caches' notices_applied. */            \
+  X(std::int64_t, notices_logged, sum)                                        \
+  /* ---- policy (counted on its CacheNode) ---- */                           \
+  /* Queries answered stale-within-tolerance under overload. */               \
+  X(std::int64_t, degraded_queries, sum)                                      \
+  /* ---- DelayedTransport: what the fault plan actually did ---- */          \
+  X(std::int64_t, faults_dropped, sum)                                        \
+  X(std::int64_t, faults_duplicated, sum)                                     \
+  X(std::int64_t, faults_reordered, sum)                                      \
+  X(std::int64_t, partition_dropped, sum)                                     \
+  /* ---- crash-stop endpoint failures ---- */                                \
+  /* Process crashes fired (CacheNode and ServerNode). */                     \
+  X(std::int64_t, crash_restarts, sum)                                        \
+  /* Messages dropped because the sender was down at send time or the         \
+     destination at delivery time (DelayedTransport). */                      \
+  X(std::int64_t, crash_dropped, sum)                                         \
+  /* Loads a recovering cache issued between restart and reconvergence. */    \
+  X(std::int64_t, cold_misses, sum)                                           \
+  /* Retries past kMaxAttempts on retry-forever kinds (loads, resyncs). */    \
+  X(std::int64_t, budget_exceeded_retries, sum)                               \
+  /* Scheduled down-time of the crash windows that fired (CacheNode and       \
+     ServerNode): availability = 1 - this / sim duration. */                  \
+  X(double, crash_downtime_seconds, sum)                                      \
+  /* Slowest restart/detection -> recovery-resync-completion interval. */     \
+  X(double, max_reconvergence_seconds, max)                                   \
+  /* Largest ingest -> apply gap repaired by a crash-recovery resync. */      \
+  X(double, post_restart_staleness_seconds, max)
+
+struct ChaosYardsticks {
+#define DELTA_CHAOS_DECLARE(type, name, rule) type name = 0;
+  DELTA_CHAOS_YARDSTICKS(DELTA_CHAOS_DECLARE)
+#undef DELTA_CHAOS_DECLARE
+
+  /// Folds `other` into this record, field by field under its rule.
+  ChaosYardsticks& merge(const ChaosYardsticks& other) {
+#define DELTA_CHAOS_MERGE(type, name, rule) \
+  name = rule##_rule(name, other.name);
+    DELTA_CHAOS_YARDSTICKS(DELTA_CHAOS_MERGE)
+#undef DELTA_CHAOS_MERGE
+    return *this;
+  }
+
+  bool operator==(const ChaosYardsticks&) const = default;
+
+ private:
+  template <typename T>
+  static T sum_rule(T a, T b) {
+    return a + b;
+  }
+  template <typename T>
+  static T max_rule(T a, T b) {
+    return std::max(a, b);
+  }
 };
+
+#define DELTA_CHAOS_COUNT(type, name, rule) +1
+inline constexpr std::size_t kChaosYardstickCount =
+    0 DELTA_CHAOS_YARDSTICKS(DELTA_CHAOS_COUNT);
+#undef DELTA_CHAOS_COUNT
+static_assert(std::is_trivially_copyable_v<ChaosYardsticks>);
+static_assert(sizeof(ChaosYardsticks) == 8 * kChaosYardstickCount,
+              "every chaos yardstick must be 8 bytes wide (no padding)");
 
 // ---- deterministic draw helpers ------------------------------------------
 

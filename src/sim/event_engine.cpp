@@ -82,7 +82,7 @@ DecodedStream decode_stream(const workload::Trace& trace,
   if (options.open_loop.enabled) {
     arrivals = std::make_unique<workload::ArrivalProcess>(
         options.open_loop.arrival, options.open_loop.rate_per_sec,
-        options.open_loop.seed, options.open_loop.diurnal_period_seconds);
+        options.open_loop.seed);
   }
   const EventTime warmup_end = trace.info.warmup_end_event;
   DecodedStream stream;
@@ -177,11 +177,6 @@ struct EventShard : ReplicaReplay {
     bool wipe = false;
   };
   std::vector<CrashEvent> crash_plan;
-  /// Cache-window downtime accrued by this replica (summed over shards at
-  /// merge) and server-window downtime (every replica fires the identical
-  /// server schedule, so the merge adds shard 0's copy exactly once).
-  double crash_downtime = 0.0;
-  double server_crash_downtime = 0.0;
   /// Set by a cache wipe event; the replay loop runs the policy's
   /// on_crash_restart at its top — the one point where no policy dispatch
   /// frame can be live. A crash event may fire inside a synchronous frame's
@@ -196,18 +191,14 @@ struct EventShard : ReplicaReplay {
     auto& shard = *static_cast<EventShard*>(ctx);
     const CrashEvent& ce = shard.crash_plan[static_cast<std::size_t>(arg)];
     if (ce.server) {
-      if (ce.wipe) {
-        shard.server->crash_restart();
-        shard.server_crash_downtime += ce.downtime;
-      }
+      if (ce.wipe) shard.server->crash_restart(ce.downtime);
       // Heal needs no server-side action: a restarted server just answers
       // again. Caches detect the new incarnation from its reply stamps and
       // rebuild their registrations themselves (kRecoverRequest).
       return;
     }
     if (ce.wipe) {
-      shard.cache->crash_restart();
-      shard.crash_downtime += ce.downtime;
+      shard.cache->crash_restart(ce.downtime);
       shard.policy_wipe_pending = true;
     } else {
       shard.cache->begin_recovery();
@@ -525,6 +516,9 @@ void replay_event_shard(const workload::Trace& trace,
   shard.aggregate_series.finalize();
   r.series = shard.aggregate_series;
   r.postwarmup_latency = shard.yardsticks.response_seconds;
+  // Each replica has exactly one cache, so the server's ledger is its own.
+  shard.yardsticks.protocol = shard.cache->counters();
+  shard.yardsticks.notices_logged = shard.server->counters().notices_logged;
   r.total_traffic = endpoint_meter.figure_total();
   const std::array<Bytes, 3> final_by = mechanism_snapshot(endpoint_meter);
   for (std::size_t m = 0; m < 3; ++m) {
@@ -602,8 +596,6 @@ EventRunResult run_policy_event(const workload::Trace& trace,
       any_crash_windows = any_crash_windows || !crash.windows.empty();
     }
   }
-  core::ProtocolOptions protocol = options.protocol;
-  if (any_crash_windows) protocol.probe_on_suspect = true;
 
   // ---- assemble one replica node graph per partition (calling thread) ----
   std::vector<std::unique_ptr<EventShard>> shards;
@@ -626,9 +618,10 @@ EventRunResult run_policy_event(const workload::Trace& trace,
                         options.protocol.enabled,
                     "fault plan can drop/duplicate messages but the "
                     "protocol layer is off — enable options.protocol");
-    shards.back()->server->set_protocol(protocol);
+    shards.back()->server->set_protocol(options.protocol);
     shards.back()->server->set_admission(options.admission);
-    shards.back()->cache->set_protocol(protocol);
+    shards.back()->cache->set_protocol(options.protocol,
+                                       /*probe_on_suspect=*/any_crash_windows);
     if (any_crash_windows) {
       // Resolve the plan's crash schedules against this replica's endpoint
       // names (first non-empty schedule per endpoint wins, matching the
@@ -740,55 +733,19 @@ EventRunResult run_policy_event(const workload::Trace& trace,
     out.prefiltered_updates += shard->prefiltered_updates;
 
     // ---- failure/recovery accounting (shard order, so the sums are
-    // thread-count independent; each replica has exactly one cache at
-    // server slot 0) ----
-    EndpointEventYardsticks& y = shard->yardsticks;
-    y.protocol = shard->cache->protocol_stats();
-    y.notices_logged = shard->server->notices_logged(0);
-    y.shed_queries = shard->server->shed_queries();
-    y.degraded_queries = shard->policy->degraded_queries();
-    ChaosYardsticks& ch = out.chaos;
-    ch.timeouts += y.protocol.timeouts;
-    ch.retries += y.protocol.retries;
-    ch.failed_requests += y.protocol.failed_requests;
-    ch.late_replies += y.protocol.late_replies;
-    ch.duplicate_notices_suppressed += y.protocol.duplicate_notices;
-    ch.shed_replies += y.protocol.shed_replies;
-    ch.resyncs += y.protocol.resyncs;
-    ch.replayed_notices += y.protocol.replayed_notices;
-    ch.notices_applied += y.protocol.notices_applied;
-    ch.unavailable_seconds += y.protocol.unavailable_seconds;
-    ch.max_recovery_staleness_seconds =
-        std::max(ch.max_recovery_staleness_seconds,
-                 y.protocol.max_recovery_staleness_seconds);
-    ch.shed_queries += y.shed_queries;
-    ch.request_duplicates_suppressed += shard->server->duplicates_suppressed();
-    ch.resyncs_served += shard->server->resyncs_served();
-    ch.notices_logged += y.notices_logged;
-    ch.degraded_queries += y.degraded_queries;
-    const net::FaultStats& faults = shard->transport.fault_stats();
-    ch.faults_dropped += faults.dropped;
-    ch.faults_duplicated += faults.duplicated;
-    ch.faults_reordered += faults.reordered;
-    ch.partition_dropped += faults.partition_dropped;
-    // ---- crash-stop accounting (ISSUE 10) ----
-    ch.crash_restarts += y.protocol.crash_restarts;
-    ch.crash_dropped += faults.crash_dropped;
-    ch.cold_misses += y.protocol.cold_misses;
-    ch.budget_exceeded_retries += y.protocol.budget_exceeded_retries;
-    ch.crash_downtime_seconds += shard->crash_downtime;
-    ch.max_reconvergence_seconds =
-        std::max(ch.max_reconvergence_seconds,
-                 y.protocol.max_reconvergence_seconds);
-    ch.post_restart_staleness_seconds =
-        std::max(ch.post_restart_staleness_seconds,
-                 y.protocol.post_restart_staleness_seconds);
+    // thread-count independent). Every replica fires the identical server
+    // crash schedule, so its server's crash pair is a copy: it is left out
+    // here and shard 0's is added once below. ----
+    ChaosYardsticks server = shard->server->counters();
+    server.crash_restarts = 0;
+    server.crash_downtime_seconds = 0.0;
+    out.chaos.merge(shard->cache->counters())
+        .merge(server)
+        .merge(shard->transport.counters());
   }
-  // Server-side crash accounting: every replica fires the identical server
-  // schedule, so per-replica counts are copies — add shard 0's exactly once.
-  out.chaos.crash_restarts += shards.front()->server->crash_restarts();
-  out.chaos.crash_downtime_seconds +=
-      shards.front()->server_crash_downtime;
+  const ChaosYardsticks& server0 = shards.front()->server->counters();
+  out.chaos.crash_restarts += server0.crash_restarts;
+  out.chaos.crash_downtime_seconds += server0.crash_downtime_seconds;
 
   if (record_tapes) {
     // Re-add the per-query samples in merged-trace order: StreamingStats

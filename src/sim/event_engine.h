@@ -68,7 +68,6 @@ struct OpenLoopOptions {
   /// Long-run mean arrival rate of the merged event stream (events/sec of
   /// simulated time). Replaces seconds_per_event as the pacing source.
   double rate_per_sec = 1000.0;
-  double diurnal_period_seconds = 10.0;
   std::uint64_t seed = 0x0A11;
   /// Per-cache bound on overlapping dispatched queries; an arrival that
   /// finds the window full queues (its wait is measured as dispatch lag).
@@ -136,76 +135,23 @@ struct EventEngineOptions {
   bool prefilter_updates = true;
 };
 
+/// Failure/recovery yardsticks, declared in net/fault_plan.h and merged
+/// over partitions in shard order.
+using ChaosYardsticks = net::ChaosYardsticks;
+
 /// Simulated-latency yardsticks for one cache endpoint.
 struct EndpointEventYardsticks {
   /// Post-warm-up simulated response times of this endpoint's queries.
   util::StreamingStats response_seconds;
   /// Ingest -> invalidation-delivered gap for notices this cache received.
   util::StreamingStats staleness_seconds;
-  /// This cache's failure/recovery counters (all zero with the protocol
-  /// layer off).
-  core::ProtocolStats protocol;
+  /// This cache's CacheNode counters (all zero with the protocol layer
+  /// off).
+  ChaosYardsticks protocol;
   /// Invalidation notices the server owed this cache (its notice ledger):
   /// with the protocol on, convergence after partition-then-heal means
   /// protocol.notices_applied == notices_logged (pinned by the chaos test).
   std::int64_t notices_logged = 0;
-  std::int64_t shed_queries = 0;
-  std::int64_t degraded_queries = 0;
-};
-
-/// Failure/recovery yardsticks (ISSUE 8), summed over partitions in shard
-/// order. All zero when faults, protocol hardening, and admission are off.
-struct ChaosYardsticks {
-  // ---- client-side protocol (sum of per-endpoint ProtocolStats) ----
-  std::int64_t timeouts = 0;
-  std::int64_t retries = 0;
-  std::int64_t failed_requests = 0;
-  std::int64_t late_replies = 0;
-  /// Invalidation notices a cache had already applied (duplicate delivery
-  /// or resync replay of a notice that did arrive).
-  std::int64_t duplicate_notices_suppressed = 0;
-  std::int64_t shed_replies = 0;
-  std::int64_t resyncs = 0;
-  std::int64_t replayed_notices = 0;
-  std::int64_t notices_applied = 0;
-  double unavailable_seconds = 0.0;
-  /// Largest staleness a resync replay repaired (max over caches).
-  double max_recovery_staleness_seconds = 0.0;
-  // ---- server side ----
-  std::int64_t shed_queries = 0;
-  /// Requests the dedup window swallowed (duplicated deliveries and
-  /// retransmits whose original arrived).
-  std::int64_t request_duplicates_suppressed = 0;
-  std::int64_t resyncs_served = 0;
-  std::int64_t notices_logged = 0;
-  // ---- policy side ----
-  std::int64_t degraded_queries = 0;
-  // ---- transport fault layer (what the plan actually did) ----
-  std::int64_t faults_dropped = 0;
-  std::int64_t faults_duplicated = 0;
-  std::int64_t faults_reordered = 0;
-  std::int64_t partition_dropped = 0;
-  // ---- crash-stop endpoint failures (ISSUE 10) ----
-  /// Process crashes fired (cache restarts summed over partitions + server
-  /// replica restarts, counted once in shard order).
-  std::int64_t crash_restarts = 0;
-  /// Messages the transport dropped because an endpoint was down (sender
-  /// down at send time, or destination down at delivery time).
-  std::int64_t crash_dropped = 0;
-  /// Cold-miss burst: loads a recovering cache issued between its restart
-  /// and its reconvergence (working-set re-warm traffic).
-  std::int64_t cold_misses = 0;
-  /// Retries past ProtocolOptions::max_attempts on retry-forever kinds
-  /// (kLoadData/kResyncData) — the never-abandoned recovery machinery.
-  std::int64_t budget_exceeded_retries = 0;
-  /// Sum of scheduled down-time across all crash windows that fired
-  /// (availability = 1 - crash_downtime_seconds / sim_duration).
-  double crash_downtime_seconds = 0.0;
-  /// Slowest restart -> recovery-complete interval (max over caches).
-  double max_reconvergence_seconds = 0.0;
-  /// Largest ingest->apply gap repaired by a recovery resync (max over
-  /// caches) — how stale the cold cache's view got before reconverging.
-  double post_restart_staleness_seconds = 0.0;
 };
 
 struct EventRunResult {

@@ -42,10 +42,9 @@ const char* ArrivalProcess::kind_name(Kind kind) {
 }
 
 ArrivalProcess::ArrivalProcess(Kind kind, double rate_per_sec,
-                               std::uint64_t seed, double period_seconds)
-    : kind_(kind), rate_(rate_per_sec), period_(period_seconds), rng_(seed) {
+                               std::uint64_t seed)
+    : kind_(kind), rate_(rate_per_sec), rng_(seed) {
   DELTA_CHECK(rate_per_sec > 0.0);
-  DELTA_CHECK(period_seconds > 0.0);
 }
 
 double ArrivalProcess::next() {
@@ -75,7 +74,8 @@ double ArrivalProcess::next() {
       // approximation (rate treated constant across one gap) — standard
       // for DES workload generators and exactly reproducible.
       constexpr double kAmplitude = 0.8;
-      const double phase = 2.0 * 3.14159265358979323846 * clock_ / period_;
+      const double phase =
+          2.0 * 3.14159265358979323846 * clock_ / kDiurnalPeriodSeconds;
       const double instantaneous =
           rate_ * (1.0 + kAmplitude * std::sin(phase));
       clock_ += rng_.exponential(1.0 / instantaneous);

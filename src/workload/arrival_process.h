@@ -13,7 +13,7 @@
 //     long gaps, same long-run mean rate; stresses queueing at the server
 //     uplink far harder than Poisson at the same rate.
 //   * diurnal — a sinusoidally modulated Poisson process (peak/trough
-//     pattern of a day compressed to `period_seconds`), so a run sweeps
+//     pattern of a day compressed to kDiurnalPeriodSeconds), so a run sweeps
 //     through under- and over-saturated regimes deterministically.
 //
 // Determinism: the schedule is a pure function of (kind, rate, seed) via
@@ -29,6 +29,9 @@
 
 namespace delta::workload {
 
+/// Simulated seconds of one diurnal peak/trough cycle.
+inline constexpr double kDiurnalPeriodSeconds = 10.0;
+
 class ArrivalProcess {
  public:
   enum class Kind : std::uint8_t { kPoisson, kBursty, kDiurnal };
@@ -38,10 +41,8 @@ class ArrivalProcess {
   [[nodiscard]] static const char* kind_name(Kind kind);
 
   /// `rate_per_sec` is the long-run mean arrival rate of the merged event
-  /// stream; `period_seconds` shapes the diurnal cycle (ignored by the
-  /// other kinds).
-  ArrivalProcess(Kind kind, double rate_per_sec, std::uint64_t seed,
-                 double period_seconds = 10.0);
+  /// stream.
+  ArrivalProcess(Kind kind, double rate_per_sec, std::uint64_t seed);
 
   /// Absolute arrival instant of the next event (nondecreasing).
   double next();
@@ -49,7 +50,6 @@ class ArrivalProcess {
  private:
   Kind kind_;
   double rate_;
-  double period_;
   util::Rng rng_;
   double clock_ = 0.0;
   std::int64_t burst_left_ = 0;  // bursty: arrivals left in current train

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "net/fault_plan.h"
+#include "result_identity.h"
 #include "sim/event_engine.h"
 #include "sim/experiment.h"
 #include "workload/trace_split.h"
@@ -71,39 +72,6 @@ void add_crash(EventEngineOptions& options, const std::string& endpoint,
       net::CrashSchedule{endpoint, {net::FaultWindow{down, heal}}});
 }
 
-void expect_chaos_identical(const ChaosYardsticks& a,
-                            const ChaosYardsticks& b) {
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.failed_requests, b.failed_requests);
-  EXPECT_EQ(a.late_replies, b.late_replies);
-  EXPECT_EQ(a.duplicate_notices_suppressed, b.duplicate_notices_suppressed);
-  EXPECT_EQ(a.shed_replies, b.shed_replies);
-  EXPECT_EQ(a.resyncs, b.resyncs);
-  EXPECT_EQ(a.replayed_notices, b.replayed_notices);
-  EXPECT_EQ(a.notices_applied, b.notices_applied);
-  EXPECT_EQ(a.unavailable_seconds, b.unavailable_seconds);
-  EXPECT_EQ(a.max_recovery_staleness_seconds,
-            b.max_recovery_staleness_seconds);
-  EXPECT_EQ(a.shed_queries, b.shed_queries);
-  EXPECT_EQ(a.request_duplicates_suppressed, b.request_duplicates_suppressed);
-  EXPECT_EQ(a.resyncs_served, b.resyncs_served);
-  EXPECT_EQ(a.notices_logged, b.notices_logged);
-  EXPECT_EQ(a.degraded_queries, b.degraded_queries);
-  EXPECT_EQ(a.faults_dropped, b.faults_dropped);
-  EXPECT_EQ(a.faults_duplicated, b.faults_duplicated);
-  EXPECT_EQ(a.faults_reordered, b.faults_reordered);
-  EXPECT_EQ(a.partition_dropped, b.partition_dropped);
-  EXPECT_EQ(a.crash_restarts, b.crash_restarts);
-  EXPECT_EQ(a.crash_dropped, b.crash_dropped);
-  EXPECT_EQ(a.cold_misses, b.cold_misses);
-  EXPECT_EQ(a.budget_exceeded_retries, b.budget_exceeded_retries);
-  EXPECT_EQ(a.crash_downtime_seconds, b.crash_downtime_seconds);
-  EXPECT_EQ(a.max_reconvergence_seconds, b.max_reconvergence_seconds);
-  EXPECT_EQ(a.post_restart_staleness_seconds,
-            b.post_restart_staleness_seconds);
-}
-
 void expect_runs_identical(const EventRunResult& a, const EventRunResult& b) {
   EXPECT_EQ(a.replay.combined.queries, b.replay.combined.queries);
   EXPECT_EQ(a.replay.combined.total_traffic, b.replay.combined.total_traffic);
@@ -118,7 +86,7 @@ void expect_runs_identical(const EventRunResult& a, const EventRunResult& b) {
   EXPECT_EQ(a.sim_duration_seconds, b.sim_duration_seconds);
   EXPECT_EQ(a.delivered_messages, b.delivered_messages);
   EXPECT_EQ(a.notice_messages, b.notice_messages);
-  expect_chaos_identical(a.chaos, b.chaos);
+  EXPECT_EQ(a.chaos, b.chaos);
 }
 
 void expect_books_balanced(const EventRunResult& r, std::size_t queries) {
@@ -149,7 +117,7 @@ TEST(CrashRestartTest, ZeroCrashPlanIsByteIdentical) {
   const EventRunResult baseline = run(false);
   const EventRunResult planned = run(true);
   expect_runs_identical(planned, baseline);
-  expect_chaos_identical(planned.chaos, ChaosYardsticks{});
+  EXPECT_EQ(planned.chaos, ChaosYardsticks{});
 }
 
 // The tentpole, cache side: cache-0 dies for 10% of the run and restarts

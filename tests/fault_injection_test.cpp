@@ -2,14 +2,18 @@
 // duplicate / reorder draws from per-link splitmix streams, scheduled
 // partition windows, the zero-fault byte-identity contract, and the
 // stream-independence properties (other links' traffic and registration
-// order never perturb a link's fates).
+// order never perturb a link's fates) — plus the merge rules of the
+// ChaosYardsticks counter record the transport's fates are counted in.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/delayed_transport.h"
 #include "net/fault_plan.h"
+#include "result_identity.h"
 #include "util/event_queue.h"
 
 namespace delta::net {
@@ -64,7 +68,7 @@ TEST(FaultInjectionTest, CertainDropKillsEveryDeliveryButPaysSerialization) {
   for (int i = 0; i < 8; ++i) h.send("a", "b", i);
   h.events.run_until_idle();
   EXPECT_TRUE(h.deliveries.empty());
-  EXPECT_EQ(h.transport.fault_stats().dropped, 8);
+  EXPECT_EQ(h.transport.counters().faults_dropped, 8);
   // The wire ate the messages AFTER serialization: the egress link was
   // busy (the sender cannot know), but nothing was metered at delivery.
   const UplinkStats& uplink =
@@ -89,7 +93,7 @@ TEST(FaultInjectionTest, CertainDuplicateDeliversTwiceOriginalFirst) {
   // The copy shares the original's timing (a retransmit artifact, not a
   // second serialization) and lands right after it by event order.
   EXPECT_EQ(h.deliveries[0].at, h.deliveries[1].at);
-  EXPECT_EQ(h.transport.fault_stats().duplicated, 1);
+  EXPECT_EQ(h.transport.counters().faults_duplicated, 1);
   // Duplicated flights are not themselves re-drawn: exactly one copy.
   const UplinkStats& uplink =
       h.transport.uplink_stats(h.transport.endpoint_slot("a"));
@@ -117,7 +121,7 @@ TEST(FaultInjectionTest, CertainReorderDefersDeliveryWithinBound) {
   ASSERT_EQ(h.deliveries.size(), 1u);
   EXPECT_GE(h.deliveries[0].at, undisturbed);
   EXPECT_LE(h.deliveries[0].at, undisturbed + 0.5);
-  EXPECT_EQ(h.transport.fault_stats().reordered, 1);
+  EXPECT_EQ(h.transport.counters().faults_reordered, 1);
 }
 
 TEST(FaultInjectionTest, PartitionWindowDropsExactlyItsSpan) {
@@ -146,8 +150,8 @@ TEST(FaultInjectionTest, PartitionWindowDropsExactlyItsSpan) {
   ASSERT_EQ(h.deliveries.size(), 2u);
   EXPECT_EQ(h.deliveries[0].subject, 0);
   EXPECT_EQ(h.deliveries[1].subject, 3);
-  EXPECT_EQ(h.transport.fault_stats().partition_dropped, 2);
-  EXPECT_EQ(h.transport.fault_stats().dropped, 0);
+  EXPECT_EQ(h.transport.counters().partition_dropped, 2);
+  EXPECT_EQ(h.transport.counters().faults_dropped, 0);
 }
 
 TEST(FaultInjectionTest, DuplexPartitionKillsBothDirections) {
@@ -163,7 +167,7 @@ TEST(FaultInjectionTest, DuplexPartitionKillsBothDirections) {
   h.send("b", "a", 1);
   h.events.run_until_idle();
   EXPECT_TRUE(h.deliveries.empty());
-  EXPECT_EQ(h.transport.fault_stats().partition_dropped, 2);
+  EXPECT_EQ(h.transport.counters().partition_dropped, 2);
 }
 
 // The zero-fault contract: an enabled plan with no nonzero probability and
@@ -194,7 +198,7 @@ TEST(FaultInjectionTest, ZeroProbabilityPlanIsIdenticalToNoPlan) {
     EXPECT_EQ(bare.deliveries[i].subject, planned.deliveries[i].subject);
     EXPECT_EQ(bare.deliveries[i].at, planned.deliveries[i].at);  // bitwise
   }
-  EXPECT_EQ(planned.transport.fault_stats().dropped, 0);
+  EXPECT_EQ(planned.transport.counters().faults_dropped, 0);
 }
 
 // A link's fate stream is keyed by (seed, endpoint names, per-link seq):
@@ -292,7 +296,58 @@ TEST(FaultInjectionTest, RulesOverrideDefaultPerLink) {
   ASSERT_EQ(h.deliveries.size(), 2u);
   EXPECT_EQ(h.deliveries[0].subject, 0);
   EXPECT_EQ(h.deliveries[1].subject, 1);
-  EXPECT_EQ(h.transport.fault_stats().dropped, 1);
+  EXPECT_EQ(h.transport.counters().faults_dropped, 1);
+}
+
+// The merge rule of each counter, stated here independently of the
+// record's own list: the three staleness/reconvergence maxima keep the
+// largest value, every other field sums.
+bool takes_max(std::string_view field) {
+  return field == "max_recovery_staleness_seconds" ||
+         field == "max_reconvergence_seconds" ||
+         field == "post_restart_staleness_seconds";
+}
+
+TEST(ChaosYardsticksTest, MergeSumsCountersAndKeepsMaxima) {
+  // Field k holds k in `a`; in `b` it holds k - 1 for odd k (a is larger)
+  // and 100 + k for even k (b is larger), so each max field is checked
+  // against whichever side wins for it.
+  ChaosYardsticks a;
+  ChaosYardsticks b;
+  int k = 0;
+#define FILL(type, name, rule)                                \
+  ++k;                                                        \
+  a.name = static_cast<type>(k);                              \
+  b.name = static_cast<type>(k % 2 == 1 ? k - 1 : 100 + k);
+  DELTA_CHAOS_YARDSTICKS(FILL)
+#undef FILL
+  ChaosYardsticks merged = a;
+  merged.merge(b);
+  int max_fields = 0;
+#define CHECK_FIELD(type, name, rule)                                    \
+  max_fields += takes_max(#name) ? 1 : 0;                                \
+  EXPECT_EQ(merged.name,                                                 \
+            takes_max(#name) ? std::max(a.name, b.name) : a.name + b.name) \
+      << #name;
+  DELTA_CHAOS_YARDSTICKS(CHECK_FIELD)
+#undef CHECK_FIELD
+  EXPECT_EQ(max_fields, 3);
+  EXPECT_EQ(static_cast<std::size_t>(k), kChaosYardstickCount);
+}
+
+TEST(ChaosYardsticksTest, EmptyRecordIsTheMergeIdentity) {
+  ChaosYardsticks a;
+  a.timeouts = 5;
+  a.faults_dropped = 2;
+  a.unavailable_seconds = 0.75;
+  a.max_reconvergence_seconds = 1.5;
+  ChaosYardsticks left = a;
+  left.merge(ChaosYardsticks{});
+  EXPECT_EQ(left, a);
+  ChaosYardsticks right;
+  right.merge(a);
+  EXPECT_EQ(right, a);
+  EXPECT_NE(right.merge(a), a);
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Bitwise equality of simulation results, shared by every test that pins
-// one run against another (thread counts, endpoint counts, repeated runs).
+// one run against another (thread counts, endpoint counts, repeated runs),
+// and the gtest printer for the chaos counter record.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <ostream>
 #include <string>
 
+#include "net/fault_plan.h"
 #include "sim/multi_cache.h"
 #include "sim/simulator.h"
 
@@ -62,3 +65,20 @@ inline void ExpectIdentical(const sim::MultiRunResult& a,
 }
 
 }  // namespace delta::testing
+
+namespace delta::net {
+
+/// Prints every nonzero field by name at full precision, so a failed
+/// EXPECT_EQ between two records names the counters that differ.
+inline void PrintTo(const ChaosYardsticks& r, std::ostream* os) {
+  const std::streamsize precision = os->precision(17);
+  *os << '{';
+#define DELTA_CHAOS_PRINT(type, name, rule) \
+  if (r.name != 0) *os << ' ' << #name << '=' << r.name;
+  DELTA_CHAOS_YARDSTICKS(DELTA_CHAOS_PRINT)
+#undef DELTA_CHAOS_PRINT
+  *os << " }";
+  os->precision(precision);
+}
+
+}  // namespace delta::net
