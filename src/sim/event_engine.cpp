@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -36,23 +37,36 @@ struct StalenessSample {
   double gap = 0.0;
 };
 
+/// Prefetch lookahead, in routed queries of one partition. A partition's
+/// query records sit at irregular positions in trace.queries, out of the
+/// hardware prefetcher's reach, so each query's decoded event names the
+/// query this many routed queries later on the same partition, and the
+/// partition prefetches that record when it dispatches.
+constexpr std::size_t kPrefetchLead = 8;
+constexpr std::uint32_t kNoQuery = std::numeric_limits<std::uint32_t>::max();
+
 /// One event of the shared decoded replay stream: the merged-order record
 /// every partition walks. Decoded once on the calling thread — trace-order
-/// indirection, timestamp lookup, and the arrival-instant conversion are
-/// paid once instead of once per partition, and updates enter the replicas
-/// through the trusted by-index ingest (the identity of a trace entry with
-/// itself needs no per-replica validation).
+/// indirection, timestamp lookup, routing lookup and the arrival-instant
+/// conversion are paid once instead of once per partition, and updates
+/// enter the replicas through the trusted by-index ingest (the identity of
+/// a trace entry with itself needs no per-replica validation).
 struct DecodedEvent {
   double arrival = 0.0;   // now * seconds_per_event, partition-clock units
   EventTime now = 0;
-  std::int64_t index = 0;  // into trace.queries or trace.updates
+  std::uint32_t index = 0;  // into trace.queries or trace.updates
+  union {
+    std::uint32_t object = 0;  // an update's object (the prefilter's key)
+    std::uint32_t endpoint;    // a query's routed partition
+  };
+  /// A query's lookahead (see kPrefetchLead), or kNoQuery.
+  std::uint32_t prefetch = kNoQuery;
   bool is_update = false;
-  std::uint32_t object = 0;  // an update's object (the prefilter's key)
 };
-static_assert(sizeof(DecodedEvent) == 32, "object rides in the padding");
+static_assert(sizeof(DecodedEvent) == 32, "one event per half cache line");
 
-/// The decoded stream plus every count the shards are sized from, all read
-/// off the same single pass over the trace.
+/// The decoded stream plus every count and touch row the shards are sized
+/// and gated from, all read off the same single pass over the trace.
 struct DecodedStream {
   std::vector<DecodedEvent> events;
   /// Per partition: routed queries (the LPT weight), the post-warm-up
@@ -67,11 +81,15 @@ struct DecodedStream {
   /// staleness tapes of filtered and unfiltered shards exactly.
   std::vector<std::size_t> postwarmup_updates_of;
   std::size_t postwarmup_updates = 0;
+  /// Per partition that prefilters updates: one byte per object, nonzero
+  /// when a query routed there names it (the routed half of the touch set,
+  /// see replay_event_shard). Empty for partitions that do not prefilter.
+  std::vector<std::vector<std::uint8_t>> touch_rows;
 };
 
 DecodedStream decode_stream(const workload::Trace& trace,
                             const std::vector<std::uint32_t>& routing,
-                            std::size_t endpoint_count,
+                            const std::vector<bool>& prefilters,
                             std::int64_t sketch_stride,
                             const EventEngineOptions& options) {
   // Open loop: arrival instants come from the ArrivalProcess schedule (the
@@ -84,38 +102,84 @@ DecodedStream decode_stream(const workload::Trace& trace,
         options.open_loop.arrival, options.open_loop.rate_per_sec,
         options.open_loop.seed);
   }
+  const std::size_t endpoint_count = prefilters.size();
+  const std::size_t object_count = trace.initial_object_bytes.size();
   const EventTime warmup_end = trace.info.warmup_end_event;
   DecodedStream stream;
   stream.routed_queries.assign(endpoint_count, 0);
   stream.postwarmup_routed.assign(endpoint_count, 0);
   stream.retained_samples.assign(endpoint_count, 0);
-  stream.postwarmup_updates_of.assign(trace.initial_object_bytes.size(), 0);
+  stream.postwarmup_updates_of.assign(object_count, 0);
+  stream.touch_rows.resize(endpoint_count);
+  for (std::size_t e = 0; e < endpoint_count; ++e) {
+    if (prefilters[e]) stream.touch_rows[e].assign(object_count, 0);
+  }
+  // Per partition, the stream positions of its last kPrefetchLead routed
+  // queries: a ring indexed by the partition's routed count so far.
+  std::vector<std::uint32_t> recent(endpoint_count * kPrefetchLead);
+  // Stream positions and trace indices ride in 32 bits.
+  DELTA_CHECK(trace.order.size() < kNoQuery &&
+              trace.queries.size() < kNoQuery &&
+              trace.updates.size() < kNoQuery);
   stream.events.reserve(trace.order.size());
   for (const workload::Event& event : trace.order) {
     DecodedEvent d;
     d.is_update = event.kind == workload::Event::Kind::kUpdate;
-    d.index = event.index;
     const auto i = static_cast<std::size_t>(event.index);
+    DELTA_CHECK(event.index >= 0 &&
+                i < (d.is_update ? trace.updates.size()
+                                 : trace.queries.size()));
+    d.index = static_cast<std::uint32_t>(i);
     if (d.is_update) {
       const workload::Update& u = trace.updates[i];
       d.now = u.time;
+      // Object ids index the per-object counts here and the shards'
+      // prefilter gates; a hand-built trace need not have been validated.
+      DELTA_CHECK_MSG(u.object.value() >= 0 &&
+                          static_cast<std::size_t>(u.object.value()) <
+                              object_count,
+                      "update " << i << " names object " << u.object.value()
+                                << " of " << object_count);
       d.object = static_cast<std::uint32_t>(u.object.value());
       if (d.now >= warmup_end) {
         ++stream.postwarmup_updates_of[d.object];
         ++stream.postwarmup_updates;
       }
     } else {
-      d.now = trace.queries[i].time;
+      const workload::Query& q = trace.queries[i];
+      d.now = q.time;
       // A worker silently skips queries routed out of range, so the whole
       // split is validated here.
       const std::uint32_t e = routing[i];
       DELTA_CHECK(e < endpoint_count);
+      d.endpoint = e;
+      // Link the partition's query kPrefetchLead routed queries back to
+      // this one.
+      std::uint32_t& oldest =
+          recent[e * kPrefetchLead + stream.routed_queries[e] % kPrefetchLead];
+      if (stream.routed_queries[e] >= kPrefetchLead) {
+        stream.events[oldest].prefetch = d.index;
+      }
+      oldest = static_cast<std::uint32_t>(stream.events.size());
       ++stream.routed_queries[e];
       if (d.now >= warmup_end) {
         ++stream.postwarmup_routed[e];
         if (sketch_stride <= 1 ||
             static_cast<std::int64_t>(i) % sketch_stride == 0) {
           ++stream.retained_samples[e];
+        }
+      }
+      std::vector<std::uint8_t>& row = stream.touch_rows[e];
+      if (!row.empty()) {
+        // Marked here, while the query record is in cache, so no partition
+        // walks the routing table or the query records for its touch set.
+        for (const ObjectId o : q.objects) {
+          DELTA_CHECK_MSG(o.value() >= 0 &&
+                              static_cast<std::size_t>(o.value()) <
+                                  object_count,
+                          "query " << i << " names object " << o.value()
+                                   << " of " << object_count);
+          row[static_cast<std::size_t>(o.value())] = 1;
         }
       }
     }
@@ -265,46 +329,51 @@ struct EventShard : ReplicaReplay {
   }
 };
 
+/// Prefetches every cache line of one query record (128 bytes, 8-aligned,
+/// so it may straddle three lines).
+void prefetch_query(const workload::Query& q) {
+  const auto* bytes = reinterpret_cast<const char*>(&q);
+  for (std::size_t offset = 0; offset < sizeof(q); offset += 64) {
+    __builtin_prefetch(bytes + offset);
+  }
+  __builtin_prefetch(bytes + sizeof(q) - 1);
+}
+
 // Over zero-latency links SimGoldenTest.EventEngine... pins this loop to
 // the synchronous engine's golden tables; event_engine_test pins
 // bit-identity across thread counts on the WAN configs.
 void replay_event_shard(const workload::Trace& trace,
-                        const DecodedStream& stream,
-                        const std::vector<std::uint32_t>& routing,
-                        std::size_t self, const EventEngineOptions& options,
+                        const DecodedStream& stream, std::size_t self,
+                        const EventEngineOptions& options,
                         EventShard& shard) {
   const auto start = std::chrono::steady_clock::now();
   // ---- update prefilter (see EventEngineOptions::prefilter_updates) ----
   // Touch set = objects registered at this replica when the factories
-  // finished ∪ objects named by queries routed here. Inductively, every
-  // object the replica can ever register, read (object_bytes / load_cost)
-  // or be notified about lies in it: registrations happen only through
-  // loads, loads only for objects of routed queries (or factory preloads,
-  // captured in the post-factory registration row), reply payloads are
-  // fixed trace fields (q.cost / u.cost), and the invalidation fan-out
-  // gates on subscription/registration. An update whose object is outside
-  // the touch set is therefore an invisible repository-size bump here —
-  // skipping its ingest is exact. kAll subscribers (Replica/Benefit) hear
-  // every update and stand down. So do crash-windowed replicas: a crash
-  // recovery rebuilds rows and replays ledgers on its own schedule, and
-  // filtering against that is not worth the proof. The row is read before
+  // finished ∪ objects named by queries routed here (the decode pass's
+  // touch row). Inductively, every object the replica can ever register,
+  // read (object_bytes / load_cost) or be notified about lies in it:
+  // registrations happen only through loads, loads only for objects of
+  // routed queries (or factory preloads, captured in the post-factory
+  // registration row), reply payloads are fixed trace fields (q.cost /
+  // u.cost), and the invalidation fan-out gates on subscription/
+  // registration. An update whose object is outside the touch set is
+  // therefore an invisible repository-size bump here — skipping its ingest
+  // is exact. The decode pass builds a row only for partitions that
+  // prefilter (see run_policy_event). The registration row is read before
   // the preload flush below, while it still is the post-factory row.
   const core::MetadataSubscription subscription =
       shard.server->subscription(0);
+  const std::vector<std::uint8_t>& routed_objects = stream.touch_rows[self];
   std::vector<std::uint8_t> touch;
   std::size_t staleness_reserve =
       subscription == core::MetadataSubscription::kNone
           ? 0
           : stream.postwarmup_updates;
-  if (options.prefilter_updates &&
-      subscription != core::MetadataSubscription::kAll &&
-      shard.crash_plan.empty()) {
+  if (!routed_objects.empty()) {
     touch = shard.server->registered_row(0);
-    for (std::size_t qi = 0; qi < routing.size(); ++qi) {
-      if (routing[qi] != self) continue;
-      for (const ObjectId o : trace.queries[qi].objects) {
-        touch[static_cast<std::size_t>(o.value())] = 1;
-      }
+    DELTA_DCHECK(touch.size() == routed_objects.size());
+    for (std::size_t obj = 0; obj < touch.size(); ++obj) {
+      touch[obj] |= routed_objects[obj];
     }
     if (subscription != core::MetadataSubscription::kNone) {
       // Exact: a staleness sample needs an ingested post-warm-up update.
@@ -374,6 +443,9 @@ void replay_event_shard(const workload::Trace& trace,
   const double server_exec = options.exec.server_exec_seconds;
   const bool open_loop = options.open_loop.enabled;
   const std::size_t window = options.open_loop.max_in_flight;
+  // The object list of the query whose record the previous dispatch
+  // prefetched: read once that record has had a dispatch's time to land.
+  std::uint32_t record_in_flight = kNoQuery;
   std::int64_t order_pos = 0;
   for (const DecodedEvent& event : stream.events) {
     if (shard.policy_wipe_pending) {
@@ -406,10 +478,17 @@ void replay_event_shard(const workload::Trace& trace,
       // dispatch and before the warm-up snapshot can observe their
       // (overhead-only, figure-invisible) bytes, exactly as if they had
       // been pumped here.
-    } else {
+    } else if (event.endpoint == self) {
+      if (record_in_flight != kNoQuery) {
+        __builtin_prefetch(trace.queries[record_in_flight].objects.data());
+      }
+      if (event.prefetch != kNoQuery) {
+        prefetch_query(trace.queries[event.prefetch]);
+      }
+      record_in_flight = event.prefetch;
       const auto qi = static_cast<std::size_t>(event.index);
-      if (routing[qi] == self && !open_loop) {
-        const workload::Query& q = trace.queries[qi];
+      const workload::Query& q = trace.queries[qi];
+      if (!open_loop) {
         // Closed loop per partition: the query dispatches once this
         // cache's clock reaches its arrival (or as soon as it finished its
         // previous query) and runs to completion; its synchronous cache
@@ -436,8 +515,7 @@ void replay_event_shard(const workload::Trace& trace,
             shard.lag_stats.add(lag);
           }
         }
-      } else if (routing[qi] == self) {
-        const workload::Query& q = trace.queries[qi];
+      } else {
         // Open loop: dispatch through the async policy entry point and let
         // the query complete when its last reply lands, so up to `window`
         // queries overlap. An arrival that finds the window full runs the
@@ -571,11 +649,6 @@ EventRunResult run_policy_event(const workload::Trace& trace,
                        trace.queries.size() /
                        options.open_loop.response_sample_cap))
           : 1;
-  // One pass over the trace: the shared replay stream, the validated split
-  // and every per-partition count.
-  const DecodedStream stream = decode_stream(trace, routing, endpoint_count,
-                                             sketch_stride, options);
-
   const std::size_t threads = options.parallel.num_threads == 0
                                   ? util::ThreadPool::hardware_threads()
                                   : options.parallel.num_threads;
@@ -680,6 +753,22 @@ EventRunResult run_policy_event(const workload::Trace& trace,
     }
   }
 
+  // Which partitions prefilter updates. kAll subscribers (Replica/Benefit)
+  // hear every update and stand down. So do crash-windowed replicas: a
+  // crash recovery rebuilds rows and replays ledgers on its own schedule,
+  // and filtering against that is not worth the proof.
+  std::vector<bool> prefilters(endpoint_count);
+  for (std::size_t i = 0; i < endpoint_count; ++i) {
+    prefilters[i] = options.prefilter_updates &&
+                    shards[i]->server->subscription(0) !=
+                        core::MetadataSubscription::kAll &&
+                    shards[i]->crash_plan.empty();
+  }
+  // One pass over the trace: the shared replay stream, the validated split,
+  // every per-partition count and the prefiltering partitions' touch rows.
+  const DecodedStream stream =
+      decode_stream(trace, routing, prefilters, sketch_stride, options);
+
   // ---- replay all partitions (wait-free; see lookahead argument in
   // event_engine.h). Partitions are LPT-packed onto the workers by exact
   // routed-query counts and a worker that drains its own queue steals a
@@ -692,7 +781,7 @@ EventRunResult run_policy_event(const workload::Trace& trace,
       endpoint_count,
       util::lpt_assignment(weights, std::min(threads, endpoint_count)),
       [&](std::size_t i) {
-        replay_event_shard(trace, stream, routing, i, options, *shards[i]);
+        replay_event_shard(trace, stream, i, options, *shards[i]);
       });
   const auto replay_end = std::chrono::steady_clock::now();
 

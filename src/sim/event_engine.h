@@ -125,13 +125,14 @@ struct EventEngineOptions {
   /// update's object is neither named by any query routed to that partition
   /// nor registered at the replica when the factories finished, so the full
   /// replay would have made its ingest an invisible repository-size bump
-  /// (no notice fires, and the size is never read). Each partition builds
-  /// this per-object touch set inside its own replay job and gates each
-  /// update on it by object id, so the calling thread does no filter work.
-  /// Result-invariant by construction
-  /// (EventEngineTest.PrefilterEquivalentToFullTapeReplay pins filtered ==
-  /// full byte-for-byte); the toggle exists for that test and for
-  /// measuring the fan-out cost it removes.
+  /// (no notice fires, and the size is never read). The calling thread's
+  /// single decode pass over the trace marks each such partition's routed
+  /// objects in one byte-per-object row; the partition ORs in its
+  /// post-factory registrations and gates each update on the result by
+  /// object id. Result-invariant by construction
+  /// (EventEngineTest.PrefilterEquivalentToFullTapeReplay and its open-loop
+  /// sibling pin filtered == full byte-for-byte); the toggle exists for
+  /// those tests and for measuring the fan-out cost it removes.
   bool prefilter_updates = true;
 };
 

@@ -6,12 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/yardsticks.h"
 #include "meter_invariants.h"
+#include "result_identity.h"
 #include "sim/event_engine.h"
 #include "sim/experiment.h"
 #include "sim/multi_cache.h"
+#include "trace_builder.h"
 #include "workload/trace_split.h"
 
 namespace delta::sim {
@@ -276,37 +282,93 @@ SetupParams prefilter_params() {
 // partition's touch set — never queried there, never registered, no notice
 // fires). Replayed with the filter off vs on, every counter, byte total,
 // and latency/staleness sample must match bit-for-bit; only the engine's
-// own prefiltered_updates accounting may differ. Both anchor splits, and
-// N = 65 (more partitions than bits in one 64-bit word).
+// own prefiltered_updates accounting may differ. Both anchor splits,
+// N = 65 (more partitions than bits in one 64-bit word), and both drives:
+// the open loop's async dispatch branch gates on the routed endpoint too.
 TEST(EventEngineTest, PrefilterEquivalentToFullTapeReplay) {
   const World setup{prefilter_params()};
-  for (const workload::SplitStrategy strategy :
-       {workload::SplitStrategy::kHashByRegion,
-        workload::SplitStrategy::kBalancedByLoad}) {
-    for (const std::size_t endpoints : {4u, 65u}) {
-      for (const PolicyKind kind :
-           {PolicyKind::kVCover, PolicyKind::kSOptimal, PolicyKind::kNoCache,
-            PolicyKind::kReplica}) {
-        SCOPED_TRACE(::testing::Message()
-                     << to_string(kind) << " " << to_string(strategy)
-                     << " N=" << endpoints);
-        const auto run = [&](bool prefilter) {
-          EventEngineOptions options = wan_options();
-          options.prefilter_updates = prefilter;
-          return run_one_event(kind, setup.trace(), setup.cache_capacity(),
-                               setup.params(), endpoints, strategy, options);
-        };
-        const EventRunResult full = run(false);
-        const EventRunResult filtered = run(true);
-        EXPECT_EQ(full.prefiltered_updates, 0);
-        if (kind == PolicyKind::kReplica) {
-          // kAll subscription: every update is observable, nothing to skip.
-          EXPECT_EQ(filtered.prefiltered_updates, 0);
-        } else {
-          EXPECT_GT(filtered.prefiltered_updates, 0);
+  for (const bool open_loop : {false, true}) {
+    for (const workload::SplitStrategy strategy :
+         {workload::SplitStrategy::kHashByRegion,
+          workload::SplitStrategy::kBalancedByLoad}) {
+      for (const std::size_t endpoints : {4u, 65u}) {
+        for (const PolicyKind kind :
+             {PolicyKind::kVCover, PolicyKind::kSOptimal,
+              PolicyKind::kNoCache, PolicyKind::kReplica}) {
+          SCOPED_TRACE(::testing::Message()
+                       << to_string(kind) << " " << to_string(strategy)
+                       << " N=" << endpoints
+                       << (open_loop ? " open loop" : " closed loop"));
+          const auto run = [&](bool prefilter) {
+            EventEngineOptions options = wan_options();
+            options.open_loop.enabled = open_loop;
+            options.prefilter_updates = prefilter;
+            return run_one_event(kind, setup.trace(), setup.cache_capacity(),
+                                 setup.params(), endpoints, strategy,
+                                 options);
+          };
+          const EventRunResult full = run(false);
+          const EventRunResult filtered = run(true);
+          EXPECT_EQ(full.prefiltered_updates, 0);
+          if (kind == PolicyKind::kReplica) {
+            // kAll subscription: every update is observable, nothing to
+            // skip.
+            EXPECT_EQ(filtered.prefiltered_updates, 0);
+          } else {
+            EXPECT_GT(filtered.prefiltered_updates, 0);
+          }
+          expect_event_runs_identical(filtered, full);
         }
-        expect_event_runs_identical(filtered, full);
       }
+    }
+  }
+}
+
+// The WAN path pinned to recorded figures. Cross-thread-count identity
+// cannot see a change that shifts every thread count alike, so two VCover
+// WAN runs are held to a replay fingerprint (series and latency moments)
+// plus the measured yardsticks, at T = 1 and T = 4.
+TEST(EventEngineTest, WanRunsMatchPinnedResults) {
+  const World setup{prefilter_params()};
+  struct Pinned {
+    workload::SplitStrategy strategy;
+    std::size_t endpoints;
+    std::uint64_t fingerprint;
+    double response_p50;
+    double response_p99;
+    std::int64_t staleness_count;
+    double staleness_sum;
+    std::int64_t delivered_messages;
+    std::int64_t notice_messages;
+    std::int64_t prefiltered_updates;
+  };
+  const Pinned cases[] = {
+      {workload::SplitStrategy::kBalancedByLoad, 4, 15550720240661084017ULL,
+       15.473615719999872, 837.21693299999708, 28, 0.0058078719998775341,
+       2364, 28, 2346},
+      {workload::SplitStrategy::kHashByRegion, 65, 15930551651495752401ULL,
+       4.2790264240000173, 108.01833400000029, 28, 0.0058078719998775341,
+       2308, 28, 74601},
+  };
+  for (const Pinned& c : cases) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << to_string(c.strategy)
+                                        << " N=" << c.endpoints
+                                        << " T=" << threads);
+      EventEngineOptions options = wan_options();
+      options.parallel.num_threads = threads;
+      const EventRunResult r =
+          run_one_event(PolicyKind::kVCover, setup.trace(),
+                        setup.cache_capacity(), setup.params(), c.endpoints,
+                        c.strategy, options);
+      EXPECT_EQ(delta::testing::replay_fingerprint(r.replay), c.fingerprint);
+      EXPECT_EQ(r.response_p50(), c.response_p50);
+      EXPECT_EQ(r.response_p99(), c.response_p99);
+      EXPECT_EQ(r.staleness_seconds.count(), c.staleness_count);
+      EXPECT_EQ(r.staleness_seconds.sum(), c.staleness_sum);
+      EXPECT_EQ(r.delivered_messages, c.delivered_messages);
+      EXPECT_EQ(r.notice_messages, c.notice_messages);
+      EXPECT_EQ(r.prefiltered_updates, c.prefiltered_updates);
     }
   }
 }
@@ -342,6 +404,49 @@ TEST(EventEngineTest, PrefilteredUpdateCountsArePinned) {
       EXPECT_EQ(r.prefiltered_updates, c.prefiltered);
     }
   }
+}
+
+// run_policy_event accepts traces that never passed Trace::validate(). An
+// object id past the object table must be rejected before it indexes the
+// per-object counts, a touch row or a prefilter gate — not written or read
+// out of bounds. NoCache prefilters, so both partitions build touch rows.
+TEST(EventEngineTest, OutOfRangeObjectIdsAreRejected) {
+  const auto run = [](const workload::Trace& trace) {
+    return run_policy_event(trace, 2, workload::SplitStrategy::kRoundRobin,
+                            [](core::CacheNode& cache, std::size_t) {
+                              return std::make_unique<core::NoCachePolicy>(
+                                  &cache);
+                            });
+  };
+  using delta::testing::TraceBuilder;
+  const auto trace = [](std::int64_t query_object,
+                        std::int64_t update_object) {
+    return TraceBuilder({4096, 4096})
+        .query({0}, 100)
+        .query({0, query_object}, 100)
+        .update(update_object, 100)
+        .build();
+  };
+  EXPECT_NO_THROW(run(trace(1, 1)));
+  EXPECT_THROW(run(trace(1, 2)), std::logic_error);
+  EXPECT_THROW(run(trace(5, 1)), std::logic_error);
+  // The decode pass rejects them, before any replica could misuse the id.
+  const auto rejection = [&](const workload::Trace& bad) {
+    try {
+      run(bad);
+    } catch (const std::logic_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_NE(rejection(trace(1, 2)).find("update 0 names object 2 of 2"),
+            std::string::npos);
+  EXPECT_NE(rejection(trace(5, 1)).find("query 1 names object 5 of 2"),
+            std::string::npos);
+  // Likewise a merged-order entry past the query table.
+  workload::Trace bad_order = trace(1, 1);
+  bad_order.order.front().index = 7;
+  EXPECT_THROW(run(bad_order), std::logic_error);
 }
 
 // The calling thread's work before the replay, the partition replays and

@@ -1,19 +1,65 @@
 // Bitwise equality of simulation results, shared by every test that pins
 // one run against another (thread counts, endpoint counts, repeated runs),
-// and the gtest printer for the chaos counter record.
+// the replay fingerprint the pinned-result tests hash runs with, and the
+// gtest printer for the chaos counter record.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <ostream>
 #include <string>
+#include <type_traits>
 
 #include "net/fault_plan.h"
 #include "sim/multi_cache.h"
 #include "sim/simulator.h"
 
 namespace delta::testing {
+
+/// FNV-1a over the bytes of trivially copyable values.
+class Fnv1a {
+ public:
+  template <typename T>
+  void add(const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) {
+      hash_ ^= b;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Hash of the figures the golden result rows do not pin: every series
+/// point and the post-warm-up latency moments, combined view first, then
+/// each endpoint.
+inline std::uint64_t replay_fingerprint(const sim::MultiRunResult& multi) {
+  Fnv1a h;
+  const auto add = [&h](const sim::RunResult& r) {
+    h.add(static_cast<std::uint64_t>(r.series.points().size()));
+    for (const util::CumulativeSeries::Point& p : r.series.points()) {
+      h.add(p.event_index);
+      h.add(p.value);
+    }
+    h.add(r.postwarmup_latency.count());
+    h.add(r.postwarmup_latency.mean());
+    h.add(r.postwarmup_latency.variance());
+    h.add(r.postwarmup_latency.min());
+    h.add(r.postwarmup_latency.max());
+    h.add(r.postwarmup_latency.sum());
+  };
+  add(multi.combined);
+  for (const sim::RunResult& r : multi.per_endpoint) add(r);
+  return h.value();
+}
 
 /// Every RunResult field but wall_seconds (real elapsed time). Doubles are
 /// compared with EXPECT_EQ on purpose: the engines promise bit-identical

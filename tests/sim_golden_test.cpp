@@ -20,11 +20,10 @@
 
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
-#include <type_traits>
 
+#include "result_identity.h"
 #include "sim/experiment.h"
 #include "sim/multi_cache.h"
 #include "workload/trace_split.h"
@@ -33,6 +32,8 @@ namespace delta::sim {
 namespace {
 
 using World = Setup;  // ::testing::Test::Setup shadows sim::Setup in TESTs
+using delta::testing::Fnv1a;
+using delta::testing::replay_fingerprint;
 
 /// The pinned world: small enough to replay five policies in seconds, big
 /// enough that every mechanism (shipping, update pull, loading, eviction)
@@ -99,25 +100,6 @@ void print_row(const RunResult& r) {
             << r.overhead_traffic.count() << "},\n";
 }
 
-/// FNV-1a over the bytes of trivially copyable values.
-class Fnv1a {
- public:
-  template <typename T>
-  void add(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    unsigned char bytes[sizeof(T)];
-    std::memcpy(bytes, &value, sizeof(T));
-    for (const unsigned char b : bytes) {
-      hash_ ^= b;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
 /// Hash of everything the generator derives from the sky geometry: per
 /// query its cost, time, tolerance, base cover and objects; per update its
 /// cost, rows, object and base index; and the initial object sizes.
@@ -157,28 +139,6 @@ constexpr GoldenRun kSingleCacheGolden[] = {
     {"VCover", 2000, 1328, 2, 670, 3, 7707438424, 1238688276, 1218079838, 20608438, 0, 93824},
     {"SOptimal", 2000, 1854, 0, 146, 0, 4874712980, 1256046449, 1208306382, 47740067, 0, 39616},
 };
-
-/// Hash of the figures GoldenRun does not pin: every series point and the
-/// post-warm-up latency moments, combined view first, then each endpoint.
-std::uint64_t replay_fingerprint(const MultiRunResult& multi) {
-  Fnv1a h;
-  const auto add = [&h](const RunResult& r) {
-    h.add(static_cast<std::uint64_t>(r.series.points().size()));
-    for (const util::CumulativeSeries::Point& p : r.series.points()) {
-      h.add(p.event_index);
-      h.add(p.value);
-    }
-    h.add(r.postwarmup_latency.count());
-    h.add(r.postwarmup_latency.mean());
-    h.add(r.postwarmup_latency.variance());
-    h.add(r.postwarmup_latency.min());
-    h.add(r.postwarmup_latency.max());
-    h.add(r.postwarmup_latency.sum());
-  };
-  add(multi.combined);
-  for (const RunResult& r : multi.per_endpoint) add(r);
-  return h.value();
-}
 
 // Multi-endpoint run_one_multi (N=4) combined + per-endpoint rows, one
 // table per policy and split strategy, each with its replay fingerprint.
