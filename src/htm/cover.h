@@ -24,4 +24,10 @@ std::vector<HtmId> cover_region(const Region& region, int level);
 /// on this thread (micro-benchmark instrumentation).
 std::int64_t last_cover_nodes_visited();
 
+/// Statistics hook: number of node tests in the last cover call on this
+/// thread that the cone's dot-product filter left to the exact Cone test
+/// (a dot within its guard band of a threshold, or a radius not clear of
+/// [0, π)). Always 0 for rects and bands, whose tests are always exact.
+std::int64_t last_cover_exact_fallbacks();
+
 }  // namespace delta::htm

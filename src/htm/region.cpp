@@ -34,14 +34,19 @@ double Cone::distance_to(const Vec3& p) const {
   return std::max(0.0, angular_distance(center, p) - radius_rad);
 }
 
-bool RaDecRect::contains(const Vec3& p) const {
-  const RaDec rd = to_ra_dec(p);
+bool RaDecRect::contains(const Vec3& p) const { return contains(to_ra_dec(p)); }
+
+bool RaDecRect::contains(const RaDec& rd) const {
   if (rd.dec_deg < dec_lo_deg || rd.dec_deg > dec_hi_deg) return false;
   return ra_interval_distance_deg(rd.ra_deg, ra_lo_deg, ra_hi_deg) == 0.0;
 }
 
 double RaDecRect::distance_to(const Vec3& p) const {
   const RaDec rd = to_ra_dec(p);
+  return distance_to(rd, std::cos(degrees_to_radians(rd.dec_deg)));
+}
+
+double RaDecRect::distance_to(const RaDec& rd, double cos_dec) const {
   const double ddec =
       rd.dec_deg < dec_lo_deg
           ? dec_lo_deg - rd.dec_deg
@@ -50,9 +55,8 @@ double RaDecRect::distance_to(const Vec3& p) const {
   // Scale the ra offset by cos(dec) to approximate great-circle distance;
   // shrink slightly so the bound stays a lower bound (covers err toward
   // inclusion rather than dropping objects a query actually touches).
-  const double cosd = std::cos(degrees_to_radians(rd.dec_deg));
   const double approx_deg =
-      std::sqrt(ddec * ddec + dra * cosd * (dra * cosd));
+      std::sqrt(ddec * ddec + dra * cos_dec * (dra * cos_dec));
   return 0.9 * degrees_to_radians(approx_deg);
 }
 

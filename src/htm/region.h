@@ -29,6 +29,11 @@ struct RaDecRect {
 
   [[nodiscard]] bool contains(const Vec3& p) const;
   [[nodiscard]] double distance_to(const Vec3& p) const;
+  /// The same tests on a point already converted: `rd` is to_ra_dec(p) and
+  /// `cos_dec` is std::cos(degrees_to_radians(rd.dec_deg)). The Vec3
+  /// versions call these, so both give the same doubles.
+  [[nodiscard]] bool contains(const RaDec& rd) const;
+  [[nodiscard]] double distance_to(const RaDec& rd, double cos_dec) const;
 };
 
 /// Band of half-width `half_width_rad` around the great circle whose pole is

@@ -324,6 +324,92 @@ TEST(EventEngineTest, PrefilterEquivalentToFullTapeReplay) {
   }
 }
 
+// Ships every query, and preloads `preload` at construction, keeping it
+// current the way SOptimal keeps its static set: a registration made by
+// the factory, which no query routed to the partition needs to name.
+class PreloadingPolicy final : public core::CachePolicy {
+ public:
+  PreloadingPolicy(core::CacheNode* cache, const std::vector<ObjectId>& preload)
+      : cache_(cache) {
+    cache_->set_subscription(core::MetadataSubscription::kRegisteredOnly);
+    cache_->set_invalidation_handler(
+        [this](const workload::Update& u) { on_update(u); });
+    for (const ObjectId o : preload) cache_->load_object(o);
+  }
+  void on_update(const workload::Update& u) override { cache_->ship_update(u); }
+  core::QueryOutcome on_query(const workload::Query& q) override {
+    core::QueryOutcome outcome;
+    outcome.result_bytes = cache_->ship_query(q);
+    return outcome;
+  }
+  [[nodiscard]] const char* name() const override { return "Preloading"; }
+
+ private:
+  core::CacheNode* cache_;
+};
+
+// The touch set's other half: each partition preloads objects its routed
+// queries never name, so only the post-factory registration row
+// puts them in its touch set. Their updates fire invalidation notices the
+// partition must still ingest and ship: filter off vs on must agree on
+// every result, notice count and notice ledger.
+TEST(EventEngineTest, PrefilterKeepsUpdatesOfPreloadedObjectsNoQueryNames) {
+  const World setup{prefilter_params()};
+  const workload::Trace& trace = setup.trace();
+  const std::size_t object_count = trace.initial_object_bytes.size();
+  const workload::SplitStrategy strategy =
+      workload::SplitStrategy::kHashByRegion;
+  for (const std::size_t endpoints : {4u, 65u}) {
+    SCOPED_TRACE(::testing::Message() << "N=" << endpoints);
+    const std::vector<std::uint32_t> assignment =
+        workload::assign_queries(trace, endpoints, strategy);
+    std::vector<std::vector<bool>> named(
+        endpoints, std::vector<bool>(object_count, false));
+    for (std::size_t i = 0; i < trace.queries.size(); ++i) {
+      for (const ObjectId o : trace.queries[i].objects) {
+        named[assignment[i]][static_cast<std::size_t>(o.value())] = true;
+      }
+    }
+    // Every other unnamed object: the rest stay outside the touch set, so
+    // the filter still has updates to skip.
+    std::vector<std::vector<ObjectId>> unnamed(endpoints);
+    for (std::size_t e = 0; e < endpoints; ++e) {
+      bool take = true;
+      for (std::size_t o = 0; o < object_count; ++o) {
+        if (named[e][o]) continue;
+        if (take) unnamed[e].push_back(ObjectId{static_cast<std::int64_t>(o)});
+        take = !take;
+      }
+    }
+    ASSERT_FALSE(unnamed[0].empty());
+    const auto run = [&](bool prefilter) {
+      EventEngineOptions options = wan_options();
+      options.prefilter_updates = prefilter;
+      return run_policy_event(
+          trace, endpoints, strategy,
+          [&](core::CacheNode& cache, std::size_t endpoint) {
+            return std::make_unique<PreloadingPolicy>(&cache,
+                                                      unnamed[endpoint]);
+          },
+          options, &assignment);
+    };
+    const EventRunResult full = run(false);
+    const EventRunResult filtered = run(true);
+    EXPECT_EQ(full.prefiltered_updates, 0);
+    EXPECT_GT(filtered.prefiltered_updates, 0);
+    EXPECT_GT(full.notice_messages, 0);
+    expect_event_runs_identical(filtered, full);
+    EXPECT_EQ(filtered.notice_messages, full.notice_messages);
+    EXPECT_EQ(filtered.coalesced_notices, full.coalesced_notices);
+    ASSERT_EQ(filtered.per_endpoint.size(), full.per_endpoint.size());
+    for (std::size_t e = 0; e < full.per_endpoint.size(); ++e) {
+      EXPECT_EQ(filtered.per_endpoint[e].notices_logged,
+                full.per_endpoint[e].notices_logged)
+          << "endpoint " << e;
+    }
+  }
+}
+
 // The WAN path pinned to recorded figures. Cross-thread-count identity
 // cannot see a change that shifts every thread count alike, so two VCover
 // WAN runs are held to a replay fingerprint (series and latency moments)
