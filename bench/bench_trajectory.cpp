@@ -227,10 +227,6 @@ ObjectScalingCell measure_object_scaling(std::int64_t objects,
     core::DeltaSystem system{&trace};
     core::VCoverOptions vcover;
     vcover.cache_capacity = capacity;
-    // Pre-size the per-object side tables for the capacity-bounded
-    // resident set (zipfian residency, ~cache_frac of the key space).
-    vcover.expected_resident_objects = static_cast<std::size_t>(
-        cache_frac * static_cast<double>(objects) * 1.25) + 64;
     core::VCoverPolicy policy{&system.cache(), vcover};
     const sim::RunResult r = sim::run_policy(trace, system, policy, 10'000);
     walls.add(r.wall_seconds);

@@ -56,7 +56,9 @@ void BM_GdsBatchDecision(benchmark::State& state) {
   const std::size_t resident = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    cache::CacheStore store{Bytes{static_cast<std::int64_t>(resident) * 100}};
+    // Ids [0, resident) warm the store; the two after them contend.
+    cache::CacheStore store{Bytes{static_cast<std::int64_t>(resident) * 100},
+                            resident + 2};
     cache::GreedyDualSize gds{&store};
     std::vector<cache::LoadCandidate> warm;
     for (std::size_t i = 0; i < resident; ++i) {
@@ -67,9 +69,10 @@ void BM_GdsBatchDecision(benchmark::State& state) {
     for (const ObjectId o : d0.load) store.load(o, Bytes{100});
     state.ResumeTiming();
     // One contended batch: two candidates that force evictions.
+    const auto fresh = static_cast<std::int64_t>(resident);
     const std::vector<cache::LoadCandidate> batch{
-        {ObjectId{1'000'000}, Bytes{150}, Bytes{150}},
-        {ObjectId{1'000'001}, Bytes{150}, Bytes{150}}};
+        {ObjectId{fresh}, Bytes{150}, Bytes{150}},
+        {ObjectId{fresh + 1}, Bytes{150}, Bytes{150}}};
     benchmark::DoNotOptimize(gds.decide_batch(batch));
   }
 }

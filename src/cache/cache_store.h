@@ -6,25 +6,26 @@
 
 #include <vector>
 
-#include "util/flat_map.h"
 #include "util/types.h"
 
 namespace delta::cache {
 
 class CacheStore {
  public:
-  explicit CacheStore(Bytes capacity);
+  /// `id_count` is the repository's object count: the store keeps one row
+  /// per object id in [0, id_count), resident or not.
+  CacheStore(Bytes capacity, std::size_t id_count);
 
   [[nodiscard]] Bytes capacity() const { return capacity_; }
   [[nodiscard]] Bytes used() const { return used_; }
-  [[nodiscard]] std::size_t object_count() const { return entries_.size(); }
+  /// Number of resident objects.
+  [[nodiscard]] std::size_t object_count() const { return resident_count_; }
+  /// Number of object ids the store indexes (the constructor's id_count).
+  [[nodiscard]] std::size_t id_count() const { return entries_.size(); }
 
+  /// False for non-resident and for out-of-range ids alike.
   [[nodiscard]] bool contains(ObjectId id) const;
   [[nodiscard]] Bytes bytes_of(ObjectId id) const;
-
-  /// Pre-sizes the residency table for up to `n` objects so large runs
-  /// never pay growth rehashes on the load path.
-  void reserve(std::size_t n) { entries_.reserve(n); }
 
   /// Admits an object of the given size. The object must not be resident
   /// and must fit: used() + size <= capacity(). Objects enter fresh.
@@ -45,20 +46,20 @@ class CacheStore {
   void mark_stale(ObjectId id);
   void mark_fresh(ObjectId id);
 
-  /// Snapshot of resident object ids (unordered). Allocates; hot paths use
-  /// for_each_resident instead.
+  /// Snapshot of resident object ids in ascending id order. Allocates; hot
+  /// paths use for_each_resident instead.
   [[nodiscard]] std::vector<ObjectId> resident_objects() const;
 
-  /// Visits every resident object as fn(ObjectId, Bytes size) without
-  /// allocating. Visit order is the store's slot order (insertion-history
-  /// dependent): callers must not let observable decisions depend on it —
-  /// reduce with an order-independent fold or an explicit tie-broken
-  /// arg-min (see the determinism audit in ISSUE 3, pinned by
-  /// tests/iteration_order_test.cpp).
+  /// Visits every resident object as fn(ObjectId, Bytes size) in ascending
+  /// id order, without allocating. The walk is O(id_count()), not
+  /// O(object_count()). Pinned by tests/iteration_order_test.cpp.
   template <typename Fn>
   void for_each_resident(Fn&& fn) const {
-    entries_.for_each(
-        [&fn](ObjectId id, const Entry& entry) { fn(id, entry.size); });
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].resident) {
+        fn(ObjectId{static_cast<std::int64_t>(i)}, entries_[i].size);
+      }
+    }
   }
 
   /// Drops everything (cache-node restart in failure tests).
@@ -67,14 +68,17 @@ class CacheStore {
  private:
   struct Entry {
     Bytes size;
+    bool resident = false;
     bool stale = false;
   };
 
   Bytes capacity_;
   Bytes used_;
-  util::FlatMap<ObjectId, Entry> entries_;
+  std::size_t resident_count_ = 0;
+  std::vector<Entry> entries_;  // indexed by ObjectId
 
-  [[nodiscard]] const Entry& checked(ObjectId id) const;
+  /// The row index of a resident object; DELTA_CHECKs residency.
+  [[nodiscard]] std::size_t resident_slot(ObjectId id) const;
 };
 
 }  // namespace delta::cache

@@ -55,11 +55,6 @@ class EvictionPolicy {
   /// (capacity overflow shed by another component, failure recovery).
   virtual void forget(ObjectId id) = 0;
 
-  /// Sizing hint: the policy will track up to `n` resident objects. Lets
-  /// implementations pre-size their side indexes so million-object runs
-  /// don't pay growth rehashes on the hot path. Optional; default no-op.
-  virtual void reserve(std::size_t n) { (void)n; }
-
   [[nodiscard]] virtual const char* name() const = 0;
 };
 

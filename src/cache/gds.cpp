@@ -15,7 +15,8 @@ double ratio(Bytes cost, Bytes size) {
 
 }  // namespace
 
-GreedyDualSize::GreedyDualSize(const CacheStore* store) : store_(store) {
+GreedyDualSize::GreedyDualSize(const CacheStore* store)
+    : store_(store), residents_(store != nullptr ? store->id_count() : 0) {
   DELTA_CHECK(store != nullptr);
 }
 
@@ -31,8 +32,6 @@ double GreedyDualSize::credit_of(ObjectId id) const {
   DELTA_CHECK(p != nullptr);
   return p->credit;
 }
-
-void GreedyDualSize::reserve(std::size_t n) { residents_.reserve(n); }
 
 const BatchDecision& GreedyDualSize::decide_batch(
     const std::vector<LoadCandidate>& candidates) {

@@ -23,6 +23,7 @@ class GreedyDualSize final : public EvictionPolicy {
  public:
   /// The policy observes (and stays consistent with) `store`, but never
   /// mutates it: callers apply returned decisions and keep both in sync.
+  /// Its side index covers the store's id range.
   explicit GreedyDualSize(const CacheStore* store);
 
   void on_access(ObjectId id) override;
@@ -30,7 +31,6 @@ class GreedyDualSize final : public EvictionPolicy {
       const std::vector<LoadCandidate>& candidates) override;
   const std::vector<ObjectId>& shed_overflow() override;
   void forget(ObjectId id) override;
-  void reserve(std::size_t n) override;
   [[nodiscard]] const char* name() const override { return "gds-lazy"; }
 
   [[nodiscard]] double inflation() const { return inflation_; }

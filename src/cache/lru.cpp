@@ -6,7 +6,8 @@
 
 namespace delta::cache {
 
-LruPolicy::LruPolicy(const CacheStore* store) : store_(store) {
+LruPolicy::LruPolicy(const CacheStore* store)
+    : store_(store), last_use_(store != nullptr ? store->id_count() : 0) {
   DELTA_CHECK(store != nullptr);
 }
 
@@ -15,8 +16,6 @@ void LruPolicy::on_access(ObjectId id) {
                   "LRU access to untracked object " << id.value());
   last_use_.update(id, ++clock_);
 }
-
-void LruPolicy::reserve(std::size_t n) { last_use_.reserve(n); }
 
 const BatchDecision& LruPolicy::decide_batch(
     const std::vector<LoadCandidate>& candidates) {

@@ -16,6 +16,7 @@ namespace delta::cache {
 
 class LruPolicy final : public EvictionPolicy {
  public:
+  /// Observes `store` like GreedyDualSize; indexes the store's id range.
   explicit LruPolicy(const CacheStore* store);
 
   void on_access(ObjectId id) override;
@@ -23,7 +24,6 @@ class LruPolicy final : public EvictionPolicy {
       const std::vector<LoadCandidate>& candidates) override;
   const std::vector<ObjectId>& shed_overflow() override;
   void forget(ObjectId id) override;
-  void reserve(std::size_t n) override;
   [[nodiscard]] const char* name() const override { return "lru"; }
 
  private:

@@ -11,8 +11,9 @@ namespace delta::core {
 
 BenefitPolicy::BenefitPolicy(CacheNode* system,
                              const BenefitOptions& options)
-    : system_(system), options_(options), store_(options.cache_capacity) {
-  DELTA_CHECK(system != nullptr);
+    : system_(checked_cache(system)),
+      options_(options),
+      store_(options.cache_capacity, system_->object_count()) {
   DELTA_CHECK(options.window > 0);
   DELTA_CHECK(options.alpha >= 0.0 && options.alpha <= 1.0);
   const std::size_t n = system->object_count();
@@ -169,14 +170,14 @@ void BenefitPolicy::close_window() {
                    [&](std::size_t a, std::size_t b) {
                      return forecast_[a] > forecast_[b];
                    });
-  util::FlatSet<ObjectId> selected;
+  std::vector<bool> selected(n, false);
   Bytes budget = store_.capacity();
   for (const std::size_t i : ranked) {
     if (forecast_[i] <= 0.0) break;
     const ObjectId o{static_cast<std::int64_t>(i)};
     const Bytes size = system_->server_object_bytes(o);
     if (size.count() <= 0 || size > budget) continue;
-    selected.insert(o);
+    selected[i] = true;
     budget -= size;
   }
   // Evict residents that fell out of the selection (no network traffic).
@@ -184,21 +185,22 @@ void BenefitPolicy::close_window() {
   // entries are being visited.
   victims_.clear();
   store_.for_each_resident([&](ObjectId o, Bytes) {
-    if (selected.count(o) == 0) victims_.push_back(o);
+    if (!selected[static_cast<std::size_t>(o.value())]) victims_.push_back(o);
   });
   for (const ObjectId o : victims_) {
     store_.evict(o);
     system_->notify_eviction(o);
     ++evictions_;
   }
-  // Load newcomers; already-resident selections stay ("don't have to be
-  // reloaded", §5). Visit order only affects message order, never totals.
-  selected.for_each([this](ObjectId o) {
-    if (store_.contains(o)) return;
+  // Load newcomers in id order; already-resident selections stay ("don't
+  // have to be reloaded", §5).
+  for (std::size_t i = 0; i < n; ++i) {
+    const ObjectId o{static_cast<std::int64_t>(i)};
+    if (!selected[i] || store_.contains(o)) continue;
     system_->load_object(o);
     store_.load(o, system_->server_object_bytes(o));
     ++loads_;
-  });
+  }
 }
 
 }  // namespace delta::core

@@ -15,7 +15,6 @@
 #include "cache/cache_store.h"
 #include "core/cache_node.h"
 #include "core/policy.h"
-#include "util/flat_map.h"
 
 namespace delta::core {
 

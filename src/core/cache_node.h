@@ -35,6 +35,7 @@
 #include "core/server_node.h"
 #include "net/fault_plan.h"
 #include "net/transport.h"
+#include "util/check.h"
 #include "util/event_queue.h"
 #include "util/types.h"
 #include "workload/trace.h"
@@ -311,5 +312,12 @@ class CacheNode {
   void fill_recover_payload(net::Message& msg) const;
   void observe_incarnation(const net::Message& m);
 };
+
+/// `cache`, DELTA_CHECKed non-null: for policy constructors whose member
+/// initializers read the cache before the body runs.
+inline CacheNode* checked_cache(CacheNode* cache) {
+  DELTA_CHECK(cache != nullptr);
+  return cache;
+}
 
 }  // namespace delta::core

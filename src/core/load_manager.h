@@ -14,11 +14,11 @@
 // A counter-based exact variant is provided for ablation A3.
 #pragma once
 
-#include <memory>
+#include <algorithm>
 #include <vector>
 
 #include "cache/eviction_policy.h"
-#include "util/flat_map.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/types.h"
 #include "workload/events.h"
@@ -39,8 +39,12 @@ class LoadManager {
     bool lazy = true;
   };
 
-  LoadManager(Options options, util::Rng rng)
-      : options_(options), rng_(rng) {}
+  /// Counter mode keeps one counter per object id in [0, object_count);
+  /// randomized mode keeps none.
+  LoadManager(Options options, util::Rng rng, std::size_t object_count)
+      : options_(options),
+        rng_(rng),
+        counters_(options.randomized ? 0 : object_count, 0.0) {}
 
   /// Runs the attribution walk over the query's missing objects (shuffled
   /// in place) and returns the proposed load candidates. In lazy mode the
@@ -74,7 +78,7 @@ class LoadManager {
         // accumulated shipped cost covers the load cost.
         const double share = std::min(budget, l);
         budget -= share;
-        double& counter = counters_[o];
+        double& counter = counters_[counter_slot(o)];
         counter += share;
         if (counter >= l) {
           propose = true;
@@ -91,22 +95,27 @@ class LoadManager {
   [[nodiscard]] const Options& options() const { return options_; }
 
   /// Counter-mode bookkeeping dropped when an object is loaded or evicted.
-  void forget(ObjectId o) { counters_.erase(o); }
+  void forget(ObjectId o) {
+    if (!options_.randomized) counters_[counter_slot(o)] = 0.0;
+  }
 
   /// Crash-stop wipe (ISSUE 10): the partial-attribution counters are
   /// in-memory soft state and die with the process. The RNG keeps its
   /// stream (randomized mode draws stay a deterministic function of the
   /// pre-crash draw count — the crash does not reseed the experiment).
-  void clear() { counters_.clear(); }
-
-  /// Pre-sizes the counter table (counter mode tracks objects with partial
-  /// attribution — bounded by the queried-object footprint, not residency).
-  void reserve(std::size_t n) { counters_.reserve(n); }
+  void clear() { std::fill(counters_.begin(), counters_.end(), 0.0); }
 
  private:
   Options options_;
   util::Rng rng_;
-  util::FlatMap<ObjectId, double> counters_;  // counter mode only
+  std::vector<double> counters_;  // by ObjectId, counter mode only
+
+  [[nodiscard]] std::size_t counter_slot(ObjectId o) const {
+    const auto i = static_cast<std::size_t>(o.value());
+    DELTA_CHECK_MSG(i < counters_.size(),
+                    "object " << o.value() << " out of range");
+    return i;
+  }
   std::vector<cache::LoadCandidate> candidates_;  // consider() scratch
 };
 

@@ -6,42 +6,73 @@
 
 namespace delta::core {
 
-UpdateManager::UpdateManager(bool remember_shipped_queries)
-    : remember_shipped_queries_(remember_shipped_queries) {}
+namespace {
+
+/// The row of node index `v`, growing `rows` to cover it.
+template <typename T>
+T& row(std::vector<T>& rows, flow::NodeIndex v) {
+  const auto i = static_cast<std::size_t>(v);
+  if (i >= rows.size()) rows.resize(i + 1);
+  return rows[i];
+}
+
+}  // namespace
+
+UpdateManager::UpdateManager(std::size_t object_count,
+                             bool remember_shipped_queries)
+    : remember_shipped_queries_(remember_shipped_queries),
+      pending_(object_count),
+      group_node_(object_count, flow::kNoNode) {}
+
+std::size_t UpdateManager::slot(ObjectId o) const {
+  const auto i = static_cast<std::size_t>(o.value());
+  DELTA_CHECK_MSG(i < pending_.size(),
+                  "object " << o.value() << " out of range");
+  return i;
+}
+
+const UpdateManager::UpdateGroup* UpdateManager::group_of(
+    std::size_t slot) const {
+  const flow::NodeIndex v = group_node_[slot];
+  if (v == flow::kNoNode) return nullptr;
+  const UpdateGroup& group = groups_[static_cast<std::size_t>(v)];
+  DELTA_DCHECK(group.node.index == v &&
+               static_cast<std::size_t>(group.object.value()) == slot);
+  return &group;
+}
 
 void UpdateManager::add_outstanding(const workload::Update& u) {
-  auto& pend = pending_[u.object];
+  Pending& pend = pending_[slot(u.object)];
   DELTA_DCHECK(pend.empty() || pend.back()->time <= u.time);
   pend.push_back(&u);
 }
 
 bool UpdateManager::is_stale(ObjectId o) const {
-  const auto* pend = pending_.find(o);
-  if (pend != nullptr && !pend->empty()) return true;
-  return groups_.contains(o);
+  const std::size_t i = slot(o);
+  return !pending_[i].empty() || group_node_[i] != flow::kNoNode;
 }
 
 EventTime UpdateManager::oldest_outstanding(ObjectId o) const {
+  const std::size_t i = slot(o);
   EventTime oldest = kNoOutstanding;
-  const auto* pend = pending_.find(o);
-  if (pend != nullptr && !pend->empty()) {
-    oldest = pend->front()->time;  // arrival order: front is oldest
+  if (!pending_[i].empty()) {
+    oldest = pending_[i].front()->time;  // arrival order: front is oldest
   }
-  const auto* group = groups_.find(o);
-  if (group != nullptr) {
-    oldest = std::min(oldest, (*group)->min_time);
+  if (const UpdateGroup* group = group_of(i)) {
+    oldest = std::min(oldest, group->min_time);
   }
   return oldest;
 }
 
 void UpdateManager::forget_signature(QueryNode node) {
-  Signature* sig = node_to_sig_.find(node.index);
-  if (sig == nullptr) return;
-  const auto sit = sig_to_node_.find(*sig);
+  const auto i = static_cast<std::size_t>(node.index);
+  if (i >= node_to_sig_.size() || node_to_sig_[i].empty()) return;
+  Signature& sig = node_to_sig_[i];
+  const auto sit = sig_to_node_.find(sig);
   if (sit != sig_to_node_.end() && sit->second == node) {
     sig_to_node_.erase(sit);
   }
-  node_to_sig_.erase(node.index);
+  sig.clear();
 }
 
 void UpdateManager::remove_group(UpdateGroup& group,
@@ -51,9 +82,9 @@ void UpdateManager::remove_group(UpdateGroup& group,
       affected_queries->push_back(q);
     });
   }
-  node_to_group_.erase(group.node.index);
+  group_node_[slot(group.object)] = flow::kNoNode;
   solver_.remove_update(group.node);
-  groups_.erase(group.object);  // destroys `group`
+  group.members.clear();
 }
 
 void UpdateManager::rekey_queries(std::vector<QueryNode>& affected) {
@@ -78,14 +109,14 @@ void UpdateManager::rekey_queries(std::vector<QueryNode>& affected) {
     std::sort(sig.begin(), sig.end());
     const auto [it, inserted] = sig_to_node_.try_emplace(sig, qn);
     if (inserted) {
-      node_to_sig_[qn.index] = sig;
+      row(node_to_sig_, qn.index) = sig;
     } else if (solver_.alive(it->second) && !(it->second == qn)) {
       // Same neighborhood as an existing vertex: merge (cover-exact).
       solver_.add_weight(it->second, solver_.weight(qn));
       solver_.remove_query_force(qn);
     } else {
       it->second = qn;
-      node_to_sig_[qn.index] = sig;
+      row(node_to_sig_, qn.index) = sig;
     }
   }
 }
@@ -93,27 +124,29 @@ void UpdateManager::rekey_queries(std::vector<QueryNode>& affected) {
 void UpdateManager::clear() {
   // Query vertices first, forced: shipped-query memory may still carry
   // interaction edges, and remove_query_force cancels any flow through
-  // them. Then the update groups (their remaining edges vanish with them).
+  // them. Then the update groups in object-id order (their remaining edges
+  // vanish with them); the order fixes which indices the solver recycles.
   for (const auto& [sig, node] : sig_to_node_) {
     solver_.remove_query_force(node);
   }
   sig_to_node_.clear();
   node_to_sig_.clear();
-  groups_.for_each(
-      [this](const ObjectId& /*o*/, const std::unique_ptr<UpdateGroup>& g) {
-        solver_.remove_update(g->node);
-      });
+  for (flow::NodeIndex& v : group_node_) {
+    if (v == flow::kNoNode) continue;
+    solver_.remove_update(groups_[static_cast<std::size_t>(v)].node);
+    v = flow::kNoNode;
+  }
   groups_.clear();
-  node_to_group_.clear();
-  pending_.clear();
+  for (Pending& pend : pending_) pend = Pending{};
 }
 
 void UpdateManager::drop_object(ObjectId o) {
-  pending_.erase(o);
-  auto* group = groups_.find(o);
-  if (group == nullptr) return;
+  const std::size_t i = slot(o);
+  pending_[i] = Pending{};  // releases the buffer
+  const flow::NodeIndex v = group_node_[i];
+  if (v == flow::kNoNode) return;
   affected_.clear();
-  remove_group(**group, &affected_);
+  remove_group(groups_[static_cast<std::size_t>(v)], &affected_);
   rekey_queries(affected_);
 }
 
@@ -131,12 +164,11 @@ const UpdateManager::Decision& UpdateManager::decide(
   Signature& connect = connect_;  // group vertices to link to q
   connect.clear();
   for (const ObjectId o : q.objects) {
+    const std::size_t i = slot(o);
     // Materialize the needed prefix of the object's pending updates into
     // its group vertex (pending lists are in arrival = time order).
-    auto* pend_slot = pending_.find(o);
-    if (pend_slot != nullptr && !pend_slot->empty() &&
-        pend_slot->front()->time <= needed_before) {
-      auto& pend = *pend_slot;
+    Pending& pend = pending_[i];
+    if (!pend.empty() && pend.front()->time <= needed_before) {
       const auto split = std::upper_bound(
           pend.begin(), pend.end(), needed_before,
           [](EventTime t, const workload::Update* u) { return t < u->time; });
@@ -144,25 +176,24 @@ const UpdateManager::Decision& UpdateManager::decide(
       for (auto it = pend.begin(); it != split; ++it) {
         batch_cost += (*it)->cost;
       }
-      auto* existing = groups_.find(o);
-      if (existing == nullptr) {
-        auto group = std::make_unique<UpdateGroup>();
-        group->object = o;
-        group->members.assign(pend.begin(), split);
-        group->min_time = group->members.front()->time;
-        group->node = solver_.add_update(batch_cost.count());
-        node_to_group_[group->node.index] = group.get();
-        groups_.try_emplace(o, std::move(group));
+      if (group_node_[i] == flow::kNoNode) {
+        const UpdateNode node = solver_.add_update(batch_cost.count());
+        UpdateGroup& group = row(groups_, node.index);
+        group.node = node;
+        group.object = o;
+        group.members.assign(pend.begin(), split);
+        group.min_time = group.members.front()->time;
+        group_node_[i] = node.index;
       } else {
-        UpdateGroup& group = **existing;
+        UpdateGroup& group = groups_[static_cast<std::size_t>(group_node_[i])];
         group.members.insert(group.members.end(), pend.begin(), split);
         solver_.add_weight(group.node, batch_cost.count());
       }
       pend.erase(pend.begin(), split);
     }
-    const auto* group = groups_.find(o);
-    if (group != nullptr && (*group)->min_time <= needed_before) {
-      connect.push_back((*group)->node.index);
+    const UpdateGroup* group = group_of(i);
+    if (group != nullptr && group->min_time <= needed_before) {
+      connect.push_back(group->node.index);
     }
   }
   if (connect.empty()) {
@@ -186,10 +217,8 @@ const UpdateManager::Decision& UpdateManager::decide(
   }
   if (!reused) {
     qnode = solver_.add_query(q.cost.count());
-    for (const std::int32_t node_index : connect) {
-      UpdateGroup* const* group = node_to_group_.find(node_index);
-      DELTA_CHECK_MSG(group != nullptr, "connect target has no group");
-      solver_.connect((*group)->node, qnode);
+    for (const flow::NodeIndex v : connect) {
+      solver_.connect(groups_[static_cast<std::size_t>(v)].node, qnode);
     }
   }
   peak_graph_nodes_ = std::max(
@@ -204,9 +233,8 @@ const UpdateManager::Decision& UpdateManager::decide(
   // affected query vertices.
   affected_.clear();
   for (const UpdateNode un : cover.updates) {
-    UpdateGroup* const* slot = node_to_group_.find(un.index);
-    DELTA_CHECK_MSG(slot != nullptr, "covered update node has no group");
-    UpdateGroup& group = **slot;
+    UpdateGroup& group = groups_[static_cast<std::size_t>(un.index)];
+    DELTA_CHECK_MSG(group.node == un, "covered update node has no group");
     decision.ship_updates.insert(decision.ship_updates.end(),
                                  group.members.begin(), group.members.end());
     remove_group(group, &affected_);

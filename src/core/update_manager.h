@@ -32,11 +32,9 @@
 
 #include <limits>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "flow/bipartite_cover.h"
-#include "util/flat_map.h"
 #include "util/types.h"
 #include "workload/events.h"
 
@@ -44,7 +42,8 @@ namespace delta::core {
 
 class UpdateManager {
  public:
-  explicit UpdateManager(bool remember_shipped_queries = true);
+  /// Tracks object ids in [0, object_count).
+  UpdateManager(std::size_t object_count, bool remember_shipped_queries);
 
   /// Records an outstanding (un-shipped) update for a cached object.
   void add_outstanding(const workload::Update& u);
@@ -68,17 +67,11 @@ class UpdateManager {
   /// Uses the solver's public removal API (it is deliberately neither
   /// copyable nor movable — the incremental-flow engine points into its
   /// owned network), so the solver stays internally consistent and
-  /// reusable. Run counters (peak nodes, covers computed) survive: they
-  /// instrument the experiment, not the process.
+  /// reusable. Update vertices are released in object-id order, which
+  /// fixes the solver's node indices after the wipe. Run counters (peak
+  /// nodes, covers computed) survive: they instrument the experiment, not
+  /// the process.
   void clear();
-
-  /// Pre-sizes the per-object maps for up to `n` stale objects (bounded by
-  /// residency, not by trace length or total object count).
-  void reserve(std::size_t n) {
-    pending_.reserve(n);
-    groups_.reserve(n);
-    node_to_group_.reserve(n);
-  }
 
   struct Decision {
     bool ship_query = false;
@@ -116,7 +109,8 @@ class UpdateManager {
  private:
   using UpdateNode = flow::BipartiteCoverSolver::UpdateNode;
   using QueryNode = flow::BipartiteCoverSolver::QueryNode;
-  using Signature = std::vector<std::int32_t>;  // sorted group node indices
+  using Signature = std::vector<flow::NodeIndex>;  // sorted group nodes
+  using Pending = std::vector<const workload::Update*>;
 
   /// The single materialized interaction-graph vertex of an object,
   /// covering its needed outstanding updates (shipped together if covered).
@@ -129,16 +123,20 @@ class UpdateManager {
 
   bool remember_shipped_queries_;
   flow::BipartiteCoverSolver solver_;
-  /// Outstanding updates not yet in the graph, per object, arrival order.
-  util::FlatMap<ObjectId, std::vector<const workload::Update*>> pending_;
-  /// At most one materialized group per object.
-  util::FlatMap<ObjectId, std::unique_ptr<UpdateGroup>> groups_;
-  util::FlatMap<std::int32_t, UpdateGroup*> node_to_group_;
-  /// Shipped-query merging state. sig_to_node_ is keyed by the (variable-
-  /// length) signature itself, so it stays an ordered std::map; the
-  /// fixed-key side lives in a FlatMap.
+  // Per object id, sized at construction:
+  /// Outstanding updates not yet in the graph, arrival order.
+  std::vector<Pending> pending_;
+  /// The object's group vertex (at most one), kNoNode when it has none.
+  std::vector<flow::NodeIndex> group_node_;
+  // Per solver node index, grown as the solver hands out indices (it
+  // recycles removed ones, so these stay as large as the peak graph):
+  /// The group whose vertex has this index; stale once the vertex dies.
+  std::vector<UpdateGroup> groups_;
+  /// A live shipped-query vertex's neighbourhood signature; empty if none.
+  std::vector<Signature> node_to_sig_;
+  /// Shipped-query merging state, keyed by the (variable-length) signature
+  /// itself, so it stays an ordered std::map.
   std::map<Signature, QueryNode> sig_to_node_;
-  util::FlatMap<std::int32_t, Signature> node_to_sig_;
   std::size_t peak_graph_nodes_ = 0;
   std::int64_t covers_computed_ = 0;
 
@@ -148,6 +146,9 @@ class UpdateManager {
   Signature sig_scratch_;
   std::vector<QueryNode> affected_;
 
+  [[nodiscard]] std::size_t slot(ObjectId o) const;
+  /// The group of the object's vertex, or nullptr when it has none.
+  [[nodiscard]] const UpdateGroup* group_of(std::size_t slot) const;
   void remove_group(UpdateGroup& group,
                     std::vector<QueryNode>* affected_queries);
   /// Prunes isolated query vertices and re-keys/merges the rest after

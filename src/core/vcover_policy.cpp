@@ -29,45 +29,33 @@ struct SyncQueryTx {
 }  // namespace
 
 VCoverPolicy::VCoverPolicy(CacheNode* system, const VCoverOptions& options)
-    : system_(system),
+    : system_(checked_cache(system)),
       options_(options),
-      store_(options.cache_capacity),
-      update_manager_(options.remember_shipped_queries),
-      load_manager_(options.loading, util::Rng{options.rng_seed}) {
-  DELTA_CHECK(system != nullptr);
-  if (options_.use_lru) {
-    evictor_ = std::make_unique<cache::LruPolicy>(&store_);
-  } else {
-    evictor_ = std::make_unique<cache::GreedyDualSize>(&store_);
-  }
-  if (options_.expected_resident_objects > 0) {
-    const std::size_t n = options_.expected_resident_objects;
-    store_.reserve(n);
-    evictor_->reserve(n);
-    update_manager_.reserve(n);
-    load_manager_.reserve(n);
-    heat_.reserve(n);
-  }
+      store_(options.cache_capacity, system_->object_count()),
+      evictor_(make_evictor()),
+      update_manager_(system_->object_count(),
+                      options.remember_shipped_queries),
+      load_manager_(options.loading, util::Rng{options.rng_seed},
+                    system_->object_count()),
+      heat_(options.preship ? system_->object_count() : 0, 0.0) {
   system_->set_subscription(MetadataSubscription::kRegisteredOnly);
   system_->set_invalidation_handler(
       [this](const workload::Update& u) { on_update(u); });
+}
+
+std::unique_ptr<cache::EvictionPolicy> VCoverPolicy::make_evictor() const {
+  if (options_.use_lru) return std::make_unique<cache::LruPolicy>(&store_);
+  return std::make_unique<cache::GreedyDualSize>(&store_);
 }
 
 void VCoverPolicy::on_crash_restart() {
   store_.clear();
   // The evictor's priority state (GDS inflation value L, LRU clocks) is
   // in-memory; a restarted process starts from a fresh instance.
-  if (options_.use_lru) {
-    evictor_ = std::make_unique<cache::LruPolicy>(&store_);
-  } else {
-    evictor_ = std::make_unique<cache::GreedyDualSize>(&store_);
-  }
-  if (options_.expected_resident_objects > 0) {
-    evictor_->reserve(options_.expected_resident_objects);
-  }
+  evictor_ = make_evictor();
   update_manager_.clear();
   load_manager_.clear();
-  heat_.clear();
+  std::fill(heat_.begin(), heat_.end(), 0.0);
   missing_.clear();
   eager_batch_.clear();
 }
@@ -85,8 +73,8 @@ void VCoverPolicy::on_update(const workload::Update& u) {
     return;
   }
   if (options_.preship) {
-    const double* heat = heat_.find(u.object);
-    if (heat != nullptr && *heat >= options_.preship_heat_threshold) {
+    if (heat_[static_cast<std::size_t>(u.object.value())] >=
+        options_.preship_heat_threshold) {
       // Hot object: push the content proactively so the next
       // currency-constrained query needn't wait.
       system_->ship_update(u);
@@ -101,11 +89,10 @@ void VCoverPolicy::on_update(const workload::Update& u) {
 }
 
 void VCoverPolicy::evict_object(ObjectId o) {
-  churn_log_.push_back({now_, o, store_.bytes_of(o), false});
   store_.evict(o);
   update_manager_.drop_object(o);
   load_manager_.forget(o);
-  heat_.erase(o);
+  if (options_.preship) heat_[static_cast<std::size_t>(o.value())] = 0.0;
   system_->notify_eviction(o);
   ++evictions_;
 }
@@ -129,7 +116,6 @@ void VCoverPolicy::apply_batch(const std::vector<cache::LoadCandidate>& batch,
     const Bytes size = system_->server_object_bytes(o);
     tx.load_object(o);     // LoadData message: size + framing
     store_.load(o, size);  // enters fresh, with all updates folded in
-    churn_log_.push_back({now_, o, size, true});
     load_manager_.forget(o);
     ++loads_;
     ++outcome.objects_loaded;
@@ -139,7 +125,6 @@ void VCoverPolicy::apply_batch(const std::vector<cache::LoadCandidate>& batch,
 template <typename Tx>
 void VCoverPolicy::dispatch_query(const workload::Query& q,
                                   QueryOutcome& outcome, Tx&& tx) {
-  now_ = q.time;
   missing_.clear();
   for (const ObjectId o : q.objects) {
     if (!store_.contains(o)) missing_.push_back(o);
@@ -182,7 +167,7 @@ void VCoverPolicy::dispatch_query(const workload::Query& q,
       for (const ObjectId o : q.objects) {
         evictor_->on_access(o);
         if (options_.preship) {
-          double& h = heat_[o];
+          double& h = heat_[static_cast<std::size_t>(o.value())];
           h = h * options_.preship_heat_decay + 1.0;
         }
       }

@@ -17,7 +17,6 @@
 #include "core/load_manager.h"
 #include "core/policy.h"
 #include "core/update_manager.h"
-#include "util/flat_map.h"
 #include "util/rng.h"
 
 namespace delta::core {
@@ -29,15 +28,16 @@ struct VCoverOptions {
   bool remember_shipped_queries = true;
   /// Object caching algorithm: Greedy-Dual-Size (paper) or LRU (ablation).
   bool use_lru = false;
-  /// Preshipping extension (E1).
+  /// Preshipping extension (E1). Heat starts at 0 for every object and
+  /// resets to 0 on eviction.
   bool preship = false;
   double preship_heat_threshold = 3.0;
   double preship_heat_decay = 0.98;
   std::uint64_t rng_seed = 0xD517A;
-  /// Expected peak resident-object count. Pre-sizes every per-object side
-  /// table (store, evictor, update/load managers, preship heat) so
-  /// million-object runs never pay growth rehashes on the replay hot path.
-  /// 0 keeps the default (grow on demand).
+  /// Unread. The per-object tables are plain vectors sized from the
+  /// repository's object count, so there is nothing to pre-size; the field
+  /// stays only because the benchmark program (benchmark/delta_bench.cpp)
+  /// still sets it, and goes with the next change to that program.
   std::size_t expected_resident_objects = 0;
 };
 
@@ -50,8 +50,8 @@ class VCoverPolicy final : public CachePolicy {
   void on_query_async(const workload::Query& q, QueryDone done) override;
   /// Crash-stop wipe (ISSUE 10): the resident store, the interaction graph,
   /// the eviction metadata, the bypass-rule counters, and the preship heat
-  /// all die with the process. Instrument counters (loads, evictions, churn
-  /// log) survive — they measure the experiment, not the process.
+  /// all die with the process. Instrument counters (loads, evictions)
+  /// survive — they measure the experiment, not the process.
   void on_crash_restart() override;
   /// Overload degradation (ISSUE 8): under uplink pressure an all-cached
   /// query whose outstanding updates are ALL newer than its t(q) horizon
@@ -76,17 +76,6 @@ class VCoverPolicy final : public CachePolicy {
   [[nodiscard]] std::int64_t cache_answers() const { return cache_answers_; }
   [[nodiscard]] std::int64_t preshipped() const { return preshipped_; }
 
-  /// Load/eviction timeline (diagnostics for the loading ablations).
-  struct ChurnEntry {
-    EventTime time = 0;
-    ObjectId object;
-    Bytes bytes;
-    bool is_load = false;
-  };
-  [[nodiscard]] const std::vector<ChurnEntry>& churn_log() const {
-    return churn_log_;
-  }
-
  private:
   CacheNode* system_;  // the cache endpoint this policy drives
   VCoverOptions options_;
@@ -94,17 +83,17 @@ class VCoverPolicy final : public CachePolicy {
   std::unique_ptr<cache::EvictionPolicy> evictor_;
   UpdateManager update_manager_;
   LoadManager load_manager_;
-  util::FlatMap<ObjectId, double> heat_;  // preship popularity signal
-  std::vector<ObjectId> missing_;         // per-query scratch
+  std::vector<double> heat_;  // by ObjectId; preship popularity signal
+  std::vector<ObjectId> missing_;  // per-query scratch
   std::vector<cache::LoadCandidate> eager_batch_;  // eager-mode scratch
   std::int64_t loads_ = 0;
   std::int64_t evictions_ = 0;
   std::int64_t cache_answers_ = 0;
   std::int64_t preshipped_ = 0;
   AdmissionOptions admission_;
-  std::vector<ChurnEntry> churn_log_;
-  EventTime now_ = 0;
 
+  /// A fresh evictor over store_ (construction and crash restart).
+  [[nodiscard]] std::unique_ptr<cache::EvictionPolicy> make_evictor() const;
   void evict_object(ObjectId o);
   void shed_overflow();
   /// True when overload pressure holds AND a cached answer for `q` (all

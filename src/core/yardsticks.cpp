@@ -86,6 +86,8 @@ HindsightStats hindsight(const workload::Trace& trace,
   s.final_size = trace.initial_object_bytes;
   for (const workload::Update& u : trace.updates) {
     const auto i = static_cast<std::size_t>(u.object.value());
+    DELTA_CHECK_MSG(i < n, "update of object " << u.object.value()
+                                               << " out of range");
     s.update_cost[i] += u.cost.as_double();
     s.final_size[i] += u.cost;
   }
@@ -94,6 +96,8 @@ HindsightStats hindsight(const workload::Trace& trace,
     const workload::Query& q = trace.queries[qi];
     double size_sum = 0.0;
     for (const ObjectId o : q.objects) {
+      DELTA_CHECK_MSG(static_cast<std::size_t>(o.value()) < n,
+                      "query object " << o.value() << " out of range");
       size_sum +=
           trace.initial_object_bytes[static_cast<std::size_t>(o.value())]
               .as_double();
@@ -173,7 +177,7 @@ class StaticSetEvaluator {
 
 }  // namespace
 
-util::FlatSet<ObjectId> SOptimalPolicy::choose_set(
+std::vector<bool> SOptimalPolicy::choose_set(
     const workload::Trace& trace, const SOptimalOptions& options) {
   DELTA_CHECK(options.query_assignment == nullptr ||
               options.query_assignment->size() == trace.queries.size());
@@ -196,7 +200,6 @@ util::FlatSet<ObjectId> SOptimalPolicy::choose_set(
 
   // Greedy fill by final sizes (the set must fit even after growth; the
   // static yardstick never evicts).
-  util::FlatSet<ObjectId> chosen;
   std::vector<bool> selected(n, false);
   Bytes budget = options.cache_capacity;
   for (const std::size_t i : ranked) {
@@ -204,10 +207,9 @@ util::FlatSet<ObjectId> SOptimalPolicy::choose_set(
     if (trace.initial_object_bytes[i].count() <= 0) continue;
     if (stats.final_size[i] > budget) continue;
     selected[i] = true;
-    chosen.insert(ObjectId{static_cast<std::int64_t>(i)});
     budget -= stats.final_size[i];
   }
-  if (!options.local_search) return chosen;
+  if (!options.local_search) return selected;
 
   // Ablation A5: add/drop hill-climbing against the exact replay cost.
   StaticSetEvaluator eval{trace, load_costs, options};
@@ -241,11 +243,7 @@ util::FlatSet<ObjectId> SOptimalPolicy::choose_set(
     }
     if (!improved) break;
   }
-  chosen.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (selected[i]) chosen.insert(ObjectId{static_cast<std::int64_t>(i)});
-  }
-  return chosen;
+  return selected;
 }
 
 SOptimalPolicy::SOptimalPolicy(CacheNode* system,
@@ -258,21 +256,33 @@ SOptimalPolicy::SOptimalPolicy(CacheNode* system,
   system_->set_subscription(MetadataSubscription::kRegisteredOnly);
   system_->set_invalidation_handler(
       [this](const workload::Update& u) { on_update(u); });
-  // Load the static set up front — at event zero, inside the warm-up
-  // window, exactly as the paper implements it. (Visit order only affects
-  // the order of the load messages, never the byte totals.)
-  chosen_.for_each([this](ObjectId o) { system_->load_object(o); });
+  // Load the static set up front, in id order — at event zero, inside the
+  // warm-up window, exactly as the paper implements it.
+  for (const ObjectId o : chosen()) system_->load_object(o);
+}
+
+std::vector<ObjectId> SOptimalPolicy::chosen() const {
+  std::vector<ObjectId> out;
+  for (std::size_t i = 0; i < chosen_.size(); ++i) {
+    if (chosen_[i]) out.push_back(ObjectId{static_cast<std::int64_t>(i)});
+  }
+  return out;
+}
+
+bool SOptimalPolicy::chooses(ObjectId o) const {
+  const auto i = static_cast<std::size_t>(o.value());
+  return i < chosen_.size() && chosen_[i];
 }
 
 void SOptimalPolicy::on_update(const workload::Update& u) {
-  DELTA_CHECK(chosen_.count(u.object) > 0);
+  DELTA_CHECK(chooses(u.object));
   system_->ship_update(u);  // keep the static set current
 }
 
 QueryOutcome SOptimalPolicy::on_query(const workload::Query& q) {
   QueryOutcome outcome;
   for (const ObjectId o : q.objects) {
-    if (chosen_.count(o) == 0) {
+    if (!chooses(o)) {
       outcome.path = QueryOutcome::Path::kShipped;
       outcome.result_bytes = system_->ship_query(q);
       return outcome;
@@ -287,7 +297,7 @@ void SOptimalPolicy::on_query_async(const workload::Query& q,
   const auto ctx = begin_async_query(std::move(done));
   ctx->outcome.path = QueryOutcome::Path::kCacheFresh;
   for (const ObjectId o : q.objects) {
-    if (chosen_.count(o) == 0) {
+    if (!chooses(o)) {
       ctx->outcome.path = QueryOutcome::Path::kShipped;
       AsyncQueryTx{system_, ctx}.ship_query(q, ctx->outcome);
       break;

@@ -12,7 +12,6 @@
 
 #include "core/cache_node.h"
 #include "core/policy.h"
-#include "util/flat_map.h"
 #include "workload/trace.h"
 
 namespace delta::core {
@@ -73,16 +72,17 @@ class SOptimalPolicy final : public CachePolicy {
   void on_query_async(const workload::Query& q, QueryDone done) override;
   [[nodiscard]] const char* name() const override { return "SOptimal"; }
 
-  [[nodiscard]] const util::FlatSet<ObjectId>& chosen() const {
-    return chosen_;
-  }
+  /// The static set in ascending id order (allocates).
+  [[nodiscard]] std::vector<ObjectId> chosen() const;
 
  private:
   CacheNode* system_;
-  util::FlatSet<ObjectId> chosen_;
+  std::vector<bool> chosen_;  // by ObjectId
 
-  static util::FlatSet<ObjectId> choose_set(const workload::Trace& trace,
-                                            const SOptimalOptions& options);
+  /// Bounds-checked membership (false for an out-of-range id).
+  [[nodiscard]] bool chooses(ObjectId o) const;
+  static std::vector<bool> choose_set(const workload::Trace& trace,
+                                      const SOptimalOptions& options);
 };
 
 }  // namespace delta::core

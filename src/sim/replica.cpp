@@ -55,13 +55,17 @@ void fold_combined(const std::vector<const ReplicaReplay*>& replicas,
 }
 
 // DETERMINISM CONSTRAINT (golden tables): tests/sim_golden_test.cpp pins
-// this loop's figures byte-for-byte. The policies it drives keep hot state
-// in util::FlatMap, whose visit order depends on insertion history — so no
-// policy decision may depend on map iteration order. Where a fold over a
-// map picks a winner it must carry an explicit (value, id) tie-break, and
-// batch decisions must be totally ordered by an explicit sort (see the
-// audit notes at each for_each call site; regression-pinned by
-// tests/iteration_order_test.cpp).
+// this loop's figures byte-for-byte. The policies it drives keep their
+// per-object state in vectors indexed by ObjectId and walk residents in
+// ascending id order, so every walk is a function of the resident set, not
+// of the insertion history. A fold that picks a winner still carries an
+// explicit (value, id) tie-break and batch decisions are totally ordered
+// by an explicit sort, so no decision leans on the walk order either
+// (pinned by tests/iteration_order_test.cpp).
+//
+// Queries are checked against the repository's id range here: the
+// repository checks every update it ingests, but a query reaches the
+// server only when it is shipped (never, for Replica).
 void replay_replica(const workload::Trace& trace, core::DeltaSystem& system,
                     core::CachePolicy& policy,
                     const std::vector<std::uint32_t>* routing,
@@ -76,6 +80,7 @@ void replay_replica(const workload::Trace& trace, core::DeltaSystem& system,
   out.aggregate_series = util::CumulativeSeries{series_stride};
 
   const net::TrafficMeter& meter = system.meter();
+  const std::size_t object_count = system.server().object_count();
   const EventTime warmup_end = trace.info.warmup_end_event;
   bool warmup_captured = false;
   const auto capture_warmup = [&] {
@@ -97,7 +102,13 @@ void replay_replica(const workload::Trace& trace, core::DeltaSystem& system,
     if (is_update) {
       system.server().ingest_update(trace.updates[index]);
     } else if (routing == nullptr || (*routing)[index] == self) {
-      const core::QueryOutcome outcome = policy.on_query(trace.queries[index]);
+      const workload::Query& q = trace.queries[index];
+      for (const ObjectId o : q.objects) {
+        DELTA_CHECK_MSG(static_cast<std::size_t>(o.value()) < object_count,
+                        "query " << q.id.value() << " names object "
+                                 << o.value() << " out of range");
+      }
+      const core::QueryOutcome outcome = policy.on_query(q);
       ++r.queries;
       count_outcome(r, outcome);
       if (now >= warmup_end) {

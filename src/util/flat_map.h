@@ -1,30 +1,20 @@
-// Open-addressing hash containers for the middleware's small-key hot state.
+// Insert-only open-addressing hash map for sparse integer keys.
 //
-// Every per-event lookup in the replay loop — cache residency, LRU/GDS
-// bookkeeping, load-manager counters, preship heat, the UpdateManager's
-// object/node maps — is keyed by an ObjectId or a small int. node-based
-// std::unordered_map pays a heap allocation per insert and a pointer chase
-// per find on exactly this state; FlatMap keeps keys and values in flat
-// arrays (struct-of-arrays, so probing touches only the key lane), probes
-// linearly over a power-of-two table, and erases by backward shifting, so
-// the table never accumulates tombstones and memory stays proportional to
-// live entries.
+// Dense ids (ObjectId, solver node indices) index plain vectors instead;
+// FlatMap is for keys that are not dense — the trace splitter's 64-bit
+// anchor keys (workload/trace_split.cpp). node-based std::unordered_map
+// pays a heap allocation per insert and a pointer chase per find; FlatMap
+// keeps keys and values in flat arrays (struct-of-arrays, so probing
+// touches only the key lane) and probes linearly over a power-of-two table.
 //
 // Contract:
 //  * Key is an integral type or a strong id exposing `.value()` (see
 //    util/types.h); hashing is a fixed Fibonacci mix of that raw value, so
-//    slot order is deterministic across platforms and standard libraries —
-//    unlike std::unordered_map, whose iteration order is
-//    implementation-defined.
-//  * Value must be default-constructible and movable (moved on growth and
-//    on backward-shift deletion).
-//  * Iteration (`for_each`) visits live entries in slot order, which
-//    depends on the insertion/erasure history. Callers whose observable
-//    decisions could depend on visit order must impose an explicit order
-//    (see the determinism audit notes at each call site; pinned by
-//    tests/iteration_order_test.cpp).
-//  * Pointers returned by find()/operator[] are invalidated by any insert
-//    or erase (the table may grow or shift).
+//    slot order is deterministic across platforms and standard libraries.
+//  * Value must be default-constructible and movable (moved on growth).
+//  * Entries are never erased.
+//  * Pointers returned by find()/try_emplace() are invalidated by any
+//    insert (the table may grow).
 #pragma once
 
 #include <cstddef>
@@ -58,37 +48,21 @@ class FlatMap {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  void clear() {
-    std::fill(used_.begin(), used_.end(), std::uint8_t{0});
-    for (Value& v : values_) v = Value{};
-    size_ = 0;
-  }
-
-  /// Ensures capacity for `n` entries without rehashing.
-  void reserve(std::size_t n) {
-    std::size_t cap = kMinCapacity;
-    while (cap * 3 < n * 4) cap <<= 1;  // target load factor <= 0.75
-    if (cap > capacity()) rehash(cap);
-  }
-
-  [[nodiscard]] bool contains(Key key) const { return find(key) != nullptr; }
-
-  [[nodiscard]] Value* find(Key key) {
-    const std::size_t i = find_slot(key);
-    return i == kNoSlot ? nullptr : &values_[i];
-  }
+  /// The key's value, or nullptr when absent.
   [[nodiscard]] const Value* find(Key key) const {
-    const std::size_t i = find_slot(key);
-    return i == kNoSlot ? nullptr : &values_[i];
+    if (size_ == 0) return nullptr;
+    std::size_t i = home(key);
+    while (used_[i]) {
+      if (keys_[i] == key) return &values_[i];
+      i = (i + 1) & mask_;
+    }
+    return nullptr;
   }
-
-  /// Inserts a default-constructed value if the key is absent.
-  Value& operator[](Key key) { return *try_emplace(key).first; }
 
   /// Inserts `Value{args...}` if absent; returns (value pointer, inserted).
   template <typename... Args>
   std::pair<Value*, bool> try_emplace(Key key, Args&&... args) {
-    if ((size_ + 1) * 4 > capacity() * 3) rehash(capacity() * 2);
+    if ((size_ + 1) * 4 > keys_.size() * 3) rehash(keys_.size() * 2);
     std::size_t i = home(key);
     while (used_[i]) {
       if (keys_[i] == key) return {&values_[i], false};
@@ -101,56 +75,7 @@ class FlatMap {
     return {&values_[i], true};
   }
 
-  void insert_or_assign(Key key, Value value) {
-    *try_emplace(key).first = std::move(value);
-  }
-
-  /// Removes the key if present (backward-shift deletion: subsequent probe
-  /// chains are compacted, never tombstoned). Returns true when erased.
-  bool erase(Key key) {
-    std::size_t i = find_slot(key);
-    if (i == kNoSlot) return false;
-    // Walk the probe chain after i; any entry whose home slot lies
-    // cyclically outside (i, j] can legally move back to fill the hole.
-    std::size_t j = i;
-    while (true) {
-      j = (j + 1) & mask_;
-      if (!used_[j]) break;
-      const std::size_t h = home(keys_[j]);
-      const bool home_in_gap =
-          i <= j ? (i < h && h <= j) : (h > i || h <= j);
-      if (!home_in_gap) {
-        keys_[i] = keys_[j];
-        values_[i] = std::move(values_[j]);
-        i = j;
-      }
-    }
-    used_[i] = 0;
-    values_[i] = Value{};  // release held resources promptly
-    --size_;
-    return true;
-  }
-
-  /// Visits every live (key, value) pair in slot order. The order depends
-  /// on insertion history: callers must not let observable decisions depend
-  /// on it (see the header contract).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < used_.size(); ++i) {
-      if (used_[i]) fn(keys_[i], values_[i]);
-    }
-  }
-  template <typename Fn>
-  void for_each(Fn&& fn) {
-    for (std::size_t i = 0; i < used_.size(); ++i) {
-      if (used_[i]) fn(keys_[i], values_[i]);
-    }
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return keys_.size(); }
-
  private:
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
   static constexpr std::size_t kMinCapacity = 16;
   // Fibonacci multiplicative hashing: a fixed odd multiplier spreads
   // consecutive ids across the table while staying allocation- and
@@ -167,16 +92,6 @@ class FlatMap {
   [[nodiscard]] std::size_t home(Key key) const {
     return static_cast<std::size_t>(
         (detail::flat_raw_key(key) * kMix) >> shift_);
-  }
-
-  [[nodiscard]] std::size_t find_slot(Key key) const {
-    if (size_ == 0) return kNoSlot;
-    std::size_t i = home(key);
-    while (used_[i]) {
-      if (keys_[i] == key) return i;
-      i = (i + 1) & mask_;
-    }
-    return kNoSlot;
   }
 
   void rehash(std::size_t new_capacity) {
@@ -201,35 +116,6 @@ class FlatMap {
       values_[j] = std::move(old_values[i]);
     }
   }
-};
-
-/// FlatMap with no payload: membership only.
-template <typename Key>
-class FlatSet {
- public:
-  [[nodiscard]] std::size_t size() const { return map_.size(); }
-  [[nodiscard]] bool empty() const { return map_.empty(); }
-  void clear() { map_.clear(); }
-  void reserve(std::size_t n) { map_.reserve(n); }
-
-  /// Returns true when newly inserted.
-  bool insert(Key key) { return map_.try_emplace(key).second; }
-  bool erase(Key key) { return map_.erase(key); }
-  [[nodiscard]] bool contains(Key key) const { return map_.contains(key); }
-  /// std::set-compatible membership count (0 or 1).
-  [[nodiscard]] std::size_t count(Key key) const {
-    return map_.contains(key) ? 1 : 0;
-  }
-
-  /// Visits members in slot order (same caveats as FlatMap::for_each).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    map_.for_each([&fn](Key key, const Empty&) { fn(key); });
-  }
-
- private:
-  struct Empty {};
-  FlatMap<Key, Empty> map_;
 };
 
 }  // namespace delta::util

@@ -1,6 +1,6 @@
 // Indexed binary min-heap over unique keys: the resident-set side index
 // that makes eviction/shed victim selection O(log n) instead of a full
-// FlatMap sweep per decision (the million-object data-plane requirement:
+// resident sweep per decision (the million-object data-plane requirement:
 // no O(n_objects) term on the replay hot path).
 //
 // Ordering is the lexicographic total order (priority, key) — exactly the
@@ -10,9 +10,12 @@
 // minimum of a total order does not).
 //
 // Contract:
-//  * Key follows the FlatMap key contract (integral or strong id).
+//  * Key is a dense strong id (see util/types.h) below the key count given
+//    at construction: each key's heap position lives in a plain vector
+//    indexed by key.value(). Mutators DELTA_CHECK the range; contains() and
+//    find() answer "absent" for an out-of-range key.
 //  * Priority is totally ordered via operator< and copyable (double, int64).
-//  * Keys are unique; push() requires absence, update()/erase() presence.
+//  * Keys are unique; push() requires absence, update() presence.
 //  * All operations are deterministic functions of the operation sequence.
 #pragma once
 
@@ -20,7 +23,6 @@
 #include <vector>
 
 #include "util/check.h"
-#include "util/flat_map.h"
 
 namespace delta::util {
 
@@ -32,26 +34,21 @@ class HeapMap {
     Priority priority{};
   };
 
+  /// Keys are ids in [0, key_count).
+  explicit HeapMap(std::size_t key_count) : pos_(key_count, kAbsent) {}
+
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
   [[nodiscard]] bool empty() const { return heap_.empty(); }
 
-  void clear() {
-    heap_.clear();
-    pos_.clear();
+  [[nodiscard]] bool contains(Key key) const {
+    return position(key) != kAbsent;
   }
-
-  void reserve(std::size_t n) {
-    heap_.reserve(n);
-    pos_.reserve(n);
-  }
-
-  [[nodiscard]] bool contains(Key key) const { return pos_.contains(key); }
 
   /// Priority of `key`, or nullptr when absent. Read-only: priorities
   /// change only through update(), which restores the heap order.
   [[nodiscard]] const Priority* find(Key key) const {
-    const std::uint32_t* i = pos_.find(key);
-    return i == nullptr ? nullptr : &heap_[*i].priority;
+    const std::uint32_t i = position(key);
+    return i == kAbsent ? nullptr : &heap_[i].priority;
   }
 
   /// The (priority, key)-minimum entry. Requires a non-empty heap.
@@ -62,18 +59,17 @@ class HeapMap {
 
   /// Inserts an absent key.
   void push(Key key, Priority priority) {
-    const auto [slot, inserted] =
-        pos_.try_emplace(key, static_cast<std::uint32_t>(heap_.size()));
-    DELTA_CHECK_MSG(inserted, "HeapMap::push of a present key");
+    std::uint32_t& slot = pos_[checked(key)];
+    DELTA_CHECK_MSG(slot == kAbsent, "HeapMap::push of a present key");
+    slot = static_cast<std::uint32_t>(heap_.size());
     heap_.push_back(Entry{key, priority});
     sift_up(heap_.size() - 1);
   }
 
   /// Re-prioritizes a present key (either direction).
   void update(Key key, Priority priority) {
-    const std::uint32_t* slot = pos_.find(key);
-    DELTA_CHECK_MSG(slot != nullptr, "HeapMap::update of an absent key");
-    const std::size_t i = *slot;
+    const std::size_t i = pos_[checked(key)];
+    DELTA_CHECK_MSG(i != kAbsent, "HeapMap::update of an absent key");
     heap_[i].priority = priority;
     sift_up(i);
     sift_down(i);
@@ -87,15 +83,29 @@ class HeapMap {
 
   /// Removes the key if present; returns true when erased.
   bool erase(Key key) {
-    const std::uint32_t* slot = pos_.find(key);
-    if (slot == nullptr) return false;
-    remove_at(*slot);
+    const std::uint32_t i = pos_[checked(key)];
+    if (i == kAbsent) return false;
+    remove_at(i);
     return true;
   }
 
  private:
+  static constexpr std::uint32_t kAbsent = UINT32_MAX;
+
   std::vector<Entry> heap_;
-  FlatMap<Key, std::uint32_t> pos_;
+  std::vector<std::uint32_t> pos_;  // heap index by key, kAbsent if none
+
+  [[nodiscard]] std::size_t checked(Key key) const {
+    const auto i = static_cast<std::size_t>(key.value());
+    DELTA_CHECK_MSG(i < pos_.size(),
+                    "HeapMap key " << key.value() << " out of range");
+    return i;
+  }
+
+  [[nodiscard]] std::uint32_t position(Key key) const {
+    const auto i = static_cast<std::size_t>(key.value());
+    return i < pos_.size() ? pos_[i] : kAbsent;
+  }
 
   [[nodiscard]] static bool less(const Entry& a, const Entry& b) {
     if (a.priority < b.priority) return true;
@@ -105,7 +115,8 @@ class HeapMap {
 
   void place(std::size_t i, const Entry& e) {
     heap_[i] = e;
-    *pos_.find(e.key) = static_cast<std::uint32_t>(i);
+    pos_[static_cast<std::size_t>(e.key.value())] =
+        static_cast<std::uint32_t>(i);
   }
 
   void sift_up(std::size_t i) {
@@ -134,12 +145,12 @@ class HeapMap {
   }
 
   void remove_at(std::size_t i) {
-    pos_.erase(heap_[i].key);
+    DELTA_DCHECK(pos_[static_cast<std::size_t>(heap_[i].key.value())] == i);
+    pos_[static_cast<std::size_t>(heap_[i].key.value())] = kAbsent;
     const Entry tail = heap_.back();
     heap_.pop_back();
     if (i == heap_.size()) return;  // removed the tail itself
-    heap_[i] = tail;
-    *pos_.find(tail.key) = static_cast<std::uint32_t>(i);
+    place(i, tail);
     sift_up(i);
     sift_down(i);
   }

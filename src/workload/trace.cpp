@@ -1,6 +1,7 @@
 #include "workload/trace.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/check.h"
 
@@ -65,7 +66,13 @@ void Trace::validate() const {
       DELTA_CHECK(q.cost.count() > 0);
       DELTA_CHECK(q.staleness_tolerance >= 0);
       DELTA_CHECK(!q.objects.empty());
-      DELTA_CHECK(std::is_sorted(q.objects.begin(), q.objects.end()));
+      // Strictly increasing: a repeated object would be proposed for
+      // loading twice and counted twice in savings shares.
+      DELTA_CHECK_MSG(std::adjacent_find(q.objects.begin(), q.objects.end(),
+                                         std::greater_equal<>{}) ==
+                          q.objects.end(),
+                      "query " << q.id.value()
+                               << " objects not strictly increasing");
       for (const ObjectId o : q.objects) {
         DELTA_CHECK(o.valid());
         DELTA_CHECK(static_cast<std::size_t>(o.value()) <

@@ -7,6 +7,8 @@
 namespace delta::cache {
 namespace {
 
+constexpr std::size_t kObjects = 8;  // ids the tests may name
+
 ObjectId oid(std::int64_t v) { return ObjectId{v}; }
 
 LoadCandidate cand(std::int64_t id, std::int64_t size,
@@ -29,7 +31,7 @@ void apply(CacheStore& store, const BatchDecision& d,
 }
 
 TEST(CacheStoreTest, LoadEvictAccounting) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   store.load(oid(1), Bytes{40});
   store.load(oid(2), Bytes{60});
   EXPECT_EQ(store.used().count(), 100);
@@ -42,13 +44,13 @@ TEST(CacheStoreTest, LoadEvictAccounting) {
 }
 
 TEST(CacheStoreTest, DoubleLoadRejected) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   store.load(oid(1), Bytes{10});
   EXPECT_THROW(store.load(oid(1), Bytes{10}), std::logic_error);
 }
 
 TEST(CacheStoreTest, GrowthMayOverflowUntilShed) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   store.load(oid(1), Bytes{90});
   store.grow(oid(1), Bytes{20});
   EXPECT_TRUE(store.over_capacity());
@@ -58,7 +60,7 @@ TEST(CacheStoreTest, GrowthMayOverflowUntilShed) {
 }
 
 TEST(CacheStoreTest, StalenessFlags) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   store.load(oid(1), Bytes{10});
   EXPECT_FALSE(store.is_stale(oid(1)));
   store.mark_stale(oid(1));
@@ -68,7 +70,7 @@ TEST(CacheStoreTest, StalenessFlags) {
 }
 
 TEST(CacheStoreTest, ClearResets) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   store.load(oid(1), Bytes{10});
   store.clear();
   EXPECT_EQ(store.used().count(), 0);
@@ -76,7 +78,7 @@ TEST(CacheStoreTest, ClearResets) {
 }
 
 TEST(GdsTest, AdmitsWhenSpaceAvailable) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   GreedyDualSize gds{&store};
   const std::vector<LoadCandidate> batch{cand(1, 30), cand(2, 40)};
   const auto d = gds.decide_batch(batch);
@@ -87,7 +89,7 @@ TEST(GdsTest, AdmitsWhenSpaceAvailable) {
 }
 
 TEST(GdsTest, RejectsObjectLargerThanCache) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   GreedyDualSize gds{&store};
   const std::vector<LoadCandidate> batch{cand(1, 101)};
   const auto d = gds.decide_batch(batch);
@@ -96,7 +98,7 @@ TEST(GdsTest, RejectsObjectLargerThanCache) {
 }
 
 TEST(GdsTest, EvictsLowestCreditResident) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   GreedyDualSize gds{&store};
   const std::vector<LoadCandidate> b1{cand(1, 50), cand(2, 50)};
   apply(store, gds.decide_batch(b1), b1);
@@ -113,7 +115,7 @@ TEST(GdsTest, EvictsLowestCreditResident) {
 }
 
 TEST(GdsTest, LazyBatchNeverLoadsThenEvictsSibling) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   GreedyDualSize gds{&store};
   // Batch exceeding capacity: some candidates are simply not loaded; no
   // resident churn happens for siblings of the same query.
@@ -127,7 +129,7 @@ TEST(GdsTest, LazyBatchNeverLoadsThenEvictsSibling) {
 }
 
 TEST(GdsTest, InflationRisesWithEvictions) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   GreedyDualSize gds{&store};
   EXPECT_DOUBLE_EQ(gds.inflation(), 0.0);
   const std::vector<LoadCandidate> b1{cand(1, 100)};
@@ -139,7 +141,7 @@ TEST(GdsTest, InflationRisesWithEvictions) {
 }
 
 TEST(GdsTest, HigherCostPerByteSurvivesLonger) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   GreedyDualSize gds{&store};
   // Object 1 is costly to reload per byte; object 2 is cheap.
   const std::vector<LoadCandidate> b1{cand(1, 50, 200), cand(2, 50, 50)};
@@ -151,7 +153,7 @@ TEST(GdsTest, HigherCostPerByteSurvivesLonger) {
 }
 
 TEST(GdsTest, ShedOverflowEvictsLowestCredit) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   GreedyDualSize gds{&store};
   // Object 2 is three times as expensive to reload per byte: higher credit.
   const std::vector<LoadCandidate> b{cand(1, 50, 50), cand(2, 50, 150)};
@@ -166,7 +168,7 @@ TEST(GdsTest, ShedOverflowEvictsLowestCredit) {
 }
 
 TEST(GdsTest, AccessAfterInflationProtectsObject) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   GreedyDualSize gds{&store};
   const std::vector<LoadCandidate> b1{cand(1, 50), cand(2, 50)};
   apply(store, gds.decide_batch(b1), b1);
@@ -184,7 +186,7 @@ TEST(GdsTest, AccessAfterInflationProtectsObject) {
 }
 
 TEST(GdsTest, ForgetDropsTracking) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   GreedyDualSize gds{&store};
   const std::vector<LoadCandidate> b{cand(1, 50)};
   apply(store, gds.decide_batch(b), b);
@@ -194,7 +196,7 @@ TEST(GdsTest, ForgetDropsTracking) {
 }
 
 TEST(LruTest, EvictsOldestFirst) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   LruPolicy lru{&store};
   const std::vector<LoadCandidate> b1{cand(1, 40), cand(2, 40)};
   apply(store, lru.decide_batch(b1), b1);
@@ -206,7 +208,7 @@ TEST(LruTest, EvictsOldestFirst) {
 }
 
 TEST(LruTest, DropsTrailingCandidatesWhenBatchTooBig) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   LruPolicy lru{&store};
   const std::vector<LoadCandidate> b{cand(1, 70), cand(2, 70)};
   const auto d = lru.decide_batch(b);
@@ -215,7 +217,7 @@ TEST(LruTest, DropsTrailingCandidatesWhenBatchTooBig) {
 }
 
 TEST(LruTest, ShedOverflow) {
-  CacheStore store{Bytes{100}};
+  CacheStore store{Bytes{100}, kObjects};
   LruPolicy lru{&store};
   const std::vector<LoadCandidate> b{cand(1, 60), cand(2, 40)};
   apply(store, lru.decide_batch(b), b);

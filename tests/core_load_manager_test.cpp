@@ -17,6 +17,8 @@ workload::Query query_costing(std::int64_t cost) {
   return q;
 }
 
+constexpr std::size_t kObjects = 64;  // ids the tests may name
+
 /// Fixed-size world: every object is `size` bytes, loads cost `load_cost`.
 struct Sizes {
   Bytes size{1000};
@@ -43,7 +45,8 @@ std::int64_t propose(LoadManager& lm, const workload::Query& q,
 // shipped-query demand attributed to it — queries of cost c propose every
 // ceil(l/c)-th query and never in between.
 TEST(LoadManagerTest, CounterModeProposesExactlyOncePerLoadCost) {
-  LoadManager lm{{/*randomized=*/false, /*lazy=*/true}, util::Rng{1}};
+  LoadManager lm{{/*randomized=*/false, /*lazy=*/true},
+                 util::Rng{1}, kObjects};
   const Sizes sizes;  // l(o) = 1000
   const ObjectId o{0};
   std::int64_t proposals = 0;
@@ -58,7 +61,8 @@ TEST(LoadManagerTest, CounterModeProposesExactlyOncePerLoadCost) {
 }
 
 TEST(LoadManagerTest, CounterModeAttributionIsCappedByQueryCost) {
-  LoadManager lm{{/*randomized=*/false, /*lazy=*/true}, util::Rng{1}};
+  LoadManager lm{{/*randomized=*/false, /*lazy=*/true},
+                 util::Rng{1}, kObjects};
   const Sizes sizes;
   // One query shipping more than 2*l(o) still proposes the object once:
   // attribution per query is capped at l(o) (share = min(budget, l)).
@@ -68,7 +72,8 @@ TEST(LoadManagerTest, CounterModeAttributionIsCappedByQueryCost) {
 }
 
 TEST(LoadManagerTest, BudgetWalksAcrossMissingObjects) {
-  LoadManager lm{{/*randomized=*/false, /*lazy=*/true}, util::Rng{1}};
+  LoadManager lm{{/*randomized=*/false, /*lazy=*/true},
+                 util::Rng{1}, kObjects};
   const Sizes sizes;
   // Cost 1000 over two missing objects of l=1000 each: the walk funds the
   // first object in (shuffled) order fully; the second accrues nothing
@@ -90,9 +95,10 @@ TEST(LoadManagerTest, RandomizedModeMatchesCounterModeInExpectation) {
   const int kQueries = 5000;
   const std::int64_t kCost = 100;  // propose w.p. 0.1 per query
 
-  LoadManager exact{{/*randomized=*/false, /*lazy=*/true}, util::Rng{7}};
+  LoadManager exact{{/*randomized=*/false, /*lazy=*/true},
+                    util::Rng{7}, kObjects};
   LoadManager randomized{{/*randomized=*/true, /*lazy=*/true},
-                         util::Rng{7}};
+                         util::Rng{7}, kObjects};
   std::int64_t exact_count = 0;
   std::int64_t randomized_count = 0;
   for (int i = 0; i < kQueries; ++i) {
@@ -111,7 +117,8 @@ TEST(LoadManagerTest, RandomizedModeMatchesCounterModeInExpectation) {
 }
 
 TEST(LoadManagerTest, ForgetDropsTheCounter) {
-  LoadManager lm{{/*randomized=*/false, /*lazy=*/true}, util::Rng{1}};
+  LoadManager lm{{/*randomized=*/false, /*lazy=*/true},
+                 util::Rng{1}, kObjects};
   const Sizes sizes;
   const ObjectId o{0};
   const auto feed = [&] {
@@ -133,14 +140,18 @@ TEST(LoadManagerTest, SiblingCandidatesArriveAsOneBatch) {
   // slices the batch for the eviction policy) is carried in options().
   const workload::Query q = query_costing(2000);
 
-  LoadManager lazy{{/*randomized=*/false, /*lazy=*/true}, util::Rng{3}};
+  LoadManager lazy{{/*randomized=*/false, /*lazy=*/true},
+
+                   util::Rng{3}, kObjects};
   std::vector<ObjectId> missing{ObjectId{0}, ObjectId{1}};
   const auto& candidates =
       lazy.consider(q, missing, sizes.size_fn(), sizes.cost_fn());
   EXPECT_EQ(candidates.size(), 2u);  // siblings decided together
   EXPECT_TRUE(lazy.options().lazy);
 
-  LoadManager eager{{/*randomized=*/false, /*lazy=*/false}, util::Rng{3}};
+  LoadManager eager{{/*randomized=*/false, /*lazy=*/false},
+
+                    util::Rng{3}, kObjects};
   std::vector<ObjectId> missing2{ObjectId{0}, ObjectId{1}};
   const auto& eager_candidates =
       eager.consider(q, missing2, sizes.size_fn(), sizes.cost_fn());
@@ -149,7 +160,8 @@ TEST(LoadManagerTest, SiblingCandidatesArriveAsOneBatch) {
 }
 
 TEST(LoadManagerTest, ConsiderReusesItsScratchAcrossCalls) {
-  LoadManager lm{{/*randomized=*/false, /*lazy=*/true}, util::Rng{1}};
+  LoadManager lm{{/*randomized=*/false, /*lazy=*/true},
+                 util::Rng{1}, kObjects};
   const Sizes sizes;
   std::vector<ObjectId> missing{ObjectId{0}};
   const auto& first =
@@ -167,7 +179,8 @@ TEST(LoadManagerTest, ConsiderReusesItsScratchAcrossCalls) {
 }
 
 TEST(LoadManagerTest, CandidatesCarrySizeAndLoadCost) {
-  LoadManager lm{{/*randomized=*/false, /*lazy=*/true}, util::Rng{1}};
+  LoadManager lm{{/*randomized=*/false, /*lazy=*/true},
+                 util::Rng{1}, kObjects};
   std::vector<ObjectId> missing{ObjectId{42}};
   const auto& candidates = lm.consider(
       query_costing(5000), missing,

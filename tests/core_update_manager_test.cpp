@@ -13,7 +13,7 @@ TEST(UpdateManagerTest, FreshObjectsNeedNoDecision) {
   TraceBuilder b{{100, 100}};
   b.query({0, 1}, 50);
   const auto trace = b.build();
-  UpdateManager mgr;
+  UpdateManager mgr{trace.initial_object_bytes.size(), true};
   const auto d = mgr.decide(trace.queries[0]);
   EXPECT_FALSE(d.ship_query);
   EXPECT_TRUE(d.ship_updates.empty());
@@ -25,7 +25,7 @@ TEST(UpdateManagerTest, CheapUpdateShippedForExpensiveQuery) {
   b.update(0, 10);
   b.query({0}, 500);
   const auto trace = b.build();
-  UpdateManager mgr;
+  UpdateManager mgr{trace.initial_object_bytes.size(), true};
   mgr.add_outstanding(trace.updates[0]);
   EXPECT_TRUE(mgr.is_stale(ObjectId{0}));
   const auto d = mgr.decide(trace.queries[0]);
@@ -43,7 +43,7 @@ TEST(UpdateManagerTest, CheapQueryShippedAgainstExpensiveUpdate) {
   b.update(0, 500);
   b.query({0}, 10);
   const auto trace = b.build();
-  UpdateManager mgr;
+  UpdateManager mgr{trace.initial_object_bytes.size(), true};
   mgr.add_outstanding(trace.updates[0]);
   const auto d = mgr.decide(trace.queries[0]);
   EXPECT_TRUE(d.ship_query);
@@ -63,7 +63,7 @@ TEST(UpdateManagerTest, SkiRentalFlipsAfterEnoughQueries) {
   b.query({0}, 40);
   b.query({0}, 40);
   const auto trace = b.build();
-  UpdateManager mgr;
+  UpdateManager mgr{trace.initial_object_bytes.size(), true};
   mgr.add_outstanding(trace.updates[0]);
 
   const auto d1 = mgr.decide(trace.queries[0]);
@@ -83,7 +83,8 @@ TEST(UpdateManagerTest, WithoutShippedQueryMemoryNoFlipHappens) {
   b.update(0, 100);
   for (int i = 0; i < 6; ++i) b.query({0}, 40);
   const auto trace = b.build();
-  UpdateManager mgr{/*remember_shipped_queries=*/false};
+  UpdateManager mgr{trace.initial_object_bytes.size(),
+                    /*remember_shipped_queries=*/false};
   mgr.add_outstanding(trace.updates[0]);
   for (int i = 0; i < 6; ++i) {
     const auto d = mgr.decide(trace.queries[static_cast<std::size_t>(i)]);
@@ -98,7 +99,7 @@ TEST(UpdateManagerTest, StalenessToleranceExcludesRecentUpdates) {
   b.update(0, 50);                    // time 0
   b.query({0}, 10, /*tolerance=*/5);  // time 1: update within tolerance
   const auto trace = b.build();
-  UpdateManager mgr;
+  UpdateManager mgr{trace.initial_object_bytes.size(), true};
   mgr.add_outstanding(trace.updates[0]);
   const auto d = mgr.decide(trace.queries[0]);
   // The only outstanding update arrived within t(q): nothing to do.
@@ -113,7 +114,7 @@ TEST(UpdateManagerTest, OldUpdateStillBindsUnderTolerance) {
   for (int i = 0; i < 10; ++i) b.query({0}, 100);  // advance time
   b.query({0}, 100, /*tolerance=*/3);  // time 11, update at 0 needed
   const auto trace = b.build();
-  UpdateManager mgr;
+  UpdateManager mgr{trace.initial_object_bytes.size(), true};
   mgr.add_outstanding(trace.updates[0]);
   const auto d = mgr.decide(trace.queries.back());
   // Cheap update against an expensive query: ship the update.
@@ -127,7 +128,7 @@ TEST(UpdateManagerTest, MultiObjectQueryInteractsAcrossObjects) {
   b.update(1, 30);
   b.query({0, 1, 2}, 40);
   const auto trace = b.build();
-  UpdateManager mgr;
+  UpdateManager mgr{trace.initial_object_bytes.size(), true};
   mgr.add_outstanding(trace.updates[0]);
   mgr.add_outstanding(trace.updates[1]);
   const auto d = mgr.decide(trace.queries[0]);
@@ -141,7 +142,7 @@ TEST(UpdateManagerTest, MultiObjectQueryInteractsAcrossObjects) {
   b2.query({0, 1, 2}, 40);
   b2.query({0, 1, 2}, 40);
   const auto trace2 = b2.build();
-  UpdateManager mgr2;
+  UpdateManager mgr2{trace.initial_object_bytes.size(), true};
   mgr2.add_outstanding(trace2.updates[0]);
   mgr2.add_outstanding(trace2.updates[1]);
   (void)mgr2.decide(trace2.queries[0]);
@@ -156,7 +157,7 @@ TEST(UpdateManagerTest, DropObjectRemovesItsUpdatesAndPrunes) {
   b.update(1, 500);
   b.query({0, 1}, 10);
   const auto trace = b.build();
-  UpdateManager mgr;
+  UpdateManager mgr{trace.initial_object_bytes.size(), true};
   mgr.add_outstanding(trace.updates[0]);
   mgr.add_outstanding(trace.updates[1]);
   const auto d = mgr.decide(trace.queries[0]);
@@ -183,7 +184,7 @@ TEST(UpdateManagerTest, PartialCoversShipOnlyJustifiedUpdates) {
   b.update(1, 50);
   b.query({0}, 80);
   const auto trace = b.build();
-  UpdateManager mgr;
+  UpdateManager mgr{trace.initial_object_bytes.size(), true};
   mgr.add_outstanding(trace.updates[0]);
   mgr.add_outstanding(trace.updates[1]);
   const auto d = mgr.decide(trace.queries[0]);
@@ -199,7 +200,7 @@ TEST(UpdateManagerTest, GraphStatsTrackPeak) {
   b.update(0, 1000);
   b.query({0}, 10);
   const auto trace = b.build();
-  UpdateManager mgr;
+  UpdateManager mgr{trace.initial_object_bytes.size(), true};
   mgr.add_outstanding(trace.updates[0]);
   mgr.add_outstanding(trace.updates[1]);
   (void)mgr.decide(trace.queries[0]);
@@ -217,7 +218,7 @@ TEST(UpdateManagerTest, GroupedUpdatesShipTogether) {
   b.update(0, 30);
   b.query({0}, 500);
   const auto trace = b.build();
-  UpdateManager mgr;
+  UpdateManager mgr{trace.initial_object_bytes.size(), true};
   mgr.add_outstanding(trace.updates[0]);
   mgr.add_outstanding(trace.updates[1]);
   const auto d = mgr.decide(trace.queries[0]);
@@ -236,7 +237,7 @@ TEST(UpdateManagerTest, TolerancePrefixMaterializesLazily) {
   b.query({0}, 10, /*tol=*/2);     // time 2: needs update at 0 only
   b.query({0}, 10);                // time 3: needs everything
   const auto trace = b.build();
-  UpdateManager mgr;
+  UpdateManager mgr{trace.initial_object_bytes.size(), true};
   mgr.add_outstanding(trace.updates[0]);
   mgr.add_outstanding(trace.updates[1]);
   const auto d1 = mgr.decide(trace.queries[0]);

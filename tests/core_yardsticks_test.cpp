@@ -51,8 +51,7 @@ TEST(SOptimalTest, ChoosesProfitableStaticSet) {
   SOptimalOptions opts;
   opts.cache_capacity = Bytes{10'000'000};
   SOptimalPolicy policy{&system.cache(), &trace, opts};
-  EXPECT_TRUE(policy.chosen().count(ObjectId{0}) > 0);
-  EXPECT_TRUE(policy.chosen().count(ObjectId{1}) == 0);
+  EXPECT_EQ(policy.chosen(), std::vector<ObjectId>{ObjectId{0}});
   const auto result = sim::run_policy(trace, system, policy);
   // Loads up front; all queries at cache; no update traffic (object 1 not
   // registered).
@@ -116,8 +115,7 @@ TEST(SOptimalTest, ShipsQueriesTouchingUnchosenObjects) {
   SOptimalOptions opts;
   opts.cache_capacity = Bytes{1'500'000};  // fits only object 0
   SOptimalPolicy policy{&system.cache(), &trace, opts};
-  ASSERT_TRUE(policy.chosen().count(ObjectId{0}) > 0);
-  ASSERT_TRUE(policy.chosen().count(ObjectId{1}) == 0);
+  ASSERT_EQ(policy.chosen(), std::vector<ObjectId>{ObjectId{0}});
   const auto result = sim::run_policy(trace, system, policy);
   EXPECT_EQ(result.shipped, 1);
   EXPECT_EQ(result.cache_fresh, 10);

@@ -169,6 +169,43 @@ TEST(CrashRestartTest, CacheCrashColdRestartReloadsWorkingSet) {
   expect_books_balanced(r, setup.trace().queries.size());
 }
 
+// The crashed VCover replay pinned to recorded figures. A crash wipes the
+// UpdateManager, which releases its update vertices in object-id order;
+// that order fixes the solver node indices every post-crash vertex gets.
+// Updates here outweigh queries, so both crashed caches still hold
+// materialized update groups when they die. Cross-thread-count identity
+// cannot see a change that shifts every thread count alike, so the replay
+// is held to a fingerprint at T = 1 and T = 4.
+TEST(CrashRestartTest, VCoverCacheCrashReplayIsPinned) {
+  SetupParams p = loading_params();
+  p.trace.postwarmup_query_gb = 2.0;
+  p.trace.mean_postwarmup_update_mb = 10.0;
+  const World setup{p};
+  const double rate = 200.0;
+  const double duration =
+      static_cast<double>(setup.trace().order.size()) / rate;
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "T=" << threads);
+    EventEngineOptions options = chaos_base(rate);
+    options.open_loop.max_in_flight = 4096;
+    add_crash(options, "cache-0", 0.40 * duration, 0.50 * duration);
+    add_crash(options, "cache-2", 0.60 * duration, 0.65 * duration);
+    options.parallel.num_threads = threads;
+    const EventRunResult r = run_one_event(
+        PolicyKind::kVCover, setup.trace(), setup.cache_capacity(),
+        setup.params(), 4, workload::SplitStrategy::kHashByRegion, options);
+    EXPECT_EQ(delta::testing::replay_fingerprint(r.replay),
+              11339231020142162812ULL);
+    EXPECT_EQ(r.chaos.crash_restarts, 2);
+    EXPECT_EQ(r.chaos.cold_misses, 3);
+    EXPECT_EQ(r.delivered_messages, 6312);
+    EXPECT_EQ(r.notice_messages, 1225);
+    EXPECT_EQ(r.response_p99(), 4.110942568877257);
+    EXPECT_EQ(r.staleness_seconds.sum(), 31486.97077876504);
+    expect_books_balanced(r, setup.trace().queries.size());
+  }
+}
+
 // The tentpole, server side: the repository process dies for 10% of the
 // run. Its registration rows, dedup windows, and notice ledgers are gone;
 // caches detect the restart from the incarnation stamp on the first

@@ -11,6 +11,7 @@
 #include "core/yardsticks.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
+#include "trace_builder.h"
 
 namespace delta::sim {
 namespace {
@@ -225,6 +226,31 @@ TEST(IntegrationTest, CacheRestartRecovers) {
   }
   // It re-warmed: some queries were answered at the cache again.
   EXPECT_GT(restarted.cache_answers(), 0);
+}
+
+// TraceBuilder traces never pass Trace::validate, so an object id one past
+// the end reaches the replay loop. Every policy must leave it to an id range
+// check (which throws) and never index its own per-object tables with it
+// first — the ASan build of this test is what proves the second half.
+TEST(IntegrationTest, OutOfRangeObjectIdThrowsForEveryPolicy) {
+  using testing::TraceBuilder;
+  const auto run = [](PolicyKind kind, const workload::Trace& trace) {
+    core::DeltaSystem system{&trace};
+    const auto policy = make_policy(kind, system.cache(), trace,
+                                    Bytes{10'000}, SetupParams{});
+    (void)run_policy(trace, system, *policy);
+  };
+  workload::Trace query_trace =
+      TraceBuilder{{1000, 2000}}.query({0}, 300).query({1, 2}, 300).build();
+  workload::Trace update_trace =
+      TraceBuilder{{1000, 2000}}.query({0}, 300).update(2, 100).build();
+  for (const PolicyKind kind :
+       {PolicyKind::kNoCache, PolicyKind::kReplica, PolicyKind::kBenefit,
+        PolicyKind::kVCover, PolicyKind::kSOptimal}) {
+    EXPECT_THROW(run(kind, query_trace), std::logic_error) << to_string(kind);
+    EXPECT_THROW(run(kind, update_trace), std::logic_error)
+        << to_string(kind);
+  }
 }
 
 class SeedSweepTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -1,17 +1,15 @@
-// Iteration-order-independence regression suite — pins the determinism
-// audit behind the FlatMap migration (ISSUE 3).
+// Insertion-history-independence regression suite for the cache layer.
 //
-// FlatMap visits entries in slot order, which depends on the
-// insertion/erasure history. Every policy component that folds over a map
-// must therefore produce decisions that do NOT depend on that order:
+// The store keeps one row per object id and walks residents in ascending
+// id order; the eviction policies' heaps have history-dependent internal
+// layouts. Every decision must depend only on the logical cache state:
 // arg-min folds carry explicit (value, id) tie-breaks, and batch decisions
 // are totally ordered by an explicit sort. This suite builds the *same
 // logical cache state* through different (shuffled, churned) insertion
-// histories — so the underlying tables have genuinely different slot
-// layouts — and asserts the observable decisions are identical. Together
-// with tests/sim_golden_test.cpp (which pins the end-to-end figures), this
-// is the regression net for "no policy decision depends on hash iteration
-// order".
+// histories and asserts the observable decisions — and the resident walk
+// order — are identical. Together with tests/sim_golden_test.cpp (which
+// pins the end-to-end figures), this is the regression net for "no policy
+// decision depends on how the state was built".
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,9 +24,10 @@ namespace delta::cache {
 namespace {
 
 constexpr Bytes kCapacity{10'000};
+constexpr std::size_t kIds = 200;  // ids the tests may name
 
 struct CacheWorld {
-  CacheStore store{kCapacity};
+  CacheStore store{kCapacity, kIds};
   GreedyDualSize gds{&store};
 
   // gds holds a pointer to the sibling store: the world must stay put.
@@ -51,7 +50,7 @@ struct CacheWorld {
 
 /// Populates a world with objects 0..9 (1000 B each), arriving in the given
 /// order, with extra churn entries loaded and evicted along the way so the
-/// table layout (probe chains, backward shifts) differs per history.
+/// heap layout differs per history.
 void populate_world(CacheWorld& w, const std::vector<std::int64_t>& order,
                     const std::vector<std::int64_t>& churn) {
   std::size_t churn_cursor = 0;
@@ -90,7 +89,7 @@ TEST(IterationOrderTest, GdsBatchDecisionIndependentOfInsertionOrder) {
   }
 
   // A batch that forces evictions: both worlds must pick identical victims
-  // in identical order, regardless of their (different) table layouts.
+  // in identical order, regardless of their (different) heap layouts.
   std::vector<LoadCandidate> batch{{ObjectId{50}, Bytes{2500}, Bytes{2500}},
                                    {ObjectId{51}, Bytes{2500}, Bytes{2500}}};
   const BatchDecision da = a.gds.decide_batch(batch);
@@ -125,12 +124,12 @@ TEST(IterationOrderTest, GdsShedOverflowIndependentOfInsertionOrder) {
 }
 
 TEST(IterationOrderTest, LruVictimIndependentOfInsertionOrder) {
-  // Two LRU worlds with identical access clocks but different map layouts:
-  // load order A is sequential, order B interleaves erases. The clock
-  // stamps are assigned by explicit on_access calls below, so last_use_
-  // CONTENT matches while slot order differs.
-  CacheStore store_a{kCapacity};
-  CacheStore store_b{kCapacity};
+  // Two LRU worlds with identical access clocks but different heap
+  // layouts: load order A is sequential, order B interleaves erases. The
+  // clock stamps are assigned by explicit on_access calls below, so
+  // last_use_ CONTENT matches while heap positions differ.
+  CacheStore store_a{kCapacity, kIds};
+  CacheStore store_b{kCapacity, kIds};
   LruPolicy lru_a{&store_a};
   LruPolicy lru_b{&store_b};
 
@@ -154,13 +153,13 @@ TEST(IterationOrderTest, LruVictimIndependentOfInsertionOrder) {
     lru_b.on_access(ObjectId{id});
   }
   // Overflow both: the eviction sequences must be identical (oldest first,
-  // ties by id — never by slot position).
+  // ties by id — never by heap position).
   store_a.grow(ObjectId{3}, Bytes{2100});
   store_b.grow(ObjectId{3}, Bytes{2100});
   EXPECT_EQ(lru_a.shed_overflow(), lru_b.shed_overflow());
 }
 
-TEST(IterationOrderTest, ResidentVisitationFoldsAreOrderInsensitive) {
+TEST(IterationOrderTest, ResidentWalksVisitAscendingIdsForAnyHistory) {
   std::vector<std::int64_t> shuffled = base_order();
   util::Rng rng{7};
   rng.shuffle(shuffled);
@@ -168,28 +167,23 @@ TEST(IterationOrderTest, ResidentVisitationFoldsAreOrderInsensitive) {
   populate_world(a, base_order(), {1, 2, 3, 4});
   CacheWorld b;
   populate_world(b, shuffled, {});
+  // A third history: descending loads, then evict and reload a few.
+  CacheWorld c;
+  std::vector<std::int64_t> descending = base_order();
+  std::reverse(descending.begin(), descending.end());
+  populate_world(c, descending, {9, 8});
+  for (const std::int64_t id : {6, 2, 8}) c.evict(ObjectId{id});
+  for (const std::int64_t id : {8, 2, 6}) c.load(ObjectId{id}, Bytes{1000});
 
-  // Order-independent folds over for_each_resident agree...
-  Bytes sum_a, sum_b;
-  std::int64_t count_a = 0, count_b = 0;
-  a.store.for_each_resident([&](ObjectId, Bytes s) {
-    sum_a += s;
-    ++count_a;
-  });
-  b.store.for_each_resident([&](ObjectId, Bytes s) {
-    sum_b += s;
-    ++count_b;
-  });
-  EXPECT_EQ(sum_a, sum_b);
-  EXPECT_EQ(count_a, count_b);
-
-  // ...and the snapshots contain the same ids (as sets) even though the
-  // visit order may differ between the two histories.
-  std::vector<ObjectId> ra = a.store.resident_objects();
-  std::vector<ObjectId> rb = b.store.resident_objects();
-  std::sort(ra.begin(), ra.end());
-  std::sort(rb.begin(), rb.end());
-  EXPECT_EQ(ra, rb);
+  std::vector<ObjectId> expected;
+  for (const std::int64_t id : base_order()) expected.push_back(ObjectId{id});
+  for (const CacheWorld* w : {&a, &b, &c}) {
+    std::vector<ObjectId> walked;
+    w->store.for_each_resident(
+        [&](ObjectId o, Bytes) { walked.push_back(o); });
+    EXPECT_EQ(walked, expected);
+    EXPECT_EQ(w->store.resident_objects(), expected);
+  }
 }
 
 }  // namespace

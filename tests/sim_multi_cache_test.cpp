@@ -188,8 +188,7 @@ TEST(MultiCacheSimTest, ShardedSOptimalOptimizesPerEndpointQueries) {
         opts.endpoint = static_cast<std::uint32_t>(index);
         auto policy = std::make_unique<core::SOptimalPolicy>(&cache, &trace,
                                                              opts);
-        policy->chosen().for_each(
-            [&, index](ObjectId o) { chosen[index].insert(o); });
+        for (const ObjectId o : policy->chosen()) chosen[index].insert(o);
         return policy;
       });
 

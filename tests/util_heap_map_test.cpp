@@ -15,8 +15,10 @@
 namespace delta::util {
 namespace {
 
+constexpr std::size_t kKeys = 200;  // ids the tests may name
+
 TEST(HeapMapTest, PushTopPopOrdersByPriorityThenKey) {
-  HeapMap<ObjectId, double> heap;
+  HeapMap<ObjectId, double> heap{kKeys};
   EXPECT_TRUE(heap.empty());
   heap.push(ObjectId{3}, 2.0);
   heap.push(ObjectId{1}, 2.0);  // same priority: lower id wins
@@ -33,7 +35,7 @@ TEST(HeapMapTest, PushTopPopOrdersByPriorityThenKey) {
 }
 
 TEST(HeapMapTest, FindUpdateErase) {
-  HeapMap<ObjectId, std::int64_t> heap;
+  HeapMap<ObjectId, std::int64_t> heap{kKeys};
   heap.push(ObjectId{10}, 5);
   heap.push(ObjectId{20}, 6);
   ASSERT_NE(heap.find(ObjectId{10}), nullptr);
@@ -52,17 +54,29 @@ TEST(HeapMapTest, FindUpdateErase) {
 }
 
 TEST(HeapMapTest, PushPresentKeyThrows) {
-  HeapMap<ObjectId, double> heap;
+  HeapMap<ObjectId, double> heap{kKeys};
   heap.push(ObjectId{1}, 1.0);
   EXPECT_THROW(heap.push(ObjectId{1}, 2.0), std::logic_error);
   EXPECT_THROW(heap.update(ObjectId{2}, 2.0), std::logic_error);
+}
+
+TEST(HeapMapTest, OutOfRangeKeysAreAbsentAndRejected) {
+  HeapMap<ObjectId, double> heap{kKeys};
+  const ObjectId past_end{static_cast<std::int64_t>(kKeys)};
+  EXPECT_FALSE(heap.contains(past_end));
+  EXPECT_FALSE(heap.contains(ObjectId::invalid()));
+  EXPECT_EQ(heap.find(past_end), nullptr);
+  EXPECT_THROW(heap.push(past_end, 1.0), std::logic_error);
+  EXPECT_THROW(heap.update(past_end, 1.0), std::logic_error);
+  EXPECT_THROW((void)heap.erase(past_end), std::logic_error);
+  EXPECT_TRUE(heap.empty());
 }
 
 // Differential churn: the heap's top must always equal the brute-force
 // tie-broken arg-min over a mirrored std::map, across a long random mix of
 // push / update / erase / pop.
 TEST(HeapMapTest, DifferentialArgMinUnderChurn) {
-  HeapMap<ObjectId, double> heap;
+  HeapMap<ObjectId, double> heap{kKeys};
   std::map<std::int64_t, double> mirror;
   Rng rng{0xC0FFEE};
 

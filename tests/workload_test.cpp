@@ -5,6 +5,7 @@
 
 #include "htm/partition_map.h"
 #include "storage/density_model.h"
+#include "trace_builder.h"
 #include "workload/hotspot_model.h"
 #include "workload/scan_model.h"
 #include "workload/trace_generator.h"
@@ -251,6 +252,26 @@ TEST(TraceIoTest, RoundTripsExactly) {
     EXPECT_EQ(r.order[i].index, t.order[i].index);
   }
   EXPECT_EQ(r.initial_object_bytes, t.initial_object_bytes);
+}
+
+// A trace file may name an object twice in one query (the generators never
+// do); read_trace must reject it rather than let a policy propose or count
+// the object twice.
+TEST(TraceIoTest, RejectsRepeatedObjectInAQuery) {
+  const auto round_trip = [](std::vector<std::int64_t> objects) {
+    const Trace t = delta::testing::TraceBuilder{{100, 100, 100, 100}}
+                        .query(std::move(objects), 50)
+                        .build();
+    std::stringstream ss;
+    write_trace(ss, t);
+    return ss.str();
+  };
+  const std::string repeated = round_trip({3, 3});
+  ASSERT_NE(repeated.find("objects 3 3\n"), std::string::npos);
+  std::istringstream bad{repeated};
+  EXPECT_THROW((void)read_trace(bad), std::logic_error);
+  std::istringstream good{round_trip({2, 3})};
+  EXPECT_EQ(read_trace(good).queries.at(0).objects.size(), 2u);
 }
 
 TEST(WorkloadStatsTest, HotspotsAreConcentratedAndDecoupled) {
