@@ -1,13 +1,14 @@
-// Micro benchmark: multi-endpoint scaling sweep. N cache endpoints
-// (N ∈ {1, 2, 4, 8}), each with its own repository replica, its own VCover
-// instance and an equal slice of the total cache budget; queries split
-// round-robin and by sky-region hash.
+// Micro benchmark: multi-endpoint scaling sweep on the event engine over
+// zero-latency links. N cache endpoints (N ∈ {1, 2, 4, 8}), each with its
+// own repository replica, its own VCover instance and an equal slice of
+// the total cache budget; queries split round-robin and by sky-region
+// hash.
 //
 // Part 1 — sharding sweep (one thread). Reported per (strategy, N):
 // post-warm-up figure traffic (combined and the per-endpoint min/max
 // spread), cache answer fraction, and wall time. The N=1 row is the
-// single-cache baseline — by construction it matches sim::run_one
-// byte-for-byte, so the sweep isolates the effect of sharding alone.
+// single-cache baseline — its counters and traffic match sim::run_one
+// exactly, so the sweep isolates the effect of sharding alone.
 // Round-robin destroys spatial locality (every endpoint sees every hot
 // region but holds only 1/N of the cache), while hash-by-region keeps each
 // region's queries on one endpoint; the gap between the two rows is the
@@ -17,10 +18,10 @@
 // T ∈ {1, 2, 4, 8} worker threads. Each cell verifies its combined and
 // per-endpoint figures against the T=1 run (the determinism guarantee;
 // exit 1 on divergence), then reports wall time and speedup over T=1 for
-// the same N. Every replica replays the full update stream, at T=1 too:
-// speedup approaches T while per-query policy work dominates
-// (the paper's regime — queries carry GB, updates MB) and degrades on
-// update-dominated traces, where the replicated ingest is the bottleneck.
+// the same N. Every partition walks the full merged event stream, at T=1
+// too: speedup approaches T while per-query policy work dominates (the
+// paper's regime — queries carry GB, updates MB) and degrades on
+// update-dominated traces, where the replicated walk is the bottleneck.
 // A T>N cell cannot beat T=N (one worker per endpoint), and a single-core
 // host shows a uniform slowdown — the determinism columns are the point
 // there.
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "sim/multi_cache.h"
 #include "util/thread_pool.h"
 #include "workload/trace_split.h"
 
@@ -53,6 +53,8 @@ int main(int argc, char** argv) {
   bench::print_header("multi-endpoint scaling sweep", params,
                       setup.server_bytes(), total_cache);
   const sim::PolicyOverrides overrides = bench::overrides_from_config(cfg);
+  sim::EventEngineOptions engine;
+  engine.series_stride = 5000;
 
   std::cout << "strategy        N  per-EP cache  postwarmup GB  "
                "EP min..max GB  at-cache  wall s\n";
@@ -61,9 +63,11 @@ int main(int argc, char** argv) {
     for (const std::size_t n : {1u, 2u, 4u, 8u}) {
       const Bytes per_endpoint{static_cast<std::int64_t>(
           total_cache.as_double() / static_cast<double>(n))};
-      const sim::MultiRunResult result = sim::run_one_multi(
-          sim::PolicyKind::kVCover, setup.trace(), per_endpoint, params, n,
-          strategy, overrides, /*series_stride=*/5000);
+      const sim::MultiRunResult result =
+          sim::run_one_event(sim::PolicyKind::kVCover, setup.trace(),
+                             per_endpoint, params, n, strategy, engine,
+                             overrides)
+              .replay;
       double lo = result.per_endpoint[0].postwarmup_traffic.as_double();
       double hi = lo;
       for (const sim::RunResult& r : result.per_endpoint) {
@@ -125,12 +129,13 @@ int main(int argc, char** argv) {
     double baseline_seconds = 0.0;
     sim::MultiRunResult baseline;
     for (const std::size_t t : {1u, 2u, 4u, 8u}) {
-      sim::ParallelOptions parallel;
-      parallel.num_threads = t;
-      sim::MultiRunResult result = sim::run_one_multi(
-          sim::PolicyKind::kVCover, setup.trace(), per_endpoint, params, n,
-          workload::SplitStrategy::kHashByRegion, overrides,
-          /*series_stride=*/5000, parallel);
+      engine.parallel.num_threads = t;
+      sim::MultiRunResult result =
+          sim::run_one_event(sim::PolicyKind::kVCover, setup.trace(),
+                             per_endpoint, params, n,
+                             workload::SplitStrategy::kHashByRegion, engine,
+                             overrides)
+              .replay;
       const double wall = result.combined.wall_seconds;
       if (t == 1) {
         baseline_seconds = wall;

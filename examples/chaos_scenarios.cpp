@@ -56,8 +56,18 @@ int main(int argc, char** argv) {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   const std::string scenario = cfg.get_string("scenario", "partition");
-  const std::size_t endpoints =
-      static_cast<std::size_t>(cfg.get_int("endpoints", 2));
+  const std::int64_t endpoints_arg = cfg.get_int("endpoints", 2);
+  if (endpoints_arg < 1 || endpoints_arg > 1024) {
+    std::cerr << "endpoints must be in [1, 1024], got " << endpoints_arg
+              << "\n";
+    return 2;
+  }
+  const auto endpoints = static_cast<std::size_t>(endpoints_arg);
+  const std::int64_t threads_arg = cfg.get_int("threads", 1);
+  if (threads_arg < 0 || threads_arg > 1024) {
+    std::cerr << "threads must be in [0, 1024], got " << threads_arg << "\n";
+    return 2;
+  }
 
   // Provisioned so faults — not raw overload — dominate: MB-scale objects
   // and update deltas the 100 Mbit link can carry at the demo arrival rate
@@ -91,8 +101,7 @@ int main(int argc, char** argv) {
   options.open_loop.max_in_flight = 64;
   options.protocol.enabled = true;
   options.admission.enabled = true;
-  options.parallel.num_threads =
-      static_cast<std::size_t>(cfg.get_int("threads", 1));
+  options.parallel.num_threads = static_cast<std::size_t>(threads_arg);
 
   const double duration =
       static_cast<double>(setup.trace().order.size()) / rate;

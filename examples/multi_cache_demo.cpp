@@ -8,13 +8,13 @@
 //                  a worker pool, byte-identical to threads=1)
 //
 // This walks the multi-endpoint API surface: trace -> split strategy ->
-// run_one_multi -> per-endpoint RunResults + combined figures, and checks
-// the accounting identity (per-endpoint traffic sums to the aggregate).
+// run_one_event (zero-latency links) -> per-endpoint RunResults + combined
+// figures, and checks the accounting identity (per-endpoint traffic sums
+// to the aggregate).
 #include <iostream>
 #include <string>
 
 #include "sim/experiment.h"
-#include "sim/multi_cache.h"
 #include "util/config.h"
 #include "util/format.h"
 #include "workload/trace_split.h"
@@ -66,22 +66,23 @@ int main(int argc, char** argv) {
     std::cerr << "threads must be in [0, 1024], got " << threads_arg << "\n";
     return 2;
   }
-  sim::ParallelOptions parallel;
-  parallel.num_threads = static_cast<std::size_t>(threads_arg);
+  sim::EventEngineOptions engine;
+  engine.parallel.num_threads = static_cast<std::size_t>(threads_arg);
 
   std::cout << "world: " << setup.map()->object_count() << " objects, "
             << util::human_bytes(setup.server_bytes()) << " repository; "
             << endpoints << " cache endpoints ("
             << util::human_bytes(per_endpoint) << " each), split="
             << workload::to_string(strategy) << ", threads="
-            << (parallel.num_threads == 0 ? std::string{"auto"}
+            << (threads_arg == 0 ? std::string{"auto"}
                                           : std::to_string(threads_arg))
             << "\n\n";
 
   // 2. N cache endpoints, one repository replica and VCover policy each.
-  const sim::MultiRunResult result = sim::run_one_multi(
-      sim::PolicyKind::kVCover, setup.trace(), per_endpoint, params,
-      endpoints, strategy, sim::PolicyOverrides{}, 2000, parallel);
+  const sim::MultiRunResult result =
+      sim::run_one_event(sim::PolicyKind::kVCover, setup.trace(),
+                         per_endpoint, params, endpoints, strategy, engine)
+          .replay;
 
   // 3. Per-endpoint report.
   std::cout << "endpoint      queries  at-cache  post-warm-up traffic\n";

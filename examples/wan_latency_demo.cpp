@@ -1,7 +1,7 @@
 // WAN latency demo: two cache endpoints sharing one repository, one on a
 // LAN and one across a 40 ms WAN, replayed on the event-driven engine
-// (sim/event_engine.h) — the scenario the synchronous engines cannot
-// express, because they deliver every message inline and only *price*
+// (sim/event_engine.h) — the scenario the single-cache loop cannot
+// express, because it delivers every message inline and only *prices*
 // latency analytically.
 //
 //   ./build/examples/wan_latency_demo [key=value ...]
@@ -32,6 +32,11 @@
 int main(int argc, char** argv) {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
+  const std::int64_t threads_arg = cfg.get_int("threads", 1);
+  if (threads_arg < 0 || threads_arg > 1024) {
+    std::cerr << "threads must be in [0, 1024], got " << threads_arg << "\n";
+    return 2;
+  }
 
   // The golden-test world: big enough that the caching policies genuinely
   // cache (VCover answers ~2/3 of queries locally), small enough to replay
@@ -64,8 +69,7 @@ int main(int argc, char** argv) {
   engine.seconds_per_event = cfg.get_double("tick_ms", 500.0) / 1000.0;
   engine.default_link = lan;
   engine.cache_links = {lan, wan};
-  engine.parallel.num_threads =
-      static_cast<std::size_t>(cfg.get_int("threads", 1));
+  engine.parallel.num_threads = static_cast<std::size_t>(threads_arg);
 
   std::cout << "world: " << setup.map()->object_count() << " objects, "
             << util::human_bytes(setup.server_bytes())

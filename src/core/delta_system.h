@@ -4,9 +4,10 @@
 // The repository logic lives in ServerNode, the client endpoint logic in
 // CacheNode (see their headers); DeltaSystem only assembles them and owns
 // the aggregate traffic meter. Callers reach the nodes directly: policies
-// bind to `&system.cache()`, replay loops ingest through `system.server()`.
-// It is also the simulation engines' repository replica: a multi-endpoint
-// run builds one DeltaSystem per cache endpoint (see sim/multi_cache.h).
+// bind to `&system.cache()`, the replay loop ingests through
+// `system.server()`. The single-cache loop (sim::run_policy) runs on it; the
+// N-endpoint event engine assembles its own node graph per cache endpoint
+// over a latency-aware transport (see sim/event_engine.h).
 #pragma once
 
 #include "core/cache_node.h"

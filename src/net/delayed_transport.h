@@ -18,7 +18,7 @@
 // warm-up-boundary snapshot semantics of the engines require.
 //
 // Per-source uplink statistics (serialization busy time, queueing waits)
-// expose the contention that the synchronous engines could only assume
+// expose the contention that the single-cache loop can only assume
 // away; the event engine reads them for its server-uplink yardstick.
 #pragma once
 

@@ -11,7 +11,7 @@
 // per message instead of assuming them.
 //
 // transfer_seconds — the legacy closed-form RTT + bytes/bandwidth proxy —
-// is retained only for the synchronous engines' comparable response-time
+// is retained only for the single-cache loop's comparable response-time
 // yardstick (sim::proxy_response_seconds); new code should configure links
 // and read the simulated timestamps instead.
 #pragma once
@@ -47,7 +47,7 @@ class LinkModel {
   /// Legacy analytic proxy: seconds to complete a transfer of the given
   /// size as one round trip plus serialization (linear scaling, valid for
   /// transfers much larger than a frame, per the TCP assumption the paper
-  /// cites). Kept for the synchronous engines' response-time yardstick.
+  /// cites). Kept for the single-cache loop's response-time yardstick.
   [[nodiscard]] double transfer_seconds(Bytes size) const {
     DELTA_DCHECK(size.count() >= 0);
     return rtt_ + size.as_double() * inv_bandwidth_;

@@ -339,9 +339,9 @@ void prefetch_query(const workload::Query& q) {
   __builtin_prefetch(bytes + sizeof(q) - 1);
 }
 
-// Over zero-latency links SimGoldenTest.EventEngine... pins this loop to
-// the synchronous engine's golden tables; event_engine_test pins
-// bit-identity across thread counts on the WAN configs.
+// Over zero-latency links sim_golden_test pins this loop to the golden
+// tables; event_engine_test pins bit-identity across thread counts on the
+// WAN configs.
 void replay_event_shard(const workload::Trace& trace,
                         const DecodedStream& stream, std::size_t self,
                         const EventEngineOptions& options,
@@ -734,12 +734,11 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   if (options.open_loop.enabled) {
     DELTA_CHECK(options.open_loop.max_in_flight > 0);
   }
-  // Factories run on the calling thread in endpoint order — the same
-  // invocation contract as the synchronous engines, so factories need no
-  // thread-safety. Offline policies (SOptimal) emit their up-front load
-  // traffic here — their sync façades pump the replica's event queue, so
-  // the loads complete (and are metered) inside the warm-up window even
-  // over slow links.
+  // Factories run on the calling thread in endpoint order (the
+  // CachePolicyFactory contract), so they need no thread-safety. Offline
+  // policies (SOptimal) emit their up-front load traffic here — their sync
+  // façades pump the replica's event queue, so the loads complete (and are
+  // metered) inside the warm-up window even over slow links.
   for (std::size_t i = 0; i < endpoint_count; ++i) {
     shards[i]->policy = factory(*shards[i]->cache, i);
     DELTA_CHECK(shards[i]->policy != nullptr);

@@ -1,6 +1,7 @@
-// Event-driven simulation engine: replays the trace through a
-// DelayedTransport on a discrete-event clock, so the quantities the
-// synchronous engines could only estimate analytically are *measured*:
+// Event-driven simulation engine, the one N-endpoint engine: replays the
+// trace through N cache endpoints over a DelayedTransport on a
+// discrete-event clock, so the quantities an analytic model could only
+// estimate are *measured*:
 //
 //   * response time — each query's simulated completion time (request and
 //     reply transfers, serialization, queueing behind earlier sends on the
@@ -21,10 +22,10 @@
 // advance to the minimum over its input links of source-clock + link
 // propagation delay) degenerates to "no synchronization needed", since a
 // partition is its own only source. Partitions therefore run wait-free on
-// a util::ThreadPool and a deterministic merge — the synchronous engine's
-// contract, sharing its fold (sim/replica.h) — re-adds every yardstick
-// sample in canonical order, making results bit-identical for ANY thread
-// count (pinned by event_engine_test and sim_golden_test).
+// a util::ThreadPool and a deterministic merge — sharing the single-cache
+// loop's fold (sim/replica.h) — re-adds every yardstick sample in
+// canonical order, making results bit-identical for ANY thread count
+// (pinned by event_engine_test, sim_parallel_test and sim_golden_test).
 //
 // Each cache is closed-loop against its own timeline: a query dispatches
 // when the partition clock reaches its arrival (or as soon as that cache
@@ -34,19 +35,27 @@
 // which is also the physically honest model of independent cache sites.
 //
 // Over zero-latency links (EventEngineOptions defaults) every delivery
-// lands at its send instant and the replay degenerates to the synchronous
-// engines' semantics: sim_golden_test pins the event engine to the same
-// golden tables byte-for-byte.
+// lands at its send instant, and each endpoint's counters and traffic
+// totals equal the single-cache loop's (sim::run_policy) over that
+// endpoint's routed sub-trace; sim_golden_test pins them to the golden
+// tables. The cumulative series is not always equal: a notice sent at an
+// update's instant is delivered by the next event's advance, so traffic
+// an invalidation handler sends on arrival (Replica's refresh) is booked
+// one event later than the single-cache loop books it. Response times are
+// simulated, not the single-cache loop's analytic proxy.
 #pragma once
 
+#include <functional>
+#include <memory>
 #include <vector>
 
+#include "core/cache_node.h"
+#include "core/policy.h"
 #include "core/protocol.h"
 #include "core/server_node.h"
 #include "net/delayed_transport.h"
 #include "net/fault_plan.h"
 #include "net/link_model.h"
-#include "sim/multi_cache.h"
 #include "sim/simulator.h"
 #include "util/stats.h"
 #include "workload/arrival_process.h"
@@ -54,6 +63,34 @@
 #include "workload/trace_split.h"
 
 namespace delta::sim {
+
+struct MultiRunResult {
+  workload::SplitStrategy strategy = workload::SplitStrategy::kRoundRobin;
+  /// One result per cache endpoint: counters and response times over the
+  /// queries routed to it, traffic from its endpoint meter.
+  std::vector<RunResult> per_endpoint;
+  /// Aggregate view, same semantics as the single-cache run_policy result;
+  /// per-endpoint figures sum to it exactly.
+  RunResult combined;
+};
+
+/// Builds the policy driving endpoint `index` (already attached to `cache`).
+/// The engine invokes it on the calling thread, in endpoint order, before
+/// any partition replays — it never needs to be thread-safe.
+using CachePolicyFactory = std::function<std::unique_ptr<core::CachePolicy>(
+    core::CacheNode& cache, std::size_t index)>;
+
+/// How the partitions replay. They run on a pool of
+/// min(num_threads, endpoint_count) workers (inline on the calling thread
+/// when that is one), LPT-packed by their routed-query counts, and a
+/// worker that drains its own queue steals a straggler's pending
+/// partition. The merge folds the partitions in endpoint order and re-adds
+/// the yardstick samples in merged-event order, so every thread count
+/// yields bit-identical results.
+struct ParallelOptions {
+  /// 0 = one thread per hardware core.
+  std::size_t num_threads = 1;
+};
 
 /// Open-loop drive: instead of the per-cache closed loop (one query in
 /// flight, the next dispatched when the previous completes), the merged
@@ -84,14 +121,14 @@ struct EventEngineOptions {
   /// position t arrives at t * seconds_per_event on the sim clock.
   double seconds_per_event = 0.001;
   /// Link model for every server<->cache path not listed in cache_links.
-  /// The zero-latency default reproduces the synchronous engines exactly.
+  /// The zero-latency default reproduces the golden tables exactly.
   net::LinkModel default_link = net::LinkModel::zero_latency();
   /// Per-endpoint duplex server<->cache link, indexed like the endpoints;
-  /// endpoints past the end use default_link. This is the scenario axis the
-  /// synchronous engines cannot express: heterogeneous WAN paths.
+  /// endpoints past the end use default_link. This is the scenario axis an
+  /// instantaneous network cannot express: heterogeneous WAN paths.
   std::vector<net::LinkModel> cache_links;
   /// Execution-time surcharges per query path — the same LatencyModel the
-  /// synchronous engines use, so cross-engine response comparisons share
+  /// single-cache loop uses, so cross-engine response comparisons share
   /// one definition. Its proxy_link is ignored here: the transfer
   /// component it prices analytically is simulated on the links instead.
   LatencyModel exec;
@@ -156,14 +193,14 @@ struct EndpointEventYardsticks {
 };
 
 struct EventRunResult {
-  /// The same per-endpoint + combined accounting the synchronous engines
-  /// produce (RunResult::postwarmup_latency holds the *simulated* response
-  /// times here, not the analytic proxy). per_endpoint[i].wall_seconds is
-  /// that partition's replay wall time — the bench derives the parallel
+  /// Per-endpoint + combined accounting (RunResult::postwarmup_latency
+  /// holds the *simulated* response times here, not the single-cache
+  /// loop's analytic proxy). per_endpoint[i].wall_seconds is that
+  /// partition's replay wall time — the bench derives the parallel
   /// critical path from it.
   MultiRunResult replay;
 
-  // ---- measured yardsticks (what the sync engines assumed) ----
+  // ---- measured yardsticks (what the analytic proxy assumes) ----
 
   /// Combined post-warm-up simulated response times; the sketch holds every
   /// sample for exact percentiles.
@@ -222,9 +259,11 @@ struct EventRunResult {
 };
 
 /// Replays the trace through N cache endpoints, one repository replica
-/// each, over a latency-aware transport. Argument contract matches
-/// run_policy_multi: `assignment` (indexed like Trace::queries) overrides
-/// the `strategy` split when given. Deterministic: repeated runs, and runs
+/// each, over a latency-aware transport. `assignment`, when given, is the
+/// query split to route by (indexed like Trace::queries, values <
+/// endpoint_count) — pass it when a policy also needs the split (e.g.
+/// sharded SOptimal hindsight) so routing and policy provably agree; null
+/// recomputes it from `strategy`. Deterministic: repeated runs, and runs
 /// at any `options.parallel.num_threads`, produce identical results
 /// (per-partition discrete-event schedules with stable ordering plus a
 /// canonical-order merge).

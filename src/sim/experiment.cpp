@@ -88,36 +88,6 @@ RunResult run_one(PolicyKind kind, const workload::Trace& trace,
   return run_policy(trace, system, *policy, series_stride);
 }
 
-MultiRunResult run_one_multi(PolicyKind kind, const workload::Trace& trace,
-                             Bytes per_endpoint_capacity,
-                             const SetupParams& params,
-                             std::size_t endpoint_count,
-                             workload::SplitStrategy strategy,
-                             const PolicyOverrides& overrides,
-                             std::int64_t series_stride,
-                             const ParallelOptions& parallel) {
-  // Computed once and handed to both the policies and the runner, so the
-  // routing and (for offline SOptimal) each endpoint's hindsight shard are
-  // the same split by construction.
-  const std::vector<std::uint32_t> assignment =
-      workload::assign_queries(trace, endpoint_count, strategy);
-  const bool shard_soptimal =
-      kind == PolicyKind::kSOptimal && endpoint_count > 1;
-  return run_policy_multi(
-      trace, endpoint_count, strategy,
-      [&](core::CacheNode& cache, std::size_t index) {
-        PolicyOverrides endpoint_overrides = overrides;
-        if (shard_soptimal) {
-          endpoint_overrides.soptimal.query_assignment = &assignment;
-          endpoint_overrides.soptimal.endpoint =
-              static_cast<std::uint32_t>(index);
-        }
-        return make_policy(kind, cache, trace, per_endpoint_capacity, params,
-                           endpoint_overrides);
-      },
-      series_stride, LatencyModel{}, &assignment, parallel);
-}
-
 EventRunResult run_one_event(PolicyKind kind, const workload::Trace& trace,
                              Bytes per_endpoint_capacity,
                              const SetupParams& params,
@@ -125,8 +95,9 @@ EventRunResult run_one_event(PolicyKind kind, const workload::Trace& trace,
                              workload::SplitStrategy strategy,
                              const EventEngineOptions& engine,
                              const PolicyOverrides& overrides) {
-  // Same routing/hindsight-shard agreement as run_one_multi: one split,
-  // handed to both the router and any sharded SOptimal instance.
+  // Computed once and handed to both the policies and the engine, so the
+  // routing and (for offline SOptimal) each endpoint's hindsight shard are
+  // the same split by construction.
   const std::vector<std::uint32_t> assignment =
       workload::assign_queries(trace, endpoint_count, strategy);
   const bool shard_soptimal =

@@ -16,7 +16,6 @@
 #include "core/yardsticks.h"
 #include "htm/partition_map.h"
 #include "sim/event_engine.h"
-#include "sim/multi_cache.h"
 #include "sim/simulator.h"
 #include "storage/density_model.h"
 #include "workload/trace_generator.h"
@@ -95,28 +94,16 @@ RunResult run_one(PolicyKind kind, const workload::Trace& trace,
                   const PolicyOverrides& overrides = PolicyOverrides{},
                   std::int64_t series_stride = 2000);
 
-/// Runs one policy kind over the trace with N cache endpoints, each with a
-/// fresh repository replica; queries are routed per `strategy`, and every
-/// endpoint gets its own policy instance with `per_endpoint_capacity` of
-/// cache. With endpoint_count == 1 this reproduces run_one byte-for-byte,
-/// and any `parallel` thread count yields the same RunResults (see
-/// sim::ParallelOptions).
-MultiRunResult run_one_multi(PolicyKind kind, const workload::Trace& trace,
-                             Bytes per_endpoint_capacity,
-                             const SetupParams& params,
-                             std::size_t endpoint_count,
-                             workload::SplitStrategy strategy,
-                             const PolicyOverrides& overrides =
-                                 PolicyOverrides{},
-                             std::int64_t series_stride = 2000,
-                             const ParallelOptions& parallel =
-                                 ParallelOptions{});
-
 /// Runs one policy kind over the trace on the event-driven engine: N cache
-/// endpoints over a latency-aware transport (see sim/event_engine.h). With
-/// the default zero-latency EventEngineOptions this reproduces
-/// run_one_multi's figures byte-for-byte while additionally measuring the
-/// simulated response-time/staleness/contention yardsticks.
+/// endpoints over a latency-aware transport (see sim/event_engine.h), each
+/// with a fresh repository replica, its own policy instance and
+/// `per_endpoint_capacity` of cache; queries are routed per `strategy`.
+/// Any `engine.parallel` thread count yields the same results. With the
+/// default zero-latency EventEngineOptions each endpoint's counters and
+/// traffic totals equal run_one's over its routed sub-trace (Replica's
+/// cumulative series lags by one event; see sim/event_engine.h), while the
+/// engine also measures the simulated response-time, staleness and
+/// contention yardsticks.
 EventRunResult run_one_event(PolicyKind kind, const workload::Trace& trace,
                              Bytes per_endpoint_capacity,
                              const SetupParams& params,

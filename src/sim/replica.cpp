@@ -67,13 +67,9 @@ void fold_combined(const std::vector<const ReplicaReplay*>& replicas,
 // repository checks every update it ingests, but a query reaches the
 // server only when it is shipped (never, for Replica).
 void replay_replica(const workload::Trace& trace, core::DeltaSystem& system,
-                    core::CachePolicy& policy,
-                    const std::vector<std::uint32_t>* routing,
-                    std::uint32_t self, std::int64_t series_stride,
+                    core::CachePolicy& policy, std::int64_t series_stride,
                     const LatencyModel& latency,
-                    util::QuantileSketch* latency_sink,
-                    std::vector<LatencySample>* latency_tape,
-                    ReplicaReplay& out) {
+                    util::QuantileSketch* latency_sink, ReplicaReplay& out) {
   RunResult& r = out.result;
   r.policy_name = policy.name();
   r.warmup_end = trace.info.warmup_end_event;
@@ -89,7 +85,6 @@ void replay_replica(const workload::Trace& trace, core::DeltaSystem& system,
   };
   if (warmup_end == 0) capture_warmup();
 
-  std::int64_t order_pos = 0;
   for (const workload::Event& event : trace.order) {
     const auto index = static_cast<std::size_t>(event.index);
     const bool is_update = event.kind == workload::Event::Kind::kUpdate;
@@ -101,7 +96,7 @@ void replay_replica(const workload::Trace& trace, core::DeltaSystem& system,
 
     if (is_update) {
       system.server().ingest_update(trace.updates[index]);
-    } else if (routing == nullptr || (*routing)[index] == self) {
+    } else {
       const workload::Query& q = trace.queries[index];
       for (const ObjectId o : q.objects) {
         DELTA_CHECK_MSG(static_cast<std::size_t>(o.value()) < object_count,
@@ -115,13 +110,9 @@ void replay_replica(const workload::Trace& trace, core::DeltaSystem& system,
         const double seconds = proxy_response_seconds(latency, outcome);
         r.postwarmup_latency.add(seconds);
         if (latency_sink != nullptr) latency_sink->add(seconds);
-        if (latency_tape != nullptr) {
-          latency_tape->push_back(LatencySample{order_pos, seconds});
-        }
       }
     }
     out.aggregate_series.observe(now, meter.figure_total().as_double());
-    ++order_pos;
   }
   if (!warmup_captured) capture_warmup();  // warm-up spanned the whole run
   out.aggregate_series.finalize();
@@ -129,20 +120,9 @@ void replay_replica(const workload::Trace& trace, core::DeltaSystem& system,
   out.aggregate_total = meter.figure_total();
   out.aggregate_overhead = meter.total(net::Mechanism::kOverhead);
 
-  // The endpoint view. Every figure byte is delivered to the cache, never
-  // to the repository, so the endpoint's figures are the replica's at every
-  // instant (checked once here instead of observing a second series per
-  // event); only the overhead differs.
-  const net::TrafficMeter& endpoint = system.cache().meter();
-  DELTA_CHECK(endpoint.figure_total() == out.aggregate_total);
-  r.series = out.aggregate_series;
-  r.total_traffic = out.aggregate_total;
-  for (std::size_t m = 0; m < 3; ++m) {
-    r.postwarmup_by_mechanism[m] =
-        out.aggregate_final[m] - out.aggregate_at_warmup[m];
-    r.postwarmup_traffic += r.postwarmup_by_mechanism[m];
-  }
-  r.overhead_traffic = endpoint.total(net::Mechanism::kOverhead);
+  // Every figure byte is delivered to the cache, never to the repository
+  // (the event engine's per-endpoint figures rest on this).
+  DELTA_CHECK(system.cache().meter().figure_total() == out.aggregate_total);
 }
 
 }  // namespace delta::sim

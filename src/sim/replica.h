@@ -1,15 +1,16 @@
-// The replica replay shared by every simulation engine.
+// The replica record and fold shared by both simulation loops, and the
+// single-cache replay loop.
 //
 // A replica is one cache endpoint with its own repository copy. Every
 // replica applies every update at the same point of the merged event
 // sequence, so repository object sizes — the only state cache endpoints
 // share — evolve identically in all of them, and replicas can replay
 // independently (on any thread) and merge afterwards. This header holds
-// the pieces the synchronous engine (sim/simulator.h, sim/multi_cache.h)
-// and the event engine (sim/event_engine.h) both use: the outcome
-// counters, the meter snapshot, the per-replica output record, the
-// combined-view fold, the canonical-order tape merge, and the synchronous
-// replica loop itself.
+// the pieces the single-cache loop (sim/simulator.h) and the event engine
+// (sim/event_engine.h) both use: the outcome counters, the meter
+// snapshot, the per-replica output record and the combined-view fold,
+// plus the event engine's canonical-order tape merge and the single-cache
+// replay loop itself.
 #pragma once
 
 #include <algorithm>
@@ -57,7 +58,10 @@ inline std::array<Bytes, 3> mechanism_snapshot(const net::TrafficMeter& m) {
 /// aggregate figure series is the endpoint's figure series; the aggregate
 /// overhead also counts the chatter delivered to the repository.
 struct ReplicaReplay {
-  RunResult result;  // the per-endpoint view
+  /// The per-endpoint view; fold_combined reads only its name and
+  /// counters, so the single-cache loop fills no more than that (and the
+  /// latency its run_policy copies out).
+  RunResult result;
   /// Every message of a run lands in exactly one replica, so summing these
   /// pointwise reconstructs the combined series.
   util::CumulativeSeries aggregate_series;
@@ -101,24 +105,14 @@ void merge_tapes(const std::vector<Replica*>& replicas,
   for (const Sample& sample : merged) consume(sample);
 }
 
-/// A post-warm-up response sample, tagged with its position in the merged
-/// trace order.
-struct LatencySample {
-  std::int64_t order_pos = 0;
-  double seconds = 0.0;
-};
-
-/// Replays the merged trace against one replica (`system`) driven by
-/// `policy`, into `out`. With `routing` null every query runs here;
-/// otherwise only those with routing[q] == self. Post-warm-up response
-/// times also go to `latency_sink` and `latency_tape` when non-null.
+/// The single-cache loop behind sim::run_policy: replays the merged trace
+/// against the one replica `system` driven by `policy`, into `out` (the
+/// counters and latency of out.result, and the aggregate figures
+/// fold_combined reads). Post-warm-up response times also go to
+/// `latency_sink` when non-null.
 void replay_replica(const workload::Trace& trace, core::DeltaSystem& system,
-                    core::CachePolicy& policy,
-                    const std::vector<std::uint32_t>* routing,
-                    std::uint32_t self, std::int64_t series_stride,
+                    core::CachePolicy& policy, std::int64_t series_stride,
                     const LatencyModel& latency,
-                    util::QuantileSketch* latency_sink,
-                    std::vector<LatencySample>* latency_tape,
-                    ReplicaReplay& out);
+                    util::QuantileSketch* latency_sink, ReplicaReplay& out);
 
 }  // namespace delta::sim

@@ -30,8 +30,8 @@ RunResult run_policy(const workload::Trace& trace,
                      util::QuantileSketch* latency_sink) {
   const auto start = std::chrono::steady_clock::now();
   ReplicaReplay replica;
-  replay_replica(trace, system, policy, /*routing=*/nullptr, 0, series_stride,
-                 latency, latency_sink, /*latency_tape=*/nullptr, replica);
+  replay_replica(trace, system, policy, series_stride, latency, latency_sink,
+                 replica);
   RunResult result;
   fold_combined({&replica}, series_stride, result);
   result.postwarmup_latency = replica.result.postwarmup_latency;

@@ -53,24 +53,25 @@ struct RunResult {
 struct LatencyModel {
   double local_exec_seconds = 0.05;
   double server_exec_seconds = 0.10;
-  /// Link the synchronous engines' analytic response-time proxy is priced
+  /// Link the single-cache loop's analytic response-time proxy is priced
   /// against. The event-driven engine (sim/event_engine.h) ignores this and
   /// *simulates* transfer/queueing time on its configured per-link models.
   net::LinkModel proxy_link = net::LinkModel{};
 };
 
-/// The synchronous engines' analytic response-time proxy: execution time for
+/// The single-cache loop's analytic response-time proxy: execution time for
 /// the path taken plus the closed-form transfer time of the bytes it moved.
 /// This is the one remaining transfer_seconds yardstick call site — the
 /// event-driven engine replaces the estimate with simulated latencies.
 [[nodiscard]] double proxy_response_seconds(const LatencyModel& latency,
                                             const core::QueryOutcome& outcome);
 
-/// Replays the trace through the policy: the one-replica run of the replica
-/// loop (sim/replica.h) over the caller's system. The system must have been
-/// freshly constructed from the same trace (server sizes start at the
-/// initial state). When `latency_sink` is non-null every post-warm-up per-query
-/// latency sample is also appended to it (the perf-trajectory bench uses
+/// Replays the trace through the policy over the caller's system, one
+/// event at a time with every message delivered inline (the single-cache
+/// loop; sim/event_engine.h is the N-endpoint engine). The system must
+/// have been freshly constructed from the same trace (server sizes start
+/// at the initial state). When `latency_sink` is non-null every post-warm-up
+/// per-query latency sample is also appended to it (the perf-trajectory bench uses
 /// this for percentiles; RunResult itself only carries streaming moments).
 RunResult run_policy(const workload::Trace& trace,
                      core::DeltaSystem& system, core::CachePolicy& policy,

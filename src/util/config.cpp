@@ -1,12 +1,39 @@
 #include "util/config.h"
 
-#include <cstdlib>
+#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/check.h"
 
 namespace delta::util {
+
+namespace {
+
+/// Parses all of `text` with `parse` (a std::stoll / std::stod wrapper):
+/// a value with trailing characters ("4x") or out of range is rejected,
+/// not read as its numeric prefix.
+template <typename Parse>
+auto parse_whole(const std::string& key, const std::string& text,
+                 const char* what, Parse parse) {
+  std::size_t used = 0;
+  try {
+    const auto value = parse(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::logic_error&) {  // invalid_argument, out_of_range
+  }
+  throw std::invalid_argument("bad " + std::string(what) + " for " + key +
+                              ": " + text);
+}
+
+std::int64_t parse_int(const std::string& key, const std::string& text) {
+  return parse_whole(key, text, "integer",
+                     [](const std::string& t, std::size_t* used) {
+                       return static_cast<std::int64_t>(std::stoll(t, used));
+                     });
+}
+
+}  // namespace
 
 Config Config::from_args(int argc, const char* const* argv) {
   Config cfg;
@@ -43,13 +70,16 @@ std::int64_t Config::get_int(const std::string& key,
                              std::int64_t fallback) const {
   const auto v = lookup(key);
   if (!v) return fallback;
-  return std::stoll(*v);
+  return parse_int(key, *v);
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
   const auto v = lookup(key);
   if (!v) return fallback;
-  return std::stod(*v);
+  return parse_whole(key, *v, "number",
+                     [](const std::string& t, std::size_t* used) {
+                       return std::stod(t, used);
+                     });
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
@@ -68,7 +98,7 @@ std::vector<std::int64_t> Config::get_int_list(
   std::istringstream is(*v);
   std::string item;
   while (std::getline(is, item, ',')) {
-    if (!item.empty()) out.push_back(std::stoll(item));
+    if (!item.empty()) out.push_back(parse_int(key, item));
   }
   return out;
 }

@@ -24,6 +24,8 @@ class Config {
 
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
+  /// The numeric getters throw std::invalid_argument unless the whole
+  /// value parses ("threads=4x" is an error, not 4), as get_bool does.
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key,

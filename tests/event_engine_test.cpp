@@ -1,14 +1,16 @@
-// Event-driven engine tests: zero-latency equivalence with the synchronous
-// multi-endpoint engine on a non-golden world, WAN yardsticks (simulated
-// response times, per-cache staleness, uplink contention) being nonzero,
-// deterministic across repeated runs, and divergent across asymmetric
-// links — the scenario axis the synchronous engines cannot express.
+// Event-driven engine tests: zero-latency equivalence with the single-cache
+// loop on each endpoint's routed sub-trace (a non-golden world), WAN
+// yardsticks (simulated response times, per-cache staleness, uplink
+// contention) being nonzero, deterministic across repeated runs, and
+// divergent across asymmetric links — the scenario axis an instantaneous
+// network cannot express.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/yardsticks.h"
@@ -16,7 +18,6 @@
 #include "result_identity.h"
 #include "sim/event_engine.h"
 #include "sim/experiment.h"
-#include "sim/multi_cache.h"
 #include "trace_builder.h"
 #include "workload/trace_split.h"
 
@@ -66,30 +67,68 @@ void expect_run_results_equal(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.overhead_traffic, b.overhead_traffic);
 }
 
-// Beyond the pinned golden world (sim_golden_test), the zero-latency event
-// engine must agree with the synchronous multi engine on any world — here
-// a different seed/size, N=3, both policies with nontrivial caching.
-TEST(EventEngineTest, ZeroLatencyMatchesSynchronousEngineByteForByte) {
-  const World setup{small_params()};
-  for (const PolicyKind kind : {PolicyKind::kVCover, PolicyKind::kBenefit}) {
-    const MultiRunResult sync =
-        run_one_multi(kind, setup.trace(), setup.cache_capacity(),
-                      setup.params(), 3, workload::SplitStrategy::kRoundRobin);
-    const EventRunResult event =
-        run_one_event(kind, setup.trace(), setup.cache_capacity(),
-                      setup.params(), 3, workload::SplitStrategy::kRoundRobin);
-    SCOPED_TRACE(to_string(kind));
-    expect_run_results_equal(event.replay.combined, sync.combined);
-    ASSERT_EQ(event.replay.per_endpoint.size(), sync.per_endpoint.size());
-    for (std::size_t e = 0; e < sync.per_endpoint.size(); ++e) {
-      expect_run_results_equal(event.replay.per_endpoint[e],
-                               sync.per_endpoint[e]);
+/// The trace one endpoint of a split sees: every update, plus the queries
+/// routed to `endpoint`, renumbered in arrival order.
+workload::Trace routed_sub_trace(const workload::Trace& trace,
+                                 const std::vector<std::uint32_t>& assignment,
+                                 std::uint32_t endpoint) {
+  workload::Trace sub;
+  sub.info = trace.info;
+  sub.updates = trace.updates;
+  sub.initial_object_bytes = trace.initial_object_bytes;
+  for (const workload::Event& event : trace.order) {
+    if (event.kind == workload::Event::Kind::kUpdate) {
+      sub.order.push_back(event);
+      continue;
     }
-    // Instant links: no queueing, no staleness, responses collapse to the
-    // execution surcharges.
-    EXPECT_EQ(event.staleness_seconds.max(), 0.0);
-    EXPECT_EQ(event.dispatch_lag_seconds.max(), 0.0);
-    EXPECT_EQ(event.server_uplink.total_queue_wait, 0.0);
+    const auto qi = static_cast<std::size_t>(event.index);
+    if (assignment[qi] != endpoint) continue;
+    workload::Query q = trace.queries[qi];
+    q.id = QueryId{static_cast<std::int64_t>(sub.queries.size())};
+    sub.order.push_back({workload::Event::Kind::kQuery, q.id.value()});
+    sub.queries.push_back(std::move(q));
+  }
+  return sub;
+}
+
+// Beyond the pinned golden world (sim_golden_test), the zero-latency event
+// engine must agree with an independent reference on any world — here a
+// different seed/size at N=3. Each partition replays every update and
+// only its routed queries, so each endpoint must reproduce the
+// single-cache loop run on exactly that sub-trace: every row but the
+// overhead, which the endpoint view counts without the chatter bound for
+// the repository. SOptimal's sharded hindsight is the sub-trace's own.
+TEST(EventEngineTest, ZeroLatencyEndpointsMatchSingleCacheRunsOnSubTraces) {
+  const World setup{small_params()};
+  constexpr std::size_t kEndpoints = 3;
+  for (const auto strategy : {workload::SplitStrategy::kRoundRobin,
+                              workload::SplitStrategy::kHashByRegion}) {
+    const std::vector<std::uint32_t> assignment =
+        workload::assign_queries(setup.trace(), kEndpoints, strategy);
+    for (const PolicyKind kind :
+         {PolicyKind::kNoCache, PolicyKind::kReplica, PolicyKind::kBenefit,
+          PolicyKind::kVCover, PolicyKind::kSOptimal}) {
+      SCOPED_TRACE(::testing::Message()
+                   << to_string(kind) << " " << to_string(strategy));
+      const EventRunResult event =
+          run_one_event(kind, setup.trace(), setup.cache_capacity(),
+                        setup.params(), kEndpoints, strategy);
+      ASSERT_EQ(event.replay.per_endpoint.size(), kEndpoints);
+      for (std::uint32_t e = 0; e < kEndpoints; ++e) {
+        SCOPED_TRACE(::testing::Message() << "endpoint " << e);
+        const RunResult& endpoint = event.replay.per_endpoint[e];
+        RunResult reference =
+            run_one(kind, routed_sub_trace(setup.trace(), assignment, e),
+                    setup.cache_capacity(), setup.params());
+        reference.overhead_traffic = endpoint.overhead_traffic;
+        expect_run_results_equal(endpoint, reference);
+      }
+      // Instant links: no queueing, no staleness, responses collapse to
+      // the execution surcharges.
+      EXPECT_EQ(event.staleness_seconds.max(), 0.0);
+      EXPECT_EQ(event.dispatch_lag_seconds.max(), 0.0);
+      EXPECT_EQ(event.server_uplink.total_queue_wait, 0.0);
+    }
   }
 }
 
@@ -559,7 +598,7 @@ TEST(EventEngineTest, PhaseTimesFitInsideTheWall) {
 // Partition invariants of the parallel engine: per-cache yardstick streams
 // partition the combined streams (every sample belongs to exactly one
 // partition), and the per-endpoint replay results partition the combined
-// accounting exactly as in the synchronous engines.
+// accounting exactly.
 TEST(EventEngineTest, ParallelPartitionsPartitionCombinedYardsticks) {
   const World setup{small_params()};
   EventEngineOptions options = wan_options();

@@ -1,7 +1,7 @@
 // Shared accounting-invariant checks for the per-endpoint / aggregate
 // metering architecture. One definition, asserted from the net-layer tests
-// (raw transport), the multi-cache sim tests, and the parallel-engine tests
-// — the invariant itself is the contract both layers advertise.
+// (raw transport) and the multi-endpoint event-engine tests — the
+// invariant itself is the contract both layers advertise.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 #include <string>
 
 #include "net/transport.h"
-#include "sim/multi_cache.h"
+#include "sim/event_engine.h"
 
 namespace delta::testing {
 

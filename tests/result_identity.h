@@ -14,7 +14,7 @@
 #include <type_traits>
 
 #include "net/fault_plan.h"
-#include "sim/multi_cache.h"
+#include "sim/event_engine.h"
 #include "sim/simulator.h"
 
 namespace delta::testing {

@@ -4,9 +4,10 @@
 // randomness flows through util::Rng (xoshiro256**), so these numbers are
 // stable across platforms and standard libraries.
 //
-// The parallel engine must reproduce the same goldens for every thread
-// count — that is asserted here too, not just sequential-vs-parallel
-// equality, so a bug that shifted BOTH engines the same way still trips.
+// The multi-endpoint tables are pinned on the event engine over
+// zero-latency links, and every thread count must reproduce them — that is
+// asserted here too, not just sequential-vs-parallel equality, so a bug
+// that shifted every thread count the same way still trips.
 //
 // The trace itself is pinned too, by a fingerprint over every query,
 // update and object size: a geometry change (htm cover/locate, storage row
@@ -25,7 +26,6 @@
 
 #include "result_identity.h"
 #include "sim/experiment.h"
-#include "sim/multi_cache.h"
 #include "workload/trace_split.h"
 
 namespace delta::sim {
@@ -140,9 +140,10 @@ constexpr GoldenRun kSingleCacheGolden[] = {
     {"SOptimal", 2000, 1854, 0, 146, 0, 4874712980, 1256046449, 1208306382, 47740067, 0, 39616},
 };
 
-// Multi-endpoint run_one_multi (N=4) combined + per-endpoint rows, one
-// table per policy and split strategy, each with its replay fingerprint.
-// The same tables must hold for every thread count.
+// Multi-endpoint run_one_event (N=4, zero-latency links) combined +
+// per-endpoint rows, one table per policy and split strategy, each with
+// its replay fingerprint (series points and simulated response-time
+// moments). The same tables must hold for every thread count.
 struct GoldenMulti {
   PolicyKind kind;
   workload::SplitStrategy strategy;
@@ -160,7 +161,7 @@ const GoldenMulti kMultiGolden[] = {
          {"NoCache", 500, 0, 0, 500, 0, 3613683142, 1886325340, 1886325340, 0, 0, 32000},
          {"NoCache", 500, 0, 0, 500, 0, 3542086507, 2084143058, 2084143058, 0, 0, 32000},
      }},
-     7059565256659365152ULL},
+     16734512145095627200ULL},
     {PolicyKind::kNoCache, workload::SplitStrategy::kHashByRegion,
      {"NoCache", 2000, 0, 0, 2000, 0, 14635445515, 7999999508, 7999999508, 0, 0, 256000},
      {{
@@ -169,7 +170,7 @@ const GoldenMulti kMultiGolden[] = {
          {"NoCache", 1097, 0, 0, 1097, 0, 4377696895, 2341456243, 2341456243, 0, 0, 70208},
          {"NoCache", 568, 0, 0, 568, 0, 9374132899, 5120456215, 5120456215, 0, 0, 36352},
      }},
-     13913052860359995444ULL},
+     14580028330224483623ULL},
     {PolicyKind::kReplica, workload::SplitStrategy::kRoundRobin,
      {"Replica", 2000, 2000, 0, 0, 0, 14178214504, 10895997276, 0, 10895997276, 0, 1536000},
      {{
@@ -178,7 +179,7 @@ const GoldenMulti kMultiGolden[] = {
          {"Replica", 500, 500, 0, 0, 0, 3544553626, 2723999319, 0, 2723999319, 0, 256000},
          {"Replica", 500, 500, 0, 0, 0, 3544553626, 2723999319, 0, 2723999319, 0, 256000},
      }},
-     1784750031407909297ULL},
+     3724560925389492000ULL},
     {PolicyKind::kReplica, workload::SplitStrategy::kHashByRegion,
      {"Replica", 2000, 2000, 0, 0, 0, 14178214504, 10895997276, 0, 10895997276, 0, 1536000},
      {{
@@ -187,7 +188,7 @@ const GoldenMulti kMultiGolden[] = {
          {"Replica", 1097, 1097, 0, 0, 0, 3544553626, 2723999319, 0, 2723999319, 0, 256000},
          {"Replica", 568, 568, 0, 0, 0, 3544553626, 2723999319, 0, 2723999319, 0, 256000},
      }},
-     4286437455961006598ULL},
+     1815691535332906827ULL},
     {PolicyKind::kBenefit, workload::SplitStrategy::kRoundRobin,
      {"Benefit", 2000, 0, 0, 2000, 0, 14635445515, 7999999508, 7999999508, 0, 0, 768000},
      {{
@@ -196,7 +197,7 @@ const GoldenMulti kMultiGolden[] = {
          {"Benefit", 500, 0, 0, 500, 0, 3613683142, 1886325340, 1886325340, 0, 0, 160000},
          {"Benefit", 500, 0, 0, 500, 0, 3542086507, 2084143058, 2084143058, 0, 0, 160000},
      }},
-     7059565256659365152ULL},
+     16734512145095627200ULL},
     {PolicyKind::kBenefit, workload::SplitStrategy::kHashByRegion,
      {"Benefit", 2000, 284, 0, 1716, 0, 12093558255, 4528109110, 4526864035, 1245075, 0, 732288},
      {{
@@ -205,7 +206,7 @@ const GoldenMulti kMultiGolden[] = {
          {"Benefit", 1097, 0, 0, 1097, 0, 4377696895, 2341456243, 2341456243, 0, 0, 198208},
          {"Benefit", 568, 284, 0, 284, 0, 6832245639, 1648565817, 1647320742, 1245075, 0, 146496},
      }},
-     7121637339079090196ULL},
+     11921984995981686904ULL},
     {PolicyKind::kVCover, workload::SplitStrategy::kRoundRobin,
      {"VCover", 2000, 440, 2, 1558, 8, 18700273193, 11249914867, 5501706060, 354266, 5747854541, 201344},
      {{
@@ -214,7 +215,7 @@ const GoldenMulti kMultiGolden[] = {
          {"VCover", 500, 95, 0, 405, 2, 4751133805, 3023776003, 1380273776, 0, 1643502227, 26176},
          {"VCover", 500, 117, 1, 382, 2, 4450643465, 2177787697, 1360085571, 177133, 817524993, 24832},
      }},
-     16968789730594499583ULL},
+     10082116571350129193ULL},
     {PolicyKind::kVCover, workload::SplitStrategy::kHashByRegion,
      {"VCover", 2000, 709, 3, 1288, 5, 13030291767, 5573712881, 3028062329, 20785571, 2524864981, 175872},
      {{
@@ -223,7 +224,7 @@ const GoldenMulti kMultiGolden[] = {
          {"VCover", 1097, 366, 2, 729, 2, 5057927325, 2273469278, 1000644002, 20608438, 1252216838, 52736},
          {"VCover", 568, 343, 1, 224, 3, 7088748721, 2762156553, 1489331277, 177133, 1272648143, 17152},
      }},
-     15086242892765269627ULL},
+     4284973884657848236ULL},
     {PolicyKind::kSOptimal, workload::SplitStrategy::kRoundRobin,
      {"SOptimal", 2000, 1488, 0, 512, 0, 13317431299, 2298820468, 2200850184, 97970284, 0, 109056},
      {{
@@ -232,7 +233,7 @@ const GoldenMulti kMultiGolden[] = {
          {"SOptimal", 500, 461, 0, 39, 0, 3203838813, 207647691, 159907624, 47740067, 0, 16384},
          {"SOptimal", 500, 275, 0, 225, 0, 3044615685, 808221135, 806976060, 1245075, 0, 14912},
      }},
-     10910711034465038358ULL},
+     11284669678735293475ULL},
     {PolicyKind::kSOptimal, workload::SplitStrategy::kHashByRegion,
      {"SOptimal", 2000, 1582, 0, 418, 0, 8290999225, 1591404587, 1495924453, 95480134, 0, 95360},
      {{
@@ -241,7 +242,7 @@ const GoldenMulti kMultiGolden[] = {
          {"SOptimal", 1097, 1089, 0, 8, 0, 2952530835, 52556737, 4816670, 47740067, 0, 14400},
          {"SOptimal", 568, 493, 0, 75, 0, 4454852669, 1000760800, 953020733, 47740067, 0, 18688},
      }},
-     7419243862302488334ULL},
+     71578141346205147ULL},
 };
 
 // ----------------------------------------------------------------- tests
@@ -255,18 +256,6 @@ void expect_matches(const MultiRunResult& multi, const GoldenMulti& golden) {
     expect_matches(multi.per_endpoint[e], golden.per_endpoint[e]);
   }
   EXPECT_EQ(replay_fingerprint(multi), golden.fingerprint);
-}
-
-/// The event engine's counters and traffic match the sync goldens, but its
-/// simulated response times differ from the sync proxy, so only the
-/// GoldenRun rows apply (not the fingerprint).
-void expect_rows_match(const MultiRunResult& multi, const GoldenMulti& golden) {
-  SCOPED_TRACE(workload::to_string(golden.strategy));
-  expect_matches(multi.combined, golden.combined);
-  ASSERT_EQ(multi.per_endpoint.size(), golden.per_endpoint.size());
-  for (std::size_t e = 0; e < golden.per_endpoint.size(); ++e) {
-    expect_matches(multi.per_endpoint[e], golden.per_endpoint[e]);
-  }
 }
 
 TEST(SimGoldenTest, TraceMatchesGoldenFingerprint) {
@@ -283,40 +272,15 @@ TEST(SimGoldenTest, SingleCachePolicyRunsMatchGoldenTable) {
   }
 }
 
-TEST(SimGoldenTest, MultiEndpointRunsMatchGoldenTable) {
-  const World setup{golden_params()};
-  for (const GoldenMulti& golden : kMultiGolden) {
-    expect_matches(run_one_multi(golden.kind, setup.trace(),
-                                 setup.cache_capacity(), setup.params(), 4,
-                                 golden.strategy),
-                   golden);
-  }
-}
-
-// Every thread count reproduces the pinned goldens (not merely "matches
-// T=1": if every thread count drifted together, this still fails).
-TEST(SimGoldenTest, ParallelEngineReproducesGoldensForEveryThreadCount) {
-  const World setup{golden_params()};
-  for (const GoldenMulti& golden : kMultiGolden) {
-    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE(::testing::Message() << "T=" << threads);
-      expect_matches(run_one_multi(golden.kind, setup.trace(),
-                                   setup.cache_capacity(), setup.params(), 4,
-                                   golden.strategy, PolicyOverrides{}, 2000,
-                                   ParallelOptions{threads}),
-                     golden);
-    }
-  }
-}
-
-// The event-driven engine over zero-latency links must reproduce the same
+// The event-driven engine over zero-latency links must reproduce the
 // pinned tables byte-for-byte: DelayedTransport delivery degenerates to
 // synchronous order when every link is instantaneous, so any divergence
 // means the asynchronous protocol changed replay semantics, not just
-// timing. Single-cache rows cover all five policies; the multi tables the
-// VCover N=4 splits. (At zero latency the simulated response times reduce
-// to the execution surcharges and staleness to zero — the WAN behavior is
-// covered by event_engine_test.)
+// timing. At N=1 it reproduces the single-cache loop's rows for all five
+// policies; at N=4 every multi table, fingerprint included. (At zero
+// latency the simulated response times reduce to the execution surcharges
+// and staleness to zero — the WAN behavior is covered by
+// event_engine_test.)
 TEST(SimGoldenTest, EventEngineAtZeroLatencyMatchesGoldenTables) {
   const World setup{golden_params()};
   for (std::size_t i = 0; i < std::size(kAllKinds); ++i) {
@@ -327,31 +291,30 @@ TEST(SimGoldenTest, EventEngineAtZeroLatencyMatchesGoldenTables) {
     EXPECT_EQ(r.staleness_seconds.max(), 0.0) << kSingleCacheGolden[i].policy;
   }
   for (const GoldenMulti& golden : kMultiGolden) {
-    if (golden.kind != PolicyKind::kVCover) continue;
-    const EventRunResult multi = run_one_event(
-        PolicyKind::kVCover, setup.trace(), setup.cache_capacity(),
-        setup.params(), 4, golden.strategy);
-    expect_rows_match(multi.replay, golden);
+    expect_matches(run_one_event(golden.kind, setup.trace(),
+                                 setup.cache_capacity(), setup.params(), 4,
+                                 golden.strategy)
+                       .replay,
+                   golden);
   }
 }
 
 // The parallel per-partition event engine must reproduce the same pinned
 // tables for every thread count at zero latency — the partitions replay
 // replica worlds whose merge is the sequential stream, so no thread count
-// may perturb a single byte (and if both engines drifted together, the
-// pinned constants still catch it).
+// may perturb a single byte (and if every thread count drifted together,
+// the pinned constants still catch it).
 TEST(SimGoldenTest, ParallelEventEngineReproducesGoldensForEveryThreadCount) {
   const World setup{golden_params()};
   for (const GoldenMulti& golden : kMultiGolden) {
-    if (golden.kind != PolicyKind::kVCover) continue;
     for (const std::size_t threads : {2u, 4u, 8u}) {
       EventEngineOptions options;
       options.parallel.num_threads = threads;
-      const EventRunResult multi = run_one_event(
-          PolicyKind::kVCover, setup.trace(), setup.cache_capacity(),
-          setup.params(), 4, golden.strategy, options);
+      const EventRunResult multi =
+          run_one_event(golden.kind, setup.trace(), setup.cache_capacity(),
+                        setup.params(), 4, golden.strategy, options);
       SCOPED_TRACE(::testing::Message() << "T=" << threads);
-      expect_rows_match(multi.replay, golden);
+      expect_matches(multi.replay, golden);
       EXPECT_EQ(multi.staleness_seconds.max(), 0.0);
       EXPECT_EQ(multi.dispatch_lag_seconds.max(), 0.0);
     }
@@ -373,8 +336,9 @@ TEST(SimGoldenTest, DISABLED_PrintGoldenTables) {
     for (const auto strategy : {workload::SplitStrategy::kRoundRobin,
                                 workload::SplitStrategy::kHashByRegion}) {
       const MultiRunResult multi =
-          run_one_multi(kind, setup.trace(), setup.cache_capacity(),
-                        setup.params(), 4, strategy);
+          run_one_event(kind, setup.trace(), setup.cache_capacity(),
+                        setup.params(), 4, strategy)
+              .replay;
       std::cout << "    {PolicyKind::k" << to_string(kind)
                 << ", workload::SplitStrategy::"
                 << (strategy == workload::SplitStrategy::kRoundRobin

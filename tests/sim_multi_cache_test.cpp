@@ -1,19 +1,17 @@
-// Multi-endpoint simulation tests: trace splitting, the N=1 equivalence
-// guarantee, and the per-endpoint/aggregate accounting identities.
+// Multi-endpoint simulation tests: trace splitting, and sharded policies on
+// the event engine (sim_parallel_test holds the N=1 equivalence and the
+// per-endpoint/aggregate accounting identities).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <set>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "core/yardsticks.h"
-#include "meter_invariants.h"
-#include "result_identity.h"
+#include "sim/event_engine.h"
 #include "sim/experiment.h"
-#include "sim/multi_cache.h"
 #include "trace_builder.h"
 #include "workload/trace_split.h"
 
@@ -36,11 +34,6 @@ SetupParams small_params(std::uint64_t seed = 5) {
   p.benefit_window = 500;
   return p;
 }
-
-constexpr PolicyKind kAllKinds[] = {PolicyKind::kNoCache,
-                                    PolicyKind::kReplica,
-                                    PolicyKind::kBenefit, PolicyKind::kVCover,
-                                    PolicyKind::kSOptimal};
 
 // ------------------------------------------------------------- splitting
 
@@ -89,76 +82,7 @@ TEST(TraceSplitTest, SingleEndpointTakesEverything) {
   }
 }
 
-// -------------------------------------------------- N=1 equivalence
-
-// A multi-cache simulation with one endpoint must reproduce the
-// single-cache RunResult byte-for-byte: every field of the combined view,
-// and of the endpoint view but its overhead (the repository-side chatter
-// belongs to no endpoint).
-TEST(MultiCacheSimTest, OneEndpointReproducesSingleCacheByteForByte) {
-  const World setup{small_params()};
-  for (const PolicyKind kind : kAllKinds) {
-    const RunResult single = run_one(kind, setup.trace(),
-                                     setup.cache_capacity(), setup.params());
-    const MultiRunResult multi = run_one_multi(
-        kind, setup.trace(), setup.cache_capacity(), setup.params(), 1,
-        workload::SplitStrategy::kRoundRobin);
-    ASSERT_EQ(multi.per_endpoint.size(), 1u);
-    delta::testing::ExpectIdentical(multi.combined, single,
-                                    std::string{to_string(kind)} + " combined");
-    RunResult endpoint = multi.per_endpoint[0];
-    endpoint.overhead_traffic = single.overhead_traffic;
-    delta::testing::ExpectIdentical(endpoint, single,
-                                    std::string{to_string(kind)} + " endpoint");
-  }
-}
-
-// ------------------------------------- per-endpoint accounting identities
-
-TEST(MultiCacheSimTest, PerEndpointTrafficSumsToCombined) {
-  const World setup{small_params(7)};
-  for (const auto strategy : {workload::SplitStrategy::kRoundRobin,
-                              workload::SplitStrategy::kHashByRegion}) {
-    for (const std::size_t n : {2u, 4u}) {
-      const MultiRunResult multi =
-          run_one_multi(PolicyKind::kVCover, setup.trace(),
-                        setup.cache_capacity(), setup.params(), n, strategy);
-      ASSERT_EQ(multi.per_endpoint.size(), n);
-      // All figure traffic is delivered to cache endpoints, so the
-      // per-endpoint meters partition the combined figures exactly (and
-      // request/invalidation overhead, landing partly on the server
-      // endpoint, only under-counts) — the shared invariant helper.
-      SCOPED_TRACE(std::string{workload::to_string(strategy)} +
-                   " n=" + std::to_string(n));
-      delta::testing::ExpectPerEndpointResultsPartitionCombined(multi);
-      // Every query was routed to exactly one endpoint.
-      EXPECT_EQ(multi.combined.queries,
-                static_cast<std::int64_t>(setup.trace().queries.size()));
-    }
-  }
-}
-
-TEST(MultiCacheSimTest, DeterministicAcrossRuns) {
-  const World setup{small_params(9)};
-  for (const PolicyKind kind :
-       {PolicyKind::kVCover, PolicyKind::kBenefit}) {
-    const MultiRunResult a =
-        run_one_multi(kind, setup.trace(), setup.cache_capacity(),
-                      setup.params(), 4,
-                      workload::SplitStrategy::kHashByRegion);
-    const MultiRunResult b =
-        run_one_multi(kind, setup.trace(), setup.cache_capacity(),
-                      setup.params(), 4,
-                      workload::SplitStrategy::kHashByRegion);
-    EXPECT_EQ(a.combined.total_traffic, b.combined.total_traffic);
-    for (std::size_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(a.per_endpoint[i].total_traffic,
-                b.per_endpoint[i].total_traffic);
-      EXPECT_EQ(a.per_endpoint[i].cache_fresh,
-                b.per_endpoint[i].cache_fresh);
-    }
-  }
-}
+// ------------------------------------------------------ sharded policies
 
 // SOptimal is offline: when sharded, each endpoint's hindsight must count
 // only the queries routed to it, so disjoint shards choose disjoint sets
@@ -179,7 +103,7 @@ TEST(MultiCacheSimTest, ShardedSOptimalOptimizesPerEndpointQueries) {
   // The policies live only for the duration of the run; snapshot each
   // endpoint's chosen set at construction.
   std::vector<std::unordered_set<ObjectId>> chosen(2);
-  const MultiRunResult result = run_policy_multi(
+  const EventRunResult result = run_policy_event(
       trace, 2, workload::SplitStrategy::kRoundRobin,
       [&](core::CacheNode& cache, std::size_t index) {
         core::SOptimalOptions opts;
@@ -190,7 +114,8 @@ TEST(MultiCacheSimTest, ShardedSOptimalOptimizesPerEndpointQueries) {
                                                              opts);
         for (const ObjectId o : policy->chosen()) chosen[index].insert(o);
         return policy;
-      });
+      },
+      EventEngineOptions{}, &assignment);
 
   // Each endpoint chose exactly its own object — the cross-shard queries
   // did not inflate its hindsight.
@@ -200,8 +125,8 @@ TEST(MultiCacheSimTest, ShardedSOptimalOptimizesPerEndpointQueries) {
   // is each endpoint loading its own object once (no duplicate loads).
   const Bytes one_load =
       Bytes{1000} + core::ServerNode::kLoadOverheadBytes;
-  EXPECT_EQ(result.combined.total_traffic, one_load * 2);
-  EXPECT_EQ(result.combined.cache_fresh, 8);
+  EXPECT_EQ(result.replay.combined.total_traffic, one_load * 2);
+  EXPECT_EQ(result.replay.combined.cache_fresh, 8);
 }
 
 // Sharding sanity: with spatial splitting each endpoint sees a narrower
@@ -211,9 +136,11 @@ TEST(MultiCacheSimTest, ShardedVCoverStillBeatsNoCache) {
   const World setup{small_params(10)};
   const RunResult nocache = run_one(PolicyKind::kNoCache, setup.trace(),
                                     setup.cache_capacity(), setup.params());
-  const MultiRunResult sharded = run_one_multi(
-      PolicyKind::kVCover, setup.trace(), setup.cache_capacity(),
-      setup.params(), 4, workload::SplitStrategy::kHashByRegion);
+  const MultiRunResult sharded =
+      run_one_event(PolicyKind::kVCover, setup.trace(),
+                    setup.cache_capacity(), setup.params(), 4,
+                    workload::SplitStrategy::kHashByRegion)
+          .replay;
   EXPECT_LT(sharded.combined.postwarmup_traffic,
             nocache.postwarmup_traffic);
   EXPECT_GT(sharded.combined.cache_fresh +

@@ -37,6 +37,26 @@ TEST(ConfigTest, BoolParsing) {
   EXPECT_THROW((void)cfg.get_bool("bad", false), std::invalid_argument);
 }
 
+// A numeric value must parse in full: "4x" is not 4, and a value out of
+// range is not clamped.
+TEST(ConfigTest, NumbersWithTrailingCharactersAreRejected) {
+  Config cfg;
+  cfg.set("threads", "4x");
+  cfg.set("frac", "0.3abc");
+  cfg.set("empty", "");
+  cfg.set("huge", "99999999999999999999");
+  cfg.set("list", "10,2o");
+  EXPECT_THROW((void)cfg.get_int("threads", 0), std::invalid_argument);
+  EXPECT_THROW((void)cfg.get_double("frac", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)cfg.get_int("empty", 0), std::invalid_argument);
+  EXPECT_THROW((void)cfg.get_int("huge", 0), std::invalid_argument);
+  EXPECT_THROW((void)cfg.get_int_list("list", {}), std::invalid_argument);
+  cfg.set("threads", "-4");
+  cfg.set("frac", "1e-3");
+  EXPECT_EQ(cfg.get_int("threads", 0), -4);
+  EXPECT_DOUBLE_EQ(cfg.get_double("frac", 0.0), 1e-3);
+}
+
 TEST(ConfigTest, IntListParsing) {
   Config cfg;
   cfg.set("objects", "10,20,68,91");
