@@ -8,7 +8,7 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   sim::SetupParams params = bench::setup_from_config(cfg);
@@ -58,4 +58,6 @@ int main(int argc, char** argv) {
   std::cout << "\nAlpha sweep (window=" << params.benefit_window << "):\n";
   atable.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

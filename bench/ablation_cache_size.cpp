@@ -6,7 +6,7 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   sim::SetupParams params = bench::setup_from_config(cfg);
@@ -40,4 +40,6 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper claim to check: at 20% cache the NoCache/VCover "
                "ratio should already approach ~2.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

@@ -11,7 +11,7 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   sim::SetupParams params = bench::setup_from_config(cfg);
@@ -75,4 +75,6 @@ int main(int argc, char** argv) {
                "state for variance (more load traffic); eager admission "
                "churns on multi-object queries; LRU ignores load costs.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

@@ -7,7 +7,7 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   sim::SetupParams params = bench::setup_from_config(cfg);
@@ -53,4 +53,6 @@ int main(int argc, char** argv) {
                "answers that had to wait for a synchronous update ship "
                "falls, improving the response-time proxy.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

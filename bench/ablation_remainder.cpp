@@ -9,7 +9,7 @@
 #include "bench_common.h"
 #include "core/vcover_policy.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   sim::SetupParams params = bench::setup_from_config(cfg);
@@ -44,4 +44,6 @@ int main(int argc, char** argv) {
                "answered by shipping queries instead — more query traffic "
                "and fewer cache answers.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

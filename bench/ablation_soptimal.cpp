@@ -7,7 +7,7 @@
 #include "bench_common.h"
 #include "core/yardsticks.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   sim::SetupParams params = bench::setup_from_config(cfg);
@@ -45,4 +45,6 @@ int main(int argc, char** argv) {
                "proportional ranking under-covers multi-object query "
                "neighbourhoods.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

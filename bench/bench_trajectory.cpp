@@ -485,7 +485,7 @@ void emit_json(std::ostream& os, const sim::SetupParams& params, int repeats,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const auto cfg = util::Config::from_args(argc, argv);
   const bool smoke = cfg.get_bool("smoke", false);
   const int repeats = static_cast<int>(cfg.get_int("repeats", smoke ? 1 : 3));
@@ -590,4 +590,6 @@ int main(int argc, char** argv) {
     std::cerr << "wrote " << out << "\n";
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

@@ -11,7 +11,7 @@
 #include "bench_common.h"
 #include "workload/workload_stats.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   sim::SetupParams params = bench::setup_from_config(cfg);
@@ -129,4 +129,6 @@ int main(int argc, char** argv) {
     std::cout << card_hist[i] << (i + 1 < card_hist.size() ? "/" : "\n");
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

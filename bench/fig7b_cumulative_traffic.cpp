@@ -7,7 +7,7 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   sim::SetupParams params = bench::setup_from_config(cfg);
@@ -96,4 +96,6 @@ int main(int argc, char** argv) {
   std::cout << "  VCover / SOptimal = " << util::fixed(vcover / soptimal, 2)
             << "   (~1.4: \"final cost about 40% higher\")\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

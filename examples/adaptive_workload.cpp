@@ -13,7 +13,7 @@
 #include "util/config.h"
 #include "util/format.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
 
@@ -83,4 +83,6 @@ int main(int argc, char** argv) {
                "one re-decoupling; Benefit must first re-learn its "
                "forecasts window by window.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

@@ -11,7 +11,7 @@
 #include "util/config.h"
 #include "util/format.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
 
@@ -66,4 +66,6 @@ int main(int argc, char** argv) {
             << util::fixed((1.0 - vcover / nocache) * 100.0, 1)
             << "% less data than routing every query to the repository.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

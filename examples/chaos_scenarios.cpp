@@ -52,7 +52,7 @@
 #include "util/format.h"
 #include "workload/trace_split.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   const std::string scenario = cfg.get_string("scenario", "partition");
@@ -266,4 +266,6 @@ int main(int argc, char** argv) {
               << "\n";
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

@@ -11,7 +11,7 @@
 #include "util/config.h"
 #include "util/format.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
 
@@ -71,4 +71,6 @@ int main(int argc, char** argv) {
                "expensive; fine objects pack the cache tightly at the cost "
                "of more load decisions and graph bookkeeping.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

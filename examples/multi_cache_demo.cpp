@@ -19,7 +19,7 @@
 #include "util/format.h"
 #include "workload/trace_split.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
 
@@ -109,9 +109,9 @@ int main(int argc, char** argv) {
   const Bytes nocache = setup.trace().total_query_cost(
       setup.trace().info.warmup_end_event);
   std::cout << "vs NoCache: " << util::human_bytes(nocache) << " ("
-            << util::fixed(nocache.as_double() /
-                               result.combined.postwarmup_traffic.as_double(),
-                           2)
-            << "x reduction)\n";
+            << util::compare_to(result.combined.postwarmup_traffic, nocache)
+            << " traffic)\n";
   return sum == result.combined.postwarmup_traffic ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

@@ -16,7 +16,7 @@
 #include "util/format.h"
 #include "workload/trace_generator.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
 
@@ -90,9 +90,9 @@ int main(int argc, char** argv) {
             << " ms\n";
   const Bytes nocache = trace.total_query_cost(trace.info.warmup_end_event);
   std::cout << "vs NoCache: " << util::human_bytes(nocache) << " ("
-            << util::fixed(nocache.as_double() /
-                               result.postwarmup_traffic.as_double(),
-                           2)
-            << "x reduction)\n";
+            << util::compare_to(result.postwarmup_traffic, nocache)
+            << " traffic)\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

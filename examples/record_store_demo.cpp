@@ -15,7 +15,7 @@
 #include "util/config.h"
 #include "util/format.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   const int level = 4;
@@ -73,4 +73,6 @@ int main(int argc, char** argv) {
             << " — the estimate tracks repository growth, which is what "
                "keeps ν(q) current as the repository grows\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

@@ -29,7 +29,7 @@
 #include "util/format.h"
 #include "workload/trace_split.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   const std::int64_t threads_arg = cfg.get_int("threads", 1);
@@ -114,4 +114,6 @@ int main(int argc, char** argv) {
          "cache. Re-run with wan_rtt_ms=0.4 wan_mbit=1000 to watch the\n"
          "divergence collapse.\n";
   return 0;
+} catch (const std::invalid_argument& e) {
+  return delta::util::report_bad_argument(e);
 }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -19,23 +20,6 @@
 namespace delta::sim {
 
 namespace {
-
-/// A per-query yardstick sample, tagged with its position in the merged
-/// trace order so the combined streams can be re-added in the canonical
-/// (global event) order regardless of which worker produced them.
-struct QuerySample {
-  std::int64_t order_pos = 0;
-  double response = 0.0;
-  double lag = 0.0;
-};
-
-/// One staleness observation: invalidation delivery time (the partition
-/// clock instant the notice landed) and the ingest->delivery gap. Each
-/// partition's tape is naturally sorted by delivery time.
-struct StalenessSample {
-  double delivered_at = 0.0;
-  double gap = 0.0;
-};
 
 /// Prefetch lookahead, in routed queries of one partition. A partition's
 /// query records sit at irregular positions in trace.queries, out of the
@@ -69,18 +53,12 @@ static_assert(sizeof(DecodedEvent) == 32, "one event per half cache line");
 /// and gated from, all read off the same single pass over the trace.
 struct DecodedStream {
   std::vector<DecodedEvent> events;
-  /// Per partition: routed queries (the LPT weight), the post-warm-up
-  /// subset (every tape/stats sample), and the subset the sketch's
-  /// decimation stride retains. Reserving the sketch from routed queries
-  /// instead of retained samples would over-reserve stride-fold per shard —
-  /// N*stride-fold across a capped open-loop run.
+  /// Per partition: routed queries (the LPT weight) and the post-warm-up
+  /// subset the sketch's decimation stride retains. Reserving the sketch
+  /// from routed queries instead of retained samples would over-reserve
+  /// stride-fold per shard — N*stride-fold across a capped open-loop run.
   std::vector<std::size_t> routed_queries;
-  std::vector<std::size_t> postwarmup_routed;
   std::vector<std::size_t> retained_samples;
-  /// Post-warm-up updates per object, and in total: they size the
-  /// staleness tapes of filtered and unfiltered shards exactly.
-  std::vector<std::size_t> postwarmup_updates_of;
-  std::size_t postwarmup_updates = 0;
   /// Per partition that prefilters updates: one byte per object, nonzero
   /// when a query routed there names it (the routed half of the touch set,
   /// see replay_event_shard). Empty for partitions that do not prefilter.
@@ -107,9 +85,7 @@ DecodedStream decode_stream(const workload::Trace& trace,
   const EventTime warmup_end = trace.info.warmup_end_event;
   DecodedStream stream;
   stream.routed_queries.assign(endpoint_count, 0);
-  stream.postwarmup_routed.assign(endpoint_count, 0);
   stream.retained_samples.assign(endpoint_count, 0);
-  stream.postwarmup_updates_of.assign(object_count, 0);
   stream.touch_rows.resize(endpoint_count);
   for (std::size_t e = 0; e < endpoint_count; ++e) {
     if (prefilters[e]) stream.touch_rows[e].assign(object_count, 0);
@@ -133,18 +109,14 @@ DecodedStream decode_stream(const workload::Trace& trace,
     if (d.is_update) {
       const workload::Update& u = trace.updates[i];
       d.now = u.time;
-      // Object ids index the per-object counts here and the shards'
-      // prefilter gates; a hand-built trace need not have been validated.
+      // Object ids index the shards' prefilter gates; a hand-built trace
+      // need not have been validated.
       DELTA_CHECK_MSG(u.object.value() >= 0 &&
                           static_cast<std::size_t>(u.object.value()) <
                               object_count,
                       "update " << i << " names object " << u.object.value()
                                 << " of " << object_count);
       d.object = static_cast<std::uint32_t>(u.object.value());
-      if (d.now >= warmup_end) {
-        ++stream.postwarmup_updates_of[d.object];
-        ++stream.postwarmup_updates;
-      }
     } else {
       const workload::Query& q = trace.queries[i];
       d.now = q.time;
@@ -162,12 +134,10 @@ DecodedStream decode_stream(const workload::Trace& trace,
       }
       oldest = static_cast<std::uint32_t>(stream.events.size());
       ++stream.routed_queries[e];
-      if (d.now >= warmup_end) {
-        ++stream.postwarmup_routed[e];
-        if (sketch_stride <= 1 ||
-            static_cast<std::int64_t>(i) % sketch_stride == 0) {
-          ++stream.retained_samples[e];
-        }
+      if (d.now >= warmup_end &&
+          (sketch_stride <= 1 ||
+           static_cast<std::int64_t>(i) % sketch_stride == 0)) {
+        ++stream.retained_samples[e];
       }
       std::vector<std::uint8_t>& row = stream.touch_rows[e];
       if (!row.empty()) {
@@ -207,22 +177,14 @@ struct EventShard : ReplicaReplay {
   const workload::Trace* trace = nullptr;
   std::size_t cache_transport_slot = 0;
   EventTime warmup_end = 0;
-  /// Per-query and staleness tapes for the canonical-order merge; off for
-  /// a single partition, whose streams already are the combined ones.
-  bool record_tapes = true;
 
   /// Update ingests the prefilter skipped in this replica.
   std::int64_t prefiltered_updates = 0;
   EndpointEventYardsticks yardsticks;
-  /// Per-partition response sketch, folded in endpoint order at merge time
-  /// (quantiles are order-invariant, so this matches the single-stream
-  /// percentiles bit-for-bit).
+  /// Per-partition response sketch and dispatch-lag accumulator, folded
+  /// in endpoint order at merge time like every other per-shard statistic.
   util::QuantileSketch response_sketch;
-  /// Dispatch-lag accumulator for a single partition; with tapes the merge
-  /// re-adds lags from the tape instead.
   util::SummaryStats lag_stats;
-  std::vector<QuerySample> query_tape;
-  std::vector<StalenessSample> staleness_tape;
   net::UplinkStats server_uplink;
   double end_clock = 0.0;
   std::int64_t delivered = 0;
@@ -289,13 +251,6 @@ struct EventShard : ReplicaReplay {
     transport.set_delivery_observer(&EventShard::on_delivery, this);
   }
 
-  void observe_staleness(double delivered_at, double gap) {
-    yardsticks.staleness_seconds.add(gap);
-    if (record_tapes) {
-      staleness_tape.push_back(StalenessSample{delivered_at, gap});
-    }
-  }
-
   /// Staleness observer: every invalidation notice delivered to the cache
   /// endpoint is sampled individually — the subject of a kInvalidation plus
   /// each coalesced/piggybacked id in batched_invalidations (a notice's
@@ -316,7 +271,7 @@ struct EventShard : ReplicaReplay {
         m.sent_at >= shard.warmup_end) {
       const double ingest =
           m.subject_ingest_at >= 0.0 ? m.subject_ingest_at : m.sim_sent_at;
-      shard.observe_staleness(m.sim_delivered_at, m.sim_delivered_at - ingest);
+      shard.yardsticks.staleness_seconds.add(m.sim_delivered_at - ingest);
     }
     for (std::size_t i = 0; i < m.batched_invalidations.size(); ++i) {
       const auto id = static_cast<std::size_t>(m.batched_invalidations[i]);
@@ -324,7 +279,7 @@ struct EventShard : ReplicaReplay {
       const double ingest = i < m.batched_ingest_at.size()
                                 ? m.batched_ingest_at[i]
                                 : m.sim_sent_at;
-      shard.observe_staleness(m.sim_delivered_at, m.sim_delivered_at - ingest);
+      shard.yardsticks.staleness_seconds.add(m.sim_delivered_at - ingest);
     }
   }
 };
@@ -361,28 +316,13 @@ void replay_event_shard(const workload::Trace& trace,
   // is exact. The decode pass builds a row only for partitions that
   // prefilter (see run_policy_event). The registration row is read before
   // the preload flush below, while it still is the post-factory row.
-  const core::MetadataSubscription subscription =
-      shard.server->subscription(0);
   const std::vector<std::uint8_t>& routed_objects = stream.touch_rows[self];
   std::vector<std::uint8_t> touch;
-  std::size_t staleness_reserve =
-      subscription == core::MetadataSubscription::kNone
-          ? 0
-          : stream.postwarmup_updates;
   if (!routed_objects.empty()) {
     touch = shard.server->registered_row(0);
     DELTA_DCHECK(touch.size() == routed_objects.size());
     for (std::size_t obj = 0; obj < touch.size(); ++obj) {
       touch[obj] |= routed_objects[obj];
-    }
-    if (subscription != core::MetadataSubscription::kNone) {
-      // Exact: a staleness sample needs an ingested post-warm-up update.
-      staleness_reserve = 0;
-      for (std::size_t obj = 0; obj < touch.size(); ++obj) {
-        if (touch[obj] != 0) {
-          staleness_reserve += stream.postwarmup_updates_of[obj];
-        }
-      }
     }
   }
   const std::uint8_t* const gate = touch.empty() ? nullptr : touch.data();
@@ -428,14 +368,10 @@ void replay_event_shard(const workload::Trace& trace,
   if (trace.info.warmup_end_event == 0) capture_warmup();
 
   core::CachePolicy& policy = *shard.policy;
-  // Pre-size the sample buffers from the exact per-shard counts (see
-  // DecodedStream and the touch set above): the hot loop never
-  // reallocates, and nothing is reserved that cannot be filled.
+  // Pre-size the sketch from the exact per-shard count (see DecodedStream):
+  // the hot loop never reallocates it, and nothing is reserved that cannot
+  // be filled.
   shard.response_sketch.reserve(stream.retained_samples[self]);
-  if (shard.record_tapes) {
-    shard.query_tape.reserve(stream.postwarmup_routed[self]);
-    shard.staleness_tape.reserve(staleness_reserve);
-  }
   // Hoisted loop invariants (the compiler cannot prove the opaque policy
   // call leaves them alone).
   const EventTime warmup_end = trace.info.warmup_end_event;
@@ -446,7 +382,6 @@ void replay_event_shard(const workload::Trace& trace,
   // The object list of the query whose record the previous dispatch
   // prefetched: read once that record has had a dispatch's time to land.
   std::uint32_t record_in_flight = kNoQuery;
-  std::int64_t order_pos = 0;
   for (const DecodedEvent& event : stream.events) {
     if (shard.policy_wipe_pending) {
       // Deferred crash wipe (see the EventShard field note): no dispatch
@@ -505,15 +440,9 @@ void replay_event_shard(const workload::Trace& trace,
         const double lag = dispatched - arrival;
         const double response = lag + (completed - dispatched) + exec_seconds;
         if (now >= warmup_end) {
-          // r.postwarmup_latency is reconstructed from this stream after
-          // the loop (same samples, same order — a bitwise copy).
-          shard.yardsticks.response_seconds.add(response);
+          r.postwarmup_latency.add(response);
           shard.response_sketch.add(response);
-          if (shard.record_tapes) {
-            shard.query_tape.push_back(QuerySample{order_pos, response, lag});
-          } else {
-            shard.lag_stats.add(lag);
-          }
+          shard.lag_stats.add(lag);
         }
       } else {
         // Open loop: dispatch through the async policy entry point and let
@@ -531,9 +460,8 @@ void replay_event_shard(const workload::Trace& trace,
         ++shard.in_flight_queries;
         ++r.queries;
         const std::int64_t tag = static_cast<std::int64_t>(qi);
-        const std::int64_t pos = order_pos;
         policy.on_query_async(
-            q, [&shard, &r, &events, arrival, lag, now, pos, tag, warmup_end,
+            q, [&shard, &r, &events, arrival, lag, now, tag, warmup_end,
                 local_exec, server_exec](const core::QueryOutcome& outcome) {
               --shard.in_flight_queries;
               count_outcome(r, outcome);
@@ -545,13 +473,9 @@ void replay_event_shard(const workload::Trace& trace,
               // the completing delivery), plus the execution surcharge.
               const double response = (events.now() - arrival) + exec_seconds;
               if (now >= warmup_end) {
-                shard.yardsticks.response_seconds.add(response);
+                r.postwarmup_latency.add(response);
                 shard.response_sketch.add_tagged(response, tag);
-                if (shard.record_tapes) {
-                  shard.query_tape.push_back(QuerySample{pos, response, lag});
-                } else {
-                  shard.lag_stats.add(lag);
-                }
+                shard.lag_stats.add(lag);
               }
             });
       }
@@ -562,7 +486,6 @@ void replay_event_shard(const workload::Trace& trace,
     // its cache endpoint. Checked once after the loop.
     shard.aggregate_series.observe(now,
                                    endpoint_meter.figure_total().as_double());
-    ++order_pos;
   }
   // End-of-run drain: held-back invalidation notices first (congestion
   // batching; no-op otherwise), then deliver (and meter) everything still
@@ -577,15 +500,6 @@ void replay_event_shard(const workload::Trace& trace,
   }
   DELTA_CHECK(shard.in_flight_queries == 0);
   if (!warmup_captured) capture_warmup();  // warm-up spanned the whole run
-  if (open_loop && shard.record_tapes) {
-    // Completions land out of trace order; restore the canonical order the
-    // deterministic merge expects (order_pos is unique, so the sort is
-    // total and thread-count independent).
-    std::sort(shard.query_tape.begin(), shard.query_tape.end(),
-              [](const QuerySample& a, const QuerySample& b) {
-                return a.order_pos < b.order_pos;
-              });
-  }
 
   // The single observed series serves both views (see the loop note); the
   // equality it relies on — no figure-mechanism bytes ever land at the
@@ -593,7 +507,6 @@ void replay_event_shard(const workload::Trace& trace,
   DELTA_CHECK(server_meter.figure_total() == Bytes{0});
   shard.aggregate_series.finalize();
   r.series = shard.aggregate_series;
-  r.postwarmup_latency = shard.yardsticks.response_seconds;
   // Each replica has exactly one cache, so the server's ledger is its own.
   shard.yardsticks.protocol = shard.cache->counters();
   shard.yardsticks.notices_logged = shard.server->counters().notices_logged;
@@ -652,11 +565,6 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   const std::size_t threads = options.parallel.num_threads == 0
                                   ? util::ThreadPool::hardware_threads()
                                   : options.parallel.num_threads;
-  // With a single partition the per-shard streams ARE the combined streams
-  // (StreamingStats::merge into an empty accumulator is a bitwise copy),
-  // so the sample tapes and the canonical-order re-add would reproduce the
-  // fold exactly — skip them and keep the hot loop lean.
-  const bool record_tapes = endpoint_count > 1;
 
   // Crash-stop plans (ISSUE 10) arm the suspicion probe automatically: a
   // cache whose server died mid-run only learns of the restart from an
@@ -679,7 +587,6 @@ EventRunResult run_policy_event(const workload::Trace& trace,
                                     : options.default_link;
     shards.push_back(std::make_unique<EventShard>(trace, options.default_link,
                                                   link, i));
-    shards.back()->record_tapes = record_tapes;
     shards.back()->server->set_notice_batching(options.notice_batching);
     shards.back()->transport.set_fault_plan(options.fault_plan);
     // A plan that can actually lose or duplicate messages requires the
@@ -784,7 +691,7 @@ EventRunResult run_policy_event(const workload::Trace& trace,
       });
   const auto replay_end = std::chrono::steady_clock::now();
 
-  // ---- deterministic merge, in canonical order ----
+  // ---- deterministic merge, in endpoint order ----
   EventRunResult out;
   out.steal_count = steal_count;
   if (!routing.empty()) {
@@ -799,11 +706,10 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   replay.per_endpoint.reserve(endpoint_count);
   out.per_endpoint.reserve(endpoint_count);
   RunResult& c = replay.combined;
-  std::vector<EventShard*> shard_ptrs;
-  shard_ptrs.reserve(endpoint_count);
-  for (const auto& shard : shards) shard_ptrs.push_back(shard.get());
-  fold_combined({shard_ptrs.begin(), shard_ptrs.end()}, options.series_stride,
-                c);
+  std::vector<const ReplicaReplay*> replicas;
+  replicas.reserve(endpoint_count);
+  for (const auto& shard : shards) replicas.push_back(shard.get());
+  fold_combined(replicas, options.series_stride, c);
 
   for (const auto& shard : shards) {
     out.server_uplink.sends += shard->server_uplink.sends;
@@ -835,45 +741,17 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   out.chaos.crash_restarts += server0.crash_restarts;
   out.chaos.crash_downtime_seconds += server0.crash_downtime_seconds;
 
-  if (record_tapes) {
-    // Re-add the per-query samples in merged-trace order: StreamingStats
-    // is order-sensitive in its low bits, and the canonical order is the
-    // one the partitions share (each query event belongs to exactly one
-    // partition, so positions are unique and the order total). Each tape
-    // is already sorted, so this is a K-way merge, free for one partition.
-    merge_tapes(shard_ptrs, &EventShard::query_tape,
-                [](const QuerySample& s) { return s.order_pos; },
-                [&](const QuerySample& s) {
-                  c.postwarmup_latency.add(s.response);
-                  out.response_seconds.add(s.response);
-                  out.dispatch_lag_seconds.add(s.lag);
-                });
-    // Staleness samples merge by delivery instant; ties (same instant on
-    // different partitions) resolve in endpoint order via merge stability.
-    merge_tapes(shard_ptrs, &EventShard::staleness_tape,
-                [](const StalenessSample& s) { return s.delivered_at; },
-                [&](const StalenessSample& s) {
-                  out.staleness_seconds.add(s.gap);
-                });
-  } else {
-    // One partition: merging into the empty accumulators copies its
-    // streams bitwise.
-    for (const auto& shard : shards) {
-      c.postwarmup_latency.merge(shard->result.postwarmup_latency);
-      out.response_seconds.merge(shard->yardsticks.response_seconds);
-      out.staleness_seconds.merge(shard->yardsticks.staleness_seconds);
-      out.dispatch_lag_seconds.merge(shard->lag_stats);
-    }
-  }
-  if (shards.size() == 1) {
-    out.response_sketch = std::move(shards.front()->response_sketch);
-  } else {
-    for (const auto& shard : shards) {
-      out.response_sketch.merge(shard->response_sketch);
-    }
-  }
-
+  // Sample statistics fold in endpoint order, which only the split fixes.
+  // A merge into an empty accumulator is a bitwise copy, so one partition's
+  // statistics are the combined ones.
+  out.response_sketch.reserve(std::accumulate(
+      stream.retained_samples.begin(), stream.retained_samples.end(),
+      std::size_t{0}));
   for (auto& shard : shards) {
+    c.postwarmup_latency.merge(shard->result.postwarmup_latency);
+    out.dispatch_lag_seconds.merge(shard->lag_stats);
+    out.staleness_seconds.merge(shard->yardsticks.staleness_seconds);
+    out.response_sketch.merge(shard->response_sketch);
     replay.per_endpoint.push_back(std::move(shard->result));
     out.per_endpoint.push_back(std::move(shard->yardsticks));
   }

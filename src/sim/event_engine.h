@@ -22,10 +22,11 @@
 // advance to the minimum over its input links of source-clock + link
 // propagation delay) degenerates to "no synchronization needed", since a
 // partition is its own only source. Partitions therefore run wait-free on
-// a util::ThreadPool and a deterministic merge — sharing the single-cache
-// loop's fold (sim/replica.h) — re-adds every yardstick sample in
-// canonical order, making results bit-identical for ANY thread count
-// (pinned by event_engine_test, sim_parallel_test and sim_golden_test).
+// a util::ThreadPool, and a deterministic merge folds them in endpoint
+// order — counters, traffic and series through the single-cache loop's
+// fold (sim/replica.h), sample statistics through their merge() — so
+// results are bit-identical for ANY thread count (pinned by
+// event_engine_test, sim_parallel_test and sim_golden_test).
 //
 // Each cache is closed-loop against its own timeline: a query dispatches
 // when the partition clock reaches its arrival (or as soon as that cache
@@ -84,9 +85,9 @@ using CachePolicyFactory = std::function<std::unique_ptr<core::CachePolicy>(
 /// min(num_threads, endpoint_count) workers (inline on the calling thread
 /// when that is one), LPT-packed by their routed-query counts, and a
 /// worker that drains its own queue steals a straggler's pending
-/// partition. The merge folds the partitions in endpoint order and re-adds
-/// the yardstick samples in merged-event order, so every thread count
-/// yields bit-identical results.
+/// partition. The merge folds every partition's results and sample
+/// accumulators in endpoint order, which no thread count changes, so every
+/// thread count yields bit-identical results.
 struct ParallelOptions {
   /// 0 = one thread per hardware core.
   std::size_t num_threads = 1;
@@ -177,10 +178,9 @@ struct EventEngineOptions {
 /// over partitions in shard order.
 using ChaosYardsticks = net::ChaosYardsticks;
 
-/// Simulated-latency yardsticks for one cache endpoint.
+/// Simulated-latency yardsticks for one cache endpoint (its post-warm-up
+/// response times are replay.per_endpoint[i].postwarmup_latency).
 struct EndpointEventYardsticks {
-  /// Post-warm-up simulated response times of this endpoint's queries.
-  util::StreamingStats response_seconds;
   /// Ingest -> invalidation-delivered gap for notices this cache received.
   util::StreamingStats staleness_seconds;
   /// This cache's CacheNode counters (all zero with the protocol layer
@@ -202,9 +202,8 @@ struct EventRunResult {
 
   // ---- measured yardsticks (what the analytic proxy assumes) ----
 
-  /// Combined post-warm-up simulated response times; the sketch holds every
-  /// sample for exact percentiles.
-  util::StreamingStats response_seconds;
+  /// Combined post-warm-up simulated response times for percentiles (every
+  /// sample, or the OpenLoopOptions::response_sample_cap subset).
   util::QuantileSketch response_sketch;
   /// How long each query waited for its own cache to be free after its
   /// arrival (per-partition closed-loop backlog; included in the response
@@ -265,8 +264,8 @@ struct EventRunResult {
 /// sharded SOptimal hindsight) so routing and policy provably agree; null
 /// recomputes it from `strategy`. Deterministic: repeated runs, and runs
 /// at any `options.parallel.num_threads`, produce identical results
-/// (per-partition discrete-event schedules with stable ordering plus a
-/// canonical-order merge).
+/// (per-partition discrete-event schedules with stable ordering plus an
+/// endpoint-order merge).
 EventRunResult run_policy_event(
     const workload::Trace& trace, std::size_t endpoint_count,
     workload::SplitStrategy strategy, const CachePolicyFactory& factory,

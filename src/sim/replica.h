@@ -9,11 +9,9 @@
 // the pieces the single-cache loop (sim/simulator.h) and the event engine
 // (sim/event_engine.h) both use: the outcome counters, the meter
 // snapshot, the per-replica output record and the combined-view fold,
-// plus the event engine's canonical-order tape merge and the single-cache
-// replay loop itself.
+// plus the single-cache replay loop itself.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -73,37 +71,10 @@ struct ReplicaReplay {
 
 /// Folds the replicas, in order, into the combined view: policy name,
 /// counters, traffic and the pointwise series sum. The latency statistics
-/// are left to the caller (each engine re-adds its sample tapes in merged
-/// event order).
+/// are left to the caller (the event engine merges them in the same
+/// order).
 void fold_combined(const std::vector<const ReplicaReplay*>& replicas,
                    std::int64_t series_stride, RunResult& combined);
-
-/// Merges per-replica tapes that are each sorted by `key` into one stream
-/// in canonical order (key, then replica order for ties — inplace_merge is
-/// stable), then feeds every sample to `consume`. Empties the tapes.
-template <typename Replica, typename Sample, typename Key, typename Consume>
-void merge_tapes(const std::vector<Replica*>& replicas,
-                 std::vector<Sample> Replica::*tape, Key key,
-                 Consume consume) {
-  std::vector<Sample> merged;
-  std::size_t total = 0;
-  for (const Replica* replica : replicas) total += (replica->*tape).size();
-  merged.reserve(total);
-  for (Replica* replica : replicas) {
-    const std::size_t mid = merged.size();
-    std::vector<Sample>& t = replica->*tape;
-    merged.insert(merged.end(), t.begin(), t.end());
-    t.clear();
-    t.shrink_to_fit();
-    if (mid > 0) {
-      std::inplace_merge(
-          merged.begin(), merged.begin() + static_cast<std::ptrdiff_t>(mid),
-          merged.end(),
-          [&](const Sample& a, const Sample& b) { return key(a) < key(b); });
-    }
-  }
-  for (const Sample& sample : merged) consume(sample);
-}
 
 /// The single-cache loop behind sim::run_policy: replays the merged trace
 /// against the one replica `system` driven by `policy`, into `out` (the

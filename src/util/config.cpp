@@ -1,10 +1,8 @@
 #include "util/config.h"
 
 #include <cstddef>
+#include <iostream>
 #include <sstream>
-#include <stdexcept>
-
-#include "util/check.h"
 
 namespace delta::util {
 
@@ -40,8 +38,10 @@ Config Config::from_args(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string token = argv[i];
     const auto eq = token.find('=');
-    DELTA_CHECK_MSG(eq != std::string::npos && eq > 0,
-                    "expected key=value argument, got '" << token << "'");
+    if (eq == std::string::npos || eq == 0) {
+      throw std::invalid_argument("expected key=value argument, got '" +
+                                  token + "'");
+    }
     cfg.set(token.substr(0, eq), token.substr(eq + 1));
   }
   return cfg;
@@ -101,6 +101,11 @@ std::vector<std::int64_t> Config::get_int_list(
     if (!item.empty()) out.push_back(parse_int(key, item));
   }
   return out;
+}
+
+int report_bad_argument(const std::invalid_argument& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }
 
 }  // namespace delta::util

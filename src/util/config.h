@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,8 @@ class Config {
  public:
   Config() = default;
 
-  /// Parse "key=value" tokens; tokens without '=' are rejected.
+  /// Parse "key=value" tokens; tokens without '=' are rejected with
+  /// std::invalid_argument, like a malformed value.
   static Config from_args(int argc, const char* const* argv);
 
   void set(const std::string& key, const std::string& value);
@@ -45,5 +47,10 @@ class Config {
 
   [[nodiscard]] std::optional<std::string> lookup(const std::string& key) const;
 };
+
+/// The command-line tools' handler for a malformed argument (the
+/// std::invalid_argument Config throws): prints the message to stderr and
+/// returns exit status 2, the status the tools give out-of-range values.
+int report_bad_argument(const std::invalid_argument& e);
 
 }  // namespace delta::util

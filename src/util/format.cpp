@@ -52,6 +52,16 @@ std::string fixed(double v, int precision) {
   return os.str();
 }
 
+std::string compare_to(Bytes value, Bytes baseline) {
+  if (value == baseline) return "the same";
+  if (value < baseline) {
+    if (value == Bytes{0}) return "no";
+    return fixed(baseline.as_double() / value.as_double()) + "x less";
+  }
+  if (baseline == Bytes{0}) return "more";
+  return fixed(value.as_double() / baseline.as_double()) + "x more";
+}
+
 TablePrinter::TablePrinter(std::vector<std::string> headers)
     : headers_(std::move(headers)) {
   DELTA_CHECK(!headers_.empty());

@@ -32,4 +32,9 @@ class TablePrinter {
 /// Format a double with fixed precision.
 std::string fixed(double v, int precision = 2);
 
+/// `value` against `baseline` as a factor that reads right in either
+/// direction: "2.50x less", "1.04x more", "the same" ("no" for a zero
+/// value, "more" over a zero baseline).
+std::string compare_to(Bytes value, Bytes baseline);
+
 }  // namespace delta::util

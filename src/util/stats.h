@@ -28,8 +28,9 @@ class StreamingStats {
   /// al.). Count/min/max are exact; sum/mean/variance are the
   /// mathematically correct combination but, being floating-point folds of
   /// per-shard partials, need not be bit-equal to adding the samples one by
-  /// one in arrival order — the simulation engines' multi-replica merges
-  /// therefore replay samples instead.
+  /// one in arrival order. The result is a function of the merge order, so
+  /// a fixed order (the event engine's endpoint order) is deterministic.
+  /// Merging into an empty accumulator copies `other` bitwise.
   void merge(const StreamingStats& other);
 
   [[nodiscard]] std::int64_t count() const { return count_; }
@@ -62,7 +63,8 @@ class SummaryStats {
     max_ = x > max_ ? x : max_;
   }
 
-  /// Exact fold of two accumulators (all fields are order-independent).
+  /// Fold of two accumulators. Count/min/max are exact; sum_ is a
+  /// floating-point sum, so its low bits depend on the merge order.
   void merge(const SummaryStats& other) {
     count_ += other.count_;
     sum_ += other.sum_;

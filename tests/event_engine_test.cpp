@@ -6,7 +6,6 @@
 // network cannot express.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -140,12 +139,11 @@ TEST(EventEngineTest, WanYardsticksAreNonzero) {
 
   // Response times: every post-warm-up query produced a sample, and the
   // tail reflects genuine transfer/queueing time above the exec floor.
-  EXPECT_GT(r.response_seconds.count(), 0);
-  EXPECT_EQ(r.response_seconds.count(),
-            r.replay.combined.postwarmup_latency.count());
+  const util::StreamingStats& latency = r.replay.combined.postwarmup_latency;
+  EXPECT_GT(latency.count(), 0);
   EXPECT_GT(r.response_p50(), 0.0);
   EXPECT_GE(r.response_p99(), r.response_p50());
-  EXPECT_GT(r.response_seconds.max(), 0.10);  // beyond any pure-exec path
+  EXPECT_GT(latency.max(), 0.10);  // beyond any pure-exec path
 
   // Staleness: invalidation notices took measurable time to reach caches.
   EXPECT_GT(r.staleness_seconds.count(), 0);
@@ -190,9 +188,11 @@ TEST(EventEngineTest, WanRunIsDeterministicAcrossRepeatedRuns) {
   const EventRunResult a = run();
   const EventRunResult b = run();
   expect_run_results_equal(a.replay.combined, b.replay.combined);
-  EXPECT_EQ(a.response_seconds.count(), b.response_seconds.count());
-  EXPECT_EQ(a.response_seconds.mean(), b.response_seconds.mean());
-  EXPECT_EQ(a.response_seconds.max(), b.response_seconds.max());
+  const util::StreamingStats& a_latency = a.replay.combined.postwarmup_latency;
+  const util::StreamingStats& b_latency = b.replay.combined.postwarmup_latency;
+  EXPECT_EQ(a_latency.count(), b_latency.count());
+  EXPECT_EQ(a_latency.mean(), b_latency.mean());
+  EXPECT_EQ(a_latency.max(), b_latency.max());
   EXPECT_EQ(a.response_p50(), b.response_p50());
   EXPECT_EQ(a.response_p99(), b.response_p99());
   EXPECT_EQ(a.staleness_seconds.count(), b.staleness_seconds.count());
@@ -212,10 +212,10 @@ void expect_event_runs_identical(const EventRunResult& a,
     SCOPED_TRACE(::testing::Message() << "endpoint " << e);
     expect_run_results_equal(a.replay.per_endpoint[e],
                              b.replay.per_endpoint[e]);
-    EXPECT_EQ(a.per_endpoint[e].response_seconds.count(),
-              b.per_endpoint[e].response_seconds.count());
-    EXPECT_EQ(a.per_endpoint[e].response_seconds.mean(),
-              b.per_endpoint[e].response_seconds.mean());
+    EXPECT_EQ(a.replay.per_endpoint[e].postwarmup_latency.count(),
+              b.replay.per_endpoint[e].postwarmup_latency.count());
+    EXPECT_EQ(a.replay.per_endpoint[e].postwarmup_latency.mean(),
+              b.replay.per_endpoint[e].postwarmup_latency.mean());
     EXPECT_EQ(a.per_endpoint[e].staleness_seconds.count(),
               b.per_endpoint[e].staleness_seconds.count());
     EXPECT_EQ(a.per_endpoint[e].staleness_seconds.mean(),
@@ -223,10 +223,12 @@ void expect_event_runs_identical(const EventRunResult& a,
     EXPECT_EQ(a.per_endpoint[e].staleness_seconds.max(),
               b.per_endpoint[e].staleness_seconds.max());
   }
-  EXPECT_EQ(a.response_seconds.count(), b.response_seconds.count());
-  EXPECT_EQ(a.response_seconds.mean(), b.response_seconds.mean());
-  EXPECT_EQ(a.response_seconds.variance(), b.response_seconds.variance());
-  EXPECT_EQ(a.response_seconds.max(), b.response_seconds.max());
+  const util::StreamingStats& a_latency = a.replay.combined.postwarmup_latency;
+  const util::StreamingStats& b_latency = b.replay.combined.postwarmup_latency;
+  EXPECT_EQ(a_latency.count(), b_latency.count());
+  EXPECT_EQ(a_latency.mean(), b_latency.mean());
+  EXPECT_EQ(a_latency.variance(), b_latency.variance());
+  EXPECT_EQ(a_latency.max(), b_latency.max());
   EXPECT_EQ(a.response_p50(), b.response_p50());
   EXPECT_EQ(a.response_p99(), b.response_p99());
   EXPECT_EQ(a.dispatch_lag_seconds.count(), b.dispatch_lag_seconds.count());
@@ -248,7 +250,7 @@ void expect_event_runs_identical(const EventRunResult& a,
 // zero-latency and the 40 ms WAN configs — every yardstick, every counter,
 // every byte. This is the determinism contract of the parallel DES: the
 // partitions are replicas whose inbound messages are locally generated, so
-// the merge in canonical order reproduces the T=1 stream exactly.
+// the endpoint-order merge reproduces the T=1 result exactly.
 TEST(EventEngineTest, ParallelEngineByteIdenticalToSequentialAcrossThreads) {
   const World setup{small_params()};
   for (const bool wan : {false, true}) {
@@ -468,10 +470,10 @@ TEST(EventEngineTest, WanRunsMatchPinnedResults) {
     std::int64_t prefiltered_updates;
   };
   const Pinned cases[] = {
-      {workload::SplitStrategy::kBalancedByLoad, 4, 15550720240661084017ULL,
+      {workload::SplitStrategy::kBalancedByLoad, 4, 15988761783817299715ULL,
        15.473615719999872, 837.21693299999708, 28, 0.0058078719998775341,
        2364, 28, 2346},
-      {workload::SplitStrategy::kHashByRegion, 65, 15930551651495752401ULL,
+      {workload::SplitStrategy::kHashByRegion, 65, 3418948851813834216ULL,
        4.2790264240000173, 108.01833400000029, 28, 0.0058078719998775341,
        2308, 28, 74601},
   };
@@ -595,10 +597,10 @@ TEST(EventEngineTest, PhaseTimesFitInsideTheWall) {
   EXPECT_LE(parts, r.replay.combined.wall_seconds);
 }
 
-// Partition invariants of the parallel engine: per-cache yardstick streams
-// partition the combined streams (every sample belongs to exactly one
-// partition), and the per-endpoint replay results partition the combined
-// accounting exactly.
+// Partition invariants of the parallel engine: the combined yardstick
+// statistics are the endpoint-order fold of the per-cache ones (every
+// sample belongs to exactly one partition), and the per-endpoint replay
+// results partition the combined accounting exactly.
 TEST(EventEngineTest, ParallelPartitionsPartitionCombinedYardsticks) {
   const World setup{small_params()};
   EventEngineOptions options = wan_options();
@@ -606,21 +608,7 @@ TEST(EventEngineTest, ParallelPartitionsPartitionCombinedYardsticks) {
   const EventRunResult r = run_one_event(
       PolicyKind::kVCover, setup.trace(), setup.cache_capacity(),
       setup.params(), 2, workload::SplitStrategy::kRoundRobin, options);
-
-  std::int64_t response_samples = 0;
-  std::int64_t staleness_samples = 0;
-  double staleness_max = 0.0;
-  for (const EndpointEventYardsticks& endpoint : r.per_endpoint) {
-    response_samples += endpoint.response_seconds.count();
-    staleness_samples += endpoint.staleness_seconds.count();
-    staleness_max = std::max(staleness_max, endpoint.staleness_seconds.max());
-  }
-  EXPECT_EQ(response_samples, r.response_seconds.count());
-  EXPECT_EQ(response_samples, r.replay.combined.postwarmup_latency.count());
-  EXPECT_EQ(response_samples,
-            static_cast<std::int64_t>(r.response_sketch.size()));
-  EXPECT_EQ(staleness_samples, r.staleness_seconds.count());
-  EXPECT_EQ(staleness_max, r.staleness_seconds.max());
+  delta::testing::ExpectEndpointOrderFold(r);
   delta::testing::ExpectPerEndpointResultsPartitionCombined(r.replay);
 }
 
@@ -633,7 +621,8 @@ TEST(EventEngineTest, WanResponseTimesDominateZeroLatencyResponses) {
   const EventRunResult wan = run_one_event(
       PolicyKind::kVCover, setup.trace(), setup.cache_capacity(),
       setup.params(), 2, workload::SplitStrategy::kRoundRobin, wan_options());
-  EXPECT_GT(wan.response_seconds.mean(), zero.response_seconds.mean());
+  EXPECT_GT(wan.replay.combined.postwarmup_latency.mean(),
+            zero.replay.combined.postwarmup_latency.mean());
   EXPECT_GE(wan.response_p99(), zero.response_p99());
   EXPECT_GT(wan.sim_duration_seconds, 0.0);
 }

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "result_identity.h"
 #include "sim/event_engine.h"
 #include "sim/experiment.h"
 #include "workload/arrival_process.h"
@@ -61,10 +62,12 @@ void expect_combined_equal(const RunResult& a, const RunResult& b) {
 void expect_yardsticks_identical(const EventRunResult& a,
                                  const EventRunResult& b) {
   expect_combined_equal(a.replay.combined, b.replay.combined);
-  EXPECT_EQ(a.response_seconds.count(), b.response_seconds.count());
-  EXPECT_EQ(a.response_seconds.mean(), b.response_seconds.mean());
-  EXPECT_EQ(a.response_seconds.variance(), b.response_seconds.variance());
-  EXPECT_EQ(a.response_seconds.max(), b.response_seconds.max());
+  const util::StreamingStats& a_latency = a.replay.combined.postwarmup_latency;
+  const util::StreamingStats& b_latency = b.replay.combined.postwarmup_latency;
+  EXPECT_EQ(a_latency.count(), b_latency.count());
+  EXPECT_EQ(a_latency.mean(), b_latency.mean());
+  EXPECT_EQ(a_latency.variance(), b_latency.variance());
+  EXPECT_EQ(a_latency.max(), b_latency.max());
   EXPECT_EQ(a.response_p50(), b.response_p50());
   EXPECT_EQ(a.response_p99(), b.response_p99());
   EXPECT_EQ(a.dispatch_lag_seconds.count(), b.dispatch_lag_seconds.count());
@@ -78,7 +81,8 @@ void expect_yardsticks_identical(const EventRunResult& a,
 }
 
 // Every routed query completes and lands exactly one response sample; the
-// per-endpoint samples partition the combined stream, as in closed loop.
+// combined statistics are the endpoint-order fold of the per-endpoint ones,
+// as in closed loop.
 TEST(OpenLoopEngineTest, EveryQueryCompletesWithOneSample) {
   const World setup{small_params()};
   const EventRunResult r = run_one_event(
@@ -87,13 +91,7 @@ TEST(OpenLoopEngineTest, EveryQueryCompletesWithOneSample) {
       wan_open_loop(2000.0));
   EXPECT_EQ(r.replay.combined.queries,
             static_cast<std::int64_t>(setup.trace().queries.size()));
-  EXPECT_EQ(r.response_seconds.count(),
-            r.replay.combined.postwarmup_latency.count());
-  std::int64_t per_endpoint = 0;
-  for (const auto& e : r.per_endpoint) {
-    per_endpoint += e.response_seconds.count();
-  }
-  EXPECT_EQ(per_endpoint, r.response_seconds.count());
+  delta::testing::ExpectEndpointOrderFold(r);
   EXPECT_GT(r.response_p99(), 0.0);
 }
 
@@ -110,7 +108,8 @@ TEST(OpenLoopEngineTest, RateSweepAddsQueueingPressure) {
   const EventRunResult slow = run(20.0);
   const EventRunResult fast = run(5000.0);
   EXPECT_GT(slow.sim_duration_seconds, fast.sim_duration_seconds);
-  EXPECT_GT(fast.response_seconds.mean(), slow.response_seconds.mean());
+  EXPECT_GT(fast.replay.combined.postwarmup_latency.mean(),
+            slow.replay.combined.postwarmup_latency.mean());
   EXPECT_GE(fast.response_p99(), slow.response_p99());
 }
 
@@ -127,7 +126,8 @@ TEST(OpenLoopEngineTest, InFlightWindowThrottlesDispatch) {
   };
   const EventRunResult narrow = run(1);
   const EventRunResult wide = run(64);
-  EXPECT_EQ(narrow.response_seconds.count(), wide.response_seconds.count());
+  EXPECT_EQ(narrow.replay.combined.postwarmup_latency.count(),
+            wide.replay.combined.postwarmup_latency.count());
   // Window waits are dispatch lag; overlapping dispatch removes most of it.
   EXPECT_GT(narrow.dispatch_lag_seconds.mean(),
             wide.dispatch_lag_seconds.mean());
@@ -219,7 +219,8 @@ TEST(OpenLoopEngineTest, BatchingIsByteIdenticalWhenUplinkNeverCongests) {
   EXPECT_EQ(on.coalesced_notices, 0);
   expect_combined_equal(on.replay.combined, off.replay.combined);
   EXPECT_EQ(on.delivered_messages, off.delivered_messages);
-  EXPECT_EQ(on.response_seconds.mean(), off.response_seconds.mean());
+  EXPECT_EQ(on.replay.combined.postwarmup_latency.mean(),
+            off.replay.combined.postwarmup_latency.mean());
   EXPECT_EQ(on.notice_messages, off.notice_messages);
 }
 

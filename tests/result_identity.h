@@ -1,7 +1,8 @@
 // Bitwise equality of simulation results, shared by every test that pins
 // one run against another (thread counts, endpoint counts, repeated runs),
-// the replay fingerprint the pinned-result tests hash runs with, and the
-// gtest printer for the chaos counter record.
+// the event engine's endpoint-order fold contract, the replay fingerprint
+// the pinned-result tests hash runs with, and the gtest printer for the
+// chaos counter record.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -61,6 +62,19 @@ inline std::uint64_t replay_fingerprint(const sim::MultiRunResult& multi) {
   return h.value();
 }
 
+/// All six moments of two sample accumulators, bitwise.
+inline void ExpectIdentical(const util::StreamingStats& a,
+                            const util::StreamingStats& b,
+                            const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.variance(), b.variance());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  EXPECT_EQ(a.sum(), b.sum());
+}
+
 /// Every RunResult field but wall_seconds (real elapsed time). Doubles are
 /// compared with EXPECT_EQ on purpose: the engines promise bit-identical
 /// output, not approximate.
@@ -89,12 +103,8 @@ inline void ExpectIdentical(const sim::RunResult& a, const sim::RunResult& b,
     EXPECT_EQ(a.series.points()[k].value, b.series.points()[k].value)
         << "point " << k;
   }
-  EXPECT_EQ(a.postwarmup_latency.count(), b.postwarmup_latency.count());
-  EXPECT_EQ(a.postwarmup_latency.mean(), b.postwarmup_latency.mean());
-  EXPECT_EQ(a.postwarmup_latency.variance(), b.postwarmup_latency.variance());
-  EXPECT_EQ(a.postwarmup_latency.min(), b.postwarmup_latency.min());
-  EXPECT_EQ(a.postwarmup_latency.max(), b.postwarmup_latency.max());
-  EXPECT_EQ(a.postwarmup_latency.sum(), b.postwarmup_latency.sum());
+  ExpectIdentical(a.postwarmup_latency, b.postwarmup_latency,
+                  "postwarmup_latency");
 }
 
 /// The combined view and every per-endpoint view, pairwise.
@@ -108,6 +118,28 @@ inline void ExpectIdentical(const sim::MultiRunResult& a,
     ExpectIdentical(a.per_endpoint[i], b.per_endpoint[i],
                     label + " endpoint " + std::to_string(i));
   }
+}
+
+/// The event engine's fold contract: the combined response-time and
+/// staleness statistics are, bit for bit, the endpoint-order merge of the
+/// per-endpoint ones, and the response sketch holds one sample per
+/// response (runs without a sample cap).
+inline void ExpectEndpointOrderFold(const sim::EventRunResult& r) {
+  util::StreamingStats latency;
+  for (const sim::RunResult& e : r.replay.per_endpoint) {
+    latency.merge(e.postwarmup_latency);
+  }
+  util::StreamingStats staleness;
+  for (const sim::EndpointEventYardsticks& e : r.per_endpoint) {
+    staleness.merge(e.staleness_seconds);
+  }
+  EXPECT_GT(latency.count(), 0);
+  EXPECT_GT(staleness.count(), 0);
+  ExpectIdentical(r.replay.combined.postwarmup_latency, latency,
+                  "combined postwarmup_latency");
+  ExpectIdentical(r.staleness_seconds, staleness, "combined staleness");
+  EXPECT_EQ(static_cast<std::int64_t>(r.response_sketch.size()),
+            latency.count());
 }
 
 }  // namespace delta::testing

@@ -161,7 +161,7 @@ const GoldenMulti kMultiGolden[] = {
          {"NoCache", 500, 0, 0, 500, 0, 3613683142, 1886325340, 1886325340, 0, 0, 32000},
          {"NoCache", 500, 0, 0, 500, 0, 3542086507, 2084143058, 2084143058, 0, 0, 32000},
      }},
-     16734512145095627200ULL},
+     2343910192912673569ULL},
     {PolicyKind::kNoCache, workload::SplitStrategy::kHashByRegion,
      {"NoCache", 2000, 0, 0, 2000, 0, 14635445515, 7999999508, 7999999508, 0, 0, 256000},
      {{
@@ -170,7 +170,7 @@ const GoldenMulti kMultiGolden[] = {
          {"NoCache", 1097, 0, 0, 1097, 0, 4377696895, 2341456243, 2341456243, 0, 0, 70208},
          {"NoCache", 568, 0, 0, 568, 0, 9374132899, 5120456215, 5120456215, 0, 0, 36352},
      }},
-     14580028330224483623ULL},
+     8478630509686401550ULL},
     {PolicyKind::kReplica, workload::SplitStrategy::kRoundRobin,
      {"Replica", 2000, 2000, 0, 0, 0, 14178214504, 10895997276, 0, 10895997276, 0, 1536000},
      {{
@@ -179,7 +179,7 @@ const GoldenMulti kMultiGolden[] = {
          {"Replica", 500, 500, 0, 0, 0, 3544553626, 2723999319, 0, 2723999319, 0, 256000},
          {"Replica", 500, 500, 0, 0, 0, 3544553626, 2723999319, 0, 2723999319, 0, 256000},
      }},
-     3724560925389492000ULL},
+     12724286940958042829ULL},
     {PolicyKind::kReplica, workload::SplitStrategy::kHashByRegion,
      {"Replica", 2000, 2000, 0, 0, 0, 14178214504, 10895997276, 0, 10895997276, 0, 1536000},
      {{
@@ -188,7 +188,7 @@ const GoldenMulti kMultiGolden[] = {
          {"Replica", 1097, 1097, 0, 0, 0, 3544553626, 2723999319, 0, 2723999319, 0, 256000},
          {"Replica", 568, 568, 0, 0, 0, 3544553626, 2723999319, 0, 2723999319, 0, 256000},
      }},
-     1815691535332906827ULL},
+     6377759233159175942ULL},
     {PolicyKind::kBenefit, workload::SplitStrategy::kRoundRobin,
      {"Benefit", 2000, 0, 0, 2000, 0, 14635445515, 7999999508, 7999999508, 0, 0, 768000},
      {{
@@ -197,7 +197,7 @@ const GoldenMulti kMultiGolden[] = {
          {"Benefit", 500, 0, 0, 500, 0, 3613683142, 1886325340, 1886325340, 0, 0, 160000},
          {"Benefit", 500, 0, 0, 500, 0, 3542086507, 2084143058, 2084143058, 0, 0, 160000},
      }},
-     16734512145095627200ULL},
+     2343910192912673569ULL},
     {PolicyKind::kBenefit, workload::SplitStrategy::kHashByRegion,
      {"Benefit", 2000, 284, 0, 1716, 0, 12093558255, 4528109110, 4526864035, 1245075, 0, 732288},
      {{
@@ -206,7 +206,7 @@ const GoldenMulti kMultiGolden[] = {
          {"Benefit", 1097, 0, 0, 1097, 0, 4377696895, 2341456243, 2341456243, 0, 0, 198208},
          {"Benefit", 568, 284, 0, 284, 0, 6832245639, 1648565817, 1647320742, 1245075, 0, 146496},
      }},
-     11921984995981686904ULL},
+     4350114671651878686ULL},
     {PolicyKind::kVCover, workload::SplitStrategy::kRoundRobin,
      {"VCover", 2000, 440, 2, 1558, 8, 18700273193, 11249914867, 5501706060, 354266, 5747854541, 201344},
      {{
@@ -215,7 +215,7 @@ const GoldenMulti kMultiGolden[] = {
          {"VCover", 500, 95, 0, 405, 2, 4751133805, 3023776003, 1380273776, 0, 1643502227, 26176},
          {"VCover", 500, 117, 1, 382, 2, 4450643465, 2177787697, 1360085571, 177133, 817524993, 24832},
      }},
-     10082116571350129193ULL},
+     11404289256285125815ULL},
     {PolicyKind::kVCover, workload::SplitStrategy::kHashByRegion,
      {"VCover", 2000, 709, 3, 1288, 5, 13030291767, 5573712881, 3028062329, 20785571, 2524864981, 175872},
      {{
@@ -224,7 +224,7 @@ const GoldenMulti kMultiGolden[] = {
          {"VCover", 1097, 366, 2, 729, 2, 5057927325, 2273469278, 1000644002, 20608438, 1252216838, 52736},
          {"VCover", 568, 343, 1, 224, 3, 7088748721, 2762156553, 1489331277, 177133, 1272648143, 17152},
      }},
-     4284973884657848236ULL},
+     12816191835803473049ULL},
     {PolicyKind::kSOptimal, workload::SplitStrategy::kRoundRobin,
      {"SOptimal", 2000, 1488, 0, 512, 0, 13317431299, 2298820468, 2200850184, 97970284, 0, 109056},
      {{
@@ -233,7 +233,7 @@ const GoldenMulti kMultiGolden[] = {
          {"SOptimal", 500, 461, 0, 39, 0, 3203838813, 207647691, 159907624, 47740067, 0, 16384},
          {"SOptimal", 500, 275, 0, 225, 0, 3044615685, 808221135, 806976060, 1245075, 0, 14912},
      }},
-     11284669678735293475ULL},
+     15628400806142119456ULL},
     {PolicyKind::kSOptimal, workload::SplitStrategy::kHashByRegion,
      {"SOptimal", 2000, 1582, 0, 418, 0, 8290999225, 1591404587, 1495924453, 95480134, 0, 95360},
      {{
@@ -242,7 +242,7 @@ const GoldenMulti kMultiGolden[] = {
          {"SOptimal", 1097, 1089, 0, 8, 0, 2952530835, 52556737, 4816670, 47740067, 0, 14400},
          {"SOptimal", 568, 493, 0, 75, 0, 4454852669, 1000760800, 953020733, 47740067, 0, 18688},
      }},
-     71578141346205147ULL},
+     5312259095740305087ULL},
 };
 
 // ----------------------------------------------------------------- tests

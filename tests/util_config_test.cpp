@@ -70,7 +70,11 @@ TEST(ConfigTest, IntListParsing) {
 
 TEST(ConfigTest, RejectsMalformedToken) {
   const char* argv[] = {"prog", "novalue"};
-  EXPECT_THROW(Config::from_args(2, argv), std::logic_error);
+  EXPECT_THROW(Config::from_args(2, argv), std::invalid_argument);
+}
+
+TEST(ConfigTest, BadArgumentReportsExitStatusTwo) {
+  EXPECT_EQ(report_bad_argument(std::invalid_argument("bad integer")), 2);
 }
 
 TEST(ConfigTest, LastSetWins) {

@@ -75,6 +75,15 @@ TEST(FormatTest, GbFixed) {
   EXPECT_EQ(util::gb_fixed(Bytes{500'000'000}, 1), "0.5");
 }
 
+TEST(FormatTest, CompareToReadsRightInBothDirections) {
+  using util::compare_to;
+  EXPECT_EQ(compare_to(Bytes{400}, Bytes{1'000}), "2.50x less");
+  EXPECT_EQ(compare_to(Bytes{1'040}, Bytes{1'000}), "1.04x more");
+  EXPECT_EQ(compare_to(Bytes{1'000}, Bytes{1'000}), "the same");
+  EXPECT_EQ(compare_to(Bytes{0}, Bytes{1'000}), "no");
+  EXPECT_EQ(compare_to(Bytes{5}, Bytes{0}), "more");
+}
+
 TEST(FormatTest, TablePrinterAlignsColumns) {
   util::TablePrinter t({"policy", "GB"});
   t.add_row({"NoCache", "300.00"});
