@@ -12,13 +12,15 @@ int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   sim::SetupParams params = bench::setup_from_config(cfg);
+  const sim::PolicyOverrides overrides = bench::overrides_from_config(cfg);
+  cfg.reject_unread_keys();
   sim::Setup setup{params};
   const Bytes cache = setup.cache_capacity();
   std::cout << "=== Ablation A2: Benefit window/alpha sensitivity ===\n\n";
 
   const auto vcover =
       sim::run_one(sim::PolicyKind::kVCover, setup.trace(), cache, params,
-                   bench::overrides_from_config(cfg), 5000);
+                   overrides, 5000);
   std::cout << "VCover reference: " << bench::gb(vcover.postwarmup_traffic)
             << " GB\n\n";
 

@@ -10,6 +10,8 @@ int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   sim::SetupParams params = bench::setup_from_config(cfg);
+  const sim::PolicyOverrides overrides = bench::overrides_from_config(cfg);
+  cfg.reject_unread_keys();
   sim::Setup setup{params};
   std::cout << "=== Ablation A1: cache size sweep (VCover) ===\n";
   std::cout << "server " << util::human_bytes(setup.server_bytes()) << "\n\n";
@@ -24,8 +26,7 @@ int main(int argc, char** argv) try {
     const Bytes cache{static_cast<std::int64_t>(
         setup.server_bytes().as_double() * frac)};
     const auto r = sim::run_one(sim::PolicyKind::kVCover, setup.trace(),
-                                cache, params,
-                                bench::overrides_from_config(cfg), 5000);
+                                cache, params, overrides, 5000);
     table.add_row(
         {util::fixed(frac * 100, 0), util::human_bytes(cache),
          bench::gb(r.postwarmup_traffic),

@@ -11,6 +11,8 @@ int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   sim::SetupParams params = bench::setup_from_config(cfg);
+  const sim::PolicyOverrides overrides = bench::overrides_from_config(cfg);
+  cfg.reject_unread_keys();
   sim::Setup setup{params};
   const Bytes cache = setup.cache_capacity();
   std::cout << "=== Extension E1: preshipping updates for hot objects ===\n\n";
@@ -30,7 +32,7 @@ int main(int argc, char** argv) try {
       {"preship, heat threshold 1.5", true, 1.5},
   };
   for (const Variant& v : variants) {
-    sim::PolicyOverrides o = bench::overrides_from_config(cfg);
+    sim::PolicyOverrides o = overrides;
     o.vcover.preship = v.preship;
     o.vcover.preship_heat_threshold = v.threshold;
     const auto r = sim::run_one(sim::PolicyKind::kVCover, setup.trace(),

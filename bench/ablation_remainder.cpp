@@ -13,6 +13,7 @@ int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   sim::SetupParams params = bench::setup_from_config(cfg);
+  cfg.reject_unread_keys();
   sim::Setup setup{params};
   const Bytes cache = setup.cache_capacity();
   std::cout << "=== Ablation A4: remainder-rule memory ===\n\n";

@@ -500,6 +500,10 @@ int main(int argc, char** argv) try {
   params.trace.postwarmup_query_gb =
       cfg.get_double("query_gb", 300.0) *
       static_cast<double>(params.trace.query_count) / 250'000.0;
+  const std::int64_t scaling_events =
+      cfg.get_int("scaling_events", smoke ? 20'000 : 200'000);
+  const std::string out = cfg.get_string("out", "-");
+  cfg.reject_unread_keys();
 
   const sim::Setup setup{params};
   std::cerr << "bench_trajectory: " << setup.trace().order.size()
@@ -520,8 +524,6 @@ int main(int argc, char** argv) try {
   const std::vector<std::int64_t> scaling_objects =
       smoke ? std::vector<std::int64_t>{68, 10'000}
             : std::vector<std::int64_t>{68, 10'000, 1'000'000};
-  const std::int64_t scaling_events =
-      cfg.get_int("scaling_events", smoke ? 20'000 : 200'000);
   std::vector<ObjectScalingCell> scaling;
   for (const std::int64_t n : scaling_objects) {
     scaling.push_back(measure_object_scaling(
@@ -575,7 +577,6 @@ int main(int argc, char** argv) try {
     }
   }
 
-  const std::string out = cfg.get_string("out", "-");
   if (out == "-") {
     emit_json(std::cout, params, repeats, smoke, single, scaling, event,
               nsweep, open_loop);

@@ -15,18 +15,19 @@ int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   sim::SetupParams params = bench::setup_from_config(cfg);
+  const std::int64_t stride = cfg.get_int("scatter_stride", 2500);
+  const std::int64_t max_rows = cfg.get_int("scatter_rows", 40);
+  cfg.reject_unread_keys();
   sim::Setup setup{params};
   const auto& trace = setup.trace();
   bench::print_header("Figure 7(a): query/update event map", params,
                       setup.server_bytes(), setup.cache_capacity());
 
   // --- Scatter sample: object-IDs per sampled event (the figure's dots).
-  const std::int64_t stride = cfg.get_int("scatter_stride", 2500);
   std::cout << "Scatter sample (event, kind, object-ids), stride="
             << stride << ":\n";
   const auto points = workload::sample_scatter(trace, stride);
   std::int64_t shown = 0;
-  const std::int64_t max_rows = cfg.get_int("scatter_rows", 40);
   EventTime last_time = -1;
   for (const auto& p : points) {
     if (p.time == last_time) {

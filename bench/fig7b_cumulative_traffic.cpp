@@ -11,6 +11,9 @@ int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
   sim::SetupParams params = bench::setup_from_config(cfg);
+  const std::string filter = cfg.get_string("policies", "all");
+  const sim::PolicyOverrides overrides = bench::overrides_from_config(cfg);
+  cfg.reject_unread_keys();
 
   sim::Setup setup{params};
   const Bytes cache = setup.cache_capacity();
@@ -18,7 +21,6 @@ int main(int argc, char** argv) try {
                       setup.server_bytes(), cache);
 
   std::vector<sim::RunResult> results;
-  const std::string filter = cfg.get_string("policies", "all");
   for (const auto& [token, kind] :
        {std::pair{"nocache", sim::PolicyKind::kNoCache},
         std::pair{"replica", sim::PolicyKind::kReplica},
@@ -26,8 +28,8 @@ int main(int argc, char** argv) try {
         std::pair{"vcover", sim::PolicyKind::kVCover},
         std::pair{"soptimal", sim::PolicyKind::kSOptimal}}) {
     if (filter != "all" && filter.find(token) == std::string::npos) continue;
-    results.push_back(sim::run_one(kind, setup.trace(), cache, params,
-                                   bench::overrides_from_config(cfg), 2000));
+    results.push_back(
+        sim::run_one(kind, setup.trace(), cache, params, overrides, 2000));
     std::cerr << "[fig7b] " << results.back().policy_name << " done in "
               << util::fixed(results.back().wall_seconds, 1) << "s\n";
   }

@@ -17,6 +17,7 @@ int main(int argc, char** argv) try {
       {params.trace.update_count / 2, (params.trace.update_count * 3) / 4,
        params.trace.update_count, (params.trace.update_count * 5) / 4,
        (params.trace.update_count * 3) / 2});
+  cfg.reject_unread_keys();
 
   std::cout << "=== Figure 8(a): final traffic vs number of updates ===\n";
   std::cout << "query stream fixed at " << params.trace.query_count

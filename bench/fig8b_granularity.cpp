@@ -17,6 +17,7 @@ int main(int argc, char** argv) try {
 
   const std::vector<std::int64_t> targets = cfg.get_int_list(
       "granularities", {10, 20, 68, 91, 134, 285, 532});
+  cfg.reject_unread_keys();
 
   sim::Setup setup{params};
   bench::print_header("Figure 8(b): VCover traffic vs object granularity",

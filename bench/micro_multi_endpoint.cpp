@@ -47,12 +47,13 @@ int main(int argc, char** argv) try {
   params.trace.postwarmup_query_gb =
       cfg.get_double("query_gb", 300.0) *
       static_cast<double>(params.trace.query_count) / 250'000.0;
+  const sim::PolicyOverrides overrides = bench::overrides_from_config(cfg);
+  cfg.reject_unread_keys();
 
   const sim::Setup setup{params};
   const Bytes total_cache = setup.cache_capacity();
   bench::print_header("multi-endpoint scaling sweep", params,
                       setup.server_bytes(), total_cache);
-  const sim::PolicyOverrides overrides = bench::overrides_from_config(cfg);
   sim::EventEngineOptions engine;
   engine.series_stride = 5000;
 

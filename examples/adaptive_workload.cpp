@@ -33,6 +33,7 @@ int main(int argc, char** argv) try {
   params.trace.hotspot.global_jump_fraction = 1.0;
   params.trace_seed = static_cast<std::uint64_t>(cfg.get_int("seed", 9));
   params.benefit_window = cfg.get_int("benefit_window", 3000);
+  cfg.reject_unread_keys();
 
   sim::Setup setup{params};
   std::cout << "Abruptly evolving workload: 3 clusters, global jumps every "

@@ -27,6 +27,7 @@ int main(int argc, char** argv) try {
   params.cache_fraction = cfg.get_double("cache_frac", 0.30);
   params.benefit_window = cfg.get_int("benefit_window", 6000);
   params.trace_seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  cfg.reject_unread_keys();
 
   sim::Setup setup{params};
   std::cout << "Survey repository: " << setup.map()->object_count()

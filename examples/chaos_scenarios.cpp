@@ -91,9 +91,10 @@ int main(int argc, char** argv) try {
     // the cold-miss burst after a restart is the point of the demo.
     params.total_rows = 400;
   }
+  const double rate = cfg.get_double("rate", 500.0);
+  cfg.reject_unread_keys();
   const sim::Setup setup{params};
 
-  const double rate = cfg.get_double("rate", 500.0);
   sim::EventEngineOptions options;
   options.default_link = net::LinkModel{12.5e6, 0.040};  // 100 Mbit WAN
   options.open_loop.enabled = true;

@@ -25,10 +25,11 @@ int main(int argc, char** argv) try {
   params.trace.mean_postwarmup_update_mb = 1.0;
   params.trace.hotspot_max_object_gb = 1.5;
   params.trace_seed = static_cast<std::uint64_t>(cfg.get_int("seed", 5));
-
-  sim::Setup setup{params};
   const auto granularities =
       cfg.get_int_list("granularities", {8, 16, 32, 64, 128, 256});
+  cfg.reject_unread_keys();
+
+  sim::Setup setup{params};
 
   std::cout << "One sky (" << util::human_bytes(setup.server_bytes())
             << "), one workload, " << granularities.size()

@@ -37,7 +37,6 @@ int main(int argc, char** argv) try {
       4.0 * static_cast<double>(params.trace.query_count) / 5000.0;
   params.trace.mean_postwarmup_update_mb = 1.0;
   params.trace.hotspot_max_object_gb = 1.0;
-  const sim::Setup setup{params};
 
   const std::int64_t endpoints_arg = cfg.get_int("endpoints", 3);
   if (endpoints_arg < 1 || endpoints_arg > 1024) {
@@ -59,13 +58,15 @@ int main(int argc, char** argv) try {
   // is provisioned cache_frac of the repository (bench/micro_multi_endpoint
   // sweeps the other regime: one fixed budget sliced across endpoints).
   const double frac = cfg.get_double("cache_frac", 0.3);
-  const Bytes per_endpoint{
-      static_cast<std::int64_t>(setup.server_bytes().as_double() * frac)};
   const std::int64_t threads_arg = cfg.get_int("threads", 1);
+  cfg.reject_unread_keys();
   if (threads_arg < 0 || threads_arg > 1024) {
     std::cerr << "threads must be in [0, 1024], got " << threads_arg << "\n";
     return 2;
   }
+  const sim::Setup setup{params};
+  const Bytes per_endpoint{
+      static_cast<std::int64_t>(setup.server_bytes().as_double() * frac)};
   sim::EventEngineOptions engine;
   engine.parallel.num_threads = static_cast<std::size_t>(threads_arg);
 

@@ -19,30 +19,36 @@
 int main(int argc, char** argv) try {
   using namespace delta;
   const auto cfg = util::Config::from_args(argc, argv);
+  const std::int64_t sky_seed = cfg.get_int("sky_seed", 7);
+  const std::int64_t objects = cfg.get_int("objects", 24);
+  const std::int64_t queries = cfg.get_int("queries", 5000);
+  const std::int64_t updates = cfg.get_int("updates", 5000);
+  const std::int64_t seed = cfg.get_int("seed", 1);
+  const double cache_frac = cfg.get_double("cache_frac", 0.3);
+  cfg.reject_unread_keys();
 
   // 1. A synthetic sky at HTM level 4, scaled to ~8 GB of catalog data,
   //    partitioned into ~24 spatial data objects.
   auto density = std::make_shared<storage::DensityModel>(
-      /*base_level=*/4, /*seed=*/cfg.get_int("sky_seed", 7));
+      /*base_level=*/4, /*seed=*/sky_seed);
   density->scale_to_total_rows(4e6);  // 4M rows * 2 KiB = 8 GiB
   const auto map = std::make_shared<htm::PartitionMap>(
       htm::PartitionMap::build(4, density->weights(),
-                               static_cast<std::size_t>(
-                                   cfg.get_int("objects", 24))));
+                               static_cast<std::size_t>(objects)));
   std::cout << "sky: " << map->object_count() << " data objects over a "
             << "level-4 HTM grid\n";
 
   // 2. A workload: 5k queries + 5k updates, calibrated to ~4 GB of query
   //    results and ~1 MB mean updates.
   workload::TraceParams tp;
-  tp.query_count = cfg.get_int("queries", 5000);
-  tp.update_count = cfg.get_int("updates", 5000);
+  tp.query_count = queries;
+  tp.update_count = updates;
   tp.postwarmup_query_gb = 4.0;
   tp.mean_postwarmup_update_mb = 1.0;
   tp.hotspot_max_object_gb = 1.0;
   const workload::TraceGenerator generator{map, *density, tp};
   const workload::Trace trace =
-      generator.generate(static_cast<std::uint64_t>(cfg.get_int("seed", 1)));
+      generator.generate(static_cast<std::uint64_t>(seed));
   std::cout << "trace: " << trace.queries.size() << " queries + "
             << trace.updates.size() << " updates; post-warm-up query bytes "
             << util::human_bytes(
@@ -56,11 +62,11 @@ int main(int argc, char** argv) try {
   core::VCoverOptions options;
   Bytes server;
   for (const Bytes b : trace.initial_object_bytes) server += b;
-  options.cache_capacity = Bytes{static_cast<std::int64_t>(
-      server.as_double() * cfg.get_double("cache_frac", 0.3))};
+  options.cache_capacity = Bytes{
+      static_cast<std::int64_t>(server.as_double() * cache_frac)};
   core::VCoverPolicy policy{&system.cache(), options};
   std::cout << "cache: " << util::human_bytes(options.cache_capacity)
-            << " (" << cfg.get_double("cache_frac", 0.3) * 100
+            << " (" << cache_frac * 100
             << "% of the " << util::human_bytes(server) << " repository)\n\n";
 
   // 4. Replay the merged event sequence.

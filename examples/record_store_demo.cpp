@@ -22,6 +22,8 @@ int main(int argc, char** argv) try {
 
   auto density = std::make_shared<storage::DensityModel>(level, 11);
   const auto records = cfg.get_int("records", 200'000);
+  const std::int64_t batch = cfg.get_int("batch", 5000);
+  cfg.reject_unread_keys();
   density->scale_to_total_rows(static_cast<double>(records));
   const auto map = std::make_shared<htm::PartitionMap>(
       htm::PartitionMap::build(level, density->weights(), 30));
@@ -59,7 +61,6 @@ int main(int argc, char** argv) try {
     }
   }
   util::Rng rng{99};
-  const std::int64_t batch = cfg.get_int("batch", 5000);
   store.insert(target, batch, rng, /*run=*/1);
   catalog.apply_insert(target, static_cast<double>(batch));
   std::cout << "\napplied an update batch of " << batch

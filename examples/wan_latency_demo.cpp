@@ -53,20 +53,22 @@ int main(int argc, char** argv) try {
   params.trace.mean_postwarmup_update_mb = 2.0;
   params.trace.hotspot_max_object_gb = 1.0;
   params.benefit_window = 500;
+  const double frac = cfg.get_double("cache_frac", 0.3);
+  const double wan_mbit = cfg.get_double("wan_mbit", 50.0);
+  const double wan_rtt = cfg.get_double("wan_rtt_ms", 40.0) / 1000.0;
+  const double tick = cfg.get_double("tick_ms", 500.0) / 1000.0;
+  cfg.reject_unread_keys();
   const sim::Setup setup{params};
 
-  const double frac = cfg.get_double("cache_frac", 0.3);
   const Bytes per_endpoint{
       static_cast<std::int64_t>(setup.server_bytes().as_double() * frac)};
 
   // cache-0: machine-room LAN. cache-1: remote observatory behind a WAN.
-  const double wan_mbit = cfg.get_double("wan_mbit", 50.0);
-  const double wan_rtt = cfg.get_double("wan_rtt_ms", 40.0) / 1000.0;
   const net::LinkModel lan{125e6, 0.0004};
   const net::LinkModel wan{wan_mbit * 1e6 / 8.0, wan_rtt};
 
   sim::EventEngineOptions engine;
-  engine.seconds_per_event = cfg.get_double("tick_ms", 500.0) / 1000.0;
+  engine.seconds_per_event = tick;
   engine.default_link = lan;
   engine.cache_links = {lan, wan};
   engine.parallel.num_threads = static_cast<std::size_t>(threads_arg);

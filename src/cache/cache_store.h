@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "util/prefetch.h"
 #include "util/types.h"
 
 namespace delta::cache {
@@ -26,6 +27,9 @@ class CacheStore {
   /// False for non-resident and for out-of-range ids alike.
   [[nodiscard]] bool contains(ObjectId id) const;
   [[nodiscard]] Bytes bytes_of(ObjectId id) const;
+  /// Starts pulling the object's row into the CPU cache (a hint; an
+  /// out-of-range id is ignored).
+  void prefetch(ObjectId id) const { util::prefetch_row(entries_, id.value()); }
 
   /// Admits an object of the given size. The object must not be resident
   /// and must fit: used() + size <= capacity(). Objects enter fresh.

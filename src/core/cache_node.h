@@ -66,6 +66,19 @@ class CacheNode {
   void set_invalidation_handler(
       std::function<void(const workload::Update&)> handler);
 
+  /// A policy's per-object prefetch: `fn(context, o)` starts pulling the
+  /// rows the policy will read when an event names object `o`. A replay
+  /// loop calls it some events ahead of that event. It must only issue
+  /// prefetches (read no value, write no state) and must ignore an
+  /// out-of-range id. The default does nothing.
+  struct PrefetchHook {
+    void (*fn)(const void* context, ObjectId o) = [](const void*, ObjectId) {};
+    const void* context = nullptr;
+    void operator()(ObjectId o) const { fn(context, o); }
+  };
+  void set_prefetch_hook(PrefetchHook hook) { prefetch_hook_ = hook; }
+  [[nodiscard]] PrefetchHook prefetch_hook() const { return prefetch_hook_; }
+
   /// Ships the query to the repository; the result (ν(q) bytes) comes back
   /// as a QueryResult message. Returns the result size.
   Bytes ship_query(const workload::Query& q);
@@ -217,6 +230,7 @@ class CacheNode {
   std::size_t transport_slot_ = 0;         // this endpoint's own slot
   std::size_t server_transport_slot_ = 0;  // fast-path request address
   std::function<void(const workload::Update&)> invalidation_handler_;
+  PrefetchHook prefetch_hook_;
   std::vector<Pending> pending_;
   std::int64_t next_correlation_ = 0;
   bool transport_inline_ = false;  // cached Transport::synchronous()

@@ -19,6 +19,7 @@
 
 #include "cache/eviction_policy.h"
 #include "util/check.h"
+#include "util/prefetch.h"
 #include "util/rng.h"
 #include "util/types.h"
 #include "workload/events.h"
@@ -93,6 +94,10 @@ class LoadManager {
   }
 
   [[nodiscard]] const Options& options() const { return options_; }
+
+  /// Starts pulling the object's counter into the CPU cache (counter mode;
+  /// a hint, and an out-of-range id is ignored).
+  void prefetch(ObjectId o) const { util::prefetch_row(counters_, o.value()); }
 
   /// Counter-mode bookkeeping dropped when an object is loaded or evicted.
   void forget(ObjectId o) {

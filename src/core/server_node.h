@@ -15,6 +15,7 @@
 #include "core/protocol.h"
 #include "net/fault_plan.h"
 #include "net/transport.h"
+#include "util/prefetch.h"
 #include "util/types.h"
 #include "workload/trace.h"
 
@@ -163,6 +164,11 @@ class ServerNode {
 
   [[nodiscard]] Bytes object_bytes(ObjectId o) const;
   [[nodiscard]] Bytes load_cost(ObjectId o) const;
+  /// Starts pulling the object's size row into the CPU cache (a hint; an
+  /// out-of-range id is ignored, and ingest_update still rejects it).
+  void prefetch_object(ObjectId o) const {
+    util::prefetch_row(object_bytes_, o.value());
+  }
   [[nodiscard]] bool is_registered(std::size_t cache_slot, ObjectId o) const;
   /// The metadata subscription of the cache at `cache_slot` (as set by the
   /// attached policy). The parallel engine's update prefilter reads it

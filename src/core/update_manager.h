@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "flow/bipartite_cover.h"
+#include "util/prefetch.h"
 #include "util/types.h"
 #include "workload/events.h"
 
@@ -57,6 +58,13 @@ class UpdateManager {
   [[nodiscard]] EventTime oldest_outstanding(ObjectId o) const;
   static constexpr EventTime kNoOutstanding =
       std::numeric_limits<EventTime>::max();
+
+  /// Starts pulling the object's pending-list header and group node into
+  /// the CPU cache (a hint; an out-of-range id is ignored).
+  void prefetch(ObjectId o) const {
+    util::prefetch_row(pending_, o.value());
+    util::prefetch_row(group_node_, o.value());
+  }
 
   /// Drops all bookkeeping for an object (evicted, or re-loaded so its
   /// outstanding updates are folded into the load).

@@ -41,6 +41,18 @@ VCoverPolicy::VCoverPolicy(CacheNode* system, const VCoverOptions& options)
   system_->set_subscription(MetadataSubscription::kRegisteredOnly);
   system_->set_invalidation_handler(
       [this](const workload::Update& u) { on_update(u); });
+  system_->set_prefetch_hook({&VCoverPolicy::prefetch_rows, this});
+}
+
+// The prefetches sit in the hook's own body on purpose. A function that
+// only prefetches has no visible effect, so GCC marks it pure and deletes
+// a direct call to it; a call through the hook's pointer cannot be
+// deleted.
+void VCoverPolicy::prefetch_rows(const void* self, ObjectId o) {
+  const auto& policy = *static_cast<const VCoverPolicy*>(self);
+  policy.store_.prefetch(o);
+  policy.update_manager_.prefetch(o);
+  policy.load_manager_.prefetch(o);
 }
 
 std::unique_ptr<cache::EvictionPolicy> VCoverPolicy::make_evictor() const {

@@ -92,6 +92,11 @@ class VCoverPolicy final : public CachePolicy {
   std::int64_t preshipped_ = 0;
   AdmissionOptions admission_;
 
+  /// The cache's prefetch hook (`self` is the policy): starts pulling the
+  /// rows a query or update naming `o` will read, namely the store row,
+  /// the update manager's pending list and group node, and the load
+  /// manager's counter.
+  static void prefetch_rows(const void* self, ObjectId o);
   /// A fresh evictor over store_ (construction and crash restart).
   [[nodiscard]] std::unique_ptr<cache::EvictionPolicy> make_evictor() const;
   void evict_object(ObjectId o);

@@ -54,6 +54,28 @@ void fold_combined(const std::vector<const ReplicaReplay*>& replicas,
   c.series.finalize();
 }
 
+namespace {
+
+/// Prefetches the rows `ahead` will touch: per object it names, the
+/// repository's size row and whatever the policy's hook pulls in.
+void prefetch_event(const workload::Trace& trace, const workload::Event& ahead,
+                    const core::ServerNode& server,
+                    core::CacheNode::PrefetchHook policy_rows) {
+  const auto index = static_cast<std::size_t>(ahead.index);
+  if (ahead.kind == workload::Event::Kind::kUpdate) {
+    const ObjectId o = trace.updates[index].object;
+    server.prefetch_object(o);
+    policy_rows(o);
+    return;
+  }
+  for (const ObjectId o : trace.queries[index].objects) {
+    server.prefetch_object(o);
+    policy_rows(o);
+  }
+}
+
+}  // namespace
+
 // DETERMINISM CONSTRAINT (golden tables): tests/sim_golden_test.cpp pins
 // this loop's figures byte-for-byte. The policies it drives keep their
 // per-object state in vectors indexed by ObjectId and walk residents in
@@ -65,7 +87,9 @@ void fold_combined(const std::vector<const ReplicaReplay*>& replicas,
 //
 // Queries are checked against the repository's id range here: the
 // repository checks every update it ingests, but a query reaches the
-// server only when it is shipped (never, for Replica).
+// server only when it is shipped (never, for Replica). The lookahead
+// prefetch meets a bad id kLookaheadDistance events earlier and ignores
+// it, so these checks still throw at the same event.
 void replay_replica(const workload::Trace& trace, core::DeltaSystem& system,
                     core::CachePolicy& policy, std::int64_t series_stride,
                     const LatencyModel& latency,
@@ -85,7 +109,19 @@ void replay_replica(const workload::Trace& trace, core::DeltaSystem& system,
   };
   if (warmup_end == 0) capture_warmup();
 
-  for (const workload::Event& event : trace.order) {
+  const std::size_t events = trace.order.size();
+  const std::size_t lookahead_end =
+      object_count >= kLookaheadMinObjects && events > kLookaheadDistance
+          ? events - kLookaheadDistance
+          : 0;
+  const core::CacheNode::PrefetchHook policy_rows =
+      system.cache().prefetch_hook();
+  for (std::size_t i = 0; i < events; ++i) {
+    if (i < lookahead_end) {
+      prefetch_event(trace, trace.order[i + kLookaheadDistance],
+                     system.server(), policy_rows);
+    }
+    const workload::Event& event = trace.order[i];
     const auto index = static_cast<std::size_t>(event.index);
     const bool is_update = event.kind == workload::Event::Kind::kUpdate;
     const EventTime now =

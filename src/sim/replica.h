@@ -13,6 +13,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -75,6 +76,17 @@ struct ReplicaReplay {
 /// order).
 void fold_combined(const std::vector<const ReplicaReplay*>& replicas,
                    std::int64_t series_stride, RunResult& combined);
+
+/// The single-cache loop's lookahead: while it handles event i it
+/// prefetches the per-object rows event i + kLookaheadDistance will touch
+/// (the repository's size row and the policy's rows, through the cache's
+/// prefetch hook). Only repositories of at least kLookaheadMinObjects
+/// objects turn it on: below that the rows stay in the CPU caches and the
+/// extra instructions cost more than the misses they would hide (measured
+/// sweep: README, "Million-object data plane"). A prefetch changes no
+/// result.
+inline constexpr std::size_t kLookaheadDistance = 16;
+inline constexpr std::size_t kLookaheadMinObjects = std::size_t{1} << 16;
 
 /// The single-cache loop behind sim::run_policy: replays the merged trace
 /// against the one replica `system` driven by `policy`, into `out` (the

@@ -52,10 +52,20 @@ void Config::set(const std::string& key, const std::string& value) {
 }
 
 bool Config::has(const std::string& key) const {
+  read_.insert(key);
   return entries_.count(key) > 0;
 }
 
+void Config::reject_unread_keys() const {
+  for (const auto& [key, value] : entries_) {
+    if (read_.count(key) == 0) {
+      throw std::invalid_argument("unknown key: " + key + "=" + value);
+    }
+  }
+}
+
 std::optional<std::string> Config::lookup(const std::string& key) const {
+  read_.insert(key);
   const auto it = entries_.find(key);
   if (it == entries_.end()) return std::nullopt;
   return it->second;

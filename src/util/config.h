@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@ class Config {
 
   void set(const std::string& key, const std::string& value);
 
+  /// has() and every getter mark `key` as read, whether or not it is set.
   [[nodiscard]] bool has(const std::string& key) const;
 
   [[nodiscard]] std::string get_string(const std::string& key,
@@ -42,8 +44,17 @@ class Config {
     return entries_;
   }
 
+  /// Throws std::invalid_argument ("unknown key: ...") for the first set
+  /// key that neither has() nor a getter has read, so a misspelt or
+  /// unsupported key is an error instead of a silent default. A tool
+  /// calls it once its last getter has run.
+  void reject_unread_keys() const;
+
  private:
   std::map<std::string, std::string> entries_;
+  /// Keys has() or a getter asked for (the getters are const, and asking
+  /// is what marks a key; not thread-safe, like the rest of the class).
+  mutable std::set<std::string> read_;
 
   [[nodiscard]] std::optional<std::string> lookup(const std::string& key) const;
 };

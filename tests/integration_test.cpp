@@ -5,11 +5,14 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/benefit_policy.h"
 #include "core/vcover_policy.h"
 #include "core/yardsticks.h"
 #include "sim/experiment.h"
+#include "sim/replica.h"
 #include "sim/simulator.h"
 #include "trace_builder.h"
 
@@ -250,6 +253,55 @@ TEST(IntegrationTest, OutOfRangeObjectIdThrowsForEveryPolicy) {
     EXPECT_THROW(run(kind, query_trace), std::logic_error) << to_string(kind);
     EXPECT_THROW(run(kind, update_trace), std::logic_error)
         << to_string(kind);
+  }
+
+  // Above the lookahead gate the loop prefetches the rows of the event
+  // kLookaheadDistance ahead, so it meets the bad id that many events
+  // before the checks do. The prefetch ignores it, and the same checks
+  // still throw at the same event: the loop's for the query, the
+  // repository's for the update. (SOptimal's constructor scans the whole
+  // trace and rejects it before the replay starts.)
+  const auto bad = static_cast<std::int64_t>(kLookaheadMinObjects);
+  const auto large_trace = [bad](bool bad_update) {
+    TraceBuilder b{std::vector<std::int64_t>(kLookaheadMinObjects, 1000)};
+    for (std::int64_t i = 0;
+         i < 2 * static_cast<std::int64_t>(kLookaheadDistance); ++i) {
+      b.query({i}, 300);
+    }
+    if (bad_update) {
+      b.update(bad, 100);
+    } else {
+      b.query({1, bad}, 300);
+    }
+    return b.build();
+  };
+  const workload::Trace large_query_trace = large_trace(false);
+  const workload::Trace large_update_trace = large_trace(true);
+  const auto thrown = [&run](PolicyKind kind, const workload::Trace& trace) {
+    try {
+      run(kind, trace);
+    } catch (const std::logic_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no exception");
+  };
+  for (const PolicyKind kind :
+       {PolicyKind::kNoCache, PolicyKind::kReplica, PolicyKind::kBenefit,
+        PolicyKind::kVCover, PolicyKind::kSOptimal}) {
+    const bool offline = kind == PolicyKind::kSOptimal;
+    const std::string query_check =
+        offline ? "query object " + std::to_string(bad) + " out of range"
+                : "query " + std::to_string(2 * kLookaheadDistance) +
+                      " names object " + std::to_string(bad);
+    const std::string update_check =
+        offline ? "update of object " + std::to_string(bad) + " out of range"
+                : "object_bytes_.size()";
+    const std::string query_error = thrown(kind, large_query_trace);
+    EXPECT_NE(query_error.find(query_check), std::string::npos)
+        << to_string(kind) << ": " << query_error;
+    const std::string update_error = thrown(kind, large_update_trace);
+    EXPECT_NE(update_error.find(update_check), std::string::npos)
+        << to_string(kind) << ": " << update_error;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace delta::util {
 namespace {
@@ -82,6 +83,46 @@ TEST(ConfigTest, LastSetWins) {
   cfg.set("k", "1");
   cfg.set("k", "2");
   EXPECT_EQ(cfg.get_int("k", 0), 2);
+}
+
+// A key no getter asks for is rejected by name (a tool exits 2 on it)
+// instead of running the defaults silently.
+TEST(ConfigTest, RejectsKeysNoGetterRead) {
+  const char* argv[] = {"prog", "queries=500", "threads=z"};
+  const Config cfg = Config::from_args(3, argv);
+  EXPECT_EQ(cfg.get_int("queries", 0), 500);
+  try {
+    cfg.reject_unread_keys();
+    ADD_FAILURE() << "unread key accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key: threads"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Every way of asking marks a key: each getter (also when it falls back or
+// its value is never used) and has().
+TEST(ConfigTest, EveryGetterAndHasMarkKeysRead) {
+  Config cfg;
+  cfg.set("s", "x");
+  cfg.set("i", "1");
+  cfg.set("d", "0.5");
+  cfg.set("b", "true");
+  cfg.set("l", "1,2");
+  cfg.set("h", "anything");
+  (void)cfg.get_string("s", "");
+  (void)cfg.get_int("i", 0);
+  (void)cfg.get_double("d", 0.0);
+  (void)cfg.get_bool("b", false);
+  (void)cfg.get_int_list("l", {});
+  EXPECT_THROW(cfg.reject_unread_keys(), std::invalid_argument);
+  EXPECT_TRUE(cfg.has("h"));
+  EXPECT_NO_THROW(cfg.reject_unread_keys());
+  // Asking for an unset key is fine, and an empty config has nothing
+  // unread.
+  EXPECT_EQ(cfg.get_int("unset", 3), 3);
+  EXPECT_NO_THROW(Config{}.reject_unread_keys());
 }
 
 }  // namespace
