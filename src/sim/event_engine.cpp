@@ -284,7 +284,7 @@ struct EventShard : ReplicaReplay {
   }
 };
 
-/// Prefetches every cache line of one query record (128 bytes, 8-aligned,
+/// Prefetches every cache line of one query record (120 bytes, 8-aligned,
 /// so it may straddle three lines).
 void prefetch_query(const workload::Query& q) {
   const auto* bytes = reinterpret_cast<const char*>(&q);
@@ -414,6 +414,8 @@ void replay_event_shard(const workload::Trace& trace,
       // (overhead-only, figure-invisible) bytes, exactly as if they had
       // been pumped here.
     } else if (event.endpoint == self) {
+      // A one-object list sits inside that record, so this fetches a line
+      // already in flight; a longer list's heap block is a separate line.
       if (record_in_flight != kNoQuery) {
         __builtin_prefetch(trace.queries[record_in_flight].objects.data());
       }

@@ -57,7 +57,9 @@ void fold_combined(const std::vector<const ReplicaReplay*>& replicas,
 namespace {
 
 /// Prefetches the rows `ahead` will touch: per object it names, the
-/// repository's size row and whatever the policy's hook pulls in.
+/// repository's size row and whatever the policy's hook pulls in. The ids
+/// are read from the record itself for a one-object query (its inline
+/// ObjectList slot), from the list's heap block otherwise.
 void prefetch_event(const workload::Trace& trace, const workload::Event& ahead,
                     const core::ServerNode& server,
                     core::CacheNode::PrefetchHook policy_rows) {

@@ -8,11 +8,15 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "htm/region.h"
 #include "htm/vec3.h"
+#include "util/check.h"
 #include "util/types.h"
+#include "workload/object_list.h"
 
 namespace delta::workload {
 
@@ -49,8 +53,9 @@ struct Query {
   /// generation; partition-independent, so re-mapping the trace to another
   /// granularity — Fig. 8b — is a table lookup).
   std::vector<std::int32_t> base_cover;
-  /// B(q) under the trace's current partition map (sorted, unique).
-  std::vector<ObjectId> objects;
+  /// B(q) under the trace's current partition map (sorted, unique). One
+  /// id is held inline; see ObjectList.
+  ObjectList objects;
   /// ν(q): result bytes shipped if the query is sent to the server.
   Bytes cost;
   /// t(q): answers may omit updates newer than time - tolerance.
@@ -72,11 +77,42 @@ struct Update {
   Bytes cost;
 };
 
+/// One position of the merged sequence: 8 bytes, so a trace of n events
+/// holds its order in 8n.
 struct Event {
   enum class Kind : std::uint8_t { kQuery, kUpdate };
+  /// Largest query or update index an event can name.
+  static constexpr std::int64_t kMaxIndex =
+      std::numeric_limits<std::int32_t>::max();
+
   Kind kind = Kind::kQuery;
   /// Index into Trace::queries or Trace::updates.
-  std::int64_t index = 0;
+  std::int32_t index = 0;
+
+  /// The event for Trace::queries[i]; throws when i is outside
+  /// [0, kMaxIndex].
+  [[nodiscard]] static Event query(std::int64_t i) {
+    return {Kind::kQuery, checked_index(i)};
+  }
+  /// The event for Trace::updates[i]; throws like query().
+  [[nodiscard]] static Event update(std::int64_t i) {
+    return {Kind::kUpdate, checked_index(i)};
+  }
+
+ private:
+  static std::int32_t checked_index(std::int64_t i) {
+    DELTA_CHECK_MSG(i >= 0 && i <= kMaxIndex,
+                    "event index " << i << " outside [0, " << kMaxIndex
+                                   << "]");
+    return static_cast<std::int32_t>(i);
+  }
 };
+
+// Trace records are the simulator's largest data structure: at 10^6
+// objects most of the process.
+static_assert(sizeof(Query) == 120);
+static_assert(sizeof(Event) == 8);
+// Without a noexcept move, std::vector<Query> would copy on growth.
+static_assert(std::is_nothrow_move_constructible_v<Query>);
 
 }  // namespace delta::workload

@@ -157,8 +157,8 @@ Trace SyntheticTraceGenerator::generate(std::uint64_t seed) const {
         rng.bernoulli(p.strict_fraction)
             ? 0
             : rng.uniform_int(p.tolerance_lo, p.tolerance_hi);
-    trace.order.push_back({Event::Kind::kQuery,
-                           static_cast<std::int64_t>(trace.queries.size())});
+    trace.order.push_back(
+        Event::query(static_cast<std::int64_t>(trace.queries.size())));
     trace.queries.push_back(std::move(q));
   };
   const auto emit_update = [&](std::int64_t key) {
@@ -168,8 +168,8 @@ Trace SyntheticTraceGenerator::generate(std::uint64_t seed) const {
     u.object = ObjectId{key};
     u.rows = rows_draw(rng, p.update_rows_mean, p.update_rows_sigma);
     u.cost = bytes_of_rows(u.rows, p.row_bytes);
-    trace.order.push_back({Event::Kind::kUpdate,
-                           static_cast<std::int64_t>(trace.updates.size())});
+    trace.order.push_back(
+        Event::update(static_cast<std::int64_t>(trace.updates.size())));
     trace.updates.push_back(u);
   };
 

@@ -23,17 +23,24 @@ Bytes Trace::total_update_cost(EventTime from_event) const {
   return total;
 }
 
+void objects_of_cover(const htm::PartitionMap& map,
+                      const std::vector<std::int32_t>& base_cover,
+                      std::vector<ObjectId>& scratch, ObjectList& out) {
+  scratch.clear();
+  for (const std::int32_t idx : base_cover) {
+    scratch.push_back(map.object_for_base_index(idx));
+  }
+  std::sort(scratch.begin(), scratch.end());
+  const auto last = std::unique(scratch.begin(), scratch.end());
+  out.assign(scratch.data(), scratch.data() + (last - scratch.begin()));
+}
+
 void Trace::remap(const htm::PartitionMap& map) {
   DELTA_CHECK_MSG(map.base_level() == info.base_level,
                   "partition map base level mismatch");
+  std::vector<ObjectId> scratch;
   for (Query& q : queries) {
-    q.objects.clear();
-    for (const std::int32_t idx : q.base_cover) {
-      q.objects.push_back(map.object_for_base_index(idx));
-    }
-    std::sort(q.objects.begin(), q.objects.end());
-    q.objects.erase(std::unique(q.objects.begin(), q.objects.end()),
-                    q.objects.end());
+    objects_of_cover(map, q.base_cover, scratch, q.objects);
   }
   for (Update& u : updates) {
     DELTA_CHECK(u.base_index >= 0);
@@ -50,7 +57,17 @@ void Trace::remap(const htm::PartitionMap& map) {
   info.partition_count = map.partition_count();
 }
 
+void Trace::check_record_counts() const {
+  constexpr auto kMaxRecords = static_cast<std::size_t>(Event::kMaxIndex) + 1;
+  DELTA_CHECK_MSG(
+      queries.size() <= kMaxRecords && updates.size() <= kMaxRecords,
+      "trace of " << queries.size() << " queries and " << updates.size()
+                  << " updates: an event index names at most " << kMaxRecords
+                  << " of each");
+}
+
 void Trace::validate() const {
+  check_record_counts();
   DELTA_CHECK(info.row_bytes.count() > 0);
   DELTA_CHECK(order.size() == queries.size() + updates.size());
   DELTA_CHECK(info.partition_count == initial_object_bytes.size());

@@ -52,9 +52,20 @@ class Trace {
   /// partitioning-independent and unchanged.
   void remap(const htm::PartitionMap& map);
 
-  /// Structural sanity: monotone times, order indices in range, sorted
-  /// non-empty B(q), positive costs. Throws on violation.
+  /// Throws unless every query and update index fits Event::index.
+  void check_record_counts() const;
+
+  /// Structural sanity: record counts within Event::index, monotone
+  /// times, order indices in range, sorted non-empty B(q), positive costs.
+  /// Throws on violation.
   void validate() const;
 };
+
+/// Sets `out` to B(q) of a base cover under `map`: the sorted, unique
+/// objects its trixels map to. `scratch` is reused across calls, so a
+/// one-object result allocates nothing.
+void objects_of_cover(const htm::PartitionMap& map,
+                      const std::vector<std::int32_t>& base_cover,
+                      std::vector<ObjectId>& scratch, ObjectList& out);
 
 }  // namespace delta::workload

@@ -88,6 +88,7 @@ Trace TraceGenerator::generate(std::uint64_t seed) const {
   const auto& density_weights = density_->weights();
   const Bytes row_bytes = catalog.row_bytes();
 
+  std::vector<ObjectId> object_scratch;
   const auto make_query = [&](std::int64_t query_index,
                               EventTime now) -> Query {
     Query q;
@@ -201,13 +202,7 @@ Trace TraceGenerator::generate(std::uint64_t seed) const {
 
       q.region = region;
       q.base_cover = std::move(base_cover);
-      q.objects.clear();
-      for (const std::int32_t idx : q.base_cover) {
-        q.objects.push_back(map_->object_for_base_index(idx));
-      }
-      std::sort(q.objects.begin(), q.objects.end());
-      q.objects.erase(std::unique(q.objects.begin(), q.objects.end()),
-                      q.objects.end());
+      objects_of_cover(*map_, q.base_cover, object_scratch, q.objects);
       q.cost = Bytes{std::max<std::int64_t>(
           static_cast<std::int64_t>(bytes), kMinQueryCostBytes)};
 
@@ -285,7 +280,7 @@ Trace TraceGenerator::generate(std::uint64_t seed) const {
       for (std::int64_t k = 0; k < block; ++k) {
         if (qi == warmup_query_count) trace.info.warmup_end_event = now;
         trace.queries.push_back(make_query(qi, now));
-        trace.order.push_back({Event::Kind::kQuery, qi});
+        trace.order.push_back(Event::query(qi));
         ++qi;
         ++now;
       }
@@ -298,7 +293,7 @@ Trace TraceGenerator::generate(std::uint64_t seed) const {
                   rng_order.exponential(std::max(1.0, mean_update_burst))));
       for (std::int64_t k = 0; k < burst; ++k) {
         trace.updates.push_back(make_update(ui, now));
-        trace.order.push_back({Event::Kind::kUpdate, ui});
+        trace.order.push_back(Event::update(ui));
         ++ui;
         ++now;
       }

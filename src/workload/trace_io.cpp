@@ -156,6 +156,7 @@ Trace read_trace(std::istream& is) {
   }
   DELTA_CHECK_MSG(have_info, "trace file missing info line");
 
+  trace.check_record_counts();
   // Reconstruct the merged order from the unique, increasing event times.
   trace.order.reserve(trace.queries.size() + trace.updates.size());
   std::size_t qi = 0;
@@ -166,11 +167,9 @@ Trace read_trace(std::istream& is) {
         (qi < trace.queries.size() &&
          trace.queries[qi].time < trace.updates[ui].time);
     if (take_query) {
-      trace.order.push_back(
-          {Event::Kind::kQuery, static_cast<std::int64_t>(qi++)});
+      trace.order.push_back(Event::query(static_cast<std::int64_t>(qi++)));
     } else {
-      trace.order.push_back(
-          {Event::Kind::kUpdate, static_cast<std::int64_t>(ui++)});
+      trace.order.push_back(Event::update(static_cast<std::int64_t>(ui++)));
     }
   }
   trace.validate();

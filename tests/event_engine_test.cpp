@@ -84,7 +84,7 @@ workload::Trace routed_sub_trace(const workload::Trace& trace,
     if (assignment[qi] != endpoint) continue;
     workload::Query q = trace.queries[qi];
     q.id = QueryId{static_cast<std::int64_t>(sub.queries.size())};
-    sub.order.push_back({workload::Event::Kind::kQuery, q.id.value()});
+    sub.order.push_back(workload::Event::query(q.id.value()));
     sub.queries.push_back(std::move(q));
   }
   return sub;

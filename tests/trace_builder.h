@@ -32,8 +32,8 @@ class TraceBuilder {
       q.base_cover.push_back(static_cast<std::int32_t>(o));
     }
     std::sort(q.objects.begin(), q.objects.end());
-    trace_.order.push_back({workload::Event::Kind::kQuery,
-                            static_cast<std::int64_t>(trace_.queries.size())});
+    trace_.order.push_back(workload::Event::query(
+        static_cast<std::int64_t>(trace_.queries.size())));
     trace_.queries.push_back(std::move(q));
     return *this;
   }
@@ -46,8 +46,8 @@ class TraceBuilder {
     u.base_index = static_cast<std::int32_t>(object);
     u.cost = Bytes{cost};
     u.rows = static_cast<double>(cost) / 2048.0;
-    trace_.order.push_back({workload::Event::Kind::kUpdate,
-                            static_cast<std::int64_t>(trace_.updates.size())});
+    trace_.order.push_back(workload::Event::update(
+        static_cast<std::int64_t>(trace_.updates.size())));
     trace_.updates.push_back(u);
     return *this;
   }

@@ -228,8 +228,7 @@ Trace anchored_trace(util::Rng& rng, std::size_t queries,
     q.id = QueryId{static_cast<std::int64_t>(i)};
     q.time = static_cast<EventTime>(i);
     if (!rng.bernoulli(coverless)) q.base_cover = {anchors[i], anchors[i] + 1};
-    trace.order.push_back(
-        {Event::Kind::kQuery, static_cast<std::int64_t>(i)});
+    trace.order.push_back(Event::query(static_cast<std::int64_t>(i)));
     trace.queries.push_back(std::move(q));
   }
   return trace;
