@@ -4,7 +4,6 @@
 // from scratch at every query (§4). This benchmark grows a bipartite
 // interaction graph query by query and compares:
 //   * the incremental cover solver (reuse the previous flow),
-//   * from-scratch Edmonds-Karp per step,
 //   * from-scratch Dinic per step.
 // BM_DisjointComponents checks the solver's locality: with K disjoint
 // remembered (update, shipped query) pairs in the graph, one more decision
@@ -13,7 +12,6 @@
 
 #include "flow/bipartite_cover.h"
 #include "flow/dinic.h"
-#include "flow/edmonds_karp.h"
 #include "util/rng.h"
 
 namespace {
@@ -71,29 +69,6 @@ void BM_IncrementalCover(benchmark::State& state) {
       static_cast<double>(state.iterations() * queries);
 }
 BENCHMARK(BM_IncrementalCover)->Arg(64)->Arg(256)->Arg(1024);
-
-void BM_ScratchEdmondsKarp(benchmark::State& state) {
-  const auto queries = static_cast<std::size_t>(state.range(0));
-  const std::size_t updates = queries / 4 + 1;
-  const auto steps = make_steps(queries, updates, 42);
-  for (auto _ : state) {
-    BipartiteCoverSolver solver;
-    std::vector<BipartiteCoverSolver::UpdateNode> unodes;
-    for (std::size_t u = 0; u < updates; ++u) {
-      unodes.push_back(solver.add_update(50));
-    }
-    for (const Step& s : steps) {
-      const auto q = solver.add_query(s.weight);
-      for (const std::size_t u : s.updates) {
-        solver.connect(unodes[u], q);
-      }
-      // From-scratch recomputation on a zeroed copy each step.
-      flow::FlowNetwork scratch = solver.network().zero_flow_copy();
-      benchmark::DoNotOptimize(flow::max_flow_edmonds_karp(scratch, 0, 1));
-    }
-  }
-}
-BENCHMARK(BM_ScratchEdmondsKarp)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_ScratchDinic(benchmark::State& state) {
   const auto queries = static_cast<std::size_t>(state.range(0));

@@ -18,15 +18,13 @@ CacheNode::CacheNode(const workload::Trace* trace, ServerNode* server,
   DELTA_CHECK(trace != nullptr);
   DELTA_CHECK(server != nullptr);
   DELTA_CHECK(transport != nullptr);
-  // Validate the attach BEFORE registering the transport handler: a
-  // failing construction must not leave a handler capturing this soon-
-  // destroyed node. Registration then precedes attach_cache, which records
-  // our transport slot so the server can address replies without
-  // per-message name lookups.
-  server_->validate_cache_name(name_);
+  // The transport rejects a name already registered (another cache's, or
+  // the server's) before binding the handler, so a failing construction
+  // leaves no handler capturing this soon-destroyed node. The server then
+  // matches our requests to our row by the transport slot they carry.
   transport_slot_ = transport_->register_endpoint(
       name_, [this](const net::Message& m) { handle_message(m); });
-  slot_ = server_->attach_cache(name_, transport_slot_);
+  slot_ = server_->attach_cache(transport_slot_);
   server_transport_slot_ = server_->transport_slot();
   transport_inline_ = transport_->synchronous();
   sync_request_ = request(net::MessageKind::kControl, -1, 0, -1);
@@ -39,9 +37,7 @@ net::Message CacheNode::request(net::MessageKind kind,
   msg.kind = kind;
   msg.subject_id = subject_id;
   msg.sent_at = sent_at;
-  msg.sender = name_;
-  msg.sender_slot = static_cast<std::int32_t>(slot_);
-  msg.sender_transport_slot = static_cast<std::int32_t>(transport_slot_);
+  msg.sender = static_cast<std::int32_t>(transport_slot_);
   msg.correlation_id = correlation;
   return msg;
 }

@@ -58,6 +58,9 @@ class CacheNode {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
+  /// This endpoint's transport slot: the sender of its every request.
+  [[nodiscard]] std::size_t transport_slot() const { return transport_slot_; }
+
   // ---- client API (called by policies) ----
 
   void set_subscription(MetadataSubscription subscription);
@@ -189,8 +192,7 @@ class CacheNode {
     return server_->object_count();
   }
 
-  /// Traffic delivered to this endpoint (all data-bearing replies),
-  /// slot-addressed — no per-call name hash (see Transport::endpoint_meter).
+  /// Traffic delivered to this endpoint (all data-bearing replies).
   [[nodiscard]] const net::TrafficMeter& meter() const {
     return transport_->endpoint_meter(transport_slot_);
   }
@@ -220,15 +222,15 @@ class CacheNode {
   const workload::Trace* trace_;
   ServerNode* server_;
   net::Transport* transport_;
-  /// Prebuilt request message for the sync façade: sender identity fields
-  /// are set once at construction, so request_and_wait only writes the
-  /// four per-request fields. Safe to reuse because every send parks a
+  /// Prebuilt request message for the sync façade: the sender slot is set
+  /// once at construction, so request_and_wait only writes the
+  /// per-request fields. Safe to reuse because every send parks a
   /// copy (or delivers inline) before control can re-enter the façade.
   net::Message sync_request_;
   std::string name_;
   std::size_t slot_;  // this cache's row in the server registration table
   std::size_t transport_slot_ = 0;         // this endpoint's own slot
-  std::size_t server_transport_slot_ = 0;  // fast-path request address
+  std::size_t server_transport_slot_ = 0;  // where requests go
   std::function<void(const workload::Update&)> invalidation_handler_;
   PrefetchHook prefetch_hook_;
   std::vector<Pending> pending_;

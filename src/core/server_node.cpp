@@ -14,28 +14,24 @@ ServerNode::ServerNode(const workload::Trace* trace,
   object_bytes_ = trace->initial_object_bytes;
   transport_slot_ = transport_->register_endpoint(
       name_, [this](const net::Message& m) { handle_message(m); });
-  reply_template_.sender = name_;
-  reply_template_.sender_transport_slot =
-      static_cast<std::int32_t>(transport_slot_);
+  reply_template_.sender = static_cast<std::int32_t>(transport_slot_);
 }
 
-void ServerNode::validate_cache_name(const std::string& cache_name) const {
-  DELTA_CHECK_MSG(slot_by_name_.count(cache_name) == 0,
-                  "cache '" << cache_name << "' attached twice");
-  DELTA_CHECK_MSG(cache_name != name_,
-                  "cache endpoint cannot reuse the server name");
-}
-
-std::size_t ServerNode::attach_cache(const std::string& cache_name,
-                                     std::size_t cache_transport_slot) {
-  validate_cache_name(cache_name);
+std::size_t ServerNode::attach_cache(std::size_t cache_transport_slot) {
+  DELTA_CHECK_MSG(cache_transport_slot != transport_slot_,
+                  "the server cannot attach itself as a cache");
+  if (cache_by_transport_slot_.size() <= cache_transport_slot) {
+    cache_by_transport_slot_.resize(cache_transport_slot + 1, -1);
+  }
+  std::int32_t& row = cache_by_transport_slot_[cache_transport_slot];
+  DELTA_CHECK_MSG(row < 0, "transport slot " << cache_transport_slot
+                                             << " attached twice");
   const std::size_t slot = caches_.size();
+  row = static_cast<std::int32_t>(slot);
   CacheEntry entry;
-  entry.name = cache_name;
   entry.transport_slot = cache_transport_slot;
   entry.registered.assign(object_bytes_.size(), 0);
   caches_.push_back(std::move(entry));
-  slot_by_name_.emplace(cache_name, slot);
   if (protocol_.enabled) {
     CacheEntry& attached = caches_.back();
     attached.recent_requests.assign(kDedupWindow, ~std::uint64_t{0});
@@ -121,19 +117,11 @@ std::size_t ServerNode::checked(ObjectId o) const {
 }
 
 ServerNode::CacheEntry& ServerNode::sender_entry(const net::Message& m) {
-  // Fast path: requests from attached CacheNodes carry their assigned slot.
-  if (m.sender_slot >= 0 &&
-      static_cast<std::size_t>(m.sender_slot) < caches_.size()) {
-    CacheEntry& entry = caches_[static_cast<std::size_t>(m.sender_slot)];
-    // A slot from another server instance (or a forged one) must not be
-    // silently attributed to the wrong cache.
-    DELTA_DCHECK(entry.name == m.sender);
-    return entry;
-  }
-  const auto it = slot_by_name_.find(m.sender);
-  DELTA_CHECK_MSG(it != slot_by_name_.end(),
-                  "request from unattached cache '" << m.sender << "'");
-  return caches_[it->second];
+  const auto slot = static_cast<std::size_t>(m.sender);
+  DELTA_CHECK_MSG(slot < cache_by_transport_slot_.size() &&
+                      cache_by_transport_slot_[slot] >= 0,
+                  "request from unattached endpoint slot " << m.sender);
+  return caches_[static_cast<std::size_t>(cache_by_transport_slot_[slot])];
 }
 
 void ServerNode::handle_message(const net::Message& m) {
@@ -326,8 +314,7 @@ void ServerNode::apply_update(const workload::Update& u) {
       msg.kind = net::MessageKind::kInvalidation;
       msg.subject_id = u.id.value();
       msg.sent_at = u.time;
-      msg.sender = name_;
-      msg.sender_transport_slot = static_cast<std::int32_t>(transport_slot_);
+      msg.sender = static_cast<std::int32_t>(transport_slot_);
       if (protocol_.enabled) {
         msg.subject_ingest_at = ingest;
         // Ledger stamp: this notice is position notice_log.size() of the
@@ -364,8 +351,7 @@ void ServerNode::flush_cache_notices(CacheEntry& cache) {
   msg.kind = net::MessageKind::kInvalidation;
   msg.subject_id = cache.pending_notices.front();
   msg.sent_at = cache.pending_first_sent_at;
-  msg.sender = name_;
-  msg.sender_transport_slot = static_cast<std::int32_t>(transport_slot_);
+  msg.sender = static_cast<std::int32_t>(transport_slot_);
   const std::size_t n = cache.pending_notices.size();
   if (n > 1) {
     msg.batched_invalidations.assign(cache.pending_notices.begin() + 1,

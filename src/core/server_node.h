@@ -9,7 +9,6 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/protocol.h"
@@ -67,22 +66,17 @@ class ServerNode {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// This endpoint's transport slot (for send_to-style fast addressing).
+  /// This endpoint's transport slot: the sender of its every reply and
+  /// notice, and where caches send their requests.
   [[nodiscard]] std::size_t transport_slot() const { return transport_slot_; }
 
-  /// Checked-failure unless `cache_name` is attachable (not a duplicate,
-  /// not the server's own name). CacheNode calls this BEFORE registering
-  /// its transport handler so a failing construction cannot leave a
-  /// handler bound to a destroyed node.
-  void validate_cache_name(const std::string& cache_name) const;
-
-  /// Adds a cache endpoint to the registration table and returns its slot
-  /// index (the handle CacheNode uses for cheap metadata reads, and the
-  /// sender_slot its requests carry). The cache must already be registered
-  /// on the transport: replies and invalidations are addressed by its
-  /// transport slot.
-  std::size_t attach_cache(const std::string& cache_name,
-                           std::size_t cache_transport_slot);
+  /// Adds the cache endpoint registered at `cache_transport_slot` to the
+  /// registration table and returns its row index (the handle CacheNode
+  /// uses for cheap metadata reads). Replies and invalidations go to that
+  /// transport slot, and requests are matched to the row by their
+  /// Message::sender. Attaching the server's own slot, or a slot already
+  /// attached, is a checked failure.
+  std::size_t attach_cache(std::size_t cache_transport_slot);
 
   void set_subscription(std::size_t cache_slot,
                         MetadataSubscription subscription);
@@ -187,7 +181,6 @@ class ServerNode {
 
  private:
   struct CacheEntry {
-    std::string name;
     std::size_t transport_slot = 0;  // where replies/invalidations go
     MetadataSubscription subscription = MetadataSubscription::kNone;
     std::vector<std::uint8_t> registered;  // objects resident at this cache
@@ -221,12 +214,13 @@ class ServerNode {
   net::Transport* transport_;
   std::string name_;
   std::size_t transport_slot_ = 0;
-  /// Prebuilt reply message: sender identity set once at construction,
+  /// Prebuilt reply message: sender slot set once at construction,
   /// handle_message fills the per-reply fields (see the note there).
   net::Message reply_template_;
   std::vector<Bytes> object_bytes_;  // server-side current sizes
   std::vector<CacheEntry> caches_;
-  std::unordered_map<std::string, std::size_t> slot_by_name_;
+  /// caches_ row of the cache at each transport slot; -1 = not attached.
+  std::vector<std::int32_t> cache_by_transport_slot_;
 
   NoticeBatchingOptions batching_;
   std::int64_t coalesced_notices_ = 0;

@@ -8,25 +8,14 @@
 namespace delta::net {
 
 DelayedTransport::DelayedTransport(util::EventQueue* events,
-                                   LinkModel default_link,
-                                   bool aggregate_metering)
-    : events_(events),
-      default_link_(default_link),
-      aggregate_metering_(aggregate_metering) {
+                                   LinkModel default_link)
+    : events_(events), default_link_(default_link) {
   DELTA_CHECK(events != nullptr);
 }
 
 std::size_t DelayedTransport::register_endpoint(const std::string& name,
                                                 MessageHandler handler) {
-  DELTA_CHECK(handler != nullptr);
-  const auto it = index_.find(name);
-  if (it != index_.end()) {
-    endpoints_[it->second].handler = std::move(handler);  // meter survives
-    return it->second;
-  }
-  const std::size_t slot = endpoints_.size();
-  index_.emplace(name, slot);
-  endpoints_.push_back(Endpoint{name, std::move(handler), TrafficMeter{}});
+  const std::size_t slot = add_endpoint(endpoints_, name, std::move(handler));
   endpoint_count_ = endpoints_.size();
   uplink_.push_back(UplinkStats{});
   grow_link_grid();
@@ -39,9 +28,8 @@ void DelayedTransport::grow_link_grid() {
   // wire does not forget its backlog when the topology grows).
   const std::size_t old_cols = grid_cols_;
   const std::size_t new_cols = endpoints_.size();
-  std::vector<Link> grid((new_cols + 1) * new_cols,
-                         Link{default_link_, 0.0});
-  for (std::size_t row = 0; row < old_cols + 1; ++row) {
+  std::vector<Link> grid(new_cols * new_cols, Link{default_link_, 0.0});
+  for (std::size_t row = 0; row < old_cols; ++row) {
     for (std::size_t col = 0; col < old_cols; ++col) {
       grid[row * new_cols + col] = link_grid_[row * old_cols + col];
     }
@@ -79,7 +67,7 @@ void DelayedTransport::rebuild_fault_grid(
     crash_windows_.clear();
     return;
   }
-  fault_grid_.assign((grid_cols_ + 1) * grid_cols_, LinkFaultState{});
+  fault_grid_.assign(grid_cols_ * grid_cols_, LinkFaultState{});
   // Crash-stop schedules resolve by endpoint name, like everything else in
   // the plan, so registration order cannot perturb fates.
   crash_windows_.assign(grid_cols_, nullptr);
@@ -91,12 +79,8 @@ void DelayedTransport::rebuild_fault_grid(
       }
     }
   }
-  for (std::size_t row = 0; row < grid_cols_ + 1; ++row) {
-    // Row 0 is the shared external-sender source; a plan addresses it with
-    // an empty endpoint name.
-    static const std::string kExternalName;
-    const std::string& from =
-        row == 0 ? kExternalName : endpoints_[row - 1].name;
+  for (std::size_t row = 0; row < grid_cols_; ++row) {
+    const std::string& from = endpoints_[row].name;
     for (std::size_t col = 0; col < grid_cols_; ++col) {
       const std::string& to = endpoints_[col].name;
       LinkFaultState& state = fault_grid_[row * grid_cols_ + col];
@@ -119,7 +103,7 @@ void DelayedTransport::rebuild_fault_grid(
     }
   }
   // Topology growth preserves every existing link's stream position.
-  for (std::size_t row = 0; row < old_cols + 1; ++row) {
+  for (std::size_t row = 0; row < old_cols; ++row) {
     for (std::size_t col = 0; col < old_cols; ++col) {
       fault_grid_[row * grid_cols_ + col].seq =
           old_grid[row * old_cols + col].seq;
@@ -131,8 +115,7 @@ DelayedTransport::FaultDecision DelayedTransport::apply_link_faults(
     std::size_t destination_slot, LinkTiming& timing) {
   if (!faults_active_) return FaultDecision{};
   LinkFaultState& state =
-      fault_grid_[link_row(timing.sender_slot) * grid_cols_ +
-                  destination_slot];
+      fault_grid_[timing.sender_slot * grid_cols_ + destination_slot];
   const std::uint64_t seq = state.seq++;
   // Crash-stop gating (ISSUE 10): a dead process can neither send nor
   // receive. The sender check uses the send instant; the destination check
@@ -189,43 +172,27 @@ DelayedTransport::FaultDecision DelayedTransport::apply_link_faults(
   return fate;
 }
 
-std::size_t DelayedTransport::endpoint_slot(const std::string& name) const {
-  const auto it = index_.find(name);
-  DELTA_CHECK_MSG(it != index_.end(), "unknown endpoint '" << name << "'");
-  return it->second;
-}
-
-void DelayedTransport::send(const std::string& destination,
-                            const Message& message, Mechanism mechanism) {
-  const auto it = index_.find(destination);
-  DELTA_CHECK_MSG(it != index_.end(),
-                  "unknown endpoint '" << destination << "'");
-  schedule_delivery(it->second, message, mechanism);
-}
-
-void DelayedTransport::send_to(std::size_t destination_slot,
-                               const Message& message, Mechanism mechanism) {
+void DelayedTransport::transmit(std::size_t destination_slot,
+                                Message& message, Mechanism mechanism,
+                                bool call) {
   DELTA_CHECK_MSG(destination_slot < endpoint_count_,
                   "unknown endpoint slot " << destination_slot);
-  schedule_delivery(destination_slot, message, mechanism);
-}
-
-void DelayedTransport::send_to(std::size_t destination_slot,
-                               Message& message, Mechanism mechanism) {
-  DELTA_CHECK_MSG(destination_slot < endpoint_count_,
-                  "unknown endpoint slot " << destination_slot);
+  DELTA_CHECK_MSG(static_cast<std::size_t>(message.sender) < endpoint_count_,
+                  "unregistered sender slot " << message.sender);
   LinkTiming timing = plan_transfer(message, destination_slot);
   const FaultDecision fate = apply_link_faults(destination_slot, timing);
   if (!fate.deliver) return;  // lost on the wire; serialization is paid
-  if (reply_window_) {
-    // First send while a send_call request is being handled: this is the
-    // reply its sender is blocked on, and the caller owns the message —
-    // stamp in place, no copy (the path every server reply takes).
-    reply_window_ = false;
-    if (deliver_inline(destination_slot, message, mechanism, timing,
-                       /*request_window=*/false)) {
-      return;
-    }
+  // A send_call request may skip the queue: its caller blocks until the
+  // reply, so jumping the clock to the request's arrival is exactly what
+  // popping it off the queue would have done. So may the first send while
+  // such a request is being handled: that is the reply the caller is
+  // blocked on. Either way the caller owns the message, which is stamped
+  // in place.
+  const bool may_inline = call || reply_window_;
+  reply_window_ = false;
+  if (may_inline && deliver_inline(destination_slot, message, mechanism,
+                                   timing, /*request_window=*/call)) {
+    return;
   }
   schedule_flight(destination_slot, message, mechanism, timing);
   if (fate.duplicate) {
@@ -245,35 +212,17 @@ double DelayedTransport::egress_backlog_seconds(std::size_t from_slot,
   return std::max(0.0, link.busy_until - events_->now());
 }
 
-std::size_t DelayedTransport::resolve_sender(const Message& message) const {
-  // Fast path: endpoints stamp their own transport slot, so the per-send
-  // name hash is reserved for external senders (mirrors the slot fast path
-  // in ServerNode::sender_entry).
-  if (message.sender_transport_slot >= 0 &&
-      static_cast<std::size_t>(message.sender_transport_slot) <
-          endpoint_count_) {
-    const auto slot =
-        static_cast<std::size_t>(message.sender_transport_slot);
-    // A slot from another transport instance (or a forged one) must not be
-    // silently attributed to the wrong sender's link.
-    DELTA_DCHECK(endpoints_[slot].name == message.sender);
-    return slot;
-  }
-  const auto it = index_.find(message.sender);
-  return it == index_.end() ? kExternalSource : it->second;
-}
-
-void DelayedTransport::set_link(const std::string& from,
-                                const std::string& to, LinkModel link) {
-  const std::size_t from_slot = endpoint_slot(from);
-  const std::size_t to_slot = endpoint_slot(to);
+void DelayedTransport::set_link(std::size_t from_slot, std::size_t to_slot,
+                                LinkModel link) {
+  DELTA_CHECK_MSG(from_slot < endpoint_count_ && to_slot < endpoint_count_,
+                  "no link: unknown endpoint slot");
   link_between(from_slot, to_slot).model = link;
 }
 
-void DelayedTransport::set_duplex_link(const std::string& a,
-                                       const std::string& b, LinkModel link) {
-  set_link(a, b, link);
-  set_link(b, a, link);
+void DelayedTransport::set_duplex_link(std::size_t a_slot, std::size_t b_slot,
+                                       LinkModel link) {
+  set_link(a_slot, b_slot, link);
+  set_link(b_slot, a_slot, link);
 }
 
 DelayedTransport::LinkTiming DelayedTransport::plan_transfer(
@@ -287,7 +236,7 @@ DelayedTransport::LinkTiming DelayedTransport::plan_transfer(
                   "handler sent more than one message while its request "
                   "was delivered inline (send_call fast path supports "
                   "exactly one reply; use send_to from an async context)");
-  const std::size_t sender_slot = resolve_sender(message);
+  const auto sender_slot = static_cast<std::size_t>(message.sender);
   Link& link = link_between(sender_slot, destination_slot);
 
   const util::SimTime now = events_->now();
@@ -296,63 +245,16 @@ DelayedTransport::LinkTiming DelayedTransport::plan_transfer(
       message.payload + kMessageHeaderBytes + message.batch_bytes);
   link.busy_until = depart + serialization;
 
-  if (sender_slot != kExternalSource) {
-    UplinkStats& uplink = uplink_[sender_slot];
-    ++uplink.sends;
-    uplink.busy_seconds += serialization;
-    if (depart > now) {  // queued behind an earlier send (wait > 0)
-      const double wait = depart - now;
-      uplink.total_queue_wait += wait;
-      uplink.max_queue_wait = std::max(uplink.max_queue_wait, wait);
-    }
+  UplinkStats& uplink = uplink_[sender_slot];
+  ++uplink.sends;
+  uplink.busy_seconds += serialization;
+  if (depart > now) {  // queued behind an earlier send (wait > 0)
+    const double wait = depart - now;
+    uplink.total_queue_wait += wait;
+    uplink.max_queue_wait = std::max(uplink.max_queue_wait, wait);
   }
   return LinkTiming{now, depart + serialization + link.model.one_way_seconds(),
                     sender_slot};
-}
-
-void DelayedTransport::schedule_delivery(std::size_t destination_slot,
-                                         const Message& message,
-                                         Mechanism mechanism) {
-  LinkTiming timing = plan_transfer(message, destination_slot);
-  const FaultDecision fate = apply_link_faults(destination_slot, timing);
-  if (!fate.deliver) return;  // lost on the wire; serialization is paid
-  if (reply_window_) {
-    // First send while a send_call request is being handled: this is the
-    // reply its sender is blocked on, so the clock may fast-forward to its
-    // arrival when nothing executes earlier (see send_call). const-ref
-    // senders get a stamped copy.
-    reply_window_ = false;
-    Message stamped = message;
-    if (deliver_inline(destination_slot, stamped, mechanism, timing,
-                       /*request_window=*/false)) {
-      return;
-    }
-  }
-  schedule_flight(destination_slot, message, mechanism, timing);
-  if (fate.duplicate) {
-    schedule_flight(destination_slot, message, mechanism, timing);
-  }
-}
-
-void DelayedTransport::send_call(std::size_t destination_slot,
-                                 Message& message, Mechanism mechanism) {
-  DELTA_CHECK_MSG(destination_slot < endpoint_count_,
-                  "unknown endpoint slot " << destination_slot);
-  LinkTiming timing = plan_transfer(message, destination_slot);
-  const FaultDecision fate = apply_link_faults(destination_slot, timing);
-  if (!fate.deliver) return;  // the blocked caller only learns via timeout
-  // The caller blocks until the reply, so jumping the clock to the
-  // request's arrival is exactly what popping it off the queue would have
-  // done — minus the queue round trip and the in-flight copy. The message
-  // is stamped in place (the caller owns it).
-  if (deliver_inline(destination_slot, message, mechanism, timing,
-                     /*request_window=*/true)) {
-    return;
-  }
-  schedule_flight(destination_slot, message, mechanism, timing);
-  if (fate.duplicate) {
-    schedule_flight(destination_slot, message, mechanism, timing);
-  }
 }
 
 bool DelayedTransport::deliver_inline(std::size_t destination_slot,
@@ -422,11 +324,6 @@ void DelayedTransport::deliver_pooled(std::uint32_t flight_index) {
 void DelayedTransport::deliver(std::size_t destination_slot,
                                const Message& message, Mechanism mechanism) {
   Endpoint& endpoint = endpoints_[destination_slot];
-  if (aggregate_metering_) {
-    meter_.record(mechanism, message.payload);
-    meter_.record(Mechanism::kOverhead,
-                  kMessageHeaderBytes + message.batch_bytes);
-  }
   endpoint.meter.record(mechanism, message.payload);
   endpoint.meter.record(Mechanism::kOverhead,
                         kMessageHeaderBytes + message.batch_bytes);
@@ -437,27 +334,11 @@ void DelayedTransport::deliver(std::size_t destination_slot,
   endpoint.handler(message);
 }
 
-bool DelayedTransport::has_endpoint(const std::string& name) const {
-  return index_.count(name) != 0;
-}
-
-const TrafficMeter& DelayedTransport::endpoint_meter(
-    const std::string& name) const {
-  return endpoints_[endpoint_slot(name)].meter;
-}
-
 const TrafficMeter& DelayedTransport::endpoint_meter(
     std::size_t slot) const {
   DELTA_CHECK_MSG(slot < endpoint_count_,
                   "no meter: unknown endpoint slot " << slot);
   return endpoints_[slot].meter;
-}
-
-std::vector<std::string> DelayedTransport::endpoint_names() const {
-  std::vector<std::string> names;
-  names.reserve(endpoints_.size());
-  for (const Endpoint& e : endpoints_) names.push_back(e.name);
-  return names;
 }
 
 void DelayedTransport::set_delivery_observer(DeliveryObserver observer,

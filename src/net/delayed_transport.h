@@ -2,8 +2,10 @@
 // shared discrete-event queue instead of invoking the destination handler
 // inline.
 //
-// Every directed (sender endpoint -> destination endpoint) pair is a link
-// parameterized by a LinkModel. A message entering a link at time t:
+// Every directed (sender slot -> destination slot) pair of registered
+// endpoints is a link parameterized by a LinkModel; a message's link is
+// keyed by its Message::sender slot and the send_to destination slot. A
+// message entering a link at time t:
 //   departs at   max(t, link busy-until)        (FIFO: queue behind earlier
 //                                                sends on the same link)
 //   occupies the link for (payload+header)/bandwidth seconds
@@ -12,10 +14,15 @@
 // Delivery times are therefore nondecreasing per link, and the event
 // queue's stable (time, seq) order makes the whole schedule deterministic.
 //
-// Accounting matches LoopbackTransport exactly — aggregate meter plus
-// per-endpoint meters that partition it — but meters are charged at
+// Each endpoint's meter is charged as on LoopbackTransport, but at
 // *delivery* time: traffic in flight is not yet counted, which is what the
-// warm-up-boundary snapshot semantics of the engines require.
+// warm-up-boundary snapshot semantics of the engines require. There is no
+// aggregate meter: the per-endpoint meters partition all traffic, so a
+// caller derives any total as their sum.
+//
+// Endpoint names are read only when a fault plan is resolved: its rules,
+// partitions and crash schedules name endpoints, and each fate is drawn
+// from a stream keyed by the link's two names.
 //
 // Per-source uplink statistics (serialization busy time, queueing waits)
 // expose the contention that the single-cache loop can only assume
@@ -23,9 +30,7 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/fault_plan.h"
@@ -60,31 +65,21 @@ class DelayedTransport final : public Transport {
 
   /// The queue outlives the transport. Links default to `default_link`
   /// until configured individually.
-  ///
-  /// `aggregate_metering = false` drops the per-delivery aggregate-meter
-  /// records (meter() then becomes a checked failure): by the partition
-  /// invariant the aggregate is exactly the sum of the per-endpoint
-  /// meters, so a caller that owns all endpoints (the event engine's
-  /// replica shards) can derive it at its snapshot points instead of
-  /// paying two extra meter records on every delivered message.
   explicit DelayedTransport(util::EventQueue* events,
-                            LinkModel default_link = LinkModel{},
-                            bool aggregate_metering = true);
+                            LinkModel default_link = LinkModel{});
 
   // ---- Transport interface ----
 
   std::size_t register_endpoint(const std::string& name,
                                 MessageHandler handler) override;
-  void send(const std::string& destination, const Message& message,
-            Mechanism mechanism) override;
-  [[nodiscard]] std::size_t endpoint_slot(
-      const std::string& name) const override;
-  void send_to(std::size_t destination_slot, const Message& message,
-               Mechanism mechanism) override;
   void send_to(std::size_t destination_slot, Message& message,
-               Mechanism mechanism) override;
+               Mechanism mechanism) override {
+    transmit(destination_slot, message, mechanism, /*call=*/false);
+  }
   void send_call(std::size_t destination_slot, Message& message,
-                 Mechanism mechanism) override;
+                 Mechanism mechanism) override {
+    transmit(destination_slot, message, mechanism, /*call=*/true);
+  }
   [[nodiscard]] bool synchronous() const override { return false; }
   void wait_until(WaitPredicate done, void* ctx) override;
   [[nodiscard]] util::EventQueue* events() override { return events_; }
@@ -95,47 +90,31 @@ class DelayedTransport final : public Transport {
   /// batching gates on.
   [[nodiscard]] double egress_backlog_seconds(
       std::size_t from_slot, std::size_t to_slot) const override;
-  [[nodiscard]] const TrafficMeter& meter() const override {
-    DELTA_CHECK_MSG(aggregate_metering_,
-                    "aggregate metering disabled: derive totals from the "
-                    "per-endpoint meters (they partition the aggregate)");
-    return meter_;
-  }
-  TrafficMeter& meter() override {
-    DELTA_CHECK_MSG(aggregate_metering_,
-                    "aggregate metering disabled: derive totals from the "
-                    "per-endpoint meters (they partition the aggregate)");
-    return meter_;
-  }
-  [[nodiscard]] bool has_endpoint(const std::string& name) const override;
-  [[nodiscard]] const TrafficMeter& endpoint_meter(
-      const std::string& name) const override;
   [[nodiscard]] const TrafficMeter& endpoint_meter(
       std::size_t slot) const override;
-  [[nodiscard]] std::vector<std::string> endpoint_names() const override;
+  [[nodiscard]] std::size_t endpoint_count() const { return endpoint_count_; }
 
   // ---- link configuration ----
 
-  /// Configures the directed link `from` -> `to`. Both endpoints must be
-  /// registered. Replacing a link keeps its busy-until horizon (the wire
-  /// does not forget its backlog when re-parameterized).
-  void set_link(const std::string& from, const std::string& to,
-                LinkModel link);
+  /// Configures the directed link `from_slot` -> `to_slot`. Both endpoints
+  /// must be registered. Replacing a link keeps its busy-until horizon (the
+  /// wire does not forget its backlog when re-parameterized).
+  void set_link(std::size_t from_slot, std::size_t to_slot, LinkModel link);
 
-  /// Configures both directions between `a` and `b` with the same model —
-  /// the common duplex server<->cache path.
-  void set_duplex_link(const std::string& a, const std::string& b,
+  /// Configures both directions between `a_slot` and `b_slot` with the same
+  /// model — the common duplex server<->cache path.
+  void set_duplex_link(std::size_t a_slot, std::size_t b_slot,
                        LinkModel link);
 
   // ---- fault injection ----
 
-  /// Installs (or replaces) the fault plan. Endpoint names the plan
-  /// mentions but that are not registered are ignored until they register
-  /// (the grid is re-resolved on growth). Installing a plan restarts every
-  /// link's draw stream at sequence zero. A disabled plan — or one with no
-  /// nonzero probability and no partition window — deactivates every fault
-  /// hook, including the inline fast-path gate, so such a config is
-  /// byte-identical to never having called this at all.
+  /// Installs (or replaces) the fault plan. The plan's endpoint names
+  /// resolve to slots here and again whenever an endpoint registers; names
+  /// no endpoint holds are ignored until one does. Installing a plan
+  /// restarts every link's draw stream at sequence zero. A disabled plan —
+  /// or one with no nonzero probability and no partition window —
+  /// deactivates every fault hook, including the inline fast-path gate, so
+  /// such a config is byte-identical to never having called this at all.
   void set_fault_plan(FaultPlan plan);
   /// The fault fates this transport counted (faults_*, partition_dropped,
   /// crash_dropped); every other field stays zero.
@@ -165,22 +144,10 @@ class DelayedTransport final : public Transport {
   [[nodiscard]] std::int64_t in_flight() const { return in_flight_; }
 
  private:
-  struct Endpoint {
-    std::string name;
-    MessageHandler handler;
-    TrafficMeter meter;
-  };
-
   struct Link {
     LinkModel model;
     util::SimTime busy_until = 0.0;
   };
-
-  /// Sender slot for link keying: messages whose sender is not a
-  /// registered endpoint (tests injecting raw traffic) share one
-  /// "external" source.
-  static constexpr std::size_t kExternalSource =
-      static_cast<std::size_t>(-1);
 
   /// A scheduled-but-undelivered message, pooled so each send's event
   /// record is just {trampoline, this, pool index} — scheduling a delivery
@@ -191,18 +158,12 @@ class DelayedTransport final : public Transport {
     Mechanism mechanism = Mechanism::kOverhead;
   };
 
-  [[nodiscard]] std::size_t resolve_sender(const Message& message) const;
-  /// Row in the dense link grid for a sender slot (external senders share
-  /// row 0).
-  [[nodiscard]] std::size_t link_row(std::size_t from) const {
-    return from == kExternalSource ? 0 : from + 1;
-  }
   [[nodiscard]] Link& link_between(std::size_t from, std::size_t to) {
-    return link_grid_[link_row(from) * grid_cols_ + to];
+    return link_grid_[from * grid_cols_ + to];
   }
   [[nodiscard]] const Link& link_between(std::size_t from,
                                          std::size_t to) const {
-    return link_grid_[link_row(from) * grid_cols_ + to];
+    return link_grid_[from * grid_cols_ + to];
   }
 
   /// Send/arrival instants of one transfer. Computing them runs the link
@@ -211,7 +172,7 @@ class DelayedTransport final : public Transport {
   struct LinkTiming {
     util::SimTime sent_at = 0.0;
     util::SimTime deliver_at = 0.0;
-    std::size_t sender_slot = kExternalSource;
+    std::size_t sender_slot = 0;
   };
   [[nodiscard]] LinkTiming plan_transfer(const Message& message,
                                          std::size_t destination_slot);
@@ -256,8 +217,11 @@ class DelayedTransport final : public Transport {
     return !faults_active_ && events_->next_time() > deliver_at;
   }
 
-  void schedule_delivery(std::size_t destination_slot, const Message& message,
-                         Mechanism mechanism);
+  /// The one send path: plan the transfer on the sender's link, draw its
+  /// fault fate, then deliver inline when `call` (send_call) or the reply
+  /// window allows it, else put the message (and any duplicate) in flight.
+  void transmit(std::size_t destination_slot, Message& message,
+                Mechanism mechanism, bool call);
   /// Inline (fast-forwarded clock) delivery of `message`, stamped in
   /// place, when can_deliver_inline allows; returns false when the event
   /// queue must carry the message instead. `request_window` opens the
@@ -275,9 +239,6 @@ class DelayedTransport final : public Transport {
 
   util::EventQueue* events_;
   LinkModel default_link_;
-  bool aggregate_metering_ = true;
-  /// Deque so endpoint meters stay at stable addresses as later endpoints
-  /// register (same contract as LoopbackTransport).
   std::deque<Endpoint> endpoints_;
   /// Cached endpoints_.size(): the per-send slot checks must not pay the
   /// deque's iterator arithmetic.
@@ -286,11 +247,10 @@ class DelayedTransport final : public Transport {
   /// touches them once per sent message, and deque indexing costs an
   /// integer division per access.
   std::vector<UplinkStats> uplink_;
-  std::unordered_map<std::string, std::size_t> index_;
-  /// Dense per-directed-pair link state, (endpoints + 1) rows (row 0 =
-  /// external senders) by `grid_cols_` destination columns: the per-send
-  /// link lookup is one multiply-add instead of a hash probe. Rebuilt
-  /// (preserving busy horizons) when an endpoint registers.
+  /// Dense per-directed-pair link state, one row per sender slot by
+  /// `grid_cols_` destination columns: the per-send link lookup is one
+  /// multiply-add. Rebuilt (preserving busy horizons) when an endpoint
+  /// registers.
   std::vector<Link> link_grid_;
   std::size_t grid_cols_ = 0;
   FaultPlan plan_;
@@ -305,7 +265,6 @@ class DelayedTransport final : public Transport {
   bool faults_active_ = false;
   std::vector<InFlight> flight_pool_;
   std::vector<std::uint32_t> flight_free_;
-  TrafficMeter meter_;
   DeliveryObserver observer_ = nullptr;
   void* observer_ctx_ = nullptr;
   /// One-shot flag raised while a send_call request is being handled: the

@@ -59,8 +59,7 @@ struct FaultWindow {
 };
 
 /// Probabilistic faults on one directed link (or both directions when
-/// duplex). Empty `from` means the external-sender row (messages injected
-/// from outside any registered endpoint, e.g. the replay driver).
+/// duplex).
 struct LinkFaultRule {
   std::string from;
   std::string to;

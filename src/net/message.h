@@ -8,10 +8,15 @@
 // kControl for protocol chatter. Network-traffic accounting is by payload
 // bytes, matching the paper's bytes-proportional cost model; header overhead
 // is metered separately so the figure numbers stay comparable.
+//
+// Endpoints are named once, when they register on the transport; on the
+// wire every endpoint is its transport slot. A message names its sender
+// only by that slot, and a transport addresses its destination only by
+// slot. Names survive as endpoint metadata that fault plans and crash
+// schedules resolve to slots at registration.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/types.h"
@@ -88,20 +93,12 @@ struct Message {
   /// the message is about.
   std::int64_t subject_id = -1;
   EventTime sent_at = 0;
-  /// Originating endpoint, so a multi-endpoint server can address its reply
-  /// (part of the modeled fixed-size header, not extra payload).
-  std::string sender;
-  /// Fast-path sender identity: the server-assigned cache slot
-  /// (ServerNode::attach_cache) carried by cache->server requests so the
-  /// server resolves the sender without a name lookup. -1 = unset; the
-  /// receiver then falls back to resolving `sender` by name.
-  std::int32_t sender_slot = -1;
-  /// Fast-path sender identity for the *transport*: the sender's own
-  /// transport slot (register_endpoint), so a link-aware transport keys
-  /// the egress link without hashing `sender`. Distinct from sender_slot,
-  /// which indexes the server's registration table. -1 = unset (external
-  /// senders); the transport then falls back to resolving by name.
-  std::int32_t sender_transport_slot = -1;
+  /// The sender's transport slot (Transport::register_endpoint), so a
+  /// multi-endpoint server can address its reply and a link-aware
+  /// transport can key the egress link. Always set: a transport rejects a
+  /// message whose sender is not one of its registered endpoints. Part of
+  /// the modeled fixed-size header, not extra payload.
+  std::int32_t sender = -1;
   /// Request/reply correlation: a CacheNode stamps each request with a
   /// fresh id and the server echoes it in the data-bearing reply, so a
   /// non-blocking endpoint can match responses to its pending-request

@@ -1,58 +1,35 @@
 #include "net/transport.h"
 
+#include <utility>
+
 #include "util/check.h"
 
 namespace delta::net {
 
-LoopbackTransport::Endpoint* LoopbackTransport::find(
-    const std::string& name) {
-  const auto it = index_.find(name);
-  return it == index_.end() ? nullptr : &endpoints_[it->second];
-}
-
-const LoopbackTransport::Endpoint* LoopbackTransport::find(
-    const std::string& name) const {
-  const auto it = index_.find(name);
-  return it == index_.end() ? nullptr : &endpoints_[it->second];
+std::size_t add_endpoint(std::deque<Endpoint>& endpoints,
+                         const std::string& name, MessageHandler handler) {
+  DELTA_CHECK(handler != nullptr);
+  for (const Endpoint& e : endpoints) {
+    DELTA_CHECK_MSG(e.name != name,
+                    "endpoint '" << name << "' registered twice");
+  }
+  endpoints.push_back(Endpoint{name, std::move(handler), TrafficMeter{}});
+  return endpoints.size() - 1;
 }
 
 std::size_t LoopbackTransport::register_endpoint(const std::string& name,
                                                  MessageHandler handler) {
-  DELTA_CHECK(handler != nullptr);
-  const auto it = index_.find(name);
-  if (it != index_.end()) {
-    endpoints_[it->second].handler = std::move(handler);  // meter survives
-    return it->second;
-  }
-  const std::size_t slot = endpoints_.size();
-  index_.emplace(name, slot);
-  endpoints_.push_back(Endpoint{name, std::move(handler), TrafficMeter{}});
-  return slot;
-}
-
-void LoopbackTransport::send(const std::string& destination,
-                             const Message& message, Mechanism mechanism) {
-  Endpoint* endpoint = find(destination);
-  DELTA_CHECK_MSG(endpoint != nullptr,
-                  "unknown endpoint '" << destination << "'");
-  deliver(*endpoint, message, mechanism);
-}
-
-std::size_t LoopbackTransport::endpoint_slot(const std::string& name) const {
-  const auto it = index_.find(name);
-  DELTA_CHECK_MSG(it != index_.end(), "unknown endpoint '" << name << "'");
-  return it->second;
+  return add_endpoint(endpoints_, name, std::move(handler));
 }
 
 void LoopbackTransport::send_to(std::size_t destination_slot,
-                                const Message& message, Mechanism mechanism) {
-  DELTA_CHECK_MSG(destination_slot < endpoints_.size(),
+                                Message& message, Mechanism mechanism) {
+  const std::size_t count = endpoints_.size();
+  DELTA_CHECK_MSG(destination_slot < count,
                   "unknown endpoint slot " << destination_slot);
-  deliver(endpoints_[destination_slot], message, mechanism);
-}
-
-void LoopbackTransport::deliver(Endpoint& endpoint, const Message& message,
-                                Mechanism mechanism) {
+  DELTA_CHECK_MSG(static_cast<std::size_t>(message.sender) < count,
+                  "unregistered sender slot " << message.sender);
+  Endpoint& endpoint = endpoints_[destination_slot];
   meter_.record(mechanism, message.payload);
   meter_.record(Mechanism::kOverhead, kMessageHeaderBytes + message.batch_bytes);
   endpoint.meter.record(mechanism, message.payload);
@@ -62,30 +39,11 @@ void LoopbackTransport::deliver(Endpoint& endpoint, const Message& message,
   endpoint.handler(message);
 }
 
-bool LoopbackTransport::has_endpoint(const std::string& name) const {
-  return find(name) != nullptr;
-}
-
-const TrafficMeter& LoopbackTransport::endpoint_meter(
-    const std::string& name) const {
-  const Endpoint* endpoint = find(name);
-  DELTA_CHECK_MSG(endpoint != nullptr,
-                  "no meter: unknown endpoint '" << name << "'");
-  return endpoint->meter;
-}
-
 const TrafficMeter& LoopbackTransport::endpoint_meter(
     std::size_t slot) const {
   DELTA_CHECK_MSG(slot < endpoints_.size(),
                   "no meter: unknown endpoint slot " << slot);
   return endpoints_[slot].meter;
-}
-
-std::vector<std::string> LoopbackTransport::endpoint_names() const {
-  std::vector<std::string> names;
-  names.reserve(endpoints_.size());
-  for (const Endpoint& e : endpoints_) names.push_back(e.name);
-  return names;
 }
 
 }  // namespace delta::net

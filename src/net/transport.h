@@ -7,19 +7,17 @@
 // deterministic ordering, full byte accounting (payload through the caller's
 // TrafficMeter category, headers as overhead).
 //
-// Accounting is kept at two granularities. The aggregate meter() sees every
-// message, so existing figure numbers are unchanged; additionally each
-// registered endpoint owns a meter that sees exactly the messages delivered
-// *to* it. Every send is accounted to exactly one endpoint meter, so the
-// per-endpoint meters partition the aggregate: summing any mechanism over
-// all endpoints reproduces the aggregate total byte-for-byte.
+// Endpoints register once, under a unique name, and get a stable slot;
+// from then on every message is addressed by slot alone: the destination
+// is a send_to argument and the sender is Message::sender. Each
+// registered endpoint owns a meter that sees exactly the messages
+// delivered *to* it, so the per-endpoint meters partition all traffic:
+// every send is accounted to exactly one endpoint meter.
 #pragma once
 
 #include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "net/message.h"
 #include "net/traffic_meter.h"
@@ -31,60 +29,55 @@ class EventQueue;
 
 namespace delta::net {
 
-/// A named endpoint that can receive messages.
+/// The receiving side of a registered endpoint.
 using MessageHandler = std::function<void(const Message&)>;
+
+/// One registered endpoint, as both transports keep it per slot.
+struct Endpoint {
+  std::string name;
+  MessageHandler handler;
+  TrafficMeter meter;
+};
+
+/// Appends a new endpoint to `endpoints` and returns its slot. A null
+/// handler, or a name some endpoint already holds, is a checked failure.
+/// A deque, so endpoint meters stay at stable addresses as later
+/// endpoints register — callers may hold endpoint_meter() references
+/// long-term.
+std::size_t add_endpoint(std::deque<Endpoint>& endpoints,
+                         const std::string& name, MessageHandler handler);
 
 class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Registers (or replaces) the handler for a destination endpoint.
-  /// Re-registration keeps the endpoint's accumulated meter (and slot).
-  /// Returns the endpoint's stable slot, usable with send_to().
+  /// Registers a destination endpoint and returns its stable slot, the
+  /// only address send_to and Message::sender take. Names are unique: a
+  /// second registration under a registered name is a checked failure.
   virtual std::size_t register_endpoint(const std::string& name,
                                         MessageHandler handler) = 0;
 
-  /// Delivers `message` to `destination`, accounting `message.payload`
-  /// under `mechanism` and the header under overhead. Delivery to an
-  /// unregistered endpoint is a checked failure.
-  virtual void send(const std::string& destination, const Message& message,
-                    Mechanism mechanism) = 0;
-
-  /// Slot of a registered endpoint (checked failure if unknown). Resolve
-  /// once, then address messages with send_to — the per-message name hash
-  /// is measurable on the replay hot path.
-  [[nodiscard]] virtual std::size_t endpoint_slot(
-      const std::string& name) const = 0;
-
-  /// send() addressed by slot instead of name: O(1), no hashing.
-  virtual void send_to(std::size_t destination_slot, const Message& message,
+  /// Delivers `message` to the endpoint at `destination_slot`, accounting
+  /// `message.payload` under `mechanism` and the header under overhead.
+  /// An unregistered destination or sender slot is a checked failure. The
+  /// transport may stamp simulated timestamps into `message` in place
+  /// (senders that keep the message own it).
+  virtual void send_to(std::size_t destination_slot, Message& message,
                        Mechanism mechanism) = 0;
 
-  /// Mutable-message variant of send_to — identical semantics, but the
-  /// transport may stamp simulated timestamps into `message` in place
-  /// instead of copying it (senders that keep the message own it). Non-
-  /// const lvalue arguments resolve here automatically; the default
-  /// forwards to the const overload.
-  virtual void send_to(std::size_t destination_slot, Message& message,
-                       Mechanism mechanism) {
-    send_to(destination_slot, static_cast<const Message&>(message),
-            mechanism);
-  }
-
   /// Sends a request whose reply the caller is about to block on (the
-  /// sync-façade round trip), stamping any simulated timestamps into
-  /// `message` in place. Semantically identical to send_to; the blocking
-  /// contract lets an event-driven transport fast-forward its clock to the
-  /// delivery instant and deliver inline — skipping the event queue — when
-  /// no earlier event is pending, and extend the same fast path to the
-  /// reply sent while this request is being handled. Callers that do NOT
-  /// immediately wait for the reply must use send_to.
+  /// sync-façade round trip). Semantically identical to send_to; the
+  /// blocking contract lets an event-driven transport fast-forward its
+  /// clock to the delivery instant and deliver inline — skipping the event
+  /// queue — when no earlier event is pending, and extend the same fast
+  /// path to the reply sent while this request is being handled. Callers
+  /// that do NOT immediately wait for the reply must use send_to.
   virtual void send_call(std::size_t destination_slot, Message& message,
                          Mechanism mechanism) {
     send_to(destination_slot, message, mechanism);
   }
 
-  /// True when send() delivers (and meters) inline before returning —
+  /// True when send_to delivers (and meters) inline before returning —
   /// LoopbackTransport. Event-driven transports return false: delivery
   /// happens when the simulated clock reaches the message's arrival time.
   [[nodiscard]] virtual bool synchronous() const { return true; }
@@ -128,74 +121,36 @@ class Transport {
   /// instants, unavailability windows) without reaching into the queue.
   [[nodiscard]] virtual double now() const { return 0.0; }
 
-  /// Aggregate accounting across all endpoints.
-  [[nodiscard]] virtual const TrafficMeter& meter() const = 0;
-  virtual TrafficMeter& meter() = 0;
-
-  // ---- per-endpoint accounting ----
-
-  [[nodiscard]] virtual bool has_endpoint(const std::string& name) const = 0;
-
-  /// Meter of the traffic delivered to `name`. Checked failure if the
-  /// endpoint is not registered.
-  [[nodiscard]] virtual const TrafficMeter& endpoint_meter(
-      const std::string& name) const = 0;
-
-  /// Slot-addressed endpoint meter: O(1), no per-call name hash. Resolve
-  /// the slot once at registration (register_endpoint returns it), then
-  /// read meters through this on hot paths (see CacheNode::meter()).
+  /// Meter of the traffic delivered to the endpoint at `slot` (checked
+  /// failure if no endpoint holds it).
   [[nodiscard]] virtual const TrafficMeter& endpoint_meter(
       std::size_t slot) const = 0;
-
-  /// Registered endpoint names, in registration order.
-  [[nodiscard]] virtual std::vector<std::string> endpoint_names() const = 0;
 };
 
-/// Synchronous in-process transport with deterministic delivery order.
+/// Synchronous in-process transport with deterministic delivery order. It
+/// also keeps the aggregate meter over every delivery, which the
+/// single-cache system reports as its figure traffic.
 class LoopbackTransport final : public Transport {
  public:
   std::size_t register_endpoint(const std::string& name,
                                 MessageHandler handler) override;
 
-  void send(const std::string& destination, const Message& message,
-            Mechanism mechanism) override;
-
-  [[nodiscard]] std::size_t endpoint_slot(
-      const std::string& name) const override;
-
-  void send_to(std::size_t destination_slot, const Message& message,
+  void send_to(std::size_t destination_slot, Message& message,
                Mechanism mechanism) override;
 
-  [[nodiscard]] const TrafficMeter& meter() const override { return meter_; }
-  TrafficMeter& meter() override { return meter_; }
+  /// Aggregate accounting across all endpoints.
+  [[nodiscard]] const TrafficMeter& meter() const { return meter_; }
 
-  [[nodiscard]] bool has_endpoint(const std::string& name) const override;
-  [[nodiscard]] const TrafficMeter& endpoint_meter(
-      const std::string& name) const override;
   [[nodiscard]] const TrafficMeter& endpoint_meter(
       std::size_t slot) const override;
-  [[nodiscard]] std::vector<std::string> endpoint_names() const override;
+  [[nodiscard]] std::size_t endpoint_count() const {
+    return endpoints_.size();
+  }
 
   [[nodiscard]] std::int64_t delivered_count() const { return delivered_; }
 
  private:
-  struct Endpoint {
-    std::string name;
-    MessageHandler handler;
-    TrafficMeter meter;
-  };
-
-  [[nodiscard]] Endpoint* find(const std::string& name);
-  [[nodiscard]] const Endpoint* find(const std::string& name) const;
-  void deliver(Endpoint& endpoint, const Message& message,
-               Mechanism mechanism);
-
-  /// Deque so endpoint meters stay at stable addresses as later endpoints
-  /// register — callers may hold endpoint_meter() references long-term.
   std::deque<Endpoint> endpoints_;
-  /// Name -> endpoints_ slot: keeps send() O(1) in the endpoint count
-  /// (sends are per-message on the simulation hot path).
-  std::unordered_map<std::string, std::size_t> index_;
   TrafficMeter meter_;
   std::int64_t delivered_ = 0;
 };

@@ -233,17 +233,17 @@ struct EventShard : ReplicaReplay {
 
   EventShard(const workload::Trace& trace, const net::LinkModel& default_link,
              const net::LinkModel& cache_link, std::size_t index)
-      // No aggregate metering: the shard owns both endpoints, so every
-      // aggregate figure is derived at the snapshot points as the sum of
-      // the two per-endpoint meters (they partition the aggregate) —
-      // saving two meter records on every delivered message.
-      : transport(&events, default_link, /*aggregate_metering=*/false) {
+      // The transport keeps no aggregate meter: the shard owns both
+      // endpoints, so every aggregate figure is derived at the snapshot
+      // points as the sum of the two per-endpoint meters.
+      : transport(&events, default_link) {
     this->trace = &trace;
     server = std::make_unique<core::ServerNode>(&trace, &transport);
     cache = std::make_unique<core::CacheNode>(
         &trace, server.get(), &transport, "cache-" + std::to_string(index));
-    transport.set_duplex_link(server->name(), cache->name(), cache_link);
-    cache_transport_slot = transport.endpoint_slot(cache->name());
+    cache_transport_slot = cache->transport_slot();
+    transport.set_duplex_link(server->transport_slot(), cache_transport_slot,
+                              cache_link);
     warmup_end = trace.info.warmup_end_event;
     // Unfiltered: coalesced notice ids ride on kInvalidation merges AND
     // piggyback on data-bearing replies, so every delivered message may
@@ -347,10 +347,10 @@ void replay_event_shard(const workload::Trace& trace,
   r.warmup_end = trace.info.warmup_end_event;
   shard.aggregate_series = util::CumulativeSeries{options.series_stride};
   const net::TrafficMeter& endpoint_meter = shard.cache->meter();
-  const net::TrafficMeter& server_meter = shard.transport.endpoint_meter(
-      shard.transport.endpoint_slot(shard.server->name()));
+  const net::TrafficMeter& server_meter =
+      shard.transport.endpoint_meter(shard.server->transport_slot());
   // Aggregate snapshots = cache meter + server meter (the partition
-  // identity); the aggregate meter itself is disabled on this transport.
+  // identity); the transport keeps no aggregate meter of its own.
   const auto aggregate_snapshot = [&] {
     std::array<Bytes, 3> sum = mechanism_snapshot(endpoint_meter);
     const std::array<Bytes, 3> at_server = mechanism_snapshot(server_meter);
@@ -525,8 +525,8 @@ void replay_event_shard(const workload::Trace& trace,
       endpoint_meter.figure_total() + server_meter.figure_total();
   shard.aggregate_overhead = endpoint_meter.total(net::Mechanism::kOverhead) +
                              server_meter.total(net::Mechanism::kOverhead);
-  shard.server_uplink = shard.transport.uplink_stats(
-      shard.transport.endpoint_slot(shard.server->name()));
+  shard.server_uplink =
+      shard.transport.uplink_stats(shard.server->transport_slot());
   shard.end_clock = events.now();
   shard.delivered = shard.transport.delivered_count();
   r.wall_seconds =

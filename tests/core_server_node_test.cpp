@@ -7,6 +7,7 @@
 
 #include "core/cache_node.h"
 #include "core/server_node.h"
+#include "meter_invariants.h"
 #include "net/transport.h"
 #include "trace_builder.h"
 
@@ -35,16 +36,30 @@ TEST(ServerNodeTest, AttachAssignsDistinctSlots) {
   TwoCacheHarness h;
   EXPECT_EQ(h.server.cache_count(), 2u);
   EXPECT_EQ(h.server.object_count(), 2u);
-  EXPECT_TRUE(h.transport.has_endpoint("cache-east"));
-  EXPECT_TRUE(h.transport.has_endpoint("cache-west"));
+  EXPECT_EQ(h.transport.endpoint_count(), 3u);
+  EXPECT_NE(h.east.transport_slot(), h.west.transport_slot());
+  EXPECT_NE(h.east.transport_slot(), h.server.transport_slot());
+  EXPECT_NE(h.west.transport_slot(), h.server.transport_slot());
 }
 
+// A slot attaches once, and the server's own slot never does. A cache
+// cannot reuse a name either: the transport rejects the registration of a
+// cache named like another cache or like the server, before any attach.
 TEST(ServerNodeTest, DuplicateAttachIsCheckedFailure) {
   TwoCacheHarness h;
-  const std::size_t east_slot = h.transport.endpoint_slot("cache-east");
-  EXPECT_THROW(h.server.attach_cache("cache-east", east_slot),
+  EXPECT_THROW(h.server.attach_cache(h.east.transport_slot()),
                std::logic_error);
-  EXPECT_THROW(h.server.attach_cache("server", east_slot), std::logic_error);
+  EXPECT_THROW(h.server.attach_cache(h.server.transport_slot()),
+               std::logic_error);
+  for (const char* name : {"cache-east", "server"}) {
+    EXPECT_THROW(CacheNode(&h.trace, &h.server, &h.transport, name),
+                 std::logic_error)
+        << name;
+  }
+  EXPECT_EQ(h.server.cache_count(), 2u);
+  EXPECT_EQ(h.transport.endpoint_count(), 3u);
+  // The failed attempts left both caches working.
+  EXPECT_EQ(h.east.ship_query(h.trace.queries[0]).count(), 300);
 }
 
 TEST(ServerNodeTest, RegistrationIsPerCache) {
@@ -109,14 +124,7 @@ TEST(ServerNodeTest, RepliesAreAccountedToTheRequestingEndpoint) {
             Bytes{1000} + ServerNode::kLoadOverheadBytes);
 
   // Per-endpoint meters partition the aggregate, mechanism by mechanism.
-  for (std::size_t i = 0; i < net::kMechanismCount; ++i) {
-    const auto mech = static_cast<net::Mechanism>(i);
-    Bytes sum;
-    for (const std::string& name : h.transport.endpoint_names()) {
-      sum += h.transport.endpoint_meter(name).total(mech);
-    }
-    EXPECT_EQ(sum, h.transport.meter().total(mech)) << net::to_string(mech);
-  }
+  delta::testing::ExpectEndpointMetersPartitionAggregate(h.transport);
 }
 
 TEST(ServerNodeTest, RequestFromUnattachedCacheIsCheckedFailure) {
@@ -124,13 +132,22 @@ TEST(ServerNodeTest, RequestFromUnattachedCacheIsCheckedFailure) {
   net::LoopbackTransport transport;
   ServerNode server{&trace, &transport};
   // A rogue endpoint on the wire that never attached to the server.
-  transport.register_endpoint("rogue", [](const net::Message&) {});
+  const std::size_t rogue =
+      transport.register_endpoint("rogue", [](const net::Message&) {});
   net::Message msg;
   msg.kind = net::MessageKind::kLoadRequest;
   msg.subject_id = 0;
-  msg.sender = "rogue";
-  EXPECT_THROW(transport.send("server", msg, net::Mechanism::kOverhead),
-               std::logic_error);
+  msg.sender = static_cast<std::int32_t>(rogue);
+  EXPECT_THROW(
+      transport.send_to(server.transport_slot(), msg,
+                        net::Mechanism::kOverhead),
+      std::logic_error);
+  // So is a request naming the server itself as its sender.
+  msg.sender = static_cast<std::int32_t>(server.transport_slot());
+  EXPECT_THROW(
+      transport.send_to(server.transport_slot(), msg,
+                        net::Mechanism::kOverhead),
+      std::logic_error);
 }
 
 }  // namespace

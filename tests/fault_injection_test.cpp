@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,18 +26,26 @@ struct Delivery {
   double at = 0.0;
 };
 
+/// Queue + transport + recording endpoints. The tests name endpoints, as
+/// fault plans do; the harness keeps each name's slot to address sends.
 struct Harness {
   util::EventQueue events;
   DelayedTransport transport;
   std::vector<Delivery> deliveries;
+  std::map<std::string, std::size_t> slots;
 
   explicit Harness(LinkModel default_link = LinkModel{1e6, 0.020})
       : transport(&events, default_link) {}
 
-  std::size_t add_endpoint(const std::string& name) {
-    return transport.register_endpoint(name, [this, name](const Message& m) {
-      deliveries.push_back(Delivery{name, m.subject_id, events.now()});
-    });
+  void add_endpoint(const std::string& name) {
+    slots[name] =
+        transport.register_endpoint(name, [this, name](const Message& m) {
+          deliveries.push_back(Delivery{name, m.subject_id, events.now()});
+        });
+  }
+
+  [[nodiscard]] std::size_t slot(const std::string& name) const {
+    return slots.at(name);
   }
 
   void send(const std::string& from, const std::string& to,
@@ -44,9 +53,9 @@ struct Harness {
     Message m;
     m.kind = MessageKind::kControl;
     m.payload = payload;
-    m.sender = from;
+    m.sender = static_cast<std::int32_t>(slot(from));
     m.subject_id = subject;
-    transport.send(to, m, Mechanism::kQueryShip);
+    transport.send_to(slot(to), m, Mechanism::kQueryShip);
   }
 };
 
@@ -72,10 +81,10 @@ TEST(FaultInjectionTest, CertainDropKillsEveryDeliveryButPaysSerialization) {
   // The wire ate the messages AFTER serialization: the egress link was
   // busy (the sender cannot know), but nothing was metered at delivery.
   const UplinkStats& uplink =
-      h.transport.uplink_stats(h.transport.endpoint_slot("a"));
+      h.transport.uplink_stats(h.slot("a"));
   EXPECT_EQ(uplink.sends, 8);
   EXPECT_GT(uplink.busy_seconds, 0.0);
-  EXPECT_EQ(h.transport.endpoint_meter("b").figure_total(), Bytes{0});
+  EXPECT_EQ(h.transport.endpoint_meter(h.slot("b")).figure_total(), Bytes{0});
 }
 
 TEST(FaultInjectionTest, CertainDuplicateDeliversTwiceOriginalFirst) {
@@ -96,7 +105,7 @@ TEST(FaultInjectionTest, CertainDuplicateDeliversTwiceOriginalFirst) {
   EXPECT_EQ(h.transport.counters().faults_duplicated, 1);
   // Duplicated flights are not themselves re-drawn: exactly one copy.
   const UplinkStats& uplink =
-      h.transport.uplink_stats(h.transport.endpoint_slot("a"));
+      h.transport.uplink_stats(h.slot("a"));
   EXPECT_EQ(uplink.sends, 1);
 }
 
@@ -269,6 +278,30 @@ TEST(FaultInjectionTest, GridGrowthPreservesLinkStreams) {
   for (const Delivery& d : grown.deliveries) grown_b.push_back(d.subject);
   for (const Delivery& d : upfront.deliveries) upfront_b.push_back(d.subject);
   ASSERT_EQ(grown_b, upfront_b);
+}
+
+// Fates are keyed by endpoint names, not slots: the same link keeps the
+// same stream whichever slots its endpoints registered at.
+TEST(FaultInjectionTest, RegistrationOrderDoesNotPerturbLinkStreams) {
+  LinkFaults faults;
+  faults.drop = 0.5;
+  Harness forward;
+  Harness reverse;
+  for (const char* name : {"a", "b", "c"}) forward.add_endpoint(name);
+  for (const char* name : {"c", "b", "a"}) reverse.add_endpoint(name);
+  ASSERT_NE(forward.slot("a"), reverse.slot("a"));
+  for (Harness* h : {&forward, &reverse}) {
+    h->transport.set_fault_plan(plan_with(faults));
+    for (int i = 0; i < 64; ++i) h->send("a", "b", i);
+    h->events.run_until_idle();
+  }
+  std::vector<std::int64_t> forward_b;
+  std::vector<std::int64_t> reverse_b;
+  for (const Delivery& d : forward.deliveries) forward_b.push_back(d.subject);
+  for (const Delivery& d : reverse.deliveries) reverse_b.push_back(d.subject);
+  ASSERT_EQ(forward_b, reverse_b);
+  EXPECT_GT(forward_b.size(), 0u);
+  EXPECT_LT(forward_b.size(), 64u);
 }
 
 // Directed rules override the default, and a duplex rule covers the

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "flow/dinic.h"
-#include "flow/edmonds_karp.h"
 #include "flow/network.h"
+#include "max_flow_oracle.h"
 
 namespace delta::flow {
 namespace {
+
+using oracle::EdmondsKarp;
+using oracle::max_flow_edmonds_karp;
 
 // Classic CLRS example network with known max flow 23.
 FlowNetwork clrs_network(NodeIndex& s, NodeIndex& t) {

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "flow/bipartite_cover.h"
-#include "flow/edmonds_karp.h"
+#include "max_flow_oracle.h"
 #include "min_cut_oracle.h"
 #include "util/rng.h"
 
@@ -130,7 +130,7 @@ TEST_P(CoverPropertyTest, IncrementalEqualsScratchUnderChurn) {
       // Incremental flow value must match a from-scratch computation.
       FlowNetwork scratch = solver.network().zero_flow_copy();
       // Locate source/sink: they are nodes 0 and 1 by construction order.
-      const Capacity scratch_flow = max_flow_edmonds_karp(scratch, 0, 1);
+      const Capacity scratch_flow = oracle::max_flow_edmonds_karp(scratch, 0, 1);
       EXPECT_EQ(cover.weight, scratch_flow) << "step " << step;
     }
   }

@@ -1,6 +1,7 @@
 // Shared accounting-invariant checks for the per-endpoint / aggregate
-// metering architecture. One definition, asserted from the net-layer tests
-// (raw transport) and the multi-endpoint event-engine tests — the
+// metering architecture. One definition, asserted from the net-layer and
+// ServerNode tests (LoopbackTransport, the transport that keeps an
+// aggregate meter) and the multi-endpoint event-engine tests — the
 // invariant itself is the contract both layers advertise.
 #pragma once
 
@@ -8,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "net/transport.h"
 #include "sim/event_engine.h"
@@ -19,14 +19,15 @@ namespace delta::testing {
 /// bytes and message counts summed over all registered endpoints reproduce
 /// the transport's aggregate meter exactly (every send is accounted to
 /// exactly one endpoint meter).
-inline void ExpectEndpointMetersPartitionAggregate(const net::Transport& t) {
+inline void ExpectEndpointMetersPartitionAggregate(
+    const net::LoopbackTransport& t) {
   for (std::size_t i = 0; i < net::kMechanismCount; ++i) {
     const auto mech = static_cast<net::Mechanism>(i);
     Bytes bytes_sum;
     std::int64_t count_sum = 0;
-    for (const std::string& name : t.endpoint_names()) {
-      bytes_sum += t.endpoint_meter(name).total(mech);
-      count_sum += t.endpoint_meter(name).message_count(mech);
+    for (std::size_t slot = 0; slot < t.endpoint_count(); ++slot) {
+      bytes_sum += t.endpoint_meter(slot).total(mech);
+      count_sum += t.endpoint_meter(slot).message_count(mech);
     }
     EXPECT_EQ(bytes_sum, t.meter().total(mech)) << net::to_string(mech);
     EXPECT_EQ(count_sum, t.meter().message_count(mech))

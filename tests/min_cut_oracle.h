@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "flow/bipartite_cover.h"
-#include "flow/edmonds_karp.h"
+#include "max_flow_oracle.h"
 
 namespace delta::flow::oracle {
 

@@ -42,19 +42,34 @@ TEST(TrafficMeterTest, RejectsNegativeBytes) {
   EXPECT_THROW(m.record(Mechanism::kQueryShip, Bytes{-1}), std::logic_error);
 }
 
+/// Registers an endpoint that ignores its deliveries; returns its slot.
+std::size_t add_sink(Transport& t, const char* name) {
+  return t.register_endpoint(name, [](const Message&) {});
+}
+
+/// A message from the endpoint at `sender`, carrying `payload`.
+Message message_from(std::size_t sender, Bytes payload = Bytes{}) {
+  Message m;
+  m.sender = static_cast<std::int32_t>(sender);
+  m.payload = payload;
+  return m;
+}
+
 TEST(LoopbackTransportTest, DeliversToRegisteredEndpoint) {
   LoopbackTransport t;
   std::vector<Message> received;
-  t.register_endpoint("cache", [&](const Message& m) {
-    received.push_back(m);
-  });
-  Message msg;
+  const std::size_t server = add_sink(t, "server");
+  const std::size_t cache =
+      t.register_endpoint("cache", [&](const Message& m) {
+        received.push_back(m);
+      });
+  Message msg = message_from(server, Bytes{12345});
   msg.kind = MessageKind::kUpdateShip;
-  msg.payload = Bytes{12345};
   msg.subject_id = 9;
-  t.send("cache", msg, Mechanism::kUpdateShip);
+  t.send_to(cache, msg, Mechanism::kUpdateShip);
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].subject_id, 9);
+  EXPECT_EQ(received[0].sender, static_cast<std::int32_t>(server));
   EXPECT_EQ(t.meter().total(Mechanism::kUpdateShip).count(), 12345);
   EXPECT_EQ(t.meter().total(Mechanism::kOverhead), kMessageHeaderBytes);
   EXPECT_EQ(t.delivered_count(), 1);
@@ -62,16 +77,27 @@ TEST(LoopbackTransportTest, DeliversToRegisteredEndpoint) {
 
 TEST(LoopbackTransportTest, UnknownEndpointThrows) {
   LoopbackTransport t;
-  EXPECT_THROW(t.send("nowhere", Message{}, Mechanism::kQueryShip),
-               std::logic_error);
+  Message msg = message_from(0);
+  EXPECT_THROW(t.send_to(0, msg, Mechanism::kQueryShip), std::logic_error);
 }
 
-TEST(LoopbackTransportTest, UnregisteredEndpointIsCheckedFailureEvenWhenOthersExist) {
+// Both ends of a send must be registered slots: an unknown destination and
+// an unset, negative or out-of-range sender are each a checked failure that
+// leaves no accounting behind.
+TEST(LoopbackTransportTest, UnregisteredSlotIsCheckedFailure) {
   LoopbackTransport t;
-  t.register_endpoint("cache-0", [](const Message&) {});
-  EXPECT_THROW(t.send("cache-1", Message{}, Mechanism::kUpdateShip),
+  const std::size_t cache = add_sink(t, "cache-0");
+  Message from_cache = message_from(cache);
+  EXPECT_THROW(t.send_to(cache + 1, from_cache, Mechanism::kUpdateShip),
                std::logic_error);
-  // The failed delivery must not have been accounted anywhere.
+  for (const std::int32_t sender : {-1, -7, 1, 99}) {
+    Message forged = message_from(cache);
+    forged.sender = sender;
+    EXPECT_THROW(t.send_to(cache, forged, Mechanism::kUpdateShip),
+                 std::logic_error)
+        << "sender " << sender;
+  }
+  // The failed deliveries must not have been accounted anywhere.
   EXPECT_EQ(t.meter().figure_total().count(), 0);
   EXPECT_EQ(t.meter().total(Mechanism::kOverhead).count(), 0);
   EXPECT_EQ(t.delivered_count(), 0);
@@ -79,34 +105,33 @@ TEST(LoopbackTransportTest, UnregisteredEndpointIsCheckedFailureEvenWhenOthersEx
 
 TEST(LoopbackTransportTest, PerEndpointMetersPartitionTheAggregate) {
   LoopbackTransport t;
-  for (const char* name : {"server", "cache-0", "cache-1"}) {
-    t.register_endpoint(name, [](const Message&) {});
-  }
-  Message msg;
+  const std::size_t server = add_sink(t, "server");
+  const std::size_t cache0 = add_sink(t, "cache-0");
+  const std::size_t cache1 = add_sink(t, "cache-1");
+  Message msg = message_from(server, Bytes{1000});
   msg.kind = MessageKind::kQueryResult;
-  msg.payload = Bytes{1000};
-  t.send("cache-0", msg, Mechanism::kQueryShip);
+  t.send_to(cache0, msg, Mechanism::kQueryShip);
   msg.payload = Bytes{250};
-  t.send("cache-1", msg, Mechanism::kQueryShip);
+  t.send_to(cache1, msg, Mechanism::kQueryShip);
   msg.kind = MessageKind::kUpdateShip;
   msg.payload = Bytes{77};
-  t.send("cache-1", msg, Mechanism::kUpdateShip);
+  t.send_to(cache1, msg, Mechanism::kUpdateShip);
+  msg = message_from(cache0);
   msg.kind = MessageKind::kLoadRequest;
-  msg.payload = Bytes{};
-  t.send("server", msg, Mechanism::kOverhead);
+  t.send_to(server, msg, Mechanism::kOverhead);
 
   // Destination-keyed: each endpoint saw exactly its deliveries.
-  EXPECT_EQ(t.endpoint_meter("cache-0").total(Mechanism::kQueryShip).count(),
+  EXPECT_EQ(t.endpoint_meter(cache0).total(Mechanism::kQueryShip).count(),
             1000);
-  EXPECT_EQ(t.endpoint_meter("cache-1").total(Mechanism::kQueryShip).count(),
+  EXPECT_EQ(t.endpoint_meter(cache1).total(Mechanism::kQueryShip).count(),
             250);
-  EXPECT_EQ(t.endpoint_meter("cache-1").total(Mechanism::kUpdateShip).count(),
+  EXPECT_EQ(t.endpoint_meter(cache1).total(Mechanism::kUpdateShip).count(),
             77);
-  EXPECT_EQ(t.endpoint_meter("server").figure_total().count(), 0);
+  EXPECT_EQ(t.endpoint_meter(server).figure_total().count(), 0);
 
   // Partition property: per-endpoint totals sum exactly to the aggregate,
   // mechanism by mechanism, bytes and message counts alike.
-  ASSERT_EQ(t.endpoint_names().size(), 3u);
+  ASSERT_EQ(t.endpoint_count(), 3u);
   delta::testing::ExpectEndpointMetersPartitionAggregate(t);
 }
 
@@ -179,48 +204,36 @@ TEST(TrafficMeterTest, SingleWriterMetersAreExactUnderConcurrentReads) {
   EXPECT_EQ(total_count, kThreads * kPerThread);
 }
 
-TEST(LoopbackTransportTest, EndpointMeterUnknownNameThrows) {
+// Each slot's meter holds exactly that endpoint's deliveries; an
+// unregistered slot has no meter.
+TEST(LoopbackTransportTest, EndpointMeterIsPerSlot) {
   LoopbackTransport t;
-  EXPECT_THROW((void)t.endpoint_meter("ghost"), std::logic_error);
-  EXPECT_FALSE(t.has_endpoint("ghost"));
-}
-
-// The slot-addressed meter accessor (the hot-path variant CacheNode::meter
-// uses) aliases the name-addressed meter exactly and validates its slot.
-TEST(LoopbackTransportTest, SlotAddressedEndpointMeterAliasesNameLookup) {
-  LoopbackTransport t;
-  const std::size_t cache = t.register_endpoint("cache", [](const Message&) {});
-  const std::size_t other = t.register_endpoint("other", [](const Message&) {});
-  Message msg;
-  msg.payload = Bytes{500};
-  t.send("cache", msg, Mechanism::kObjectLoad);
-  EXPECT_EQ(&t.endpoint_meter(cache), &t.endpoint_meter("cache"));
-  EXPECT_EQ(&t.endpoint_meter(other), &t.endpoint_meter("other"));
+  const std::size_t cache = add_sink(t, "cache");
+  const std::size_t other = add_sink(t, "other");
+  Message msg = message_from(other, Bytes{500});
+  t.send_to(cache, msg, Mechanism::kObjectLoad);
   EXPECT_EQ(t.endpoint_meter(cache).total(Mechanism::kObjectLoad).count(),
             500);
+  EXPECT_EQ(t.endpoint_meter(other).figure_total().count(), 0);
   EXPECT_THROW((void)t.endpoint_meter(std::size_t{99}), std::logic_error);
 }
 
-TEST(LoopbackTransportTest, ReRegistrationKeepsEndpointMeter) {
-  LoopbackTransport t;
-  t.register_endpoint("cache", [](const Message&) {});
-  Message msg;
-  msg.payload = Bytes{500};
-  t.send("cache", msg, Mechanism::kObjectLoad);
-  t.register_endpoint("cache", [](const Message&) {});
-  EXPECT_EQ(t.endpoint_meter("cache").total(Mechanism::kObjectLoad).count(),
-            500);
-}
-
-TEST(LoopbackTransportTest, ReRegistrationReplacesHandler) {
+// A name is registered once: a second registration under it is a checked
+// failure that neither replaces the first handler nor adds a slot.
+TEST(LoopbackTransportTest, DuplicateNameIsCheckedFailure) {
   LoopbackTransport t;
   int first = 0;
   int second = 0;
-  t.register_endpoint("server", [&](const Message&) { ++first; });
-  t.register_endpoint("server", [&](const Message&) { ++second; });
-  t.send("server", Message{}, Mechanism::kQueryShip);
-  EXPECT_EQ(first, 0);
-  EXPECT_EQ(second, 1);
+  const std::size_t server =
+      t.register_endpoint("server", [&](const Message&) { ++first; });
+  EXPECT_THROW(
+      t.register_endpoint("server", [&](const Message&) { ++second; }),
+      std::logic_error);
+  EXPECT_EQ(t.endpoint_count(), 1u);
+  Message msg = message_from(server);
+  t.send_to(server, msg, Mechanism::kQueryShip);
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 0);
 }
 
 TEST(LinkModelTest, TransferTimeScalesLinearly) {
