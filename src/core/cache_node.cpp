@@ -13,18 +13,20 @@ CacheNode::CacheNode(const workload::Trace* trace, ServerNode* server,
     : trace_(trace),
       server_(server),
       transport_(transport),
-      name_(std::move(name)),
-      slot_(0) {
+      name_(std::move(name)) {
   DELTA_CHECK(trace != nullptr);
   DELTA_CHECK(server != nullptr);
   DELTA_CHECK(transport != nullptr);
-  // The transport rejects a name already registered (another cache's, or
-  // the server's) before binding the handler, so a failing construction
-  // leaves no handler capturing this soon-destroyed node. The server then
-  // matches our requests to our row by the transport slot they carry.
+  // A server serves one cache, and the transport rejects a name already
+  // registered (another cache's, or the server's), both before binding the
+  // handler, so a failing construction leaves no handler capturing this
+  // soon-destroyed node. The server then accepts requests only from the
+  // transport slot it attached.
+  DELTA_CHECK_MSG(!server->has_cache(),
+                  "server '" << server->name() << "' already serves a cache");
   transport_slot_ = transport_->register_endpoint(
       name_, [this](const net::Message& m) { handle_message(m); });
-  slot_ = server_->attach_cache(transport_slot_);
+  server_->attach_cache(transport_slot_);
   server_transport_slot_ = server_->transport_slot();
   transport_inline_ = transport_->synchronous();
   sync_request_ = request(net::MessageKind::kControl, -1, 0, -1);
@@ -42,6 +44,21 @@ net::Message CacheNode::request(net::MessageKind kind,
   return msg;
 }
 
+CacheNode::Pending& CacheNode::park(net::MessageKind kind,
+                                    std::int64_t subject_id,
+                                    EventTime sent_at,
+                                    net::MessageKind expected_reply,
+                                    std::int64_t protocol_epoch) {
+  Pending& pending = pending_.emplace_back();
+  pending.correlation = next_correlation_++;
+  pending.expected_reply = expected_reply;
+  pending.kind = kind;
+  pending.subject_id = subject_id;
+  pending.sent_at = sent_at;
+  pending.protocol_epoch = protocol_epoch;
+  return pending;
+}
+
 std::int64_t CacheNode::send_request(net::MessageKind kind,
                                      std::int64_t subject_id,
                                      EventTime sent_at,
@@ -49,16 +66,10 @@ std::int64_t CacheNode::send_request(net::MessageKind kind,
                                      Completion complete,
                                      std::int64_t protocol_epoch) {
   DELTA_CHECK(complete != nullptr);
-  const std::int64_t correlation = next_correlation_++;
-  Pending pending;
-  pending.correlation = correlation;
-  pending.expected_reply = expected_reply;
+  Pending& pending =
+      park(kind, subject_id, sent_at, expected_reply, protocol_epoch);
   pending.complete = std::move(complete);
-  pending.kind = kind;
-  pending.subject_id = subject_id;
-  pending.sent_at = sent_at;
-  pending.protocol_epoch = protocol_epoch;
-  pending_.push_back(std::move(pending));
+  const std::int64_t correlation = pending.correlation;
   // The send may deliver (and complete the request) inline on a
   // synchronous transport, so the pending entry must be parked first.
   net::Message msg = request(kind, subject_id, sent_at, correlation);
@@ -82,17 +93,11 @@ Bytes CacheNode::request_and_wait(net::MessageKind kind,
   // std::function construction on the replay hot path.
   bool done = false;
   Bytes reply_payload{};
-  const std::int64_t correlation = next_correlation_++;
-  Pending pending;
-  pending.correlation = correlation;
-  pending.expected_reply = expected_reply;
+  Pending& pending =
+      park(kind, subject_id, sent_at, expected_reply, protocol_epoch);
   pending.sync_done = &done;
   pending.sync_payload = &reply_payload;
-  pending.kind = kind;
-  pending.subject_id = subject_id;
-  pending.sent_at = sent_at;
-  pending.protocol_epoch = protocol_epoch;
-  pending_.push_back(std::move(pending));
+  const std::int64_t correlation = pending.correlation;
   // send_call, not send_to: we block on the reply below, which lets an
   // event-driven transport run the whole round trip on its inline fast
   // path when nothing else is due first. The prebuilt request is safe to
@@ -191,13 +196,11 @@ void CacheNode::begin_recovery() {
   // attempt budget (its expected reply is kResyncData), so recovery
   // launched at a restart instant — or at a dead server — simply keeps
   // knocking until the other side is alive again.
-  server_->set_subscription(slot_, subscription_);
+  server_->set_subscription(subscription_);
   ++counters_.resyncs;
   ++epoch_;
-  const std::int64_t correlation = next_correlation_++;
-  Pending pending;
-  pending.correlation = correlation;
-  pending.expected_reply = net::MessageKind::kResyncData;
+  Pending& pending = park(net::MessageKind::kRecoverRequest, epoch_, 0,
+                          net::MessageKind::kResyncData, epoch_);
   pending.complete = [this](Bytes) {
     recovery_inflight_ = false;
     if (recovering_) {
@@ -207,11 +210,7 @@ void CacheNode::begin_recovery() {
       recovering_ = false;
     }
   };
-  pending.kind = net::MessageKind::kRecoverRequest;
-  pending.subject_id = epoch_;
-  pending.sent_at = 0;
-  pending.protocol_epoch = epoch_;
-  pending_.push_back(std::move(pending));
+  const std::int64_t correlation = pending.correlation;
   net::Message msg =
       request(net::MessageKind::kRecoverRequest, epoch_, 0, correlation);
   msg.protocol_epoch = epoch_;
@@ -515,7 +514,7 @@ void CacheNode::set_subscription(MetadataSubscription subscription) {
   // Remembered locally so a crash restart can re-subscribe: the server's
   // copy is exactly the soft state a server crash wipes.
   subscription_ = subscription;
-  server_->set_subscription(slot_, subscription);
+  server_->set_subscription(subscription);
 }
 
 void CacheNode::set_invalidation_handler(
@@ -536,15 +535,18 @@ void CacheNode::ship_update_async(const workload::Update& u,
                net::MessageKind::kUpdateShip, std::move(complete));
 }
 
+std::int64_t CacheNode::begin_load(ObjectId o) {
+  if (!protocol_on_) return -1;
+  const auto idx = static_cast<std::size_t>(o.value());
+  resident_[idx] = 1;
+  if (recovering_) ++counters_.cold_misses;
+  return ++reg_gen_[idx];
+}
+
 void CacheNode::load_object_async(ObjectId o, Completion complete) {
-  std::int64_t generation = -1;
-  if (protocol_on_) {
-    generation = ++reg_gen_[static_cast<std::size_t>(o.value())];
-    resident_[static_cast<std::size_t>(o.value())] = 1;
-    if (recovering_) ++counters_.cold_misses;
-  }
   send_request(net::MessageKind::kLoadRequest, o.value(), 0,
-               net::MessageKind::kLoadData, std::move(complete), generation);
+               net::MessageKind::kLoadData, std::move(complete),
+               begin_load(o));
 }
 
 Bytes CacheNode::ship_query(const workload::Query& q) {
@@ -558,16 +560,10 @@ Bytes CacheNode::ship_update(const workload::Update& u) {
 }
 
 Bytes CacheNode::load_object(ObjectId o) {
-  std::int64_t generation = -1;
-  if (protocol_on_) {
-    generation = ++reg_gen_[static_cast<std::size_t>(o.value())];
-    resident_[static_cast<std::size_t>(o.value())] = 1;
-    if (recovering_) ++counters_.cold_misses;
-  }
   const Bytes loaded = request_and_wait(net::MessageKind::kLoadRequest,
                                         o.value(), 0,
                                         net::MessageKind::kLoadData,
-                                        generation);
+                                        begin_load(o));
   // Under the hardened protocol a reordered eviction notice can still be
   // in flight when the load completes — registration is guaranteed by the
   // generation guard, not instantaneously observable.

@@ -9,9 +9,9 @@
 //   update shipping = control request (overhead) + UpdateShip (ν(u))
 //   object loading  = LoadRequest (overhead) + LoadData (l(o))
 // plus Invalidation notices (overhead) from the server's registration-based
-// coherence protocol. Many CacheNodes can share one ServerNode; each owns
-// its endpoint name and (through the transport) its per-endpoint traffic
-// meter.
+// coherence protocol. A CacheNode and its ServerNode are one replica: the
+// server serves this one cache. The node owns its endpoint name and
+// (through the transport) its per-endpoint traffic meter.
 //
 // The node is a non-blocking message-driven state machine: every request
 // carries a fresh correlation id and is parked in a pending-request table
@@ -48,8 +48,9 @@ class CacheNode {
   /// update content / load bytes) when the reply is delivered.
   using Completion = std::function<void(Bytes)>;
 
-  /// Registers the endpoint on the transport and attaches it to the server's
-  /// registration table. Trace, server and transport outlive the node.
+  /// Registers the endpoint on the transport and attaches it to the server,
+  /// which must not serve another cache yet. Trace, server and transport
+  /// outlive the node.
   CacheNode(const workload::Trace* trace, ServerNode* server,
             net::Transport* transport, std::string name = "cache");
 
@@ -186,7 +187,7 @@ class CacheNode {
     return server_->load_cost(o);
   }
   [[nodiscard]] bool is_registered(ObjectId o) const {
-    return server_->is_registered(slot_, o);
+    return server_->is_registered(o);
   }
   [[nodiscard]] std::size_t object_count() const {
     return server_->object_count();
@@ -228,7 +229,6 @@ class CacheNode {
   /// copy (or delivers inline) before control can re-enter the façade.
   net::Message sync_request_;
   std::string name_;
-  std::size_t slot_;  // this cache's row in the server registration table
   std::size_t transport_slot_ = 0;         // this endpoint's own slot
   std::size_t server_transport_slot_ = 0;  // where requests go
   std::function<void(const workload::Update&)> invalidation_handler_;
@@ -286,6 +286,12 @@ class CacheNode {
                                      std::int64_t subject_id,
                                      EventTime sent_at,
                                      std::int64_t correlation) const;
+  /// Appends a pending entry for a request under a fresh correlation id
+  /// and returns it; the caller sets its completion, then sends. The
+  /// reference dies with the next change to the pending table.
+  Pending& park(net::MessageKind kind, std::int64_t subject_id,
+                EventTime sent_at, net::MessageKind expected_reply,
+                std::int64_t protocol_epoch);
   /// Parks `complete` in the pending table and sends the request. Returns
   /// the correlation id.
   std::int64_t send_request(net::MessageKind kind, std::int64_t subject_id,
@@ -298,6 +304,11 @@ class CacheNode {
                          EventTime sent_at,
                          net::MessageKind expected_reply,
                          std::int64_t protocol_epoch = -1);
+  /// The load protocol's prologue (protocol on): marks `o` resident,
+  /// counts a cold miss while recovering, and returns the object's next
+  /// registration generation, stamped into the load request. -1 when the
+  /// protocol is off.
+  std::int64_t begin_load(ObjectId o);
   void handle_message(const net::Message& m);
   /// Resolves one invalidation notice (an update id) against the shared
   /// trace and runs the policy's invalidation handler.

@@ -2,10 +2,11 @@
 //
 // It owns the server-side object sizes, answers data requests arriving over
 // the transport (query shipping, update shipping, object loading), and runs
-// the registration-based cache-coherence protocol: a per-cache registration
-// table plus a per-cache metadata subscription drive the invalidation
-// fan-out when updates arrive. Any number of CacheNode endpoints can attach,
-// all communicating with the server only through net::Transport messages.
+// the registration-based cache-coherence protocol: the cache's registration
+// row plus its metadata subscription drive the invalidation notices when
+// updates arrive. A server serves exactly one CacheNode, which talks to it
+// only through net::Transport messages; N caches are N server/cache
+// replicas (sim/event_engine.h), each with its own repository copy.
 #pragma once
 
 #include <string>
@@ -27,18 +28,18 @@ enum class MetadataSubscription : std::uint8_t {
   kAll,             // Replica / Benefit: metadata notices for every update
 };
 
-/// Pending-notice bound per cache under congestion batching: the merge
-/// flushes at this size even if the backlog persists (bounds notice latency
-/// under saturation).
+/// Pending-notice bound under congestion batching: the merge flushes at
+/// this size even if the backlog persists (bounds notice latency under
+/// saturation).
 inline constexpr std::size_t kMaxNoticeBatch = 64;
 
 /// Congestion batching of invalidation notices. When the server's egress
-/// link to a cache is backlogged past `backlog_threshold_seconds`
+/// link to the cache is backlogged past `backlog_threshold_seconds`
 /// (Transport::egress_backlog_seconds), per-update notices are held in a
-/// per-cache pending list instead of each paying its own message header
-/// and serialization slot. Pending notices drain three ways: merged into
-/// one kInvalidation once the backlog recedes or kMaxNoticeBatch is reached,
-/// piggybacked onto the next data-bearing reply to that cache, or by the
+/// pending list instead of each paying its own message header and
+/// serialization slot. Pending notices drain three ways: merged into one
+/// kInvalidation once the backlog recedes or kMaxNoticeBatch is reached,
+/// piggybacked onto the next data-bearing reply to the cache, or by the
 /// end-of-run flush_pending_notices(). Off by default — the unbatched
 /// one-notice-per-message fan-out is the golden-pinned behavior, and a
 /// flush of a single pending notice emits a byte-identical message to the
@@ -70,21 +71,19 @@ class ServerNode {
   /// notice, and where caches send their requests.
   [[nodiscard]] std::size_t transport_slot() const { return transport_slot_; }
 
-  /// Adds the cache endpoint registered at `cache_transport_slot` to the
-  /// registration table and returns its row index (the handle CacheNode
-  /// uses for cheap metadata reads). Replies and invalidations go to that
-  /// transport slot, and requests are matched to the row by their
-  /// Message::sender. Attaching the server's own slot, or a slot already
-  /// attached, is a checked failure.
-  std::size_t attach_cache(std::size_t cache_transport_slot);
+  /// Attaches the one cache this server serves, the endpoint registered at
+  /// `cache_transport_slot`: replies and invalidations go to that slot, and
+  /// a message from any other sender is a checked failure. Attaching the
+  /// server's own slot, or a second cache, is a checked failure.
+  void attach_cache(std::size_t cache_transport_slot);
+  /// True once a cache has attached.
+  [[nodiscard]] bool has_cache() const { return attached_; }
 
-  void set_subscription(std::size_t cache_slot,
-                        MetadataSubscription subscription);
+  void set_subscription(MetadataSubscription subscription);
 
-  /// Applies an arriving update to the repository and fans out an
-  /// invalidation notice to every attached cache whose subscription covers
-  /// it (in attach order — deterministic). The update must be the trace
-  /// entry its id names (validated per call).
+  /// Applies an arriving update to the repository and sends the cache an
+  /// invalidation notice when its subscription covers it. The update must
+  /// be the trace entry its id names (validated per call).
   void ingest_update(const workload::Update& u);
 
   /// Trusted ingest by trace index: identical side effects, but the update
@@ -96,10 +95,10 @@ class ServerNode {
 
   // ---- protocol hardening & admission control (ISSUE 8) ----
 
-  /// Arms the server side of the hardened protocol: the per-cache
-  /// (correlation, attempt) dedup ring, notice ingest stamping, the
-  /// per-cache notice log that backs epoch resync, and the per-object
-  /// registration generations that make reordered eviction notices safe.
+  /// Arms the server side of the hardened protocol: the (correlation,
+  /// attempt) dedup ring, notice ingest stamping, the notice log that
+  /// backs epoch resync, and the per-object registration generations that
+  /// make reordered eviction notices safe.
   /// Every behavior gates on options.enabled — the default-constructed
   /// options leave the node byte-identical to the pre-protocol build.
   void set_protocol(const ProtocolOptions& options);
@@ -109,17 +108,17 @@ class ServerNode {
   /// The server's failure/recovery counters: shed_queries,
   /// request_duplicates_suppressed, resyncs_served, notices_logged and its
   /// own crash_restarts / crash_downtime_seconds. With the protocol on,
-  /// notices_logged counts every notice destined to any attached cache,
-  /// whether the wire delivered it or not; with the caches' dedup
-  /// accounting it pins the convergence invariant: after heal + resync it
-  /// equals their distinct applied notices.
+  /// notices_logged counts every notice destined to the cache, whether the
+  /// wire delivered it or not; with the cache's dedup accounting it pins
+  /// the convergence invariant: after heal + resync it equals its distinct
+  /// applied notices.
   [[nodiscard]] const net::ChaosYardsticks& counters() const {
     return counters_;
   }
 
   // ---- crash-stop endpoint faults (ISSUE 10) ----
 
-  /// The server process dies and restarts cold. Soft state is lost: every
+  /// The server process dies and restarts cold. Soft state is lost: the
   /// cache's registration row, subscription, dedup ring, notice ledger,
   /// pending (batched) notices, and resync bookkeeping. Durable state —
   /// the repository's object bytes — survives, as does the convergence
@@ -163,27 +162,36 @@ class ServerNode {
   void prefetch_object(ObjectId o) const {
     util::prefetch_row(object_bytes_, o.value());
   }
-  [[nodiscard]] bool is_registered(std::size_t cache_slot, ObjectId o) const;
-  /// The metadata subscription of the cache at `cache_slot` (as set by the
-  /// attached policy). The parallel engine's update prefilter reads it
-  /// after the policy factories have run.
-  [[nodiscard]] MetadataSubscription subscription(
-      std::size_t cache_slot) const;
-  /// Read-only registration row of the cache at `cache_slot`, indexed by
-  /// object (nonzero = resident). The prefilter snapshots it post-factory
-  /// to fold preloaded objects into each partition's touch set.
-  [[nodiscard]] const std::vector<std::uint8_t>& registered_row(
-      std::size_t cache_slot) const;
+  [[nodiscard]] bool is_registered(ObjectId o) const;
+  /// The cache's metadata subscription (as set by its policy). The
+  /// parallel engine's update prefilter reads it after the policy
+  /// factories have run.
+  [[nodiscard]] MetadataSubscription subscription() const {
+    return peer_.subscription;
+  }
+  /// Read-only registration row, indexed by object (nonzero = resident at
+  /// the cache). The prefilter snapshots it post-factory to fold preloaded
+  /// objects into each partition's touch set.
+  [[nodiscard]] const std::vector<std::uint8_t>& registered_row() const {
+    return peer_.registered;
+  }
   [[nodiscard]] std::size_t object_count() const {
     return object_bytes_.size();
   }
-  [[nodiscard]] std::size_t cache_count() const { return caches_.size(); }
+
+  /// Traffic delivered to this endpoint: the cache's requests and eviction
+  /// notices, all overhead.
+  [[nodiscard]] const net::TrafficMeter& meter() const {
+    return transport_->endpoint_meter(transport_slot_);
+  }
 
  private:
-  struct CacheEntry {
+  /// Everything the server keeps about its cache: the soft state a server
+  /// crash wipes.
+  struct Peer {
     std::size_t transport_slot = 0;  // where replies/invalidations go
     MetadataSubscription subscription = MetadataSubscription::kNone;
-    std::vector<std::uint8_t> registered;  // objects resident at this cache
+    std::vector<std::uint8_t> registered;  // objects resident at the cache
     /// Notices held back by congestion batching (update ids, ingest order).
     std::vector<std::int64_t> pending_notices;
     /// sent_at for a merged flush: the first pending update's trace time.
@@ -193,7 +201,7 @@ class ServerNode {
     /// Dedup ring of recent (correlation << 8) ^ attempt keys.
     std::vector<std::uint64_t> recent_requests;
     std::size_t recent_next = 0;
-    /// Every notice destined to this cache, in send order (protocol on):
+    /// Every notice destined to the cache, in send order (protocol on):
     /// the replay source for epoch resync and the convergence ledger.
     std::vector<std::int64_t> notice_log;
     std::vector<double> notice_ingest;
@@ -218,9 +226,8 @@ class ServerNode {
   /// handle_message fills the per-reply fields (see the note there).
   net::Message reply_template_;
   std::vector<Bytes> object_bytes_;  // server-side current sizes
-  std::vector<CacheEntry> caches_;
-  /// caches_ row of the cache at each transport slot; -1 = not attached.
-  std::vector<std::int32_t> cache_by_transport_slot_;
+  Peer peer_;
+  bool attached_ = false;
 
   NoticeBatchingOptions batching_;
   std::int64_t coalesced_notices_ = 0;
@@ -232,20 +239,16 @@ class ServerNode {
   std::int64_t incarnation_ = 0;
 
   [[nodiscard]] std::size_t checked(ObjectId o) const;
-  [[nodiscard]] CacheEntry& sender_entry(const net::Message& m);
   void handle_message(const net::Message& m);
   void apply_update(const workload::Update& u);
-  /// Sends `reply` to `cache`, piggybacking its pending notices (batching
-  /// on) and restoring the reusable template's batch fields afterwards.
-  void send_reply(CacheEntry& cache, net::Message& reply,
-                  net::Mechanism mechanism);
-  /// Merges `cache`'s pending notices into one kInvalidation and sends it.
-  void flush_cache_notices(CacheEntry& cache);
+  /// Sends `reply` to the cache, piggybacking the pending notices
+  /// (batching on) and restoring the reusable template's batch fields
+  /// afterwards.
+  void send_reply(net::Message& reply, net::Mechanism mechanism);
   /// True (and the key remembered) when this correlated delivery was
   /// already handled — a server-side retransmit/duplicate filter.
-  [[nodiscard]] bool is_duplicate_request(CacheEntry& cache,
-                                          const net::Message& m);
-  void serve_resync(CacheEntry& cache, const net::Message& m);
+  [[nodiscard]] bool is_duplicate_request(const net::Message& m);
+  void serve_resync(const net::Message& m);
 };
 
 }  // namespace delta::core

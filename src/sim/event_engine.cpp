@@ -1,7 +1,6 @@
 #include "sim/event_engine.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -168,7 +167,12 @@ DecodedStream decode_stream(const workload::Trace& trace,
 /// the launch and join barriers; every message this partition receives is
 /// generated by its own replica, so the conservative lookahead bound
 /// imposes no cross-partition waits (see event_engine.h).
-struct EventShard : ReplicaReplay {
+struct EventShard {
+  /// The cache endpoint's view (MultiRunResult::per_endpoint).
+  RunResult result;
+  /// Overhead delivered to the repository replica: the cache's requests
+  /// and eviction notices, which only the combined view counts.
+  Bytes server_overhead;
   util::EventQueue events;
   net::DelayedTransport transport;
   std::unique_ptr<core::ServerNode> server;
@@ -233,9 +237,6 @@ struct EventShard : ReplicaReplay {
 
   EventShard(const workload::Trace& trace, const net::LinkModel& default_link,
              const net::LinkModel& cache_link, std::size_t index)
-      // The transport keeps no aggregate meter: the shard owns both
-      // endpoints, so every aggregate figure is derived at the snapshot
-      // points as the sum of the two per-endpoint meters.
       : transport(&events, default_link) {
     this->trace = &trace;
     server = std::make_unique<core::ServerNode>(&trace, &transport);
@@ -319,7 +320,7 @@ void replay_event_shard(const workload::Trace& trace,
   const std::vector<std::uint8_t>& routed_objects = stream.touch_rows[self];
   std::vector<std::uint8_t> touch;
   if (!routed_objects.empty()) {
-    touch = shard.server->registered_row(0);
+    touch = shard.server->registered_row();
     DELTA_DCHECK(touch.size() == routed_objects.size());
     for (std::size_t obj = 0; obj < touch.size(); ++obj) {
       touch[obj] |= routed_objects[obj];
@@ -344,28 +345,8 @@ void replay_event_shard(const workload::Trace& trace,
 
   RunResult& r = shard.result;
   r.policy_name = shard.policy->name();
-  r.warmup_end = trace.info.warmup_end_event;
-  shard.aggregate_series = util::CumulativeSeries{options.series_stride};
-  const net::TrafficMeter& endpoint_meter = shard.cache->meter();
-  const net::TrafficMeter& server_meter =
-      shard.transport.endpoint_meter(shard.server->transport_slot());
-  // Aggregate snapshots = cache meter + server meter (the partition
-  // identity); the transport keeps no aggregate meter of its own.
-  const auto aggregate_snapshot = [&] {
-    std::array<Bytes, 3> sum = mechanism_snapshot(endpoint_meter);
-    const std::array<Bytes, 3> at_server = mechanism_snapshot(server_meter);
-    for (std::size_t m = 0; m < 3; ++m) sum[m] += at_server[m];
-    return sum;
-  };
-
-  std::array<Bytes, 3> endpoint_at_warmup{};
-  bool warmup_captured = false;
-  const auto capture_warmup = [&] {
-    endpoint_at_warmup = mechanism_snapshot(endpoint_meter);
-    shard.aggregate_at_warmup = aggregate_snapshot();
-    warmup_captured = true;
-  };
-  if (trace.info.warmup_end_event == 0) capture_warmup();
+  TrafficLedger ledger(shard.cache->meter(), trace.info.warmup_end_event,
+                       options.series_stride, r);
 
   core::CachePolicy& policy = *shard.policy;
   // Pre-size the sketch from the exact per-shard count (see DecodedStream):
@@ -396,7 +377,7 @@ void replay_event_shard(const workload::Trace& trace,
     // (messages still in flight are delivered — and metered — later, so
     // the boundary snapshot below only sees traffic that has landed).
     events.advance_until(arrival);
-    if (!warmup_captured && now >= warmup_end) capture_warmup();
+    ledger.before_event(now);
 
     if (event.is_update) {
       // Prefilter gate: a skipped update cannot touch this replica (see the
@@ -482,12 +463,7 @@ void replay_event_shard(const workload::Trace& trace,
             });
       }
     }
-    // One observation covers both series: every cache->server message is
-    // pure overhead (requests, eviction notices), so the replica's
-    // aggregate figure total always equals the figure total delivered to
-    // its cache endpoint. Checked once after the loop.
-    shard.aggregate_series.observe(now,
-                                   endpoint_meter.figure_total().as_double());
+    ledger.after_event(now);
   }
   // End-of-run drain: held-back invalidation notices first (congestion
   // batching; no-op otherwise), then deliver (and meter) everything still
@@ -501,30 +477,10 @@ void replay_event_shard(const workload::Trace& trace,
     policy.on_crash_restart();
   }
   DELTA_CHECK(shard.in_flight_queries == 0);
-  if (!warmup_captured) capture_warmup();  // warm-up spanned the whole run
-
-  // The single observed series serves both views (see the loop note); the
-  // equality it relies on — no figure-mechanism bytes ever land at the
-  // repository endpoint — is re-checked here against the final meters.
-  DELTA_CHECK(server_meter.figure_total() == Bytes{0});
-  shard.aggregate_series.finalize();
-  r.series = shard.aggregate_series;
+  shard.server_overhead = ledger.finish(shard.server->meter());
   // Each replica has exactly one cache, so the server's ledger is its own.
   shard.yardsticks.protocol = shard.cache->counters();
   shard.yardsticks.notices_logged = shard.server->counters().notices_logged;
-  r.total_traffic = endpoint_meter.figure_total();
-  const std::array<Bytes, 3> final_by = mechanism_snapshot(endpoint_meter);
-  for (std::size_t m = 0; m < 3; ++m) {
-    r.postwarmup_by_mechanism[m] = final_by[m] - endpoint_at_warmup[m];
-    r.postwarmup_traffic += r.postwarmup_by_mechanism[m];
-  }
-  r.overhead_traffic = endpoint_meter.total(net::Mechanism::kOverhead);
-
-  shard.aggregate_final = aggregate_snapshot();
-  shard.aggregate_total =
-      endpoint_meter.figure_total() + server_meter.figure_total();
-  shard.aggregate_overhead = endpoint_meter.total(net::Mechanism::kOverhead) +
-                             server_meter.total(net::Mechanism::kOverhead);
   shard.server_uplink =
       shard.transport.uplink_stats(shard.server->transport_slot());
   shard.end_clock = events.now();
@@ -532,6 +488,51 @@ void replay_event_shard(const workload::Trace& trace,
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+}
+
+/// The combined view of the partitions, folded in endpoint order: the
+/// per-endpoint counters and traffic summed, each partition's repository
+/// overhead added, the latency statistics merged and the series summed
+/// pointwise. Every partition observed every event, so all series carry
+/// points at the same event indices, and their values are integer byte
+/// counts (exact in a double), so the sums are exact and independent of
+/// which thread replayed which partition.
+RunResult combine_endpoints(
+    const std::vector<std::unique_ptr<EventShard>>& shards,
+    std::int64_t series_stride) {
+  RunResult c;
+  const RunResult& first = shards.front()->result;
+  c.policy_name = first.policy_name;
+  c.warmup_end = first.warmup_end;
+  for (const auto& shard : shards) {
+    const RunResult& r = shard->result;
+    c.queries += r.queries;
+    c.cache_fresh += r.cache_fresh;
+    c.cache_after_updates += r.cache_after_updates;
+    c.shipped += r.shipped;
+    c.objects_loaded += r.objects_loaded;
+    c.total_traffic += r.total_traffic;
+    c.postwarmup_traffic += r.postwarmup_traffic;
+    for (std::size_t m = 0; m < 3; ++m) {
+      c.postwarmup_by_mechanism[m] += r.postwarmup_by_mechanism[m];
+    }
+    c.overhead_traffic += r.overhead_traffic + shard->server_overhead;
+    c.postwarmup_latency.merge(r.postwarmup_latency);
+  }
+  c.series = util::CumulativeSeries{series_stride};
+  const auto& reference = first.series.points();
+  for (std::size_t k = 0; k < reference.size(); ++k) {
+    double sum = 0.0;
+    for (const auto& shard : shards) {
+      const auto& points = shard->result.series.points();
+      DELTA_CHECK(points.size() == reference.size() &&
+                  points[k].event_index == reference[k].event_index);
+      sum += points[k].value;
+    }
+    c.series.observe(reference[k].event_index, sum);
+  }
+  c.series.finalize();
+  return c;
 }
 
 }  // namespace
@@ -668,7 +669,7 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   std::vector<bool> prefilters(endpoint_count);
   for (std::size_t i = 0; i < endpoint_count; ++i) {
     prefilters[i] = options.prefilter_updates &&
-                    shards[i]->server->subscription(0) !=
+                    shards[i]->server->subscription() !=
                         core::MetadataSubscription::kAll &&
                     shards[i]->crash_plan.empty();
   }
@@ -707,11 +708,7 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   replay.strategy = strategy;
   replay.per_endpoint.reserve(endpoint_count);
   out.per_endpoint.reserve(endpoint_count);
-  RunResult& c = replay.combined;
-  std::vector<const ReplicaReplay*> replicas;
-  replicas.reserve(endpoint_count);
-  for (const auto& shard : shards) replicas.push_back(shard.get());
-  fold_combined(replicas, options.series_stride, c);
+  replay.combined = combine_endpoints(shards, options.series_stride);
 
   for (const auto& shard : shards) {
     out.server_uplink.sends += shard->server_uplink.sends;
@@ -750,7 +747,6 @@ EventRunResult run_policy_event(const workload::Trace& trace,
       stream.retained_samples.begin(), stream.retained_samples.end(),
       std::size_t{0}));
   for (auto& shard : shards) {
-    c.postwarmup_latency.merge(shard->result.postwarmup_latency);
     out.dispatch_lag_seconds.merge(shard->lag_stats);
     out.staleness_seconds.merge(shard->yardsticks.staleness_seconds);
     out.response_sketch.merge(shard->response_sketch);

@@ -21,11 +21,13 @@
 // replica: the conservative lookahead bound (each partition may safely
 // advance to the minimum over its input links of source-clock + link
 // propagation delay) degenerates to "no synchronization needed", since a
-// partition is its own only source. Partitions therefore run wait-free on
-// a util::ThreadPool, and a deterministic merge folds them in endpoint
-// order — counters, traffic and series through the single-cache loop's
-// fold (sim/replica.h), sample statistics through their merge() — so
-// results are bit-identical for ANY thread count (pinned by
+// partition is its own only source. Partitions therefore run wait-free,
+// each on one thread of util::parallel_for_dynamic, and each fills its
+// cache endpoint's RunResult through the traffic ledger the single-cache
+// loop also uses (sim/replica.h). A deterministic merge folds them in
+// endpoint order — counters, traffic and series summed, plus each
+// partition's repository overhead, sample statistics through their
+// merge() — so results are bit-identical for ANY thread count (pinned by
 // event_engine_test, sim_parallel_test and sim_golden_test).
 //
 // Each cache is closed-loop against its own timeline: a query dispatches

@@ -4,56 +4,6 @@
 
 namespace delta::sim {
 
-void fold_combined(const std::vector<const ReplicaReplay*>& replicas,
-                   std::int64_t series_stride, RunResult& combined) {
-  DELTA_CHECK(!replicas.empty());
-  RunResult& c = combined;
-  c.policy_name = replicas.front()->result.policy_name;
-  c.warmup_end = replicas.front()->result.warmup_end;
-  c.series = util::CumulativeSeries{series_stride};
-
-  std::array<Bytes, 3> at_warmup{};
-  std::array<Bytes, 3> final_by{};
-  for (const ReplicaReplay* replica : replicas) {
-    const RunResult& r = replica->result;
-    c.queries += r.queries;
-    c.cache_fresh += r.cache_fresh;
-    c.cache_after_updates += r.cache_after_updates;
-    c.shipped += r.shipped;
-    c.objects_loaded += r.objects_loaded;
-    c.total_traffic += replica->aggregate_total;
-    c.overhead_traffic += replica->aggregate_overhead;
-    for (std::size_t m = 0; m < 3; ++m) {
-      at_warmup[m] += replica->aggregate_at_warmup[m];
-      final_by[m] += replica->aggregate_final[m];
-    }
-  }
-  for (std::size_t m = 0; m < 3; ++m) {
-    c.postwarmup_by_mechanism[m] = final_by[m] - at_warmup[m];
-    c.postwarmup_traffic += c.postwarmup_by_mechanism[m];
-  }
-
-  // Combined cumulative series: every replica observed every event, and the
-  // series' sampling decisions depend only on the (identical) sequence of
-  // event indices, so all replica series carry points at the same indices.
-  // Their values are integer byte counts (exact in a double far past any
-  // realistic traffic total), so the pointwise sum is exact and independent
-  // of which thread replayed which replica.
-  const auto& reference = replicas.front()->aggregate_series.points();
-  if (reference.empty()) return;
-  for (std::size_t k = 0; k < reference.size(); ++k) {
-    double sum = 0.0;
-    for (const ReplicaReplay* replica : replicas) {
-      const auto& points = replica->aggregate_series.points();
-      DELTA_CHECK(points.size() == reference.size() &&
-                  points[k].event_index == reference[k].event_index);
-      sum += points[k].value;
-    }
-    c.series.observe(reference[k].event_index, sum);
-  }
-  c.series.finalize();
-}
-
 namespace {
 
 /// Prefetches the rows `ahead` will touch: per object it names, the
@@ -92,24 +42,16 @@ void prefetch_event(const workload::Trace& trace, const workload::Event& ahead,
 // server only when it is shipped (never, for Replica). The lookahead
 // prefetch meets a bad id kLookaheadDistance events earlier and ignores
 // it, so these checks still throw at the same event.
-void replay_replica(const workload::Trace& trace, core::DeltaSystem& system,
-                    core::CachePolicy& policy, std::int64_t series_stride,
-                    const LatencyModel& latency,
-                    util::QuantileSketch* latency_sink, ReplicaReplay& out) {
-  RunResult& r = out.result;
+RunResult replay_replica(const workload::Trace& trace,
+                         core::DeltaSystem& system, core::CachePolicy& policy,
+                         std::int64_t series_stride,
+                         const LatencyModel& latency,
+                         util::QuantileSketch* latency_sink) {
+  RunResult r;
   r.policy_name = policy.name();
-  r.warmup_end = trace.info.warmup_end_event;
-  out.aggregate_series = util::CumulativeSeries{series_stride};
-
-  const net::TrafficMeter& meter = system.meter();
-  const std::size_t object_count = system.server().object_count();
   const EventTime warmup_end = trace.info.warmup_end_event;
-  bool warmup_captured = false;
-  const auto capture_warmup = [&] {
-    out.aggregate_at_warmup = mechanism_snapshot(meter);
-    warmup_captured = true;
-  };
-  if (warmup_end == 0) capture_warmup();
+  TrafficLedger ledger(system.cache().meter(), warmup_end, series_stride, r);
+  const std::size_t object_count = system.server().object_count();
 
   const std::size_t events = trace.order.size();
   const std::size_t lookahead_end =
@@ -128,9 +70,7 @@ void replay_replica(const workload::Trace& trace, core::DeltaSystem& system,
     const bool is_update = event.kind == workload::Event::Kind::kUpdate;
     const EventTime now =
         is_update ? trace.updates[index].time : trace.queries[index].time;
-    // Snapshot the meter the moment the measurement window opens, before
-    // this event's traffic.
-    if (!warmup_captured && now >= warmup_end) capture_warmup();
+    ledger.before_event(now);
 
     if (is_update) {
       system.server().ingest_update(trace.updates[index]);
@@ -150,17 +90,13 @@ void replay_replica(const workload::Trace& trace, core::DeltaSystem& system,
         if (latency_sink != nullptr) latency_sink->add(seconds);
       }
     }
-    out.aggregate_series.observe(now, meter.figure_total().as_double());
+    ledger.after_event(now);
   }
-  if (!warmup_captured) capture_warmup();  // warm-up spanned the whole run
-  out.aggregate_series.finalize();
-  out.aggregate_final = mechanism_snapshot(meter);
-  out.aggregate_total = meter.figure_total();
-  out.aggregate_overhead = meter.total(net::Mechanism::kOverhead);
-
-  // Every figure byte is delivered to the cache, never to the repository
-  // (the event engine's per-endpoint figures rest on this).
-  DELTA_CHECK(system.cache().meter().figure_total() == out.aggregate_total);
+  // The single-cache result is the whole replica's view, so its overhead
+  // also counts the chatter delivered to the repository.
+  const Bytes repository_overhead = ledger.finish(system.server().meter());
+  r.overhead_traffic += repository_overhead;
+  return r;
 }
 
 }  // namespace delta::sim

@@ -29,12 +29,8 @@ RunResult run_policy(const workload::Trace& trace,
                      const LatencyModel& latency,
                      util::QuantileSketch* latency_sink) {
   const auto start = std::chrono::steady_clock::now();
-  ReplicaReplay replica;
-  replay_replica(trace, system, policy, series_stride, latency, latency_sink,
-                 replica);
-  RunResult result;
-  fold_combined({&replica}, series_stride, result);
-  result.postwarmup_latency = replica.result.postwarmup_latency;
+  RunResult result = replay_replica(trace, system, policy, series_stride,
+                                    latency, latency_sink);
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -1,88 +1,20 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <deque>
+#include <exception>
+#include <mutex>
 #include <numeric>
 #include <queue>
+#include <thread>
 #include <utility>
 
 #include "util/check.h"
 
 namespace delta::util {
 
-ThreadPool::ThreadPool(std::size_t thread_count) {
-  DELTA_CHECK(thread_count > 0);
-  workers_.reserve(thread_count);
-  for (std::size_t i = 0; i < thread_count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    const std::lock_guard<std::mutex> lock{mutex_};
-    stopping_ = true;
-  }
-  work_available_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> job) {
-  DELTA_CHECK(job != nullptr);
-  std::packaged_task<void()> task{std::move(job)};
-  std::future<void> future = task.get_future();
-  {
-    const std::lock_guard<std::mutex> lock{mutex_};
-    DELTA_CHECK_MSG(!stopping_, "submit() on a stopping ThreadPool");
-    queue_.push_back(std::move(task));
-  }
-  work_available_.notify_one();
-  return future;
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock<std::mutex> lock{mutex_};
-      work_available_.wait(lock,
-                           [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and fully drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();  // exceptions land in the task's future
-  }
-}
-
 std::size_t ThreadPool::hardware_threads() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
-
-void parallel_for(std::size_t job_count, std::size_t num_threads,
-                  const std::function<void(std::size_t)>& job) {
-  DELTA_CHECK(job != nullptr);
-  if (job_count == 0) return;
-  if (num_threads <= 1 || job_count == 1) {
-    for (std::size_t i = 0; i < job_count; ++i) job(i);
-    return;
-  }
-  ThreadPool pool{std::min(num_threads, job_count)};
-  std::vector<std::future<void>> futures;
-  futures.reserve(job_count);
-  for (std::size_t i = 0; i < job_count; ++i) {
-    futures.push_back(pool.submit([&job, i] { job(i); }));
-  }
-  // Wait for everything before rethrowing, so no job runs concurrently
-  // with the caller's post-loop code even when one fails.
-  std::exception_ptr first_error;
-  for (std::future<void>& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 std::vector<std::vector<std::size_t>> lpt_assignment(

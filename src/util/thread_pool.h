@@ -1,61 +1,29 @@
-// A small fixed-size worker pool for the parallel simulation engine.
+// Thread-level parallelism for the parallel simulation engine: LPT
+// packing of weighted jobs onto workers, and a work-stealing parallel loop
+// that runs each worker on its own std::thread for the duration of one
+// call (no long-lived pool).
 //
-// Design constraints, in order: (1) deterministic callers — the pool runs
-// opaque jobs and reports completion/exceptions through std::future, it
-// never reorders results for the caller; (2) sanitizer-clean — plain
-// mutex/condition_variable handoff, no lock-free cleverness; (3) zero
-// dependencies beyond the standard library.
+// Design constraints, in order: (1) deterministic callers — the loop runs
+// opaque jobs and reports exceptions by job index, it never reorders
+// results for the caller; (2) sanitizer-clean — plain mutex-protected
+// deques, no lock-free cleverness; (3) zero dependencies beyond the
+// standard library.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 namespace delta::util {
 
-class ThreadPool {
- public:
-  /// Spawns `thread_count` workers (at least 1).
-  explicit ThreadPool(std::size_t thread_count);
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Drains the queue (pending jobs still run) and joins all workers.
-  ~ThreadPool();
-
-  [[nodiscard]] std::size_t size() const { return workers_.size(); }
-
-  /// Enqueues a job; the future resolves when it finishes and rethrows
-  /// anything the job threw.
-  std::future<void> submit(std::function<void()> job);
-
+/// The host's thread budget. No pool object exists: parallel_for_dynamic
+/// starts its workers per call.
+struct ThreadPool {
   /// std::thread::hardware_concurrency with a floor of 1 (the standard
-  /// allows it to report 0).
+  /// allows it to report 0): the default worker count.
   [[nodiscard]] static std::size_t hardware_threads();
-
- private:
-  void worker_loop();
-
-  std::mutex mutex_;
-  std::condition_variable work_available_;
-  std::deque<std::packaged_task<void()>> queue_;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
 };
-
-/// Runs jobs 0..job_count-1 by calling `job(index)` on up to `num_threads`
-/// pool workers, blocks until all complete, and rethrows the first job
-/// exception (by job index) after every job has finished. With
-/// num_threads <= 1 the jobs run inline on the calling thread — no pool is
-/// created, so single-threaded callers pay nothing.
-void parallel_for(std::size_t job_count, std::size_t num_threads,
-                  const std::function<void(std::size_t)>& job);
 
 /// Longest-processing-time-first bin packing: places jobs 0..weights-1
 /// onto `worker_count` workers, heaviest job first onto the currently
@@ -67,22 +35,22 @@ void parallel_for(std::size_t job_count, std::size_t num_threads,
 [[nodiscard]] std::vector<std::vector<std::size_t>> lpt_assignment(
     const std::vector<double>& weights, std::size_t worker_count);
 
-/// Work-stealing counterpart of parallel_for. `assignment` gives each
-/// worker its initial job queue (one deque per entry; the lists must
-/// exactly partition [0, job_count), checked). Every worker drains its own
-/// deque front first — preserving the seeded (LPT) order — and, once
-/// empty, steals from the BACK of the first non-empty victim, so a
-/// straggler's lightest pending jobs migrate while its owner keeps the
-/// heavy front work. Jobs never spawn jobs, so a worker that finds every
-/// deque empty can retire immediately — no termination protocol beyond
-/// the join. Per the pool's design constraints the deques are plain
-/// mutex-protected (sanitizer-clean, no lock-free cleverness); the
-/// per-job lock cost is irrelevant against coarse jobs like partition
-/// replays. Exceptions follow parallel_for's contract: every job still
-/// runs, the first error by job index is rethrown after the join. With
-/// <= 1 worker (or <= 1 job) everything runs inline on the calling
-/// thread in ascending index order. Returns the number of jobs executed
-/// by a thief — the engine's steal_count yardstick.
+/// Work-stealing parallel loop: runs jobs 0..job_count-1 by calling
+/// `job(index)`, one worker per `assignment` entry. `assignment` gives each
+/// worker its initial job queue (the lists must exactly partition
+/// [0, job_count), checked). Every worker drains its own deque front first
+/// — preserving the seeded (LPT) order — and, once empty, steals from the
+/// BACK of the first non-empty victim, so a straggler's lightest pending
+/// jobs migrate while its owner keeps the heavy front work. Jobs never
+/// spawn jobs, so a worker that finds every deque empty can retire
+/// immediately — no termination protocol beyond the join. The per-job
+/// lock cost is irrelevant against coarse jobs like partition replays.
+/// Every job still runs when one throws, and the first error by job index
+/// is rethrown after the join, so no job runs concurrently with the
+/// caller's post-loop code. With <= 1 worker (or <= 1 job) everything runs
+/// inline on the calling thread in ascending index order. Returns the
+/// number of jobs executed by a thief — the engine's steal_count
+/// yardstick.
 std::int64_t parallel_for_dynamic(
     std::size_t job_count,
     const std::vector<std::vector<std::size_t>>& assignment,

@@ -36,11 +36,11 @@ inline void ExpectEndpointMetersPartitionAggregate(
 }
 
 /// Per-endpoint RunResults partition the combined figures: total and
-/// post-warm-up traffic (overall and per mechanism) and the decision
-/// counters sum exactly to the combined view, because all figure traffic is
-/// delivered to cache endpoints. Overhead only under-counts: request and
-/// eviction chatter is delivered to the server endpoint, which no
-/// per-endpoint result owns.
+/// post-warm-up traffic (overall and per mechanism), the decision counters
+/// and the cumulative series (point by point) sum exactly to the combined
+/// view, because all figure traffic is delivered to cache endpoints.
+/// Overhead only under-counts: request and eviction chatter is delivered
+/// to the server endpoint, which no per-endpoint result owns.
 inline void ExpectPerEndpointResultsPartitionCombined(
     const sim::MultiRunResult& multi) {
   Bytes total_sum;
@@ -75,6 +75,24 @@ inline void ExpectPerEndpointResultsPartitionCombined(
   EXPECT_EQ(shipped_sum, multi.combined.shipped);
   EXPECT_EQ(loaded_sum, multi.combined.objects_loaded);
   EXPECT_LE(overhead_sum, multi.combined.overhead_traffic);
+
+  // Every endpoint observed every event, so the series share their event
+  // indices, and the integer byte counts sum exactly.
+  const auto& combined = multi.combined.series.points();
+  for (const sim::RunResult& r : multi.per_endpoint) {
+    const auto& points = r.series.points();
+    ASSERT_EQ(points.size(), combined.size());
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      ASSERT_EQ(points[k].event_index, combined[k].event_index) << k;
+    }
+  }
+  for (std::size_t k = 0; k < combined.size(); ++k) {
+    double sum = 0.0;
+    for (const sim::RunResult& r : multi.per_endpoint) {
+      sum += r.series.points()[k].value;
+    }
+    EXPECT_EQ(sum, combined[k].value) << "series point " << k;
+  }
 }
 
 }  // namespace delta::testing

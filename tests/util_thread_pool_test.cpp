@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -12,77 +11,8 @@
 namespace delta::util {
 namespace {
 
-TEST(ThreadPoolTest, RunsEverySubmittedJobExactlyOnce) {
-  std::atomic<std::int64_t> sum{0};
-  {
-    ThreadPool pool{4};
-    EXPECT_EQ(pool.size(), 4u);
-    std::vector<std::future<void>> futures;
-    for (int i = 1; i <= 100; ++i) {
-      futures.push_back(pool.submit([&sum, i] { sum.fetch_add(i); }));
-    }
-    for (auto& f : futures) f.get();
-    EXPECT_EQ(sum.load(), 5050);
-  }
-}
-
-TEST(ThreadPoolTest, DestructorDrainsPendingJobs) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool{1};
-    for (int i = 0; i < 32; ++i) {
-      pool.submit([&ran] { ran.fetch_add(1); });
-    }
-    // Destructor joins after the queue drains; nothing is dropped.
-  }
-  EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptions) {
-  ThreadPool pool{2};
-  auto future = pool.submit([] { throw std::runtime_error{"boom"}; });
-  EXPECT_THROW(future.get(), std::runtime_error);
-  // The worker survives a throwing job.
-  auto ok = pool.submit([] {});
-  EXPECT_NO_THROW(ok.get());
-}
-
 TEST(ThreadPoolTest, HardwareThreadsIsAtLeastOne) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1u);
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    std::vector<std::atomic<int>> hits(257);
-    parallel_for(hits.size(), threads,
-                 [&hits](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
-    }
-  }
-}
-
-TEST(ParallelForTest, SingleThreadRunsInlineInOrder) {
-  std::vector<std::size_t> order;
-  parallel_for(5, 1, [&order](std::size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(ParallelForTest, WaitsForAllJobsThenRethrows) {
-  std::atomic<int> completed{0};
-  const auto run = [&completed] {
-    parallel_for(16, 4, [&completed](std::size_t i) {
-      if (i == 3) throw std::runtime_error{"job failure"};
-      completed.fetch_add(1);
-    });
-  };
-  EXPECT_THROW(run(), std::runtime_error);
-  // Every non-throwing job still ran: the rethrow happens after the join.
-  EXPECT_EQ(completed.load(), 15);
-}
-
-TEST(ParallelForTest, ZeroJobsIsANoOp) {
-  EXPECT_NO_THROW(parallel_for(0, 4, [](std::size_t) { FAIL(); }));
 }
 
 TEST(LptAssignmentTest, IsADeterministicExactPartition) {
