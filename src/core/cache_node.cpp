@@ -9,27 +9,17 @@
 namespace delta::core {
 
 CacheNode::CacheNode(const workload::Trace* trace, ServerNode* server,
-                     net::Transport* transport, std::string name)
-    : trace_(trace),
-      server_(server),
-      transport_(transport),
-      name_(std::move(name)) {
+                     std::string name)
+    : trace_(trace), server_(server), name_(std::move(name)) {
   DELTA_CHECK(trace != nullptr);
   DELTA_CHECK(server != nullptr);
-  DELTA_CHECK(transport != nullptr);
-  // A server serves one cache, and the transport rejects a name already
-  // registered (another cache's, or the server's), both before binding the
-  // handler, so a failing construction leaves no handler capturing this
-  // soon-destroyed node. The server then accepts requests only from the
-  // transport slot it attached.
-  DELTA_CHECK_MSG(!server->has_cache(),
-                  "server '" << server->name() << "' already serves a cache");
-  transport_slot_ = transport_->register_endpoint(
-      name_, [this](const net::Message& m) { handle_message(m); });
-  server_->attach_cache(transport_slot_);
-  server_transport_slot_ = server_->transport_slot();
+  transport_ = server->transport();
+  // The wire rejects a second cache (its cache end is taken) and a cache
+  // named like its server before binding anything, so a failing
+  // construction leaves no handler capturing this soon-destroyed node.
+  transport_->bind(net::End::kCache, name_,
+                   [this](const net::Message& m) { handle_message(m); });
   transport_inline_ = transport_->synchronous();
-  sync_request_ = request(net::MessageKind::kControl, -1, 0, -1);
 }
 
 net::Message CacheNode::request(net::MessageKind kind,
@@ -39,7 +29,6 @@ net::Message CacheNode::request(net::MessageKind kind,
   msg.kind = kind;
   msg.subject_id = subject_id;
   msg.sent_at = sent_at;
-  msg.sender = static_cast<std::int32_t>(transport_slot_);
   msg.correlation_id = correlation;
   return msg;
 }
@@ -74,7 +63,7 @@ std::int64_t CacheNode::send_request(net::MessageKind kind,
   // synchronous transport, so the pending entry must be parked first.
   net::Message msg = request(kind, subject_id, sent_at, correlation);
   msg.protocol_epoch = protocol_epoch;
-  transport_->send_to(server_transport_slot_, msg, net::Mechanism::kOverhead);
+  transport_->send(net::End::kServer, msg, net::Mechanism::kOverhead);
   if (protocol_on_) {
     // An event-driven send only schedules — no delivery can have touched
     // pending_ — so the parked entry is still at the back.
@@ -98,7 +87,7 @@ Bytes CacheNode::request_and_wait(net::MessageKind kind,
   pending.sync_done = &done;
   pending.sync_payload = &reply_payload;
   const std::int64_t correlation = pending.correlation;
-  // send_call, not send_to: we block on the reply below, which lets an
+  // send_call, not send: we block on the reply below, which lets an
   // event-driven transport run the whole round trip on its inline fast
   // path when nothing else is due first. The prebuilt request is safe to
   // reuse — the transport either parks a copy or delivers it before
@@ -109,8 +98,7 @@ Bytes CacheNode::request_and_wait(net::MessageKind kind,
   msg.sent_at = sent_at;
   msg.correlation_id = correlation;
   msg.protocol_epoch = protocol_epoch;
-  transport_->send_call(server_transport_slot_, msg,
-                        net::Mechanism::kOverhead);
+  transport_->send_call(net::End::kServer, msg, net::Mechanism::kOverhead);
   if (transport_inline_) {
     // Synchronous transport: the reply was delivered inside the send.
     DELTA_CHECK_MSG(done, "request did not complete inline on a "
@@ -215,7 +203,7 @@ void CacheNode::begin_recovery() {
       request(net::MessageKind::kRecoverRequest, epoch_, 0, correlation);
   msg.protocol_epoch = epoch_;
   fill_recover_payload(msg);
-  transport_->send_to(server_transport_slot_, msg, net::Mechanism::kOverhead);
+  transport_->send(net::End::kServer, msg, net::Mechanism::kOverhead);
   DELTA_DCHECK(pending_.back().correlation == correlation);
   arm_deadline(pending_.back());
 }
@@ -310,8 +298,7 @@ void CacheNode::handle_deadline(std::int64_t correlation) {
       fill_recover_payload(msg);
     }
     arm_deadline(p);
-    transport_->send_to(server_transport_slot_, msg,
-                        net::Mechanism::kOverhead);
+    transport_->send(net::End::kServer, msg, net::Mechanism::kOverhead);
     return;
   }
   // Unreachable in practice: completing a request cancels its deadline.
@@ -580,7 +567,7 @@ void CacheNode::notify_eviction(ObjectId o) {
     msg.protocol_epoch = reg_gen_[static_cast<std::size_t>(o.value())];
     resident_[static_cast<std::size_t>(o.value())] = 0;
   }
-  transport_->send_to(server_transport_slot_, msg, net::Mechanism::kOverhead);
+  transport_->send(net::End::kServer, msg, net::Mechanism::kOverhead);
   // The notice is unacknowledged; only a synchronous transport has
   // necessarily applied it by the time the send returns.
   if (transport_inline_) DELTA_CHECK(!is_registered(o));

@@ -10,8 +10,9 @@
 //   object loading  = LoadRequest (overhead) + LoadData (l(o))
 // plus Invalidation notices (overhead) from the server's registration-based
 // coherence protocol. A CacheNode and its ServerNode are one replica: the
-// server serves this one cache. The node owns its endpoint name and
-// (through the transport) its per-endpoint traffic meter.
+// cache binds the cache end of its server's wire, so the two cannot sit on
+// different transports. The node owns its endpoint name and (through the
+// wire) the cache end's traffic meter.
 //
 // The node is a non-blocking message-driven state machine: every request
 // carries a fresh correlation id and is parked in a pending-request table
@@ -48,19 +49,16 @@ class CacheNode {
   /// update content / load bytes) when the reply is delivered.
   using Completion = std::function<void(Bytes)>;
 
-  /// Registers the endpoint on the transport and attaches it to the server,
-  /// which must not serve another cache yet. Trace, server and transport
+  /// Binds the cache end of the server's wire, which must not hold another
+  /// cache yet, under a name other than the server's. Trace and server
   /// outlive the node.
   CacheNode(const workload::Trace* trace, ServerNode* server,
-            net::Transport* transport, std::string name = "cache");
+            std::string name = "cache");
 
   CacheNode(const CacheNode&) = delete;
   CacheNode& operator=(const CacheNode&) = delete;
 
   [[nodiscard]] const std::string& name() const { return name_; }
-
-  /// This endpoint's transport slot: the sender of its every request.
-  [[nodiscard]] std::size_t transport_slot() const { return transport_slot_; }
 
   // ---- client API (called by policies) ----
 
@@ -165,8 +163,7 @@ class CacheNode {
   /// Serialization backlog on this cache's uplink to the server — the
   /// pressure signal the policy-side degrade path gates on.
   [[nodiscard]] double uplink_backlog_seconds() const {
-    return transport_->egress_backlog_seconds(transport_slot_,
-                                              server_transport_slot_);
+    return transport_->egress_backlog_seconds(net::End::kCache);
   }
 
   /// True when the transport delivers inline (cached at construction).
@@ -195,7 +192,7 @@ class CacheNode {
 
   /// Traffic delivered to this endpoint (all data-bearing replies).
   [[nodiscard]] const net::TrafficMeter& meter() const {
-    return transport_->endpoint_meter(transport_slot_);
+    return transport_->endpoint_meter(net::End::kCache);
   }
 
  private:
@@ -222,15 +219,12 @@ class CacheNode {
 
   const workload::Trace* trace_;
   ServerNode* server_;
-  net::Transport* transport_;
-  /// Prebuilt request message for the sync façade: the sender slot is set
-  /// once at construction, so request_and_wait only writes the
-  /// per-request fields. Safe to reuse because every send parks a
-  /// copy (or delivers inline) before control can re-enter the façade.
+  net::Transport* transport_ = nullptr;  // the server's wire
+  /// Prebuilt request message for the sync façade: request_and_wait only
+  /// writes the per-request fields. Safe to reuse because every send parks
+  /// a copy (or delivers inline) before control can re-enter the façade.
   net::Message sync_request_;
   std::string name_;
-  std::size_t transport_slot_ = 0;         // this endpoint's own slot
-  std::size_t server_transport_slot_ = 0;  // where requests go
   std::function<void(const workload::Update&)> invalidation_handler_;
   PrefetchHook prefetch_hook_;
   std::vector<Pending> pending_;

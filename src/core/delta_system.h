@@ -1,13 +1,13 @@
 // DeltaSystem: the single-cache wiring of the middleware — one ServerNode
-// and one CacheNode joined by an in-process transport.
+// and one CacheNode on the two ends of an in-process transport.
 //
 // The repository logic lives in ServerNode, the client endpoint logic in
-// CacheNode (see their headers); DeltaSystem only assembles them and owns
-// the aggregate traffic meter. Callers reach the nodes directly: policies
-// bind to `&system.cache()`, the replay loop ingests through
-// `system.server()`. The single-cache loop (sim::run_policy) runs on it; the
-// N-endpoint event engine assembles its own node graph per cache endpoint
-// over a latency-aware transport (see sim/event_engine.h).
+// CacheNode (see their headers); DeltaSystem only assembles them. Callers
+// reach the nodes directly: policies bind to `&system.cache()`, the replay
+// loop ingests through `system.server()`. The single-cache loop
+// (sim::run_policy) runs on it; the N-endpoint event engine assembles one
+// server/cache pair per cache endpoint, each on its own latency-aware
+// transport (see sim/event_engine.h).
 #pragma once
 
 #include "core/cache_node.h"
@@ -23,7 +23,7 @@ class DeltaSystem {
   /// Builds the server from the trace's initial object sizes. The trace
   /// outlives the system.
   explicit DeltaSystem(const workload::Trace* trace)
-      : server_(trace, &transport_), cache_(trace, &server_, &transport_) {}
+      : server_(trace, &transport_), cache_(trace, &server_) {}
 
   DeltaSystem(const DeltaSystem&) = delete;
   DeltaSystem& operator=(const DeltaSystem&) = delete;
@@ -34,9 +34,12 @@ class DeltaSystem {
   [[nodiscard]] CacheNode& cache() { return cache_; }
   [[nodiscard]] const CacheNode& cache() const { return cache_; }
 
-  /// Aggregate accounting over the whole system (the figure numbers).
-  [[nodiscard]] const net::TrafficMeter& meter() const {
-    return transport_.meter();
+  /// All traffic on the wire (the figure numbers): the fold of the two end
+  /// meters, which partition it.
+  [[nodiscard]] net::TrafficMeter meter() const {
+    net::TrafficMeter all = cache_.meter();
+    all.merge(server_.meter());
+    return all;
   }
 
  private:

@@ -13,20 +13,8 @@ ServerNode::ServerNode(const workload::Trace* trace,
   DELTA_CHECK(transport != nullptr);
   object_bytes_ = trace->initial_object_bytes;
   peer_.registered.assign(object_bytes_.size(), 0);
-  transport_slot_ = transport_->register_endpoint(
-      name_, [this](const net::Message& m) { handle_message(m); });
-  reply_template_.sender = static_cast<std::int32_t>(transport_slot_);
-}
-
-void ServerNode::attach_cache(std::size_t cache_transport_slot) {
-  DELTA_CHECK_MSG(cache_transport_slot != transport_slot_,
-                  "the server cannot attach itself as a cache");
-  DELTA_CHECK_MSG(!attached_, "the server already serves the cache at slot "
-                                  << peer_.transport_slot << "; slot "
-                                  << cache_transport_slot
-                                  << " cannot attach");
-  peer_.transport_slot = cache_transport_slot;
-  attached_ = true;
+  transport_->bind(net::End::kServer, name_,
+                   [this](const net::Message& m) { handle_message(m); });
 }
 
 void ServerNode::set_protocol(const ProtocolOptions& options) {
@@ -88,7 +76,6 @@ void ServerNode::crash_restart(double downtime_seconds) {
 }
 
 void ServerNode::set_subscription(MetadataSubscription subscription) {
-  DELTA_CHECK_MSG(attached_, "subscription set before a cache attached");
   peer_.subscription = subscription;
 }
 
@@ -100,9 +87,6 @@ std::size_t ServerNode::checked(ObjectId o) const {
 }
 
 void ServerNode::handle_message(const net::Message& m) {
-  DELTA_CHECK_MSG(attached_ && static_cast<std::size_t>(m.sender) ==
-                                   peer_.transport_slot,
-                  "request from unattached endpoint slot " << m.sender);
   // Correlated requests pass the dedup window first: a fault-duplicated
   // delivery (or a retransmit whose original did arrive) must be handled
   // exactly once — the reply to the first delivery is, or was, on the wire.
@@ -128,8 +112,7 @@ void ServerNode::handle_message(const net::Message& m) {
   switch (m.kind) {
     case net::MessageKind::kQueryRequest: {
       if (admission_.enabled &&
-          transport_->egress_backlog_seconds(transport_slot_,
-                                             peer_.transport_slot) >
+          transport_->egress_backlog_seconds(net::End::kServer) >
               admission_.shed_backlog_seconds) {
         // Overloaded reply link: shed instead of queueing another result
         // behind a multi-second backlog. The tiny reject still completes
@@ -233,7 +216,7 @@ void ServerNode::serve_resync(const net::Message& m) {
       net::kBatchedNoticeBytes * static_cast<std::int64_t>(to - from);
   // Recovery traffic is pure overhead — never figure traffic — and must
   // not piggyback pending notices (send_reply would overwrite the replay).
-  transport_->send_to(peer_.transport_slot, reply, net::Mechanism::kOverhead);
+  transport_->send(net::End::kCache, reply, net::Mechanism::kOverhead);
   reply.batched_invalidations.clear();
   reply.batched_ingest_at.clear();
   reply.batch_bytes = Bytes{};
@@ -283,7 +266,6 @@ void ServerNode::apply_update(const workload::Update& u) {
     msg.kind = net::MessageKind::kInvalidation;
     msg.subject_id = u.id.value();
     msg.sent_at = u.time;
-    msg.sender = static_cast<std::int32_t>(transport_slot_);
     if (protocol_.enabled) {
       msg.subject_ingest_at = ingest;
       // Ledger stamp: this notice is position notice_log.size() of the
@@ -293,7 +275,7 @@ void ServerNode::apply_update(const workload::Update& u) {
       msg.protocol_epoch = incarnation_;
     }
     ++notice_messages_;
-    transport_->send_to(peer_.transport_slot, msg, net::Mechanism::kOverhead);
+    transport_->send(net::End::kCache, msg, net::Mechanism::kOverhead);
     return;
   }
   if (peer_.pending_notices.empty()) peer_.pending_first_sent_at = u.time;
@@ -303,8 +285,7 @@ void ServerNode::apply_update(const workload::Update& u) {
   // otherwise flush immediately — a single-id flush emits a message
   // byte-identical to the unbatched path, so batching changes nothing
   // until the uplink actually backs up.
-  const double backlog = transport_->egress_backlog_seconds(
-      transport_slot_, peer_.transport_slot);
+  const double backlog = transport_->egress_backlog_seconds(net::End::kServer);
   if (backlog <= batching_.backlog_threshold_seconds ||
       peer_.pending_notices.size() >= kMaxNoticeBatch) {
     flush_pending_notices();
@@ -317,7 +298,6 @@ void ServerNode::flush_pending_notices() {
   msg.kind = net::MessageKind::kInvalidation;
   msg.subject_id = peer_.pending_notices.front();
   msg.sent_at = peer_.pending_first_sent_at;
-  msg.sender = static_cast<std::int32_t>(transport_slot_);
   const std::size_t n = peer_.pending_notices.size();
   if (n > 1) {
     msg.batched_invalidations.assign(peer_.pending_notices.begin() + 1,
@@ -342,7 +322,7 @@ void ServerNode::flush_pending_notices() {
   }
   peer_.pending_notices.clear();
   ++notice_messages_;
-  transport_->send_to(peer_.transport_slot, msg, net::Mechanism::kOverhead);
+  transport_->send(net::End::kCache, msg, net::Mechanism::kOverhead);
 }
 
 void ServerNode::send_reply(net::Message& reply, net::Mechanism mechanism) {
@@ -367,7 +347,7 @@ void ServerNode::send_reply(net::Message& reply, net::Mechanism mechanism) {
       reply.notice_ledger =
           static_cast<std::int64_t>(peer_.notice_log.size());
     }
-    transport_->send_to(peer_.transport_slot, reply, mechanism);
+    transport_->send(net::End::kCache, reply, mechanism);
     // The reply template is reused across requests — the batch fields must
     // not leak into the next reply.
     reply.batched_invalidations.clear();
@@ -376,7 +356,7 @@ void ServerNode::send_reply(net::Message& reply, net::Mechanism mechanism) {
     reply.notice_ledger = -1;
     return;
   }
-  transport_->send_to(peer_.transport_slot, reply, mechanism);
+  transport_->send(net::End::kCache, reply, mechanism);
 }
 
 Bytes ServerNode::object_bytes(ObjectId o) const {

@@ -4,9 +4,10 @@
 // the transport (query shipping, update shipping, object loading), and runs
 // the registration-based cache-coherence protocol: the cache's registration
 // row plus its metadata subscription drive the invalidation notices when
-// updates arrive. A server serves exactly one CacheNode, which talks to it
-// only through net::Transport messages; N caches are N server/cache
-// replicas (sim/event_engine.h), each with its own repository copy.
+// updates arrive. A server holds the server end of one net::Transport wire
+// and serves the one CacheNode bound to its other end, which talks to it
+// only through messages; N caches are N server/cache replicas
+// (sim/event_engine.h), each with its own repository copy and wire.
 #pragma once
 
 #include <string>
@@ -57,8 +58,9 @@ class ServerNode {
   static constexpr Bytes kLoadOverheadBytes{256 * 1024};
 
   /// Builds the repository from the trace's initial object sizes and
-  /// registers the endpoint on the transport. Trace and transport outlive
-  /// the node.
+  /// binds the transport's server end; a transport whose server end is
+  /// already bound is a checked failure. Trace and transport outlive the
+  /// node.
   ServerNode(const workload::Trace* trace, net::Transport* transport,
              std::string name = "server");
 
@@ -67,17 +69,8 @@ class ServerNode {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// This endpoint's transport slot: the sender of its every reply and
-  /// notice, and where caches send their requests.
-  [[nodiscard]] std::size_t transport_slot() const { return transport_slot_; }
-
-  /// Attaches the one cache this server serves, the endpoint registered at
-  /// `cache_transport_slot`: replies and invalidations go to that slot, and
-  /// a message from any other sender is a checked failure. Attaching the
-  /// server's own slot, or a second cache, is a checked failure.
-  void attach_cache(std::size_t cache_transport_slot);
-  /// True once a cache has attached.
-  [[nodiscard]] bool has_cache() const { return attached_; }
+  /// The wire this server and its cache share.
+  [[nodiscard]] net::Transport* transport() const { return transport_; }
 
   void set_subscription(MetadataSubscription subscription);
 
@@ -182,14 +175,13 @@ class ServerNode {
   /// Traffic delivered to this endpoint: the cache's requests and eviction
   /// notices, all overhead.
   [[nodiscard]] const net::TrafficMeter& meter() const {
-    return transport_->endpoint_meter(transport_slot_);
+    return transport_->endpoint_meter(net::End::kServer);
   }
 
  private:
   /// Everything the server keeps about its cache: the soft state a server
   /// crash wipes.
   struct Peer {
-    std::size_t transport_slot = 0;  // where replies/invalidations go
     MetadataSubscription subscription = MetadataSubscription::kNone;
     std::vector<std::uint8_t> registered;  // objects resident at the cache
     /// Notices held back by congestion batching (update ids, ingest order).
@@ -221,13 +213,11 @@ class ServerNode {
   const workload::Trace* trace_;
   net::Transport* transport_;
   std::string name_;
-  std::size_t transport_slot_ = 0;
-  /// Prebuilt reply message: sender slot set once at construction,
-  /// handle_message fills the per-reply fields (see the note there).
+  /// Prebuilt reply message: handle_message fills the per-reply fields
+  /// (see the note there).
   net::Message reply_template_;
   std::vector<Bytes> object_bytes_;  // server-side current sizes
   Peer peer_;
-  bool attached_ = false;
 
   NoticeBatchingOptions batching_;
   std::int64_t coalesced_notices_ = 0;

@@ -1,15 +1,15 @@
 // Seeded, deterministic fault injection for DelayedTransport, and
 // ChaosYardsticks, the record every failure/recovery counter lives in.
 //
-// A FaultPlan describes *which* links misbehave and *how*: per-link
+// A FaultPlan describes *which* directions of a wire misbehave and *how*:
 // drop/duplicate/reorder probabilities plus scheduled partitions (down/heal
-// windows in simulated seconds). Every random draw comes from a splitmix64
-// stream keyed by (link key, per-link message sequence number), so the fate
-// of the n-th message on a link is a pure function of the plan seed and the
-// endpoint names — independent of thread count, shard interleaving, or
-// wall-clock anything. That is what makes chaos runs reproducible instead of
-// flaky: the same plan over the same trace yields bit-identical yardsticks
-// at T=1 and T=8.
+// windows in simulated seconds), named by endpoint. Every random draw comes
+// from a splitmix64 stream keyed by (direction key, message sequence
+// number), so the fate of the n-th message one way is a pure function of
+// the plan seed and the two endpoint names — independent of thread count,
+// shard interleaving, or wall-clock anything. That is what makes chaos runs
+// reproducible instead of flaky: the same plan over the same trace yields
+// bit-identical yardsticks at T=1 and T=8.
 //
 // The zero-fault contract: a plan that is disabled — or enabled but with no
 // nonzero probability and no partition window anywhere — must leave every
@@ -214,8 +214,7 @@ static_assert(sizeof(ChaosYardsticks) == 8 * kChaosYardstickCount,
 }
 
 /// FNV-1a over an endpoint name — stable link identity that does not depend
-/// on registration order, so grow_link_grid can rebuild the fault grid
-/// without perturbing any link's stream.
+/// on the order the ends bind or the plan is installed in.
 [[nodiscard]] inline std::uint64_t fault_name_hash(const std::string& name) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : name) {

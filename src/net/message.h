@@ -9,11 +9,10 @@
 // bytes, matching the paper's bytes-proportional cost model; header overhead
 // is metered separately so the figure numbers stay comparable.
 //
-// Endpoints are named once, when they register on the transport; on the
-// wire every endpoint is its transport slot. A message names its sender
-// only by that slot, and a transport addresses its destination only by
-// slot. Names survive as endpoint metadata that fault plans and crash
-// schedules resolve to slots at registration.
+// A message carries no addresses: it travels on one wire between a server
+// and a cache (net/transport.h), so naming the end it is sent to names its
+// sender as well. End names are metadata the wire keeps for fault plans
+// and crash schedules.
 #pragma once
 
 #include <cstdint>
@@ -93,12 +92,6 @@ struct Message {
   /// the message is about.
   std::int64_t subject_id = -1;
   EventTime sent_at = 0;
-  /// The sender's transport slot (Transport::register_endpoint), so a
-  /// multi-endpoint server can address its reply and a link-aware
-  /// transport can key the egress link. Always set: a transport rejects a
-  /// message whose sender is not one of its registered endpoints. Part of
-  /// the modeled fixed-size header, not extra payload.
-  std::int32_t sender = -1;
   /// Request/reply correlation: a CacheNode stamps each request with a
   /// fresh id and the server echoes it in the data-bearing reply, so a
   /// non-blocking endpoint can match responses to its pending-request

@@ -36,6 +36,18 @@ void TrafficMeter::reset() {
   }
 }
 
+TrafficMeter& TrafficMeter::merge(const TrafficMeter& other) {
+  for (std::size_t i = 0; i < kMechanismCount; ++i) {
+    totals_[i].store(totals_[i].load(std::memory_order_relaxed) +
+                         other.totals_[i].load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+    counts_[i].store(counts_[i].load(std::memory_order_relaxed) +
+                         other.counts_[i].load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+  }
+  return *this;
+}
+
 std::string TrafficMeter::summary() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < kMechanismCount; ++i) {

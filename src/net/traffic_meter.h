@@ -53,13 +53,13 @@ inline constexpr std::size_t kMechanismCount = 4;
 class TrafficMeter {
  public:
   TrafficMeter() = default;
-  // Copies are snapshots: meters are copied only while quiescent (endpoint
-  // re-registration, merge-time folding), never mid-record.
+  // Copies are snapshots: meters are copied only while quiescent
+  // (warm-up snapshots, merge-time folding), never mid-record.
   TrafficMeter(const TrafficMeter& other);
   TrafficMeter& operator=(const TrafficMeter& other);
 
-  /// Inline: this is the single hottest call in the replay loop (four per
-  /// delivered message across the aggregate and endpoint meters).
+  /// Inline: this is the single hottest call in the replay loop (two per
+  /// delivered message, into the destination end's meter).
   void record(Mechanism mechanism, Bytes bytes) {
     DELTA_CHECK(bytes.count() >= 0);
     const auto i = static_cast<std::size_t>(mechanism);
@@ -89,6 +89,10 @@ class TrafficMeter {
   [[nodiscard]] std::int64_t message_count(Mechanism mechanism) const;
 
   void reset();
+
+  /// Folds `other`'s bytes and message counts into this meter, mechanism
+  /// by mechanism. Both meters must be quiescent (like copies).
+  TrafficMeter& merge(const TrafficMeter& other);
 
   [[nodiscard]] std::string summary() const;
 

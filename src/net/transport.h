@@ -1,4 +1,4 @@
-// Message transport between middleware endpoints.
+// Message transport between the two middleware endpoints.
 //
 // The production deployment the paper describes runs MS SQL replication
 // between two workstations; what the algorithms observe is only *which*
@@ -7,15 +7,16 @@
 // deterministic ordering, full byte accounting (payload through the caller's
 // TrafficMeter category, headers as overhead).
 //
-// Endpoints register once, under a unique name, and get a stable slot;
-// from then on every message is addressed by slot alone: the destination
-// is a send_to argument and the sender is Message::sender. Each
-// registered endpoint owns a meter that sees exactly the messages
-// delivered *to* it, so the per-endpoint meters partition all traffic:
-// every send is accounted to exactly one endpoint meter.
+// A transport is one duplex wire between a repository and a cache, the
+// link Delta's decision framework prices. It has exactly two ends,
+// End::kServer and End::kCache, each bound once with a name and a handler.
+// A message is addressed to an end; its sender is the other end. Each end
+// owns a meter that sees exactly the messages delivered *to* it, so the two
+// end meters partition all traffic on the wire.
 #pragma once
 
-#include <deque>
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -29,55 +30,55 @@ class EventQueue;
 
 namespace delta::net {
 
-/// The receiving side of a registered endpoint.
+/// The two ends of a wire.
+enum class End : std::uint8_t { kServer = 0, kCache = 1 };
+
+/// The end a message to `to` comes from.
+[[nodiscard]] constexpr End other_end(End to) {
+  return to == End::kServer ? End::kCache : End::kServer;
+}
+
+[[nodiscard]] constexpr std::size_t end_index(End end) {
+  return static_cast<std::size_t>(end);
+}
+
+[[nodiscard]] constexpr const char* to_string(End end) {
+  return end == End::kServer ? "server" : "cache";
+}
+
+/// The receiving side of a bound end.
 using MessageHandler = std::function<void(const Message&)>;
-
-/// One registered endpoint, as both transports keep it per slot.
-struct Endpoint {
-  std::string name;
-  MessageHandler handler;
-  TrafficMeter meter;
-};
-
-/// Appends a new endpoint to `endpoints` and returns its slot. A null
-/// handler, or a name some endpoint already holds, is a checked failure.
-/// A deque, so endpoint meters stay at stable addresses as later
-/// endpoints register — callers may hold endpoint_meter() references
-/// long-term.
-std::size_t add_endpoint(std::deque<Endpoint>& endpoints,
-                         const std::string& name, MessageHandler handler);
 
 class Transport {
  public:
+  Transport() = default;
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
   virtual ~Transport() = default;
 
-  /// Registers a destination endpoint and returns its stable slot, the
-  /// only address send_to and Message::sender take. Names are unique: a
-  /// second registration under a registered name is a checked failure.
-  virtual std::size_t register_endpoint(const std::string& name,
-                                        MessageHandler handler) = 0;
+  /// Binds `end` under `name`. Binding an end twice, a null handler, or
+  /// the other end's name is a checked failure that binds nothing.
+  virtual void bind(End end, std::string name, MessageHandler handler);
 
-  /// Delivers `message` to the endpoint at `destination_slot`, accounting
+  /// Delivers `message` to `to`, from the other end, accounting
   /// `message.payload` under `mechanism` and the header under overhead.
-  /// An unregistered destination or sender slot is a checked failure. The
+  /// Sending before both ends are bound is a checked failure. The
   /// transport may stamp simulated timestamps into `message` in place
   /// (senders that keep the message own it).
-  virtual void send_to(std::size_t destination_slot, Message& message,
-                       Mechanism mechanism) = 0;
+  virtual void send(End to, Message& message, Mechanism mechanism) = 0;
 
   /// Sends a request whose reply the caller is about to block on (the
-  /// sync-façade round trip). Semantically identical to send_to; the
-  /// blocking contract lets an event-driven transport fast-forward its
-  /// clock to the delivery instant and deliver inline — skipping the event
-  /// queue — when no earlier event is pending, and extend the same fast
-  /// path to the reply sent while this request is being handled. Callers
-  /// that do NOT immediately wait for the reply must use send_to.
-  virtual void send_call(std::size_t destination_slot, Message& message,
-                         Mechanism mechanism) {
-    send_to(destination_slot, message, mechanism);
+  /// sync-façade round trip). Semantically identical to send; the blocking
+  /// contract lets an event-driven transport fast-forward its clock to the
+  /// delivery instant and deliver inline — skipping the event queue — when
+  /// no earlier event is pending, and extend the same fast path to the
+  /// reply sent while this request is being handled. Callers that do NOT
+  /// immediately wait for the reply must use send.
+  virtual void send_call(End to, Message& message, Mechanism mechanism) {
+    send(to, message, mechanism);
   }
 
-  /// True when send_to delivers (and meters) inline before returning —
+  /// True when send delivers (and meters) inline before returning —
   /// LoopbackTransport. Event-driven transports return false: delivery
   /// happens when the simulated clock reaches the message's arrival time.
   [[nodiscard]] virtual bool synchronous() const { return true; }
@@ -99,15 +100,13 @@ class Transport {
   }
 
   /// Congestion signal: simulated seconds of serialization backlog already
-  /// queued on the egress link from `from_slot` to `to_slot` (how long a
-  /// message sent now would wait before its own serialization starts).
-  /// Zero on synchronous transports — there is no queueing to observe —
-  /// so backlog-gated behavior (ServerNode notice batching) degenerates to
-  /// the unbatched path there.
-  [[nodiscard]] virtual double egress_backlog_seconds(
-      std::size_t from_slot, std::size_t to_slot) const {
-    (void)from_slot;
-    (void)to_slot;
+  /// queued on the wire's direction out of `from` (how long a message sent
+  /// now would wait before its own serialization starts). Zero on
+  /// synchronous transports — there is no queueing to observe — so
+  /// backlog-gated behavior (ServerNode notice batching) degenerates to the
+  /// unbatched path there.
+  [[nodiscard]] virtual double egress_backlog_seconds(End from) const {
+    (void)from;
     return 0.0;
   }
 
@@ -121,38 +120,33 @@ class Transport {
   /// instants, unavailability windows) without reaching into the queue.
   [[nodiscard]] virtual double now() const { return 0.0; }
 
-  /// Meter of the traffic delivered to the endpoint at `slot` (checked
-  /// failure if no endpoint holds it).
-  [[nodiscard]] virtual const TrafficMeter& endpoint_meter(
-      std::size_t slot) const = 0;
-};
-
-/// Synchronous in-process transport with deterministic delivery order. It
-/// also keeps the aggregate meter over every delivery, which the
-/// single-cache system reports as its figure traffic.
-class LoopbackTransport final : public Transport {
- public:
-  std::size_t register_endpoint(const std::string& name,
-                                MessageHandler handler) override;
-
-  void send_to(std::size_t destination_slot, Message& message,
-               Mechanism mechanism) override;
-
-  /// Aggregate accounting across all endpoints.
-  [[nodiscard]] const TrafficMeter& meter() const { return meter_; }
-
-  [[nodiscard]] const TrafficMeter& endpoint_meter(
-      std::size_t slot) const override;
-  [[nodiscard]] std::size_t endpoint_count() const {
-    return endpoints_.size();
+  /// Meter of the traffic delivered to `end`.
+  [[nodiscard]] const TrafficMeter& endpoint_meter(End end) const {
+    return ends_[end_index(end)].meter;
   }
 
-  [[nodiscard]] std::int64_t delivered_count() const { return delivered_; }
+ protected:
+  struct Endpoint {
+    std::string name;
+    MessageHandler handler;
+    TrafficMeter meter;
+  };
 
- private:
-  std::deque<Endpoint> endpoints_;
-  TrafficMeter meter_;
-  std::int64_t delivered_ = 0;
+  /// Checks, per send, that both ends are bound.
+  void check_wired(End to) const {
+    DELTA_CHECK_MSG(wired_, "send to the " << to_string(to)
+                                           << " end of an unbound wire");
+  }
+
+  std::array<Endpoint, 2> ends_;
+  /// True once both ends are bound.
+  bool wired_ = false;
+};
+
+/// Synchronous in-process transport with deterministic delivery order.
+class LoopbackTransport final : public Transport {
+ public:
+  void send(End to, Message& message, Mechanism mechanism) override;
 };
 
 }  // namespace delta::net

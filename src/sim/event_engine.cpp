@@ -179,7 +179,6 @@ struct EventShard {
   std::unique_ptr<core::CacheNode> cache;
   std::unique_ptr<core::CachePolicy> policy;
   const workload::Trace* trace = nullptr;
-  std::size_t cache_transport_slot = 0;
   EventTime warmup_end = 0;
 
   /// Update ingests the prefilter skipped in this replica.
@@ -235,16 +234,13 @@ struct EventShard {
     }
   }
 
-  EventShard(const workload::Trace& trace, const net::LinkModel& default_link,
-             const net::LinkModel& cache_link, std::size_t index)
-      : transport(&events, default_link) {
+  EventShard(const workload::Trace& trace, const net::LinkModel& link,
+             std::size_t index)
+      : transport(&events, link) {
     this->trace = &trace;
     server = std::make_unique<core::ServerNode>(&trace, &transport);
     cache = std::make_unique<core::CacheNode>(
-        &trace, server.get(), &transport, "cache-" + std::to_string(index));
-    cache_transport_slot = cache->transport_slot();
-    transport.set_duplex_link(server->transport_slot(), cache_transport_slot,
-                              cache_link);
+        &trace, server.get(), "cache-" + std::to_string(index));
     warmup_end = trace.info.warmup_end_event;
     // Unfiltered: coalesced notice ids ride on kInvalidation merges AND
     // piggyback on data-bearing replies, so every delivered message may
@@ -264,9 +260,9 @@ struct EventShard {
   /// The gap is measured from the server-side ingest stamp when the
   /// protocol layer provides one, else from sim_sent_at (identical for an
   /// unbatched notice, whose send IS its ingest).
-  static void on_delivery(void* ctx, const net::Message& m, std::size_t slot) {
+  static void on_delivery(void* ctx, const net::Message& m, net::End to) {
     auto& shard = *static_cast<EventShard*>(ctx);
-    if (slot != shard.cache_transport_slot) return;
+    if (to != net::End::kCache) return;
     if (m.kind == net::MessageKind::kResyncData) return;
     if (m.kind == net::MessageKind::kInvalidation &&
         m.sent_at >= shard.warmup_end) {
@@ -481,8 +477,7 @@ void replay_event_shard(const workload::Trace& trace,
   // Each replica has exactly one cache, so the server's ledger is its own.
   shard.yardsticks.protocol = shard.cache->counters();
   shard.yardsticks.notices_logged = shard.server->counters().notices_logged;
-  shard.server_uplink =
-      shard.transport.uplink_stats(shard.server->transport_slot());
+  shard.server_uplink = shard.transport.uplink_stats(net::End::kServer);
   shard.end_clock = events.now();
   shard.delivered = shard.transport.delivered_count();
   r.wall_seconds =
@@ -588,8 +583,7 @@ EventRunResult run_policy_event(const workload::Trace& trace,
     const net::LinkModel link = i < options.cache_links.size()
                                     ? options.cache_links[i]
                                     : options.default_link;
-    shards.push_back(std::make_unique<EventShard>(trace, options.default_link,
-                                                  link, i));
+    shards.push_back(std::make_unique<EventShard>(trace, link, i));
     shards.back()->server->set_notice_batching(options.notice_batching);
     shards.back()->transport.set_fault_plan(options.fault_plan);
     // A plan that can actually lose or duplicate messages requires the
@@ -606,33 +600,29 @@ EventRunResult run_policy_event(const workload::Trace& trace,
     shards.back()->cache->set_protocol(options.protocol,
                                        /*probe_on_suspect=*/any_crash_windows);
     if (any_crash_windows) {
-      // Resolve the plan's crash schedules against this replica's endpoint
-      // names (first non-empty schedule per endpoint wins, matching the
-      // transport's resolution). Each live window becomes a wipe event at
-      // its start and a recover event at its heal.
+      // Each live crash window the wire resolved for an end becomes a wipe
+      // event at its start and a recover event at its heal.
       EventShard& shard = *shards.back();
-      const auto add_windows = [&](const std::string& endpoint,
-                                   bool is_server) {
-        for (const net::CrashSchedule& crash : options.fault_plan.crashes) {
-          if (crash.name != endpoint || crash.windows.empty()) continue;
-          for (const net::FaultWindow& w : crash.windows) {
-            DELTA_CHECK_MSG(
-                std::isfinite(w.down_seconds) &&
-                    std::isfinite(w.heal_seconds) && w.down_seconds >= 0.0,
-                "crash window for '" << endpoint << "' must be finite and "
-                                     << "non-negative");
-            if (w.heal_seconds <= w.down_seconds) continue;  // empty window
-            shard.crash_plan.push_back(EventShard::CrashEvent{
-                w.down_seconds, w.heal_seconds - w.down_seconds, is_server,
-                /*wipe=*/true});
-            shard.crash_plan.push_back(EventShard::CrashEvent{
-                w.heal_seconds, 0.0, is_server, /*wipe=*/false});
-          }
-          return;
+      for (const net::End end : {net::End::kServer, net::End::kCache}) {
+        const std::vector<net::FaultWindow>* windows =
+            shard.transport.crash_windows(end);
+        if (windows == nullptr) continue;
+        const bool is_server = end == net::End::kServer;
+        for (const net::FaultWindow& w : *windows) {
+          DELTA_CHECK_MSG(
+              std::isfinite(w.down_seconds) && std::isfinite(w.heal_seconds) &&
+                  w.down_seconds >= 0.0,
+              "crash window for '" << (is_server ? shard.server->name()
+                                                 : shard.cache->name())
+                                   << "' must be finite and non-negative");
+          if (w.heal_seconds <= w.down_seconds) continue;  // empty window
+          shard.crash_plan.push_back(EventShard::CrashEvent{
+              w.down_seconds, w.heal_seconds - w.down_seconds, is_server,
+              /*wipe=*/true});
+          shard.crash_plan.push_back(EventShard::CrashEvent{
+              w.heal_seconds, 0.0, is_server, /*wipe=*/false});
         }
-      };
-      add_windows(shard.server->name(), /*is_server=*/true);
-      add_windows(shard.cache->name(), /*is_server=*/false);
+      }
     }
     if (sketch_stride > 1) {
       // Global decimation stride (computed above): every shard keeps
@@ -711,13 +701,7 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   replay.combined = combine_endpoints(shards, options.series_stride);
 
   for (const auto& shard : shards) {
-    out.server_uplink.sends += shard->server_uplink.sends;
-    out.server_uplink.busy_seconds += shard->server_uplink.busy_seconds;
-    out.server_uplink.total_queue_wait +=
-        shard->server_uplink.total_queue_wait;
-    out.server_uplink.max_queue_wait =
-        std::max(out.server_uplink.max_queue_wait,
-                 shard->server_uplink.max_queue_wait);
+    out.server_uplink.merge(shard->server_uplink);
     out.sim_duration_seconds =
         std::max(out.sim_duration_seconds, shard->end_clock);
     out.delivered_messages += shard->delivered;

@@ -12,16 +12,17 @@
 //     the delivery of its invalidation notice at each subscribed cache.
 //
 // The engine is a conservative parallel discrete-event simulation,
-// partitioned by cache. Each partition is a full replica of the node graph
-// — its own event queue, latency-aware transport, repository replica and
-// cache endpoint — that replays the merged trace sequence, applying every
-// update at the same sequence point and executing only the queries routed
-// to it. The decomposition is exact because every message a partition
-// receives (server replies, invalidation notices) is generated by its own
-// replica: the conservative lookahead bound (each partition may safely
-// advance to the minimum over its input links of source-clock + link
-// propagation delay) degenerates to "no synchronization needed", since a
-// partition is its own only source. Partitions therefore run wait-free,
+// partitioned by cache. Each partition is a full replica of the node graph —
+// its own event queue, and a repository replica and cache endpoint on the two
+// ends of one latency-aware wire (net::DelayedTransport over the endpoint's
+// link model) — that replays the merged trace sequence, applying every update
+// at the same sequence point and executing only the queries routed to it. The
+// decomposition is exact because every message a partition receives (server
+// replies, invalidation notices) is generated by its own replica: the
+// conservative lookahead bound (each partition may safely advance to the
+// minimum over its input links of source-clock + link propagation delay)
+// degenerates to "no synchronization needed", since a partition is its own
+// only source. Partitions therefore run wait-free,
 // each on one thread of util::parallel_for_dynamic, and each fills its
 // cache endpoint's RunResult through the traffic ledger the single-cache
 // loop also uses (sim/replica.h). A deterministic merge folds them in
@@ -144,9 +145,10 @@ struct EventEngineOptions {
   /// Server-side congestion batching of invalidation notices (off = the
   /// golden-pinned one-notice-per-message fan-out).
   core::NoticeBatchingOptions notice_batching;
-  /// Deterministic fault injection, installed on every replica transport
+  /// Deterministic fault injection, installed on every replica's wire
   /// (net/fault_plan.h). Message fates are pure functions of (plan seed,
-  /// link endpoint names, per-link sequence), so chaos runs stay
+  /// sender name, destination name, per-direction sequence), and crash
+  /// schedules apply to the end they name, so chaos runs stay
   /// bit-identical for any thread count. A plan that can actually lose or
   /// duplicate messages requires `protocol.enabled` (checked): dropping a
   /// reply from an unhardened node would deadlock its pending request.
@@ -216,7 +218,8 @@ struct EventRunResult {
   util::StreamingStats staleness_seconds;
   std::vector<EndpointEventYardsticks> per_endpoint;
   /// Egress contention at the repository: serialization occupancy and
-  /// queueing of all messages the server sent (summed over partitions).
+  /// queueing of all messages the server sent (UplinkStats::merge over
+  /// partitions).
   net::UplinkStats server_uplink;
 
   /// Simulated completion time: the latest partition clock at end of run.
@@ -259,15 +262,14 @@ struct EventRunResult {
   }
 };
 
-/// Replays the trace through N cache endpoints, one repository replica
-/// each, over a latency-aware transport. `assignment`, when given, is the
+/// Replays the trace through N cache endpoints, one repository replica each,
+/// every pair on its own latency-aware wire. `assignment`, when given, is the
 /// query split to route by (indexed like Trace::queries, values <
-/// endpoint_count) — pass it when a policy also needs the split (e.g.
-/// sharded SOptimal hindsight) so routing and policy provably agree; null
-/// recomputes it from `strategy`. Deterministic: repeated runs, and runs
-/// at any `options.parallel.num_threads`, produce identical results
-/// (per-partition discrete-event schedules with stable ordering plus an
-/// endpoint-order merge).
+/// endpoint_count) — pass it when a policy also needs the split (e.g. sharded
+/// SOptimal hindsight) so routing and policy provably agree; null recomputes it
+/// from `strategy`. Deterministic: repeated runs, and runs at any
+/// `options.parallel.num_threads`, produce identical results (per-partition
+/// discrete-event schedules with stable ordering plus an endpoint-order merge).
 EventRunResult run_policy_event(
     const workload::Trace& trace, std::size_t endpoint_count,
     workload::SplitStrategy strategy, const CachePolicyFactory& factory,

@@ -1,14 +1,15 @@
-// ServerNode/CacheNode unit tests: a server serves exactly one cache — the
-// attach checks, the sender check on every request, and per-endpoint byte
-// accounting on the shared transport. Subscription fan-out is covered by
+// ServerNode/CacheNode unit tests: a server and its one cache hold the two
+// ends of one wire — the bind checks that keep a second cache (or server)
+// off it, the wire's refusal to carry a request before the cache binds,
+// and per-end byte accounting. Subscription fan-out is covered by
 // core_system_test.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/cache_node.h"
+#include "core/delta_system.h"
 #include "core/server_node.h"
-#include "meter_invariants.h"
 #include "net/transport.h"
 #include "trace_builder.h"
 
@@ -29,36 +30,26 @@ struct Harness {
   workload::Trace trace = two_object_trace();
   net::LoopbackTransport transport;
   ServerNode server{&trace, &transport};
-  CacheNode cache{&trace, &server, &transport, "cache-east"};
+  CacheNode cache{&trace, &server, "cache-east"};
 };
 
-// A server attaches one cache, never its own slot, and never a second one:
-// neither a second attach of any slot nor a second CacheNode. A cache
-// cannot reuse a name either: the transport rejects a cache named like
-// another cache or like a server before anything attaches.
-TEST(ServerNodeTest, DuplicateAttachIsCheckedFailure) {
+// A wire holds one server and one cache: a second CacheNode on the server,
+// or a second ServerNode on its transport, is a checked failure, and so is
+// a cache named like its server.
+TEST(ServerNodeTest, SecondCacheOrServerIsCheckedFailure) {
   Harness h;
-  EXPECT_TRUE(h.server.has_cache());
-  const std::size_t other =
-      h.transport.register_endpoint("cache-west", [](const net::Message&) {});
-  EXPECT_THROW(h.server.attach_cache(other), std::logic_error);
-  EXPECT_THROW(h.server.attach_cache(h.cache.transport_slot()),
+  EXPECT_THROW(CacheNode(&h.trace, &h.server, "cache-north"),
                std::logic_error);
-  EXPECT_THROW(CacheNode(&h.trace, &h.server, &h.transport, "cache-north"),
+  EXPECT_THROW(ServerNode(&h.trace, &h.transport, "server-2"),
                std::logic_error);
 
-  ServerNode lone{&h.trace, &h.transport, "lone"};
-  EXPECT_THROW(lone.attach_cache(lone.transport_slot()), std::logic_error);
-  for (const char* name : {"cache-east", "server"}) {
-    EXPECT_THROW(CacheNode(&h.trace, &lone, &h.transport, name),
-                 std::logic_error)
-        << name;
-  }
-  EXPECT_FALSE(lone.has_cache());
-  // The rejected CacheNodes registered nothing: server, cache, cache-west
-  // and lone.
-  EXPECT_EQ(h.transport.endpoint_count(), 4u);
-  // The failed attempts left the cache working.
+  net::LoopbackTransport wire;
+  ServerNode lone{&h.trace, &wire, "lone"};
+  EXPECT_THROW(CacheNode(&h.trace, &lone, "lone"), std::logic_error);
+  // The rejected CacheNode bound nothing: a cache can still join.
+  CacheNode joined{&h.trace, &lone, "cache-west"};
+  EXPECT_EQ(joined.ship_query(h.trace.queries[0]).count(), 300);
+  // The failed attempts left the first pair working.
   EXPECT_EQ(h.cache.ship_query(h.trace.queries[0]).count(), 300);
 }
 
@@ -78,39 +69,52 @@ TEST(ServerNodeTest, RepliesAreAccountedToTheRequestingEndpoint) {
   EXPECT_EQ(server.figure_total(), Bytes{0});
   EXPECT_EQ(server.total(net::Mechanism::kOverhead),
             net::kMessageHeaderBytes * 3);
-
-  // Per-endpoint meters partition the aggregate, mechanism by mechanism.
-  delta::testing::ExpectEndpointMetersPartitionAggregate(h.transport);
 }
 
-TEST(ServerNodeTest, RequestFromUnattachedCacheIsCheckedFailure) {
+// DeltaSystem's meter is the fold of its two end meters: bytes and
+// message counts, mechanism by mechanism.
+TEST(ServerNodeTest, SystemMeterFoldsBothEnds) {
+  const workload::Trace trace = two_object_trace();
+  DeltaSystem system{&trace};
+  system.cache().ship_query(trace.queries[0]);
+  system.cache().load_object(ObjectId{1});
+  system.cache().notify_eviction(ObjectId{1});
+  const net::TrafficMeter all = system.meter();
+  const net::TrafficMeter& cache = system.cache().meter();
+  const net::TrafficMeter& server = system.server().meter();
+  for (std::size_t i = 0; i < net::kMechanismCount; ++i) {
+    const auto mech = static_cast<net::Mechanism>(i);
+    EXPECT_EQ(all.total(mech), cache.total(mech) + server.total(mech))
+        << net::to_string(mech);
+    EXPECT_EQ(all.message_count(mech),
+              cache.message_count(mech) + server.message_count(mech))
+        << net::to_string(mech);
+  }
+  // Two requests and an eviction notice reached the server, each metering
+  // its (empty) payload and its header as overhead; two replies reached
+  // the cache, each metering its header.
+  EXPECT_EQ(server.message_count(net::Mechanism::kOverhead), 6);
+  EXPECT_EQ(all.message_count(net::Mechanism::kOverhead), 8);
+  EXPECT_EQ(all.total(net::Mechanism::kQueryShip).count(), 300);
+}
+
+// Until a cache binds, the server's wire carries nothing: a request sent
+// to the server end is a checked failure that reaches no handler.
+TEST(ServerNodeTest, RequestBeforeCacheBindsIsCheckedFailure) {
   workload::Trace trace = two_object_trace();
   net::LoopbackTransport transport;
   ServerNode server{&trace, &transport};
-  // A rogue endpoint on the wire that never attached to the server.
-  const std::size_t rogue =
-      transport.register_endpoint("rogue", [](const net::Message&) {});
   net::Message msg;
   msg.kind = net::MessageKind::kLoadRequest;
   msg.subject_id = 0;
-  msg.sender = static_cast<std::int32_t>(rogue);
-  EXPECT_THROW(
-      transport.send_to(server.transport_slot(), msg,
-                        net::Mechanism::kOverhead),
-      std::logic_error);
-  // Still rejected once another endpoint is the attached cache.
-  CacheNode cache{&trace, &server, &transport, "cache"};
-  EXPECT_THROW(
-      transport.send_to(server.transport_slot(), msg,
-                        net::Mechanism::kOverhead),
-      std::logic_error);
-  EXPECT_FALSE(cache.is_registered(ObjectId{0}));
-  // So is a request naming the server itself as its sender.
-  msg.sender = static_cast<std::int32_t>(server.transport_slot());
-  EXPECT_THROW(
-      transport.send_to(server.transport_slot(), msg,
-                        net::Mechanism::kOverhead),
-      std::logic_error);
+  EXPECT_THROW(transport.send(net::End::kServer, msg,
+                              net::Mechanism::kOverhead),
+               std::logic_error);
+  EXPECT_FALSE(server.is_registered(ObjectId{0}));
+  EXPECT_EQ(server.meter().message_count(net::Mechanism::kOverhead), 0);
+  CacheNode cache{&trace, &server};
+  cache.load_object(ObjectId{0});
+  EXPECT_TRUE(server.is_registered(ObjectId{0}));
 }
 
 }  // namespace

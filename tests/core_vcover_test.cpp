@@ -251,7 +251,7 @@ TEST(VCoverPolicyTest, StaleInvalidationToleratedOnlyOverAsyncTransport) {
     util::EventQueue events;
     net::DelayedTransport transport{&events, net::LinkModel{1e6, 0.020}};
     ServerNode server{&trace, &transport};
-    CacheNode cache{&trace, &server, &transport};
+    CacheNode cache{&trace, &server};
     VCoverPolicy policy{&cache, options_for_tests(Bytes{10'000'000})};
     EXPECT_NO_THROW(policy.on_update(trace.updates[0]));
   }

@@ -1,15 +1,17 @@
-// Deterministic fault injection on DelayedTransport (ISSUE 8): drop /
-// duplicate / reorder draws from per-link splitmix streams, scheduled
-// partition windows, the zero-fault byte-identity contract, and the
-// stream-independence properties (other links' traffic and registration
-// order never perturb a link's fates) — plus the merge rules of the
-// ChaosYardsticks counter record the transport's fates are counted in.
+// Deterministic fault injection on DelayedTransport: drop / duplicate /
+// reorder draws from per-direction splitmix streams, scheduled partition
+// windows, crash schedules resolved to the end they name, the zero-fault
+// byte-identity contract, and the stream-independence properties (traffic
+// the other way, bind order and plan-install order never perturb a
+// direction's fates) — plus the merge rules of the ChaosYardsticks counter
+// record the transport's fates are counted in.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/delayed_transport.h"
@@ -26,36 +28,50 @@ struct Delivery {
   double at = 0.0;
 };
 
-/// Queue + transport + recording endpoints. The tests name endpoints, as
-/// fault plans do; the harness keeps each name's slot to address sends.
+/// Queue + transport + recording ends. The tests name ends, as fault plans
+/// do: by default "a" is the server end and "b" the cache end.
 struct Harness {
   util::EventQueue events;
   DelayedTransport transport;
   std::vector<Delivery> deliveries;
-  std::map<std::string, std::size_t> slots;
+  std::map<std::string, End> ends;
 
-  explicit Harness(LinkModel default_link = LinkModel{1e6, 0.020})
-      : transport(&events, default_link) {}
+  explicit Harness(LinkModel link = LinkModel{1e6, 0.020})
+      : transport(&events, link) {}
 
-  void add_endpoint(const std::string& name) {
-    slots[name] =
-        transport.register_endpoint(name, [this, name](const Message& m) {
-          deliveries.push_back(Delivery{name, m.subject_id, events.now()});
-        });
+  void bind(End end, const std::string& name) {
+    transport.bind(end, name, [this, name](const Message& m) {
+      deliveries.push_back(Delivery{name, m.subject_id, events.now()});
+    });
+    ends[name] = end;
+  }
+  void bind_both() {
+    bind(End::kServer, "a");
+    bind(End::kCache, "b");
   }
 
-  [[nodiscard]] std::size_t slot(const std::string& name) const {
-    return slots.at(name);
+  [[nodiscard]] End end(const std::string& name) const {
+    return ends.at(name);
   }
 
-  void send(const std::string& from, const std::string& to,
-            std::int64_t subject, Bytes payload = Bytes{99'936}) {
+  /// Sends to the end named `to`, from the other end.
+  void send(const std::string& to, std::int64_t subject,
+            Bytes payload = Bytes{99'936}) {
     Message m;
     m.kind = MessageKind::kControl;
     m.payload = payload;
-    m.sender = static_cast<std::int32_t>(slot(from));
     m.subject_id = subject;
-    transport.send_to(slot(to), m, Mechanism::kQueryShip);
+    transport.send(end(to), m, Mechanism::kQueryShip);
+  }
+
+  /// Subjects delivered to the end named `name`, in delivery order.
+  [[nodiscard]] std::vector<std::int64_t> delivered_to(
+      const std::string& name) const {
+    std::vector<std::int64_t> subjects;
+    for (const Delivery& d : deliveries) {
+      if (d.endpoint == name) subjects.push_back(d.subject);
+    }
+    return subjects;
   }
 };
 
@@ -68,33 +84,30 @@ FaultPlan plan_with(LinkFaults faults) {
 
 TEST(FaultInjectionTest, CertainDropKillsEveryDeliveryButPaysSerialization) {
   Harness h;
-  h.add_endpoint("a");
-  h.add_endpoint("b");
+  h.bind_both();
   LinkFaults faults;
   faults.drop = 1.0;
   h.transport.set_fault_plan(plan_with(faults));
   EXPECT_TRUE(h.transport.faults_active());
-  for (int i = 0; i < 8; ++i) h.send("a", "b", i);
+  for (int i = 0; i < 8; ++i) h.send("b", i);
   h.events.run_until_idle();
   EXPECT_TRUE(h.deliveries.empty());
   EXPECT_EQ(h.transport.counters().faults_dropped, 8);
   // The wire ate the messages AFTER serialization: the egress link was
   // busy (the sender cannot know), but nothing was metered at delivery.
-  const UplinkStats& uplink =
-      h.transport.uplink_stats(h.slot("a"));
+  const UplinkStats& uplink = h.transport.uplink_stats(h.end("a"));
   EXPECT_EQ(uplink.sends, 8);
   EXPECT_GT(uplink.busy_seconds, 0.0);
-  EXPECT_EQ(h.transport.endpoint_meter(h.slot("b")).figure_total(), Bytes{0});
+  EXPECT_EQ(h.transport.endpoint_meter(h.end("b")).figure_total(), Bytes{0});
 }
 
 TEST(FaultInjectionTest, CertainDuplicateDeliversTwiceOriginalFirst) {
   Harness h;
-  h.add_endpoint("a");
-  h.add_endpoint("b");
+  h.bind_both();
   LinkFaults faults;
   faults.duplicate = 1.0;
   h.transport.set_fault_plan(plan_with(faults));
-  h.send("a", "b", 7);
+  h.send("b", 7);
   h.events.run_until_idle();
   ASSERT_EQ(h.deliveries.size(), 2u);
   EXPECT_EQ(h.deliveries[0].subject, 7);
@@ -104,28 +117,25 @@ TEST(FaultInjectionTest, CertainDuplicateDeliversTwiceOriginalFirst) {
   EXPECT_EQ(h.deliveries[0].at, h.deliveries[1].at);
   EXPECT_EQ(h.transport.counters().faults_duplicated, 1);
   // Duplicated flights are not themselves re-drawn: exactly one copy.
-  const UplinkStats& uplink =
-      h.transport.uplink_stats(h.slot("a"));
+  const UplinkStats& uplink = h.transport.uplink_stats(h.end("a"));
   EXPECT_EQ(uplink.sends, 1);
 }
 
 TEST(FaultInjectionTest, CertainReorderDefersDeliveryWithinBound) {
   Harness clean;
-  clean.add_endpoint("a");
-  clean.add_endpoint("b");
-  clean.send("a", "b", 0);
+  clean.bind_both();
+  clean.send("b", 0);
   clean.events.run_until_idle();
   ASSERT_EQ(clean.deliveries.size(), 1u);
   const double undisturbed = clean.deliveries[0].at;
 
   Harness h;
-  h.add_endpoint("a");
-  h.add_endpoint("b");
+  h.bind_both();
   LinkFaults faults;
   faults.reorder = 1.0;
   faults.reorder_max_delay_seconds = 0.5;
   h.transport.set_fault_plan(plan_with(faults));
-  h.send("a", "b", 0);
+  h.send("b", 0);
   h.events.run_until_idle();
   ASSERT_EQ(h.deliveries.size(), 1u);
   EXPECT_GE(h.deliveries[0].at, undisturbed);
@@ -135,8 +145,7 @@ TEST(FaultInjectionTest, CertainReorderDefersDeliveryWithinBound) {
 
 TEST(FaultInjectionTest, PartitionWindowDropsExactlyItsSpan) {
   Harness h;
-  h.add_endpoint("a");
-  h.add_endpoint("b");
+  h.bind_both();
   FaultPlan plan;
   plan.enabled = true;
   plan.partitions.push_back(
@@ -144,16 +153,16 @@ TEST(FaultInjectionTest, PartitionWindowDropsExactlyItsSpan) {
   h.transport.set_fault_plan(plan);
   EXPECT_TRUE(h.transport.faults_active());
 
-  h.send("a", "b", 0);  // before the window: delivered
+  h.send("b", 0);  // before the window: delivered
   h.events.run_until_idle();
   h.events.advance_until(10.0);
-  h.send("a", "b", 1);  // inside [down, heal): dropped
+  h.send("b", 1);  // inside [down, heal): dropped
   h.events.run_until_idle();
   h.events.advance_until(19.999);
-  h.send("a", "b", 2);  // still inside (half-open): dropped
+  h.send("b", 2);  // still inside (half-open): dropped
   h.events.run_until_idle();
   h.events.advance_until(20.0);
-  h.send("a", "b", 3);  // healed: delivered
+  h.send("b", 3);  // healed: delivered
   h.events.run_until_idle();
 
   ASSERT_EQ(h.deliveries.size(), 2u);
@@ -163,20 +172,24 @@ TEST(FaultInjectionTest, PartitionWindowDropsExactlyItsSpan) {
   EXPECT_EQ(h.transport.counters().faults_dropped, 0);
 }
 
-TEST(FaultInjectionTest, DuplexPartitionKillsBothDirections) {
-  Harness h;
-  h.add_endpoint("a");
-  h.add_endpoint("b");
-  FaultPlan plan;
-  plan.enabled = true;
-  plan.partitions.push_back(
-      LinkPartition{"a", "b", /*duplex=*/true, {FaultWindow{0.0, 1.0}}});
-  h.transport.set_fault_plan(plan);
-  h.send("a", "b", 0);
-  h.send("b", "a", 1);
-  h.events.run_until_idle();
-  EXPECT_TRUE(h.deliveries.empty());
-  EXPECT_EQ(h.transport.counters().partition_dropped, 2);
+// A duplex partition kills both directions; a directed one only its own.
+TEST(FaultInjectionTest, PartitionsApplyPerDirection) {
+  for (const bool duplex : {true, false}) {
+    Harness h;
+    h.bind_both();
+    FaultPlan plan;
+    plan.enabled = true;
+    plan.partitions.push_back(
+        LinkPartition{"a", "b", duplex, {FaultWindow{0.0, 1.0}}});
+    h.transport.set_fault_plan(plan);
+    h.send("b", 0);
+    h.send("a", 1);
+    h.events.run_until_idle();
+    SCOPED_TRACE(duplex ? "duplex" : "directed");
+    EXPECT_TRUE(h.delivered_to("b").empty());
+    EXPECT_EQ(h.delivered_to("a").size(), duplex ? 0u : 1u);
+    EXPECT_EQ(h.transport.counters().partition_dropped, duplex ? 2 : 1);
+  }
 }
 
 // The zero-fault contract: an enabled plan with no nonzero probability and
@@ -186,15 +199,14 @@ TEST(FaultInjectionTest, DuplexPartitionKillsBothDirections) {
 TEST(FaultInjectionTest, ZeroProbabilityPlanIsIdenticalToNoPlan) {
   Harness bare;
   Harness planned;
-  for (Harness* h : {&bare, &planned}) {
-    h->add_endpoint("a");
-    h->add_endpoint("b");
-  }
+  for (Harness* h : {&bare, &planned}) h->bind_both();
   planned.transport.set_fault_plan(plan_with(LinkFaults{}));
   EXPECT_FALSE(planned.transport.faults_active());
   for (int i = 0; i < 16; ++i) {
-    bare.send("a", "b", i);
-    planned.send("a", "b", i);
+    bare.send("b", i);
+    planned.send("b", i);
+    bare.send("a", 100 + i);
+    planned.send("a", 100 + i);
     if (i % 3 == 0) {
       bare.events.run_until_idle();
       planned.events.run_until_idle();
@@ -204,132 +216,146 @@ TEST(FaultInjectionTest, ZeroProbabilityPlanIsIdenticalToNoPlan) {
   planned.events.run_until_idle();
   ASSERT_EQ(bare.deliveries.size(), planned.deliveries.size());
   for (std::size_t i = 0; i < bare.deliveries.size(); ++i) {
+    EXPECT_EQ(bare.deliveries[i].endpoint, planned.deliveries[i].endpoint);
     EXPECT_EQ(bare.deliveries[i].subject, planned.deliveries[i].subject);
     EXPECT_EQ(bare.deliveries[i].at, planned.deliveries[i].at);  // bitwise
   }
   EXPECT_EQ(planned.transport.counters().faults_dropped, 0);
 }
 
-// A link's fate stream is keyed by (seed, endpoint names, per-link seq):
-// traffic on OTHER links must not perturb it.
-TEST(FaultInjectionTest, LinkStreamsAreIndependentOfOtherLinksTraffic) {
+// A direction's fate stream is keyed by (seed, sender name, destination
+// name, per-direction seq): traffic the other way must not perturb it.
+TEST(FaultInjectionTest, DirectionStreamsAreIndependent) {
   LinkFaults faults;
   faults.drop = 0.5;
   Harness quiet;
   Harness noisy;
   for (Harness* h : {&quiet, &noisy}) {
-    h->add_endpoint("a");
-    h->add_endpoint("b");
-    h->add_endpoint("c");
+    h->bind_both();
     h->transport.set_fault_plan(plan_with(faults));
   }
   for (int i = 0; i < 64; ++i) {
-    quiet.send("a", "b", i);
-    noisy.send("a", "b", i);
-    noisy.send("a", "c", 1000 + i);  // extra traffic on a different link
+    quiet.send("b", i);
+    noisy.send("b", i);
+    noisy.send("a", 1000 + i);  // extra traffic the other way
   }
   quiet.events.run_until_idle();
   noisy.events.run_until_idle();
-  std::vector<std::int64_t> quiet_b;
-  std::vector<std::int64_t> noisy_b;
-  for (const Delivery& d : quiet.deliveries) {
-    if (d.endpoint == "b") quiet_b.push_back(d.subject);
-  }
-  for (const Delivery& d : noisy.deliveries) {
-    if (d.endpoint == "b") noisy_b.push_back(d.subject);
-  }
-  ASSERT_EQ(quiet_b, noisy_b);  // identical survivors, identical order
+  const std::vector<std::int64_t> quiet_b = quiet.delivered_to("b");
+  ASSERT_EQ(quiet_b, noisy.delivered_to("b"));  // same survivors, same order
   EXPECT_GT(quiet_b.size(), 0u);
   EXPECT_LT(quiet_b.size(), 64u);  // the drop really did something
+  // The two directions draw from different streams.
+  std::vector<std::int64_t> noisy_a = noisy.delivered_to("a");
+  for (std::int64_t& subject : noisy_a) subject -= 1000;
+  EXPECT_NE(noisy_a, quiet_b);
 }
 
-// Registration order must not perturb a link's stream either: endpoints
-// registered AFTER traffic started (grid growth) leave earlier links'
-// sequences intact.
-TEST(FaultInjectionTest, GridGrowthPreservesLinkStreams) {
-  LinkFaults faults;
-  faults.drop = 0.5;
-  Harness grown;
-  grown.add_endpoint("a");
-  grown.add_endpoint("b");
-  grown.transport.set_fault_plan(plan_with(faults));
-  Harness upfront;
-  upfront.add_endpoint("a");
-  upfront.add_endpoint("b");
-  upfront.add_endpoint("c");
-  upfront.transport.set_fault_plan(plan_with(faults));
-
-  for (int i = 0; i < 32; ++i) {
-    grown.send("a", "b", i);
-    upfront.send("a", "b", i);
-  }
-  grown.events.run_until_idle();
-  upfront.events.run_until_idle();
-  grown.add_endpoint("c");  // grow the grid mid-run
-  for (int i = 32; i < 64; ++i) {
-    grown.send("a", "b", i);
-    upfront.send("a", "b", i);
-  }
-  grown.events.run_until_idle();
-  upfront.events.run_until_idle();
-
-  std::vector<std::int64_t> grown_b;
-  std::vector<std::int64_t> upfront_b;
-  for (const Delivery& d : grown.deliveries) grown_b.push_back(d.subject);
-  for (const Delivery& d : upfront.deliveries) upfront_b.push_back(d.subject);
-  ASSERT_EQ(grown_b, upfront_b);
-}
-
-// Fates are keyed by endpoint names, not slots: the same link keeps the
-// same stream whichever slots its endpoints registered at.
+// Fates are keyed by end names, not by which end holds which name, which
+// end binds first, or whether the plan is installed before, between or
+// after the binds.
 TEST(FaultInjectionTest, RegistrationOrderDoesNotPerturbLinkStreams) {
   LinkFaults faults;
   faults.drop = 0.5;
-  Harness forward;
-  Harness reverse;
-  for (const char* name : {"a", "b", "c"}) forward.add_endpoint(name);
-  for (const char* name : {"c", "b", "a"}) reverse.add_endpoint(name);
-  ASSERT_NE(forward.slot("a"), reverse.slot("a"));
-  for (Harness* h : {&forward, &reverse}) {
-    h->transport.set_fault_plan(plan_with(faults));
-    for (int i = 0; i < 64; ++i) h->send("a", "b", i);
-    h->events.run_until_idle();
+  std::vector<std::int64_t> first_b;
+  std::vector<std::int64_t> first_a;
+  for (const bool a_is_server : {true, false}) {
+    for (const bool a_binds_first : {true, false}) {
+      for (const int plan_after_binds : {0, 1, 2}) {
+        Harness h;
+        const End a_end = a_is_server ? End::kServer : End::kCache;
+        std::vector<std::pair<End, std::string>> binds = {
+            {a_end, "a"}, {other_end(a_end), "b"}};
+        if (!a_binds_first) std::swap(binds[0], binds[1]);
+        for (int bound = 0; bound <= 2; ++bound) {
+          if (bound == plan_after_binds) {
+            h.transport.set_fault_plan(plan_with(faults));
+          }
+          if (bound < 2) h.bind(binds[bound].first, binds[bound].second);
+        }
+        for (int i = 0; i < 64; ++i) {
+          h.send("b", i);
+          h.send("a", i);
+        }
+        h.events.run_until_idle();
+        if (first_b.empty()) {
+          first_b = h.delivered_to("b");
+          first_a = h.delivered_to("a");
+          EXPECT_GT(first_b.size(), 0u);
+          EXPECT_LT(first_b.size(), 64u);
+          continue;
+        }
+        SCOPED_TRACE(::testing::Message()
+                     << "a_is_server=" << a_is_server << " a_binds_first="
+                     << a_binds_first << " plan_after=" << plan_after_binds);
+        EXPECT_EQ(h.delivered_to("b"), first_b);
+        EXPECT_EQ(h.delivered_to("a"), first_a);
+      }
+    }
   }
-  std::vector<std::int64_t> forward_b;
-  std::vector<std::int64_t> reverse_b;
-  for (const Delivery& d : forward.deliveries) forward_b.push_back(d.subject);
-  for (const Delivery& d : reverse.deliveries) reverse_b.push_back(d.subject);
-  ASSERT_EQ(forward_b, reverse_b);
-  EXPECT_GT(forward_b.size(), 0u);
-  EXPECT_LT(forward_b.size(), 64u);
 }
 
-// Directed rules override the default, and a duplex rule covers the
-// reverse direction.
-TEST(FaultInjectionTest, RulesOverrideDefaultPerLink) {
-  Harness h;
-  h.add_endpoint("a");
-  h.add_endpoint("b");
-  h.add_endpoint("c");
+// Directed rules override the default for their direction only, and a
+// duplex rule covers the reverse direction too.
+TEST(FaultInjectionTest, RulesOverrideDefaultPerDirection) {
+  for (const bool duplex : {false, true}) {
+    Harness h;
+    h.bind_both();
+    FaultPlan plan;
+    plan.enabled = true;
+    plan.default_faults.drop = 1.0;  // everything dies...
+    LinkFaultRule spare;             // ...except a -> b (and b -> a)
+    spare.from = "a";
+    spare.to = "b";
+    spare.duplex = duplex;
+    spare.faults = LinkFaults{};
+    plan.rules.push_back(spare);
+    h.transport.set_fault_plan(plan);
+
+    h.send("b", 0);
+    h.send("a", 1);
+    h.events.run_until_idle();
+    SCOPED_TRACE(duplex ? "duplex" : "directed");
+    EXPECT_EQ(h.delivered_to("b"), std::vector<std::int64_t>{0});
+    EXPECT_EQ(h.delivered_to("a").size(), duplex ? 1u : 0u);
+    EXPECT_EQ(h.transport.counters().faults_dropped, duplex ? 0 : 1);
+  }
+}
+
+// A crash schedule resolves to the end it names: the first schedule that
+// names it and has windows wins; an end no schedule names never crashes.
+TEST(FaultInjectionTest, CrashSchedulesResolveToTheNamedEnd) {
   FaultPlan plan;
   plan.enabled = true;
-  plan.default_faults.drop = 1.0;  // everything dies...
-  LinkFaultRule spare;             // ...except the a<->b pair
-  spare.from = "a";
-  spare.to = "b";
-  spare.duplex = true;
-  spare.faults = LinkFaults{};
-  plan.rules.push_back(spare);
-  h.transport.set_fault_plan(plan);
+  plan.crashes.push_back(CrashSchedule{"b", {}});  // inert: no windows
+  plan.crashes.push_back(CrashSchedule{"b", {FaultWindow{1.0, 2.0}}});
+  plan.crashes.push_back(CrashSchedule{"b", {FaultWindow{5.0, 6.0}}});
+  plan.crashes.push_back(CrashSchedule{"elsewhere", {FaultWindow{0.0, 9.0}}});
+  for (const End b_end : {End::kCache, End::kServer}) {
+    Harness h;
+    h.transport.set_fault_plan(plan);
+    EXPECT_EQ(h.transport.crash_windows(b_end), nullptr);  // not yet bound
+    h.bind(b_end, "b");
+    h.bind(other_end(b_end), "a");
+    ASSERT_NE(h.transport.crash_windows(b_end), nullptr);
+    ASSERT_EQ(h.transport.crash_windows(b_end)->size(), 1u);
+    EXPECT_EQ(h.transport.crash_windows(b_end)->front().down_seconds, 1.0);
+    EXPECT_EQ(h.transport.crash_windows(other_end(b_end)), nullptr);
+    EXPECT_TRUE(h.transport.endpoint_down(b_end, 1.5));
+    EXPECT_FALSE(h.transport.endpoint_down(b_end, 5.5));
+    EXPECT_FALSE(h.transport.endpoint_down(other_end(b_end), 1.5));
 
-  h.send("a", "b", 0);
-  h.send("b", "a", 1);
-  h.send("a", "c", 2);
-  h.events.run_until_idle();
-  ASSERT_EQ(h.deliveries.size(), 2u);
-  EXPECT_EQ(h.deliveries[0].subject, 0);
-  EXPECT_EQ(h.deliveries[1].subject, 1);
-  EXPECT_EQ(h.transport.counters().faults_dropped, 1);
+    // A message to the crashed end lands inside its window and dies; one
+    // sent after the heal gets through.
+    h.events.advance_until(1.0);
+    h.send("b", 0);
+    h.events.run_until_idle();
+    h.events.advance_until(2.0);
+    h.send("b", 1);
+    h.events.run_until_idle();
+    EXPECT_EQ(h.delivered_to("b"), std::vector<std::int64_t>{1});
+    EXPECT_EQ(h.transport.counters().crash_dropped, 1);
+  }
 }
 
 // The merge rule of each counter, stated here independently of the

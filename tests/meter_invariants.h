@@ -1,8 +1,6 @@
-// Shared accounting-invariant checks for the per-endpoint / aggregate
-// metering architecture. One definition, asserted from the net-layer and
-// ServerNode tests (LoopbackTransport, the transport that keeps an
-// aggregate meter) and the multi-endpoint event-engine tests — the
-// invariant itself is the contract both layers advertise.
+// Shared accounting-invariant check for the multi-endpoint engines: the
+// per-endpoint results partition the combined figures. One definition,
+// asserted from the event-engine and parallel-engine tests.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -10,30 +8,9 @@
 #include <array>
 #include <cstdint>
 
-#include "net/transport.h"
 #include "sim/event_engine.h"
 
 namespace delta::testing {
-
-/// Per-endpoint meters partition the aggregate: for every mechanism, the
-/// bytes and message counts summed over all registered endpoints reproduce
-/// the transport's aggregate meter exactly (every send is accounted to
-/// exactly one endpoint meter).
-inline void ExpectEndpointMetersPartitionAggregate(
-    const net::LoopbackTransport& t) {
-  for (std::size_t i = 0; i < net::kMechanismCount; ++i) {
-    const auto mech = static_cast<net::Mechanism>(i);
-    Bytes bytes_sum;
-    std::int64_t count_sum = 0;
-    for (std::size_t slot = 0; slot < t.endpoint_count(); ++slot) {
-      bytes_sum += t.endpoint_meter(slot).total(mech);
-      count_sum += t.endpoint_meter(slot).message_count(mech);
-    }
-    EXPECT_EQ(bytes_sum, t.meter().total(mech)) << net::to_string(mech);
-    EXPECT_EQ(count_sum, t.meter().message_count(mech))
-        << net::to_string(mech);
-  }
-}
 
 /// Per-endpoint RunResults partition the combined figures: total and
 /// post-warm-up traffic (overall and per mechanism), the decision counters

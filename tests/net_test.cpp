@@ -5,7 +5,6 @@
 #include <thread>
 #include <vector>
 
-#include "meter_invariants.h"
 #include "net/link_model.h"
 #include "net/message.h"
 #include "net/traffic_meter.h"
@@ -42,97 +41,114 @@ TEST(TrafficMeterTest, RejectsNegativeBytes) {
   EXPECT_THROW(m.record(Mechanism::kQueryShip, Bytes{-1}), std::logic_error);
 }
 
-/// Registers an endpoint that ignores its deliveries; returns its slot.
-std::size_t add_sink(Transport& t, const char* name) {
-  return t.register_endpoint(name, [](const Message&) {});
+/// Binds `end` to a handler that ignores its deliveries.
+void bind_sink(Transport& t, End end, const char* name) {
+  t.bind(end, name, [](const Message&) {});
 }
 
-/// A message from the endpoint at `sender`, carrying `payload`.
-Message message_from(std::size_t sender, Bytes payload = Bytes{}) {
+Message message_with(Bytes payload) {
   Message m;
-  m.sender = static_cast<std::int32_t>(sender);
   m.payload = payload;
   return m;
 }
 
-TEST(LoopbackTransportTest, DeliversToRegisteredEndpoint) {
+TEST(LoopbackTransportTest, DeliversToTheAddressedEnd) {
   LoopbackTransport t;
   std::vector<Message> received;
-  const std::size_t server = add_sink(t, "server");
-  const std::size_t cache =
-      t.register_endpoint("cache", [&](const Message& m) {
-        received.push_back(m);
-      });
-  Message msg = message_from(server, Bytes{12345});
+  bind_sink(t, End::kServer, "server");
+  t.bind(End::kCache, "cache",
+         [&](const Message& m) { received.push_back(m); });
+  Message msg = message_with(Bytes{12345});
   msg.kind = MessageKind::kUpdateShip;
   msg.subject_id = 9;
-  t.send_to(cache, msg, Mechanism::kUpdateShip);
+  t.send(End::kCache, msg, Mechanism::kUpdateShip);
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].subject_id, 9);
-  EXPECT_EQ(received[0].sender, static_cast<std::int32_t>(server));
-  EXPECT_EQ(t.meter().total(Mechanism::kUpdateShip).count(), 12345);
-  EXPECT_EQ(t.meter().total(Mechanism::kOverhead), kMessageHeaderBytes);
-  EXPECT_EQ(t.delivered_count(), 1);
+  const TrafficMeter& cache = t.endpoint_meter(End::kCache);
+  EXPECT_EQ(cache.total(Mechanism::kUpdateShip).count(), 12345);
+  EXPECT_EQ(cache.total(Mechanism::kOverhead), kMessageHeaderBytes);
+  EXPECT_EQ(cache.message_count(Mechanism::kUpdateShip), 1);
+  EXPECT_EQ(t.endpoint_meter(End::kServer).message_count(Mechanism::kOverhead),
+            0);
 }
 
-TEST(LoopbackTransportTest, UnknownEndpointThrows) {
+// A wire carries messages only once both ends are bound: a send to an
+// unbound end, or from one, is a checked failure that accounts nothing.
+TEST(LoopbackTransportTest, SendOnUnboundWireIsCheckedFailure) {
   LoopbackTransport t;
-  Message msg = message_from(0);
-  EXPECT_THROW(t.send_to(0, msg, Mechanism::kQueryShip), std::logic_error);
-}
-
-// Both ends of a send must be registered slots: an unknown destination and
-// an unset, negative or out-of-range sender are each a checked failure that
-// leaves no accounting behind.
-TEST(LoopbackTransportTest, UnregisteredSlotIsCheckedFailure) {
-  LoopbackTransport t;
-  const std::size_t cache = add_sink(t, "cache-0");
-  Message from_cache = message_from(cache);
-  EXPECT_THROW(t.send_to(cache + 1, from_cache, Mechanism::kUpdateShip),
+  Message msg = message_with(Bytes{10});
+  EXPECT_THROW(t.send(End::kServer, msg, Mechanism::kQueryShip),
                std::logic_error);
-  for (const std::int32_t sender : {-1, -7, 1, 99}) {
-    Message forged = message_from(cache);
-    forged.sender = sender;
-    EXPECT_THROW(t.send_to(cache, forged, Mechanism::kUpdateShip),
-                 std::logic_error)
-        << "sender " << sender;
+  int delivered = 0;
+  t.bind(End::kServer, "server", [&](const Message&) { ++delivered; });
+  EXPECT_THROW(t.send(End::kCache, msg, Mechanism::kQueryShip),
+               std::logic_error);
+  EXPECT_THROW(t.send(End::kServer, msg, Mechanism::kQueryShip),
+               std::logic_error);
+  EXPECT_EQ(delivered, 0);
+  for (const End end : {End::kServer, End::kCache}) {
+    EXPECT_EQ(t.endpoint_meter(end).figure_total().count(), 0);
+    EXPECT_EQ(t.endpoint_meter(end).total(Mechanism::kOverhead).count(), 0);
   }
-  // The failed deliveries must not have been accounted anywhere.
-  EXPECT_EQ(t.meter().figure_total().count(), 0);
-  EXPECT_EQ(t.meter().total(Mechanism::kOverhead).count(), 0);
-  EXPECT_EQ(t.delivered_count(), 0);
+  bind_sink(t, End::kCache, "cache");
+  t.send(End::kServer, msg, Mechanism::kQueryShip);
+  EXPECT_EQ(delivered, 1);
 }
 
-TEST(LoopbackTransportTest, PerEndpointMetersPartitionTheAggregate) {
+// The two end meters partition the wire's traffic: each holds exactly the
+// messages delivered to its end, so together they account every send once,
+// mechanism by mechanism, bytes and message counts alike.
+TEST(LoopbackTransportTest, EndMetersPartitionTheTraffic) {
   LoopbackTransport t;
-  const std::size_t server = add_sink(t, "server");
-  const std::size_t cache0 = add_sink(t, "cache-0");
-  const std::size_t cache1 = add_sink(t, "cache-1");
-  Message msg = message_from(server, Bytes{1000});
-  msg.kind = MessageKind::kQueryResult;
-  t.send_to(cache0, msg, Mechanism::kQueryShip);
-  msg.payload = Bytes{250};
-  t.send_to(cache1, msg, Mechanism::kQueryShip);
-  msg.kind = MessageKind::kUpdateShip;
-  msg.payload = Bytes{77};
-  t.send_to(cache1, msg, Mechanism::kUpdateShip);
-  msg = message_from(cache0);
-  msg.kind = MessageKind::kLoadRequest;
-  t.send_to(server, msg, Mechanism::kOverhead);
+  bind_sink(t, End::kServer, "server");
+  bind_sink(t, End::kCache, "cache");
+  std::array<Bytes, kMechanismCount> sent_bytes{};
+  std::array<std::int64_t, kMechanismCount> sent_count{};
+  const auto send = [&](End to, Mechanism mech, Bytes payload) {
+    Message msg = message_with(payload);
+    t.send(to, msg, mech);
+    sent_bytes[static_cast<std::size_t>(mech)] += payload;
+    ++sent_count[static_cast<std::size_t>(mech)];
+    sent_bytes[static_cast<std::size_t>(Mechanism::kOverhead)] +=
+        kMessageHeaderBytes;
+    ++sent_count[static_cast<std::size_t>(Mechanism::kOverhead)];
+  };
+  send(End::kCache, Mechanism::kQueryShip, Bytes{1000});
+  send(End::kCache, Mechanism::kQueryShip, Bytes{250});
+  send(End::kCache, Mechanism::kUpdateShip, Bytes{77});
+  send(End::kServer, Mechanism::kOverhead, Bytes{});
 
-  // Destination-keyed: each endpoint saw exactly its deliveries.
-  EXPECT_EQ(t.endpoint_meter(cache0).total(Mechanism::kQueryShip).count(),
-            1000);
-  EXPECT_EQ(t.endpoint_meter(cache1).total(Mechanism::kQueryShip).count(),
-            250);
-  EXPECT_EQ(t.endpoint_meter(cache1).total(Mechanism::kUpdateShip).count(),
-            77);
-  EXPECT_EQ(t.endpoint_meter(server).figure_total().count(), 0);
+  const TrafficMeter& cache = t.endpoint_meter(End::kCache);
+  const TrafficMeter& server = t.endpoint_meter(End::kServer);
+  EXPECT_EQ(cache.total(Mechanism::kQueryShip).count(), 1250);
+  EXPECT_EQ(cache.total(Mechanism::kUpdateShip).count(), 77);
+  EXPECT_EQ(server.figure_total().count(), 0);
+  EXPECT_EQ(server.total(Mechanism::kOverhead), kMessageHeaderBytes);
+  for (std::size_t i = 0; i < kMechanismCount; ++i) {
+    const auto mech = static_cast<Mechanism>(i);
+    EXPECT_EQ(cache.total(mech) + server.total(mech), sent_bytes[i])
+        << to_string(mech);
+    EXPECT_EQ(cache.message_count(mech) + server.message_count(mech),
+              sent_count[i])
+        << to_string(mech);
+  }
+}
 
-  // Partition property: per-endpoint totals sum exactly to the aggregate,
-  // mechanism by mechanism, bytes and message counts alike.
-  ASSERT_EQ(t.endpoint_count(), 3u);
-  delta::testing::ExpectEndpointMetersPartitionAggregate(t);
+// Folding one meter into another adds bytes and message counts.
+TEST(TrafficMeterTest, MergeAddsBytesAndCounts) {
+  TrafficMeter a;
+  a.record(Mechanism::kQueryShip, Bytes{100});
+  a.record(Mechanism::kOverhead, Bytes{64});
+  TrafficMeter b;
+  b.record(Mechanism::kQueryShip, Bytes{5});
+  b.record(Mechanism::kObjectLoad, Bytes{7});
+  a.merge(b);
+  EXPECT_EQ(a.total(Mechanism::kQueryShip).count(), 105);
+  EXPECT_EQ(a.message_count(Mechanism::kQueryShip), 2);
+  EXPECT_EQ(a.total(Mechanism::kObjectLoad).count(), 7);
+  EXPECT_EQ(a.message_count(Mechanism::kObjectLoad), 1);
+  EXPECT_EQ(a.message_count(Mechanism::kOverhead), 1);
+  EXPECT_EQ(b.total(Mechanism::kQueryShip).count(), 5);  // source untouched
 }
 
 // The meter's concurrency contract (single writer, concurrent readers):
@@ -204,36 +220,28 @@ TEST(TrafficMeterTest, SingleWriterMetersAreExactUnderConcurrentReads) {
   EXPECT_EQ(total_count, kThreads * kPerThread);
 }
 
-// Each slot's meter holds exactly that endpoint's deliveries; an
-// unregistered slot has no meter.
-TEST(LoopbackTransportTest, EndpointMeterIsPerSlot) {
-  LoopbackTransport t;
-  const std::size_t cache = add_sink(t, "cache");
-  const std::size_t other = add_sink(t, "other");
-  Message msg = message_from(other, Bytes{500});
-  t.send_to(cache, msg, Mechanism::kObjectLoad);
-  EXPECT_EQ(t.endpoint_meter(cache).total(Mechanism::kObjectLoad).count(),
-            500);
-  EXPECT_EQ(t.endpoint_meter(other).figure_total().count(), 0);
-  EXPECT_THROW((void)t.endpoint_meter(std::size_t{99}), std::logic_error);
-}
-
-// A name is registered once: a second registration under it is a checked
-// failure that neither replaces the first handler nor adds a slot.
-TEST(LoopbackTransportTest, DuplicateNameIsCheckedFailure) {
+// Each end is bound once, and never under the other end's name: a
+// rejected bind neither replaces the bound handler nor binds the end.
+TEST(LoopbackTransportTest, SecondBindIsCheckedFailure) {
   LoopbackTransport t;
   int first = 0;
   int second = 0;
-  const std::size_t server =
-      t.register_endpoint("server", [&](const Message&) { ++first; });
-  EXPECT_THROW(
-      t.register_endpoint("server", [&](const Message&) { ++second; }),
-      std::logic_error);
-  EXPECT_EQ(t.endpoint_count(), 1u);
-  Message msg = message_from(server);
-  t.send_to(server, msg, Mechanism::kQueryShip);
+  t.bind(End::kServer, "server", [&](const Message&) { ++first; });
+  EXPECT_THROW(t.bind(End::kServer, "other", [&](const Message&) { ++second; }),
+               std::logic_error);
+  EXPECT_THROW(t.bind(End::kCache, "server", [&](const Message&) { ++second; }),
+               std::logic_error);
+  EXPECT_THROW(t.bind(End::kCache, "cache", nullptr), std::logic_error);
+  Message msg;
+  EXPECT_THROW(t.send(End::kServer, msg, Mechanism::kQueryShip),
+               std::logic_error);  // the cache end is still unbound
+  t.bind(End::kCache, "cache", [&](const Message&) { ++second; });
+  EXPECT_THROW(t.bind(End::kCache, "cache-2", [](const Message&) {}),
+               std::logic_error);
+  t.send(End::kServer, msg, Mechanism::kQueryShip);
+  t.send(End::kCache, msg, Mechanism::kQueryShip);
   EXPECT_EQ(first, 1);
-  EXPECT_EQ(second, 0);
+  EXPECT_EQ(second, 1);
 }
 
 TEST(LinkModelTest, TransferTimeScalesLinearly) {
