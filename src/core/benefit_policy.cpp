@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <utility>
 
-#include "core/async_query.h"
 #include "util/check.h"
 
 namespace delta::core {
@@ -21,6 +19,8 @@ BenefitPolicy::BenefitPolicy(CacheNode* system,
   saved_window_.assign(n, 0.0);
   would_window_.assign(n, 0.0);
   update_window_.assign(n, 0.0);
+  ranked_.resize(n);
+  selected_.resize(n);
   // Benefit keeps per-object state server-side for every object, cached or
   // not (§5), so it subscribes to all update metadata.
   system_->set_subscription(MetadataSubscription::kAll);
@@ -106,16 +106,17 @@ QueryOutcome BenefitPolicy::on_query(const workload::Query& q) {
 
 void BenefitPolicy::on_query_async(const workload::Query& q,
                                    QueryDone done) {
-  const auto ctx = begin_async_query(std::move(done));
-  if (classify_query(q, ctx->outcome)) {
-    AsyncQueryTx{system_, ctx}.ship_query(q, ctx->outcome);
+  const std::uint32_t slot = queries_.begin(done);
+  if (classify_query(q, queries_[slot].outcome)) {
+    AsyncQueryTx{system_, &queries_, slot}.ship_query(
+        q, queries_[slot].outcome);
     account_shipped(q);
   }
   // The window boundary may fall here; close_window's loads/evictions use
   // the synchronous façade — a rare, bounded stall inside an otherwise
   // open-loop stream.
   tick();
-  async_query_step(ctx);  // release the dispatch barrier
+  queries_.step(slot);  // release the dispatch barrier
 }
 
 void BenefitPolicy::tick() {
@@ -163,21 +164,22 @@ void BenefitPolicy::close_window() {
     update_window_[i] = 0.0;
   }
 
-  // Greedy re-fill: positive forecasts in decreasing order until full.
-  std::vector<std::size_t> ranked(n);
-  std::iota(ranked.begin(), ranked.end(), 0);
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return forecast_[a] > forecast_[b];
-                   });
-  std::vector<bool> selected(n, false);
+  // Greedy re-fill: positive forecasts in decreasing order until full,
+  // equal forecasts in id order. The rows are members, so closing a window
+  // allocates nothing.
+  std::iota(ranked_.begin(), ranked_.end(), 0);
+  std::sort(ranked_.begin(), ranked_.end(), [&](std::size_t a, std::size_t b) {
+    return forecast_[a] > forecast_[b] ||
+           (forecast_[a] == forecast_[b] && a < b);
+  });
+  std::fill(selected_.begin(), selected_.end(), false);
   Bytes budget = store_.capacity();
-  for (const std::size_t i : ranked) {
+  for (const std::size_t i : ranked_) {
     if (forecast_[i] <= 0.0) break;
     const ObjectId o{static_cast<std::int64_t>(i)};
     const Bytes size = system_->server_object_bytes(o);
     if (size.count() <= 0 || size > budget) continue;
-    selected[i] = true;
+    selected_[i] = true;
     budget -= size;
   }
   // Evict residents that fell out of the selection (no network traffic).
@@ -185,7 +187,7 @@ void BenefitPolicy::close_window() {
   // entries are being visited.
   victims_.clear();
   store_.for_each_resident([&](ObjectId o, Bytes) {
-    if (!selected[static_cast<std::size_t>(o.value())]) victims_.push_back(o);
+    if (!selected_[static_cast<std::size_t>(o.value())]) victims_.push_back(o);
   });
   for (const ObjectId o : victims_) {
     store_.evict(o);
@@ -196,7 +198,7 @@ void BenefitPolicy::close_window() {
   // have to be reloaded", §5).
   for (std::size_t i = 0; i < n; ++i) {
     const ObjectId o{static_cast<std::int64_t>(i)};
-    if (!selected[i] || store_.contains(o)) continue;
+    if (!selected_[i] || store_.contains(o)) continue;
     system_->load_object(o);
     store_.load(o, system_->server_object_bytes(o));
     ++loads_;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cache/cache_store.h"
+#include "core/async_query.h"
 #include "core/cache_node.h"
 #include "core/policy.h"
 
@@ -45,6 +46,10 @@ class BenefitPolicy final : public CachePolicy {
   [[nodiscard]] std::int64_t windows_closed() const {
     return windows_closed_;
   }
+  /// In-flight on_query_async contexts (tests check the slab drains).
+  [[nodiscard]] const AsyncQueryPool& async_queries() const {
+    return queries_;
+  }
 
  private:
   CacheNode* system_;  // the cache endpoint this policy drives
@@ -59,6 +64,9 @@ class BenefitPolicy final : public CachePolicy {
   std::int64_t evictions_ = 0;
   std::int64_t windows_closed_ = 0;
   std::vector<ObjectId> victims_;  // eviction-sweep scratch (close_window)
+  std::vector<std::size_t> ranked_;  // close_window: ids by forecast
+  std::vector<bool> selected_;       // close_window: the re-fill set
+  AsyncQueryPool queries_;
 
   void tick();
   void close_window();

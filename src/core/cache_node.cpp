@@ -37,10 +37,13 @@ CacheNode::Pending& CacheNode::park(net::MessageKind kind,
                                     std::int64_t subject_id,
                                     EventTime sent_at,
                                     net::MessageKind expected_reply,
-                                    std::int64_t protocol_epoch) {
+                                    std::int64_t protocol_epoch,
+                                    Completion complete) {
+  DELTA_DCHECK(complete.fn != nullptr);
   Pending& pending = pending_.emplace_back();
   pending.correlation = next_correlation_++;
   pending.expected_reply = expected_reply;
+  pending.complete = complete;
   pending.kind = kind;
   pending.subject_id = subject_id;
   pending.sent_at = sent_at;
@@ -54,11 +57,10 @@ std::int64_t CacheNode::send_request(net::MessageKind kind,
                                      net::MessageKind expected_reply,
                                      Completion complete,
                                      std::int64_t protocol_epoch) {
-  DELTA_CHECK(complete != nullptr);
-  Pending& pending =
-      park(kind, subject_id, sent_at, expected_reply, protocol_epoch);
-  pending.complete = std::move(complete);
-  const std::int64_t correlation = pending.correlation;
+  const std::int64_t correlation =
+      park(kind, subject_id, sent_at, expected_reply, protocol_epoch,
+           complete)
+          .correlation;
   // The send may deliver (and complete the request) inline on a
   // synchronous transport, so the pending entry must be parked first.
   net::Message msg = request(kind, subject_id, sent_at, correlation);
@@ -77,16 +79,13 @@ Bytes CacheNode::request_and_wait(net::MessageKind kind,
                                   std::int64_t subject_id, EventTime sent_at,
                                   net::MessageKind expected_reply,
                                   std::int64_t protocol_epoch) {
-  // Stack locals as the completion destination: reentrancy-safe (a nested
-  // sync call during an event-queue pump gets its own pair) and free of
-  // std::function construction on the replay hot path.
-  bool done = false;
-  Bytes reply_payload{};
-  Pending& pending =
-      park(kind, subject_id, sent_at, expected_reply, protocol_epoch);
-  pending.sync_done = &done;
-  pending.sync_payload = &reply_payload;
-  const std::int64_t correlation = pending.correlation;
+  // A stack local as the completion destination: reentrancy-safe (a
+  // nested sync call during an event-queue pump gets its own).
+  SyncReply reply;
+  const std::int64_t correlation =
+      park(kind, subject_id, sent_at, expected_reply, protocol_epoch,
+           {&CacheNode::complete_sync, &reply, 0})
+          .correlation;
   // send_call, not send: we block on the reply below, which lets an
   // event-driven transport run the whole round trip on its inline fast
   // path when nothing else is due first. The prebuilt request is safe to
@@ -101,9 +100,9 @@ Bytes CacheNode::request_and_wait(net::MessageKind kind,
   transport_->send_call(net::End::kServer, msg, net::Mechanism::kOverhead);
   if (transport_inline_) {
     // Synchronous transport: the reply was delivered inside the send.
-    DELTA_CHECK_MSG(done, "request did not complete inline on a "
-                          "synchronous transport");
-  } else if (!done) {
+    DELTA_CHECK_MSG(reply.done, "request did not complete inline on a "
+                                "synchronous transport");
+  } else if (!reply.done) {
     if (protocol_on_) {
       // The round trip did not complete inside the send, so no delivery
       // ran and the parked entry is still at the back — arm its deadline
@@ -112,9 +111,15 @@ Bytes CacheNode::request_and_wait(net::MessageKind kind,
       arm_deadline(pending_.back());
     }
     transport_->wait_until(
-        [](void* flag) { return *static_cast<bool*>(flag); }, &done);
+        [](void* flag) { return *static_cast<bool*>(flag); }, &reply.done);
   }
-  return reply_payload;
+  return reply.payload;
+}
+
+void CacheNode::complete_sync(void* reply, std::uint64_t, Bytes payload) {
+  auto& r = *static_cast<SyncReply*>(reply);
+  r.done = true;
+  r.payload = payload;
 }
 
 void CacheNode::set_protocol(const ProtocolOptions& options,
@@ -141,10 +146,10 @@ void CacheNode::crash_restart(double downtime_seconds) {
   // requests (which belong to the restarted process).
   std::vector<Pending> doomed = std::move(pending_);
   pending_.clear();
-  for (Pending& p : doomed) {
+  for (const Pending& p : doomed) {
     events_->cancel(p.deadline);
     ++counters_.failed_requests;
-    finish(p, Bytes{});
+    p.complete(Bytes{});
   }
   // Soft state lost at the crash instant. The applied-notice ledger and the
   // monotone correlation / registration-generation / epoch counters are
@@ -187,18 +192,11 @@ void CacheNode::begin_recovery() {
   server_->set_subscription(subscription_);
   ++counters_.resyncs;
   ++epoch_;
-  Pending& pending = park(net::MessageKind::kRecoverRequest, epoch_, 0,
-                          net::MessageKind::kResyncData, epoch_);
-  pending.complete = [this](Bytes) {
-    recovery_inflight_ = false;
-    if (recovering_) {
-      counters_.max_reconvergence_seconds =
-          std::max(counters_.max_reconvergence_seconds,
-                   transport_->now() - recovery_started_at_);
-      recovering_ = false;
-    }
-  };
-  const std::int64_t correlation = pending.correlation;
+  const std::int64_t correlation =
+      park(net::MessageKind::kRecoverRequest, epoch_, 0,
+           net::MessageKind::kResyncData, epoch_,
+           {&CacheNode::complete_recovery, this, 0})
+          .correlation;
   net::Message msg =
       request(net::MessageKind::kRecoverRequest, epoch_, 0, correlation);
   msg.protocol_epoch = epoch_;
@@ -206,6 +204,17 @@ void CacheNode::begin_recovery() {
   transport_->send(net::End::kServer, msg, net::Mechanism::kOverhead);
   DELTA_DCHECK(pending_.back().correlation == correlation);
   arm_deadline(pending_.back());
+}
+
+void CacheNode::complete_recovery(void* self, std::uint64_t, Bytes) {
+  auto& node = *static_cast<CacheNode*>(self);
+  node.recovery_inflight_ = false;
+  if (node.recovering_) {
+    node.counters_.max_reconvergence_seconds =
+        std::max(node.counters_.max_reconvergence_seconds,
+                 node.transport_->now() - node.recovery_started_at_);
+    node.recovering_ = false;
+  }
 }
 
 void CacheNode::observe_incarnation(const net::Message& m) {
@@ -218,15 +227,6 @@ void CacheNode::observe_incarnation(const net::Message& m) {
   server_incarnation_seen_ = m.protocol_epoch;
   notice_stamp_high_ = 0;
   begin_recovery();
-}
-
-void CacheNode::finish(Pending& done, Bytes payload) {
-  if (done.sync_done != nullptr) {
-    *done.sync_done = true;
-    *done.sync_payload = payload;
-  } else {
-    done.complete(payload);
-  }
 }
 
 double CacheNode::deadline_delay(std::int32_t attempt,
@@ -273,10 +273,10 @@ void CacheNode::handle_deadline(std::int64_t correlation) {
       // Budget exhausted: the request completes empty — accounted as a
       // failure, never abandoned (every query conserves).
       ++counters_.failed_requests;
-      Pending done = std::move(p);
-      pending_[i] = std::move(pending_.back());
+      const Completion complete = p.complete;
+      p = pending_.back();
       pending_.pop_back();
-      finish(done, Bytes{});
+      complete(Bytes{});
       return;
     }
     if (retries_forever(p.expected_reply) &&
@@ -340,7 +340,11 @@ void CacheNode::start_resync() {
   // cache has not been replayed before (the missed-invalidations span).
   send_request(net::MessageKind::kResyncRequest, epoch_, 0,
                net::MessageKind::kResyncData,
-               [this](Bytes) { resync_inflight_ = false; });
+               {&CacheNode::complete_resync, this, 0});
+}
+
+void CacheNode::complete_resync(void* self, std::uint64_t, Bytes) {
+  static_cast<CacheNode*>(self)->resync_inflight_ = false;
 }
 
 void CacheNode::apply_resync_payload(const net::Message& m) {
@@ -472,14 +476,14 @@ void CacheNode::handle_message(const net::Message& m) {
         }
         // Detach before completing: the completion (or the resync a healed
         // partition triggers) may issue new requests (mutating pending_).
-        Pending done = std::move(pending_[i]);
-        pending_[i] = std::move(pending_.back());
+        const Pending done = pending_[i];
+        pending_[i] = pending_.back();
         pending_.pop_back();
         if (protocol_on_) {
           events_->cancel(done.deadline);
           note_success();
         }
-        finish(done, m.payload);
+        done.complete(m.payload);
         return;
       }
       if (protocol_on_) {
@@ -512,14 +516,14 @@ void CacheNode::set_invalidation_handler(
 void CacheNode::ship_query_async(const workload::Query& q,
                                  Completion complete) {
   send_request(net::MessageKind::kQueryRequest, q.id.value(), q.time,
-               net::MessageKind::kQueryResult, std::move(complete));
+               net::MessageKind::kQueryResult, complete);
 }
 
 void CacheNode::ship_update_async(const workload::Update& u,
                                   Completion complete) {
   // "ship update <id>" request travels as control chatter.
   send_request(net::MessageKind::kControl, u.id.value(), u.time,
-               net::MessageKind::kUpdateShip, std::move(complete));
+               net::MessageKind::kUpdateShip, complete);
 }
 
 std::int64_t CacheNode::begin_load(ObjectId o) {
@@ -532,7 +536,7 @@ std::int64_t CacheNode::begin_load(ObjectId o) {
 
 void CacheNode::load_object_async(ObjectId o, Completion complete) {
   send_request(net::MessageKind::kLoadRequest, o.value(), 0,
-               net::MessageKind::kLoadData, std::move(complete),
+               net::MessageKind::kLoadData, complete,
                begin_load(o));
 }
 

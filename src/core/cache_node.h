@@ -17,10 +17,12 @@
 // The node is a non-blocking message-driven state machine: every request
 // carries a fresh correlation id and is parked in a pending-request table
 // until the matching reply is delivered, at which point the caller's
-// completion fires with the reply's payload size. The *_async entry points
-// expose this directly (over a DelayedTransport replies arrive when the
-// simulated clock reaches them); the synchronous API is a façade that
-// issues the async request and waits via Transport::wait_until — which
+// completion fires with the reply's payload size. Completions are typed
+// {fn, ctx, tag} records, so parking, retrying and completing a request
+// allocate nothing. The *_async entry points expose this directly (over a
+// DelayedTransport replies arrive when the simulated clock reaches them);
+// the synchronous API is a façade that parks the same kind of completion
+// over its stack locals and waits via Transport::wait_until — which
 // returns immediately on LoopbackTransport (delivery was inline) and pumps
 // the shared event queue on an event-driven transport. At zero link
 // latency the two transports produce byte-identical traffic in identical
@@ -30,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/protocol.h"
@@ -45,9 +48,23 @@ namespace delta::core {
 
 class CacheNode {
  public:
-  /// Invoked with the data-bearing reply's payload size (result bytes /
-  /// update content / load bytes) when the reply is delivered.
-  using Completion = std::function<void(Bytes)>;
+  /// `fn(ctx, tag, payload)` is invoked with the data-bearing reply's
+  /// payload size (result bytes / update content / load bytes) when the
+  /// reply is delivered, or with an empty payload when the request fails
+  /// (attempt budget exhausted, or the cache crashed). A typed, trivially
+  /// copyable record like util::EventQueue's events: callers park their
+  /// state behind `ctx`/`tag`.
+  struct Completion {
+    using Fn = void (*)(void* ctx, std::uint64_t tag, Bytes payload);
+    Fn fn = nullptr;
+    void* ctx = nullptr;
+    std::uint64_t tag = 0;
+    void operator()(Bytes payload) const { fn(ctx, tag, payload); }
+    /// For fire-and-forget requests: the reply is metered and dropped.
+    static Completion discard() {
+      return {[](void*, std::uint64_t, Bytes) {}, nullptr, 0};
+    }
+  };
 
   /// Binds the cache end of the server's wire, which must not hold another
   /// cache yet, under a name other than the server's. Trace and server
@@ -196,18 +213,17 @@ class CacheNode {
   }
 
  private:
-  /// One outstanding request. The table is a linear-scan vector: a
-  /// synchronous caller keeps at most one entry live, and even deep
-  /// event-driven interleavings stay within a handful. Sync façades park
-  /// raw result pointers (their stack locals — reentrancy-safe and free of
-  /// std::function overhead on the replay hot path); async callers park a
-  /// Completion.
+  /// One outstanding request, a trivially copyable record. The table is a
+  /// linear-scan vector: a synchronous caller keeps at most one entry live,
+  /// and even deep event-driven interleavings stay within a handful. Every
+  /// entry parks a Completion: async callers pass theirs, the sync façade
+  /// parks one over its stack locals (see SyncReply — reentrancy-safe, a
+  /// nested sync call during an event-queue pump gets its own), and the
+  /// node's own resync and recovery requests park static members.
   struct Pending {
     std::int64_t correlation = -1;
     net::MessageKind expected_reply = net::MessageKind::kControl;
-    Completion complete;            // async path; empty for sync requests
-    bool* sync_done = nullptr;      // sync path: completion flag ...
-    Bytes* sync_payload = nullptr;  // ... and reply-payload destination
+    Completion complete;
     // Retransmission state (protocol on): enough to rebuild the request.
     net::MessageKind kind = net::MessageKind::kControl;
     std::int64_t subject_id = -1;
@@ -216,6 +232,7 @@ class CacheNode {
     std::int32_t attempts = 1;
     util::EventQueue::TimerId deadline;
   };
+  static_assert(std::is_trivially_copyable_v<Pending>);
 
   const workload::Trace* trace_;
   ServerNode* server_;
@@ -281,11 +298,11 @@ class CacheNode {
                                      EventTime sent_at,
                                      std::int64_t correlation) const;
   /// Appends a pending entry for a request under a fresh correlation id
-  /// and returns it; the caller sets its completion, then sends. The
-  /// reference dies with the next change to the pending table.
+  /// and returns it; the caller then sends. The reference dies with the
+  /// next change to the pending table.
   Pending& park(net::MessageKind kind, std::int64_t subject_id,
                 EventTime sent_at, net::MessageKind expected_reply,
-                std::int64_t protocol_epoch);
+                std::int64_t protocol_epoch, Completion complete);
   /// Parks `complete` in the pending table and sends the request. Returns
   /// the correlation id.
   std::int64_t send_request(net::MessageKind kind, std::int64_t subject_id,
@@ -309,8 +326,14 @@ class CacheNode {
   void apply_invalidation(std::int64_t update_id);
   void observe_notice_stamp(const net::Message& m, std::int64_t ids);
 
-  /// Releases a detached pending entry with the reply's payload.
-  static void finish(Pending& done, Bytes payload);
+  /// The sync façade's completion destination, on its stack.
+  struct SyncReply {
+    bool done = false;
+    Bytes payload;
+  };
+  static void complete_sync(void* reply, std::uint64_t, Bytes payload);
+  static void complete_resync(void* self, std::uint64_t, Bytes);
+  static void complete_recovery(void* self, std::uint64_t, Bytes);
   [[nodiscard]] double deadline_delay(std::int32_t attempt,
                                       std::int64_t correlation) const;
   void arm_deadline(Pending& p);
@@ -333,6 +356,9 @@ class CacheNode {
   void fill_recover_payload(net::Message& msg) const;
   void observe_incarnation(const net::Message& m);
 };
+
+static_assert(std::is_trivially_copyable_v<CacheNode::Completion>,
+              "Completion is a plain {fn, ctx, tag} record");
 
 /// `cache`, DELTA_CHECKed non-null: for policy constructors whose member
 /// initializers read the cache before the body runs.

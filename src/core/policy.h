@@ -4,7 +4,8 @@
 // NoCachePolicy / ReplicaPolicy / SOptimalPolicy (§6.1).
 #pragma once
 
-#include <functional>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "core/protocol.h"
@@ -48,10 +49,27 @@ class CachePolicy {
   /// currency requirement and report how.
   virtual QueryOutcome on_query(const workload::Query& q) = 0;
 
-  /// Completion for on_query_async: fires exactly once, when every reply
-  /// the query's decision required has been delivered. The outcome
-  /// reference is valid only for the duration of the call.
-  using QueryDone = std::function<void(const QueryOutcome&)>;
+  /// Completion for on_query_async: `fn(ctx, tag, outcome)` fires exactly
+  /// once, when every reply the query's decision required has been
+  /// delivered (or failed empty). The outcome reference is valid only for
+  /// the duration of the call. A typed, trivially copyable record in the
+  /// style of util::EventQueue's events: the caller parks its per-query
+  /// state behind `ctx`/`tag` (the event engine passes its shard and an
+  /// in-flight slot), so an async dispatch allocates nothing.
+  ///
+  /// Re-entrancy rule: `done` must not begin another query on the same
+  /// policy (it runs inside a reply delivery, while the policy's context
+  /// pool is releasing the finished slot); the policies DCHECK it.
+  struct QueryDone {
+    using Fn = void (*)(void* ctx, std::uint64_t tag,
+                        const QueryOutcome& outcome);
+    Fn fn = nullptr;
+    void* ctx = nullptr;
+    std::uint64_t tag = 0;
+    void operator()(const QueryOutcome& outcome) const {
+      fn(ctx, tag, outcome);
+    }
+  };
 
   /// Non-blocking variant of on_query, for open-loop engines that keep
   /// many queries in flight per cache. The contract: the policy makes the
@@ -100,5 +118,8 @@ class CachePolicy {
 
   [[nodiscard]] virtual const char* name() const = 0;
 };
+
+static_assert(std::is_trivially_copyable_v<CachePolicy::QueryDone>,
+              "QueryDone is a plain {fn, ctx, tag} record");
 
 }  // namespace delta::core

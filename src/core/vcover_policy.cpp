@@ -1,11 +1,9 @@
 #include "core/vcover_policy.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "cache/gds.h"
 #include "cache/lru.h"
-#include "core/async_query.h"
 #include "util/check.h"
 
 namespace delta::core {
@@ -235,9 +233,10 @@ QueryOutcome VCoverPolicy::on_query(const workload::Query& q) {
 }
 
 void VCoverPolicy::on_query_async(const workload::Query& q, QueryDone done) {
-  const auto ctx = begin_async_query(std::move(done));
-  dispatch_query(q, ctx->outcome, AsyncQueryTx{system_, ctx});
-  async_query_step(ctx);  // release the dispatch barrier
+  const std::uint32_t slot = queries_.begin(done);
+  dispatch_query(q, queries_[slot].outcome,
+                 AsyncQueryTx{system_, &queries_, slot});
+  queries_.step(slot);  // release the dispatch barrier
 }
 
 }  // namespace delta::core

@@ -13,6 +13,7 @@
 
 #include "cache/cache_store.h"
 #include "cache/eviction_policy.h"
+#include "core/async_query.h"
 #include "core/cache_node.h"
 #include "core/load_manager.h"
 #include "core/policy.h"
@@ -75,6 +76,10 @@ class VCoverPolicy final : public CachePolicy {
   [[nodiscard]] std::int64_t evictions() const { return evictions_; }
   [[nodiscard]] std::int64_t cache_answers() const { return cache_answers_; }
   [[nodiscard]] std::int64_t preshipped() const { return preshipped_; }
+  /// In-flight on_query_async contexts (tests check the slab drains).
+  [[nodiscard]] const AsyncQueryPool& async_queries() const {
+    return queries_;
+  }
 
  private:
   CacheNode* system_;  // the cache endpoint this policy drives
@@ -91,6 +96,7 @@ class VCoverPolicy final : public CachePolicy {
   std::int64_t cache_answers_ = 0;
   std::int64_t preshipped_ = 0;
   AdmissionOptions admission_;
+  AsyncQueryPool queries_;
 
   /// The cache's prefetch hook (`self` is the policy): starts pulling the
   /// rows a query or update naming `o` will read, namely the store row,
@@ -107,7 +113,7 @@ class VCoverPolicy final : public CachePolicy {
   /// One dispatch core serves both query entry points; `tx` is the
   /// transmitter the decisions emit traffic through — synchronous
   /// (request_and_wait per call, the closed-loop golden path) or async
-  /// (overlapping *_async requests correlated on one AsyncQueryContext).
+  /// (overlapping *_async requests correlated on one pooled context).
   /// Both transmitters are defined in the .cpp, where the instantiations
   /// live.
   template <typename Tx>

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <utility>
 
-#include "core/async_query.h"
 #include "util/check.h"
 
 namespace delta::core {
@@ -29,10 +27,11 @@ QueryOutcome NoCachePolicy::on_query(const workload::Query& q) {
 
 void NoCachePolicy::on_query_async(const workload::Query& q,
                                    QueryDone done) {
-  const auto ctx = begin_async_query(std::move(done));
-  ctx->outcome.path = QueryOutcome::Path::kShipped;
-  AsyncQueryTx{system_, ctx}.ship_query(q, ctx->outcome);
-  async_query_step(ctx);  // release the dispatch barrier
+  const std::uint32_t slot = queries_.begin(done);
+  queries_[slot].outcome.path = QueryOutcome::Path::kShipped;
+  AsyncQueryTx{system_, &queries_, slot}.ship_query(q,
+                                                     queries_[slot].outcome);
+  queries_.step(slot);  // release the dispatch barrier
 }
 
 // ---------------------------------------------------------------- Replica
@@ -49,7 +48,7 @@ void ReplicaPolicy::on_update(const workload::Update& u) {
   // loop, the refresh goes out fire-and-forget so one slow (or dark) link
   // can never park the arrival drive behind a blocking round trip.
   if (async_ship_) {
-    system_->ship_update_async(u, [](Bytes) {});
+    system_->ship_update_async(u, CacheNode::Completion::discard());
     return;
   }
   system_->ship_update(u);
@@ -294,16 +293,17 @@ QueryOutcome SOptimalPolicy::on_query(const workload::Query& q) {
 
 void SOptimalPolicy::on_query_async(const workload::Query& q,
                                     QueryDone done) {
-  const auto ctx = begin_async_query(std::move(done));
-  ctx->outcome.path = QueryOutcome::Path::kCacheFresh;
+  const std::uint32_t slot = queries_.begin(done);
+  QueryOutcome& outcome = queries_[slot].outcome;
+  outcome.path = QueryOutcome::Path::kCacheFresh;
   for (const ObjectId o : q.objects) {
     if (!chooses(o)) {
-      ctx->outcome.path = QueryOutcome::Path::kShipped;
-      AsyncQueryTx{system_, ctx}.ship_query(q, ctx->outcome);
+      outcome.path = QueryOutcome::Path::kShipped;
+      AsyncQueryTx{system_, &queries_, slot}.ship_query(q, outcome);
       break;
     }
   }
-  async_query_step(ctx);  // release the dispatch barrier
+  queries_.step(slot);  // release the dispatch barrier
 }
 
 }  // namespace delta::core

@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "core/async_query.h"
 #include "core/cache_node.h"
 #include "core/policy.h"
 #include "workload/trace.h"
@@ -24,9 +25,14 @@ class NoCachePolicy final : public CachePolicy {
   QueryOutcome on_query(const workload::Query& q) override;
   void on_query_async(const workload::Query& q, QueryDone done) override;
   [[nodiscard]] const char* name() const override { return "NoCache"; }
+  /// In-flight on_query_async contexts (tests check the slab drains).
+  [[nodiscard]] const AsyncQueryPool& async_queries() const {
+    return queries_;
+  }
 
  private:
   CacheNode* system_;
+  AsyncQueryPool queries_;
 };
 
 class ReplicaPolicy final : public CachePolicy {
@@ -74,10 +80,15 @@ class SOptimalPolicy final : public CachePolicy {
 
   /// The static set in ascending id order (allocates).
   [[nodiscard]] std::vector<ObjectId> chosen() const;
+  /// In-flight on_query_async contexts (tests check the slab drains).
+  [[nodiscard]] const AsyncQueryPool& async_queries() const {
+    return queries_;
+  }
 
  private:
   CacheNode* system_;
   std::vector<bool> chosen_;  // by ObjectId
+  AsyncQueryPool queries_;
 
   /// Bounds-checked membership (false for an out-of-range id).
   [[nodiscard]] bool chooses(ObjectId o) const;

@@ -193,6 +193,55 @@ struct EventShard {
   std::int64_t delivered = 0;
   /// Open loop: queries dispatched whose completion has not fired yet.
   std::size_t in_flight_queries = 0;
+  /// Open loop: what a query's completion needs, kept in a slot table that
+  /// never holds more than max_in_flight entries; free slots chain through
+  /// next_free. The policy's QueryDone is {&on_query_done, shard, slot}.
+  struct InFlightQuery {
+    double arrival = 0.0;
+    double lag = 0.0;
+    EventTime now = 0;
+    std::int64_t tag = 0;
+    std::uint32_t next_free = kNoQuery;
+  };
+  std::vector<InFlightQuery> in_flight;
+  std::uint32_t free_in_flight = kNoQuery;
+  double local_exec = 0.0;
+  double server_exec = 0.0;
+
+  /// Parks an open-loop query's completion state; returns its slot.
+  std::uint32_t park_query(const InFlightQuery& query) {
+    if (free_in_flight == kNoQuery) {
+      free_in_flight = static_cast<std::uint32_t>(in_flight.size());
+      in_flight.emplace_back();
+    }
+    const std::uint32_t slot = free_in_flight;
+    free_in_flight = in_flight[slot].next_free;
+    in_flight[slot] = query;
+    ++in_flight_queries;
+    return slot;
+  }
+
+  static void on_query_done(void* ctx, std::uint64_t slot,
+                            const core::QueryOutcome& outcome) {
+    auto& shard = *static_cast<EventShard*>(ctx);
+    InFlightQuery& query = shard.in_flight[static_cast<std::size_t>(slot)];
+    RunResult& r = shard.result;
+    --shard.in_flight_queries;
+    count_outcome(r, outcome);
+    const double exec_seconds =
+        outcome.path == core::QueryOutcome::Path::kShipped ? shard.server_exec
+                                                           : shard.local_exec;
+    // Response spans arrival -> last reply (the clock sits at the
+    // completing delivery), plus the execution surcharge.
+    const double response = (shard.events.now() - query.arrival) + exec_seconds;
+    if (query.now >= shard.warmup_end) {
+      r.postwarmup_latency.add(response);
+      shard.response_sketch.add_tagged(response, query.tag);
+      shard.lag_stats.add(query.lag);
+    }
+    query.next_free = shard.free_in_flight;
+    shard.free_in_flight = static_cast<std::uint32_t>(slot);
+  }
 
   /// Crash-stop schedule resolved against this replica's endpoints (ISSUE
   /// 10): one wipe event per window start, one recover event per heal,
@@ -354,6 +403,8 @@ void replay_event_shard(const workload::Trace& trace,
   const EventTime warmup_end = trace.info.warmup_end_event;
   const double local_exec = options.exec.local_exec_seconds;
   const double server_exec = options.exec.server_exec_seconds;
+  shard.local_exec = local_exec;
+  shard.server_exec = server_exec;
   const bool open_loop = options.open_loop.enabled;
   const std::size_t window = options.open_loop.max_in_flight;
   // The object list of the query whose record the previous dispatch
@@ -435,28 +486,11 @@ void replay_event_shard(const workload::Trace& trace,
           DELTA_CHECK_MSG(ran,
                           "open-loop window full with an idle event queue");
         }
-        const double lag = events.now() - arrival;
-        ++shard.in_flight_queries;
         ++r.queries;
-        const std::int64_t tag = static_cast<std::int64_t>(qi);
-        policy.on_query_async(
-            q, [&shard, &r, &events, arrival, lag, now, tag, warmup_end,
-                local_exec, server_exec](const core::QueryOutcome& outcome) {
-              --shard.in_flight_queries;
-              count_outcome(r, outcome);
-              const double exec_seconds =
-                  outcome.path == core::QueryOutcome::Path::kShipped
-                      ? server_exec
-                      : local_exec;
-              // Response spans arrival -> last reply (the clock sits at
-              // the completing delivery), plus the execution surcharge.
-              const double response = (events.now() - arrival) + exec_seconds;
-              if (now >= warmup_end) {
-                r.postwarmup_latency.add(response);
-                shard.response_sketch.add_tagged(response, tag);
-                shard.lag_stats.add(lag);
-              }
-            });
+        const std::uint32_t slot = shard.park_query(
+            {arrival, events.now() - arrival, now,
+             static_cast<std::int64_t>(qi)});
+        policy.on_query_async(q, {&EventShard::on_query_done, &shard, slot});
       }
     }
     ledger.after_event(now);
