@@ -143,14 +143,16 @@ void CacheNode::crash_restart(double downtime_seconds) {
   // request completes empty and counts failed — sync waiters' pumps unwind
   // and open-loop in-flight windows drain, so no query leaks through a
   // crash. Detach the whole table first: completions may issue fresh
-  // requests (which belong to the restarted process).
-  std::vector<Pending> doomed = std::move(pending_);
-  pending_.clear();
-  for (const Pending& p : doomed) {
+  // requests (which belong to the restarted process). The swap keeps both
+  // buffers, so neither regrows after a crash.
+  DELTA_DCHECK(crashed_pending_.empty());
+  pending_.swap(crashed_pending_);
+  for (const Pending& p : crashed_pending_) {
     events_->cancel(p.deadline);
     ++counters_.failed_requests;
     p.complete(Bytes{});
   }
+  crashed_pending_.clear();
   // Soft state lost at the crash instant. The applied-notice ledger and the
   // monotone correlation / registration-generation / epoch counters are
   // deliberately kept: they model epoch-prefixed identifiers (a pre-crash
@@ -166,16 +168,15 @@ void CacheNode::crash_restart(double downtime_seconds) {
   recovering_ = true;
 }
 
-void CacheNode::fill_recover_payload(net::Message& msg) const {
-  msg.batched_invalidations.clear();
+void CacheNode::fill_recover_payload(net::Message& msg) {
+  msg.batch_from = transport_->ledger_end(net::End::kCache);
   for (std::size_t i = 0; i < resident_.size(); ++i) {
     if (resident_[i] != 0) {
-      msg.batched_invalidations.push_back(static_cast<std::int64_t>(i));
+      transport_->append_to_ledger(net::End::kCache,
+                                   {static_cast<std::int64_t>(i), -1.0});
     }
   }
-  msg.batch_bytes =
-      net::kBatchedNoticeBytes *
-      static_cast<std::int64_t>(msg.batched_invalidations.size());
+  msg.batch_to = transport_->ledger_end(net::End::kCache);
 }
 
 void CacheNode::begin_recovery() {
@@ -347,27 +348,33 @@ void CacheNode::complete_resync(void* self, std::uint64_t, Bytes) {
   static_cast<CacheNode*>(self)->resync_inflight_ = false;
 }
 
-void CacheNode::apply_resync_payload(const net::Message& m) {
-  const double now = transport_->now();
-  const bool stamped =
-      m.batched_ingest_at.size() == m.batched_invalidations.size();
-  for (std::size_t i = 0; i < m.batched_invalidations.size(); ++i) {
-    const std::int64_t id = m.batched_invalidations[i];
-    ++counters_.replayed_notices;
-    // The staleness spike only counts notices the wire really lost (ids
-    // already applied are dedup'd, not stale).
-    if (stamped && applied_[static_cast<std::size_t>(id)] == 0) {
-      const double gap = now - m.batched_ingest_at[i];
-      counters_.max_recovery_staleness_seconds =
-          std::max(counters_.max_recovery_staleness_seconds, gap);
-      if (recovering_) {
-        // Replayed by a *crash recovery* resync: the post-restart
-        // staleness spike, reported separately from partition recovery.
-        counters_.post_restart_staleness_seconds =
-            std::max(counters_.post_restart_staleness_seconds, gap);
+void CacheNode::apply_batch(const net::Message& m) {
+  if (m.batch_from == m.batch_to) return;  // the common, unbatched case
+  const bool replay = m.kind == net::MessageKind::kResyncData;
+  const double now = replay ? transport_->now() : 0.0;
+  // By index: a handler that pumps the queue may grow the ledger.
+  const std::vector<net::LedgerEntry>& notices =
+      transport_->ledger(net::End::kServer);
+  for (std::uint32_t i = m.batch_from, end = m.batch_to; i < end; ++i) {
+    const net::LedgerEntry notice = notices[i];
+    if (replay) {
+      ++counters_.replayed_notices;
+      // The recovery staleness spike only counts notices the wire really
+      // lost (ids already applied are dedup'd, not stale).
+      if (notice.ingest_at >= 0.0 &&
+          applied_[static_cast<std::size_t>(notice.id)] == 0) {
+        const double gap = now - notice.ingest_at;
+        counters_.max_recovery_staleness_seconds =
+            std::max(counters_.max_recovery_staleness_seconds, gap);
+        if (recovering_) {
+          // Replayed by a *crash recovery* resync: the post-restart
+          // staleness spike, reported separately from partition recovery.
+          counters_.post_restart_staleness_seconds =
+              std::max(counters_.post_restart_staleness_seconds, gap);
+        }
       }
     }
-    apply_invalidation(id);
+    apply_invalidation(notice.id);
   }
 }
 
@@ -431,14 +438,11 @@ void CacheNode::handle_message(const net::Message& m) {
   observe_incarnation(m);
   switch (m.kind) {
     case net::MessageKind::kInvalidation: {
-      observe_notice_stamp(
-          m, 1 + static_cast<std::int64_t>(m.batched_invalidations.size()));
+      observe_notice_stamp(m, 1 + m.batch_size());
       apply_invalidation(m.subject_id);
       // Congestion batching: further notices merged into this message, in
       // server ingest order.
-      for (const std::int64_t id : m.batched_invalidations) {
-        apply_invalidation(id);
-      }
+      apply_batch(m);
       return;
     }
     case net::MessageKind::kQueryResult:
@@ -446,19 +450,11 @@ void CacheNode::handle_message(const net::Message& m) {
     case net::MessageKind::kLoadData:
     case net::MessageKind::kQueryReject:
     case net::MessageKind::kResyncData: {
-      if (m.kind == net::MessageKind::kResyncData) {
-        // Replayed notices carry their ingest instants — the recovery
-        // staleness spike is measured before the ledger absorbs them.
-        apply_resync_payload(m);
-      } else {
-        // Notices piggybacked on the reply are older than the reply itself
-        // — apply them before releasing the request's completion.
-        observe_notice_stamp(
-            m, static_cast<std::int64_t>(m.batched_invalidations.size()));
-        for (const std::int64_t id : m.batched_invalidations) {
-          apply_invalidation(id);
-        }
-      }
+      // Notices piggybacked on the reply (or replayed by a resync, which
+      // stamps no ledger position) are older than the reply itself — apply
+      // them before releasing the request's completion.
+      observe_notice_stamp(m, m.batch_size());
+      apply_batch(m);
       for (std::size_t i = 0; i < pending_.size(); ++i) {
         if (pending_[i].correlation != m.correlation_id) continue;
         if (m.kind == net::MessageKind::kQueryReject) {

@@ -245,6 +245,7 @@ class CacheNode {
   std::function<void(const workload::Update&)> invalidation_handler_;
   PrefetchHook prefetch_hook_;
   std::vector<Pending> pending_;
+  std::vector<Pending> crashed_pending_;  // crash_restart's detached table
   std::int64_t next_correlation_ = 0;
   bool transport_inline_ = false;  // cached Transport::synchronous()
   /// Notices queued while an invalidation handler is already on the stack
@@ -349,11 +350,13 @@ class CacheNode {
   void note_success();
   void note_failure();
   void start_resync();
-  void apply_resync_payload(const net::Message& m);
-  /// Fills a kRecoverRequest's re-registration payload from the current
-  /// resident set (also used by the retransmit path — the set carried is
-  /// always the sender's current one, which is what the row reset means).
-  void fill_recover_payload(net::Message& msg) const;
+  /// Applies the notices a message's batch span carries, in ingest order;
+  /// a kResyncData's are counted and dated as replays.
+  void apply_batch(const net::Message& m);
+  /// Appends the current resident set to the cache end's ledger as a
+  /// kRecoverRequest's span (also on retransmit — the set carried is always
+  /// the sender's current one, which is what the row reset means).
+  void fill_recover_payload(net::Message& msg);
   void observe_incarnation(const net::Message& m);
 };
 

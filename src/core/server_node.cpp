@@ -20,6 +20,7 @@ ServerNode::ServerNode(const workload::Trace* trace,
 void ServerNode::set_protocol(const ProtocolOptions& options) {
   protocol_ = options;
   if (!protocol_.enabled) return;
+  reserve_notice_log();
   peer_.recent_requests.assign(kDedupWindow, ~std::uint64_t{0});
   peer_.recent_next = 0;
   peer_.reg_epoch.assign(object_bytes_.size(), 0);
@@ -46,17 +47,17 @@ void ServerNode::crash_restart(double downtime_seconds) {
   ++counters_.crash_restarts;
   counters_.crash_downtime_seconds += downtime_seconds;
   ++incarnation_;
-  // Convergence accounting across the wipe: everything in notice_log was
+  // Convergence accounting across the wipe: every logged notice was
   // externalized (sent, or already delivered) except the batching layer's
   // pending tail, which died in process memory without ever reaching the
   // wire — those notices can never be applied by anyone, so they are
   // retracted from the "owed" count. The rest stays owed.
-  counters_.notices_logged -=
-      static_cast<std::int64_t>(peer_.pending_notices.size());
-  peer_.notice_log.clear();
-  peer_.notice_ingest.clear();
-  peer_.pending_notices.clear();
-  peer_.pending_notice_ingest.clear();
+  const std::uint32_t end = transport_->ledger_end(net::End::kServer);
+  counters_.notices_logged -= end - peer_.pending_from;
+  // The new incarnation's log starts at the ledger's end; the entries
+  // before it stay on the wire, so spans in flight still resolve.
+  peer_.log_base = end;
+  peer_.pending_from = end;
   peer_.pending_first_sent_at = 0;
   if (!peer_.recent_requests.empty()) {
     std::fill(peer_.recent_requests.begin(), peer_.recent_requests.end(),
@@ -64,9 +65,8 @@ void ServerNode::crash_restart(double downtime_seconds) {
   }
   peer_.recent_next = 0;
   peer_.resync_epoch = -1;
-  peer_.replay_from = 0;
-  peer_.replay_to = 0;
-  peer_.next_resync_from = 0;
+  peer_.replay_from = end;
+  peer_.replay_to = end;
   // The registration row and the subscription are exactly the per-client
   // soft state a crash-stop restart loses: the cache rebuilds them through
   // kRecoverRequest once it detects the new incarnation.
@@ -180,8 +180,10 @@ void ServerNode::handle_message(const net::Message& m) {
       // over the same set, and serve_resync is epoch-idempotent.
       std::fill(peer_.registered.begin(), peer_.registered.end(), 0);
       std::fill(peer_.reg_epoch.begin(), peer_.reg_epoch.end(), 0);
-      for (const std::int64_t oid : m.batched_invalidations) {
-        peer_.registered[checked(ObjectId{oid})] = 1;
+      const std::vector<net::LedgerEntry>& resident =
+          transport_->ledger(net::End::kCache);
+      for (std::uint32_t i = m.batch_from; i < m.batch_to; ++i) {
+        peer_.registered[checked(ObjectId{resident[i].id})] = 1;
       }
       serve_resync(m);
       break;
@@ -198,28 +200,19 @@ void ServerNode::serve_resync(const net::Message& m) {
     // replayed. A retransmit (same epoch, lost reply) or a reordered stale
     // request replays the SAME span — serving resync is idempotent.
     peer_.resync_epoch = epoch;
-    peer_.replay_from = peer_.next_resync_from;
-    peer_.replay_to = peer_.notice_log.size();
-    peer_.next_resync_from = peer_.replay_to;
+    peer_.replay_from = peer_.replay_to;
+    peer_.replay_to = transport_->ledger_end(net::End::kServer);
   }
   ++counters_.resyncs_served;
-  const auto from = static_cast<std::ptrdiff_t>(peer_.replay_from);
-  const auto to = static_cast<std::ptrdiff_t>(peer_.replay_to);
   net::Message& reply = reply_template_;
   reply.kind = net::MessageKind::kResyncData;
   reply.payload = Bytes{};
-  reply.batched_invalidations.assign(peer_.notice_log.begin() + from,
-                                     peer_.notice_log.begin() + to);
-  reply.batched_ingest_at.assign(peer_.notice_ingest.begin() + from,
-                                 peer_.notice_ingest.begin() + to);
-  reply.batch_bytes =
-      net::kBatchedNoticeBytes * static_cast<std::int64_t>(to - from);
-  // Recovery traffic is pure overhead — never figure traffic — and must
-  // not piggyback pending notices (send_reply would overwrite the replay).
+  reply.batch_from = peer_.replay_from;
+  reply.batch_to = peer_.replay_to;
+  reply.notice_ledger = -1;
+  // Recovery traffic is pure overhead — never figure traffic — and does
+  // not piggyback pending notices: its span is the replay.
   transport_->send(net::End::kCache, reply, net::Mechanism::kOverhead);
-  reply.batched_invalidations.clear();
-  reply.batched_ingest_at.clear();
-  reply.batch_bytes = Bytes{};
 }
 
 void ServerNode::ingest_update(const workload::Update& u) {
@@ -251,111 +244,74 @@ void ServerNode::apply_update(const workload::Update& u) {
       (peer_.subscription == MetadataSubscription::kRegisteredOnly &&
        peer_.registered[idx] != 0);
   if (!notify) return;
-  // Ledger + ingest stamp (protocol on): the log is the epoch-resync
-  // replay source and the convergence yardstick's "notices owed" side;
-  // the stamp lets the staleness observer date every notice even when it
-  // later rides a batch or a resync replay.
-  const double ingest = protocol_.enabled ? transport_->now() : 0.0;
-  if (protocol_.enabled) {
-    peer_.notice_log.push_back(u.id.value());
-    peer_.notice_ingest.push_back(ingest);
-    ++counters_.notices_logged;
-  }
-  if (!batching_.enabled) {
+  if (!protocol_.enabled && !batching_.enabled) {
+    // No notice log and nothing to hold back: the notice is its subject.
     net::Message msg;
     msg.kind = net::MessageKind::kInvalidation;
     msg.subject_id = u.id.value();
     msg.sent_at = u.time;
-    if (protocol_.enabled) {
-      msg.subject_ingest_at = ingest;
-      // Ledger stamp: this notice is position notice_log.size() of the
-      // cache's stream (just pushed above) — the cache's gap detector
-      // turns a missing predecessor into an immediate resync.
-      msg.notice_ledger = static_cast<std::int64_t>(peer_.notice_log.size());
-      msg.protocol_epoch = incarnation_;
-    }
     ++notice_messages_;
     transport_->send(net::End::kCache, msg, net::Mechanism::kOverhead);
     return;
   }
-  if (peer_.pending_notices.empty()) peer_.pending_first_sent_at = u.time;
-  peer_.pending_notices.push_back(u.id.value());
-  if (protocol_.enabled) peer_.pending_notice_ingest.push_back(ingest);
-  // Hold the notice only while the cache's egress link is congested;
-  // otherwise flush immediately — a single-id flush emits a message
-  // byte-identical to the unbatched path, so batching changes nothing
-  // until the uplink actually backs up.
-  const double backlog = transport_->egress_backlog_seconds(net::End::kServer);
-  if (backlog <= batching_.backlog_threshold_seconds ||
-      peer_.pending_notices.size() >= kMaxNoticeBatch) {
+  // Log the notice on the wire's server ledger: with the protocol on, the
+  // epoch-resync replay source and the "notices owed" side; its ingest
+  // stamp dates the notice even when it rides a batch or a replay.
+  const std::uint32_t end = transport_->append_to_ledger(
+      net::End::kServer,
+      {u.id.value(), protocol_.enabled ? transport_->now() : -1.0});
+  if (protocol_.enabled) ++counters_.notices_logged;
+  if (end - peer_.pending_from == 1) peer_.pending_first_sent_at = u.time;
+  // Hold the notice only while batching is on and the cache's egress link
+  // is congested; otherwise flush at once — a single-id flush is the
+  // unbatched notice, so batching changes nothing until the uplink backs up.
+  if (!batching_.enabled ||
+      transport_->egress_backlog_seconds(net::End::kServer) <=
+          batching_.backlog_threshold_seconds ||
+      end - peer_.pending_from >= kMaxNoticeBatch) {
     flush_pending_notices();
   }
 }
 
 void ServerNode::flush_pending_notices() {
-  if (peer_.pending_notices.empty()) return;
+  const std::uint32_t end = transport_->ledger_end(net::End::kServer);
+  if (peer_.pending_from == end) return;
+  const net::LedgerEntry first =
+      transport_->ledger(net::End::kServer)[peer_.pending_from];
   net::Message msg;
   msg.kind = net::MessageKind::kInvalidation;
-  msg.subject_id = peer_.pending_notices.front();
+  msg.subject_id = first.id;
+  msg.subject_ingest_at = first.ingest_at;
   msg.sent_at = peer_.pending_first_sent_at;
-  const std::size_t n = peer_.pending_notices.size();
-  if (n > 1) {
-    msg.batched_invalidations.assign(peer_.pending_notices.begin() + 1,
-                                     peer_.pending_notices.end());
-    msg.batch_bytes =
-        net::kBatchedNoticeBytes * static_cast<std::int64_t>(n - 1);
-    coalesced_notices_ += static_cast<std::int64_t>(n - 1);
-  }
-  if (!peer_.pending_notice_ingest.empty()) {
-    msg.subject_ingest_at = peer_.pending_notice_ingest.front();
-    if (n > 1) {
-      msg.batched_ingest_at.assign(peer_.pending_notice_ingest.begin() + 1,
-                                   peer_.pending_notice_ingest.end());
-    }
-    peer_.pending_notice_ingest.clear();
-  }
+  msg.batch_from = peer_.pending_from + 1;
+  msg.batch_to = end;
+  coalesced_notices_ += msg.batch_size();
   if (protocol_.enabled) {
-    // The pending ids are exactly the ledger's tail, so the batch covers
-    // positions (size - n, size] of the cache's notice stream.
-    msg.notice_ledger = static_cast<std::int64_t>(peer_.notice_log.size());
+    // The pending ids are exactly the log's tail, so the message covers
+    // positions (end - n, end] of this incarnation's notice stream.
+    msg.notice_ledger = end - peer_.log_base;
     msg.protocol_epoch = incarnation_;
   }
-  peer_.pending_notices.clear();
+  peer_.pending_from = end;
   ++notice_messages_;
   transport_->send(net::End::kCache, msg, net::Mechanism::kOverhead);
 }
 
 void ServerNode::send_reply(net::Message& reply, net::Mechanism mechanism) {
-  if (batching_.enabled && !peer_.pending_notices.empty()) {
-    // Piggyback every pending notice on this data-bearing reply: the ids
-    // ride in the reply's batch fields (metered as overhead, priced into
-    // its serialization) instead of paying their own message.
-    reply.batched_invalidations = std::move(peer_.pending_notices);
-    peer_.pending_notices.clear();
-    if (!peer_.pending_notice_ingest.empty()) {
-      reply.batched_ingest_at = std::move(peer_.pending_notice_ingest);
-      peer_.pending_notice_ingest.clear();
-    }
-    reply.batch_bytes =
-        net::kBatchedNoticeBytes *
-        static_cast<std::int64_t>(reply.batched_invalidations.size());
-    coalesced_notices_ +=
-        static_cast<std::int64_t>(reply.batched_invalidations.size());
-    if (protocol_.enabled) {
-      // Piggybacked ids are the ledger tail too — stamp so the cache's
-      // gap detector sees one contiguous stream across both carriers.
-      reply.notice_ledger =
-          static_cast<std::int64_t>(peer_.notice_log.size());
-    }
-    transport_->send(net::End::kCache, reply, mechanism);
-    // The reply template is reused across requests — the batch fields must
-    // not leak into the next reply.
-    reply.batched_invalidations.clear();
-    reply.batched_ingest_at.clear();
-    reply.batch_bytes = Bytes{};
-    reply.notice_ledger = -1;
-    return;
+  // Piggyback every pending notice (none while batching is off) on this
+  // data-bearing reply: its batch span is the log's pending tail, metered
+  // as overhead and priced into its serialization.
+  const std::uint32_t end = transport_->ledger_end(net::End::kServer);
+  reply.batch_from = peer_.pending_from;
+  reply.batch_to = end;
+  coalesced_notices_ += reply.batch_size();
+  // Piggybacked ids are the log tail too — stamp so the cache's gap
+  // detector sees one contiguous stream across both carriers.
+  reply.notice_ledger = -1;
+  if (protocol_.enabled && reply.batch_size() > 0) {
+    reply.notice_ledger = end - peer_.log_base;
   }
+  peer_.pending_from = end;
   transport_->send(net::End::kCache, reply, mechanism);
 }
 

@@ -36,12 +36,13 @@ inline constexpr std::size_t kMaxNoticeBatch = 64;
 
 /// Congestion batching of invalidation notices. When the server's egress
 /// link to the cache is backlogged past `backlog_threshold_seconds`
-/// (Transport::egress_backlog_seconds), per-update notices are held in a
-/// pending list instead of each paying its own message header and
-/// serialization slot. Pending notices drain three ways: merged into one
-/// kInvalidation once the backlog recedes or kMaxNoticeBatch is reached,
-/// piggybacked onto the next data-bearing reply to the cache, or by the
-/// end-of-run flush_pending_notices(). Off by default — the unbatched
+/// (Transport::egress_backlog_seconds), per-update notices are held as the
+/// pending tail of the wire's server ledger (16 bytes per notice) instead
+/// of each paying its own message header and serialization slot. The tail
+/// drains three ways, as a ledger span: merged into one kInvalidation once
+/// the backlog recedes or kMaxNoticeBatch is reached, piggybacked onto the
+/// next data-bearing reply to the cache, or by the end-of-run
+/// flush_pending_notices(). Off by default — the unbatched
 /// one-notice-per-message fan-out is the golden-pinned behavior, and a
 /// flush of a single pending notice emits a byte-identical message to the
 /// unbatched path.
@@ -112,8 +113,9 @@ class ServerNode {
   // ---- crash-stop endpoint faults (ISSUE 10) ----
 
   /// The server process dies and restarts cold. Soft state is lost: the
-  /// cache's registration row, subscription, dedup ring, notice ledger,
-  /// pending (batched) notices, and resync bookkeeping. Durable state —
+  /// cache's registration row, subscription, dedup ring, notice log,
+  /// pending (batched) notices, and resync bookkeeping; the log's entries
+  /// stay on the wire, so spans in flight still resolve. Durable state —
   /// the repository's object bytes — survives, as does the convergence
   /// ledger accounting: notices already externalized (sent or in flight)
   /// stay counted in notices_logged, while notices still pending in
@@ -132,6 +134,7 @@ class ServerNode {
 
   void set_notice_batching(const NoticeBatchingOptions& options) {
     batching_ = options;
+    if (batching_.enabled) reserve_notice_log();
   }
   /// Merges and sends every pending notice (end-of-run drain; no-op when
   /// nothing is pending or batching is off).
@@ -184,26 +187,22 @@ class ServerNode {
   struct Peer {
     MetadataSubscription subscription = MetadataSubscription::kNone;
     std::vector<std::uint8_t> registered;  // objects resident at the cache
-    /// Notices held back by congestion batching (update ids, ingest order).
-    std::vector<std::int64_t> pending_notices;
-    /// sent_at for a merged flush: the first pending update's trace time.
-    EventTime pending_first_sent_at = 0;
-    /// Ingest instants parallel to pending_notices (protocol on only).
-    std::vector<double> pending_notice_ingest;
     /// Dedup ring of recent (correlation << 8) ^ attempt keys.
     std::vector<std::uint64_t> recent_requests;
     std::size_t recent_next = 0;
-    /// Every notice destined to the cache, in send order (protocol on):
-    /// the replay source for epoch resync and the convergence ledger.
-    std::vector<std::int64_t> notice_log;
-    std::vector<double> notice_ingest;
-    /// Epoch-resync bookkeeping. A NEW epoch snapshots the unreplayed span
-    /// [next_resync_from, log end); a retransmitted (or reordered stale)
+    /// Ledger indices into the notice log — the wire's server ledger,
+    /// filled while the protocol or batching is on. This incarnation's log
+    /// starts at log_base; batching holds back its tail from pending_from.
+    std::uint32_t log_base = 0;
+    std::uint32_t pending_from = 0;
+    /// sent_at for a merged flush: the first pending update's trace time.
+    EventTime pending_first_sent_at = 0;
+    /// Epoch-resync bookkeeping. A NEW epoch replays the unreplayed span
+    /// [replay_to, log end); a retransmitted (or reordered stale)
     /// kResyncRequest replays the SAME recorded span — retry-idempotent.
     std::int64_t resync_epoch = -1;
-    std::size_t replay_from = 0;
-    std::size_t replay_to = 0;
-    std::size_t next_resync_from = 0;
+    std::uint32_t replay_from = 0;
+    std::uint32_t replay_to = 0;
     /// Per-object registration generation (protocol on): a reordered
     /// eviction notice carrying an older generation than the load that
     /// re-registered the object must not deregister it.
@@ -229,11 +228,15 @@ class ServerNode {
   std::int64_t incarnation_ = 0;
 
   [[nodiscard]] std::size_t checked(ObjectId o) const;
+  /// Sizes the notice log for the trace: each update notifies the cache at
+  /// most once, so it never reallocates, and unfilled pages stay untouched.
+  void reserve_notice_log() {
+    transport_->reserve_ledger(net::End::kServer, trace_->updates.size());
+  }
   void handle_message(const net::Message& m);
   void apply_update(const workload::Update& u);
-  /// Sends `reply` to the cache, piggybacking the pending notices
-  /// (batching on) and restoring the reusable template's batch fields
-  /// afterwards.
+  /// Sends `reply` to the cache with the pending notices (batching on) as
+  /// its batch span.
   void send_reply(net::Message& reply, net::Mechanism mechanism);
   /// True (and the key remembered) when this correlated delivery was
   /// already handled — a server-side retransmit/duplicate filter.

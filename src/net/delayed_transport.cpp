@@ -175,7 +175,7 @@ DelayedTransport::LinkTiming DelayedTransport::plan_transfer(
   const util::SimTime now = events_->now();
   const util::SimTime depart = std::max(now, busy_until);
   const double serialization = link_.serialization_seconds(
-      message.payload + kMessageHeaderBytes + message.batch_bytes);
+      message.payload + kMessageHeaderBytes + message.batch_bytes());
   busy_until = depart + serialization;
 
   UplinkStats& uplink = uplink_[from];
@@ -237,17 +237,14 @@ void DelayedTransport::schedule_flight(End to, const Message& message,
 }
 
 void DelayedTransport::deliver_pooled(std::uint32_t flight_index) {
-  // Move the record out and free its pool entry BEFORE invoking the handler:
+  // Copy the record out and free its pool entry BEFORE invoking the handler:
   // handlers send further messages, which may grow (and reallocate) the
   // pool mid-delivery.
-  InFlight& flight = flight_pool_[flight_index];
-  const Message delivered = std::move(flight.message);
-  const End to = flight.to;
-  const Mechanism mechanism = flight.mechanism;
+  const InFlight flight = flight_pool_[flight_index];
   flight_free_.push_back(flight_index);
   // A popped delivery is never the fast-path reply target: the window is
   // only open across an inline send_call dispatch.
-  deliver(to, delivered, mechanism);
+  deliver(flight.to, flight.message, flight.mechanism);
 }
 
 void DelayedTransport::deliver(End to, const Message& message,
@@ -255,7 +252,7 @@ void DelayedTransport::deliver(End to, const Message& message,
   Endpoint& endpoint = ends_[end_index(to)];
   endpoint.meter.record(mechanism, message.payload);
   endpoint.meter.record(Mechanism::kOverhead,
-                        kMessageHeaderBytes + message.batch_bytes);
+                        kMessageHeaderBytes + message.batch_bytes());
   ++delivered_;
   if (observer_ != nullptr) {
     observer_(observer_ctx_, message, to);

@@ -140,9 +140,9 @@ class DelayedTransport final : public Transport {
   [[nodiscard]] std::int64_t delivered_count() const { return delivered_; }
 
  private:
-  /// A scheduled-but-undelivered message, pooled so each send's event
-  /// record is just {trampoline, this, pool index} — scheduling a delivery
-  /// never allocates once the pool is warm.
+  /// A scheduled-but-undelivered message, a plain record, pooled so each
+  /// send's event record is just {trampoline, this, pool index} —
+  /// scheduling a delivery never allocates once the pool is warm.
   struct InFlight {
     Message message;
     End to = End::kServer;

@@ -16,7 +16,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <type_traits>
 
 #include "util/types.h"
 
@@ -38,17 +38,16 @@ enum class MessageKind : std::uint8_t {
   /// server to replay the invalidation notices it may have missed.
   /// subject_id carries the cache's new registration epoch.
   kResyncRequest,
-  /// Resync reply: missed invalidation ids ride in batched_invalidations
-  /// (with their ingest instants in batched_ingest_at), like a congestion
-  /// batch — recovery data is metered as overhead, never figure traffic.
+  /// Resync reply: its batch span replays missed notices (with their
+  /// ingest stamps), like a congestion batch — recovery data is metered as
+  /// overhead, never figure traffic.
   kResyncData,
   /// Crash-stop recovery (ISSUE 10): a restarted cache — or a cache that
   /// detected a restarted server through its incarnation stamp — rebuilds
-  /// the server's registration row. batched_invalidations carries the
-  /// cache's resident object ids (its re-registration set), subject_id its
-  /// fresh registration epoch; the server resets the row to exactly that
-  /// set and answers with the same kResyncData ledger replay a partition
-  /// heal would get.
+  /// the server's registration row. Its batch span holds the cache's
+  /// resident object ids (its re-registration set), subject_id its fresh
+  /// registration epoch; the server resets the row to exactly that set and
+  /// answers with the same kResyncData ledger replay a partition heal gets.
   kRecoverRequest,
 };
 
@@ -83,6 +82,19 @@ enum class MessageKind : std::uint8_t {
 /// Fixed modeled header size for any message (framing, ids, checksums).
 inline constexpr Bytes kMessageHeaderBytes{64};
 
+/// Modeled wire cost of each id a message's batch span carries (the id
+/// itself; framing is already paid by the carrying message's header).
+inline constexpr Bytes kBatchedNoticeBytes{8};
+
+/// One entry of a wire direction's id ledger: a notice's update id with
+/// its server-side ingest instant (sim seconds), or a resident object id.
+/// ingest_at -1 = unstamped; the staleness observer then falls back to the
+/// carrying message's sim_sent_at.
+struct LedgerEntry {
+  std::int64_t id = -1;
+  double ingest_at = -1.0;
+};
+
 struct Message {
   MessageKind kind = MessageKind::kControl;
   /// Payload size on the wire (query text / result rows / update content /
@@ -103,15 +115,15 @@ struct Message {
   /// simulated one-way latency including queueing behind earlier sends.
   double sim_sent_at = 0.0;
   double sim_delivered_at = 0.0;
-  /// Congestion batching (ServerNode): additional invalidation notices
-  /// coalesced into this message. On a merged kInvalidation the ids here
-  /// are the updates BEYOND subject_id; on a data-bearing reply they are
-  /// notices piggybacked alongside the payload. Their wire cost is
-  /// `batch_bytes` — included in serialization occupancy and metered as
-  /// overhead (never as mechanism payload, so figure accounting is
-  /// unaffected). Empty on every message when batching is off.
-  std::vector<std::int64_t> batched_invalidations;
-  Bytes batch_bytes;
+  /// The ids this message carries beyond subject_id: the span
+  /// [batch_from, batch_to) of its sender's ledger (Transport::ledger). On
+  /// a merged kInvalidation they are the notices BEYOND subject_id; on a
+  /// data-bearing reply, notices piggybacked alongside the payload. Their
+  /// wire cost is batch_bytes() — included in serialization occupancy and
+  /// metered as overhead (never as mechanism payload, so figure accounting
+  /// is unaffected). Empty when batching and the protocol are off.
+  std::uint32_t batch_from = 0;
+  std::uint32_t batch_to = 0;
   /// Retry attempt number for correlated requests (1 = first transmission).
   /// The server's dedup window keys on (correlation_id, attempt) so a
   /// retransmission after a lost reply is answered again while a duplicated
@@ -123,14 +135,10 @@ struct Message {
   /// server discard an eviction notice that a reorder fault delivered after
   /// the object was already reloaded. -1 = unstamped (protocol off).
   std::int64_t protocol_epoch = -1;
-  /// Server-side ingest instants (sim seconds) for each id in
-  /// `batched_invalidations`, stamped when the protocol layer is on so the
-  /// staleness observer can sample every coalesced/piggybacked notice
-  /// individually. Empty when the protocol layer is off.
-  std::vector<double> batched_ingest_at;
-  /// Cumulative per-cache notice-ledger count, stamped (protocol on) on
-  /// every message that carries live invalidation ids: this message covers
-  /// ledger positions (notice_ledger - ids, notice_ledger]. A cache whose
+  /// Cumulative count of the notices the server's current incarnation has
+  /// logged for this cache, stamped (protocol on) on every message that
+  /// carries live invalidation ids: this message covers notice-log
+  /// positions (notice_ledger - ids, notice_ledger]. A cache whose
   /// high-water mark sits below the range start has provably lost notices
   /// — the only way a quiet cache can detect a silent partition of its
   /// one-way notice stream — and resyncs immediately. -1 = unstamped
@@ -139,11 +147,15 @@ struct Message {
   /// Ingest instant for subject_id on a kInvalidation (protocol on);
   /// -1 = unstamped, observer falls back to sim_sent_at.
   double subject_ingest_at = -1.0;
+
+  [[nodiscard]] std::int64_t batch_size() const {
+    return static_cast<std::int64_t>(batch_to) - batch_from;
+  }
+  [[nodiscard]] Bytes batch_bytes() const {
+    return Bytes{kBatchedNoticeBytes.count() * batch_size()};
+  }
 };
 
-/// Modeled wire cost of each coalesced invalidation id in
-/// `batched_invalidations` (the id itself; framing is already paid by the
-/// carrying message's header).
-inline constexpr Bytes kBatchedNoticeBytes{8};
+static_assert(std::is_trivially_copyable_v<Message>);
 
 }  // namespace delta::net

@@ -25,7 +25,7 @@ void LoopbackTransport::send(End to, Message& message, Mechanism mechanism) {
   Endpoint& endpoint = ends_[end_index(to)];
   endpoint.meter.record(mechanism, message.payload);
   endpoint.meter.record(Mechanism::kOverhead,
-                        kMessageHeaderBytes + message.batch_bytes);
+                        kMessageHeaderBytes + message.batch_bytes());
   endpoint.handler(message);
 }
 

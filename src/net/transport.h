@@ -13,12 +13,16 @@
 // A message is addressed to an end; its sender is the other end. Each end
 // owns a meter that sees exactly the messages delivered *to* it, so the two
 // end meters partition all traffic on the wire.
+// Each direction also has an append-only id ledger: a message's id list is
+// a span of its sender's ledger. The wire owns the ledgers, so a span in
+// flight resolves to the ids it was sent with even across a sender crash.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "net/message.h"
 #include "net/traffic_meter.h"
@@ -125,6 +129,25 @@ class Transport {
     return ends_[end_index(end)].meter;
   }
 
+  /// The id ledger out of `from`. It is append-only, so an index stays
+  /// valid for the wire's lifetime; a reference to an entry does not.
+  [[nodiscard]] const std::vector<LedgerEntry>& ledger(End from) const {
+    return ledgers_[end_index(from)];
+  }
+  /// Appends `entry` to the ledger out of `from`; returns the new end.
+  std::uint32_t append_to_ledger(End from, LedgerEntry entry) {
+    std::vector<LedgerEntry>& ledger = ledgers_[end_index(from)];
+    DELTA_CHECK(ledger.size() < UINT32_MAX);  // spans index by 32 bits
+    ledger.push_back(entry);
+    return static_cast<std::uint32_t>(ledger.size());
+  }
+  [[nodiscard]] std::uint32_t ledger_end(End from) const {
+    return static_cast<std::uint32_t>(ledgers_[end_index(from)].size());
+  }
+  void reserve_ledger(End from, std::size_t entries) {
+    ledgers_[end_index(from)].reserve(entries);
+  }
+
  protected:
   struct Endpoint {
     std::string name;
@@ -139,6 +162,7 @@ class Transport {
   }
 
   std::array<Endpoint, 2> ends_;
+  std::array<std::vector<LedgerEntry>, 2> ledgers_;  // by sending end
   /// True once both ends are bound.
   bool wired_ = false;
 };

@@ -299,7 +299,7 @@ struct EventShard {
 
   /// Staleness observer: every invalidation notice delivered to the cache
   /// endpoint is sampled individually — the subject of a kInvalidation plus
-  /// each coalesced/piggybacked id in batched_invalidations (a notice's
+  /// each coalesced/piggybacked id in its batch span (a notice's
   /// staleness does not disappear because it shared a frame). Cache->server
   /// eviction notices reuse the kind, so filter by destination; resync
   /// replays are recovery (accounted by max_recovery_staleness), not
@@ -319,12 +319,14 @@ struct EventShard {
           m.subject_ingest_at >= 0.0 ? m.subject_ingest_at : m.sim_sent_at;
       shard.yardsticks.staleness_seconds.add(m.sim_delivered_at - ingest);
     }
-    for (std::size_t i = 0; i < m.batched_invalidations.size(); ++i) {
-      const auto id = static_cast<std::size_t>(m.batched_invalidations[i]);
+    const std::vector<net::LedgerEntry>& notices =
+        shard.transport.ledger(net::End::kServer);
+    for (std::uint32_t i = m.batch_from; i < m.batch_to; ++i) {
+      const net::LedgerEntry& notice = notices[i];
+      const auto id = static_cast<std::size_t>(notice.id);
       if (shard.trace->updates[id].time < shard.warmup_end) continue;
-      const double ingest = i < m.batched_ingest_at.size()
-                                ? m.batched_ingest_at[i]
-                                : m.sim_sent_at;
+      const double ingest =
+          notice.ingest_at >= 0.0 ? notice.ingest_at : m.sim_sent_at;
       shard.yardsticks.staleness_seconds.add(m.sim_delivered_at - ingest);
     }
   }
