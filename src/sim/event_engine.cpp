@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -11,6 +10,7 @@
 
 #include "core/cache_node.h"
 #include "core/server_node.h"
+#include "sim/decoded_stream.h"
 #include "sim/replica.h"
 #include "util/check.h"
 #include "util/event_queue.h"
@@ -19,146 +19,6 @@
 namespace delta::sim {
 
 namespace {
-
-/// Prefetch lookahead, in routed queries of one partition. A partition's
-/// query records sit at irregular positions in trace.queries, out of the
-/// hardware prefetcher's reach, so each query's decoded event names the
-/// query this many routed queries later on the same partition, and the
-/// partition prefetches that record when it dispatches.
-constexpr std::size_t kPrefetchLead = 8;
-constexpr std::uint32_t kNoQuery = std::numeric_limits<std::uint32_t>::max();
-
-/// One event of the shared decoded replay stream: the merged-order record
-/// every partition walks. Decoded once on the calling thread — trace-order
-/// indirection, timestamp lookup, routing lookup and the arrival-instant
-/// conversion are paid once instead of once per partition, and updates
-/// enter the replicas through the trusted by-index ingest (the identity of
-/// a trace entry with itself needs no per-replica validation).
-struct DecodedEvent {
-  double arrival = 0.0;   // now * seconds_per_event, partition-clock units
-  EventTime now = 0;
-  std::uint32_t index = 0;  // into trace.queries or trace.updates
-  union {
-    std::uint32_t object = 0;  // an update's object (the prefilter's key)
-    std::uint32_t endpoint;    // a query's routed partition
-  };
-  /// A query's lookahead (see kPrefetchLead), or kNoQuery.
-  std::uint32_t prefetch = kNoQuery;
-  bool is_update = false;
-};
-static_assert(sizeof(DecodedEvent) == 32, "one event per half cache line");
-
-/// The decoded stream plus every count and touch row the shards are sized
-/// and gated from, all read off the same single pass over the trace.
-struct DecodedStream {
-  std::vector<DecodedEvent> events;
-  /// Per partition: routed queries (the LPT weight) and the post-warm-up
-  /// subset the sketch's decimation stride retains. Reserving the sketch
-  /// from routed queries instead of retained samples would over-reserve
-  /// stride-fold per shard — N*stride-fold across a capped open-loop run.
-  std::vector<std::size_t> routed_queries;
-  std::vector<std::size_t> retained_samples;
-  /// Per partition that prefilters updates: one byte per object, nonzero
-  /// when a query routed there names it (the routed half of the touch set,
-  /// see replay_event_shard). Empty for partitions that do not prefilter.
-  std::vector<std::vector<std::uint8_t>> touch_rows;
-};
-
-DecodedStream decode_stream(const workload::Trace& trace,
-                            const std::vector<std::uint32_t>& routing,
-                            const std::vector<bool>& prefilters,
-                            std::int64_t sketch_stride,
-                            const EventEngineOptions& options) {
-  // Open loop: arrival instants come from the ArrivalProcess schedule (the
-  // trace's merged ORDER is untouched). Generated here, once, on the
-  // calling thread — every partition walks the identical tape, so results
-  // stay bit-identical for any thread count.
-  std::unique_ptr<workload::ArrivalProcess> arrivals;
-  if (options.open_loop.enabled) {
-    arrivals = std::make_unique<workload::ArrivalProcess>(
-        options.open_loop.arrival, options.open_loop.rate_per_sec,
-        options.open_loop.seed);
-  }
-  const std::size_t endpoint_count = prefilters.size();
-  const std::size_t object_count = trace.initial_object_bytes.size();
-  const EventTime warmup_end = trace.info.warmup_end_event;
-  DecodedStream stream;
-  stream.routed_queries.assign(endpoint_count, 0);
-  stream.retained_samples.assign(endpoint_count, 0);
-  stream.touch_rows.resize(endpoint_count);
-  for (std::size_t e = 0; e < endpoint_count; ++e) {
-    if (prefilters[e]) stream.touch_rows[e].assign(object_count, 0);
-  }
-  // Per partition, the stream positions of its last kPrefetchLead routed
-  // queries: a ring indexed by the partition's routed count so far.
-  std::vector<std::uint32_t> recent(endpoint_count * kPrefetchLead);
-  // Stream positions and trace indices ride in 32 bits.
-  DELTA_CHECK(trace.order.size() < kNoQuery &&
-              trace.queries.size() < kNoQuery &&
-              trace.updates.size() < kNoQuery);
-  stream.events.reserve(trace.order.size());
-  for (const workload::Event& event : trace.order) {
-    DecodedEvent d;
-    d.is_update = event.kind == workload::Event::Kind::kUpdate;
-    const auto i = static_cast<std::size_t>(event.index);
-    DELTA_CHECK(event.index >= 0 &&
-                i < (d.is_update ? trace.updates.size()
-                                 : trace.queries.size()));
-    d.index = static_cast<std::uint32_t>(i);
-    if (d.is_update) {
-      const workload::Update& u = trace.updates[i];
-      d.now = u.time;
-      // Object ids index the shards' prefilter gates; a hand-built trace
-      // need not have been validated.
-      DELTA_CHECK_MSG(u.object.value() >= 0 &&
-                          static_cast<std::size_t>(u.object.value()) <
-                              object_count,
-                      "update " << i << " names object " << u.object.value()
-                                << " of " << object_count);
-      d.object = static_cast<std::uint32_t>(u.object.value());
-    } else {
-      const workload::Query& q = trace.queries[i];
-      d.now = q.time;
-      // A worker silently skips queries routed out of range, so the whole
-      // split is validated here.
-      const std::uint32_t e = routing[i];
-      DELTA_CHECK(e < endpoint_count);
-      d.endpoint = e;
-      // Link the partition's query kPrefetchLead routed queries back to
-      // this one.
-      std::uint32_t& oldest =
-          recent[e * kPrefetchLead + stream.routed_queries[e] % kPrefetchLead];
-      if (stream.routed_queries[e] >= kPrefetchLead) {
-        stream.events[oldest].prefetch = d.index;
-      }
-      oldest = static_cast<std::uint32_t>(stream.events.size());
-      ++stream.routed_queries[e];
-      if (d.now >= warmup_end &&
-          (sketch_stride <= 1 ||
-           static_cast<std::int64_t>(i) % sketch_stride == 0)) {
-        ++stream.retained_samples[e];
-      }
-      std::vector<std::uint8_t>& row = stream.touch_rows[e];
-      if (!row.empty()) {
-        // Marked here, while the query record is in cache, so no partition
-        // walks the routing table or the query records for its touch set.
-        for (const ObjectId o : q.objects) {
-          DELTA_CHECK_MSG(o.value() >= 0 &&
-                              static_cast<std::size_t>(o.value()) <
-                                  object_count,
-                          "query " << i << " names object " << o.value()
-                                   << " of " << object_count);
-          row[static_cast<std::size_t>(o.value())] = 1;
-        }
-      }
-    }
-    d.arrival = arrivals != nullptr
-                    ? arrivals->next()
-                    : static_cast<double>(d.now) * options.seconds_per_event;
-    stream.events.push_back(d);
-  }
-  return stream;
-}
 
 /// One cache partition of the conservative parallel DES: a full replica of
 /// the node graph (event queue, latency-aware transport, repository
@@ -412,7 +272,7 @@ void replay_event_shard(const workload::Trace& trace,
   // The object list of the query whose record the previous dispatch
   // prefetched: read once that record has had a dispatch's time to land.
   std::uint32_t record_in_flight = kNoQuery;
-  for (const DecodedEvent& event : stream.events) {
+  for (const DecodedEvent& event : stream.view()) {
     if (shard.policy_wipe_pending) {
       // Deferred crash wipe (see the EventShard field note): no dispatch
       // frame is live here, so the policy's soft state can be dropped
@@ -580,9 +440,10 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   DELTA_CHECK(options.seconds_per_event >= 0.0);
   DELTA_CHECK(assignment == nullptr ||
               assignment->size() == trace.queries.size());
+  const std::size_t threads = options.parallel.thread_count();
   const std::vector<std::uint32_t> computed_assignment =
       assignment == nullptr
-          ? workload::assign_queries(trace, endpoint_count, strategy)
+          ? workload::assign_queries(trace, endpoint_count, strategy, threads)
           : std::vector<std::uint32_t>{};
   const std::vector<std::uint32_t>& routing =
       assignment == nullptr ? computed_assignment : *assignment;
@@ -596,9 +457,6 @@ EventRunResult run_policy_event(const workload::Trace& trace,
                        trace.queries.size() /
                        options.open_loop.response_sample_cap))
           : 1;
-  const std::size_t threads = options.parallel.num_threads == 0
-                                  ? util::ThreadPool::hardware_threads()
-                                  : options.parallel.num_threads;
 
   // Crash-stop plans (ISSUE 10) arm the suspicion probe automatically: a
   // cache whose server died mid-run only learns of the restart from an
@@ -699,10 +557,12 @@ EventRunResult run_policy_event(const workload::Trace& trace,
                         core::MetadataSubscription::kAll &&
                     shards[i]->crash_plan.empty();
   }
-  // One pass over the trace: the shared replay stream, the validated split,
-  // every per-partition count and the prefiltering partitions' touch rows.
+  // One pass over the trace, in parallel blocks on the engine's threads:
+  // the shared replay stream, the validated split, every per-partition
+  // count and the prefiltering partitions' touch rows.
   const DecodedStream stream =
-      decode_stream(trace, routing, prefilters, sketch_stride, options);
+      decode_stream(trace, routing, prefilters, sketch_stride, options,
+                    util::block_count(trace.order.size(), threads));
 
   // ---- replay all partitions (wait-free; see lookahead argument in
   // event_engine.h). Partitions are LPT-packed onto the workers by exact

@@ -62,6 +62,7 @@
 #include "net/link_model.h"
 #include "sim/simulator.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 #include "workload/arrival_process.h"
 #include "workload/trace.h"
 #include "workload/trace_split.h"
@@ -91,9 +92,22 @@ using CachePolicyFactory = std::function<std::unique_ptr<core::CachePolicy>(
 /// partition. The merge folds every partition's results and sample
 /// accumulators in endpoint order, which no thread count changes, so every
 /// thread count yields bit-identical results.
+///
+/// The same threads split the trace (workload::assign_queries, when the
+/// engine computes the split) and decode it into the shared replay stream:
+/// both passes run as contiguous blocks of the trace, at most one per
+/// thread and none shorter than util::kMinBlockItems, so one thread or a
+/// short trace decodes inline. Both passes yield the same result for any
+/// block count.
 struct ParallelOptions {
   /// 0 = one thread per hardware core.
   std::size_t num_threads = 1;
+
+  /// num_threads with 0 resolved to the host's hardware threads.
+  [[nodiscard]] std::size_t thread_count() const {
+    return num_threads == 0 ? util::ThreadPool::hardware_threads()
+                            : num_threads;
+  }
 };
 
 /// Open-loop drive: instead of the per-cache closed loop (one query in
@@ -167,9 +181,10 @@ struct EventEngineOptions {
   /// update's object is neither named by any query routed to that partition
   /// nor registered at the replica when the factories finished, so the full
   /// replay would have made its ingest an invisible repository-size bump
-  /// (no notice fires, and the size is never read). The calling thread's
-  /// single decode pass over the trace marks each such partition's routed
-  /// objects in one byte-per-object row; the partition ORs in its
+  /// (no notice fires, and the size is never read). The decode pass over
+  /// the trace (parallel blocks on the engine's threads, see
+  /// ParallelOptions) marks each such partition's routed objects in one
+  /// byte-per-object row; the partition ORs in its
   /// post-factory registrations and gates each update on the result by
   /// object id. Result-invariant by construction
   /// (EventEngineTest.PrefilterEquivalentToFullTapeReplay and its open-loop
@@ -247,10 +262,12 @@ struct EventRunResult {
   /// partitions (zero when prefilter_updates is off or every cache
   /// subscribes to all updates).
   std::int64_t prefiltered_updates = 0;
-  /// Wall time of the calling thread's work before the parallel replay
-  /// (split, decode pass, node graphs, factories) and after its join
-  /// (merge and teardown). With the per-partition walls they cover
-  /// disjoint parts of replay.combined.wall_seconds.
+  /// Wall time of the work before the parallel replay and after its join.
+  /// Before: the split (when the engine computes it) and the decode pass,
+  /// both in parallel blocks on the engine's threads, then the node graphs
+  /// and factories on the calling thread. After: merge and teardown. With
+  /// the per-partition walls they cover disjoint parts of
+  /// replay.combined.wall_seconds.
   double prepare_seconds = 0.0;
   double merge_seconds = 0.0;
 

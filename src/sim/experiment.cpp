@@ -99,7 +99,8 @@ EventRunResult run_one_event(PolicyKind kind, const workload::Trace& trace,
   // routing and (for offline SOptimal) each endpoint's hindsight shard are
   // the same split by construction.
   const std::vector<std::uint32_t> assignment =
-      workload::assign_queries(trace, endpoint_count, strategy);
+      workload::assign_queries(trace, endpoint_count, strategy,
+                               engine.parallel.thread_count());
   const bool shard_soptimal =
       kind == PolicyKind::kSOptimal && endpoint_count > 1;
   return run_policy_event(

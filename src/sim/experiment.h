@@ -105,11 +105,12 @@ RunResult run_one(PolicyKind kind, const workload::Trace& trace,
 /// engine also measures the simulated response-time, staleness and
 /// contention yardsticks.
 ///
-/// Every call splits the trace afresh (workload::assign_queries, ~6 ms on
-/// the 250k-query paper world), and that split counts in the call's wall
-/// time. A caller that replays one world repeatedly should split it once
-/// and call run_policy_event with that assignment and a make_policy
-/// factory.
+/// Every call splits the trace afresh (workload::assign_queries, run in
+/// parallel blocks on the `engine.parallel` threads; a few milliseconds on
+/// one thread for the 250k-query paper world), and that split counts in
+/// the call's wall time. A caller that replays one world repeatedly should
+/// split it once and call run_policy_event with that assignment and a
+/// make_policy factory.
 EventRunResult run_one_event(PolicyKind kind, const workload::Trace& trace,
                              Bytes per_endpoint_capacity,
                              const SetupParams& params,

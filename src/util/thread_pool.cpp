@@ -133,4 +133,25 @@ std::int64_t parallel_for_dynamic(
   return std::accumulate(steals.begin(), steals.end(), std::int64_t{0});
 }
 
+std::size_t block_count(std::size_t items, std::size_t threads) {
+  return std::max<std::size_t>(
+      1, std::min(threads, items / kMinBlockItems));
+}
+
+void parallel_for_blocks(
+    std::size_t items, std::size_t blocks,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& block) {
+  DELTA_CHECK(blocks > 0);
+  DELTA_CHECK(block != nullptr);
+  // items * b / blocks, without the product overflowing.
+  const auto bound = [items, blocks](std::size_t b) {
+    return b * (items / blocks) + b * (items % blocks) / blocks;
+  };
+  std::vector<std::vector<std::size_t>> assignment(blocks);
+  for (std::size_t b = 0; b < blocks; ++b) assignment[b] = {b};
+  parallel_for_dynamic(blocks, assignment, [&](std::size_t b) {
+    block(b, bound(b), bound(b + 1));
+  });
+}
+
 }  // namespace delta::util

@@ -1,7 +1,8 @@
 // Thread-level parallelism for the parallel simulation engine: LPT
-// packing of weighted jobs onto workers, and a work-stealing parallel loop
+// packing of weighted jobs onto workers, a work-stealing parallel loop
 // that runs each worker on its own std::thread for the duration of one
-// call (no long-lived pool).
+// call (no long-lived pool), and the contiguous-block loop the trace split
+// and decode passes run on.
 //
 // Design constraints, in order: (1) deterministic callers — the loop runs
 // opaque jobs and reports exceptions by job index, it never reorders
@@ -55,5 +56,25 @@ std::int64_t parallel_for_dynamic(
     std::size_t job_count,
     const std::vector<std::vector<std::size_t>>& assignment,
     const std::function<void(std::size_t)>& job);
+
+/// The shortest block a data-parallel pass over a trace hands one worker:
+/// below it, starting a thread costs more than the block's share saves.
+inline constexpr std::size_t kMinBlockItems = std::size_t{1} << 15;
+
+/// How many blocks a pass over `items` elements runs as on `threads`
+/// workers: min(threads, items / kMinBlockItems), and at least one, so a
+/// single thread or a short input never starts a worker.
+[[nodiscard]] std::size_t block_count(std::size_t items, std::size_t threads);
+
+/// Splits [0, items) into `blocks` contiguous blocks of near-equal length
+/// (block b is [items * b / blocks, items * (b + 1) / blocks); a block may
+/// be empty when blocks > items) and calls `block(b, begin, end)` for each,
+/// block b on worker b of parallel_for_dynamic. One block runs inline on
+/// the calling thread. Every block runs when one throws, and the first
+/// error by block index is rethrown after the join, so a pass that checks
+/// its input in order reports the first bad element.
+void parallel_for_blocks(
+    std::size_t items, std::size_t blocks,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& block);
 
 }  // namespace delta::util

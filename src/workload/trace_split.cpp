@@ -33,25 +33,59 @@ std::uint64_t anchor_key(const Query& q) {
 /// exact query counts. The makespan guarantee is the standard LPT one —
 /// max endpoint load <= mean load + heaviest anchor count — so imbalance
 /// is bounded by the anchor granularity, not by hash luck.
+///
+/// The anchor reads and counts run as contiguous blocks of the queries;
+/// only the distinct anchors are merged and ranked serially. Anchors are
+/// ranked by key value, never by first-seen order, so the assignment is
+/// the same for any block count.
 std::vector<std::uint32_t> assign_balanced(const Trace& trace,
-                                           std::size_t endpoint_count) {
-  // One hash probe per query gives each distinct anchor a slot in
-  // first-seen order, and counts its queries.
+                                           std::size_t endpoint_count,
+                                           std::size_t blocks) {
+  // One block's anchors: each distinct key gets a block-local slot in
+  // first-seen order, with its query count. `endpoint_of` maps the slots
+  // to global slots after the merge, then to endpoints.
+  struct BlockAnchors {
+    util::FlatMap<std::uint64_t, std::uint32_t> slot_of;
+    std::vector<std::uint64_t> keys;
+    std::vector<double> counts;
+    std::vector<std::uint32_t> endpoint_of;
+  };
+  std::vector<BlockAnchors> parts(blocks);
+  // Per query: its anchor's block-local slot, rewritten to the slot's
+  // endpoint below.
+  std::vector<std::uint32_t> assignment(trace.queries.size());
+  util::parallel_for_blocks(
+      trace.queries.size(), blocks,
+      [&](std::size_t b, std::size_t begin, std::size_t end) {
+        BlockAnchors& part = parts[b];
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::uint64_t key = anchor_key(trace.queries[i]);
+          const auto [s, inserted] = part.slot_of.try_emplace(
+              key, static_cast<std::uint32_t>(part.keys.size()));
+          if (inserted) {
+            part.keys.push_back(key);
+            part.counts.push_back(0.0);
+          }
+          assignment[i] = *s;
+          part.counts[*s] += 1.0;
+        }
+      });
+  // Merge the blocks' distinct anchors into global slots.
   util::FlatMap<std::uint64_t, std::uint32_t> slot_of;
   std::vector<std::uint64_t> keys;
   std::vector<double> slot_count;
-  // Per query: its anchor's slot, rewritten to the slot's endpoint below.
-  std::vector<std::uint32_t> assignment(trace.queries.size());
-  for (std::size_t i = 0; i < trace.queries.size(); ++i) {
-    const std::uint64_t key = anchor_key(trace.queries[i]);
-    const auto [s, inserted] =
-        slot_of.try_emplace(key, static_cast<std::uint32_t>(keys.size()));
-    if (inserted) {
-      keys.push_back(key);
-      slot_count.push_back(0.0);
+  for (BlockAnchors& part : parts) {
+    part.endpoint_of.resize(part.keys.size());
+    for (std::size_t s = 0; s < part.keys.size(); ++s) {
+      const auto [global, inserted] = slot_of.try_emplace(
+          part.keys[s], static_cast<std::uint32_t>(keys.size()));
+      if (inserted) {
+        keys.push_back(part.keys[s]);
+        slot_count.push_back(0.0);
+      }
+      part.endpoint_of[s] = *global;
+      slot_count[*global] += part.counts[s];
     }
-    assignment[i] = *s;
-    slot_count[*s] += 1.0;
   }
   // Dense anchor ids ordered by key value (deterministic, no hash-map
   // iteration order anywhere): only the distinct keys are sorted.
@@ -73,7 +107,17 @@ std::vector<std::uint32_t> assign_balanced(const Trace& trace,
       endpoint_of[slot_by_rank[r]] = static_cast<std::uint32_t>(e);
     }
   }
-  for (std::uint32_t& a : assignment) a = endpoint_of[a];
+  for (BlockAnchors& part : parts) {
+    for (std::uint32_t& slot : part.endpoint_of) slot = endpoint_of[slot];
+  }
+  util::parallel_for_blocks(
+      trace.queries.size(), blocks,
+      [&](std::size_t b, std::size_t begin, std::size_t end) {
+        const std::vector<std::uint32_t>& table = parts[b].endpoint_of;
+        for (std::size_t i = begin; i < end; ++i) {
+          assignment[i] = table[assignment[i]];
+        }
+      });
   return assignment;
 }
 
@@ -81,35 +125,45 @@ std::vector<std::uint32_t> assign_balanced(const Trace& trace,
 
 std::vector<std::uint32_t> assign_queries(const Trace& trace,
                                           std::size_t endpoint_count,
-                                          SplitStrategy strategy) {
+                                          SplitStrategy strategy,
+                                          std::size_t threads) {
   DELTA_CHECK(endpoint_count > 0);
-  std::vector<std::uint32_t> assignment(trace.queries.size(), 0);
-  if (endpoint_count == 1) return assignment;
+  DELTA_CHECK(threads > 0);
+  if (endpoint_count == 1) {
+    return std::vector<std::uint32_t>(trace.queries.size(), 0);
+  }
+  const std::size_t blocks = util::block_count(trace.queries.size(), threads);
   if (strategy == SplitStrategy::kBalancedByLoad) {
-    return assign_balanced(trace, endpoint_count);
+    return assign_balanced(trace, endpoint_count, blocks);
   }
+  std::vector<std::uint32_t> assignment(trace.queries.size());
   const auto n = static_cast<std::uint64_t>(endpoint_count);
-  for (std::size_t i = 0; i < trace.queries.size(); ++i) {
-    switch (strategy) {
-      case SplitStrategy::kRoundRobin:
-        assignment[i] = static_cast<std::uint32_t>(i % n);
-        break;
-      case SplitStrategy::kHashByRegion: {
-        const Query& q = trace.queries[i];
-        // The region's first base trixel anchors the query spatially; a
-        // cover-less query (shouldn't happen in generated traces) falls
-        // back to its id so the split stays total.
-        const std::uint64_t key =
-            q.base_cover.empty()
-                ? mix(static_cast<std::uint64_t>(q.id.value()))
-                : mix(static_cast<std::uint64_t>(q.base_cover.front()));
-        assignment[i] = static_cast<std::uint32_t>(key % n);
-        break;
-      }
-      case SplitStrategy::kBalancedByLoad:
-        break;  // handled above
-    }
-  }
+  util::parallel_for_blocks(
+      trace.queries.size(), blocks,
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          switch (strategy) {
+            case SplitStrategy::kRoundRobin:
+              assignment[i] = static_cast<std::uint32_t>(i % n);
+              break;
+            case SplitStrategy::kHashByRegion: {
+              const Query& q = trace.queries[i];
+              // The region's first base trixel anchors the query
+              // spatially; a cover-less query (shouldn't happen in
+              // generated traces) falls back to its id so the split stays
+              // total.
+              const std::uint64_t key =
+                  q.base_cover.empty()
+                      ? mix(static_cast<std::uint64_t>(q.id.value()))
+                      : mix(static_cast<std::uint64_t>(q.base_cover.front()));
+              assignment[i] = static_cast<std::uint32_t>(key % n);
+              break;
+            }
+            case SplitStrategy::kBalancedByLoad:
+              break;  // handled above
+          }
+        }
+      });
   return assignment;
 }
 

@@ -49,7 +49,11 @@ enum class SplitStrategy : std::uint8_t {
 }
 
 /// Endpoint index (< endpoint_count) per query, indexed like Trace::queries.
+/// The pass over the queries runs as contiguous blocks on up to `threads`
+/// threads (util::block_count: one thread or a short trace splits inline);
+/// the assignment is the same for every thread count.
 [[nodiscard]] std::vector<std::uint32_t> assign_queries(
-    const Trace& trace, std::size_t endpoint_count, SplitStrategy strategy);
+    const Trace& trace, std::size_t endpoint_count, SplitStrategy strategy,
+    std::size_t threads = 1);
 
 }  // namespace delta::workload

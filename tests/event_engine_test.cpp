@@ -18,6 +18,7 @@
 #include "sim/event_engine.h"
 #include "sim/experiment.h"
 #include "trace_builder.h"
+#include "util/thread_pool.h"
 #include "workload/trace_split.h"
 
 namespace delta::sim {
@@ -306,6 +307,42 @@ TEST(EventEngineTest, SkewedRoutingBitIdenticalAcrossThreadsWithStealing) {
     expect_event_runs_identical(parallel, sequential);
     EXPECT_EQ(parallel.shard_balance, sequential.shard_balance);
     EXPECT_EQ(parallel.prefiltered_updates, sequential.prefiltered_updates);
+  }
+}
+
+// The cases above are short enough to split and decode in one block. Here
+// the trace is long enough that at T > 1 the split runs in two blocks and
+// the decode in up to three (util::block_count), closed and open loop, and
+// the results must still be bit-identical to T = 1.
+TEST(EventEngineTest, MultiBlockSplitAndDecodeBitIdenticalAcrossThreads) {
+  SetupParams params = small_params(23);
+  params.trace.query_count = 70'000;
+  params.trace.update_count = 30'000;
+  const World setup{params};
+  ASSERT_EQ(util::block_count(setup.trace().queries.size(), 4), 2u);
+  ASSERT_EQ(util::block_count(setup.trace().order.size(), 4), 3u);
+  for (const bool open_loop : {false, true}) {
+    const auto run = [&](std::size_t threads) {
+      EventEngineOptions options = wan_options();
+      options.open_loop.enabled = open_loop;
+      options.open_loop.rate_per_sec = 2000.0;
+      options.parallel.num_threads = threads;
+      return run_one_event(PolicyKind::kVCover, setup.trace(),
+                           setup.cache_capacity(), setup.params(), 4,
+                           workload::SplitStrategy::kBalancedByLoad, options);
+    };
+    const EventRunResult sequential = run(1);
+    EXPECT_GT(sequential.prefiltered_updates, 0);
+    for (const std::size_t threads : {2u, 4u, 8u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (open_loop ? "open" : "closed") << " loop T=" << threads);
+      const EventRunResult parallel = run(threads);
+      expect_event_runs_identical(parallel, sequential);
+      EXPECT_EQ(parallel.shard_balance, sequential.shard_balance);
+      EXPECT_EQ(parallel.prefiltered_updates, sequential.prefiltered_updates);
+      EXPECT_EQ(parallel.replay.combined.total_traffic,
+                sequential.replay.combined.total_traffic);
+    }
   }
 }
 

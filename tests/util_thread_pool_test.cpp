@@ -142,5 +142,66 @@ TEST(ParallelForDynamicTest, RejectsAnAssignmentThatIsNotAPartition) {
                std::logic_error);
 }
 
+TEST(BlockCountTest, OneBlockPerThreadAboveTheFloor) {
+  EXPECT_EQ(block_count(0, 4), 1u);
+  EXPECT_EQ(block_count(kMinBlockItems - 1, 4), 1u);
+  EXPECT_EQ(block_count(2 * kMinBlockItems, 4), 2u);
+  EXPECT_EQ(block_count(100 * kMinBlockItems, 4), 4u);
+  EXPECT_EQ(block_count(100 * kMinBlockItems, 1), 1u);
+}
+
+TEST(ParallelForBlocksTest, BlocksTileTheRangeInOrder) {
+  for (const std::size_t items : {0u, 1u, 5u, 7u, 64u, 1000u}) {
+    for (std::size_t blocks = 1; blocks <= 9; ++blocks) {
+      std::vector<std::size_t> begins(blocks);
+      std::vector<std::size_t> ends(blocks);
+      parallel_for_blocks(items, blocks,
+                          [&](std::size_t b, std::size_t begin,
+                              std::size_t end) {
+                            begins[b] = begin;
+                            ends[b] = end;
+                          });
+      SCOPED_TRACE(::testing::Message()
+                   << "items " << items << " blocks " << blocks);
+      EXPECT_EQ(begins.front(), 0u);
+      EXPECT_EQ(ends.back(), items);
+      for (std::size_t b = 0; b < blocks; ++b) {
+        EXPECT_LE(begins[b], ends[b]);
+        // Near-equal: no block is more than one item longer than another.
+        EXPECT_LE(ends[b] - begins[b], items / blocks + 1);
+        if (b > 0) {
+          EXPECT_EQ(begins[b], ends[b - 1]);
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelForBlocksTest, OneBlockRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran;
+  parallel_for_blocks(10, 1, [&ran](std::size_t, std::size_t, std::size_t) {
+    ran = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran, caller);
+}
+
+TEST(ParallelForBlocksTest, RethrowsTheFirstErrorByBlock) {
+  std::atomic<int> completed{0};
+  try {
+    parallel_for_blocks(80, 8,
+                        [&completed](std::size_t b, std::size_t,
+                                     std::size_t) {
+                          if (b == 6) throw std::runtime_error{"block 6"};
+                          if (b == 2) throw std::runtime_error{"block 2"};
+                          completed.fetch_add(1);
+                        });
+    FAIL() << "expected rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "block 2");
+  }
+  EXPECT_EQ(completed.load(), 6);
+}
+
 }  // namespace
 }  // namespace delta::util

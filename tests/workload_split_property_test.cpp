@@ -3,11 +3,13 @@
 // stream — every query routed exactly once, arrival order preserved within
 // each shard — for every strategy and endpoint count. The balanced split is
 // also checked against the sort + lower_bound reference in
-// balanced_split_oracle.h, which it must match exactly.
+// balanced_split_oracle.h, which it must match exactly, and every strategy
+// must give the same split at every thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "balanced_split_oracle.h"
 #include "trace_builder.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "workload/trace_split.h"
 
 namespace delta::workload {
@@ -298,6 +301,49 @@ TEST(SplitStrategyPropertyTest, BalancedByLoadMatchesOracleOnTiedCounts) {
     expect_matches_oracle(
         anchored_trace(rng, anchors * 3, pool, /*tied=*/true, 0.5));
   }
+}
+
+constexpr std::size_t kThreadCounts[] = {2, 3, 4, 8};
+
+/// Every strategy's assignment at each of kThreadCounts equals the
+/// single-thread one.
+void expect_thread_count_invariant(const Trace& trace,
+                                   const std::vector<std::size_t>& endpoints) {
+  for (const SplitStrategy strategy : kStrategies) {
+    for (const std::size_t n : endpoints) {
+      const std::vector<std::uint32_t> serial =
+          assign_queries(trace, n, strategy, 1);
+      for (const std::size_t threads : kThreadCounts) {
+        SCOPED_TRACE(::testing::Message()
+                     << to_string(strategy) << " endpoints " << n
+                     << " threads " << threads);
+        EXPECT_EQ(assign_queries(trace, n, strategy, threads), serial);
+      }
+    }
+  }
+}
+
+TEST(SplitStrategyPropertyTest, AssignmentIsIndependentOfThreadCount) {
+  util::Rng rng{20261021};
+  // Shorter than one block: every thread count splits inline.
+  for (int iteration = 0; iteration < 10; ++iteration) {
+    SCOPED_TRACE(::testing::Message() << "iteration " << iteration);
+    Trace trace = random_trace(rng);
+    for (Query& q : trace.queries) {
+      if (rng.bernoulli(0.3)) q.base_cover.clear();
+    }
+    expect_thread_count_invariant(
+        trace, {std::begin(kEndpointCounts), std::end(kEndpointCounts)});
+  }
+  // Enough queries for one block per thread at every thread count, so each
+  // count cuts the trace at different places. Anchors recur across blocks
+  // (skewed draws from one pool) and a tenth of the queries are cover-less,
+  // each an anchor of its own.
+  const std::size_t queries = 8 * util::kMinBlockItems + 1234;
+  ASSERT_EQ(util::block_count(queries, 8), 8u);
+  const Trace trace = anchored_trace(rng, queries, random_pool(rng, 3000),
+                                     /*tied=*/false, /*coverless=*/0.1);
+  expect_thread_count_invariant(trace, {2, 3, 16});
 }
 
 }  // namespace
