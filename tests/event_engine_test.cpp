@@ -489,52 +489,91 @@ TEST(EventEngineTest, PrefilterKeepsUpdatesOfPreloadedObjectsNoQueryNames) {
 }
 
 // The WAN path pinned to recorded figures. Cross-thread-count identity
-// cannot see a change that shifts every thread count alike, so two VCover
-// WAN runs are held to a replay fingerprint (series and latency moments)
-// plus the measured yardsticks, at T = 1 and T = 4.
+// cannot see a change that shifts every thread count alike, so WAN runs of
+// every policy are held to a replay fingerprint (series and latency
+// moments) plus the measured yardsticks, at T = 1 and T = 4. Replica's
+// blocking refresh pump and Benefit's kAll subscription run every update
+// through the replica, the prefiltering policies skip most of them, so a
+// partition walk that drops or reorders a clock advance moves some row.
+struct WanPin {
+  PolicyKind kind;
+  workload::SplitStrategy strategy;
+  std::size_t endpoints;
+  std::uint64_t fingerprint;
+  double response_p50;
+  double response_p99;
+  std::int64_t staleness_count;
+  double staleness_sum;
+  std::int64_t delivered_messages;
+  std::int64_t notice_messages;
+  std::int64_t prefiltered_updates;
+};
+
+void expect_wan_pin(const World& setup, const WanPin& c,
+                    const EventEngineOptions& base) {
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message()
+                 << to_string(c.kind) << " " << to_string(c.strategy)
+                 << " N=" << c.endpoints << " T=" << threads);
+    EventEngineOptions options = base;
+    options.parallel.num_threads = threads;
+    const EventRunResult r =
+        run_one_event(c.kind, setup.trace(), setup.cache_capacity(),
+                      setup.params(), c.endpoints, c.strategy, options);
+    EXPECT_EQ(delta::testing::replay_fingerprint(r.replay), c.fingerprint);
+    EXPECT_EQ(r.response_p50(), c.response_p50);
+    EXPECT_EQ(r.response_p99(), c.response_p99);
+    EXPECT_EQ(r.staleness_seconds.count(), c.staleness_count);
+    EXPECT_EQ(r.staleness_seconds.sum(), c.staleness_sum);
+    EXPECT_EQ(r.delivered_messages, c.delivered_messages);
+    EXPECT_EQ(r.notice_messages, c.notice_messages);
+    EXPECT_EQ(r.prefiltered_updates, c.prefiltered_updates);
+  }
+}
+
 TEST(EventEngineTest, WanRunsMatchPinnedResults) {
   const World setup{prefilter_params()};
-  struct Pinned {
-    workload::SplitStrategy strategy;
-    std::size_t endpoints;
-    std::uint64_t fingerprint;
-    double response_p50;
-    double response_p99;
-    std::int64_t staleness_count;
-    double staleness_sum;
-    std::int64_t delivered_messages;
-    std::int64_t notice_messages;
-    std::int64_t prefiltered_updates;
-  };
-  const Pinned cases[] = {
-      {workload::SplitStrategy::kBalancedByLoad, 4, 15988761783817299715ULL,
+  constexpr auto kBalanced = workload::SplitStrategy::kBalancedByLoad;
+  constexpr auto kHash = workload::SplitStrategy::kHashByRegion;
+  const WanPin cases[] = {
+      {PolicyKind::kVCover, kBalanced, 4, 15988761783817299715ULL,
        15.473615719999872, 837.21693299999708, 28, 0.0058078719998775341,
        2364, 28, 2346},
-      {workload::SplitStrategy::kHashByRegion, 65, 3418948851813834216ULL,
+      {PolicyKind::kVCover, kHash, 65, 3418948851813834216ULL,
        4.2790264240000173, 108.01833400000029, 28, 0.0058078719998775341,
        2308, 28, 74601},
+      {PolicyKind::kReplica, kBalanced, 4, 9882073991697826425ULL, 3.6323218960000698,
+       24.928592499999976, 1564, 28.625228864137114, 14400, 4800, 0},
+      {PolicyKind::kReplica, kHash, 65, 1695829090690684505ULL, 3.4723218960000697,
+       24.702592499999977, 25415, 41.809298427718545, 234000, 78000, 0},
+      {PolicyKind::kBenefit, kBalanced, 4, 15075784883165029293ULL, 12.716429823999862,
+       837.21693299999708, 1564, 16.771822144843661, 7200, 4800, 0},
+      {PolicyKind::kBenefit, kHash, 65, 5603587989230197403ULL, 4.2790264240000173,
+       108.01833400000029, 25415, 21.601241600077316, 80400, 78000, 0},
+      {PolicyKind::kSOptimal, kBalanced, 4, 15075784883165029293ULL, 12.716429823999862,
+       837.21693299999708, 0, 0, 2400, 0, 2346},
+      {PolicyKind::kSOptimal, kHash, 65, 6823533646832801352ULL, 4.2790264240000173,
+       108.01833400000029, 0, 0, 2400, 0, 74601},
+      {PolicyKind::kNoCache, kBalanced, 4, 15075784883165029293ULL, 12.716429823999862,
+       837.21693299999708, 0, 0, 2400, 0, 2346},
+      {PolicyKind::kNoCache, kHash, 65, 6823533646832801352ULL, 4.2790264240000173,
+       108.01833400000029, 0, 0, 2400, 0, 74601},
   };
-  for (const Pinned& c : cases) {
-    for (const std::size_t threads : {1u, 4u}) {
-      SCOPED_TRACE(::testing::Message() << to_string(c.strategy)
-                                        << " N=" << c.endpoints
-                                        << " T=" << threads);
-      EventEngineOptions options = wan_options();
-      options.parallel.num_threads = threads;
-      const EventRunResult r =
-          run_one_event(PolicyKind::kVCover, setup.trace(),
-                        setup.cache_capacity(), setup.params(), c.endpoints,
-                        c.strategy, options);
-      EXPECT_EQ(delta::testing::replay_fingerprint(r.replay), c.fingerprint);
-      EXPECT_EQ(r.response_p50(), c.response_p50);
-      EXPECT_EQ(r.response_p99(), c.response_p99);
-      EXPECT_EQ(r.staleness_seconds.count(), c.staleness_count);
-      EXPECT_EQ(r.staleness_seconds.sum(), c.staleness_sum);
-      EXPECT_EQ(r.delivered_messages, c.delivered_messages);
-      EXPECT_EQ(r.notice_messages, c.notice_messages);
-      EXPECT_EQ(r.prefiltered_updates, c.prefiltered_updates);
-    }
-  }
+  for (const WanPin& c : cases) expect_wan_pin(setup, c, wan_options());
+}
+
+// One open-loop WAN run (no faults, no crashes) pinned the same way: the
+// async dispatch path walks the same partition tape as the closed loop.
+TEST(EventEngineTest, OpenLoopWanRunMatchesPinnedResult) {
+  const World setup{prefilter_params()};
+  EventEngineOptions options = wan_options();
+  options.open_loop.enabled = true;
+  options.open_loop.rate_per_sec = 500.0;
+  expect_wan_pin(setup,
+                 {PolicyKind::kVCover, workload::SplitStrategy::kBalancedByLoad,
+                  4, 8529307651061055262ULL, 15.324935605338107,
+                  813.69605450826521, 28, 516.22073148799996, 2360, 28, 2346},
+                 options);
 }
 
 // The number of skipped ingests itself, pinned on one fixed trace at two
