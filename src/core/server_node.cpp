@@ -226,24 +226,12 @@ void ServerNode::ingest_update(const workload::Update& u) {
                       trace_->updates[uidx].cost == u.cost &&
                       trace_->updates[uidx].time == u.time,
                   "ingest_update requires an update from the system's trace");
-  apply_update(u);
-}
-
-void ServerNode::ingest_update_at(std::int64_t update_index) {
-  DELTA_CHECK(update_index >= 0 &&
-              static_cast<std::size_t>(update_index) <
-                  trace_->updates.size());
-  apply_update(trace_->updates[static_cast<std::size_t>(update_index)]);
-}
-
-void ServerNode::apply_update(const workload::Update& u) {
   const std::size_t idx = checked(u.object);
   object_bytes_[idx] += u.cost;  // inserts grow the repository object
-  const bool notify =
-      peer_.subscription == MetadataSubscription::kAll ||
-      (peer_.subscription == MetadataSubscription::kRegisteredOnly &&
-       peer_.registered[idx] != 0);
-  if (!notify) return;
+  if (notifies(idx)) send_notice(u);
+}
+
+void ServerNode::send_notice(const workload::Update& u) {
   if (!protocol_.enabled && !batching_.enabled) {
     // No notice log and nothing to hold back: the notice is its subject.
     net::Message msg;

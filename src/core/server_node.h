@@ -80,12 +80,19 @@ class ServerNode {
   /// be the trace entry its id names (validated per call).
   void ingest_update(const workload::Update& u);
 
-  /// Trusted ingest by trace index: identical side effects, but the update
-  /// is read straight from the shared trace, so there is nothing to
-  /// validate beyond the bound. This is the replicated-replay fast path —
-  /// N partitions ingesting the same decoded stream pay the identity check
-  /// zero times instead of N times per update.
-  void ingest_update_at(std::int64_t update_index);
+  /// Trusted ingest from the event engine's update column: identical side
+  /// effects, but the object and cost come from the column's slot, and the
+  /// trace's Update record is opened only to send a notice. The column was
+  /// validated when it was built (ids below trace.updates.size(), objects
+  /// below the object table), so N partitions ingesting it pay the
+  /// identity check zero times instead of N times per update.
+  void ingest_column(std::uint32_t update_id, std::uint32_t object,
+                     Bytes cost) {
+    DELTA_DCHECK(update_id < trace_->updates.size() &&
+                 object < object_bytes_.size());
+    object_bytes_[object] += cost;  // inserts grow the repository object
+    if (notifies(object)) send_notice(trace_->updates[update_id]);
+  }
 
   // ---- protocol hardening & admission control (ISSUE 8) ----
 
@@ -234,7 +241,14 @@ class ServerNode {
     transport_->reserve_ledger(net::End::kServer, trace_->updates.size());
   }
   void handle_message(const net::Message& m);
-  void apply_update(const workload::Update& u);
+  /// Whether the cache's subscription covers an update of `object`.
+  [[nodiscard]] bool notifies(std::size_t object) const {
+    return peer_.subscription == MetadataSubscription::kAll ||
+           (peer_.subscription == MetadataSubscription::kRegisteredOnly &&
+            peer_.registered[object] != 0);
+  }
+  /// Sends the cache the invalidation notice of update `u`.
+  void send_notice(const workload::Update& u);
   /// Sends `reply` to the cache with the pending notices (batching on) as
   /// its batch span.
   void send_reply(net::Message& reply, net::Mechanism mechanism);

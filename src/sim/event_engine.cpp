@@ -10,7 +10,7 @@
 
 #include "core/cache_node.h"
 #include "core/server_node.h"
-#include "sim/decoded_stream.h"
+#include "sim/event_tapes.h"
 #include "sim/replica.h"
 #include "util/check.h"
 #include "util/event_queue.h"
@@ -202,12 +202,71 @@ void prefetch_query(const workload::Query& q) {
   __builtin_prefetch(bytes + sizeof(q) - 1);
 }
 
+/// A partition's query tape: its span of routed queries in each decode
+/// block, read in block order. Past the last query its front is a sentinel
+/// at kEndOfTrace.
+class TapeCursor {
+ public:
+  TapeCursor(const EventTapes& tapes, std::size_t endpoint)
+      : tapes_(tapes), endpoint_(endpoint) {
+    next_span();
+  }
+
+  [[nodiscard]] const QuerySlot& front() const { return *at_; }
+  /// The query `n` slots on in this block's span, or null.
+  [[nodiscard]] const QuerySlot* ahead(std::size_t n) const {
+    return end_ - at_ > static_cast<std::ptrdiff_t>(n) ? at_ + n : nullptr;
+  }
+  void pop() {
+    if (++at_ == end_) next_span();
+  }
+
+ private:
+  static constexpr QuerySlot kEnd{0.0, kNoQuery, kEndOfTrace};
+
+  void next_span() {
+    while (block_ < tapes_.block_count()) {
+      const std::span<const QuerySlot> span = tapes_.tape(block_++, endpoint_);
+      if (!span.empty()) {
+        at_ = span.data();
+        end_ = at_ + span.size();
+        return;
+      }
+    }
+    at_ = &kEnd;
+    end_ = at_ + 1;
+  }
+
+  const EventTapes& tapes_;
+  std::size_t endpoint_;
+  std::size_t block_ = 0;
+  const QuerySlot* at_ = nullptr;
+  const QuerySlot* end_ = nullptr;
+};
+
 // Over zero-latency links sim_golden_test pins this loop to the golden
-// tables; event_engine_test pins bit-identity across thread counts on the
-// WAN configs.
-void replay_event_shard(const workload::Trace& trace,
-                        const DecodedStream& stream, std::size_t self,
-                        const EventEngineOptions& options,
+// tables; event_engine_test pins bit-identity across thread counts and
+// every policy's WAN results.
+//
+// The partition merge-walks three sequences by trace position: its own
+// query tape, the stops and the shared update column. It reads nothing
+// else of the trace. An update its prefilter gate rejects is skipped
+// without a clock advance, and so is every foreign query: advance_until
+// runs every delivery due up to an arrival in time order, so the events
+// between two processed arrivals run the same, in the same order, inside
+// the later one's advance. The traffic ledger needs only the stops: its
+// warm-up snapshot, its series points and its last observation all fall
+// on them.
+//
+// A crash-windowed partition (kEveryEvent) also wakes at every foreign
+// query: a cache wipe fires inside some event's advance_until and the
+// policy's part of it runs at the top of the next event
+// (EventShard::policy_wipe_pending), so which events a partition wakes at
+// decides what the wiped policy sees. Such a partition does not prefilter,
+// so it reaches every update anyway.
+template <bool kEveryEvent>
+void replay_event_shard(const workload::Trace& trace, const EventTapes& tapes,
+                        std::size_t self, const EventEngineOptions& options,
                         EventShard& shard) {
   const auto start = std::chrono::steady_clock::now();
   // ---- update prefilter (see EventEngineOptions::prefilter_updates) ----
@@ -224,7 +283,7 @@ void replay_event_shard(const workload::Trace& trace,
   // is exact. The decode pass builds a row only for partitions that
   // prefilter (see run_policy_event). The registration row is read before
   // the preload flush below, while it still is the post-factory row.
-  const std::vector<std::uint8_t>& routed_objects = stream.touch_rows[self];
+  const std::vector<std::uint8_t>& routed_objects = tapes.touch_rows[self];
   std::vector<std::uint8_t> touch;
   if (!routed_objects.empty()) {
     touch = shard.server->registered_row();
@@ -256,10 +315,11 @@ void replay_event_shard(const workload::Trace& trace,
                        options.series_stride, r);
 
   core::CachePolicy& policy = *shard.policy;
-  // Pre-size the sketch from the exact per-shard count (see DecodedStream):
+  core::ServerNode& server = *shard.server;
+  // Pre-size the sketch from the exact per-shard count (see EventTapes):
   // the hot loop never reallocates it, and nothing is reserved that cannot
   // be filled.
-  shard.response_sketch.reserve(stream.retained_samples[self]);
+  shard.response_sketch.reserve(tapes.retained_samples[self]);
   // Hoisted loop invariants (the compiler cannot prove the opaque policy
   // call leaves them alone).
   const EventTime warmup_end = trace.info.warmup_end_event;
@@ -269,10 +329,11 @@ void replay_event_shard(const workload::Trace& trace,
   shard.server_exec = server_exec;
   const bool open_loop = options.open_loop.enabled;
   const std::size_t window = options.open_loop.max_in_flight;
-  // The object list of the query whose record the previous dispatch
-  // prefetched: read once that record has had a dispatch's time to land.
-  std::uint32_t record_in_flight = kNoQuery;
-  for (const DecodedEvent& event : stream.view()) {
+  const UpdateSlot* const column = tapes.updates;
+  const UpdateSlot* update = column;
+  TapeCursor tape{tapes, self};
+
+  const auto run_pending_wipe = [&] {
     if (shard.policy_wipe_pending) {
       // Deferred crash wipe (see the EventShard field note): no dispatch
       // frame is live here, so the policy's soft state can be dropped
@@ -280,99 +341,141 @@ void replay_event_shard(const workload::Trace& trace,
       shard.policy_wipe_pending = false;
       policy.on_crash_restart();
     }
-    const EventTime now = event.now;
-    const double arrival = event.arrival;
-    // Deliver everything due up to this arrival, then move the clock to it
-    // (messages still in flight are delivered — and metered — later, so
-    // the boundary snapshot below only sees traffic that has landed).
-    events.advance_until(arrival);
-    ledger.before_event(now);
+  };
+  const auto admitted = [&] {
+    return gate == nullptr || gate[update->object] != 0;
+  };
+  // The update at `update`, the clock already at its arrival. Invalidation
+  // notices due immediately (zero-latency links) are delivered by the next
+  // processed event's advance_until — before any policy dispatch and
+  // before the warm-up snapshot can observe their (overhead-only,
+  // figure-invisible) bytes, exactly as if they had been pumped here.
+  const auto ingest = [&] {
+    server.ingest_column(static_cast<std::uint32_t>(update - column),
+                         update->object, Bytes{update->cost});
+  };
+  // The query at the tape's front, the clock already at its arrival.
+  const auto dispatch = [&] {
+    const QuerySlot& slot = tape.front();
+    if (const QuerySlot* lead = tape.ahead(kPrefetchLead)) {
+      prefetch_query(trace.queries[lead->index]);
+    }
+    // The object list of a query whose record was prefetched half the lead
+    // ago, so reading where the list lives does not stall: a one-object
+    // list sits inside that record, a longer list's heap block is a
+    // separate line.
+    if (const QuerySlot* half = tape.ahead(kPrefetchLead / 2)) {
+      __builtin_prefetch(trace.queries[half->index].objects.data());
+    }
+    const double arrival = slot.arrival;
+    const auto qi = static_cast<std::size_t>(slot.index);
+    const workload::Query& q = trace.queries[qi];
+    const EventTime now = q.time;
+    tape.pop();
+    if (!open_loop) {
+      // Closed loop per partition: the query dispatches once this
+      // cache's clock reaches its arrival (or as soon as it finished its
+      // previous query) and runs to completion; its synchronous cache
+      // calls pump the event queue, advancing the clock over every
+      // transfer they wait for.
+      const double dispatched = events.now();
+      const core::QueryOutcome outcome = policy.on_query(q);
+      const double completed = events.now();
+      ++r.queries;
+      count_outcome(r, outcome);
+      const double exec_seconds =
+          outcome.path == core::QueryOutcome::Path::kShipped ? server_exec
+                                                             : local_exec;
+      const double lag = dispatched - arrival;
+      const double response = lag + (completed - dispatched) + exec_seconds;
+      if (now >= warmup_end) {
+        r.postwarmup_latency.add(response);
+        shard.response_sketch.add(response);
+        shard.lag_stats.add(lag);
+      }
+    } else {
+      // Open loop: dispatch through the async policy entry point and let
+      // the query complete when its last reply lands, so up to `window`
+      // queries overlap. An arrival that finds the window full runs the
+      // event queue until a completion frees a slot — safe, because a
+      // full window implies in-flight messages whose deliveries are
+      // pending events (completions only fire inside deliveries).
+      while (shard.in_flight_queries >= window) {
+        const bool ran = events.run_one();
+        DELTA_CHECK_MSG(ran, "open-loop window full with an idle event queue");
+      }
+      ++r.queries;
+      const std::uint32_t slot_index = shard.park_query(
+          {arrival, events.now() - arrival, now,
+           static_cast<std::int64_t>(qi)});
+      policy.on_query_async(q,
+                            {&EventShard::on_query_done, &shard, slot_index});
+    }
+  };
 
-    if (event.is_update) {
-      // Prefilter gate: a skipped update cannot touch this replica (see the
-      // touch set above); it still advanced the clock above and still
-      // feeds the series observation below — every shard must observe
-      // every event for the pointwise-sum merge to hold.
-      if (gate == nullptr || gate[event.object] != 0) {
-        shard.server->ingest_update_at(event.index);
+  const Stop* stop = tapes.stops.data();
+  // The next event a crash-windowed partition wakes at; the others never.
+  const std::size_t event_count = trace.order.size();
+  std::uint32_t wake = kEveryEvent && event_count > 0 ? 0 : kEndOfTrace;
+  for (;;) {
+    // A crash-windowed partition wakes at each event in turn, and every
+    // stop, own query and update lies at or past the next one.
+    const std::uint32_t next =
+        kEveryEvent ? wake : std::min(stop->position, tape.front().position);
+    // Every update before the next stop or own query. Deliver everything
+    // due up to an event's arrival, then move the clock to it (messages
+    // still in flight are delivered — and metered — later, so a snapshot
+    // only sees traffic that has landed).
+    for (; update->position < next; ++update) {
+      __builtin_prefetch(update + 16);
+      if (admitted()) {
+        run_pending_wipe();
+        events.advance_until(update->arrival);
+        ingest();
       } else {
         ++shard.prefiltered_updates;
       }
-      // Invalidation notices due immediately (zero-latency links) are
-      // delivered by the next event's advance_until — before any policy
-      // dispatch and before the warm-up snapshot can observe their
-      // (overhead-only, figure-invisible) bytes, exactly as if they had
-      // been pumped here.
-    } else if (event.endpoint == self) {
-      // A one-object list sits inside that record, so this fetches a line
-      // already in flight; a longer list's heap block is a separate line.
-      if (record_in_flight != kNoQuery) {
-        __builtin_prefetch(trace.queries[record_in_flight].objects.data());
-      }
-      if (event.prefetch != kNoQuery) {
-        prefetch_query(trace.queries[event.prefetch]);
-      }
-      record_in_flight = event.prefetch;
-      const auto qi = static_cast<std::size_t>(event.index);
-      const workload::Query& q = trace.queries[qi];
-      if (!open_loop) {
-        // Closed loop per partition: the query dispatches once this
-        // cache's clock reaches its arrival (or as soon as it finished its
-        // previous query) and runs to completion; its synchronous cache
-        // calls pump the event queue, advancing the clock over every
-        // transfer they wait for.
-        const double dispatched = events.now();
-        const core::QueryOutcome outcome = policy.on_query(q);
-        const double completed = events.now();
-        ++r.queries;
-        count_outcome(r, outcome);
-        const double exec_seconds =
-            outcome.path == core::QueryOutcome::Path::kShipped ? server_exec
-                                                               : local_exec;
-        const double lag = dispatched - arrival;
-        const double response = lag + (completed - dispatched) + exec_seconds;
-        if (now >= warmup_end) {
-          r.postwarmup_latency.add(response);
-          shard.response_sketch.add(response);
-          shard.lag_stats.add(lag);
-        }
-      } else {
-        // Open loop: dispatch through the async policy entry point and let
-        // the query complete when its last reply lands, so up to `window`
-        // queries overlap. An arrival that finds the window full runs the
-        // event queue until a completion frees a slot — safe, because a
-        // full window implies in-flight messages whose deliveries are
-        // pending events (completions only fire inside deliveries).
-        while (shard.in_flight_queries >= window) {
-          const bool ran = events.run_one();
-          DELTA_CHECK_MSG(ran,
-                          "open-loop window full with an idle event queue");
-        }
-        ++r.queries;
-        const std::uint32_t slot = shard.park_query(
-            {arrival, events.now() - arrival, now,
-             static_cast<std::int64_t>(qi)});
-        policy.on_query_async(q, {&EventShard::on_query_done, &shard, slot});
-      }
     }
-    ledger.after_event(now);
+    if (next == kEndOfTrace) break;
+    run_pending_wipe();
+    const bool at_stop = stop->position == next;
+    const bool is_update = update->position == next;
+    const bool is_own = !is_update && tape.front().position == next;
+    events.advance_until(is_update ? update->arrival
+                         : is_own  ? tape.front().arrival
+                         : at_stop ? stop->arrival
+                                   : tapes.arrival_at(next));
+    if (at_stop) ledger.before_event(stop->now);
+    if (is_update) {
+      if (admitted()) {
+        ingest();
+      } else {
+        ++shard.prefiltered_updates;
+      }
+      ++update;
+    } else if (is_own) {
+      dispatch();
+    }
+    if (at_stop) {
+      ledger.after_event(stop->now);
+      ++stop;
+    }
+    if constexpr (kEveryEvent) {
+      wake = next + std::size_t{1} < event_count ? next + 1 : kEndOfTrace;
+    }
   }
   // End-of-run drain: held-back invalidation notices first (congestion
   // batching; no-op otherwise), then deliver (and meter) everything still
   // in flight — which fires every outstanding open-loop completion —
   // before the final reads.
-  shard.server->flush_pending_notices();
+  server.flush_pending_notices();
   events.run_until_idle();
-  if (shard.policy_wipe_pending) {
-    // A crash window past the last trace event still wipes the policy.
-    shard.policy_wipe_pending = false;
-    policy.on_crash_restart();
-  }
+  run_pending_wipe();  // a crash window past the last event still wipes
   DELTA_CHECK(shard.in_flight_queries == 0);
-  shard.server_overhead = ledger.finish(shard.server->meter());
+  shard.server_overhead = ledger.finish(server.meter());
   // Each replica has exactly one cache, so the server's ledger is its own.
   shard.yardsticks.protocol = shard.cache->counters();
-  shard.yardsticks.notices_logged = shard.server->counters().notices_logged;
+  shard.yardsticks.notices_logged = server.counters().notices_logged;
   shard.server_uplink = shard.transport.uplink_stats(net::End::kServer);
   shard.end_clock = events.now();
   shard.delivered = shard.transport.delivered_count();
@@ -558,25 +661,31 @@ EventRunResult run_policy_event(const workload::Trace& trace,
                     shards[i]->crash_plan.empty();
   }
   // One pass over the trace, in parallel blocks on the engine's threads:
-  // the shared replay stream, the validated split, every per-partition
-  // count and the prefiltering partitions' touch rows.
-  const DecodedStream stream =
-      decode_stream(trace, routing, prefilters, sketch_stride, options,
-                    util::block_count(trace.order.size(), threads));
+  // the update column, every partition's query tape, the stops, the
+  // validated split, every per-partition count and the prefiltering
+  // partitions' touch rows.
+  const EventTapes tapes =
+      decode_tapes(trace, routing, prefilters, sketch_stride, options,
+                   util::block_count(trace.order.size(), threads));
 
   // ---- replay all partitions (wait-free; see lookahead argument in
   // event_engine.h). Partitions are LPT-packed onto the workers by exact
   // routed-query counts and a worker that drains its own queue steals a
   // straggler's pending partition — neither changes replay order within a
   // partition, so results stay bit-identical. ----
-  const std::vector<double> weights(stream.routed_queries.begin(),
-                                    stream.routed_queries.end());
+  const std::vector<double> weights(tapes.routed_queries.begin(),
+                                    tapes.routed_queries.end());
   const auto replay_start = std::chrono::steady_clock::now();
   const std::int64_t steal_count = util::parallel_for_dynamic(
       endpoint_count,
       util::lpt_assignment(weights, std::min(threads, endpoint_count)),
       [&](std::size_t i) {
-        replay_event_shard(trace, stream, i, options, *shards[i]);
+        EventShard& shard = *shards[i];
+        if (shard.crash_plan.empty()) {
+          replay_event_shard<false>(trace, tapes, i, options, shard);
+        } else {
+          replay_event_shard<true>(trace, tapes, i, options, shard);
+        }
       });
   const auto replay_end = std::chrono::steady_clock::now();
 
@@ -585,7 +694,7 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   out.steal_count = steal_count;
   if (!routing.empty()) {
     const std::size_t max_routed = *std::max_element(
-        stream.routed_queries.begin(), stream.routed_queries.end());
+        tapes.routed_queries.begin(), tapes.routed_queries.end());
     out.shard_balance = static_cast<double>(max_routed) *
                         static_cast<double>(endpoint_count) /
                         static_cast<double>(routing.size());
@@ -624,7 +733,7 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   // A merge into an empty accumulator is a bitwise copy, so one partition's
   // statistics are the combined ones.
   out.response_sketch.reserve(std::accumulate(
-      stream.retained_samples.begin(), stream.retained_samples.end(),
+      tapes.retained_samples.begin(), tapes.retained_samples.end(),
       std::size_t{0}));
   for (auto& shard : shards) {
     out.dispatch_lag_seconds.merge(shard->lag_stats);

@@ -52,6 +52,12 @@ class TraceBuilder {
     return *this;
   }
 
+  /// Leaves `ticks` unused event times before the next event.
+  TraceBuilder& pause(EventTime ticks) {
+    now_ += ticks;
+    return *this;
+  }
+
   [[nodiscard]] workload::Trace build(EventTime warmup_end = 0) {
     trace_.info.warmup_end_event = warmup_end;
     return trace_;
