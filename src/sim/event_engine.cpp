@@ -203,7 +203,7 @@ void prefetch_query(const workload::Query& q) {
 }
 
 /// A partition's query tape: its span of routed queries in each decode
-/// block, read in block order. Past the last query its front is a sentinel
+/// chunk, read in chunk order. Past the last query its front is a sentinel
 /// at kEndOfTrace.
 class TapeCursor {
  public:
@@ -213,7 +213,7 @@ class TapeCursor {
   }
 
   [[nodiscard]] const QuerySlot& front() const { return *at_; }
-  /// The query `n` slots on in this block's span, or null.
+  /// The query `n` slots on in this chunk's span, or null.
   [[nodiscard]] const QuerySlot* ahead(std::size_t n) const {
     return end_ - at_ > static_cast<std::ptrdiff_t>(n) ? at_ + n : nullptr;
   }
@@ -225,8 +225,8 @@ class TapeCursor {
   static constexpr QuerySlot kEnd{0.0, kNoQuery, kEndOfTrace};
 
   void next_span() {
-    while (block_ < tapes_.block_count()) {
-      const std::span<const QuerySlot> span = tapes_.tape(block_++, endpoint_);
+    while (chunk_ < tapes_.chunk_count()) {
+      const std::span<const QuerySlot> span = tapes_.tape(chunk_++, endpoint_);
       if (!span.empty()) {
         at_ = span.data();
         end_ = at_ + span.size();
@@ -239,7 +239,7 @@ class TapeCursor {
 
   const EventTapes& tapes_;
   std::size_t endpoint_;
-  std::size_t block_ = 0;
+  std::size_t chunk_ = 0;
   const QuerySlot* at_ = nullptr;
   const QuerySlot* end_ = nullptr;
 };
@@ -487,10 +487,11 @@ void replay_event_shard(const workload::Trace& trace, const EventTapes& tapes,
 /// The combined view of the partitions, folded in endpoint order: the
 /// per-endpoint counters and traffic summed, each partition's repository
 /// overhead added, the latency statistics merged and the series summed
-/// pointwise. Every partition observed every event, so all series carry
-/// points at the same event indices, and their values are integer byte
-/// counts (exact in a double), so the sums are exact and independent of
-/// which thread replayed which partition.
+/// pointwise. Every partition observes its series at the same shared stops,
+/// which hold every point a series fed every event would record, so all
+/// series carry points at the same event indices; their values are integer
+/// byte counts (exact in a double), so the sums are exact and independent
+/// of which thread replayed which partition.
 RunResult combine_endpoints(
     const std::vector<std::unique_ptr<EventShard>>& shards,
     std::int64_t series_stride) {

@@ -15,8 +15,16 @@
 // partitioned by cache. Each partition is a full replica of the node graph —
 // its own event queue, and a repository replica and cache endpoint on the two
 // ends of one latency-aware wire (net::DelayedTransport over the endpoint's
-// link model) — that replays the merged trace sequence, applying every update
-// at the same sequence point and executing only the queries routed to it. The
+// link model) — that replays the merged trace sequence: it executes the
+// queries routed to it and applies, at its sequence point, every update its
+// replica can observe (see EventEngineOptions::prefilter_updates). It walks
+// only its own query tape, a short shared list of stops (the series sample
+// points, the warm-up boundary and the last event) and one shared update
+// column (sim/event_tapes.h). It never reads a foreign query, and neither
+// a foreign query nor a filtered update advances the partition clock:
+// every delivery due before the next processed event still runs, in time
+// order, inside that event's advance. A crash-windowed partition also wakes at every foreign
+// query, where its deferred policy wipe runs. The
 // decomposition is exact because every message a partition receives (server
 // replies, invalidation notices) is generated by its own replica: the
 // conservative lookahead bound (each partition may safely advance to the
@@ -94,11 +102,11 @@ using CachePolicyFactory = std::function<std::unique_ptr<core::CachePolicy>(
 /// thread count yields bit-identical results.
 ///
 /// The same threads split the trace (workload::assign_queries, when the
-/// engine computes the split) and decode it into the shared replay stream:
-/// both passes run as contiguous blocks of the trace, at most one per
-/// thread and none shorter than util::kMinBlockItems, so one thread or a
-/// short trace decodes inline. Both passes yield the same result for any
-/// block count.
+/// engine computes the split) and decode it into the partitions' query
+/// tapes, the shared update column and the stops: both passes run as
+/// contiguous blocks of the trace, at most one per thread and none shorter
+/// than util::kMinBlockItems, so one thread or a short trace decodes
+/// inline. Both passes yield the same result for any block count.
 struct ParallelOptions {
   /// 0 = one thread per hardware core.
   std::size_t num_threads = 1;
@@ -185,8 +193,10 @@ struct EventEngineOptions {
   /// the trace (parallel blocks on the engine's threads, see
   /// ParallelOptions) marks each such partition's routed objects in one
   /// byte-per-object row; the partition ORs in its
-  /// post-factory registrations and gates each update on the result by
-  /// object id. Result-invariant by construction
+  /// post-factory registrations and gates each update of the shared column
+  /// on the result by object id. A gated update costs the partition one
+  /// column read: no ingest and no clock advance. Result-invariant by
+  /// construction
   /// (EventEngineTest.PrefilterEquivalentToFullTapeReplay and its open-loop
   /// sibling pin filtered == full byte-for-byte); the toggle exists for
   /// those tests and for measuring the fan-out cost it removes.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <new>
 
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -113,8 +114,8 @@ EventTapes decode_tapes(const workload::Trace& trace,
                         const std::vector<bool>& prefilters,
                         std::int64_t sketch_stride,
                         const EventEngineOptions& options,
-                        std::size_t blocks) {
-  DELTA_CHECK(blocks > 0);
+                        std::size_t blocks, std::size_t chunk_events) {
+  DELTA_CHECK(blocks > 0 && chunk_events > 0);
   DELTA_CHECK(options.series_stride > 0);
   const std::size_t endpoint_count = prefilters.size();
   const std::size_t object_count = trace.initial_object_bytes.size();
@@ -129,8 +130,8 @@ EventTapes decode_tapes(const workload::Trace& trace,
   tapes.seconds_per_event = options.seconds_per_event;
   // Storage layout: the column, the query slots, then (open loop) the
   // arrivals; each part's size is a multiple of 8 bytes, so every part is
-  // aligned for its slots. The slots are implicit-lifetime types, which a
-  // byte array's allocation creates.
+  // aligned for its slots. The slots are implicit-lifetime types, which
+  // the byte array's allocation creates; std::launder reaches them.
   const std::size_t column_bytes =
       (trace.updates.size() + 1) * sizeof(UpdateSlot);
   const std::size_t slot_bytes = event_count * sizeof(QuerySlot);
@@ -138,10 +139,10 @@ EventTapes decode_tapes(const workload::Trace& trace,
       options.open_loop.enabled ? event_count * sizeof(double) : 0;
   tapes.storage = std::make_unique_for_overwrite<std::byte[]>(
       column_bytes + slot_bytes + arrival_bytes);
-  tapes.updates = reinterpret_cast<UpdateSlot*>(tapes.storage.get());
-  tapes.queries =
-      reinterpret_cast<QuerySlot*>(tapes.storage.get() + column_bytes);
-  tapes.groups.resize(blocks * (endpoint_count + 1));
+  tapes.updates =
+      std::launder(reinterpret_cast<UpdateSlot*>(tapes.storage.get()));
+  tapes.queries = std::launder(
+      reinterpret_cast<QuerySlot*>(tapes.storage.get() + column_bytes));
   tapes.touch_rows.resize(endpoint_count);
   for (std::size_t e = 0; e < endpoint_count; ++e) {
     if (prefilters[e]) tapes.touch_rows[e].assign(object_count, 0);
@@ -156,8 +157,8 @@ EventTapes decode_tapes(const workload::Trace& trace,
     arrivals = std::make_unique<workload::ArrivalProcess>(
         options.open_loop.arrival, options.open_loop.rate_per_sec,
         options.open_loop.seed);
-    tapes.arrivals = reinterpret_cast<double*>(tapes.storage.get() +
-                                               column_bytes + slot_bytes);
+    tapes.arrivals = std::launder(reinterpret_cast<double*>(
+        tapes.storage.get() + column_bytes + slot_bytes));
     if (blocks > 1) {
       for (std::size_t pos = 0; pos < event_count; ++pos) {
         tapes.arrivals[pos] = arrivals->next();
@@ -170,38 +171,21 @@ EventTapes decode_tapes(const workload::Trace& trace,
   QuerySlot* const slots = tapes.queries;
   double* const event_arrivals = tapes.arrivals;
 
+  const std::size_t chunk_count =
+      (event_count + chunk_events - 1) / chunk_events;
+  tapes.groups.resize(chunk_count * (endpoint_count + 1));
   std::vector<BlockTally> tallies(blocks);
   util::parallel_for_blocks(
-      event_count, blocks,
-      [&](std::size_t b, std::size_t begin, std::size_t end) {
+      chunk_count, blocks,
+      [&](std::size_t b, std::size_t chunk_begin, std::size_t chunk_end) {
+        const std::size_t begin = chunk_begin * chunk_events;
         std::vector<std::size_t> routed(endpoint_count, 0);
         std::vector<std::size_t> retained(endpoint_count, 0);
         std::size_t updates = 0;
-        // Count pass, over the order and the routing only. It stops at the
-        // first query whose index or routing the write pass rejects; the
-        // write pass throws there, after any earlier bad object id, so the
-        // first bad event in trace order is still the one reported.
-        for (std::size_t pos = begin; pos < end; ++pos) {
-          const workload::Event& event = trace.order[pos];
-          if (event.kind == workload::Event::Kind::kUpdate) continue;
-          if (!index_in_range(trace, event) ||
-              routing[static_cast<std::size_t>(event.index)] >=
-                  endpoint_count) {
-            break;
-          }
-          ++routed[routing[static_cast<std::size_t>(event.index)]];
-        }
-        std::uint32_t* const group = &tapes.groups[b * (endpoint_count + 1)];
-        // The next free slot of each partition's group.
+        // Per chunk: its queries per partition, then the next free slot of
+        // each partition's group.
+        std::vector<std::uint32_t> counts(endpoint_count);
         std::vector<std::uint32_t> cursor(endpoint_count);
-        auto next_slot = static_cast<std::uint32_t>(begin);
-        for (std::size_t e = 0; e < endpoint_count; ++e) {
-          group[e] = next_slot;
-          cursor[e] = next_slot;
-          next_slot += static_cast<std::uint32_t>(routed[e]);
-        }
-        group[endpoint_count] = next_slot;
-
         // Update ids follow their rank in the merged order and event times
         // never decrease, across block boundaries too: the block continues
         // from the last update and the last event before it. (When those
@@ -217,86 +201,118 @@ EventTapes decode_tapes(const workload::Trace& trace,
         EventTime previous = begin > 0
                                  ? time_at(trace, begin - 1)
                                  : std::numeric_limits<EventTime>::min();
-        for (std::size_t pos = begin; pos < end; ++pos) {
-          const workload::Event& event = trace.order[pos];
-          DELTA_CHECK(index_in_range(trace, event));
-          const auto i = static_cast<std::size_t>(event.index);
-          const bool is_update = event.kind == workload::Event::Kind::kUpdate;
-          const workload::Update* u = nullptr;
-          std::uint32_t e = 0;
-          EventTime now = 0;
-          if (is_update) {
-            u = &trace.updates[i];
-            DELTA_CHECK_MSG(event.index == next_update,
-                            "update event " << pos << " names update " << i
-                                            << " where the merged order's "
-                                               "next update is "
-                                            << next_update);
-            ++next_update;
-            // Object ids index the shards' prefilter gates; a hand-built
-            // trace need not have been validated.
-            DELTA_CHECK_MSG(u->object.value() >= 0 &&
-                                static_cast<std::size_t>(u->object.value()) <
-                                    object_count,
-                            "update " << i << " names object "
-                                      << u->object.value() << " of "
-                                      << object_count);
-            now = u->time;
-          } else {
-            const workload::Query& q = trace.queries[i];
-            // A worker silently skips queries routed out of range, so the
-            // whole split is validated here.
-            e = routing[i];
-            DELTA_CHECK(e < endpoint_count);
-            now = q.time;
-            if (now >= warmup_end &&
-                (sketch_stride <= 1 ||
-                 static_cast<std::int64_t>(i) % sketch_stride == 0)) {
-              ++retained[e];
+        for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
+          const std::size_t first = c * chunk_events;
+          const std::size_t last = std::min(event_count, first + chunk_events);
+          // Count pass, over the chunk's order and routing only, which the
+          // write pass then reads again from the CPU cache. It stops at the
+          // first query whose index or routing the write pass rejects; the
+          // write pass throws there, after any earlier bad object id, so
+          // the first bad event in trace order is still the one reported.
+          std::fill(counts.begin(), counts.end(), 0);
+          for (std::size_t pos = first; pos < last; ++pos) {
+            const workload::Event& event = trace.order[pos];
+            if (event.kind == workload::Event::Kind::kUpdate) continue;
+            if (!index_in_range(trace, event) ||
+                routing[static_cast<std::size_t>(event.index)] >=
+                    endpoint_count) {
+              break;
             }
-            std::vector<std::uint8_t>& row = tapes.touch_rows[e];
-            if (!row.empty()) {
-              // Marked here, while the query record is in cache, so no
-              // partition walks the routing table or the query records for
-              // its touch set. Blocks mark one row concurrently: a relaxed
-              // load first, so a byte already set is never written again
-              // and its cache line is not bounced between workers.
-              for (const ObjectId o : q.objects) {
-                DELTA_CHECK_MSG(o.value() >= 0 &&
-                                    static_cast<std::size_t>(o.value()) <
-                                        object_count,
-                                "query " << i << " names object "
-                                         << o.value() << " of "
-                                         << object_count);
-                const std::atomic_ref<std::uint8_t> mark{
-                    row[static_cast<std::size_t>(o.value())]};
-                if (mark.load(std::memory_order_relaxed) == 0) {
-                  mark.store(1, std::memory_order_relaxed);
+            ++counts[routing[static_cast<std::size_t>(event.index)]];
+          }
+          std::uint32_t* const group = &tapes.groups[c * (endpoint_count + 1)];
+          auto next_slot = static_cast<std::uint32_t>(first);
+          for (std::size_t e = 0; e < endpoint_count; ++e) {
+            group[e] = next_slot;
+            cursor[e] = next_slot;
+            next_slot += counts[e];
+            routed[e] += counts[e];
+          }
+          group[endpoint_count] = next_slot;
+
+          for (std::size_t pos = first; pos < last; ++pos) {
+            const workload::Event& event = trace.order[pos];
+            DELTA_CHECK(index_in_range(trace, event));
+            const auto i = static_cast<std::size_t>(event.index);
+            const bool is_update =
+                event.kind == workload::Event::Kind::kUpdate;
+            const workload::Update* u = nullptr;
+            std::uint32_t e = 0;
+            EventTime now = 0;
+            if (is_update) {
+              u = &trace.updates[i];
+              DELTA_CHECK_MSG(event.index == next_update,
+                              "update event " << pos << " names update " << i
+                                              << " where the merged order's "
+                                                 "next update is "
+                                              << next_update);
+              ++next_update;
+              // Object ids index the shards' prefilter gates; a hand-built
+              // trace need not have been validated.
+              DELTA_CHECK_MSG(u->object.value() >= 0 &&
+                                  static_cast<std::size_t>(u->object.value()) <
+                                      object_count,
+                              "update " << i << " names object "
+                                        << u->object.value() << " of "
+                                        << object_count);
+              now = u->time;
+            } else {
+              const workload::Query& q = trace.queries[i];
+              // A worker silently skips queries routed out of range, so the
+              // whole split is validated here.
+              e = routing[i];
+              DELTA_CHECK(e < endpoint_count);
+              now = q.time;
+              if (now >= warmup_end &&
+                  (sketch_stride <= 1 ||
+                   static_cast<std::int64_t>(i) % sketch_stride == 0)) {
+                ++retained[e];
+              }
+              std::vector<std::uint8_t>& row = tapes.touch_rows[e];
+              if (!row.empty()) {
+                // Marked here, while the query record is in cache, so no
+                // partition walks the routing table or the query records
+                // for its touch set. Blocks mark one row concurrently: a
+                // relaxed load first, so a byte already set is never
+                // written again and its cache line is not bounced between
+                // workers.
+                for (const ObjectId o : q.objects) {
+                  DELTA_CHECK_MSG(o.value() >= 0 &&
+                                      static_cast<std::size_t>(o.value()) <
+                                          object_count,
+                                  "query " << i << " names object "
+                                           << o.value() << " of "
+                                           << object_count);
+                  const std::atomic_ref<std::uint8_t> mark{
+                      row[static_cast<std::size_t>(o.value())]};
+                  if (mark.load(std::memory_order_relaxed) == 0) {
+                    mark.store(1, std::memory_order_relaxed);
+                  }
                 }
               }
             }
-          }
-          DELTA_CHECK_MSG(now >= previous, "event " << pos << " at time "
-                                                    << now
-                                                    << " precedes the time "
-                                                    << previous
-                                                    << " of the event before");
-          previous = now;
-          double arrival = static_cast<double>(now) * options.seconds_per_event;
-          if (block_arrivals != nullptr) {
-            arrival = event_arrivals[pos] = block_arrivals->next();
-          } else if (event_arrivals != nullptr) {
-            arrival = event_arrivals[pos];
-          }
-          const auto position = static_cast<std::uint32_t>(pos);
-          if (is_update) {
-            column[i] = {arrival, u->cost.count(),
-                         static_cast<std::uint32_t>(u->object.value()),
-                         position};
-            ++updates;
-          } else {
-            slots[cursor[e]++] = {arrival, static_cast<std::uint32_t>(i),
-                                  position};
+            DELTA_CHECK_MSG(now >= previous,
+                            "event " << pos << " at time " << now
+                                     << " precedes the time " << previous
+                                     << " of the event before");
+            previous = now;
+            double arrival =
+                static_cast<double>(now) * options.seconds_per_event;
+            if (block_arrivals != nullptr) {
+              arrival = event_arrivals[pos] = block_arrivals->next();
+            } else if (event_arrivals != nullptr) {
+              arrival = event_arrivals[pos];
+            }
+            const auto position = static_cast<std::uint32_t>(pos);
+            if (is_update) {
+              column[i] = {arrival, u->cost.count(),
+                           static_cast<std::uint32_t>(u->object.value()),
+                           position};
+              ++updates;
+            } else {
+              slots[cursor[e]++] = {arrival, static_cast<std::uint32_t>(i),
+                                    position};
+            }
           }
         }
         tallies[b] = {std::move(routed), std::move(retained), updates};

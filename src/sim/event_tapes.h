@@ -14,14 +14,15 @@
 // position (sim/event_engine.cpp) and never reads a foreign query.
 //
 // The decode runs as contiguous blocks of the merged order on
-// util::parallel_for_blocks, in one launch. The query slots are one
-// never-zeroed buffer of one slot per event: block b first counts its
-// routed queries per partition over its own range, then writes them
-// grouped by partition into the head of that range, so partition e's tape
-// is one span per block, read in block order. The stops are found after
-// the join by a galloping search over the event times. Every tape, the
-// column and the stops are therefore identical for every block count
-// (pinned by sim_decode_test).
+// util::parallel_for_blocks, in one launch; a block is a run of whole
+// chunks of kTapeChunkEvents events. The query slots are one never-zeroed
+// buffer of one slot per event: for each chunk, its block first counts
+// the chunk's routed queries per partition, then writes them grouped by
+// partition into the head of the chunk's range, so partition e's tape is
+// one span per chunk, read in chunk order. Block 0 then finds the stops
+// by a galloping search over the event times. The tapes, the column and
+// the stops therefore do not depend on the block count (pinned by
+// sim_decode_test).
 #pragma once
 
 #include <cstddef>
@@ -44,6 +45,11 @@ namespace delta::sim {
 inline constexpr std::size_t kPrefetchLead = 8;
 inline constexpr std::uint32_t kNoQuery =
     std::numeric_limits<std::uint32_t>::max();
+/// Events per decode chunk. A chunk's order entries and routing values
+/// (~160 KiB) stay in the CPU cache between its count and write passes;
+/// a tape's prefetch lookahead stops at a chunk's end, which on a trace
+/// of half queries still leaves ~128 queries per span at N = 64.
+inline constexpr std::size_t kTapeChunkEvents = std::size_t{1} << 14;
 /// The trace position past every event: the sentinel that ends the
 /// column, each tape and the stops, so a merge needs no bounds checks.
 inline constexpr std::uint32_t kEndOfTrace =
@@ -83,10 +89,10 @@ struct EventTapes {
   const workload::Trace* trace = nullptr;
   std::size_t endpoint_count = 0;
   /// One allocation for the column, the query slots and the open-loop
-  /// arrivals, never zeroed. One block, not three, so that once a run has
-  /// freed it the allocator hands the next run the same pages: glibc's
-  /// dynamic threshold serves a block from its heap once one of that size
-  /// has been freed, and trims the heap only past twice that size.
+  /// arrivals, never zeroed. One, not three, so that once a run has freed
+  /// it the allocator hands the next run the same pages: glibc's dynamic
+  /// threshold serves a block from its heap once one of that size has been
+  /// freed, and trims the heap only past twice that size.
   std::unique_ptr<std::byte[]> storage;
   /// The update column, update_count slots plus a sentinel slot whose
   /// position is kEndOfTrace.
@@ -94,8 +100,8 @@ struct EventTapes {
   std::size_t update_count = 0;
   /// The query slots: one per event (see the file comment).
   QuerySlot* queries = nullptr;
-  /// Block b's group of partition e is queries[groups[b * (N + 1) + e],
-  /// groups[b * (N + 1) + e + 1]), N the endpoint count.
+  /// Chunk c's group of partition e is queries[groups[c * (N + 1) + e],
+  /// groups[c * (N + 1) + e + 1]), N the endpoint count.
   std::vector<std::uint32_t> groups;
   /// Series samples, warm-up boundary and last event, in trace order, then
   /// a sentinel at kEndOfTrace.
@@ -116,14 +122,14 @@ struct EventTapes {
   /// see replay_event_shard). Empty for partitions that do not prefilter.
   std::vector<std::vector<std::uint8_t>> touch_rows;
 
-  [[nodiscard]] std::size_t block_count() const {
+  [[nodiscard]] std::size_t chunk_count() const {
     return groups.size() / (endpoint_count + 1);
   }
-  /// Partition `endpoint`'s routed queries in block `block`, in trace
+  /// Partition `endpoint`'s routed queries in chunk `chunk`, in trace
   /// order.
-  [[nodiscard]] std::span<const QuerySlot> tape(std::size_t block,
+  [[nodiscard]] std::span<const QuerySlot> tape(std::size_t chunk,
                                                 std::size_t endpoint) const {
-    const std::uint32_t* group = &groups[block * (endpoint_count + 1)];
+    const std::uint32_t* group = &groups[chunk * (endpoint_count + 1)];
     return {queries + group[endpoint], queries + group[endpoint + 1]};
   }
   /// The arrival of the event at `position` (a crash-windowed partition
@@ -136,17 +142,19 @@ struct EventTapes {
   [[nodiscard]] double closed_loop_arrival(std::size_t position) const;
 };
 
-/// Decodes the trace's merged order in `blocks` contiguous blocks (see the
-/// file comment), validating every event — trace indices, routing values
-/// below prefilters.size() (the endpoint count), object ids below the
-/// object table, update events in id order, nondecreasing event times —
-/// and throwing on the first bad one in trace order. Touch rows are built
-/// for the partitions whose `prefilters` entry is set. The stops sample
-/// every options.series_stride ticks of event time, as util::CumulativeSeries
-/// does when it observes every event.
+/// Decodes the trace's merged order in `blocks` contiguous blocks of
+/// chunks of `chunk_events` events (see the file comment; tests pick small
+/// chunks to get many on a small trace), validating every event — trace
+/// indices, routing values below prefilters.size() (the endpoint count),
+/// object ids below the object table, update events in id order,
+/// nondecreasing event times — and throwing on the first bad one in trace
+/// order. Touch rows are built for the partitions whose `prefilters` entry
+/// is set. The stops sample every options.series_stride ticks of event
+/// time, as util::CumulativeSeries does when it observes every event.
 [[nodiscard]] EventTapes decode_tapes(
     const workload::Trace& trace, const std::vector<std::uint32_t>& routing,
     const std::vector<bool>& prefilters, std::int64_t sketch_stride,
-    const EventEngineOptions& options, std::size_t blocks);
+    const EventEngineOptions& options, std::size_t blocks,
+    std::size_t chunk_events = kTapeChunkEvents);
 
 }  // namespace delta::sim

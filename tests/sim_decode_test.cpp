@@ -7,7 +7,8 @@
 // the traffic ledger and util::CumulativeSeries imply when they observe
 // every event: the series' sample points, the first event inside the
 // measurement window and the last event. The traces are small, so forcing
-// up to eight blocks gives blocks that route no query to some partitions.
+// up to eight blocks of 7- or 64-event chunks gives chunks that route no
+// query to some partitions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -129,9 +130,9 @@ Flat flatten(const EventTapes& tapes) {
   flat.column.assign(tapes.updates, tapes.updates + tapes.update_count);
   EXPECT_EQ(tapes.updates[tapes.update_count].position, kEndOfTrace);
   flat.tapes.resize(tapes.endpoint_count);
-  for (std::size_t b = 0; b < tapes.block_count(); ++b) {
+  for (std::size_t c = 0; c < tapes.chunk_count(); ++c) {
     for (std::size_t e = 0; e < tapes.endpoint_count; ++e) {
-      for (const QuerySlot& slot : tapes.tape(b, e)) {
+      for (const QuerySlot& slot : tapes.tape(c, e)) {
         flat.tapes[e].push_back(slot);
       }
     }
@@ -239,7 +240,9 @@ void expect_flat_equal(const Flat& got, const Flat& want) {
   EXPECT_EQ(got.rows, want.rows);
 }
 
-/// Decodes at 1..kMaxBlocks blocks and expects the definitions every time.
+/// Decodes in one block of one chunk (these traces are shorter than
+/// kTapeChunkEvents), and at 1..kMaxBlocks blocks of 7- and 64-event
+/// chunks, and expects the definitions every time.
 void expect_tapes_match(const workload::Trace& trace,
                         const std::vector<std::uint32_t>& routing,
                         const std::vector<bool>& prefilters,
@@ -247,12 +250,19 @@ void expect_tapes_match(const workload::Trace& trace,
                         const EventEngineOptions& options) {
   const Flat want =
       brute_force(trace, routing, prefilters, sketch_stride, options);
-  for (std::size_t blocks = 1; blocks <= kMaxBlocks; ++blocks) {
-    SCOPED_TRACE(::testing::Message() << "blocks " << blocks);
-    const EventTapes tapes = decode_tapes(trace, routing, prefilters,
-                                          sketch_stride, options, blocks);
-    ASSERT_EQ(tapes.block_count(), blocks);
-    expect_flat_equal(flatten(tapes), want);
+  expect_flat_equal(
+      flatten(decode_tapes(trace, routing, prefilters, sketch_stride, options,
+                           1)),
+      want);
+  for (const std::size_t chunk : {7u, 64u}) {
+    for (std::size_t blocks = 1; blocks <= kMaxBlocks; ++blocks) {
+      SCOPED_TRACE(::testing::Message()
+                   << "blocks " << blocks << " of " << chunk << "-event chunks");
+      const EventTapes tapes = decode_tapes(
+          trace, routing, prefilters, sketch_stride, options, blocks, chunk);
+      ASSERT_EQ(tapes.chunk_count(), (trace.order.size() + chunk - 1) / chunk);
+      expect_flat_equal(flatten(tapes), want);
+    }
   }
 }
 
@@ -337,7 +347,8 @@ TEST(DecodeTapesTest, StopsRecordTheSeriesOfEveryEvent) {
     options.series_stride = stride;
     const EventTapes tapes =
         decode_tapes(trace, uniform_routing(rng, trace, 3),
-                     alternate_prefilters(3), 1, options, 5);
+                     alternate_prefilters(3), 1, options, 5,
+                     /*chunk_events=*/16);
     util::CumulativeSeries every{stride};
     for (std::size_t pos = 0; pos < trace.order.size(); ++pos) {
       every.observe(time_of(trace, pos), static_cast<double>(pos));
@@ -365,14 +376,15 @@ TEST(DecodeTapesTest, SkewedRoutingLeavesEmptyTapes) {
   const std::vector<std::uint32_t> routing = skewed_routing(trace);
   expect_tapes_match(trace, routing, alternate_prefilters(4), 1,
                      EventEngineOptions{});
-  const EventTapes tapes = decode_tapes(trace, routing, alternate_prefilters(4),
-                                        1, EventEngineOptions{}, kMaxBlocks);
+  const EventTapes tapes =
+      decode_tapes(trace, routing, alternate_prefilters(4), 1,
+                   EventEngineOptions{}, kMaxBlocks, /*chunk_events=*/64);
   EXPECT_EQ(tapes.routed_queries[2], 0u);
   EXPECT_EQ(tapes.routed_queries[3], 5u);
-  for (std::size_t b = 0; b < kMaxBlocks; ++b) {
-    EXPECT_TRUE(tapes.tape(b, 2).empty());
+  for (std::size_t c = 0; c < tapes.chunk_count(); ++c) {
+    EXPECT_TRUE(tapes.tape(c, 2).empty());
   }
-  EXPECT_TRUE(tapes.tape(kMaxBlocks - 1, 3).empty());
+  EXPECT_TRUE(tapes.tape(tapes.chunk_count() - 1, 3).empty());
 }
 
 TEST(DecodeTapesTest, RetainedCountsFollowTheSketchStride) {
@@ -417,7 +429,8 @@ TEST(DecodeTapesTest, ArrivalAtReadsEveryEvent) {
     for (const std::size_t blocks : {1u, 3u}) {
       const EventTapes tapes =
           decode_tapes(trace, uniform_routing(rng, trace, 2),
-                       alternate_prefilters(2), 1, options, blocks);
+                       alternate_prefilters(2), 1, options, blocks,
+                       /*chunk_events=*/16);
       for (std::size_t pos = 0; pos < trace.order.size(); ++pos) {
         EXPECT_EQ(tapes.arrival_at(pos), arrivals[pos]) << pos;
       }
@@ -444,7 +457,7 @@ std::string rejection(const workload::Trace& trace,
                       std::size_t endpoints, std::size_t blocks) {
   try {
     (void)decode_tapes(trace, routing, alternate_prefilters(endpoints), 1,
-                       EventEngineOptions{}, blocks);
+                       EventEngineOptions{}, blocks, /*chunk_events=*/16);
   } catch (const std::logic_error& e) {
     return e.what();
   }
