@@ -17,9 +17,10 @@
 //     through under- and over-saturated regimes deterministically.
 //
 // Determinism: the schedule is a pure function of (kind, rate, seed) via
-// util::Rng, and the engine generates it once on the calling thread into
-// the shared decoded stream — every partition sees the identical tape, so
-// results stay bit-identical for any thread count.
+// util::Rng, and the engine's decode draws it once, as one sequential
+// stream in trace order, into the arrivals every partition reads (its
+// query tape, the shared update column and the stops), so results stay
+// bit-identical for any thread count.
 #pragma once
 
 #include <cstdint>
