@@ -208,6 +208,54 @@ TEST(CrashRestartTest, VCoverCacheCrashReplayIsPinned) {
   }
 }
 
+// The instant a cache wipe reaches the policy, pinned. The wipe fires inside
+// some event's advance or dispatch, and the policy's half of it runs once
+// that event ends; a partition that reached the wipe's instant one event
+// late would dispatch that event against the pre-crash policy state. In
+// this run (VCover on four region-split caches in the open loop, cache-0
+// down for 5% of the run) that changes the replay, the messages delivered
+// and the cold misses.
+TEST(CrashRestartTest, CacheWipeInstantIsPinned) {
+  const World setup{loading_params(39)};
+  const double rate = 500.0;
+  const double duration =
+      static_cast<double>(setup.trace().order.size()) / rate;
+  ChaosYardsticks pinned;
+  pinned.timeouts = 597;
+  pinned.retries = 597;
+  pinned.failed_requests = 1;
+  pinned.late_replies = 578;
+  pinned.duplicate_notices_suppressed = 3;
+  pinned.shed_replies = 87;
+  pinned.resyncs = 8;
+  pinned.replayed_notices = 3;
+  pinned.notices_applied = 32;
+  pinned.unavailable_seconds = 2.8784439379866957;
+  pinned.shed_queries = 294;
+  pinned.resyncs_served = 17;
+  pinned.notices_logged = 32;
+  pinned.crash_restarts = 1;
+  pinned.crash_dropped = 20;
+  pinned.cold_misses = 2;
+  pinned.crash_downtime_seconds = 0.23999999999999999;
+  pinned.max_reconvergence_seconds = 0.040011520000000189;
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "T=" << threads);
+    EventEngineOptions options = chaos_base(rate);
+    add_crash(options, "cache-0", 0.41 * duration, (0.41 + 0.05) * duration);
+    options.parallel.num_threads = threads;
+    const EventRunResult r = run_one_event(
+        PolicyKind::kVCover, setup.trace(), setup.cache_capacity(),
+        setup.params(), 4, workload::SplitStrategy::kHashByRegion, options);
+    EXPECT_EQ(delta::testing::replay_fingerprint(r.replay),
+              328060730714282383ULL);
+    EXPECT_EQ(r.delivered_messages, 3217);
+    EXPECT_EQ(r.response_p99(), 3.1607009984273269);
+    EXPECT_EQ(r.chaos, pinned);
+    expect_books_balanced(r, setup.trace().queries.size());
+  }
+}
+
 // The tentpole, server side: the repository process dies for 10% of the
 // run. Its registration rows, dedup windows, and notice ledgers are gone;
 // caches detect the restart from the incarnation stamp on the first
