@@ -200,6 +200,9 @@ void BenefitPolicy::close_window() {
     const ObjectId o{static_cast<std::int64_t>(i)};
     if (!selected_[i] || store_.contains(o)) continue;
     system_->load_object(o);
+    // The load pumps deliveries whose on_update may close a nested window,
+    // and that close may have loaded `o` already.
+    if (store_.contains(o)) continue;
     store_.load(o, system_->server_object_bytes(o));
     ++loads_;
   }

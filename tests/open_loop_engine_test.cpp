@@ -156,6 +156,43 @@ TEST(OpenLoopEngineTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+// A Benefit window that closes inside another close's blocking load. Over
+// WAN links in the open loop, close_window's synchronous load pumps
+// deliveries, and their update notices tick the window, which can close
+// again before the outer close returns; the nested close may load the very
+// object the outer one is waiting on. The outer close must then neither
+// count the load twice nor insert the object twice (it used to throw
+// "already cached"). Both worlds reach such a close at N = 4 on the region
+// split with the hardened protocol and admission on.
+TEST(OpenLoopEngineTest, BenefitWindowClosingInsideItsOwnLoadCompletes) {
+  for (const std::uint64_t seed : {15u, 34u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    SetupParams p;
+    p.base_level = 4;
+    p.total_rows = 400;
+    p.object_target = 30;
+    p.trace_seed = seed;
+    p.trace.query_count = 1200;
+    p.trace.update_count = 1200;
+    p.trace.postwarmup_query_gb = 0.05;
+    p.trace.mean_postwarmup_update_mb = 0.02;
+    p.trace.hotspot_max_object_gb = 0.01;
+    p.benefit_window = 500;
+    const World setup{p};
+    EventEngineOptions options = wan_open_loop(500.0);
+    options.open_loop.max_in_flight = 64;
+    options.protocol.enabled = true;
+    options.admission.enabled = true;
+    EventRunResult r;
+    EXPECT_NO_THROW(r = run_one_event(PolicyKind::kBenefit, setup.trace(),
+                                      setup.cache_capacity(), setup.params(),
+                                      4, workload::SplitStrategy::kHashByRegion,
+                                      options));
+    EXPECT_EQ(r.replay.combined.queries,
+              static_cast<std::int64_t>(setup.trace().queries.size()));
+  }
+}
+
 // Congestion batching conserves the invalidation fan-out exactly: every
 // notice the unbatched run sends is either a standalone message or rides
 // coalesced behind another one — and under a bursty saturating drive some
