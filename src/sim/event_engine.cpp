@@ -116,7 +116,8 @@ struct EventShard {
   };
   std::vector<CrashEvent> crash_plan;
   /// Set by a cache wipe event; the replay loop runs the policy's
-  /// on_crash_restart at its top — the one point where no policy dispatch
+  /// on_crash_restart at the end of the event during whose advance or
+  /// dispatch the wipe fired — the one point where no policy dispatch
   /// frame can be live. A crash event may fire inside a synchronous frame's
   /// event pump, and wiping the policy mid-frame would yank live scratch
   /// (eviction batch decisions, load-candidate lists) out from under it.
@@ -258,13 +259,14 @@ class TapeCursor {
 // warm-up snapshot, its series points and its last observation all fall
 // on them.
 //
-// A crash-windowed partition (kEveryEvent) also wakes at every foreign
-// query: a cache wipe fires inside some event's advance_until and the
-// policy's part of it runs at the top of the next event
-// (EventShard::policy_wipe_pending), so which events a partition wakes at
-// decides what the wiped policy sees. Such a partition does not prefilter,
-// so it reaches every update anyway.
-template <bool kEveryEvent>
+// A cache wipe fires inside some event's advance_until or dispatch, and the
+// policy's part of it runs at the end of that event
+// (EventShard::policy_wipe_pending), so which events a partition processes
+// decides what the wiped policy sees. A crash-windowed partition therefore
+// also stops at a wake stop per cache wipe: the first event whose arrival is
+// at or past the wipe's instant, whose advance fires it unless an earlier
+// dispatch already has. Its wipe then runs where it would if the partition
+// processed every event.
 void replay_event_shard(const workload::Trace& trace, const EventTapes& tapes,
                         std::size_t self, const EventEngineOptions& options,
                         EventShard& shard) {
@@ -278,11 +280,15 @@ void replay_event_shard(const workload::Trace& trace, const EventTapes& tapes,
   // routed queries (or factory preloads, captured in the post-factory
   // registration row), reply payloads are fixed trace fields (q.cost /
   // u.cost), and the invalidation fan-out gates on subscription/
-  // registration. An update whose object is outside the touch set is
-  // therefore an invisible repository-size bump here — skipping its ingest
-  // is exact. The decode pass builds a row only for partitions that
-  // prefilter (see run_policy_event). The registration row is read before
-  // the preload flush below, while it still is the post-factory row.
+  // registration. Crashes keep it so: a server crash only clears the
+  // registration row, a cache crash only empties the cache, and the
+  // kRecoverRequest that re-registers a cache after a server restart
+  // carries its resident set, a subset of its earlier loads. An update
+  // whose object is outside the touch set is therefore an invisible
+  // repository-size bump here — skipping its ingest is exact. The decode
+  // pass builds a row only for partitions that prefilter (see
+  // run_policy_event). The registration row is read before the preload
+  // flush below, while it still is the post-factory row.
   const std::vector<std::uint8_t>& routed_objects = tapes.touch_rows[self];
   std::vector<std::uint8_t> touch;
   if (!routed_objects.empty()) {
@@ -302,12 +308,20 @@ void replay_event_shard(const workload::Trace& trace, const EventTapes& tapes,
   // can never race a wipe. Same-instant events run in schedule order and
   // the plan vector is ordered wipe-before-heal per window. The clamp
   // covers preloads that advanced the clock past an early window edge
-  // (identical on every shard, so determinism is preserved).
+  // (identical on every shard, so determinism is preserved). Each cache
+  // wipe adds a wake stop at its clamped instant.
+  std::vector<double> wakes;
   for (std::size_t k = 0; k < shard.crash_plan.size(); ++k) {
-    events.schedule(std::max(shard.crash_plan[k].at, events.now()),
-                    &EventShard::on_crash_event, &shard,
+    const EventShard::CrashEvent& ce = shard.crash_plan[k];
+    const double at = std::max(ce.at, events.now());
+    events.schedule(at, &EventShard::on_crash_event, &shard,
                     static_cast<std::uint64_t>(k));
+    if (ce.wipe && !ce.server) wakes.push_back(at);
   }
+  // Crash-free partitions walk the shared stops.
+  const std::vector<Stop> woken =
+      wakes.empty() ? std::vector<Stop>{} : with_wake_stops(tapes, wakes);
+  const Stop* stop = wakes.empty() ? tapes.stops.data() : woken.data();
 
   RunResult& r = shard.result;
   r.policy_name = shard.policy->name();
@@ -335,9 +349,9 @@ void replay_event_shard(const workload::Trace& trace, const EventTapes& tapes,
 
   const auto run_pending_wipe = [&] {
     if (shard.policy_wipe_pending) {
-      // Deferred crash wipe (see the EventShard field note): no dispatch
-      // frame is live here, so the policy's soft state can be dropped
-      // without invalidating anything on the stack.
+      // Deferred crash wipe (see the EventShard field note), at the end of
+      // an event: no dispatch frame is live here, so the policy's soft
+      // state can be dropped without invalidating anything on the stack.
       shard.policy_wipe_pending = false;
       policy.on_crash_restart();
     }
@@ -413,15 +427,8 @@ void replay_event_shard(const workload::Trace& trace, const EventTapes& tapes,
     }
   };
 
-  const Stop* stop = tapes.stops.data();
-  // The next event a crash-windowed partition wakes at; the others never.
-  const std::size_t event_count = trace.order.size();
-  std::uint32_t wake = kEveryEvent && event_count > 0 ? 0 : kEndOfTrace;
   for (;;) {
-    // A crash-windowed partition wakes at each event in turn, and every
-    // stop, own query and update lies at or past the next one.
-    const std::uint32_t next =
-        kEveryEvent ? wake : std::min(stop->position, tape.front().position);
+    const std::uint32_t next = std::min(stop->position, tape.front().position);
     // Every update before the next stop or own query. Deliver everything
     // due up to an event's arrival, then move the clock to it (messages
     // still in flight are delivered — and metered — later, so a snapshot
@@ -429,23 +436,22 @@ void replay_event_shard(const workload::Trace& trace, const EventTapes& tapes,
     for (; update->position < next; ++update) {
       __builtin_prefetch(update + 16);
       if (admitted()) {
-        run_pending_wipe();
         events.advance_until(update->arrival);
         ingest();
+        run_pending_wipe();
       } else {
         ++shard.prefiltered_updates;
       }
     }
     if (next == kEndOfTrace) break;
-    run_pending_wipe();
     const bool at_stop = stop->position == next;
+    const bool samples = at_stop && stop->samples_ledger;
     const bool is_update = update->position == next;
     const bool is_own = !is_update && tape.front().position == next;
     events.advance_until(is_update ? update->arrival
                          : is_own  ? tape.front().arrival
-                         : at_stop ? stop->arrival
-                                   : tapes.arrival_at(next));
-    if (at_stop) ledger.before_event(stop->now);
+                                   : stop->arrival);
+    if (samples) ledger.before_event(stop->now);
     if (is_update) {
       if (admitted()) {
         ingest();
@@ -456,13 +462,9 @@ void replay_event_shard(const workload::Trace& trace, const EventTapes& tapes,
     } else if (is_own) {
       dispatch();
     }
-    if (at_stop) {
-      ledger.after_event(stop->now);
-      ++stop;
-    }
-    if constexpr (kEveryEvent) {
-      wake = next + std::size_t{1} < event_count ? next + 1 : kEndOfTrace;
-    }
+    if (samples) ledger.after_event(stop->now);
+    if (at_stop) ++stop;
+    run_pending_wipe();
   }
   // End-of-run drain: held-back invalidation notices first (congestion
   // batching; no-op otherwise), then deliver (and meter) everything still
@@ -651,15 +653,14 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   }
 
   // Which partitions prefilter updates. kAll subscribers (Replica/Benefit)
-  // hear every update and stand down. So do crash-windowed replicas: a
-  // crash recovery rebuilds rows and replays ledgers on its own schedule,
-  // and filtering against that is not worth the proof.
+  // hear every update and stand down. Crash-windowed replicas prefilter
+  // too: a crash clears rows, and the recovery that rebuilds them registers
+  // only objects the replica loaded before (see replay_event_shard).
   std::vector<bool> prefilters(endpoint_count);
   for (std::size_t i = 0; i < endpoint_count; ++i) {
     prefilters[i] = options.prefilter_updates &&
                     shards[i]->server->subscription() !=
-                        core::MetadataSubscription::kAll &&
-                    shards[i]->crash_plan.empty();
+                        core::MetadataSubscription::kAll;
   }
   // One pass over the trace, in parallel blocks on the engine's threads:
   // the update column, every partition's query tape, the stops, the
@@ -681,12 +682,7 @@ EventRunResult run_policy_event(const workload::Trace& trace,
       endpoint_count,
       util::lpt_assignment(weights, std::min(threads, endpoint_count)),
       [&](std::size_t i) {
-        EventShard& shard = *shards[i];
-        if (shard.crash_plan.empty()) {
-          replay_event_shard<false>(trace, tapes, i, options, shard);
-        } else {
-          replay_event_shard<true>(trace, tapes, i, options, shard);
-        }
+        replay_event_shard(trace, tapes, i, options, *shards[i]);
       });
   const auto replay_end = std::chrono::steady_clock::now();
 

@@ -23,14 +23,15 @@
 // column (sim/event_tapes.h). It never reads a foreign query, and neither
 // a foreign query nor a filtered update advances the partition clock:
 // every delivery due before the next processed event still runs, in time
-// order, inside that event's advance. A crash-windowed partition also wakes at every foreign
-// query, where its deferred policy wipe runs. The
-// decomposition is exact because every message a partition receives (server
-// replies, invalidation notices) is generated by its own replica: the
-// conservative lookahead bound (each partition may safely advance to the
-// minimum over its input links of source-clock + link propagation delay)
-// degenerates to "no synchronization needed", since a partition is its own
-// only source. Partitions therefore run wait-free,
+// order, inside that event's advance. A crash-windowed partition adds one
+// wake stop per cache wipe, at the first event arriving at or after it, so
+// its deferred policy wipe runs where it would if every event were
+// processed. The decomposition is exact because every message a partition
+// receives (server replies, invalidation notices) is generated by its own
+// replica: the conservative lookahead bound (each partition may safely
+// advance to the minimum over its input links of source-clock + link
+// propagation delay) degenerates to "no synchronization needed", since a
+// partition is its own only source. Partitions therefore run wait-free,
 // each on one thread of util::parallel_for_dynamic, and each fills its
 // cache endpoint's RunResult through the traffic ledger the single-cache
 // loop also uses (sim/replica.h). A deterministic merge folds them in
@@ -184,12 +185,14 @@ struct EventEngineOptions {
   /// degraded (stale-within-t(q)-tolerance) answers.
   core::AdmissionOptions admission;
   /// Per-partition update prefiltering: a replica whose cache is not
-  /// subscribed to every update (VCover/SOptimal/NoCache) and has no crash
-  /// window skips the ingest of updates that provably cannot touch it — the
-  /// update's object is neither named by any query routed to that partition
-  /// nor registered at the replica when the factories finished, so the full
-  /// replay would have made its ingest an invisible repository-size bump
-  /// (no notice fires, and the size is never read). The decode pass over
+  /// subscribed to every update (VCover/SOptimal/NoCache) skips the ingest
+  /// of updates that provably cannot touch it — the update's object is
+  /// neither named by any query routed to that partition nor registered at
+  /// the replica when the factories finished, so the full replay would have
+  /// made its ingest an invisible repository-size bump (no notice fires,
+  /// and the size is never read). Crash windows keep it so: a crash only
+  /// clears rows, and the recovery that re-registers a cache carries its
+  /// resident set, a subset of its earlier loads. The decode pass over
   /// the trace (parallel blocks on the engine's threads, see
   /// ParallelOptions) marks each such partition's routed objects in one
   /// byte-per-object row; the partition ORs in its
@@ -197,8 +200,9 @@ struct EventEngineOptions {
   /// on the result by object id. A gated update costs the partition one
   /// column read: no ingest and no clock advance. Result-invariant by
   /// construction
-  /// (EventEngineTest.PrefilterEquivalentToFullTapeReplay and its open-loop
-  /// sibling pin filtered == full byte-for-byte); the toggle exists for
+  /// (EventEngineTest.PrefilterEquivalentToFullTapeReplay, its open-loop
+  /// sibling and CrashRestartTest.PrefilterEquivalenceUnderCrashPlan pin
+  /// filtered == full byte-for-byte); the toggle exists for
   /// those tests and for measuring the fan-out cost it removes.
   bool prefilter_updates = true;
 };

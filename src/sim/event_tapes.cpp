@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <new>
+#include <ranges>
 
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -107,6 +108,36 @@ void select_stops(EventTapes& tapes, std::int64_t series_stride) {
 
 double EventTapes::closed_loop_arrival(std::size_t position) const {
   return static_cast<double>(time_at(*trace, position)) * seconds_per_event;
+}
+
+std::vector<Stop> with_wake_stops(const EventTapes& tapes,
+                                  std::span<const double> wakes) {
+  const std::size_t n = tapes.trace->order.size();
+  std::vector<Stop> stops(tapes.stops.begin(), tapes.stops.end() - 1);
+  for (const double at : wakes) {
+    // Arrivals never decrease, so the events arriving before `at` are a
+    // prefix of the order.
+    const std::size_t pos = *std::ranges::partition_point(
+        std::views::iota(std::size_t{0}, n),
+        [&](std::size_t p) { return tapes.arrival_at(p) < at; });
+    if (pos == n) continue;
+    stops.push_back({tapes.arrival_at(pos), time_at(*tapes.trace, pos),
+                     static_cast<std::uint32_t>(pos),
+                     /*samples_ledger=*/false});
+  }
+  // By position, a shared stop ahead of a wake stop at the same event; then
+  // one stop per event.
+  std::sort(stops.begin(), stops.end(), [](const Stop& a, const Stop& b) {
+    return a.position != b.position ? a.position < b.position
+                                    : a.samples_ledger > b.samples_ledger;
+  });
+  stops.erase(std::unique(stops.begin(), stops.end(),
+                          [](const Stop& a, const Stop& b) {
+                            return a.position == b.position;
+                          }),
+              stops.end());
+  stops.push_back(tapes.stops.back());
+  return stops;
 }
 
 EventTapes decode_tapes(const workload::Trace& trace,

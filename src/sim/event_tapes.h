@@ -83,6 +83,9 @@ struct Stop {
   double arrival;
   EventTime now;
   std::uint32_t position;  // in trace.order, or kEndOfTrace
+  /// False for a wake stop (see with_wake_stops), which only moves the
+  /// partition's clock to the event's arrival.
+  bool samples_ledger = true;
 };
 
 struct EventTapes {
@@ -132,8 +135,9 @@ struct EventTapes {
     const std::uint32_t* group = &groups[chunk * (endpoint_count + 1)];
     return {queries + group[endpoint], queries + group[endpoint + 1]};
   }
-  /// The arrival of the event at `position` (a crash-windowed partition
-  /// wakes at every event, its foreign queries included).
+  /// The arrival of the event at `position`. Read only at set-up, to place
+  /// the stops and wake stops; the replay reads arrivals off its tape, the
+  /// column and the stops.
   [[nodiscard]] double arrival_at(std::size_t position) const {
     return arrivals != nullptr ? arrivals[position]
                                : closed_loop_arrival(position);
@@ -156,5 +160,12 @@ struct EventTapes {
     const std::vector<bool>& prefilters, std::int64_t sketch_stride,
     const EventEngineOptions& options, std::size_t blocks,
     std::size_t chunk_events = kTapeChunkEvents);
+
+/// The tapes' stops plus one wake stop per instant in `wakes`, at the first
+/// event whose arrival is at or past it (none when no event's is). A wake
+/// stop that falls on a shared stop merges into it; the others do not
+/// sample the traffic ledger. Ends with the stops' sentinel.
+[[nodiscard]] std::vector<Stop> with_wake_stops(const EventTapes& tapes,
+                                                std::span<const double> wakes);
 
 }  // namespace delta::sim

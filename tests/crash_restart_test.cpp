@@ -9,8 +9,9 @@
 //  * a server crash wipes registrations and ledgers, and caches detect the
 //    new incarnation from reply stamps and rebuild via kRecoverRequest;
 //  * crashed runs are bit-identical for any thread count;
-//  * the prefilter conservatively stands down for crash-windowed replicas
-//    without changing results (satellite 1);
+//  * crash-windowed replicas prefilter updates like the rest, without
+//    changing results (satellite 1), and a cache wipe reaches the policy
+//    at the same instant whichever events a partition skips;
 //  * kLoadData/kResyncData retry past the attempt budget and converge once
 //    a partition outlasting the ladder heals (satellite 2);
 //  * a reply to a pre-crash correlation arriving at the restarted cache is
@@ -317,30 +318,64 @@ TEST(CrashRestartTest, CrashRunsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Satellite 1: crash-windowed replicas conservatively take the unfiltered
-// update path, and the mixed run (cache-0 crashes, cache-1 still
-// prefilters) is bit-identical to the fully unfiltered replay.
+// Satellite 1: crash-windowed replicas prefilter like the rest. A crash
+// clears rows, and the recovery that rebuilds a server's rows registers
+// only objects the cache loaded before, so the touch set still covers
+// everything a crashed replica can register, read or be told about:
+// filtered runs equal unfiltered ones, and a crash window skips exactly
+// the updates the same run without it skips.
 TEST(CrashRestartTest, PrefilterEquivalenceUnderCrashPlan) {
   const World setup{loading_params()};
   const double rate = 500.0;
   const double duration =
       static_cast<double>(setup.trace().order.size()) / rate;
-  const auto run = [&](bool prefilter) {
+  enum class Crash { kNone, kCache, kServer, kBoth };
+  const auto run = [&](PolicyKind policy, Crash crash, bool open_loop,
+                       std::size_t threads, bool prefilter) {
     EventEngineOptions options = chaos_base(rate);
-    add_crash(options, "cache-0", 0.40 * duration, 0.50 * duration);
+    options.open_loop.enabled = open_loop;
+    options.seconds_per_event = 1.0 / rate;
+    if (crash == Crash::kCache || crash == Crash::kBoth) {
+      add_crash(options, "cache-0", 0.40 * duration, 0.50 * duration);
+    }
+    if (crash == Crash::kServer || crash == Crash::kBoth) {
+      add_crash(options, "server", 0.60 * duration, 0.65 * duration);
+    }
     options.prefilter_updates = prefilter;
+    options.parallel.num_threads = threads;
     // Region split: each replica's touch set is a strict subset of the
-    // object space, so the surviving replicas have updates to skip.
-    return run_one_event(PolicyKind::kVCover, setup.trace(),
-                         setup.cache_capacity(), setup.params(), 4,
+    // object space, so every replica has updates to skip.
+    return run_one_event(policy, setup.trace(), setup.cache_capacity(),
+                         setup.params(), 4,
                          workload::SplitStrategy::kHashByRegion, options);
   };
-  const EventRunResult filtered = run(true);
-  const EventRunResult full = run(false);
-  // The crash-free replica still prefilters; the crashed one stands down.
-  EXPECT_GT(filtered.prefiltered_updates, 0);
-  EXPECT_EQ(full.prefiltered_updates, 0);
-  expect_runs_identical(filtered, full);
+  for (const PolicyKind policy :
+       {PolicyKind::kVCover, PolicyKind::kSOptimal, PolicyKind::kNoCache}) {
+    for (const bool open_loop : {true, false}) {
+      for (const std::size_t threads : {1u, 4u}) {
+        const std::int64_t crash_free =
+            run(policy, Crash::kNone, open_loop, threads, true)
+                .prefiltered_updates;
+        EXPECT_GT(crash_free, 0);
+        for (const Crash crash : {Crash::kCache, Crash::kServer, Crash::kBoth}) {
+          SCOPED_TRACE(::testing::Message()
+                       << to_string(policy) << " crash "
+                       << static_cast<int>(crash) << " open " << open_loop
+                       << " T=" << threads);
+          const EventRunResult filtered =
+              run(policy, crash, open_loop, threads, true);
+          const EventRunResult full =
+              run(policy, crash, open_loop, threads, false);
+          EXPECT_GT(filtered.chaos.crash_restarts, 0);
+          EXPECT_EQ(filtered.prefiltered_updates, crash_free);
+          EXPECT_EQ(full.prefiltered_updates, 0);
+          EXPECT_EQ(delta::testing::replay_fingerprint(filtered.replay),
+                    delta::testing::replay_fingerprint(full.replay));
+          expect_runs_identical(filtered, full);
+        }
+      }
+    }
+  }
 }
 
 // Satellite 2: a hard partition that outlasts the whole retry ladder. Data

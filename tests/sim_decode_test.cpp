@@ -415,8 +415,8 @@ TEST(DecodeTapesTest, OpenLoopArrivalsAreOneSequentialStream) {
   }
 }
 
-// A crash-windowed partition wakes at every event, its foreign queries
-// included: arrival_at reads any event's arrival.
+// A wake stop may fall on any event, a foreign query included: arrival_at
+// reads any event's arrival.
 TEST(DecodeTapesTest, ArrivalAtReadsEveryEvent) {
   util::Rng rng{17};
   const workload::Trace trace = random_trace(rng, 10, 300, 0.5, 0);
@@ -435,6 +435,61 @@ TEST(DecodeTapesTest, ArrivalAtReadsEveryEvent) {
         EXPECT_EQ(tapes.arrival_at(pos), arrivals[pos]) << pos;
       }
     }
+  }
+}
+
+// Wake stops, against the definition: one at the first event arriving at
+// or after each instant (none past the last arrival), merged into a shared
+// stop at the same event, which keeps sampling the ledger; the rest do
+// not sample. In position order, one per event, then the sentinel.
+TEST(DecodeTapesTest, WakeStopsLandOnTheFirstArrivalAtOrAfterEachInstant) {
+  util::Rng rng{23};
+  const workload::Trace trace = random_trace(rng, 10, 300, 0.5, 0);
+  for (const bool open_loop : {false, true}) {
+    SCOPED_TRACE(open_loop ? "open loop" : "closed loop");
+    EventEngineOptions options;
+    options.seconds_per_event = 0.25;
+    options.series_stride = 40;
+    options.open_loop.enabled = open_loop;
+    const std::vector<double> arrivals = arrivals_of(trace, options);
+    const EventTapes tapes =
+        decode_tapes(trace, uniform_routing(rng, trace, 2),
+                     alternate_prefilters(2), 1, options, 1);
+    const std::size_t shared = tapes.stops.front().position;
+    const std::vector<double> wakes = {
+        arrivals[7],  arrivals[7],         (arrivals[40] + arrivals[41]) / 2,
+        -1.0,         arrivals[shared],    arrivals.back(),
+        arrivals[3],  arrivals.back() + 1.0};
+    const std::vector<Stop> stops = with_wake_stops(tapes, wakes);
+
+    std::vector<bool> want(trace.order.size(), false);
+    std::vector<bool> samples(trace.order.size(), false);
+    for (std::size_t k = 0; k + 1 < tapes.stops.size(); ++k) {
+      want[tapes.stops[k].position] = true;
+      samples[tapes.stops[k].position] = true;
+    }
+    for (const double at : wakes) {
+      for (std::size_t pos = 0; pos < arrivals.size(); ++pos) {
+        if (arrivals[pos] >= at) {
+          want[pos] = true;
+          break;
+        }
+      }
+    }
+    ASSERT_FALSE(stops.empty());
+    EXPECT_EQ(stops.back().position, kEndOfTrace);
+    std::size_t k = 0;
+    for (std::size_t pos = 0; pos < want.size(); ++pos) {
+      if (!want[pos]) continue;
+      SCOPED_TRACE(::testing::Message() << "position " << pos);
+      ASSERT_LT(k + 1, stops.size());
+      EXPECT_EQ(stops[k].position, pos);
+      EXPECT_EQ(stops[k].arrival, arrivals[pos]);
+      EXPECT_EQ(stops[k].now, time_of(trace, pos));
+      EXPECT_EQ(stops[k].samples_ledger, samples[pos]);
+      ++k;
+    }
+    EXPECT_EQ(k + 1, stops.size());
   }
 }
 
