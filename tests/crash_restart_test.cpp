@@ -357,7 +357,8 @@ TEST(CrashRestartTest, PrefilterEquivalenceUnderCrashPlan) {
             run(policy, Crash::kNone, open_loop, threads, true)
                 .prefiltered_updates;
         EXPECT_GT(crash_free, 0);
-        for (const Crash crash : {Crash::kCache, Crash::kServer, Crash::kBoth}) {
+        for (const Crash crash :
+             {Crash::kCache, Crash::kServer, Crash::kBoth}) {
           SCOPED_TRACE(::testing::Message()
                        << to_string(policy) << " crash "
                        << static_cast<int>(crash) << " open " << open_loop

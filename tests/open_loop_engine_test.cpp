@@ -161,9 +161,9 @@ TEST(OpenLoopEngineTest, BitIdenticalAcrossThreadCounts) {
 // deliveries, and their update notices tick the window, which can close
 // again before the outer close returns; the nested close may load the very
 // object the outer one is waiting on. The outer close must then neither
-// count the load twice nor insert the object twice (it used to throw
-// "already cached"). Both worlds reach such a close at N = 4 on the region
-// split with the hardened protocol and admission on.
+// count the load twice nor insert the object twice, which the store
+// rejects as "already cached". Both worlds reach such a close at N = 4 on
+// the region split with the hardened protocol and admission on.
 TEST(OpenLoopEngineTest, BenefitWindowClosingInsideItsOwnLoadCompletes) {
   for (const std::uint64_t seed : {15u, 34u}) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
