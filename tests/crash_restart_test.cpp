@@ -10,8 +10,8 @@
 //    new incarnation from reply stamps and rebuild via kRecoverRequest;
 //  * crashed runs are bit-identical for any thread count;
 //  * crash-windowed replicas prefilter updates like the rest, without
-//    changing results (satellite 1), and a cache wipe reaches the policy
-//    at the same instant whichever events a partition skips;
+//    changing results, and a cache wipe reaches the policy at the same
+//    instant whichever events a partition skips;
 //  * kLoadData/kResyncData retry past the attempt budget and converge once
 //    a partition outlasting the ladder heals (satellite 2);
 //  * a reply to a pre-crash correlation arriving at the restarted cache is
@@ -318,12 +318,12 @@ TEST(CrashRestartTest, CrashRunsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Satellite 1: crash-windowed replicas prefilter like the rest. A crash
-// clears rows, and the recovery that rebuilds a server's rows registers
-// only objects the cache loaded before, so the touch set still covers
-// everything a crashed replica can register, read or be told about:
-// filtered runs equal unfiltered ones, and a crash window skips exactly
-// the updates the same run without it skips.
+// Crash-windowed replicas prefilter like the rest. A crash clears rows,
+// and the recovery that rebuilds a server's rows registers only objects
+// the cache loaded before, so the touch set still covers everything a
+// crashed replica can register, read or be told about: filtered runs equal
+// unfiltered ones, and a crash window skips exactly the updates the same
+// run without it skips.
 TEST(CrashRestartTest, PrefilterEquivalenceUnderCrashPlan) {
   const World setup{loading_params()};
   const double rate = 500.0;
