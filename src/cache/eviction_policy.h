@@ -37,6 +37,11 @@ class EvictionPolicy {
   /// A resident object served a query (refreshes its retention credit).
   virtual void on_access(ObjectId id) = 0;
 
+  /// Starts pulling the rows on_access(id) will read. A hint only: it
+  /// reads no value, writes no state and ignores an out-of-range id. The
+  /// default does nothing.
+  virtual void prefetch(ObjectId /*id*/) const {}
+
   /// Decides, lazily over the whole batch, which candidates to admit and
   /// which victims to evict. Candidates must not be resident. The decision
   /// is feasible: applying evictions then loads respects capacity.

@@ -24,7 +24,8 @@ void GreedyDualSize::on_access(ObjectId id) {
   const Priority* p = residents_.find(id);
   DELTA_CHECK_MSG(p != nullptr,
                   "GDS access to untracked object " << id.value());
-  residents_.update(id, Priority{inflation_ + p->cost_ratio, p->cost_ratio});
+  // inflation_ never falls, so a hit never lowers a credit.
+  residents_.raise(id, Priority{inflation_ + p->cost_ratio, p->cost_ratio});
 }
 
 double GreedyDualSize::credit_of(ObjectId id) const {

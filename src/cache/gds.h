@@ -11,7 +11,10 @@
 // Residents live in a HeapMap ordered by (credit, id) — the same tie-broken
 // total order the batch sort and shed arg-min used to compute by scanning —
 // so every victim selection is O(log n_resident) instead of O(n_resident),
-// and decisions are byte-identical to the scan implementation.
+// and decisions are byte-identical to the scan implementation. L never
+// falls, so a hit only raises a credit: on_access is O(1) (HeapMap::raise).
+// The resident's heap key stays behind as a lower bound of its credit and
+// is re-keyed only when it reaches the heap top, so victims are unchanged.
 #pragma once
 
 #include "cache/eviction_policy.h"
@@ -27,6 +30,7 @@ class GreedyDualSize final : public EvictionPolicy {
   explicit GreedyDualSize(const CacheStore* store);
 
   void on_access(ObjectId id) override;
+  void prefetch(ObjectId id) const override { residents_.prefetch(id); }
   const BatchDecision& decide_batch(
       const std::vector<LoadCandidate>& candidates) override;
   const std::vector<ObjectId>& shed_overflow() override;

@@ -14,7 +14,7 @@ LruPolicy::LruPolicy(const CacheStore* store)
 void LruPolicy::on_access(ObjectId id) {
   DELTA_CHECK_MSG(last_use_.contains(id),
                   "LRU access to untracked object " << id.value());
-  last_use_.update(id, ++clock_);
+  last_use_.raise(id, ++clock_);
 }
 
 const BatchDecision& LruPolicy::decide_batch(

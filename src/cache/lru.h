@@ -4,7 +4,10 @@
 //
 // Residents live in a HeapMap ordered by (last-use stamp, id): the heap top
 // is the deterministic arg-min the old full scan computed, so victim
-// selection is O(log n_resident) with byte-identical decisions.
+// selection is O(log n_resident) with byte-identical decisions. Stamps only
+// grow, so a hit is O(1) (HeapMap::raise): the old stamp stays behind as
+// the heap key, a lower bound re-keyed only when it reaches the heap top,
+// and victims are unchanged.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +23,7 @@ class LruPolicy final : public EvictionPolicy {
   explicit LruPolicy(const CacheStore* store);
 
   void on_access(ObjectId id) override;
+  void prefetch(ObjectId id) const override { last_use_.prefetch(id); }
   const BatchDecision& decide_batch(
       const std::vector<LoadCandidate>& candidates) override;
   const std::vector<ObjectId>& shed_overflow() override;

@@ -51,6 +51,7 @@ void VCoverPolicy::prefetch_rows(const void* self, ObjectId o) {
   policy.store_.prefetch(o);
   policy.update_manager_.prefetch(o);
   policy.load_manager_.prefetch(o);
+  policy.evictor_->prefetch(o);
 }
 
 std::unique_ptr<cache::EvictionPolicy> VCoverPolicy::make_evictor() const {

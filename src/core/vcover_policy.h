@@ -100,8 +100,8 @@ class VCoverPolicy final : public CachePolicy {
 
   /// The cache's prefetch hook (`self` is the policy): starts pulling the
   /// rows a query or update naming `o` will read, namely the store row,
-  /// the update manager's pending list and group node, and the load
-  /// manager's counter.
+  /// the update manager's pending list and group node, the load
+  /// manager's counter and the evictor's heap position.
   static void prefetch_rows(const void* self, ObjectId o);
   /// A fresh evictor over store_ (construction and crash restart).
   [[nodiscard]] std::unique_ptr<cache::EvictionPolicy> make_evictor() const;

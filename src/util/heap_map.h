@@ -9,13 +9,24 @@
 // heap's internal array layout depends on operation history, but the
 // minimum of a total order does not).
 //
+// A cache hit only ever raises a priority, so raise() is O(1): it stores
+// the entry's new *live* priority and leaves its heap key where it was, as
+// a lower bound of the live one. top() and pop() settle the top first:
+// while the top's heap key is below its live priority, it is re-keyed to
+// the live priority and sifted down. Every other entry's live priority is
+// at least its heap key, which is at least the settled top's, so the
+// settled top is still the exact (priority, key)-minimum of the live
+// priorities, and victims are those an eager re-sort would pick. Each
+// raise is re-keyed at most once, when its entry reaches the top.
+//
 // Contract:
 //  * Key is a dense strong id (see util/types.h) below the key count given
 //    at construction: each key's heap position lives in a plain vector
 //    indexed by key.value(). Mutators DELTA_CHECK the range; contains() and
 //    find() answer "absent" for an out-of-range key.
 //  * Priority is totally ordered via operator< and copyable (double, int64).
-//  * Keys are unique; push() requires absence, update() presence.
+//  * Keys are unique; push() requires absence, update() and raise()
+//    presence; raise() never lowers a priority (a DELTA_DCHECK).
 //  * All operations are deterministic functions of the operation sequence.
 #pragma once
 
@@ -23,6 +34,7 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/prefetch.h"
 
 namespace delta::util {
 
@@ -31,7 +43,7 @@ class HeapMap {
  public:
   struct Entry {
     Key key{};
-    Priority priority{};
+    Priority priority{};  // the live priority
   };
 
   /// Keys are ids in [0, key_count).
@@ -44,16 +56,21 @@ class HeapMap {
     return position(key) != kAbsent;
   }
 
-  /// Priority of `key`, or nullptr when absent. Read-only: priorities
-  /// change only through update(), which restores the heap order.
+  /// Live priority of `key`, or nullptr when absent. Read-only: priorities
+  /// change only through update() and raise().
   [[nodiscard]] const Priority* find(Key key) const {
     const std::uint32_t i = position(key);
     return i == kAbsent ? nullptr : &heap_[i].priority;
   }
 
-  /// The (priority, key)-minimum entry. Requires a non-empty heap.
-  [[nodiscard]] const Entry& top() const {
+  /// Starts pulling `key`'s position row, which every keyed operation
+  /// reads first. A hint only: an out-of-range key is ignored.
+  void prefetch(Key key) const { prefetch_row(pos_, key.value()); }
+
+  /// The (priority, key)-minimum entry, settled. Requires a non-empty heap.
+  [[nodiscard]] const Entry& top() {
     DELTA_CHECK(!heap_.empty());
+    settle();
     return heap_.front();
   }
 
@@ -62,22 +79,33 @@ class HeapMap {
     std::uint32_t& slot = pos_[checked(key)];
     DELTA_CHECK_MSG(slot == kAbsent, "HeapMap::push of a present key");
     slot = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back(Entry{key, priority});
+    heap_.push_back(Slot{{key, priority}, priority});
     sift_up(heap_.size() - 1);
   }
 
-  /// Re-prioritizes a present key (either direction).
+  /// Re-prioritizes a present key (either direction), re-keying it now.
   void update(Key key, Priority priority) {
     const std::size_t i = pos_[checked(key)];
     DELTA_CHECK_MSG(i != kAbsent, "HeapMap::update of an absent key");
     heap_[i].priority = priority;
+    heap_[i].bound = priority;
     sift_up(i);
     sift_down(i);
+  }
+
+  /// Raises a present key's live priority in O(1); its heap key stays
+  /// behind as a lower bound until the entry reaches the top.
+  void raise(Key key, Priority priority) {
+    const std::size_t i = pos_[checked(key)];
+    DELTA_CHECK_MSG(i != kAbsent, "HeapMap::raise of an absent key");
+    DELTA_DCHECK(!(priority < heap_[i].priority));
+    heap_[i].priority = priority;
   }
 
   /// Removes the minimum entry. Requires a non-empty heap.
   void pop() {
     DELTA_CHECK(!heap_.empty());
+    settle();
     remove_at(0);
   }
 
@@ -92,7 +120,13 @@ class HeapMap {
  private:
   static constexpr std::uint32_t kAbsent = UINT32_MAX;
 
-  std::vector<Entry> heap_;
+  /// A heap entry: the heap orders by (bound, key), where `bound` is the
+  /// heap key, never above the live priority.
+  struct Slot : Entry {
+    Priority bound{};
+  };
+
+  std::vector<Slot> heap_;
   std::vector<std::uint32_t> pos_;  // heap index by key, kAbsent if none
 
   [[nodiscard]] std::size_t checked(Key key) const {
@@ -107,20 +141,30 @@ class HeapMap {
     return i < pos_.size() ? pos_[i] : kAbsent;
   }
 
-  [[nodiscard]] static bool less(const Entry& a, const Entry& b) {
-    if (a.priority < b.priority) return true;
-    if (b.priority < a.priority) return false;
+  [[nodiscard]] static bool less(const Slot& a, const Slot& b) {
+    if (a.bound < b.bound) return true;
+    if (b.bound < a.bound) return false;
     return a.key < b.key;
   }
 
-  void place(std::size_t i, const Entry& e) {
+  /// Re-keys the top to its live priority until the top is settled: its
+  /// heap key equals its live priority.
+  void settle() {
+    while (heap_.front().bound < heap_.front().priority) {
+      heap_.front().bound = heap_.front().priority;
+      sift_down(0);
+    }
+    DELTA_DCHECK(!(heap_.front().priority < heap_.front().bound));
+  }
+
+  void place(std::size_t i, const Slot& e) {
     heap_[i] = e;
     pos_[static_cast<std::size_t>(e.key.value())] =
         static_cast<std::uint32_t>(i);
   }
 
   void sift_up(std::size_t i) {
-    const Entry e = heap_[i];
+    const Slot e = heap_[i];
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
       if (!less(e, heap_[parent])) break;
@@ -131,7 +175,7 @@ class HeapMap {
   }
 
   void sift_down(std::size_t i) {
-    const Entry e = heap_[i];
+    const Slot e = heap_[i];
     const std::size_t n = heap_.size();
     while (true) {
       std::size_t child = 2 * i + 1;
@@ -147,7 +191,7 @@ class HeapMap {
   void remove_at(std::size_t i) {
     DELTA_DCHECK(pos_[static_cast<std::size_t>(heap_[i].key.value())] == i);
     pos_[static_cast<std::size_t>(heap_[i].key.value())] = kAbsent;
-    const Entry tail = heap_.back();
+    const Slot tail = heap_.back();
     heap_.pop_back();
     if (i == heap_.size()) return;  // removed the tail itself
     place(i, tail);

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <vector>
+
 #include "cache/cache_store.h"
 #include "cache/gds.h"
 #include "cache/lru.h"
+#include "util/rng.h"
 
 namespace delta::cache {
 namespace {
@@ -225,6 +231,255 @@ TEST(LruTest, ShedOverflow) {
   const auto victims = lru.shed_overflow();
   ASSERT_EQ(victims.size(), 1u);
   EXPECT_EQ(victims[0], oid(1));  // oldest
+}
+
+// ---- Victim order against a scan ------------------------------------------
+//
+// Greedy-Dual-Size and LRU keep their residents in a heap whose hit path
+// raises a priority lazily. The reference models below keep the same
+// priorities in a plain map and pick every victim by a brute-force
+// (credit or stamp, id) arg-min scan, as the policies did before they had
+// a heap. Seeded random mixes of hits, batches, growth sheds and forgets
+// over equal-size objects (so credits and stamps tie often) must produce
+// the same evictions, admissions and credits step by step.
+
+/// Greedy-Dual-Size by scanning: residents' credits and the inflation L.
+struct GdsByScan {
+  double inflation = 0.0;
+  std::map<std::int64_t, std::pair<double, double>> residents;  // credit, ratio
+
+  void on_access(ObjectId id) {
+    auto& [credit, ratio] = residents.at(id.value());
+    credit = inflation + ratio;
+  }
+
+  /// The (credit, id) arg-min resident.
+  std::int64_t min_resident() const {
+    auto best = residents.begin();
+    for (auto it = residents.begin(); it != residents.end(); ++it) {
+      if (it->second.first < best->second.first) best = it;
+    }
+    return best->first;
+  }
+
+  BatchDecision decide_batch(const CacheStore& store,
+                             const std::vector<LoadCandidate>& candidates) {
+    struct Candidate {
+      std::int64_t id;
+      Bytes size;
+      double credit;
+      double ratio;
+      bool dropped = false;
+    };
+    std::vector<Candidate> batch;
+    Bytes total = store.used();
+    for (const LoadCandidate& c : candidates) {
+      if (c.size > store.capacity()) continue;
+      const double r = c.load_cost.as_double() / c.size.as_double();
+      batch.push_back({c.id.value(), c.size, inflation + r, r});
+      total += c.size;
+    }
+    BatchDecision d;
+    while (total > store.capacity()) {
+      // The arg-min over residents and the candidates still in the batch.
+      Candidate* best = nullptr;
+      for (Candidate& c : batch) {
+        if (c.dropped) continue;
+        if (best == nullptr || c.credit < best->credit ||
+            (c.credit == best->credit && c.id < best->id)) {
+          best = &c;
+        }
+      }
+      if (!residents.empty()) {
+        const std::int64_t r = min_resident();
+        const double credit = residents.at(r).first;
+        if (best == nullptr || credit < best->credit ||
+            (credit == best->credit && r < best->id)) {
+          total -= store.bytes_of(ObjectId{r});
+          inflation = std::max(inflation, credit);
+          d.evict.push_back(ObjectId{r});
+          residents.erase(r);
+          continue;
+        }
+      }
+      if (best == nullptr) break;
+      best->dropped = true;
+      total -= best->size;
+      inflation = std::max(inflation, best->credit);
+    }
+    std::sort(batch.begin(), batch.end(),
+              [](const Candidate& a, const Candidate& b) {
+                return a.credit != b.credit ? a.credit < b.credit
+                                            : a.id < b.id;
+              });
+    for (const Candidate& c : batch) {
+      if (c.dropped) continue;
+      d.load.push_back(ObjectId{c.id});
+      residents[c.id] = {c.credit, c.ratio};
+    }
+    return d;
+  }
+
+  std::vector<ObjectId> shed_overflow(const CacheStore& store) {
+    std::vector<ObjectId> victims;
+    Bytes used = store.used();
+    while (used > store.capacity()) {
+      const std::int64_t r = min_resident();
+      used -= store.bytes_of(ObjectId{r});
+      inflation = std::max(inflation, residents.at(r).first);
+      victims.push_back(ObjectId{r});
+      residents.erase(r);
+    }
+    return victims;
+  }
+
+  void forget(ObjectId id) { residents.erase(id.value()); }
+};
+
+/// LRU by scanning: residents' last-use stamps.
+struct LruByScan {
+  std::int64_t clock = 0;
+  std::map<std::int64_t, std::int64_t> residents;  // stamp
+
+  void on_access(ObjectId id) { residents.at(id.value()) = ++clock; }
+
+  /// The (stamp, id) arg-min resident.
+  std::int64_t min_resident() const {
+    auto best = residents.begin();
+    for (auto it = residents.begin(); it != residents.end(); ++it) {
+      if (it->second < best->second) best = it;
+    }
+    return best->first;
+  }
+
+  BatchDecision decide_batch(const CacheStore& store,
+                             const std::vector<LoadCandidate>& candidates) {
+    std::vector<LoadCandidate> admitted;
+    Bytes total = store.used();
+    for (const LoadCandidate& c : candidates) {
+      if (c.size > store.capacity()) continue;
+      admitted.push_back(c);
+      total += c.size;
+    }
+    BatchDecision d;
+    while (total > store.capacity() && !residents.empty()) {
+      const std::int64_t r = min_resident();
+      total -= store.bytes_of(ObjectId{r});
+      d.evict.push_back(ObjectId{r});
+      residents.erase(r);
+    }
+    while (total > store.capacity() && !admitted.empty()) {
+      total -= admitted.back().size;
+      admitted.pop_back();
+    }
+    for (const LoadCandidate& c : admitted) {
+      d.load.push_back(c.id);
+      residents[c.id.value()] = ++clock;
+    }
+    return d;
+  }
+
+  std::vector<ObjectId> shed_overflow(const CacheStore& store) {
+    std::vector<ObjectId> victims;
+    Bytes used = store.used();
+    while (used > store.capacity()) {
+      const std::int64_t r = min_resident();
+      used -= store.bytes_of(ObjectId{r});
+      victims.push_back(ObjectId{r});
+      residents.erase(r);
+    }
+    return victims;
+  }
+
+  void forget(ObjectId id) { residents.erase(id.value()); }
+};
+
+void expect_same_state(const GreedyDualSize& policy, const GdsByScan& scan) {
+  EXPECT_EQ(policy.inflation(), scan.inflation);
+  for (const auto& [id, credit_ratio] : scan.residents) {
+    EXPECT_EQ(policy.credit_of(ObjectId{id}), credit_ratio.first)
+        << "id " << id;
+  }
+}
+void expect_same_state(const LruPolicy&, const LruByScan&) {}
+
+/// Drives `policy` and `scan` through one seeded random run over a
+/// 100-byte cache of 10-byte objects (cost ratio 1 or 2, so credits tie)
+/// and expects identical decisions and state after every step.
+template <typename Policy, typename Scan>
+void expect_victims_match_scan(std::uint64_t seed) {
+  constexpr std::int64_t kIds = 32;
+  CacheStore store{Bytes{100}, kIds};
+  Policy policy{&store};
+  Scan scan;
+  util::Rng rng{seed};
+  std::size_t evictions = 0;
+  for (int step = 0; step < 4000; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    const std::vector<ObjectId> residents = store.resident_objects();
+    const auto any_resident = [&] {
+      return residents[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(residents.size()) - 1))];
+    };
+    const int op = static_cast<int>(rng.uniform_int(0, 9));
+    if (op <= 4 && !residents.empty()) {
+      const ObjectId id = any_resident();
+      policy.on_access(id);
+      scan.on_access(id);
+    } else if (op <= 7) {
+      std::vector<LoadCandidate> batch;
+      const std::int64_t want = rng.uniform_int(1, 4);
+      for (std::int64_t k = 0; k < 3 * want && std::ssize(batch) < want;
+           ++k) {
+        const std::int64_t id = rng.uniform_int(0, kIds - 1);
+        if (store.contains(ObjectId{id}) ||
+            std::any_of(batch.begin(), batch.end(), [&](const auto& c) {
+              return c.id.value() == id;
+            })) {
+          continue;
+        }
+        // Now and then an object larger than the whole cache.
+        const std::int64_t size = rng.bernoulli(0.02) ? 101 : 10;
+        batch.push_back(cand(id, size, size * rng.uniform_int(1, 2)));
+      }
+      const BatchDecision want_d = scan.decide_batch(store, batch);
+      const BatchDecision& got = policy.decide_batch(batch);
+      ASSERT_EQ(got.evict, want_d.evict);
+      ASSERT_EQ(got.load, want_d.load);
+      evictions += got.evict.size();
+      apply(store, got, batch);
+    } else if (op == 8 && !residents.empty()) {
+      store.grow(any_resident(), Bytes{rng.uniform_int(1, 15)});
+      const std::vector<ObjectId> want_v = scan.shed_overflow(store);
+      const std::vector<ObjectId>& got = policy.shed_overflow();
+      ASSERT_EQ(got, want_v);
+      evictions += got.size();
+      for (const ObjectId v : got) store.evict(v);
+    } else if (op == 9 && !residents.empty()) {
+      const ObjectId id = any_resident();
+      store.evict(id);
+      policy.forget(id);
+      scan.forget(id);
+    }
+    ASSERT_LE(store.used(), store.capacity());
+    ASSERT_EQ(store.object_count(), scan.residents.size());
+    expect_same_state(policy, scan);
+  }
+  EXPECT_GT(evictions, 500u);  // the run keeps the cache under pressure
+}
+
+TEST(VictimOrderTest, GdsEvictsAndAdmitsAsAScanWould) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    expect_victims_match_scan<GreedyDualSize, GdsByScan>(seed);
+  }
+}
+
+TEST(VictimOrderTest, LruEvictsAndAdmitsAsAScanWould) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    expect_victims_match_scan<LruPolicy, LruByScan>(seed);
+  }
 }
 
 }  // namespace

@@ -625,5 +625,73 @@ TEST(DecodeTapesTest, UpdatesOutOfIdOrderAndTimesThatGoBackAreRejected) {
   }
 }
 
+// Traces with no update at all, or a handful far apart: a block's start
+// update id never comes from the block before it, so these decode to the
+// definitions at every block count too.
+TEST(DecodeTapesTest, QueryOnlyAndUpdateSparseTracesMatchTheDefinitions) {
+  util::Rng rng{20261022};
+  for (const double query_share : {1.0, 0.995, 0.98}) {
+    for (const std::size_t endpoints : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << "query share " << query_share
+                                        << " endpoints " << endpoints);
+      workload::Trace trace = random_trace(rng, 40, 1200, query_share, 0);
+      if (query_share == 1.0) {
+        ASSERT_TRUE(trace.updates.empty());
+      }
+      const std::vector<std::uint32_t> routing =
+          uniform_routing(rng, trace, endpoints);
+      trace.info.warmup_end_event =
+          middle_event_time(trace, workload::Event::Kind::kQuery);
+      EventEngineOptions options;
+      options.series_stride = 3;
+      expect_tapes_match(trace, routing, alternate_prefilters(endpoints), 1,
+                         options);
+    }
+  }
+}
+
+// Two updates far apart in an 800-event trace whose ids are swapped (their
+// times too, so only the ids are out of order) are reported at the first
+// of them at every block count. A block that holds the first takes the
+// wrong start there and passes its own check. Either the start check after
+// the join or its own later error sends the decode back through one block.
+// A bad object in the last query, past both, is not the one reported.
+TEST(DecodeTapesTest, SwappedIdsOfSparseUpdatesAreReportedAtTheFirst) {
+  constexpr std::size_t kObjects = 12;
+  constexpr std::size_t kFirst = 250;
+  constexpr std::size_t kSecond = 610;
+  delta::testing::TraceBuilder builder{
+      std::vector<std::int64_t>(kObjects, 4096)};
+  for (std::size_t pos = 0; pos < 800; ++pos) {
+    const auto object = static_cast<std::int64_t>(pos % kObjects);
+    if (pos == kFirst || pos == kSecond) {
+      builder.update(object, 100);
+    } else {
+      builder.query({object}, 100);
+    }
+  }
+  const workload::Trace clean = builder.build();
+  util::Rng rng{31};
+  std::vector<std::uint32_t> routing = uniform_routing(rng, clean, 4);
+  routing.back() = 0;  // a prefiltering partition checks the query's ids
+
+  workload::Trace swapped = clean;
+  std::swap(swapped.order[kFirst], swapped.order[kSecond]);
+  std::swap(swapped.updates[0].time, swapped.updates[1].time);
+  workload::Trace then_bad_query = swapped;
+  then_bad_query.queries.back().objects.push_back(ObjectId{kObjects + 1});
+  const std::string swap_message =
+      "update event " + std::to_string(kFirst) +
+      " names update 1 where the merged order's next update is 0";
+  for (std::size_t blocks = 1; blocks <= kMaxBlocks; ++blocks) {
+    SCOPED_TRACE(::testing::Message() << "blocks " << blocks);
+    EXPECT_EQ(rejection(clean, routing, 4, blocks), "");
+    EXPECT_NE(rejection(swapped, routing, 4, blocks).find(swap_message),
+              std::string::npos);
+    EXPECT_NE(rejection(then_bad_query, routing, 4, blocks).find(swap_message),
+              std::string::npos);
+  }
+}
+
 }  // namespace
 }  // namespace delta::sim
