@@ -4,7 +4,6 @@
 #include <atomic>
 #include <new>
 #include <ranges>
-#include <stdexcept>
 
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -14,9 +13,6 @@ namespace delta::sim {
 
 namespace {
 
-/// The start of a decode block that has met no update yet.
-constexpr std::int64_t kStartUnknown = -1;
-
 /// What one decode block leaves for the join. The block counts in its own
 /// locals and stores them once at its end, so blocks never write to a
 /// shared cache line in their loops.
@@ -25,9 +21,6 @@ struct BlockTally {
   std::vector<std::size_t> routed;
   std::vector<std::size_t> retained;
   std::size_t updates = 0;
-  /// The id of the first update of a block that begins past position 0,
-  /// taken as that block's start; kStartUnknown otherwise.
-  std::int64_t first_update = kStartUnknown;
 };
 
 bool index_in_range(const workload::Trace& trace,
@@ -213,175 +206,149 @@ EventTapes decode_tapes(const workload::Trace& trace,
       (event_count + chunk_events - 1) / chunk_events;
   tapes.groups.resize(chunk_count * (endpoint_count + 1));
   std::vector<BlockTally> tallies(blocks);
-  // Decodes the trace again in one block, which starts at update 0 and so
-  // throws at the first bad event in trace order.
-  const auto rethrow_first_error = [&] {
-    (void)decode_tapes(trace, routing, prefilters, sketch_stride, options, 1,
-                       chunk_events);
-    DELTA_CHECK_MSG(false, "the one-block decode accepts a trace that a "
-                               << blocks << "-block decode rejects");
-  };
-  try {
-    util::parallel_for_blocks(
-        chunk_count, blocks,
-        [&](std::size_t b, std::size_t chunk_begin, std::size_t chunk_end) {
-          const std::size_t begin = chunk_begin * chunk_events;
-          std::vector<std::size_t> routed(endpoint_count, 0);
-          std::vector<std::size_t> retained(endpoint_count, 0);
-          std::size_t updates = 0;
-          // Per chunk: its queries per partition, then the next free slot of
-          // each partition's group.
-          std::vector<std::uint32_t> counts(endpoint_count);
-          std::vector<std::uint32_t> cursor(endpoint_count);
-          // Update ids follow their rank in the merged order and event times
-          // never decrease, across block boundaries too. The block continues
-          // from the time of the event before it. Its first update's id is
-          // taken as its start and checked against the earlier blocks' update
-          // counts after the join. (When the event before it is bad, an
-          // earlier block reports it first.)
-          std::int64_t next_update = begin == 0 ? 0 : kStartUnknown;
-          std::int64_t first_update = kStartUnknown;
-          EventTime previous = begin > 0
-                                   ? time_at(trace, begin - 1)
-                                   : std::numeric_limits<EventTime>::min();
-          for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
-            const std::size_t first = c * chunk_events;
-            const std::size_t last =
-                std::min(event_count, first + chunk_events);
-            // Count pass, over the chunk's order and routing only, which the
-            // write pass then reads again from the CPU cache. It stops at the
-            // first query whose index or routing the write pass rejects; the
-            // write pass throws there, after any earlier bad object id, so
-            // the first bad event in trace order is still the one reported.
-            std::fill(counts.begin(), counts.end(), 0);
-            for (std::size_t pos = first; pos < last; ++pos) {
-              const workload::Event& event = trace.order[pos];
-              if (event.kind == workload::Event::Kind::kUpdate) continue;
-              if (!index_in_range(trace, event) ||
-                  routing[static_cast<std::size_t>(event.index)] >=
-                      endpoint_count) {
-                break;
-              }
-              ++counts[routing[static_cast<std::size_t>(event.index)]];
+  util::parallel_for_blocks(
+      chunk_count, blocks,
+      [&](std::size_t b, std::size_t chunk_begin, std::size_t chunk_end) {
+        const std::size_t begin = chunk_begin * chunk_events;
+        std::vector<std::size_t> routed(endpoint_count, 0);
+        std::vector<std::size_t> retained(endpoint_count, 0);
+        std::size_t updates = 0;
+        // Per chunk: its queries per partition, then the next free slot of
+        // each partition's group.
+        std::vector<std::uint32_t> counts(endpoint_count);
+        std::vector<std::uint32_t> cursor(endpoint_count);
+        // Update ids follow their rank in the merged order and event times
+        // never decrease, across block boundaries too: the block continues
+        // from the last update and the last event before it. (When those
+        // are themselves bad, an earlier block reports them first.)
+        std::int64_t next_update = 0;
+        for (std::size_t pos = begin; pos-- > 0;) {
+          const workload::Event& event = trace.order[pos];
+          if (event.kind == workload::Event::Kind::kUpdate) {
+            next_update = std::int64_t{event.index} + 1;
+            break;
+          }
+        }
+        EventTime previous = begin > 0
+                                 ? time_at(trace, begin - 1)
+                                 : std::numeric_limits<EventTime>::min();
+        for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
+          const std::size_t first = c * chunk_events;
+          const std::size_t last = std::min(event_count, first + chunk_events);
+          // Count pass, over the chunk's order and routing only, which the
+          // write pass then reads again from the CPU cache. It stops at the
+          // first query whose index or routing the write pass rejects; the
+          // write pass throws there, after any earlier bad object id, so
+          // the first bad event in trace order is still the one reported.
+          std::fill(counts.begin(), counts.end(), 0);
+          for (std::size_t pos = first; pos < last; ++pos) {
+            const workload::Event& event = trace.order[pos];
+            if (event.kind == workload::Event::Kind::kUpdate) continue;
+            if (!index_in_range(trace, event) ||
+                routing[static_cast<std::size_t>(event.index)] >=
+                    endpoint_count) {
+              break;
             }
-            std::uint32_t* const group =
-                &tapes.groups[c * (endpoint_count + 1)];
-            auto next_slot = static_cast<std::uint32_t>(first);
-            for (std::size_t e = 0; e < endpoint_count; ++e) {
-              group[e] = next_slot;
-              cursor[e] = next_slot;
-              next_slot += counts[e];
-              routed[e] += counts[e];
-            }
-            group[endpoint_count] = next_slot;
+            ++counts[routing[static_cast<std::size_t>(event.index)]];
+          }
+          std::uint32_t* const group = &tapes.groups[c * (endpoint_count + 1)];
+          auto next_slot = static_cast<std::uint32_t>(first);
+          for (std::size_t e = 0; e < endpoint_count; ++e) {
+            group[e] = next_slot;
+            cursor[e] = next_slot;
+            next_slot += counts[e];
+            routed[e] += counts[e];
+          }
+          group[endpoint_count] = next_slot;
 
-            for (std::size_t pos = first; pos < last; ++pos) {
-              const workload::Event& event = trace.order[pos];
-              DELTA_CHECK(index_in_range(trace, event));
-              const auto i = static_cast<std::size_t>(event.index);
-              const bool is_update =
-                  event.kind == workload::Event::Kind::kUpdate;
-              const workload::Update* u = nullptr;
-              std::uint32_t e = 0;
-              EventTime now = 0;
-              if (is_update) {
-                u = &trace.updates[i];
-                if (next_update == kStartUnknown) {
-                  next_update = first_update = event.index;
-                }
-                DELTA_CHECK_MSG(event.index == next_update,
-                                "update event " << pos << " names update " << i
-                                                << " where the merged order's "
-                                                   "next update is "
-                                                << next_update);
-                ++next_update;
-                // Object ids index the shards' prefilter gates; a hand-built
-                // trace need not have been validated.
-                DELTA_CHECK_MSG(
-                    u->object.value() >= 0 &&
-                        static_cast<std::size_t>(u->object.value()) <
-                            object_count,
-                    "update " << i << " names object " << u->object.value()
-                              << " of " << object_count);
-                now = u->time;
-              } else {
-                const workload::Query& q = trace.queries[i];
-                // A worker silently skips queries routed out of range, so the
-                // whole split is validated here.
-                e = routing[i];
-                DELTA_CHECK(e < endpoint_count);
-                now = q.time;
-                if (now >= warmup_end &&
-                    (sketch_stride <= 1 ||
-                     static_cast<std::int64_t>(i) % sketch_stride == 0)) {
-                  ++retained[e];
-                }
-                std::vector<std::uint8_t>& row = tapes.touch_rows[e];
-                if (!row.empty()) {
-                  // Marked here, while the query record is in cache, so no
-                  // partition walks the routing table or the query records
-                  // for its touch set. Blocks mark one row concurrently: a
-                  // relaxed load first, so a byte already set is never
-                  // written again and its cache line is not bounced between
-                  // workers.
-                  for (const ObjectId o : q.objects) {
-                    DELTA_CHECK_MSG(o.value() >= 0 &&
-                                        static_cast<std::size_t>(o.value()) <
-                                            object_count,
-                                    "query " << i << " names object "
-                                             << o.value() << " of "
-                                             << object_count);
-                    const std::atomic_ref<std::uint8_t> mark{
-                        row[static_cast<std::size_t>(o.value())]};
-                    if (mark.load(std::memory_order_relaxed) == 0) {
-                      mark.store(1, std::memory_order_relaxed);
-                    }
+          for (std::size_t pos = first; pos < last; ++pos) {
+            const workload::Event& event = trace.order[pos];
+            DELTA_CHECK(index_in_range(trace, event));
+            const auto i = static_cast<std::size_t>(event.index);
+            const bool is_update =
+                event.kind == workload::Event::Kind::kUpdate;
+            const workload::Update* u = nullptr;
+            std::uint32_t e = 0;
+            EventTime now = 0;
+            if (is_update) {
+              u = &trace.updates[i];
+              DELTA_CHECK_MSG(event.index == next_update,
+                              "update event " << pos << " names update " << i
+                                              << " where the merged order's "
+                                                 "next update is "
+                                              << next_update);
+              ++next_update;
+              // Object ids index the shards' prefilter gates; a hand-built
+              // trace need not have been validated.
+              DELTA_CHECK_MSG(u->object.value() >= 0 &&
+                                  static_cast<std::size_t>(u->object.value()) <
+                                      object_count,
+                              "update " << i << " names object "
+                                        << u->object.value() << " of "
+                                        << object_count);
+              now = u->time;
+            } else {
+              const workload::Query& q = trace.queries[i];
+              // A worker silently skips queries routed out of range, so the
+              // whole split is validated here.
+              e = routing[i];
+              DELTA_CHECK(e < endpoint_count);
+              now = q.time;
+              if (now >= warmup_end &&
+                  (sketch_stride <= 1 ||
+                   static_cast<std::int64_t>(i) % sketch_stride == 0)) {
+                ++retained[e];
+              }
+              std::vector<std::uint8_t>& row = tapes.touch_rows[e];
+              if (!row.empty()) {
+                // Marked here, while the query record is in cache, so no
+                // partition walks the routing table or the query records
+                // for its touch set. Blocks mark one row concurrently: a
+                // relaxed load first, so a byte already set is never
+                // written again and its cache line is not bounced between
+                // workers.
+                for (const ObjectId o : q.objects) {
+                  DELTA_CHECK_MSG(o.value() >= 0 &&
+                                      static_cast<std::size_t>(o.value()) <
+                                          object_count,
+                                  "query " << i << " names object "
+                                           << o.value() << " of "
+                                           << object_count);
+                  const std::atomic_ref<std::uint8_t> mark{
+                      row[static_cast<std::size_t>(o.value())]};
+                  if (mark.load(std::memory_order_relaxed) == 0) {
+                    mark.store(1, std::memory_order_relaxed);
                   }
                 }
               }
-              DELTA_CHECK_MSG(now >= previous,
-                              "event " << pos << " at time " << now
-                                       << " precedes the time " << previous
-                                       << " of the event before");
-              previous = now;
-              double arrival =
-                  static_cast<double>(now) * options.seconds_per_event;
-              if (block_arrivals != nullptr) {
-                arrival = event_arrivals[pos] = block_arrivals->next();
-              } else if (event_arrivals != nullptr) {
-                arrival = event_arrivals[pos];
-              }
-              const auto position = static_cast<std::uint32_t>(pos);
-              if (is_update) {
-                column[i] = {arrival, u->cost.count(),
-                             static_cast<std::uint32_t>(u->object.value()),
-                             position};
-                ++updates;
-              } else {
-                slots[cursor[e]++] = {arrival, static_cast<std::uint32_t>(i),
-                                      position};
-              }
+            }
+            DELTA_CHECK_MSG(now >= previous,
+                            "event " << pos << " at time " << now
+                                     << " precedes the time " << previous
+                                     << " of the event before");
+            previous = now;
+            double arrival =
+                static_cast<double>(now) * options.seconds_per_event;
+            if (block_arrivals != nullptr) {
+              arrival = event_arrivals[pos] = block_arrivals->next();
+            } else if (event_arrivals != nullptr) {
+              arrival = event_arrivals[pos];
+            }
+            const auto position = static_cast<std::uint32_t>(pos);
+            if (is_update) {
+              column[i] = {arrival, u->cost.count(),
+                           static_cast<std::uint32_t>(u->object.value()),
+                           position};
+              ++updates;
+            } else {
+              slots[cursor[e]++] = {arrival, static_cast<std::uint32_t>(i),
+                                    position};
             }
           }
-          tallies[b] = {std::move(routed), std::move(retained), updates,
-                        first_update};
-          if (b == 0) select_stops(tapes, options.series_stride);
-        });
-  } catch (const std::logic_error&) {
-    // A block's own checks hold only from the start it took, so its first
-    // error need not be the trace's.
-    if (blocks == 1) throw;
-    rethrow_first_error();
-  }
-  // Each block's start is the number of updates before it.
-  std::size_t updates_before = 0;
-  for (const BlockTally& tally : tallies) {
-    if (tally.first_update != kStartUnknown &&
-        static_cast<std::size_t>(tally.first_update) != updates_before) {
-      rethrow_first_error();
-    }
-    updates_before += tally.updates;
-  }
+        }
+        tallies[b] = {std::move(routed), std::move(retained), updates};
+        if (b == 0) select_stops(tapes, options.series_stride);
+      });
 
   // The blocks wrote update ids 0 .. update_count - 1, each once.
   tapes.routed_queries.assign(endpoint_count, 0);

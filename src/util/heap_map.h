@@ -25,8 +25,9 @@
 //    indexed by key.value(). Mutators DELTA_CHECK the range; contains() and
 //    find() answer "absent" for an out-of-range key.
 //  * Priority is totally ordered via operator< and copyable (double, int64).
-//  * Keys are unique; push() requires absence, update() and raise()
-//    presence; raise() never lowers a priority (a DELTA_DCHECK).
+//  * Keys are unique; push() requires absence, raise() presence; raise()
+//    never lowers a priority (a DELTA_DCHECK). A caller that lowers one
+//    erases the key and pushes it again.
 //  * All operations are deterministic functions of the operation sequence.
 #pragma once
 
@@ -57,7 +58,7 @@ class HeapMap {
   }
 
   /// Live priority of `key`, or nullptr when absent. Read-only: priorities
-  /// change only through update() and raise().
+  /// change only through raise().
   [[nodiscard]] const Priority* find(Key key) const {
     const std::uint32_t i = position(key);
     return i == kAbsent ? nullptr : &heap_[i].priority;
@@ -81,16 +82,6 @@ class HeapMap {
     slot = static_cast<std::uint32_t>(heap_.size());
     heap_.push_back(Slot{{key, priority}, priority});
     sift_up(heap_.size() - 1);
-  }
-
-  /// Re-prioritizes a present key (either direction), re-keying it now.
-  void update(Key key, Priority priority) {
-    const std::size_t i = pos_[checked(key)];
-    DELTA_CHECK_MSG(i != kAbsent, "HeapMap::update of an absent key");
-    heap_[i].priority = priority;
-    heap_[i].bound = priority;
-    sift_up(i);
-    sift_down(i);
   }
 
   /// Raises a present key's live priority in O(1); its heap key stays

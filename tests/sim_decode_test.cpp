@@ -625,9 +625,9 @@ TEST(DecodeTapesTest, UpdatesOutOfIdOrderAndTimesThatGoBackAreRejected) {
   }
 }
 
-// Traces with no update at all, or a handful far apart: a block's start
-// update id never comes from the block before it, so these decode to the
-// definitions at every block count too.
+// Traces with no update at all, or a handful far apart: a block's walk
+// back to the previous update crosses whole blocks or finds none, and
+// these still decode to the definitions at every block count.
 TEST(DecodeTapesTest, QueryOnlyAndUpdateSparseTracesMatchTheDefinitions) {
   util::Rng rng{20261022};
   for (const double query_share : {1.0, 0.995, 0.98}) {
@@ -652,11 +652,12 @@ TEST(DecodeTapesTest, QueryOnlyAndUpdateSparseTracesMatchTheDefinitions) {
 
 // Two updates far apart in an 800-event trace whose ids are swapped (their
 // times too, so only the ids are out of order) are reported at the first
-// of them at every block count. A block that holds the first takes the
-// wrong start there and passes its own check. Either the start check after
-// the join or its own later error sends the decode back through one block.
-// A bad object in the last query, past both, is not the one reported.
-TEST(DecodeTapesTest, SwappedIdsOfSparseUpdatesAreReportedAtTheFirst) {
+// of them at every block count, and a bad object in the last query, past
+// both, is not the one reported. When the second update repeats the
+// first's id instead, it is rejected where it stands; at two or more
+// blocks it sits in a later block than the first, which starts from the
+// first's id and so rejects it before writing its column row.
+TEST(DecodeTapesTest, SwappedOrRepeatedIdsOfSparseUpdatesAreRejected) {
   constexpr std::size_t kObjects = 12;
   constexpr std::size_t kFirst = 250;
   constexpr std::size_t kSecond = 610;
@@ -680,15 +681,22 @@ TEST(DecodeTapesTest, SwappedIdsOfSparseUpdatesAreReportedAtTheFirst) {
   std::swap(swapped.updates[0].time, swapped.updates[1].time);
   workload::Trace then_bad_query = swapped;
   then_bad_query.queries.back().objects.push_back(ObjectId{kObjects + 1});
+  workload::Trace repeated = clean;
+  repeated.order[kSecond].index = repeated.order[kFirst].index;
   const std::string swap_message =
       "update event " + std::to_string(kFirst) +
       " names update 1 where the merged order's next update is 0";
+  const std::string repeat_message =
+      "update event " + std::to_string(kSecond) +
+      " names update 0 where the merged order's next update is 1";
   for (std::size_t blocks = 1; blocks <= kMaxBlocks; ++blocks) {
     SCOPED_TRACE(::testing::Message() << "blocks " << blocks);
     EXPECT_EQ(rejection(clean, routing, 4, blocks), "");
     EXPECT_NE(rejection(swapped, routing, 4, blocks).find(swap_message),
               std::string::npos);
     EXPECT_NE(rejection(then_bad_query, routing, 4, blocks).find(swap_message),
+              std::string::npos);
+    EXPECT_NE(rejection(repeated, routing, 4, blocks).find(repeat_message),
               std::string::npos);
   }
 }

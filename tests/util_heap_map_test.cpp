@@ -1,4 +1,4 @@
-// util::HeapMap: indexed-heap semantics (push/update/raise/erase/pop,
+// util::HeapMap: indexed-heap semantics (push/raise/erase/pop,
 // tie-broken (priority, key) ordering) and differential equivalence against
 // a brute force arg-min scan under random churn — the property the eviction
 // policies rely on for byte-identical victim selection. raise() leaves a
@@ -38,7 +38,7 @@ TEST(HeapMapTest, PushTopPopOrdersByPriorityThenKey) {
   EXPECT_TRUE(heap.empty());
 }
 
-TEST(HeapMapTest, FindUpdateErase) {
+TEST(HeapMapTest, FindRaiseErase) {
   HeapMap<ObjectId, std::int64_t> heap{kKeys};
   heap.push(ObjectId{10}, 5);
   heap.push(ObjectId{20}, 6);
@@ -46,9 +46,10 @@ TEST(HeapMapTest, FindUpdateErase) {
   EXPECT_EQ(*heap.find(ObjectId{10}), 5);
   EXPECT_EQ(heap.find(ObjectId{99}), nullptr);
 
-  heap.update(ObjectId{10}, 7);  // demote: 20 becomes the minimum
+  heap.raise(ObjectId{10}, 7);  // demote: 20 becomes the minimum
   EXPECT_EQ(heap.top().key, ObjectId{20});
-  heap.update(ObjectId{10}, 1);  // promote back
+  ASSERT_TRUE(heap.erase(ObjectId{10}));  // a lower priority is a re-push
+  heap.push(ObjectId{10}, 1);
   EXPECT_EQ(heap.top().key, ObjectId{10});
 
   EXPECT_TRUE(heap.erase(ObjectId{10}));
@@ -61,7 +62,7 @@ TEST(HeapMapTest, PushPresentKeyThrows) {
   HeapMap<ObjectId, double> heap{kKeys};
   heap.push(ObjectId{1}, 1.0);
   EXPECT_THROW(heap.push(ObjectId{1}, 2.0), std::logic_error);
-  EXPECT_THROW(heap.update(ObjectId{2}, 2.0), std::logic_error);
+  EXPECT_THROW(heap.raise(ObjectId{2}, 2.0), std::logic_error);
 }
 
 TEST(HeapMapTest, OutOfRangeKeysAreAbsentAndRejected) {
@@ -71,7 +72,7 @@ TEST(HeapMapTest, OutOfRangeKeysAreAbsentAndRejected) {
   EXPECT_FALSE(heap.contains(ObjectId::invalid()));
   EXPECT_EQ(heap.find(past_end), nullptr);
   EXPECT_THROW(heap.push(past_end, 1.0), std::logic_error);
-  EXPECT_THROW(heap.update(past_end, 1.0), std::logic_error);
+  EXPECT_THROW(heap.raise(past_end, 1.0), std::logic_error);
   EXPECT_THROW((void)heap.erase(past_end), std::logic_error);
   EXPECT_TRUE(heap.empty());
 }
@@ -114,7 +115,7 @@ TEST(HeapMapTest, RaiseToALowerPriorityTripsTheDcheck) {
 
 /// A priority ordered by `credit` alone that carries a payload along, as
 /// the Greedy-Dual-Size credit carries its cost ratio: equal credits with
-/// different tags tie, and the tag shows which raise or update the heap
+/// different tags tie, and the tag shows which raise or push the heap
 /// reports.
 struct Tagged {
   std::int64_t credit = 0;
@@ -127,8 +128,9 @@ struct Tagged {
 
 // Differential churn against a brute-force model of the live priorities:
 // seeded random mixes of push, raise (often by zero, so live priorities
-// tie the heap keys they leave behind), update both ways, erase, pop, top
-// and find over a few dozen keys and a handful of credits. After every
+// tie the heap keys they leave behind), re-push at any credit (erase then
+// push), erase, pop, top and find over a few dozen keys and a handful of
+// credits. After every
 // operation top() is the (live credit, key) arg-min with its live
 // priority, and find() reports every key's live priority or absence.
 TEST(HeapMapTest, DifferentialArgMinUnderChurn) {
@@ -170,7 +172,8 @@ TEST(HeapMapTest, DifferentialArgMinUnderChurn) {
       } else if (op == 5) {
         if (present) {
           const Tagged p{rng.uniform_int(0, 8), ++tag};
-          heap.update(ObjectId{id}, p);
+          ASSERT_TRUE(heap.erase(ObjectId{id}));
+          heap.push(ObjectId{id}, p);
           it->second = p;
         }
       } else if (op == 6) {
